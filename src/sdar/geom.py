@@ -46,7 +46,12 @@ class Pose2:
 
 @dataclass(frozen=True)
 class OrientedBox:
-    """Rectangle with center pose and strictly positive half extents."""
+    """Rectangle with center pose and strictly positive half extents.
+
+    The frame (circumradius, axes, corners) is computed once here and kept as
+    plain attributes rather than dataclass fields, so equality, hashing and
+    repr still see only the pose and the half extents.
+    """
 
     center: Pose2
     half_width: float
@@ -55,25 +60,28 @@ class OrientedBox:
     def __post_init__(self):
         if not (self.half_width > 0.0 and self.half_height > 0.0):
             raise ValueError("half extents must be strictly positive")
-
-    @property
-    def circumradius(self) -> float:
-        return math.hypot(self.half_width, self.half_height)
-
-    def axes(self) -> tuple[Point, Point]:
         c, s = math.cos(self.center.theta), math.sin(self.center.theta)
-        return (c, s), (-s, c)
-
-    def corners(self) -> list[Point]:
-        (ux, uy), (vx, vy) = self.axes()
+        ux, uy, vx, vy = c, s, -s, c
         cx, cy = self.center.x, self.center.y
         w, h = self.half_width, self.half_height
-        return [
-            (cx + w * ux + h * vx, cy + w * uy + h * vy),
-            (cx - w * ux + h * vx, cy - w * uy + h * vy),
-            (cx - w * ux - h * vx, cy - w * uy - h * vy),
-            (cx + w * ux - h * vx, cy + w * uy - h * vy),
-        ]
+        object.__setattr__(self, "circumradius", math.hypot(w, h))
+        object.__setattr__(self, "_axes", ((ux, uy), (vx, vy)))
+        object.__setattr__(
+            self,
+            "_corners",
+            (
+                (cx + w * ux + h * vx, cy + w * uy + h * vy),
+                (cx - w * ux + h * vx, cy - w * uy + h * vy),
+                (cx - w * ux - h * vx, cy - w * uy - h * vy),
+                (cx + w * ux - h * vx, cy + w * uy - h * vy),
+            ),
+        )
+
+    def axes(self) -> tuple[Point, Point]:
+        return self._axes
+
+    def corners(self) -> list[Point]:
+        return list(self._corners)
 
 
 @dataclass(frozen=True)
@@ -103,13 +111,6 @@ def box_at(pose: Pose2, half_width: float, half_height: float) -> OrientedBox:
     return OrientedBox(pose, half_width, half_height)
 
 
-def _projection_radius(box: OrientedBox, axis: Point) -> float:
-    (ux, uy), (vx, vy) = box.axes()
-    return box.half_width * abs(axis[0] * ux + axis[1] * uy) + box.half_height * abs(
-        axis[0] * vx + axis[1] * vy
-    )
-
-
 def overlaps(a: OrientedBox, b: OrientedBox) -> bool:
     """Closed-rectangle intersection via the separating-axis test over 4 axes."""
     dx = b.center.x - a.center.x
@@ -117,9 +118,14 @@ def overlaps(a: OrientedBox, b: OrientedBox) -> bool:
     reach = a.circumradius + b.circumradius
     if dx * dx + dy * dy > reach * reach + EPS:
         return False
-    for axis in a.axes() + b.axes():
-        gap = abs(dx * axis[0] + dy * axis[1]) - (
-            _projection_radius(a, axis) + _projection_radius(b, axis)
+    aw, ah, bw, bh = a.half_width, a.half_height, b.half_width, b.half_height
+    (aux, auy), (avx, avy) = a._axes
+    (bux, buy), (bvx, bvy) = b._axes
+    for x, y in a._axes + b._axes:
+        # centre distance along the axis less both boxes' projection radii
+        gap = abs(dx * x + dy * y) - (
+            (aw * abs(x * aux + y * auy) + ah * abs(x * avx + y * avy))
+            + (bw * abs(x * bux + y * buy) + bh * abs(x * bvx + y * bvy))
         )
         if gap > EPS:
             return False
@@ -128,7 +134,7 @@ def overlaps(a: OrientedBox, b: OrientedBox) -> bool:
 
 def inside(w: Workspace, b: OrientedBox) -> bool:
     """True iff all four corners lie in the closed workspace rectangle."""
-    return all(w.contains_point(p) for p in b.corners())
+    return all(w.contains_point(p) for p in b._corners)
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:
@@ -188,18 +194,21 @@ def segment_clearance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
     )
 
 
+def _separated_distance(a: OrientedBox, b: OrientedBox) -> float:
+    """Distance between two disjoint rectangles.  Disjoint convex polygons
+    attain their distance at a vertex of one of them, so the 8
+    vertex-to-box distances give it exactly."""
+    return min(
+        [point_box_distance(p, b) for p in a._corners]
+        + [point_box_distance(p, a) for p in b._corners]
+    )
+
+
 def box_clearance(a: OrientedBox, b: OrientedBox) -> float:
     """Exact distance between two closed rectangles (0 if they overlap)."""
     if overlaps(a, b):
         return 0.0
-    ca, cb = a.corners(), b.corners()
-    best = math.inf
-    for i in range(4):
-        for j in range(4):
-            d = segment_clearance(ca[i], ca[(i + 1) % 4], cb[j], cb[(j + 1) % 4])
-            if d < best:
-                best = d
-    return best
+    return _separated_distance(a, b)
 
 
 def boxes_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
@@ -209,14 +218,19 @@ def boxes_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
     reach = a.circumradius + b.circumradius + gap
     if dx * dx + dy * dy > reach * reach:
         return False
-    if overlaps(a, b):
-        return True
-    ca, cb = a.corners(), b.corners()
-    for i in range(4):
-        for j in range(4):
-            if segment_clearance(ca[i], ca[(i + 1) % 4], cb[j], cb[(j + 1) % 4]) < gap:
-                return True
-    return False
+    return overlaps(a, b) or _separated_distance(a, b) < gap
+
+
+def prefilter_reach2(radius: float, b: OrientedBox, gap: float) -> float:
+    """Squared centre distance beyond which a box of circumradius `radius` is
+    cleared against `b` by the bounding-circle prefilter of boxes_closer_than
+    (gap > 0) or of overlaps (gap <= 0).  It is the same arithmetic, so a
+    broad phase that skips such pairs keeps every verdict."""
+    if gap > 0.0:
+        reach = radius + b.circumradius + gap
+        return reach * reach
+    reach = radius + b.circumradius
+    return reach * reach + EPS
 
 
 # Minimum free gap kept between distinct footprints in generated arrangements
@@ -227,7 +241,7 @@ MIN_GAP = 0.022
 
 def point_box_distance(p: Point, box: OrientedBox) -> float:
     """Distance from a point to a closed oriented rectangle (0 inside)."""
-    (ux, uy), (vx, vy) = box.axes()
+    (ux, uy), (vx, vy) = box._axes
     dx, dy = p[0] - box.center.x, p[1] - box.center.y
     lx = dx * ux + dy * uy
     ly = dx * vx + dy * vy

@@ -27,6 +27,7 @@ from .geom import (
     dist,
     inside,
     overlaps,
+    prefilter_reach2,
     segment_clearance,
 )
 from .taskplan import PlannerSession, Stage, TaskPlan, assign_arms
@@ -41,8 +42,14 @@ VALIDATE_REFINE = 8  # validator samples at dt / VALIDATE_REFINE
 # Sampled clearance threshold above the limit.  EEs move at unit speed, so
 # clearance is 2-Lipschitz in time: samples >= clearance + GUARD at spacing
 # <= GUARD certify the continuous trajectory, and a leg ending at
-# clearance + GUARD always satisfies the next leg's entry sample.
+# clearance + GUARD always satisfies the next leg's entry sample.  The same
+# Lipschitz bound lets the validator skip grid samples a previous sample's
+# clearance already proves to pass; every sample it does not skip is
+# checked as before, so the verdict is that of the full grid.
 VALIDATE_GUARD = 0.0025
+# Clearance kept in reserve before skipping samples: far above the rounding
+# in sample times and segment distances, far below the grid's clearance step.
+VALIDATE_SLACK = 1e-9
 
 
 class NoFeasibleSubTask(Exception):
@@ -199,6 +206,19 @@ class Conflict:
     detail: str
 
 
+def _max_speed(path: ArmPath) -> float:
+    """Largest knot-to-knot speed of a path; inf if `pos` jumps anywhere
+    (a move in no time, or knot times that run backwards)."""
+    fastest = 0.0
+    for (t0, p0), (t1, p1) in zip(path.knots, path.knots[1:]):
+        span = t1 - t0
+        if span > 1e-12:
+            fastest = max(fastest, dist(p0, p1) / span)
+        elif span < 0.0 or p0[0] != p1[0] or p0[1] != p1[1]:
+            return math.inf
+    return fastest
+
+
 def validate_motion(
     paths: tuple[ArmPath, ArmPath],
     arms: tuple[ArmModel, ArmModel],
@@ -213,6 +233,13 @@ def validate_motion(
     clearance + VALIDATE_GUARD at sample spacing <= VALIDATE_GUARD, which
     certifies the continuous trajectory keeps the bare clearance.
     Re-checkers pass guard=0.0 to test the bare threshold at their own grid.
+
+    Samples proven safe are skipped.  Moving a segment endpoint by d moves
+    the segment distance by at most d, so clearance changes by at most
+    L = (sum of the two paths' top speeds) per unit time, and a sample with
+    clearance c passes every grid sample within (c - threshold - slack) / L
+    after it.  The grid is unchanged, so the result (None, or the first
+    failing sample's Conflict) is the one a full scan would return.
     """
     clearance = max(arms[0].clearance, arms[1].clearance)
     if guard is None:
@@ -223,13 +250,23 @@ def validate_motion(
         steps = max(int(round(VALIDATE_REFINE / dt)), int(math.ceil(duration / VALIDATE_GUARD)))
     else:
         steps = int(round(VALIDATE_REFINE / dt))
-    for k in range(steps + 1):
+    limit = clearance + guard - margin - 1e-9
+    speed = _max_speed(paths[0]) + _max_speed(paths[1])
+    # bound on the clearance change between neighbouring samples (inf*0 is nan)
+    per_step = math.inf if speed == math.inf else speed * (duration / steps)
+    k = 0
+    while k <= steps:
         t = duration * k / steps
         p1 = paths[0].pos(t)
         p2 = paths[1].pos(t)
         c = segment_clearance(arms[0].base, p1, arms[1].base, p2)
-        if c < clearance + guard - margin - 1e-9:
+        if c < limit:
             return Conflict(t / duration if duration > 0 else 0.0, f"arm clearance {c:.4f}")
+        # the slack absorbs rounding in the sample times and the clearance
+        spare = c - limit - VALIDATE_SLACK
+        if spare > 0.0:
+            k += int(min(spare / per_step, steps)) if per_step > 0.0 else steps
+        k += 1
     return None
 
 
@@ -322,8 +359,8 @@ def sample_buffers(
     hw, hh = buffered_shape
     margin = math.hypot(hw, hh)
     table = [footprint(i, p, shapes) for i, p in scene.on_table() if i not in skip_ids]
+    near = [_broad_phase_entry(ob, margin, min_gap) for ob in table + list(pending_goals)]
     found: list[Pose2] = []
-    found_boxes: list[OrientedBox] = []
     for _ in range(100 * k):
         if len(found) == k:
             break
@@ -335,19 +372,34 @@ def sample_buffers(
         box = box_at(pose, hw, hh)
         if not inside(workspace, box):
             continue
-        obstacles = table + pending_goals + found_boxes
-        if min_gap > 0.0:
-            if any(boxes_closer_than(box, ob, min_gap) for ob in obstacles):
-                continue
-        elif any(overlaps(box, ob) for ob in obstacles):
+        if _blocked(box, near, min_gap):
             continue
         found.append(pose)
-        found_boxes.append(box)
+        near.append(_broad_phase_entry(box, margin, min_gap))
     if not found:
         raise BufferSamplingExhausted(
             f"no buffer pose found within {100 * k} draws for shape {buffered_shape}"
         )
     return found
+
+
+def _broad_phase_entry(ob: OrientedBox, margin: float, min_gap: float):
+    return ob.center.x, ob.center.y, prefilter_reach2(margin, ob, min_gap), ob
+
+
+def _blocked(box: OrientedBox, near, min_gap: float) -> bool:
+    """True iff the exact test rejects `box` against an obstacle in `near`.
+    Obstacles whose centres lie beyond the prefilter reach are skipped
+    without calling it: the test's own prefilter would clear them."""
+    x, y = box.center.x, box.center.y
+    for ox, oy, reach2, ob in near:
+        dx = ox - x
+        dy = oy - y
+        if dx * dx + dy * dy > reach2:
+            continue
+        if boxes_closer_than(box, ob, min_gap) if min_gap > 0.0 else overlaps(box, ob):
+            return True
+    return False
 
 
 # ------------------------------------------------------ sub-task binding

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass/fail line each.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -30,6 +31,11 @@ from sdar.motion import (
 from sdar.taskplan import Stage
 
 ARMS = default_arms()
+
+# sha256 prefix of the concatenated default-suite traces at plan seed 42, and
+# their total action count: any change to a plan changes one of the two
+BEHAVIOUR_DIGEST = "744ba62d9603"
+BEHAVIOUR_ACTIONS = 1889
 
 
 def _report(num, name, ok, detail=""):
@@ -136,6 +142,18 @@ def test_criterion_5_success_rate(suite_results):
         "100% success on the default suite",
         len(suite_results) >= 200 and not failures,
         f"({len(suite_results)} instances, failures={failures[:3]})",
+    )
+
+
+def test_behaviour_digest_unchanged(suite_results):
+    h = hashlib.sha256()
+    for _, _, record, _, _ in suite_results:
+        h.update(sim.dumps_trace(record.trace).encode())
+    actions = sum(metrics.actions for _, metrics, _, _, _ in suite_results)
+    digest = h.hexdigest()
+    assert (digest[:12], actions) == (BEHAVIOUR_DIGEST, BEHAVIOUR_ACTIONS), (
+        f"behaviour digest {digest[:12]} with {actions} actions; a change that "
+        "alters plans must say why and record the new digest"
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdar.geom import (
+    MIN_GAP,
     OrientedBox,
     Pose2,
     Workspace,
     box_at,
+    box_clearance,
+    boxes_closer_than,
     inside,
     overlaps,
     point_box_distance,
+    prefilter_reach2,
     segment_clearance,
     segments_intersect,
 )
@@ -195,6 +200,136 @@ def test_clearance_symmetry_and_intersection_consistency(vals):
         assert d1 == 0.0
     else:
         assert d1 >= 0.0
+
+
+# ------------------------------------------------------- box frame and gaps
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_box_frame_matches_direct_formulas_bit_for_bit():
+    rng = random.Random(31)
+    thetas = [0.0, math.pi / 2, -math.pi, math.pi / 4, -0.0] + [
+        rng.uniform(-math.pi, math.pi) for _ in range(300)
+    ]
+    for theta in thetas:
+        box = random_box(rng)
+        box = box_at(Pose2(box.center.x, box.center.y, theta), box.half_width, box.half_height)
+        c, s = math.cos(box.center.theta), math.sin(box.center.theta)
+        (ux, uy), (vx, vy) = (c, s), (-s, c)
+        cx, cy, w, h = box.center.x, box.center.y, box.half_width, box.half_height
+        corners = [
+            (cx + w * ux + h * vx, cy + w * uy + h * vy),
+            (cx - w * ux + h * vx, cy - w * uy + h * vy),
+            (cx - w * ux - h * vx, cy - w * uy - h * vy),
+            (cx + w * ux - h * vx, cy + w * uy - h * vy),
+        ]
+        assert _bits(sum(box.axes(), ())) == _bits((ux, uy, vx, vy))
+        assert _bits(sum(box.corners(), ())) == _bits(sum(corners, ()))
+        assert _bits([box.circumradius]) == _bits([math.hypot(w, h)])
+
+
+def test_corners_returns_a_fresh_list():
+    box = box_at(Pose2(0.4, 0.2, 0.3), 0.05, 0.02)
+    before = box.corners()
+    got = box.corners()
+    got[0] = (9.0, 9.0)
+    got.append((1.0, 1.0))
+    assert box.corners() == before
+    assert box.corners() is not box.corners()
+
+
+def test_cached_frame_is_not_part_of_eq_hash_or_repr():
+    a = box_at(Pose2(0.4, 0.2, 0.3), 0.05, 0.02)
+    b = box_at(Pose2(0.4, 0.2, 0.3), 0.05, 0.02)
+    assert [f.name for f in dataclasses.fields(a)] == ["center", "half_width", "half_height"]
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"OrientedBox(center={a.center!r}, half_width=0.05, half_height=0.02)"
+    assert dataclasses.replace(a, half_width=0.07).corners() != a.corners()
+
+
+def clearance_by_edge_pairs(a: OrientedBox, b: OrientedBox) -> float:
+    """Box distance as the least of the 16 edge-to-edge segment clearances."""
+    if overlaps(a, b):
+        return 0.0
+    ca, cb = a.corners(), b.corners()
+    return min(
+        segment_clearance(ca[i], ca[(i + 1) % 4], cb[j], cb[(j + 1) % 4])
+        for i in range(4)
+        for j in range(4)
+    )
+
+
+def test_box_clearance_matches_edge_pair_reference():
+    rng = random.Random(404)
+    for _ in range(1000):
+        a, b = random_box(rng), random_box(rng)
+        assert box_clearance(a, b) == pytest.approx(clearance_by_edge_pairs(a, b), abs=1e-12)
+
+
+def test_boxes_closer_than_matches_clearance_on_random_pairs():
+    rng = random.Random(405)
+    for _ in range(1000):
+        a, b = random_box(rng, span=0.6), random_box(rng, span=0.6)
+        for gap in (MIN_GAP, 0.1, 0.3):
+            got = boxes_closer_than(a, b, gap)
+            assert got == (overlaps(a, b) or box_clearance(a, b) < gap), (a, b, gap)
+            assert got == (overlaps(a, b) or clearance_by_edge_pairs(a, b) < gap), (a, b, gap)
+
+
+def test_pairs_beyond_prefilter_reach_are_clear():
+    rng = random.Random(407)
+    beyond = 0
+    for _ in range(2000):
+        a, b = random_box(rng, span=0.6), random_box(rng, span=0.6)
+        dx, dy = b.center.x - a.center.x, b.center.y - a.center.y
+        for gap in (0.0, MIN_GAP, 0.1):
+            if dx * dx + dy * dy > prefilter_reach2(a.circumradius, b, gap):
+                beyond += 1
+                assert not boxes_closer_than(a, b, gap) if gap > 0.0 else not overlaps(a, b)
+                assert box_clearance(a, b) >= gap
+    assert beyond > 1000
+
+
+def _nearest_on_box(p, box: OrientedBox):
+    (ux, uy), (vx, vy) = box.axes()
+    dx, dy = p[0] - box.center.x, p[1] - box.center.y
+    lx = max(-box.half_width, min(box.half_width, dx * ux + dy * uy))
+    ly = max(-box.half_height, min(box.half_height, dx * vx + dy * vy))
+    return (box.center.x + lx * ux + ly * vx, box.center.y + lx * uy + ly * vy)
+
+
+def _shifted_to_gap(a: OrientedBox, b: OrientedBox, target: float) -> OrientedBox:
+    """b translated along the a-to-b witness direction so the boxes' distance
+    becomes `target` (a separating direction keeps its witness points)."""
+    pairs = [(p, _nearest_on_box(p, b)) for p in a.corners()]
+    pairs += [(_nearest_on_box(p, a), p) for p in b.corners()]
+    p, q = min(pairs, key=lambda pq: math.dist(*pq))
+    d = math.dist(p, q)
+    nx, ny = (q[0] - p[0]) / d, (q[1] - p[1]) / d
+    shift = target - d
+    return box_at(
+        Pose2(b.center.x + shift * nx, b.center.y + shift * ny, b.center.theta),
+        b.half_width,
+        b.half_height,
+    )
+
+
+def test_boxes_closer_than_on_near_touching_pairs():
+    rng = random.Random(406)
+    checked = 0
+    while checked < 300:
+        a, b = random_box(rng, span=0.6), random_box(rng, span=0.6)
+        if overlaps(a, b):
+            continue
+        for target in (MIN_GAP - 1e-6, MIN_GAP + 1e-6):
+            moved = _shifted_to_gap(a, b, target)
+            assert box_clearance(a, moved) == pytest.approx(target, abs=1e-12)
+            assert clearance_by_edge_pairs(a, moved) == pytest.approx(target, abs=1e-12)
+            assert boxes_closer_than(a, moved, MIN_GAP) == (target < MIN_GAP)
+            assert boxes_closer_than(moved, a, MIN_GAP) == (target < MIN_GAP)
+        checked += 1
 
 
 # ---------------------------------------------------------------- workspace

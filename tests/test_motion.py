@@ -3,12 +3,26 @@ import random
 
 import pytest
 
-from sdar import instances, sim
+from sdar import instances, motion, sim
 from sdar.depgraph import Arrangement, footprint
-from sdar.geom import MIN_GAP, Pose2, Workspace, box_at, box_clearance, dist, overlaps
+from sdar.geom import (
+    MIN_GAP,
+    Pose2,
+    Workspace,
+    box_at,
+    box_clearance,
+    boxes_closer_than,
+    dist,
+    inside,
+    overlaps,
+    segment_clearance,
+)
 from sdar.motion import (
     DT,
+    VALIDATE_GUARD,
+    VALIDATE_REFINE,
     ArmModel,
+    ArmPath,
     ArmTask,
     BufferSamplingExhausted,
     Conflict,
@@ -26,6 +40,11 @@ from sdar.motion import (
     sequential_fallback,
     untangle,
     validate_motion,
+    _leg_endpoints,
+    _pad,
+    _serial_phases,
+    _timed,
+    _two_phase,
 )
 from sdar.taskplan import Stage, next_task_plan
 
@@ -119,6 +138,108 @@ def test_buffer_samples_pass_overlap_audit():
         for other in live + pending:
             assert not overlaps(box, other)
             assert box_clearance(box, other) >= MIN_GAP - 1e-12
+
+
+def sample_buffers_reference(
+    scene, shapes, pending_goals, k, rng, buffered_shape, workspace,
+    skip_ids=frozenset(), min_gap=MIN_GAP,
+):
+    """sample_buffers without the broad phase: every draw is tested against
+    every obstacle with the exact predicate."""
+    hw, hh = buffered_shape
+    margin = math.hypot(hw, hh)
+    table = [footprint(i, p, shapes) for i, p in scene.on_table() if i not in skip_ids]
+    found, found_boxes = [], []
+    for _ in range(100 * k):
+        if len(found) == k:
+            break
+        pose = Pose2(
+            rng.uniform(margin, workspace.width - margin),
+            rng.uniform(margin, workspace.height - margin),
+            rng.uniform(-math.pi, math.pi),
+        )
+        box = box_at(pose, hw, hh)
+        if not inside(workspace, box):
+            continue
+        obstacles = table + pending_goals + found_boxes
+        if min_gap > 0.0:
+            if any(boxes_closer_than(box, ob, min_gap) for ob in obstacles):
+                continue
+        elif any(overlaps(box, ob) for ob in obstacles):
+            continue
+        found.append(pose)
+        found_boxes.append(box)
+    if not found:
+        raise BufferSamplingExhausted(
+            f"no buffer pose found within {100 * k} draws for shape {buffered_shape}"
+        )
+    return found
+
+
+def _saturated_table():
+    shapes, poses = {}, {}
+    for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        shapes[k] = (0.074, 0.074)
+        poses[k] = Pose2(0.075 + 0.15 * i, 0.075 + 0.15 * j)
+    return Arrangement(poses), shapes, [], (0.05, 0.05), Workspace(0.3, 0.3), frozenset()
+
+
+def _crowded_table(n, seed):
+    inst = instances.gen_random(n, seed)
+    pending = [footprint(i, inst.goal.pose_of(i), inst.shapes) for i in inst.ids() if i != 0]
+    return inst.start, inst.shapes, pending, inst.shapes[0], inst.workspace, frozenset({0})
+
+
+def test_sample_buffers_matches_reference_without_broad_phase():
+    cases = [
+        (Arrangement({}), {}, [], (0.04, 0.04), Workspace(), frozenset()),
+        _crowded_table(12, 3),
+        _crowded_table(20, 1),
+        _saturated_table(),
+    ]
+    outcomes = set()
+    for scene, shapes, pending, shape, ws, skip in cases:
+        for min_gap in (MIN_GAP, 0.0):
+            for seed, k in ((0, 20), (1, 3), (2, 20)):
+                results = []
+                for sampler in (sample_buffers, sample_buffers_reference):
+                    rng = random.Random(seed)
+                    try:
+                        got = sampler(scene, shapes, pending, k, rng, shape, ws, skip, min_gap)
+                    except BufferSamplingExhausted as exc:
+                        got = str(exc)
+                    results.append((got, rng.getstate()))
+                assert results[0] == results[1], (len(shapes), min_gap, seed, k)
+                outcomes.add(type(results[0][0]))
+    assert outcomes == {list, str}
+
+
+class ScriptedRng:
+    """Stands in for random.Random: uniform() returns the scripted draws."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def uniform(self, lo, hi):
+        return next(self.draws)
+
+
+def test_sample_buffers_broad_phase_keeps_boundary_draws():
+    # a square turned 45 degrees has its corners on the axes, so the draw
+    # whose corner touches the obstacle's sits exactly at the summed
+    # circumradii, the edge of both exact tests' bounding-circle prefilters
+    r = math.hypot(0.05, 0.05)
+    scene = Arrangement({0: Pose2(0.3, 0.3, math.pi / 4)})
+    shapes = {0: (0.05, 0.05)}
+    far = (0.8, 0.3, 0.0)
+    for min_gap, x in ((0.0, 0.3 + 2 * r), (MIN_GAP, 0.3 + 2 * r + MIN_GAP - 1e-6)):
+        draws = [x, 0.3, math.pi / 4, *far]
+        for sampler in (sample_buffers, sample_buffers_reference):
+            poses = sampler(
+                scene, shapes, [], 1, ScriptedRng(draws), (0.05, 0.05), Workspace(),
+                min_gap=min_gap,
+            )
+            assert poses == [Pose2(*far)], (sampler.__name__, min_gap)
 
 
 # ---------------------------------------------------------- task selection
@@ -355,3 +476,133 @@ def test_motions_valid_at_doubled_sampling_rate():
         for motion in rec.motions:
             bad = validate_motion(motion.paths, ARMS, motion.duration, DT / 2, margin=1e-6, guard=0.0)
             assert bad is None, (inst.label, bad)
+
+
+# ------------------------------------------- validation: skipped samples
+
+def full_scan_validate(paths, arms, duration, dt=DT, margin=0.0, guard=None):
+    """validate_motion's grid and threshold with every sample checked in order."""
+    clearance = max(arms[0].clearance, arms[1].clearance)
+    if guard is None:
+        guard = VALIDATE_GUARD
+    if duration <= 1e-12:
+        steps = 1
+    elif guard > 0.0:
+        steps = max(int(round(VALIDATE_REFINE / dt)), int(math.ceil(duration / VALIDATE_GUARD)))
+    else:
+        steps = int(round(VALIDATE_REFINE / dt))
+    for k in range(steps + 1):
+        t = duration * k / steps
+        c = segment_clearance(arms[0].base, paths[0].pos(t), arms[1].base, paths[1].pos(t))
+        if c < clearance + guard - margin - 1e-9:
+            return Conflict(t / duration if duration > 0 else 0.0, f"arm clearance {c:.4f}")
+    return None
+
+
+# (dt, margin, guard): the planner's own validation, and re-checks at the
+# bare threshold as acceptance criterion 7 makes them
+VALIDATION_SETTINGS = [
+    (DT, 0.0, None),
+    (DT, 0.02, None),
+    (DT / 2, 0.0, 0.0),
+    (DT / 2, 1e-6, 0.0),
+]
+
+
+def assert_validators_agree(paths, duration, arms) -> set:
+    """Outcomes (True for None) of both validators, which must be equal."""
+    outcomes = set()
+    for dt, margin, guard in VALIDATION_SETTINGS:
+        got = validate_motion(paths, arms, duration, dt, margin=margin, guard=guard)
+        want = full_scan_validate(paths, arms, duration, dt, margin, guard)
+        assert got == want, ([p.knots for p in paths], duration, dt, margin, guard)
+        outcomes.add(want is None)
+    return outcomes
+
+
+def _padded(paths):
+    duration = max(p.duration for p in paths)
+    return (_pad(paths[0], duration), _pad(paths[1], duration)), duration
+
+
+def test_validate_skipping_matches_full_scan_on_random_legs(monkeypatch):
+    outcomes = set()
+    calls = []
+
+    def checked(paths, arms, duration, dt=DT, margin=0.0, guard=None):
+        calls.append(duration)
+        outcomes.update(assert_validators_agree(paths, duration, arms))
+        return validate_motion(paths, arms, duration, dt, margin, guard)
+
+    monkeypatch.setattr(motion, "validate_motion", checked)
+    rng = random.Random(8)
+    for arms in (ARMS, default_arms(clearance=0.25)):
+        for _ in range(40):
+            pts = [(rng.uniform(0.1, 0.9), rng.uniform(0.05, 0.55)) for _ in range(4)]
+            sub, ee = pair_leg(*pts)
+            if rng.random() < 0.3:  # one idle arm, parked or on its way to retract
+                sub = InstantiatedSubTask(tasks=(sub.tasks[0], ArmTask()))
+                if rng.random() < 0.5:
+                    ee[1] = arms[1].retract
+            for stage in (Stage.TO_START, Stage.TO_GOAL):
+                res = plan_sync(sub, arms, stage, ee)
+                if isinstance(res, Conflict) and untangle(sub, arms, stage, ee, res) is None:
+                    try:
+                        sequential_fallback(sub, arms, stage, ee)
+                    except SubTaskInfeasible:
+                        pass
+            if sub.tasks[1].obj is not None:
+                legs = _leg_endpoints(sub, Stage.TO_GOAL, ee, arms)
+                for builder in (_two_phase, _serial_phases):
+                    for first in (0, 1):
+                        paths, duration = _padded(builder(legs, arms, first)[0])
+                        outcomes.update(assert_validators_agree(paths, duration, arms))
+    assert len(calls) > 100
+    assert outcomes == {True, False}
+
+
+def test_validate_skipping_matches_full_scan_on_planned_runs(monkeypatch):
+    calls = []
+
+    def checked(paths, arms, duration, dt=DT, margin=0.0, guard=None):
+        calls.append(assert_validators_agree(paths, duration, arms))
+        return validate_motion(paths, arms, duration, dt, margin, guard)
+
+    monkeypatch.setattr(motion, "validate_motion", checked)
+    for inst in (instances.showcase9(), instances.gen_mixed(0), instances.gen_double_cycle(6, 2)):
+        assert sim.run_instance(inst, 42)[0].success
+    assert set().union(*calls) == {True, False}
+
+
+def test_validate_skipping_on_delays_vias_padding_and_zero_length_legs():
+    left, right = ARMS
+    outcomes = set()
+    legs = [
+        # departure delay and via point
+        (_timed([(0.3, 0.2), (0.6, 0.4)], depart=0.3), _timed([(0.8, 0.4), right.via, (0.4, 0.3)])),
+        (_timed([(0.3, 0.2), left.via, (0.6, 0.4)]), _timed([(0.7, 0.2), (0.7, 0.5)], depart=0.2)),
+        # one padded leg, one zero-length leg
+        (_timed([(0.2, 0.3), (0.5, 0.3)]), _timed([right.retract, right.retract])),
+        (_timed([(0.3, 0.3), (0.3, 0.3)]), _timed([(0.9, 0.3), (0.35, 0.3)])),
+        # both legs zero-length: apart, then too close
+        (_timed([(0.3, 0.3), (0.3, 0.3)]), _timed([(0.8, 0.3), (0.8, 0.3)])),
+        (_timed([(0.3, 0.3), (0.3, 0.3)]), _timed([(0.35, 0.3), (0.35, 0.3)])),
+    ]
+    for paths in legs:
+        outcomes.update(assert_validators_agree(*_padded(paths), ARMS))
+    assert outcomes == {True, False}
+
+
+def test_validate_skipping_on_fast_and_jumping_paths():
+    parked = ArmPath([(0.0, (0.3, 0.3)), (1.0, (0.3, 0.3))])
+    far, near = (0.9, 0.3), (0.35, 0.3)
+    # a dash 18x faster than unit speed: a unit-speed bound would skip it
+    dash = ArmPath([(0.0, far), (0.5, far), (0.53, near), (0.56, near), (0.59, far), (1.0, far)])
+    # zero-time jumps into conflict and out again 0.003 later
+    jump = ArmPath([(0.0, far), (0.5, far), (0.5, near), (0.503, near), (0.503, far), (1.0, far)])
+    # knot times that run backwards
+    backwards = ArmPath([(0.0, far), (0.6, far), (0.4, near), (1.0, near)])
+    for path in (dash, jump, backwards):
+        assert assert_validators_agree((parked, path), 1.0, ARMS) == {False}
+    bad = validate_motion((parked, jump), ARMS, 1.0)
+    assert bad == Conflict(0.5025, bad.detail)
