@@ -86,20 +86,6 @@ def single_arm_optimal_actions(instance: Instance) -> OracleResult:
     )
 
 
-def sequential_makespan(instance: Instance, seed: int) -> float:
-    """Makespan of the same task sequence with every leg forced onto the
-    sequential rung (one arm parked while the other works)."""
-    metrics, record = run_instance(instance, seed)
-    if not metrics.success:
-        raise RuntimeError(f"instance not solvable: {metrics.failure}")
-    forced, _ = run_instance(
-        instance, seed, force_sequential=True, forced_subs=record.subs
-    )
-    if not forced.success:
-        raise RuntimeError(f"forced sequential replay failed: {forced.failure}")
-    return forced.makespan
-
-
 def makespan_pair(instance: Instance, seed: int) -> tuple[float, float]:
     """(synchronous makespan, forced-sequential makespan) for one instance."""
     metrics, record = run_instance(instance, seed)

@@ -9,6 +9,7 @@ SDAR_CLEARANCE, SDAR_DT, SDAR_K_BUFFERS, SDAR_JOBS).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -44,6 +45,19 @@ def _add_motion_flags(p: argparse.ArgumentParser):
     p.add_argument("--clearance", type=float, default=_env("CLEARANCE", float, DEFAULT_CLEARANCE))
     p.add_argument("--dt", type=float, default=_env("DT", float, DT))
     p.add_argument("--k-buffers", type=int, default=_env("K_BUFFERS", int, K_BUFFERS))
+
+
+def _motion_flags_ok(args) -> bool:
+    """Reject a --dt/--k-buffers value (flag or SDAR_ variable) that cannot
+    be planned with, as an input error."""
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        bad = f"--dt must be a finite number > 0, got {args.dt!r}"
+    elif args.k_buffers < 1:
+        bad = f"--k-buffers must be >= 1, got {args.k_buffers}"
+    else:
+        return True
+    print(f"input error: {bad}", file=sys.stderr)
+    return False
 
 
 # ------------------------------------------------------------------- gen
@@ -98,6 +112,8 @@ def _suite_name(inst: Instance) -> str:
 
 
 def cmd_plan(args) -> int:
+    if not _motion_flags_ok(args):
+        return 2
     try:
         inst = instances.load(args.instance)
     except (ParseError, FeasibilityError, OSError) as exc:
@@ -176,6 +192,8 @@ def _bench_one(payload):
 
 
 def cmd_bench(args) -> int:
+    if not _motion_flags_ok(args):
+        return 2
     suite_dir = Path(args.suite)
     paths = sorted(suite_dir.rglob("*.inst"))
     if not paths:

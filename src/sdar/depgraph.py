@@ -94,9 +94,6 @@ class DepGraph:
     def out_neighbors(self, v: int) -> set[int]:
         return {j for i, j in self.edges if i == v}
 
-    def in_neighbors(self, v: int) -> set[int]:
-        return {i for i, j in self.edges if j == v}
-
     def successors(self) -> dict[int, list[int]]:
         succ: dict[int, list[int]] = {v: [] for v in self.vertices}
         for i, j in sorted(self.edges):

@@ -5,14 +5,18 @@ above-plane (carried objects collide with nothing); what is checked is
 arm-arm segment clearance along sampled trajectories plus endpoint grasp and
 placement feasibility.  The rung ladder per leg: straight synchronous motion,
 rule-based untangling (departure delays, then home-side via points), and
-finally sequential execution with one arm parked at its retract pose.
+finally sequential execution with one arm parked at its retract pose.  Each
+rung is an ordered list of path variants, and `_first_valid` keeps the first
+that validates.  A round's sub-task is committed only when both of its legs
+climb the ladder; the goal-bound leg is planned once, at selection.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .depgraph import Arrangement, footprint
@@ -418,15 +422,6 @@ class ArmTask:
 class InstantiatedSubTask:
     tasks: tuple[ArmTask, ArmTask]
     pair: Optional[tuple[int, int]] = None
-    need_buffer: bool = False
-    candidates_considered: list = field(default_factory=list)
-    travel: float = 0.0
-
-    def task_for(self, obj: int) -> ArmTask:
-        for t in self.tasks:
-            if t.obj == obj:
-                return t
-        raise KeyError(obj)
 
     @property
     def buffer_pose(self) -> Optional[Pose2]:
@@ -512,26 +507,9 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, arms, k_buffer
     goal_of = session.instance.goal.pose_of
 
     if plan.single_arm is not None:
-        preferred, obj = plan.single_arm
-        if plan.need_buffer:
-            targets = _buffer_options(session, obj, k_buffers)
-        else:
-            targets = [goal_of(obj)]
-        for level in (TOP_DOWN_SET, FULL_SET):
-            for target in targets:
-                for arm_idx in (preferred, 1 - preferred):
-                    task = _bind_arm(session, arm_idx, arms, obj, target, level, None, None)
-                    if task is None:
-                        continue
-                    task = replace(task, to_buffer=plan.need_buffer)
-                    tasks = [ArmTask(), ArmTask()]
-                    tasks[arm_idx] = task
-                    yield InstantiatedSubTask(
-                        tasks=tuple(tasks),
-                        need_buffer=plan.need_buffer,
-                        candidates_considered=[],
-                        travel=_travel(session, arm_idx, task),
-                    )
+        obj = plan.single_arm
+        targets = _buffer_options(session, obj, k_buffers) if plan.need_buffer else [goal_of(obj)]
+        yield from _single_moves(session, arms, obj, targets, plan.need_buffer)
         return
 
     buffers_for: dict[int, list[Pose2]] = {}
@@ -570,20 +548,28 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, arms, k_buffer
                         t2 = replace(t2, to_buffer=True)
                 travel = max(_travel(session, 0, t1), _travel(session, 1, t2))
                 scored.append((travel, idx, b_idx, (t1, t2), (i, j)))
-        for travel, idx, b_idx, tasks, pair in sorted(
-            scored, key=lambda s: (s[0], s[1], s[2])
-        ):
+        for *_, tasks, pair in sorted(scored, key=lambda s: s[:3]):
             key = (pair, tasks[0].target, tasks[1].target, tasks[0].angle, tasks[1].angle)
             if key in seen:
                 continue
             seen.add(key)
-            yield InstantiatedSubTask(
-                tasks=tasks,
-                pair=pair,
-                need_buffer=plan.need_buffer,
-                candidates_considered=list(plan.candidates),
-                travel=travel,
-            )
+            yield InstantiatedSubTask(tasks=tasks, pair=pair)
+
+
+def _single_moves(session: PlannerSession, arms, obj: int, targets, to_buffer: bool):
+    """One-arm instantiations moving `obj`: narrowest angle set first, then
+    the arm nearest the object, then target order."""
+    pose = session.current.pose_of(obj)
+    order = sorted((0, 1), key=lambda a: dist(arms[a].base, pose.xy))
+    for level in (TOP_DOWN_SET, FULL_SET):
+        for arm_idx in order:
+            for target in targets:
+                task = _bind_arm(session, arm_idx, arms, obj, target, level, None, None)
+                if task is None:
+                    continue
+                tasks = [ArmTask(), ArmTask()]
+                tasks[arm_idx] = replace(task, to_buffer=to_buffer)
+                yield InstantiatedSubTask(tasks=tuple(tasks))
 
 
 def _buffer_options(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
@@ -633,18 +619,57 @@ def _leg_endpoints(sub: InstantiatedSubTask, stage: Stage, ee, arms):
     return out
 
 
-def _motion_from_paths(stage, mode, p1, p2, sub, arrival):
-    duration = max(p1.duration, p2.duration)
-    p1, p2 = _pad(p1, duration), _pad(p2, duration)
+def _arriving(paths, pts):
+    """(paths, arrival): a carrying arm's gripper event ends its path."""
+    return paths, [p.duration if c is not None else None for p, (_, _, c) in zip(paths, pts)]
+
+
+def _straight(pts, delays=(0.0, 0.0)):
+    """Straight paths, each arm departing after its delay."""
+    return _arriving([_timed([s, g], depart=d) for (s, g, _), d in zip(pts, delays)], pts)
+
+
+def _phases(pts, arms, first: int, serial: bool):
+    """Arm `first` retreats while the other works, then roles swap.  With
+    `serial` one arm moves at a time: retreat, other works, other retreats,
+    work."""
+    second = 1 - first
+    s_f, g_f, _ = pts[first]
+    s_s, g_s, _ = pts[second]
+    r_f, r_s = arms[first].retract, arms[second].retract
+    retreat = _timed([s_f, r_f])
+    work = _timed([s_s, g_s], depart=retreat.duration if serial else 0.0)
+    if serial:
+        turn = work.duration
+        swap = turn + dist(g_s, r_s)
+    else:
+        turn = swap = max(retreat.duration, work.duration)
+    paths = [None, None]
+    arrival = [None, None]
+    paths[first] = ArmPath(_pad(retreat, swap).knots + _shift(_timed([r_f, g_f]).knots[1:], swap))
+    paths[second] = ArmPath(_pad(work, turn).knots + _shift(_timed([g_s, r_s]).knots[1:], turn))
+    arrival[first] = swap + dist(r_f, g_f)
+    arrival[second] = work.duration
+    return paths, arrival
+
+
+def _shift(knots: list[tuple[float, Point]], offset: float):
+    return [(t + offset, p) for t, p in knots]
+
+
+def _first_valid(sub, arms, stage: Stage, dt: float, mode: Mode, variants) -> SyncMotion | Conflict:
+    """Pad each (paths, arrival) variant to a common duration, wrap it as a
+    SyncMotion and validate it: the first valid motion, else the last
+    Conflict."""
     carried = tuple(t.obj for t in sub.tasks)
-    return SyncMotion(
-        stage=stage,
-        mode=mode,
-        paths=(p1, p2),
-        duration=duration,
-        carried=carried,
-        event_times=arrival,
-    )
+    bad = None
+    for paths, arrival in variants:
+        duration = max(paths[0].duration, paths[1].duration)
+        padded = (_pad(paths[0], duration), _pad(paths[1], duration))
+        bad = validate_motion(padded, arms, duration, dt)
+        if bad is None:
+            return SyncMotion(stage, mode, padded, duration, carried, tuple(arrival))
+    return bad
 
 
 def plan_sync(
@@ -656,15 +681,7 @@ def plan_sync(
 ) -> SyncMotion | Conflict:
     """Straight-line synchronized motion for one leg, validated by sampling."""
     pts = _leg_endpoints(sub, stage, ee, arms)
-    paths = [_timed([s, g]) for s, g, _ in pts]
-    arrival = tuple(
-        p.duration if t[2] is not None else None for p, t in zip(paths, pts)
-    )
-    motion = _motion_from_paths(stage, Mode.SYNCHRONOUS, paths[0], paths[1], sub, arrival)
-    bad = validate_motion(motion.paths, arms, motion.duration, dt)
-    if bad is not None:
-        return bad
-    return motion
+    return _first_valid(sub, arms, stage, dt, Mode.SYNCHRONOUS, [_straight(pts)])
 
 
 def untangle(
@@ -672,79 +689,25 @@ def untangle(
     arms,
     stage: Stage,
     ee,
-    conflict: Conflict,
     dt: float = DT,
 ) -> Optional[SyncMotion]:
     """Departure delays for the shorter-path arm (25% then 50%), then
     home-side via-point routing; first variant that validates wins."""
     pts = _leg_endpoints(sub, stage, ee, arms)
     lens = [dist(s, g) for s, g, _ in pts]
-    base_T = max(lens) if max(lens) > 0 else 0.0
     yielder = 0 if lens[0] < lens[1] else 1
-
     variants = []
     for frac in (0.25, 0.5):
-        delay = frac * base_T
-        paths = []
-        for a, (s, g, _) in enumerate(pts):
-            paths.append(_timed([s, g], depart=delay if a == yielder else 0.0))
-        variants.append(paths)
-    via_paths = []
-    for a, (s, g, _) in enumerate(pts):
-        if dist(s, g) < 1e-12:
-            via_paths.append(_timed([s, g]))
-        else:
-            via_paths.append(_timed([s, arms[a].via, g]))
-    variants.append(via_paths)
-
-    for paths in variants:
-        arrival = tuple(
-            p.duration if t[2] is not None else None for p, t in zip(paths, pts)
-        )
-        motion = _motion_from_paths(stage, Mode.UNTANGLED, paths[0], paths[1], sub, arrival)
-        if validate_motion(motion.paths, arms, motion.duration, dt) is None:
-            return motion
-    return None
-
-
-def _two_phase(pts, arms, first: int):
-    """Arm `first` retreats while the other works, then roles swap."""
-    second = 1 - first
-    s_f, g_f, _ = pts[first]
-    s_s, g_s, _ = pts[second]
-    r_f, r_s = arms[first].retract, arms[second].retract
-    t1 = max(dist(s_f, r_f), dist(s_s, g_s))
-    p_f = _pad(_timed([s_f, r_f]), t1)
-    p_f = ArmPath(p_f.knots + _shift(_timed([r_f, g_f]).knots[1:], t1))
-    p_s = _pad(_timed([s_s, g_s]), t1)
-    p_s = ArmPath(p_s.knots + _shift(_timed([g_s, r_s]).knots[1:], t1))
-    arrival = [None, None]
-    arrival[first] = t1 + dist(r_f, g_f)
-    arrival[second] = dist(s_s, g_s)
-    paths = [None, None]
-    paths[first], paths[second] = p_f, p_s
-    return paths, arrival
-
-
-def _serial_phases(pts, arms, first: int):
-    """One arm moves at a time: retreat, other works, other retreats, work."""
-    second = 1 - first
-    s_f, g_f, _ = pts[first]
-    s_s, g_s, _ = pts[second]
-    r_f, r_s = arms[first].retract, arms[second].retract
-    t1 = dist(s_f, r_f)
-    t2 = t1 + dist(s_s, g_s)
-    t3 = t2 + dist(g_s, r_s)
-    p_f = _pad(_timed([s_f, r_f]), t3)
-    p_f = ArmPath(p_f.knots + _shift(_timed([r_f, g_f]).knots[1:], t3))
-    p_s = _pad(_timed([s_s, g_s], depart=t1), t2)
-    p_s = ArmPath(p_s.knots + _shift(_timed([g_s, r_s]).knots[1:], t2))
-    arrival = [None, None]
-    arrival[first] = t3 + dist(r_f, g_f)
-    arrival[second] = t2
-    paths = [None, None]
-    paths[first], paths[second] = p_f, p_s
-    return paths, arrival
+        delays = [0.0, 0.0]
+        delays[yielder] = frac * max(lens)
+        variants.append(_straight(pts, delays))
+    via = [
+        _timed([s, g] if dist(s, g) < 1e-12 else [s, arms[a].via, g])
+        for a, (s, g, _) in enumerate(pts)
+    ]
+    variants.append(_arriving(via, pts))
+    res = _first_valid(sub, arms, stage, dt, Mode.UNTANGLED, variants)
+    return res if isinstance(res, SyncMotion) else None
 
 
 def sequential_fallback(
@@ -756,63 +719,30 @@ def sequential_fallback(
 ) -> SyncMotion:
     """Arm 1 retreats while arm 2 completes its task, then arm 2 retreats
     while arm 1 completes; if that choreography still conflicts, the mirrored
-    and fully serial variants are tried before giving up."""
+    and fully serial variants are tried before giving up.  A lone working arm
+    sets out once the idle arm is parked."""
     pts = _leg_endpoints(sub, stage, ee, arms)
     active = [a for a in (0, 1) if sub.tasks[a].obj is not None]
-
-    if len(active) <= 1:
-        paths = [None, None]
-        arrival = [None, None]
-        if not active:
-            for a, (s, g, _) in enumerate(pts):
-                paths[a] = _timed([s, g])
-        else:
-            act = active[0]
-            idle = 1 - act
-            s_i, g_i, _ = pts[idle]
-            s_a, g_a, _ = pts[act]
-            t_park = dist(s_i, g_i)
-            paths[idle] = _timed([s_i, g_i])
-            paths[act] = _timed([s_a, g_a], depart=t_park)
-            arrival[act] = paths[act].duration
-        motion = _motion_from_paths(
-            stage, Mode.SEQUENTIAL, paths[0], paths[1], sub, tuple(arrival)
-        )
-        bad = validate_motion(motion.paths, arms, motion.duration, dt)
-        if bad is not None:
-            raise SubTaskInfeasible(f"sequential single-arm leg invalid at t={bad.t:.3f}")
-        return motion
-
-    last = None
-    for builder, first in (
-        (_two_phase, 0),
-        (_two_phase, 1),
-        (_serial_phases, 0),
-        (_serial_phases, 1),
-    ):
-        paths, arrival = builder(pts, arms, first)
-        motion = _motion_from_paths(
-            stage, Mode.SEQUENTIAL, paths[0], paths[1], sub, tuple(arrival)
-        )
-        last = validate_motion(motion.paths, arms, motion.duration, dt)
-        if last is None:
-            return motion
-    raise SubTaskInfeasible(f"sequential leg invalid at t={last.t:.3f}: {last.detail}")
-
-
-def _shift(knots: list[tuple[float, Point]], offset: float):
-    return [(t + offset, p) for t, p in knots]
+    if len(active) == 2:
+        variants = (_phases(pts, arms, first, serial) for serial in (False, True) for first in (0, 1))
+    else:
+        # the idle arm parks first
+        delays = [dist(*pts[1 - a][:2]) if a in active else 0.0 for a in (0, 1)]
+        variants = [_straight(pts, delays)]
+    res = _first_valid(sub, arms, stage, dt, Mode.SEQUENTIAL, variants)
+    if isinstance(res, Conflict):
+        raise SubTaskInfeasible(f"sequential leg invalid at t={res.t:.3f}: {res.detail}")
+    return res
 
 
 def _ladder(sub, arms, stage, ee, dt, force_sequential=False) -> SyncMotion:
-    if force_sequential:
-        return sequential_fallback(sub, arms, stage, ee, dt)
-    res = plan_sync(sub, arms, stage, ee, dt)
-    if isinstance(res, SyncMotion):
-        return res
-    fixed = untangle(sub, arms, stage, ee, res, dt)
-    if fixed is not None:
-        return fixed
+    if not force_sequential:
+        res = plan_sync(sub, arms, stage, ee, dt)
+        if isinstance(res, SyncMotion):
+            return res
+        res = untangle(sub, arms, stage, ee, dt)
+        if res is not None:
+            return res
     return sequential_fallback(sub, arms, stage, ee, dt)
 
 
@@ -832,31 +762,13 @@ def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, arms, k_buff
     object stuck between the two base keep-out zones is relayed via a buffer."""
     objs: list[int] = []
     if plan.single_arm is not None:
-        objs = [plan.single_arm[1]]
+        objs = [plan.single_arm]
     else:
         for pair in plan.candidates:
             for o in pair:
                 if o not in objs:
                     objs.append(o)
     dg = session.graph_over_remaining()
-
-    def single_moves(obj, targets, to_buffer):
-        pose = session.current.pose_of(obj)
-        order = sorted((0, 1), key=lambda a: dist(arms[a].base, pose.xy))
-        for level in (TOP_DOWN_SET, FULL_SET):
-            for arm_idx in order:
-                for target in targets:
-                    task = _bind_arm(session, arm_idx, arms, obj, target, level, None, None)
-                    if task is None:
-                        continue
-                    task = replace(task, to_buffer=to_buffer)
-                    tasks = [ArmTask(), ArmTask()]
-                    tasks[arm_idx] = task
-                    yield InstantiatedSubTask(
-                        tasks=tuple(tasks),
-                        need_buffer=to_buffer,
-                        travel=_travel(session, arm_idx, task),
-                    )
 
     # pass 1: place one object directly (buffer targets if the plan says so)
     for obj in objs:
@@ -869,18 +781,18 @@ def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, arms, k_buff
             continue  # blocked by a live dependency, handled in pass 2/3
         else:
             targets = [session.instance.goal.pose_of(obj)]
-        yield from single_moves(obj, targets, to_buffer)
+        yield from _single_moves(session, arms, obj, targets, to_buffer)
     # pass 2: a movable object no single arm can both pick and place is
     # relayed through a dual-reachable buffer (hand-over across the table)
     for obj in objs:
         if not plan.need_buffer and not dg.out_neighbors(obj):
-            yield from single_moves(obj, _relay_buffers(session, obj, arms, k_buffers), True)
+            yield from _single_moves(session, arms, obj, _relay_buffers(session, obj, arms, k_buffers), True)
     # pass 3: a cycle member nothing else frees is parked at a buffer, the
     # same way a single arm would break the cycle; an object already sitting
     # at a buffer is never re-parked (no progress in that)
     for obj in objs:
         if dg.out_neighbors(obj) and obj not in session.buffered:
-            yield from single_moves(obj, _buffer_options(session, obj, k_buffers), True)
+            yield from _single_moves(session, arms, obj, _buffer_options(session, obj, k_buffers), True)
 
 
 def plan_motion(
@@ -892,53 +804,35 @@ def plan_motion(
     force_sequential: bool = False,
     forced_sub: Optional[InstantiatedSubTask] = None,
 ) -> tuple[InstantiatedSubTask, SyncMotion]:
-    """Run the rung ladder for the current leg; on a ToStart leg this first
-    binds the sub-task (selection) and keeps it pending for the ToGoal leg."""
+    """Select the round's sub-task on a ToStart leg and return its motion.
+
+    Instantiations are tried in order, then single-object recovery moves (or
+    only `forced_sub`).  One is committed only when both legs of its round
+    pass the rung ladder, the goal-bound leg planned from the start leg's end
+    configuration; that motion is kept in `session.pending`, and the ToGoal
+    call returns it without planning the leg again."""
     if plan.stage == Stage.TO_GOAL:
-        sub = session.pending
-        if sub is None:
+        if session.pending is None:
             raise MotionFailure("no pending sub-task for a goal-bound leg")
-        try:
-            motion = _ladder(sub, arms, Stage.TO_GOAL, session.ee, dt, force_sequential)
-        except SubTaskInfeasible as exc:
-            raise MotionFailure(f"goal-bound leg failed: {exc}") from exc
-        return sub, motion
+        return session.pending
 
-    candidates_iter: list | object
     if forced_sub is not None:
-        candidates_iter = [forced_sub]
+        subs = [forced_sub]
     else:
-        candidates_iter = _iter_instantiations(plan, session, arms, k_buffers)
-
-    def try_sub(sub):
-        # commit only if the round can be finished: the goal-bound leg is
-        # dry-run from the start leg's end configuration before binding
-        motion = _ladder(sub, arms, Stage.TO_START, session.ee, dt, force_sequential)
-        next_ee = [motion.paths[0].end, motion.paths[1].end]
-        _ladder(sub, arms, Stage.TO_GOAL, next_ee, dt, force_sequential)
-        return motion
-
+        subs = itertools.chain(
+            _iter_instantiations(plan, session, arms, k_buffers),
+            _degraded_single_moves(plan, session, arms, k_buffers),
+        )
     last_error = "no feasible instantiation"
-    found_any = False
-    for sub in candidates_iter:
-        found_any = True
+    for sub in subs:
         try:
-            motion = try_sub(sub)
+            motion = _ladder(sub, arms, Stage.TO_START, session.ee, dt, force_sequential)
+            ends = [motion.paths[0].end, motion.paths[1].end]
+            goal_motion = _ladder(sub, arms, Stage.TO_GOAL, ends, dt, force_sequential)
         except SubTaskInfeasible as exc:
             last_error = str(exc)
             continue
-        session.pending = sub
+        session.pending = (sub, goal_motion)
         return sub, motion
-    if forced_sub is not None:
-        raise MotionFailure(f"forced sub-task failed: {last_error}")
-    for sub in _degraded_single_moves(plan, session, arms, k_buffers):
-        try:
-            motion = try_sub(sub)
-        except SubTaskInfeasible as exc:
-            last_error = str(exc)
-            continue
-        session.pending = sub
-        return sub, motion
-    raise MotionFailure(
-        f"all instantiations failed (considered any: {found_any}): {last_error}"
-    )
+    what = "forced sub-task" if forced_sub is not None else "all instantiations"
+    raise MotionFailure(f"{what} failed: {last_error}")

@@ -24,13 +24,7 @@ from .motion import (
     default_arms,
     plan_motion,
 )
-from .taskplan import (
-    Gripper,
-    PlannerSession,
-    Stage,
-    TaskComplete,
-    next_task_plan,
-)
+from .taskplan import PlannerSession, Stage, TaskComplete, next_task_plan
 
 TRACE_FORMAT = "sdar-trace/1"
 
@@ -138,20 +132,12 @@ def _apply_leg(session: PlannerSession, sub: InstantiatedSubTask, motion: SyncMo
     session.ee = [motion.paths[0].end, motion.paths[1].end]
     if motion.stage == Stage.TO_START:
         for a, task in enumerate(sub.tasks):
-            st = session.arm_states[a]
-            st.stage = Stage.TO_GOAL
+            session.arm_states[a].stage = Stage.TO_GOAL
             if task.obj is not None:
-                st.gripper = Gripper.CLOSE
-                st.assigned = task.obj
-                st.grasp_angle = task.angle
                 session.current.poses[task.obj] = Held(arm=a + 1)
         return
     for a, task in enumerate(sub.tasks):
-        st = session.arm_states[a]
-        st.stage = Stage.TO_START
-        st.gripper = Gripper.OPEN
-        st.assigned = None
-        st.grasp_angle = None
+        session.arm_states[a].stage = Stage.TO_START
         if task.obj is None:
             continue
         session.current.poses[task.obj] = task.target
@@ -225,25 +211,17 @@ def execute(
                     )
     except MotionFailure as exc:
         metrics.failure = str(exc)
-        metrics.success = False
-        metrics.actions = session.actions
-        metrics.buffers_used = session.buffers_used
-        metrics.sync_steps = session.rounds
-        metrics.fallback_counts = fallbacks
-        metrics.sequence = list(session.removal_sequence)
-        trace.metrics = metrics
-        return metrics
-
-    for i in inst.ids():
-        cur = session.current.poses[i]
-        if not isinstance(cur, Pose2) or not cur.almost_equal(inst.goal.pose_of(i), 1e-9):
-            raise ValidationFailure(f"object {i} did not end at its goal pose")
+    else:
+        for i in inst.ids():
+            cur = session.current.poses[i]
+            if not isinstance(cur, Pose2) or not cur.almost_equal(inst.goal.pose_of(i), 1e-9):
+                raise ValidationFailure(f"object {i} did not end at its goal pose")
+        metrics.success = True
     metrics.actions = session.actions
     metrics.buffers_used = session.buffers_used
     metrics.sync_steps = session.rounds
     metrics.fallback_counts = fallbacks
     metrics.sequence = list(session.removal_sequence)
-    metrics.success = True
     trace.metrics = metrics
     return metrics
 
@@ -467,6 +445,8 @@ def verify_trace(trace: Trace | str, instance: Instance) -> tuple[bool, str]:
         expect_stage = "togoal" if expect_stage == "tostart" else "tostart"
         if len(leg.samples[0]) != len(leg.samples[1]):
             return False, f"{where}: sample count mismatch between arms"
+        if not leg.samples[0]:
+            return False, f"{where}: no samples"
         if prev_end is not None:
             for a in (0, 1):
                 _, x0, y0, _ = leg.samples[a][0]

@@ -4,7 +4,7 @@ Each synchronized round is planned in two legs: with both arms heading to
 start poses the planner rebuilds the dependency graph over unsolved objects
 and emits candidate object pairs (movable pairs, a chain terminal pair, or
 cycle-breaking pairs with the buffer flag); with both arms heading to goals it
-simply releases and keeps the bound assignments.
+emits a bare goal-bound plan, whose leg the motion layer planned at selection.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .geom import Pose2, dist
 from .instances import Instance
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .motion import InstantiatedSubTask
+    from .motion import InstantiatedSubTask, SyncMotion
 
 
 class TaskComplete(Exception):
@@ -34,11 +34,6 @@ class CycleTooShort(Exception):
     pass
 
 
-class Gripper(enum.Enum):
-    OPEN = "open"
-    CLOSE = "close"
-
-
 class Stage(enum.Enum):
     TO_START = "tostart"
     TO_GOAL = "togoal"
@@ -46,9 +41,6 @@ class Stage(enum.Enum):
 
 @dataclass
 class ArmState:
-    gripper: Gripper = Gripper.OPEN
-    assigned: Optional[int] = None
-    grasp_angle: object = None
     stage: Stage = Stage.TO_START
 
 
@@ -56,10 +48,8 @@ class ArmState:
 class TaskPlan:
     stage: Stage
     candidates: list[tuple[int, int]] = field(default_factory=list)
-    gripper_actions: tuple[Gripper, Gripper] = (Gripper.CLOSE, Gripper.CLOSE)
-    assignments: tuple = (None, None)
     need_buffer: bool = False
-    single_arm: Optional[tuple[int, int]] = None  # (arm index, object id)
+    single_arm: Optional[int] = None  # object moved by one arm alone
 
 
 @dataclass
@@ -75,7 +65,8 @@ class PlannerSession:
     arm_states: list[ArmState] = field(default_factory=lambda: [ArmState(), ArmState()])
     ee: list = field(default_factory=list)
     rng: random.Random = None
-    pending: Optional["InstantiatedSubTask"] = None
+    # the selected sub-task and its goal-bound motion, until that leg runs
+    pending: Optional[tuple["InstantiatedSubTask", "SyncMotion"]] = None
     removal_sequence: list[int] = field(default_factory=list)
     actions: int = 0
     buffers_used: int = 0
@@ -129,12 +120,6 @@ def removal_sequence_trace(session: PlannerSession) -> list[int]:
     return list(session.removal_sequence)
 
 
-def _nearest_arm(pose: Pose2, arms) -> int:
-    d0 = dist(arms[0].base, pose.xy)
-    d1 = dist(arms[1].base, pose.xy)
-    return 0 if d0 <= d1 else 1
-
-
 def _chain_lengths(decomp) -> dict[int, int]:
     return {v: len(c) for c in decomp.chains for v in c}
 
@@ -146,21 +131,13 @@ def next_task_plan(session: PlannerSession) -> TaskPlan:
     stage = stages.pop()
 
     if stage == Stage.TO_GOAL:
-        return TaskPlan(
-            stage=Stage.TO_GOAL,
-            gripper_actions=(Gripper.OPEN, Gripper.OPEN),
-            assignments=tuple(
-                (s.assigned, s.grasp_angle) for s in session.arm_states
-            ),
-        )
+        return TaskPlan(stage=Stage.TO_GOAL)
 
     if not session.remaining:
         raise TaskComplete
 
     if len(session.remaining) == 1:
-        obj = next(iter(session.remaining))
-        arm = _nearest_arm(session.current.pose_of(obj), session.arms)
-        return TaskPlan(stage=Stage.TO_START, single_arm=(arm, obj))
+        return TaskPlan(stage=Stage.TO_START, single_arm=next(iter(session.remaining)))
 
     dg = session.graph_over_remaining()
     decomp = decompose(dg)
@@ -213,17 +190,12 @@ def next_task_plan(session: PlannerSession) -> TaskPlan:
                 candidates=[(x, v) for x in partners],
                 need_buffer=True,
             )
-        arm = _nearest_arm(session.current.pose_of(v), session.arms)
-        return TaskPlan(
-            stage=Stage.TO_START, single_arm=(arm, v), need_buffer=True
-        )
+        return TaskPlan(stage=Stage.TO_START, single_arm=v, need_buffer=True)
 
     if movable:
         # a lone movable object with no partner and no breakable cycle this
         # round still makes progress on its own
-        m = movable[0]
-        arm = _nearest_arm(session.current.pose_of(m), session.arms)
-        return TaskPlan(stage=Stage.TO_START, single_arm=(arm, m))
+        return TaskPlan(stage=Stage.TO_START, single_arm=movable[0])
 
     raise InconsistentState(
         "no resolvable structure in the dependency graph; remaining="

@@ -16,7 +16,6 @@ from sdar.geom import overlaps
 from sdar.motion import (
     DT,
     ArmTask,
-    Conflict,
     InstantiatedSubTask,
     Mode,
     Pose2,
@@ -208,10 +207,9 @@ def _all_rungs(sub, ee):
     """(mode, duration) for every rung that validates on this leg."""
     rungs = []
     sync = plan_sync(sub, ARMS, Stage.TO_GOAL, ee)
-    conflict = sync if isinstance(sync, Conflict) else Conflict(0.0, "synthetic")
     if isinstance(sync, SyncMotion):
         rungs.append((Mode.SYNCHRONOUS, sync.duration))
-    unt = untangle(sub, ARMS, Stage.TO_GOAL, ee, conflict)
+    unt = untangle(sub, ARMS, Stage.TO_GOAL, ee)
     if unt is not None:
         rungs.append((Mode.UNTANGLED, unt.duration))
     try:
@@ -240,7 +238,7 @@ def test_criterion_8_fallback_ladder():
         if isinstance(sync, SyncMotion):
             triggered.add(Mode.SYNCHRONOUS)
         else:
-            unt = untangle(sub, ARMS, Stage.TO_GOAL, ee, sync)
+            unt = untangle(sub, ARMS, Stage.TO_GOAL, ee)
             if unt is not None:
                 triggered.add(Mode.UNTANGLED)
             else:

@@ -8,7 +8,6 @@ from sdar.baseline import (
     BudgetExceeded,
     makespan_pair,
     min_fvs,
-    sequential_makespan,
     single_arm_optimal_actions,
 )
 from sdar.depgraph import DepGraph
@@ -154,7 +153,7 @@ def test_mixed_oracle_counts_only_long_cycles_and_swaps():
 
 def test_sequential_makespan_identity_is_zero():
     inst = instances.identity_instance(3, 1)
-    assert sequential_makespan(inst, 0) == 0.0
+    assert makespan_pair(inst, 0) == (0.0, 0.0)
 
 
 def test_sequential_roughly_doubles_unobstructed_pair():

@@ -133,3 +133,24 @@ def test_bench_parallel_jobs_match_serial(tmp_path):
     assert run_cli("bench", suite, "--out", serial, "--seed", "3") == 0
     assert run_cli("bench", suite, "--out", parallel, "--seed", "3", "--jobs", "2") == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_plan_rejects_bad_motion_flags(capsys):
+    for flags in (("--dt", "0"), ("--dt", "-0.02"), ("--k-buffers", "0")):
+        assert run_cli("plan", FIXTURES / "showcase9.inst", *flags) == 2, flags
+        assert "input error:" in capsys.readouterr().err
+
+
+def test_plan_rejects_bad_dt_from_environment(monkeypatch, capsys):
+    monkeypatch.setenv("SDAR_DT", "0")
+    assert run_cli("plan", FIXTURES / "showcase9.inst") == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_bench_rejects_bad_dt(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    run_cli("gen", "S", "3", "--seed", "0", "--out", suite)
+    csv = tmp_path / "report.csv"
+    assert run_cli("bench", suite, "--out", csv, "--dt", "0") == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not csv.exists()

@@ -34,6 +34,7 @@ from sdar.motion import (
     SyncMotion,
     default_arms,
     grasp_feasible,
+    plan_motion,
     plan_sync,
     sample_buffers,
     select_best_task,
@@ -42,9 +43,8 @@ from sdar.motion import (
     validate_motion,
     _leg_endpoints,
     _pad,
-    _serial_phases,
+    _phases,
     _timed,
-    _two_phase,
 )
 from sdar.taskplan import Stage, next_task_plan
 
@@ -366,7 +366,7 @@ def test_untangle_by_departure_delay():
     sub, ee = pair_leg((0.46, 0.10), (0.46, 0.50), (0.52, 0.50), (0.58, 0.10))
     conflict = plan_sync(sub, ARMS, Stage.TO_GOAL, ee)
     assert isinstance(conflict, Conflict)
-    motion = untangle(sub, ARMS, Stage.TO_GOAL, ee, conflict)
+    motion = untangle(sub, ARMS, Stage.TO_GOAL, ee)
     assert motion is not None and motion.mode == Mode.UNTANGLED
     assert untangle_kind(motion) == "delay"
     sync_lower_bound = max(dist(ee[0], (0.46, 0.50)), dist(ee[1], (0.58, 0.10)))
@@ -378,7 +378,7 @@ def test_untangle_by_via_points_on_corridor_swap():
     sub, ee = pair_leg((0.44, 0.10), (0.44, 0.50), (0.52, 0.50), (0.52, 0.10))
     conflict = plan_sync(sub, ARMS, Stage.TO_GOAL, ee)
     assert isinstance(conflict, Conflict)
-    motion = untangle(sub, ARMS, Stage.TO_GOAL, ee, conflict)
+    motion = untangle(sub, ARMS, Stage.TO_GOAL, ee)
     assert motion is not None and motion.mode == Mode.UNTANGLED
     assert untangle_kind(motion) == "via"
     assert validate_motion(motion.paths, ARMS, motion.duration, DT) is None
@@ -386,8 +386,8 @@ def test_untangle_by_via_points_on_corridor_swap():
 
 def test_untangle_fails_on_deep_crossing():
     sub, ee = pair_leg((0.30, 0.30), (0.72, 0.32), (0.70, 0.28), (0.28, 0.30))
-    conflict = plan_sync(sub, ARMS, Stage.TO_GOAL, ee)
-    motion = untangle(sub, ARMS, Stage.TO_GOAL, ee, conflict)
+    assert isinstance(plan_sync(sub, ARMS, Stage.TO_GOAL, ee), Conflict)
+    motion = untangle(sub, ARMS, Stage.TO_GOAL, ee)
     assert motion is None
 
 
@@ -396,7 +396,7 @@ def test_untangle_and_sequential_fail_under_tight_clearance():
     sub, ee = pair_leg((0.30, 0.30), (0.78, 0.32), (0.70, 0.28), (0.22, 0.30))
     conflict = plan_sync(sub, tight, Stage.TO_GOAL, ee)
     assert isinstance(conflict, Conflict)
-    assert untangle(sub, tight, Stage.TO_GOAL, ee, conflict) is None
+    assert untangle(sub, tight, Stage.TO_GOAL, ee) is None
     with pytest.raises(SubTaskInfeasible):
         sequential_fallback(sub, tight, Stage.TO_GOAL, ee)
 
@@ -457,6 +457,38 @@ def test_plan_motion_records_rungs():
     assert metrics.success
     assert set(metrics.fallback_counts) <= {"synchronous", "untangled", "sequential"}
     assert sum(metrics.fallback_counts.values()) == len(rec.trace.legs)
+
+
+def test_goal_bound_leg_is_planned_once_at_selection(monkeypatch):
+    inst = instances.showcase9()
+    session = sim.new_session(inst, 42)
+    ladder = motion._ladder
+    planned = []
+
+    def recording(sub, arms, stage, ee, dt, force_sequential=False):
+        planned.append(ladder(sub, arms, stage, ee, dt, force_sequential))
+        return planned[-1]
+
+    monkeypatch.setattr(motion, "_ladder", recording)
+    plan = next_task_plan(session)
+    sub, start_motion = plan_motion(plan, session, session.arms)
+    assert planned[-2] is start_motion
+    selected_goal_motion = planned[-1]
+    assert selected_goal_motion.stage == Stage.TO_GOAL
+    sim._apply_leg(session, sub, start_motion)
+
+    calls = []
+    monkeypatch.setattr(motion, "validate_motion", lambda *a, **k: calls.append(a))
+    plan = next_task_plan(session)
+    assert plan.stage == Stage.TO_GOAL
+    goal_sub, goal_motion = plan_motion(plan, session, session.arms)
+    assert calls == []
+    # the goal-bound leg keeps the bound assignment and starts where the
+    # start leg ended
+    assert goal_sub is sub
+    assert goal_motion is selected_goal_motion
+    for a in (0, 1):
+        assert goal_motion.paths[a].knots[0][1] == session.ee[a]
 
 
 def test_motion_determinism():
@@ -546,16 +578,16 @@ def test_validate_skipping_matches_full_scan_on_random_legs(monkeypatch):
                     ee[1] = arms[1].retract
             for stage in (Stage.TO_START, Stage.TO_GOAL):
                 res = plan_sync(sub, arms, stage, ee)
-                if isinstance(res, Conflict) and untangle(sub, arms, stage, ee, res) is None:
+                if isinstance(res, Conflict) and untangle(sub, arms, stage, ee) is None:
                     try:
                         sequential_fallback(sub, arms, stage, ee)
                     except SubTaskInfeasible:
                         pass
             if sub.tasks[1].obj is not None:
                 legs = _leg_endpoints(sub, Stage.TO_GOAL, ee, arms)
-                for builder in (_two_phase, _serial_phases):
+                for serial in (False, True):
                     for first in (0, 1):
-                        paths, duration = _padded(builder(legs, arms, first)[0])
+                        paths, duration = _padded(_phases(legs, arms, first, serial)[0])
                         outcomes.update(assert_validators_agree(paths, duration, arms))
     assert len(calls) > 100
     assert outcomes == {True, False}

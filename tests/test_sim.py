@@ -110,6 +110,15 @@ def test_verify_rejects_clearance_violation():
     assert not ok and "clearance" in msg
 
 
+def test_verify_rejects_leg_without_samples():
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 42)
+    text = dumps_trace(rec.trace)
+    for k in (0, 1):
+        kept = [ln for ln in text.splitlines() if not ln.startswith(f"s {k} ")]
+        assert verify_trace("\n".join(kept) + "\n", inst) == (False, f"leg {k}: no samples")
+
+
 def test_final_state_must_reach_goal():
     inst = instances.gen_random(3, 6)
     _, rec = run_instance(inst, 0)

@@ -8,7 +8,6 @@ from sdar.geom import Pose2
 from sdar.motion import default_arms
 from sdar.taskplan import (
     CycleTooShort,
-    Gripper,
     InconsistentState,
     Stage,
     TaskComplete,
@@ -36,7 +35,6 @@ def test_showcase_first_round_pairs_all_movable():
     assert pairs_as_set(plan.candidates) == {
         frozenset({4, 7}), frozenset({7, 8}), frozenset({4, 8})
     }
-    assert plan.gripper_actions == (Gripper.CLOSE, Gripper.CLOSE)
     assert not plan.need_buffer
 
 
@@ -53,16 +51,14 @@ def test_cycle_round_emits_adjacent_pairs_with_buffer_flag():
 
 
 def test_to_goal_round_is_passthrough():
+    # the bound sub-task and its goal-bound motion live in session.pending
+    # (see test_motion.py::test_goal_bound_leg_is_planned_once_at_selection)
     session = fresh_session(instances.showcase9())
     for st in session.arm_states:
         st.stage = Stage.TO_GOAL
-        st.gripper = Gripper.CLOSE
-    session.arm_states[0].assigned = 4
-    session.arm_states[1].assigned = 7
     plan = next_task_plan(session)
     assert plan.stage == Stage.TO_GOAL
-    assert plan.gripper_actions == (Gripper.OPEN, Gripper.OPEN)
-    assert plan.assignments[0][0] == 4 and plan.assignments[1][0] == 7
+    assert plan.candidates == [] and plan.single_arm is None and not plan.need_buffer
 
 
 def test_two_cycle_swap_has_no_buffer():
@@ -81,8 +77,7 @@ def test_single_object_left_uses_one_arm():
             session.remaining.discard(i)
             session.current.poses[i] = inst.goal.pose_of(i)
     plan = next_task_plan(session)
-    assert plan.single_arm is not None
-    assert plan.single_arm[1] == keep
+    assert plan.single_arm == keep
     assert plan.candidates == []
 
 
