@@ -27,6 +27,9 @@ CSV_HEADER = (
     "sync_steps,buffers_used,makespan,sequential_makespan,"
     "fb_synchronous,fb_untangled,fb_sequential,success,verified"
 )
+# Finest accepted --dt: a trace keeps 1/dt samples per arm per leg and the
+# validator walks 8/dt, so a finer step grows both without bound.
+MIN_DT = 1e-4
 
 
 def _env(name: str, cast, default):
@@ -50,8 +53,8 @@ def _add_motion_flags(p: argparse.ArgumentParser):
 def _motion_flags_ok(args) -> bool:
     """Reject a --dt/--k-buffers value (flag or SDAR_ variable) that cannot
     be planned with, as an input error."""
-    if not (math.isfinite(args.dt) and args.dt > 0):
-        bad = f"--dt must be a finite number > 0, got {args.dt!r}"
+    if not (math.isfinite(args.dt) and args.dt >= MIN_DT):
+        bad = f"--dt must be a finite number >= {MIN_DT}, got {args.dt!r}"
     elif args.k_buffers < 1:
         bad = f"--k-buffers must be >= 1, got {args.k_buffers}"
     else:

@@ -233,6 +233,31 @@ def prefilter_reach2(radius: float, b: OrientedBox, gap: float) -> float:
     return reach * reach + EPS
 
 
+# Margin taken off the sure-rejection distance of `blocked_within2`: far above
+# the rounding in box corners and gaps (~1e-15), far below any shape size.
+INNER_SLACK = 1e-7
+
+
+def blocked_within2(inner: float, b: OrientedBox, gap: float) -> float:
+    """Squared centre distance below which a box of inscribed radius `inner`
+    (the smaller half extent) is rejected against `b` by boxes_closer_than
+    (gap > 0) or by overlaps (gap <= 0): the inner counterpart of
+    prefilter_reach2.
+
+    A box contains the disc of its inscribed radius about its centre.  With
+    the centres closer than inner + r_b + max(gap, 0) - INNER_SLACK (r_b
+    being b's inscribed radius), the two discs, and hence the boxes, overlap
+    by more than the slack or lie less than gap - INNER_SLACK apart.  The
+    centres are then also within both bounding-circle prefilters.  Overlapping
+    boxes have overlapping projections on every axis, so overlaps finds no
+    separating gap above EPS; disjoint boxes get their exact distance, up to
+    rounding far below the slack, from _separated_distance.  Either way both
+    exact tests return True.  Returns 0.0 when the bound is not positive, so
+    a strict comparison then rejects nothing."""
+    reach = inner + min(b.half_width, b.half_height) + max(gap, 0.0) - INNER_SLACK
+    return reach * reach if reach > 0.0 else 0.0
+
+
 # Minimum free gap kept between distinct footprints in generated arrangements
 # and sampled buffer poses: finger pads extend 0.02 beyond a face, so any
 # smaller gap would make an object between two neighbors ungraspable.

@@ -26,6 +26,7 @@ from .geom import (
     Point,
     Pose2,
     Workspace,
+    blocked_within2,
     box_at,
     boxes_closer_than,
     dist,
@@ -354,7 +355,9 @@ def sample_buffers(
     min_gap: float = MIN_GAP,
 ) -> list[Pose2]:
     """Up to k poses whose footprint avoids all on-table objects, all pending
-    goals, and each other.  Rejection sampling capped at 100*k draws.
+    goals, and each other.  Rejection sampling capped at 100*k draws; a draw
+    centred within an obstacle's inner bound is rejected before its box is
+    built.
 
     min_gap > 0 additionally keeps finger room around the parked object;
     min_gap == 0 is the bare non-overlap contract."""
@@ -362,24 +365,26 @@ def sample_buffers(
         raise ValueError("k must be >= 1")
     hw, hh = buffered_shape
     margin = math.hypot(hw, hh)
+    inner = min(hw, hh)
     table = [footprint(i, p, shapes) for i, p in scene.on_table() if i not in skip_ids]
-    near = [_broad_phase_entry(ob, margin, min_gap) for ob in table + list(pending_goals)]
+    near = [_broad_phase_entry(ob, margin, inner, min_gap) for ob in table + list(pending_goals)]
     found: list[Pose2] = []
     for _ in range(100 * k):
         if len(found) == k:
             break
-        pose = Pose2(
-            rng.uniform(margin, workspace.width - margin),
-            rng.uniform(margin, workspace.height - margin),
-            rng.uniform(-math.pi, math.pi),
-        )
+        x = rng.uniform(margin, workspace.width - margin)
+        y = rng.uniform(margin, workspace.height - margin)
+        theta = rng.uniform(-math.pi, math.pi)
+        if _surely_blocked(x, y, near):
+            continue
+        pose = Pose2(x, y, theta)
         box = box_at(pose, hw, hh)
         if not inside(workspace, box):
             continue
         if _blocked(box, near, min_gap):
             continue
         found.append(pose)
-        near.append(_broad_phase_entry(box, margin, min_gap))
+        near.append(_broad_phase_entry(box, margin, inner, min_gap))
     if not found:
         raise BufferSamplingExhausted(
             f"no buffer pose found within {100 * k} draws for shape {buffered_shape}"
@@ -387,8 +392,27 @@ def sample_buffers(
     return found
 
 
-def _broad_phase_entry(ob: OrientedBox, margin: float, min_gap: float):
-    return ob.center.x, ob.center.y, prefilter_reach2(margin, ob, min_gap), ob
+def _broad_phase_entry(ob: OrientedBox, margin: float, inner: float, min_gap: float):
+    """(x, y, inner², reach², box): a draw centred within inner² of the
+    obstacle is rejected by the exact test, one beyond reach² is cleared."""
+    return (
+        ob.center.x,
+        ob.center.y,
+        blocked_within2(inner, ob, min_gap),
+        prefilter_reach2(margin, ob, min_gap),
+        ob,
+    )
+
+
+def _surely_blocked(x: float, y: float, near) -> bool:
+    """True iff a draw centred at (x, y) lies within an obstacle's inner
+    bound, where the exact test is certain to reject it."""
+    for ox, oy, inner2, _, _ in near:
+        dx = ox - x
+        dy = oy - y
+        if dx * dx + dy * dy < inner2:
+            return True
+    return False
 
 
 def _blocked(box: OrientedBox, near, min_gap: float) -> bool:
@@ -396,7 +420,7 @@ def _blocked(box: OrientedBox, near, min_gap: float) -> bool:
     Obstacles whose centres lie beyond the prefilter reach are skipped
     without calling it: the test's own prefilter would clear them."""
     x, y = box.center.x, box.center.y
-    for ox, oy, reach2, ob in near:
+    for ox, oy, _, reach2, ob in near:
         dx = ox - x
         dy = oy - y
         if dx * dx + dy * dy > reach2:
@@ -436,11 +460,18 @@ def _other_base_ok(point: Point, other: ArmModel, clearance: float) -> bool:
 
 
 def _scene_boxes(session: PlannerSession, exclude: set[int]) -> list[OrientedBox]:
-    return [
-        footprint(i, p, session.instance.shapes)
-        for i, p in session.current.on_table()
-        if i not in exclude
-    ]
+    """Footprints of the on-table objects not in `exclude`, each built once
+    per (object, pose) in the session's memo."""
+    memo = session.boxes
+    out = []
+    for key in session.current.on_table():
+        if key[0] in exclude:
+            continue
+        box = memo.get(key)
+        if box is None:
+            box = memo[key] = footprint(*key, session.instance.shapes)
+        out.append(box)
+    return out
 
 
 def _bind_arm(

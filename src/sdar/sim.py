@@ -88,7 +88,8 @@ def new_session(instance: Instance, seed: int, arms=None) -> PlannerSession:
 
 def _sample_leg(motion: SyncMotion, dt: float):
     per_arm = [[], []]
-    steps = int(round(1.0 / dt)) if motion.duration > 1e-12 else 0
+    # a moving leg exports both of its ends, however coarse dt is
+    steps = max(1, int(round(1.0 / dt))) if motion.duration > 1e-12 else 0
     for a in (0, 1):
         for k in range(steps + 1):
             t = motion.duration * k / steps if steps else 0.0

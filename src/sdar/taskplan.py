@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .depgraph import Arrangement, DepGraph, build_dependency_graph, decompose
-from .geom import Pose2, dist
+from .geom import OrientedBox, Pose2, dist
 from .instances import Instance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,6 +67,8 @@ class PlannerSession:
     rng: random.Random = None
     # the selected sub-task and its goal-bound motion, until that leg runs
     pending: Optional[tuple["InstantiatedSubTask", "SyncMotion"]] = None
+    # footprint of each (object, pose) the run has had on the table
+    boxes: dict[tuple[int, Pose2], OrientedBox] = field(default_factory=dict)
     removal_sequence: list[int] = field(default_factory=list)
     actions: int = 0
     buffers_used: int = 0

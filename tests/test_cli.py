@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from sdar import instances
 from sdar.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(*args):
@@ -145,6 +149,31 @@ def test_plan_rejects_bad_dt_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("SDAR_DT", "0")
     assert run_cli("plan", FIXTURES / "showcase9.inst") == 2
     assert "input error:" in capsys.readouterr().err
+
+
+def _plan_in_subprocess(*flags, **env):
+    """`sdar plan showcase9` in a child process, so that a run that never
+    ends fails the test at the timeout instead of hanging it."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sdar.cli", "plan", str(FIXTURES / "showcase9.inst"), *flags],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_plan_rejects_tiny_dt():
+    done = _plan_in_subprocess("--dt", "1e-9")
+    assert done.returncode == 2, done.stderr
+    assert "input error:" in done.stderr
+
+
+def test_plan_rejects_tiny_dt_from_environment():
+    done = _plan_in_subprocess(SDAR_DT="1e-9")
+    assert done.returncode == 2, done.stderr
+    assert "input error:" in done.stderr
 
 
 def test_bench_rejects_bad_dt(tmp_path, capsys):

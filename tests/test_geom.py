@@ -12,6 +12,7 @@ from sdar.geom import (
     OrientedBox,
     Pose2,
     Workspace,
+    blocked_within2,
     box_at,
     box_clearance,
     boxes_closer_than,
@@ -290,6 +291,55 @@ def test_pairs_beyond_prefilter_reach_are_clear():
                 assert not boxes_closer_than(a, b, gap) if gap > 0.0 else not overlaps(a, b)
                 assert box_clearance(a, b) >= gap
     assert beyond > 1000
+
+
+def _short_axis_angle(direction: float, hw: float, hh: float) -> float:
+    """Box angle that puts the smaller half extent's axis along `direction`."""
+    return direction if hw <= hh else direction - math.pi / 2
+
+
+def test_pairs_within_blocked_bound_are_rejected():
+    # elongated shapes at random angles and distances under the bound; a
+    # third of the pairs turn both short axes onto the centre line, where
+    # the box gap equals the inscribed discs' gap, a few ulps inside it
+    rng = random.Random(408)
+
+    def elongated():
+        short, long = rng.uniform(0.005, 0.03), rng.uniform(0.03, 0.12)
+        return (short, long) if rng.random() < 0.5 else (long, short)
+
+    counts = [0, 0, 0]
+    for _ in range(9000):
+        hw, hh = elongated()
+        b = box_at(Pose2(0.5, 0.3, rng.uniform(-math.pi, math.pi)), *elongated())
+        gap = rng.choice((0.0, MIN_GAP, 0.1))
+        bound2 = blocked_within2(min(hw, hh), b, gap)
+        mode = rng.randrange(3)
+        if mode == 2:
+            direction = _short_axis_angle(b.center.theta, b.half_width, b.half_height)
+            direction += rng.choice((0.0, math.pi))
+            theta = _short_axis_angle(direction, hw, hh) + rng.choice((0.0, math.pi))
+        else:
+            direction, theta = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+        scale = rng.random() if mode == 0 else 1.0 - rng.uniform(0.0, 2e-15)
+        s = math.sqrt(bound2) * scale
+        x = b.center.x + s * math.cos(direction)
+        y = b.center.y + s * math.sin(direction)
+        dx, dy = b.center.x - x, b.center.y - y
+        if dx * dx + dy * dy >= bound2:
+            continue
+        counts[mode] += 1
+        a = box_at(Pose2(x, y, theta), hw, hh)
+        assert boxes_closer_than(a, b, gap) if gap > 0.0 else overlaps(a, b), (a, b, gap)
+    assert min(counts) > 2000, counts
+
+
+def test_blocked_bound_is_inscribed_radii_plus_gap_less_slack():
+    b = box_at(Pose2(0.4, 0.3, 0.7), 0.09, 0.02)
+    for gap, reach in ((0.0, 0.05), (-0.01, 0.05), (MIN_GAP, 0.072)):
+        assert blocked_within2(0.03, b, gap) == pytest.approx((reach - 1e-7) ** 2, rel=1e-12)
+    # a bound that is not positive rejects nothing
+    assert blocked_within2(0.0, box_at(Pose2(0.4, 0.3), 1e-8, 1e-8), 0.0) == 0.0
 
 
 def _nearest_on_box(p, box: OrientedBox):

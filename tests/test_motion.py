@@ -46,7 +46,7 @@ from sdar.motion import (
     _phases,
     _timed,
 )
-from sdar.taskplan import Stage, next_task_plan
+from sdar.taskplan import Stage, TaskComplete, next_task_plan
 
 ARMS = default_arms()
 
@@ -242,7 +242,53 @@ def test_sample_buffers_broad_phase_keeps_boundary_draws():
             assert poses == [Pose2(*far)], (sampler.__name__, min_gap)
 
 
+def test_sample_buffers_inner_bound_keeps_boundary_draws():
+    # elongated boxes with their short axes on the centre line: their gap is
+    # the inscribed discs' gap, so a draw 1e-6 beyond the inner bound passes
+    # the exact test and one 1e-6 inside fails it
+    obstacle, shape = (0.09, 0.025), (0.02, 0.06)
+    far = (0.9, 0.5, 0.0)
+    for alpha in (0.0, 0.4, math.pi / 2, -2.2):
+        scene = Arrangement({0: Pose2(0.5, 0.3, alpha)})
+        # the obstacle's short axis, and the draw turned to match it
+        ux, uy = -math.sin(alpha), math.cos(alpha)
+        for min_gap in (MIN_GAP, 0.0):
+            bound = 0.025 + 0.02 + min_gap
+            for sign in (1.0, -1.0):
+                for offset in (1e-6, -1e-6):
+                    s = sign * (bound + offset)
+                    draw = (0.5 + s * ux, 0.3 + s * uy, alpha + math.pi / 2)
+                    expect = Pose2(*draw) if offset > 0.0 else Pose2(*far)
+                    for sampler in (sample_buffers, sample_buffers_reference):
+                        poses = sampler(
+                            scene, {0: obstacle}, [], 1, ScriptedRng([*draw, *far]), shape,
+                            Workspace(), min_gap=min_gap,
+                        )
+                        assert poses == [expect], (sampler.__name__, alpha, min_gap, s)
+
+
 # ---------------------------------------------------------- task selection
+
+def test_scene_box_memo_matches_fresh_footprints_every_round():
+    # a stale memo entry would show as a box left at an object's old pose
+    for inst in (instances.showcase9(), instances.gen_mixed(3)):
+        session = sim.new_session(inst, 42)
+        legs = 0
+        while True:
+            on_table = session.current.on_table()
+            for exclude in [set()] + [{i} for i, _ in on_table]:
+                fresh = [footprint(i, p, inst.shapes) for i, p in on_table if i not in exclude]
+                assert motion._scene_boxes(session, exclude) == fresh, (legs, exclude)
+            try:
+                plan = next_task_plan(session)
+            except TaskComplete:
+                break
+            sub, leg = plan_motion(plan, session, session.arms)
+            sim._apply_leg(session, sub, leg)
+            legs += 1
+        assert session.buffers_used > 0 and legs == 2 * session.rounds > 0
+        assert not session.remaining
+
 
 def test_select_best_task_unobstructed_pair():
     inst = instances.gen_random(2, 1)

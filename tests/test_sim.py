@@ -119,6 +119,17 @@ def test_verify_rejects_leg_without_samples():
         assert verify_trace("\n".join(kept) + "\n", inst) == (False, f"leg {k}: no samples")
 
 
+def test_coarse_dt_traces_verify():
+    # at dt >= 2, round(1 / dt) is 0; a moving leg must still export both ends
+    inst = instances.showcase9()
+    for dt in (2.0, 3.0):
+        metrics, rec = run_instance(inst, 0, dt=dt)
+        assert metrics.success, dt
+        assert all(len(leg.samples[0]) == 2 for leg in rec.trace.legs if leg.duration > 0)
+        assert verify_trace(rec.trace, inst) == (True, "ok"), dt
+        assert verify_trace(dumps_trace(rec.trace), inst) == (True, "ok"), dt
+
+
 def test_final_state_must_reach_goal():
     inst = instances.gen_random(3, 6)
     _, rec = run_instance(inst, 0)
