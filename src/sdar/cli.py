@@ -51,10 +51,12 @@ def _add_motion_flags(p: argparse.ArgumentParser):
 
 
 def _motion_flags_ok(args) -> bool:
-    """Reject a --dt/--k-buffers value (flag or SDAR_ variable) that cannot
-    be planned with, as an input error."""
+    """Reject a --dt/--clearance/--k-buffers value (flag or SDAR_ variable)
+    that cannot be planned with, as an input error."""
     if not (math.isfinite(args.dt) and args.dt >= MIN_DT):
         bad = f"--dt must be a finite number >= {MIN_DT}, got {args.dt!r}"
+    elif not (math.isfinite(args.clearance) and args.clearance >= 0.0):
+        bad = f"--clearance must be a finite number >= 0, got {args.clearance!r}"
     elif args.k_buffers < 1:
         bad = f"--k-buffers must be >= 1, got {args.k_buffers}"
     else:
@@ -197,14 +199,19 @@ def _bench_one(payload):
 def cmd_bench(args) -> int:
     if not _motion_flags_ok(args):
         return 2
+    if args.jobs < 1:
+        print(f"input error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     suite_dir = Path(args.suite)
     paths = sorted(suite_dir.rglob("*.inst"))
     if not paths:
         print(f"no .inst files under {suite_dir}", file=sys.stderr)
         return 2
     payloads = [(str(p), args.seed, args.clearance, args.dt, args.k_buffers) for p in paths]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at once: no more than there are rows
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_bench_one, payloads))
     else:
         results = [_bench_one(p) for p in payloads]

@@ -212,13 +212,24 @@ def box_clearance(a: OrientedBox, b: OrientedBox) -> float:
 
 
 def boxes_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
-    """True iff the rectangles overlap or their gap is below `gap`."""
+    """True iff the rectangles overlap or their gap is below `gap`.  The gap
+    of disjoint rectangles is the least of the 8 vertex-to-box distances of
+    `_separated_distance`, and it is below `gap` iff one of them is, so the
+    scan stops at the first such vertex."""
     dx = b.center.x - a.center.x
     dy = b.center.y - a.center.y
     reach = a.circumradius + b.circumradius + gap
     if dx * dx + dy * dy > reach * reach:
         return False
-    return overlaps(a, b) or _separated_distance(a, b) < gap
+    if overlaps(a, b):
+        return True
+    for p in a._corners:
+        if point_box_distance(p, b) < gap:
+            return True
+    for p in b._corners:
+        if point_box_distance(p, a) < gap:
+            return True
+    return False
 
 
 def prefilter_reach2(radius: float, b: OrientedBox, gap: float) -> float:

@@ -16,7 +16,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .depgraph import Arrangement, footprint
@@ -329,12 +331,17 @@ def grasp_feasible(
     angle: GraspAngle,
     obstacles: list[OrientedBox],
     arm: ArmModel,
+    pads: Optional[list[OrientedBox]] = None,
 ) -> bool:
     """Reach plus free finger pads / approach corridor against the obstacles
-    (the grasped object itself must not be in the obstacle list)."""
+    (the grasped object itself must not be in the obstacle list).  `pads`,
+    if given, are the box's `_finger_pads` for the angle and the arm's
+    gripper, built earlier."""
     if dist(arm.base, obj_box.center.xy) > arm.reach:
         return False
-    for pad in _finger_pads(obj_box, angle, arm.ee_radius):
+    if pads is None:
+        pads = _finger_pads(obj_box, angle, arm.ee_radius)
+    for pad in pads:
         if any(overlaps(pad, ob) for ob in obstacles):
             return False
     return True
@@ -357,34 +364,42 @@ def sample_buffers(
     """Up to k poses whose footprint avoids all on-table objects, all pending
     goals, and each other.  Rejection sampling capped at 100*k draws; a draw
     centred within an obstacle's inner bound is rejected before its box is
-    built.
+    built.  Obstacles are listed in a grid (`BufferGrid`), so both of these
+    broad-phase tests visit only the obstacles of the draw's own cell.
 
     min_gap > 0 additionally keeps finger room around the parked object;
     min_gap == 0 is the bare non-overlap contract."""
     if k < 1:
         raise ValueError("k must be >= 1")
     hw, hh = buffered_shape
-    margin = math.hypot(hw, hh)
-    inner = min(hw, hh)
-    table = [footprint(i, p, shapes) for i, p in scene.on_table() if i not in skip_ids]
-    near = [_broad_phase_entry(ob, margin, inner, min_gap) for ob in table + list(pending_goals)]
+    grid = BufferGrid(buffered_shape, min_gap, workspace)
+    for i, p in scene.on_table():
+        if i not in skip_ids:
+            grid.add(footprint(i, p, shapes))
+    for ob in pending_goals:
+        grid.add(ob)
+    margin = grid.margin
+    uniform = rng.uniform
+    x_hi = workspace.width - margin
+    y_hi = workspace.height - margin
     found: list[Pose2] = []
     for _ in range(100 * k):
         if len(found) == k:
             break
-        x = rng.uniform(margin, workspace.width - margin)
-        y = rng.uniform(margin, workspace.height - margin)
-        theta = rng.uniform(-math.pi, math.pi)
-        if _surely_blocked(x, y, near):
+        x = uniform(margin, x_hi)
+        y = uniform(margin, y_hi)
+        theta = uniform(-math.pi, math.pi)
+        cell = grid.cell(x, y)
+        if _surely_blocked(x, y, grid.inner.get(cell, ())):
             continue
         pose = Pose2(x, y, theta)
         box = box_at(pose, hw, hh)
         if not inside(workspace, box):
             continue
-        if _blocked(box, near, min_gap):
+        if _blocked(box, grid.reach.get(cell, ()), min_gap):
             continue
         found.append(pose)
-        near.append(_broad_phase_entry(box, margin, inner, min_gap))
+        grid.add(box)
     if not found:
         raise BufferSamplingExhausted(
             f"no buffer pose found within {100 * k} draws for shape {buffered_shape}"
@@ -392,22 +407,67 @@ def sample_buffers(
     return found
 
 
-def _broad_phase_entry(ob: OrientedBox, margin: float, inner: float, min_gap: float):
-    """(x, y, inner², reach², box): a draw centred within inner² of the
-    obstacle is rejected by the exact test, one beyond reach² is cleared."""
-    return (
-        ob.center.x,
-        ob.center.y,
-        blocked_within2(inner, ob, min_gap),
-        prefilter_reach2(margin, ob, min_gap),
-        ob,
-    )
+# Cells across the workspace diagonal, at most: with cells no smaller than
+# that, than the draw's circumradius and than the gap, a disc spans a bounded
+# number of cells whatever the shapes.
+GRID_MAX_CELLS = 64
+# Pad on a disc's bounding square, relative to its radius and coordinates:
+# far above the rounding in a square root or a cell index, far below a cell.
+GRID_PAD = 1e-9
 
 
-def _surely_blocked(x: float, y: float, near) -> bool:
+class BufferGrid:
+    """The obstacles of one `sample_buffers` call in a uniform grid of square
+    cells, cell (0, 0) at the origin.
+
+    Each obstacle has an inner disc of squared radius `blocked_within2`
+    (a draw centred inside is surely rejected) and a reach disc of squared
+    radius `prefilter_reach2` (one centred outside is cleared by the exact
+    test's own prefilter).  A disc is listed in every cell its padded
+    bounding square touches, in the order the obstacles were added.  Cell
+    indices are monotone in the coordinates and the pad covers the rounding
+    in the square's edges, so a point that a disc's own test puts inside
+    finds the disc in its cell."""
+
+    def __init__(self, buffered_shape: tuple[float, float], min_gap: float, workspace: Workspace):
+        hw, hh = buffered_shape
+        self.margin = math.hypot(hw, hh)
+        self.inner_radius = min(hw, hh)
+        self.min_gap = min_gap
+        self.side = max(self.margin, min_gap, workspace.diagonal / GRID_MAX_CELLS)
+        self.inv = 1.0 / self.side
+        self.inner: defaultdict[tuple[int, int], list] = defaultdict(list)  # (x, y, inner²)
+        self.reach: defaultdict[tuple[int, int], list] = defaultdict(list)  # (x, y, reach², box)
+
+    def cell(self, x: float, y: float) -> tuple[int, int]:
+        inv = self.inv
+        return (math.floor(x * inv), math.floor(y * inv))
+
+    def add(self, ob: OrientedBox) -> None:
+        """List an obstacle's discs; an inner disc that is not positive
+        rejects nothing and is left out."""
+        x, y = ob.center.x, ob.center.y
+        inner2 = blocked_within2(self.inner_radius, ob, self.min_gap)
+        if inner2 > 0.0:
+            self._list(self.inner, x, y, inner2, (x, y, inner2))
+        reach2 = prefilter_reach2(self.margin, ob, self.min_gap)
+        self._list(self.reach, x, y, reach2, (x, y, reach2, ob))
+
+    def _list(self, cells, x: float, y: float, r2: float, entry) -> None:
+        r = math.sqrt(r2)
+        h = r + GRID_PAD * (r + abs(x) + abs(y))
+        lo_x, lo_y = self.cell(x - h, y - h)
+        hi_x, hi_y = self.cell(x + h, y + h)
+        rows = range(lo_y, hi_y + 1)
+        for ix in range(lo_x, hi_x + 1):
+            for iy in rows:
+                cells[ix, iy].append(entry)
+
+
+def _surely_blocked(x: float, y: float, discs) -> bool:
     """True iff a draw centred at (x, y) lies within an obstacle's inner
     bound, where the exact test is certain to reject it."""
-    for ox, oy, inner2, _, _ in near:
+    for ox, oy, inner2 in discs:
         dx = ox - x
         dy = oy - y
         if dx * dx + dy * dy < inner2:
@@ -420,7 +480,7 @@ def _blocked(box: OrientedBox, near, min_gap: float) -> bool:
     Obstacles whose centres lie beyond the prefilter reach are skipped
     without calling it: the test's own prefilter would clear them."""
     x, y = box.center.x, box.center.y
-    for ox, oy, _, reach2, ob in near:
+    for ox, oy, reach2, ob in near:
         dx = ox - x
         dy = oy - y
         if dx * dx + dy * dy > reach2:
@@ -459,19 +519,67 @@ def _other_base_ok(point: Point, other: ArmModel, clearance: float) -> bool:
     return dist(point, other.base) >= clearance + BASE_KEEPOUT_MARGIN
 
 
-def _scene_boxes(session: PlannerSession, exclude: set[int]) -> list[OrientedBox]:
-    """Footprints of the on-table objects not in `exclude`, each built once
-    per (object, pose) in the session's memo."""
-    memo = session.boxes
-    out = []
-    for key in session.current.on_table():
-        if key[0] in exclude:
-            continue
-        box = memo.get(key)
-        if box is None:
-            box = memo[key] = footprint(*key, session.instance.shapes)
-        out.append(box)
-    return out
+@dataclass
+class BindingMemo:
+    """The scene as arm binding reads it during one sub-task selection.
+
+    The scene does not change while a selection runs, so what binding needs
+    of it is built once, when the selection starts, and the memo is dropped
+    when it ends: the next round's scene differs."""
+
+    # (object, footprint) of every on-table object, in id order
+    table: list[tuple[int, OrientedBox]]
+    # each object's footprint at its current pose
+    boxes: dict[int, OrientedBox]
+    # (object, arm index, angle) -> grasp verdict at the current pose
+    grasps: dict[tuple[int, int, GraspAngle], bool] = field(default_factory=dict)
+    # (box, angle, gripper radius) -> _finger_pads
+    pads: dict[tuple[OrientedBox, GraspAngle, float], list[OrientedBox]] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, session: PlannerSession) -> "BindingMemo":
+        """Memo of the session's current scene; footprints come from the
+        run's (object, pose) memo `session.boxes`."""
+        shapes = session.instance.shapes
+        known = session.boxes
+        table = []
+        for key in session.current.on_table():
+            box = known.get(key)
+            if box is None:
+                box = known[key] = footprint(*key, shapes)
+            table.append((key[0], box))
+        return cls(table, dict(table))
+
+    def finger_pads(self, box: OrientedBox, angle: GraspAngle, ee_radius: float) -> list[OrientedBox]:
+        key = (box, angle, ee_radius)
+        pads = self.pads.get(key)
+        if pads is None:
+            pads = self.pads[key] = _finger_pads(box, angle, ee_radius)
+        return pads
+
+    def grasp_now(self, obj: int, arm_idx: int, arm: ArmModel, angle: GraspAngle) -> bool:
+        """grasp_feasible for `obj` at its current pose, all other on-table
+        objects being the obstacles."""
+        key = (obj, arm_idx, angle)
+        ok = self.grasps.get(key)
+        if ok is None:
+            box = self.boxes[obj]
+            obstacles = [b for i, b in self.table if i != obj]
+            ok = self.grasps[key] = grasp_feasible(
+                box, angle, obstacles, arm, self.finger_pads(box, angle, arm.ee_radius)
+            )
+        return ok
+
+
+@contextmanager
+def _selecting(session: PlannerSession):
+    """One sub-task selection, with `session.binding` set to a fresh memo of
+    the scene for its duration."""
+    session.binding = BindingMemo.of(session)
+    try:
+        yield
+    finally:
+        session.binding = None
 
 
 def _bind_arm(
@@ -485,14 +593,15 @@ def _bind_arm(
     partner_target: Optional[Pose2],
 ) -> Optional[ArmTask]:
     """First angle in the ladder level feasible for both the grasp at the
-    object's current pose and the placement at the target pose."""
+    object's current pose and the placement at the target pose.  Reads the
+    scene from the selection's memo, `session.binding`."""
+    memo = session.binding
     shapes = session.instance.shapes
     ws = session.instance.workspace
     arm = arms[arm_idx]
     other = arms[1 - arm_idx]
     clearance = max(a.clearance for a in arms)
     cur_pose = session.current.pose_of(obj)
-    cur_box = footprint(obj, cur_pose, shapes)
     target_box = footprint(obj, target, shapes)
 
     if not _other_base_ok(cur_pose.xy, other, clearance):
@@ -504,16 +613,15 @@ def _bind_arm(
     if dist(arm.base, target.xy) > arm.reach:
         return None
 
-    grasp_obstacles = _scene_boxes(session, exclude={obj})
-    place_obstacles = _scene_boxes(session, exclude={obj} | ({partner} if partner is not None else set()))
+    place_obstacles = [b for i, b in memo.table if i != obj and i != partner]
     if partner_target is not None and partner is not None:
-        place_obstacles = place_obstacles + [footprint(partner, partner_target, shapes)]
+        place_obstacles.append(footprint(partner, partner_target, shapes))
     if any(overlaps(target_box, ob) for ob in place_obstacles):
         return None
 
     for angle in level:
-        if grasp_feasible(cur_box, angle, grasp_obstacles, arm) and grasp_feasible(
-            target_box, angle, place_obstacles, arm
+        if memo.grasp_now(obj, arm_idx, arm, angle) and grasp_feasible(
+            target_box, angle, place_obstacles, arm, memo.finger_pads(target_box, angle, arm.ee_radius)
         ):
             return ArmTask(obj=obj, angle=angle, pick=cur_pose.xy, target=target)
     return None
@@ -627,8 +735,9 @@ def _buffer_options(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
 def select_best_task(
     plan: TaskPlan, session: PlannerSession, arms, k_buffers: int = K_BUFFERS
 ) -> InstantiatedSubTask:
-    for sub in _iter_instantiations(plan, session, arms, k_buffers):
-        return sub
+    with _selecting(session):
+        for sub in _iter_instantiations(plan, session, arms, k_buffers):
+            return sub
     raise NoFeasibleSubTask(f"no feasible instantiation for candidates {plan.candidates}")
 
 
@@ -855,15 +964,16 @@ def plan_motion(
             _degraded_single_moves(plan, session, arms, k_buffers),
         )
     last_error = "no feasible instantiation"
-    for sub in subs:
-        try:
-            motion = _ladder(sub, arms, Stage.TO_START, session.ee, dt, force_sequential)
-            ends = [motion.paths[0].end, motion.paths[1].end]
-            goal_motion = _ladder(sub, arms, Stage.TO_GOAL, ends, dt, force_sequential)
-        except SubTaskInfeasible as exc:
-            last_error = str(exc)
-            continue
-        session.pending = (sub, goal_motion)
-        return sub, motion
+    with _selecting(session):
+        for sub in subs:
+            try:
+                motion = _ladder(sub, arms, Stage.TO_START, session.ee, dt, force_sequential)
+                ends = [motion.paths[0].end, motion.paths[1].end]
+                goal_motion = _ladder(sub, arms, Stage.TO_GOAL, ends, dt, force_sequential)
+            except SubTaskInfeasible as exc:
+                last_error = str(exc)
+                continue
+            session.pending = (sub, goal_motion)
+            return sub, motion
     what = "forced sub-task" if forced_sub is not None else "all instantiations"
     raise MotionFailure(f"{what} failed: {last_error}")

@@ -19,7 +19,7 @@ from .geom import OrientedBox, Pose2, dist
 from .instances import Instance
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .motion import InstantiatedSubTask, SyncMotion
+    from .motion import BindingMemo, InstantiatedSubTask, SyncMotion
 
 
 class TaskComplete(Exception):
@@ -69,6 +69,8 @@ class PlannerSession:
     pending: Optional[tuple["InstantiatedSubTask", "SyncMotion"]] = None
     # footprint of each (object, pose) the run has had on the table
     boxes: dict[tuple[int, Pose2], OrientedBox] = field(default_factory=dict)
+    # the scene as arm binding reads it, while a sub-task selection runs
+    binding: Optional["BindingMemo"] = None
     removal_sequence: list[int] = field(default_factory=list)
     actions: int = 0
     buffers_used: int = 0

@@ -4,7 +4,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from sdar import instances
+from sdar import cli, instances
 from sdar.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,3 +183,64 @@ def test_bench_rejects_bad_dt(tmp_path, capsys):
     assert run_cli("bench", suite, "--out", csv, "--dt", "0") == 2
     assert "input error:" in capsys.readouterr().err
     assert not csv.exists()
+
+
+def test_plan_rejects_bad_clearance(capsys):
+    for value in ("-1", "nan", "inf"):
+        assert run_cli("plan", FIXTURES / "showcase9.inst", "--clearance", value) == 2, value
+        assert "input error:" in capsys.readouterr().err
+
+
+def test_plan_rejects_bad_clearance_from_environment(monkeypatch, capsys):
+    for value in ("-1", "nan", "inf"):
+        monkeypatch.setenv("SDAR_CLEARANCE", value)
+        assert run_cli("plan", FIXTURES / "showcase9.inst") == 2, value
+        assert "input error:" in capsys.readouterr().err
+
+
+def test_plan_accepts_zero_clearance(capsys):
+    assert run_cli("plan", FIXTURES / "showcase9.inst", "--clearance", "0") == 0
+    assert "input error:" not in capsys.readouterr().err
+
+
+def test_bench_rejects_bad_jobs(tmp_path, monkeypatch, capsys):
+    suite = tmp_path / "suite"
+    run_cli("gen", "S", "3", "--seed", "0", "--out", suite)
+    csv = tmp_path / "report.csv"
+    for value in ("0", "-2"):
+        assert run_cli("bench", suite, "--out", csv, "--jobs", value) == 2, value
+        assert "input error:" in capsys.readouterr().err
+    monkeypatch.setenv("SDAR_JOBS", "0")
+    assert run_cli("bench", suite, "--out", csv) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+def test_bench_pool_has_no_more_workers_than_instances(tmp_path, monkeypatch):
+    # a stand-in pool that records its size and maps in this process, so no
+    # worker is ever started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    suite = tmp_path / "suite"
+    run_cli("gen", "S", "3", "--count", "2", "--seed", "0", "--out", suite)
+    serial = tmp_path / "serial.csv"
+    pooled = tmp_path / "pooled.csv"
+    assert run_cli("bench", suite, "--out", serial) == 0
+    assert sizes == []
+    assert run_cli("bench", suite, "--out", pooled, "--jobs", "1000") == 0
+    assert sizes == [2]
+    assert pooled.read_bytes() == serial.read_bytes()

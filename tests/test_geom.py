@@ -382,6 +382,20 @@ def test_boxes_closer_than_on_near_touching_pairs():
         checked += 1
 
 
+def test_boxes_closer_than_is_strict_at_the_gap():
+    # axis-aligned boxes with dyadic sizes and positions have an exact
+    # clearance: a gap equal to it is not below it, a larger one is
+    for gap in (2.0**-6, 2.0**-5):
+        a = box_at(Pose2(0.5, 0.25), 0.0625, 0.03125)
+        for dx, dy in ((1, 0), (0, 1), (-1, 0)):
+            reach = (0.0625 * 2 if dx else 0.03125 * 2) + gap
+            b = box_at(Pose2(0.5 + dx * reach, 0.25 + dy * reach), 0.0625, 0.03125)
+            assert box_clearance(a, b) == gap
+            for first, second in ((a, b), (b, a)):
+                assert not boxes_closer_than(first, second, gap)
+                assert boxes_closer_than(first, second, gap + 2.0**-20)
+
+
 # ---------------------------------------------------------------- workspace
 
 def test_small_box_at_center_inside():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,7 @@ from sdar.motion import (
     ArmModel,
     ArmPath,
     ArmTask,
+    BindingMemo,
     BufferSamplingExhausted,
     Conflict,
     GraspAngle,
@@ -190,13 +192,41 @@ def _crowded_table(n, seed):
     return inst.start, inst.shapes, pending, inst.shapes[0], inst.workspace, frozenset({0})
 
 
+def _random_table(seed, n, obstacle_halves, shape, ws=Workspace()):
+    """n boxes of random size and pose, overlaps allowed: the sampler only
+    reads their footprints.  Every third one is a pending goal."""
+    rng = random.Random(seed)
+    shapes, poses, pending = {}, {}, []
+    for i in range(n):
+        half = (rng.uniform(*obstacle_halves), rng.uniform(*obstacle_halves))
+        pose = Pose2(rng.uniform(0.0, ws.width), rng.uniform(0.0, ws.height), rng.uniform(-3.2, 3.2))
+        if i % 3 == 2:
+            pending.append(box_at(pose, *half))
+        else:
+            shapes[i], poses[i] = half, pose
+    return Arrangement(poses), shapes, pending, shape, ws, frozenset()
+
+
 def test_sample_buffers_matches_reference_without_broad_phase():
+    wide = _random_table(3, 8, (0.08, 0.2), (0.004, 0.006))
+    tiny = _random_table(4, 6, (1e-9, 2e-9), (1e-8, 3e-9))
     cases = [
         (Arrangement({}), {}, [], (0.04, 0.04), Workspace(), frozenset()),
         _crowded_table(12, 3),
         _crowded_table(20, 1),
+        _crowded_table(22, 2),
         _saturated_table(),
+        _random_table(1, 30, (0.02, 0.05), (0.03, 0.02)),
+        _random_table(2, 10, (0.005, 0.12), (0.08, 0.004)),  # elongated
+        wide,
+        tiny,
     ]
+    # discs many grid cells wide, and inner bounds of zero at min_gap 0
+    assert min(min(h) for h in wide[1].values()) > 4 * motion.BufferGrid(wide[3], 0.0, wide[4]).side
+    assert all(
+        motion.blocked_within2(min(tiny[3]), box_at(p, *tiny[1][i]), 0.0) == 0.0
+        for i, p in tiny[0].on_table()
+    )
     outcomes = set()
     for scene, shapes, pending, shape, ws, skip in cases:
         for min_gap in (MIN_GAP, 0.0):
@@ -267,27 +297,256 @@ def test_sample_buffers_inner_bound_keeps_boundary_draws():
                         assert poses == [expect], (sampler.__name__, alpha, min_gap, s)
 
 
+def _same_as_reference(scene, shapes, pending, shape, ws, rng_for, k, min_gap, skip=frozenset()):
+    """Run sample_buffers and sample_buffers_reference from equal rngs; the
+    poses (or the exhaustion message) and the rng states after must match.
+    A ScriptedRng's state is its next unused draw."""
+    results = []
+    for sampler in (sample_buffers, sample_buffers_reference):
+        rng = rng_for()
+        try:
+            got = sampler(scene, shapes, pending, k, rng, shape, ws, skip, min_gap)
+        except BufferSamplingExhausted as exc:
+            got = str(exc)
+        state = rng.getstate() if hasattr(rng, "getstate") else next(rng.draws, None)
+        results.append((got, state))
+    assert results[0] == results[1], (len(shapes), shape, min_gap, k)
+    return results[0][0]
+
+
+def test_sample_buffers_draws_on_cell_edges():
+    # squares turned 45 degrees touch corner to corner at the summed
+    # circumradii (less the gap); a draw sits exactly on a cell edge with an
+    # obstacle touching it from each side, and again just clear of it
+    ws = Workspace()
+    shape = (0.03, 0.03)
+    r = math.hypot(*shape)
+    for min_gap in (0.0, MIN_GAP):
+        side = motion.BufferGrid(shape, min_gap, ws).side
+        touch = 2 * r + max(min_gap - 1e-6, 0.0)
+        for mx, my in ((8, 5), (11, 4), (13, 9)):
+            x, y = mx * side, my * side
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                for extra, blocked in ((0.0, True), (2e-6, False)):
+                    d = touch + extra
+                    scene = Arrangement({0: Pose2(x + dx * d, y + dy * d, math.pi / 4)})
+                    far = (0.85, 0.45, 0.0)
+                    draws = [x, y, math.pi / 4, *far]
+                    got = _same_as_reference(
+                        scene, {0: shape}, [], shape, ws, lambda: ScriptedRng(draws), 1, min_gap
+                    )
+                    assert got == [Pose2(*far) if blocked else Pose2(x, y, math.pi / 4)]
+
+
+def _inside(disc, px, py, strict):
+    ox, oy, r2 = disc[:3]
+    dx = ox - px
+    dy = oy - py
+    d2 = dx * dx + dy * dy
+    return d2 < r2 if strict else d2 <= r2
+
+
+def _discs(cells):
+    return {disc for listed in cells.values() for disc in listed}
+
+
+def _assert_listed(grid, points):
+    """Every disc whose own test puts a point inside is in the point's cell:
+    the inner test is strict (`_surely_blocked`), the reach test is not
+    (`_blocked`)."""
+    for cells, strict in ((grid.inner, True), (grid.reach, False)):
+        discs = _discs(cells)
+        for px, py in points:
+            listed = cells.get(grid.cell(px, py), ())
+            for disc in discs:
+                if _inside(disc, px, py, strict):
+                    assert disc in listed, (disc, px, py, strict)
+
+
+def _ulps(v, n):
+    out = [v]
+    for step in (math.inf, -math.inf):
+        w = v
+        for _ in range(n):
+            w = math.nextafter(w, step)
+            out.append(w)
+    return out
+
+
+def test_buffer_grid_lists_each_disc_in_every_cell_it_reaches():
+    ws = Workspace()
+    rng = random.Random(7)
+    for min_gap in (MIN_GAP, 0.0):
+        for shape in ((0.03, 0.02), (0.004, 0.005), (0.1, 0.01)):
+            grid = motion.BufferGrid(shape, min_gap, ws)
+            for _ in range(6):
+                half = (rng.uniform(0.003, 0.15), rng.uniform(0.003, 0.15))
+                grid.add(box_at(Pose2(rng.uniform(0, 1), rng.uniform(0, 0.6), rng.uniform(-3, 3)), *half))
+            # the rim of every disc along the axes and diagonals, a few ulps
+            # either way in each coordinate
+            rims = set()
+            for cells in (grid.inner, grid.reach):
+                for ox, oy, r2, *_ in _discs(cells):
+                    rad = math.sqrt(r2)
+                    for ux, uy in ((1, 0), (-1, 0), (0, 1), (0, -1), (0.6, 0.8), (-0.8, 0.6)):
+                        for px in _ulps(ox + ux * rad, 3):
+                            for py in _ulps(oy + uy * rad, 3):
+                                rims.add((px, py))
+            _assert_listed(grid, rims)
+
+
+def test_buffer_grid_pad_covers_rounding_of_the_square():
+    # the reach disc at min_gap 0 has r² = reach² + EPS, whose root is
+    # rounded.  Centred at x = sqrt(r²), it has the left edge of its square
+    # at exactly 0.0, a cell edge; where the rounded root squares to no more
+    # than r², a point a hair left of 0, in cell -1, is inside the disc
+    ws = Workspace()
+    shape = (0.03, 0.02)
+    found = 0
+    for half in (0.01 + 0.0007 * i for i in range(40)):
+        grid = motion.BufferGrid(shape, 0.0, ws)
+        ox = math.sqrt(motion.prefilter_reach2(grid.margin, box_at(Pose2(0.5, 0.3), half, 0.04), 0.0))
+        grid.add(box_at(Pose2(ox, 0.3), half, 0.04))
+        (disc,) = _discs(grid.reach)
+        px = -1e-300
+        assert grid.cell(px, 0.3)[0] == -1
+        if _inside(disc, px, 0.3, strict=False):
+            _assert_listed(grid, [(px, 0.3)])
+            found += 1
+    assert found > 5
+
+
 # ---------------------------------------------------------- task selection
+
+def _step_legs(inst, seed=42, arms=None, max_legs=100):
+    """Plan and apply a run leg by leg; yields the session before each leg.
+    A run that has not ended after `max_legs` legs fails the test."""
+    session = sim.new_session(inst, seed, arms)
+    for _ in range(max_legs):
+        yield session
+        try:
+            plan = next_task_plan(session)
+        except TaskComplete:
+            return
+        sub, leg = plan_motion(plan, session, session.arms)
+        sim._apply_leg(session, sub, leg)
+    raise AssertionError(f"{inst.label} not done after {max_legs} legs")
+
 
 def test_scene_box_memo_matches_fresh_footprints_every_round():
     # a stale memo entry would show as a box left at an object's old pose
     for inst in (instances.showcase9(), instances.gen_mixed(3)):
-        session = sim.new_session(inst, 42)
-        legs = 0
-        while True:
-            on_table = session.current.on_table()
-            for exclude in [set()] + [{i} for i, _ in on_table]:
-                fresh = [footprint(i, p, inst.shapes) for i, p in on_table if i not in exclude]
-                assert motion._scene_boxes(session, exclude) == fresh, (legs, exclude)
-            try:
-                plan = next_task_plan(session)
-            except TaskComplete:
-                break
-            sub, leg = plan_motion(plan, session, session.arms)
-            sim._apply_leg(session, sub, leg)
+        legs = -1
+        for session in _step_legs(inst):
             legs += 1
+            fresh = [(i, footprint(i, p, inst.shapes)) for i, p in session.current.on_table()]
+            memo = BindingMemo.of(session)
+            assert memo.table == fresh, legs
+            assert memo.boxes == dict(fresh), legs
         assert session.buffers_used > 0 and legs == 2 * session.rounds > 0
         assert not session.remaining
+
+
+def bind_arm_reference(session, arm_idx, arms, obj, target, level, partner, partner_target):
+    """motion._bind_arm without the selection memo: every footprint, finger
+    pad and grasp verdict is built afresh."""
+    shapes = session.instance.shapes
+    arm, other = arms[arm_idx], arms[1 - arm_idx]
+    keepout = max(a.clearance for a in arms) + motion.BASE_KEEPOUT_MARGIN
+    cur_pose = session.current.pose_of(obj)
+    cur_box = footprint(obj, cur_pose, shapes)
+    target_box = footprint(obj, target, shapes)
+    if dist(cur_pose.xy, other.base) < keepout or dist(target.xy, other.base) < keepout:
+        return None
+    if not inside(session.instance.workspace, target_box) or dist(arm.base, target.xy) > arm.reach:
+        return None
+    table = [(i, footprint(i, p, shapes)) for i, p in session.current.on_table()]
+    grasp_obstacles = [b for i, b in table if i != obj]
+    place_obstacles = [b for i, b in table if i not in (obj, partner)]
+    if partner is not None and partner_target is not None:
+        place_obstacles.append(footprint(partner, partner_target, shapes))
+    if any(overlaps(target_box, ob) for ob in place_obstacles):
+        return None
+    for angle in level:
+        if grasp_feasible(cur_box, angle, grasp_obstacles, arm) and grasp_feasible(
+            target_box, angle, place_obstacles, arm
+        ):
+            return ArmTask(obj=obj, angle=angle, pick=cur_pose.xy, target=target)
+    return None
+
+
+def _checking_bind_arm(monkeypatch, check):
+    """Wrap motion._bind_arm so that every call also runs `check(session,
+    args, call, result)`, where `call(memo)` binds again with `memo` as the
+    selection's memo."""
+    bind = motion._bind_arm
+
+    def checked(session, *args):
+        result = bind(session, *args)
+
+        def call(memo):
+            kept = session.binding
+            session.binding = memo
+            try:
+                return bind(session, *args)
+            finally:
+                session.binding = kept
+
+        check(session, args, call, result)
+        return result
+
+    monkeypatch.setattr(motion, "_bind_arm", checked)
+
+
+def test_binding_memo_matches_fresh_memo_at_every_selection(monkeypatch):
+    memos = {}  # id -> memo of every selection; the dict keeps ids unique
+    bound = []
+
+    def check(session, args, call, result):
+        assert result == call(BindingMemo.of(session)) == bind_arm_reference(session, *args)
+        memos.setdefault(id(session.binding), session.binding)
+        bound.append(result)
+
+    _checking_bind_arm(monkeypatch, check)
+    rounds = 0
+    # the last two need top-down short and side grasps at times
+    for inst in (
+        instances.showcase9(), instances.gen_mixed(3), _escalation_instance(),
+        instances.gen_random(14, 1),
+    ):
+        # default arms reach the whole table; shorter ones make the grasp
+        # verdict depend on the arm
+        short = tuple(replace(a, reach=0.8) for a in default_arms(inst.workspace))
+        for arms in (None, short):
+            for session in _step_legs(inst, arms=arms):
+                # no memo outlives its selection
+                assert session.binding is None
+            assert not session.remaining
+            rounds += session.rounds
+    # one memo per selection, each selection being one round
+    assert None not in memos.values() and len(memos) == rounds > 10
+    angles = {t.angle for t in bound if t is not None}
+    assert None in bound and len(angles) >= 3, angles
+
+
+def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
+    # the memo of the previous selection, kept into the next one, binds
+    # differently: a memo that leaked across rounds would fail the check above
+    memos = []  # each selection's memo, in order
+    differ = []
+
+    def check(session, args, call, result):
+        if not memos or memos[-1] is not session.binding:
+            memos.append(session.binding)
+        if len(memos) > 1:
+            differ.append(call(memos[-2]) != result)
+
+    _checking_bind_arm(monkeypatch, check)
+    for inst in (instances.showcase9(), instances.gen_mixed(3)):
+        memos.clear()
+        for _ in _step_legs(inst):
+            pass
+    assert sum(differ) > 10, (sum(differ), len(differ))
 
 
 def test_select_best_task_unobstructed_pair():
