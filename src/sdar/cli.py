@@ -89,6 +89,9 @@ def cmd_gen(args) -> int:
     except GenerationExhausted as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # an object count the generator cannot build
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(path)
     print(f"wrote {len(written)} instance file(s) under {out}")
@@ -152,8 +155,7 @@ def cmd_plan(args) -> int:
 
 
 def _bench_one(payload):
-    path, seed, clearance, dt, k_buffers = payload
-    inst = instances.load(path)
+    name, inst, seed, clearance, dt, k_buffers = payload
     arms = default_arms(inst.workspace, clearance=clearance)
     t0 = time.perf_counter()
     metrics, record = sim.run_instance(inst, seed, arms, dt=dt, k_buffers=k_buffers)
@@ -176,14 +178,14 @@ def _bench_one(payload):
     fb = metrics.fallback_counts
     ratio = oracle_actions / metrics.actions if metrics.actions and oracle_actions > 0 else float("nan")
     row = (
-        f"{Path(path).stem},{inst.category},{inst.n},{metrics.actions},"
+        f"{name},{inst.category},{inst.n},{metrics.actions},"
         f"{oracle_actions},{int(assumption)},{ratio:.6f},"
         f"{metrics.sync_steps},{metrics.buffers_used},{metrics.makespan:.9f},"
         f"{seq_makespan:.9f},{fb.get('synchronous', 0)},{fb.get('untangled', 0)},"
         f"{fb.get('sequential', 0)},{int(metrics.success)},{int(verified)}"
     )
     return {
-        "name": Path(path).stem,
+        "name": name,
         "category": inst.category,
         "row": row,
         "trace": sim.dumps_trace(record.trace),
@@ -207,7 +209,15 @@ def cmd_bench(args) -> int:
     if not paths:
         print(f"no .inst files under {suite_dir}", file=sys.stderr)
         return 2
-    payloads = [(str(p), args.seed, args.clearance, args.dt, args.k_buffers) for p in paths]
+    # every file is loaded and checked before any row is planned
+    payloads = []
+    for p in paths:
+        try:
+            inst = instances.load(p)
+        except (ParseError, FeasibilityError, OSError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 2
+        payloads.append((p.stem, inst, args.seed, args.clearance, args.dt, args.k_buffers))
     # the pool starts all its workers at once: no more than there are rows
     workers = min(args.jobs, len(payloads))
     if workers > 1:
@@ -352,10 +362,11 @@ def cmd_render(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        head = path.read_text(encoding="utf-8").splitlines()[0].strip()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    head = lines[0].strip() if lines else ""
 
     if head == instances.INSTANCE_FORMAT:
         try:

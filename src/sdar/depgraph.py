@@ -17,35 +17,23 @@ class InfeasibleArrangement(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Held:
-    """Placement marker for an object carried by an arm (1 or 2)."""
-
-    arm: int
-
-
-Placement = Pose2 | Held
-
 Shapes = dict[int, tuple[float, float]]
 
 
 @dataclass
 class Arrangement:
-    """Full assignment of object ids to table poses (or a carrying arm)."""
+    """Full assignment of object ids to table poses."""
 
-    poses: dict[int, Placement]
+    poses: dict[int, Pose2]
 
     def ids(self) -> list[int]:
         return sorted(self.poses)
 
     def on_table(self) -> list[tuple[int, Pose2]]:
-        return [(i, p) for i, p in sorted(self.poses.items()) if isinstance(p, Pose2)]
+        return sorted(self.poses.items())
 
     def pose_of(self, obj: int) -> Pose2:
-        p = self.poses[obj]
-        if not isinstance(p, Pose2):
-            raise KeyError(f"object {obj} is held, not on the table")
-        return p
+        return self.poses[obj]
 
     def copy(self) -> "Arrangement":
         return Arrangement(dict(self.poses))
@@ -59,7 +47,7 @@ def footprint(obj: int, pose: Pose2, shapes: Shapes) -> OrientedBox:
 def arrangement_violations(
     arr: Arrangement, shapes: Shapes, workspace: Workspace
 ) -> list[str]:
-    """All feasibility violations: overlap pairs, out-of-workspace, arm double-holds."""
+    """All feasibility violations: overlap pairs and out-of-workspace objects."""
     issues = []
     table = arr.on_table()
     boxes = [(i, footprint(i, p, shapes)) for i, p in table]
@@ -69,10 +57,6 @@ def arrangement_violations(
         for j, bj in boxes[idx + 1 :]:
             if overlaps(bi, bj):
                 issues.append(f"objects {i} and {j} overlap")
-    held_arms = [p.arm for p in arr.poses.values() if isinstance(p, Held)]
-    for arm in set(held_arms):
-        if held_arms.count(arm) > 1:
-            issues.append(f"arm {arm} holds more than one object")
     return issues
 
 

@@ -7,8 +7,9 @@ placement feasibility.  The rung ladder per leg: straight synchronous motion,
 rule-based untangling (departure delays, then home-side via points), and
 finally sequential execution with one arm parked at its retract pose.  Each
 rung is an ordered list of path variants, and `_first_valid` keeps the first
-that validates.  A round's sub-task is committed only when both of its legs
-climb the ladder; the goal-bound leg is planned once, at selection.
+that validates.  A round is two legs, start-bound (grasp) then goal-bound
+(place); its sub-task is committed only when both legs climb the ladder, and
+`plan_motion` returns both motions at once.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .geom import (
     prefilter_reach2,
     segment_clearance,
 )
-from .taskplan import PlannerSession, Stage, TaskPlan, assign_arms
+from .taskplan import PlannerSession, TaskPlan, assign_arms
 
 DT = 0.02
 K_BUFFERS = 20
@@ -73,6 +74,13 @@ class SubTaskInfeasible(Exception):
 
 class MotionFailure(Exception):
     pass
+
+
+class Stage(enum.Enum):
+    """The leg of a round: arms heading to the picks, then to the places."""
+
+    TO_START = "tostart"
+    TO_GOAL = "togoal"
 
 
 class Mode(enum.Enum):
@@ -714,13 +722,13 @@ def _single_moves(session: PlannerSession, arms, obj: int, targets, to_buffer: b
 def _buffer_options(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
     """Buffer poses for one object: finger-room sampling first, then the bare
     non-overlap contract on crowded tables (pad checks re-filter at bind)."""
-    pending = _pending_goal_boxes(session)
+    goals = _pending_goal_boxes(session)
     for min_gap in (MIN_GAP, 0.0):
         try:
             return sample_buffers(
                 session.current,
                 session.instance.shapes,
-                pending,
+                goals,
                 k,
                 session.rng,
                 session.instance.shapes[obj],
@@ -943,19 +951,13 @@ def plan_motion(
     k_buffers: int = K_BUFFERS,
     force_sequential: bool = False,
     forced_sub: Optional[InstantiatedSubTask] = None,
-) -> tuple[InstantiatedSubTask, SyncMotion]:
-    """Select the round's sub-task on a ToStart leg and return its motion.
+) -> tuple[InstantiatedSubTask, SyncMotion, SyncMotion]:
+    """Select the round's sub-task and plan both of its legs.
 
     Instantiations are tried in order, then single-object recovery moves (or
-    only `forced_sub`).  One is committed only when both legs of its round
-    pass the rung ladder, the goal-bound leg planned from the start leg's end
-    configuration; that motion is kept in `session.pending`, and the ToGoal
-    call returns it without planning the leg again."""
-    if plan.stage == Stage.TO_GOAL:
-        if session.pending is None:
-            raise MotionFailure("no pending sub-task for a goal-bound leg")
-        return session.pending
-
+    only `forced_sub`).  The first one whose two legs both pass the rung
+    ladder, the goal-bound leg planned from the start leg's end
+    configuration, is returned as (sub, start motion, goal motion)."""
     if forced_sub is not None:
         subs = [forced_sub]
     else:
@@ -967,13 +969,12 @@ def plan_motion(
     with _selecting(session):
         for sub in subs:
             try:
-                motion = _ladder(sub, arms, Stage.TO_START, session.ee, dt, force_sequential)
-                ends = [motion.paths[0].end, motion.paths[1].end]
-                goal_motion = _ladder(sub, arms, Stage.TO_GOAL, ends, dt, force_sequential)
+                start = _ladder(sub, arms, Stage.TO_START, session.ee, dt, force_sequential)
+                ends = [start.paths[0].end, start.paths[1].end]
+                goal = _ladder(sub, arms, Stage.TO_GOAL, ends, dt, force_sequential)
             except SubTaskInfeasible as exc:
                 last_error = str(exc)
                 continue
-            session.pending = (sub, goal_motion)
-            return sub, motion
+            return sub, start, goal
     what = "forced sub-task" if forced_sub is not None else "all instantiations"
     raise MotionFailure(f"{what} failed: {last_error}")

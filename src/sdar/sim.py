@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .depgraph import Held, arrangement_violations
+from .depgraph import arrangement_violations
 from .geom import Pose2, box_at, dist, inside, overlaps, segment_clearance
 from .instances import Instance, instance_hash
 from .motion import (
@@ -20,17 +20,22 @@ from .motion import (
     ArmModel,
     InstantiatedSubTask,
     MotionFailure,
+    Stage,
     SyncMotion,
     default_arms,
     plan_motion,
 )
-from .taskplan import PlannerSession, Stage, TaskComplete, next_task_plan
+from .taskplan import PlannerSession, TaskComplete, next_task_plan
 
 TRACE_FORMAT = "sdar-trace/1"
 
 
 class ValidationFailure(Exception):
     pass
+
+
+class RoundLimitExceeded(MotionFailure):
+    """The run needs more rounds than the cap allows."""
 
 
 @dataclass
@@ -98,7 +103,7 @@ def _sample_leg(motion: SyncMotion, dt: float):
     return per_arm
 
 
-def _record_leg(trace, idx, sub, motion, plan, dt):
+def _record_leg(trace, sub, motion, candidates, dt):
     objs = tuple(t.obj for t in sub.tasks)
     angles = tuple(t.angle.value if t.angle else None for t in sub.tasks)
     grips = []
@@ -114,13 +119,13 @@ def _record_leg(trace, idx, sub, motion, plan, dt):
             places.append((task.obj, task.target, "buffer" if task.to_buffer else "goal"))
     trace.legs.append(
         LegRecord(
-            index=idx,
+            index=len(trace.legs),
             stage=motion.stage.value,
             mode=motion.mode.value,
             objs=objs,
             angles=angles,
             buffer_pose=sub.buffer_pose,
-            candidates=list(plan.candidates),
+            candidates=list(candidates),
             duration=motion.duration,
             samples=_sample_leg(motion, dt),
             grips=grips,
@@ -129,16 +134,11 @@ def _record_leg(trace, idx, sub, motion, plan, dt):
     )
 
 
-def _apply_leg(session: PlannerSession, sub: InstantiatedSubTask, motion: SyncMotion):
-    session.ee = [motion.paths[0].end, motion.paths[1].end]
-    if motion.stage == Stage.TO_START:
-        for a, task in enumerate(sub.tasks):
-            session.arm_states[a].stage = Stage.TO_GOAL
-            if task.obj is not None:
-                session.current.poses[task.obj] = Held(arm=a + 1)
-        return
-    for a, task in enumerate(sub.tasks):
-        session.arm_states[a].stage = Stage.TO_START
+def _apply_round(session: PlannerSession, sub: InstantiatedSubTask, goal_motion: SyncMotion):
+    """Update the session after a round: the arms end where the goal-bound
+    leg ends, and each moved object sits at its target."""
+    session.ee = [goal_motion.paths[0].end, goal_motion.paths[1].end]
+    for task in sub.tasks:
         if task.obj is None:
             continue
         session.current.poses[task.obj] = task.target
@@ -150,7 +150,6 @@ def _apply_leg(session: PlannerSession, sub: InstantiatedSubTask, motion: SyncMo
         else:
             session.remaining.discard(task.obj)
             session.buffered.pop(task.obj, None)
-    session.pending = None
     session.rounds += 1
 
 
@@ -164,7 +163,11 @@ def execute(
     forced_subs: Optional[list] = None,
     record: Optional[RunRecord] = None,
 ) -> RunMetrics:
-    """Loop task planning and motion planning until the instance resolves."""
+    """Plan and apply rounds until the instance resolves.
+
+    Each round is one task plan, one `plan_motion` call for both legs and
+    one session update; the trace gets the round's two legs.  A run that
+    still has work after 2n rounds ends with RoundLimitExceeded."""
     arms = arms or session.arms
     inst = session.instance
     metrics = RunMetrics(n=inst.n)
@@ -172,18 +175,18 @@ def execute(
     if record is not None:
         record.trace = trace
     fallbacks: dict[str, int] = {}
-    leg_idx = 0
-    round_idx = 0
     try:
         while True:
             try:
                 plan = next_task_plan(session)
             except TaskComplete:
                 break
-            forced = None
-            if forced_subs is not None and plan.stage == Stage.TO_START:
-                forced = forced_subs[round_idx]
-            sub, motion = plan_motion(
+            if session.rounds >= 2 * inst.n:
+                raise RoundLimitExceeded(
+                    f"round {session.rounds + 1} exceeds the cap of 2n rounds (n = {inst.n})"
+                )
+            forced = forced_subs[session.rounds] if forced_subs is not None else None
+            sub, start, goal = plan_motion(
                 plan,
                 session,
                 arms,
@@ -193,29 +196,24 @@ def execute(
                 forced_sub=forced,
             )
             if record is not None:
-                record.motions.append(motion)
-                if plan.stage == Stage.TO_START:
-                    record.subs.append(sub)
-            _record_leg(trace, leg_idx, sub, motion, plan, dt)
-            _apply_leg(session, sub, motion)
-            fallbacks[motion.mode.value] = fallbacks.get(motion.mode.value, 0) + 1
-            metrics.makespan += motion.duration
-            leg_idx += 1
-            if motion.stage == Stage.TO_GOAL:
-                round_idx += 1
-                issues = arrangement_violations(
-                    session.current, inst.shapes, inst.workspace
+                record.subs.append(sub)
+                record.motions += [start, goal]
+            _record_leg(trace, sub, start, plan.candidates, dt)
+            _record_leg(trace, sub, goal, [], dt)
+            _apply_round(session, sub, goal)
+            for motion in (start, goal):
+                fallbacks[motion.mode.value] = fallbacks.get(motion.mode.value, 0) + 1
+                metrics.makespan += motion.duration
+            issues = arrangement_violations(session.current, inst.shapes, inst.workspace)
+            if issues:
+                raise ValidationFailure(
+                    f"infeasible arrangement after round {session.rounds}: {issues}"
                 )
-                if issues:
-                    raise ValidationFailure(
-                        f"infeasible arrangement after round {round_idx}: {issues}"
-                    )
     except MotionFailure as exc:
         metrics.failure = str(exc)
     else:
         for i in inst.ids():
-            cur = session.current.poses[i]
-            if not isinstance(cur, Pose2) or not cur.almost_equal(inst.goal.pose_of(i), 1e-9):
+            if not session.current.poses[i].almost_equal(inst.goal.pose_of(i), 1e-9):
                 raise ValidationFailure(f"object {i} did not end at its goal pose")
         metrics.success = True
     metrics.actions = session.actions
@@ -311,9 +309,17 @@ def save_trace(trace: Trace, path) -> None:
 
 
 def loads_trace(text: str) -> Trace:
+    """Parse a trace; ValueError if the text is not a well-formed trace."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != TRACE_FORMAT:
         raise ValueError(f"expected {TRACE_FORMAT} header")
+    try:
+        return _parse_trace(lines)
+    except (IndexError, KeyError) as exc:
+        raise ValueError(f"malformed {TRACE_FORMAT} trace: {exc!r}") from exc
+
+
+def _parse_trace(lines: list[str]) -> Trace:
     hdr = lines[1].split()
     arm_f = lines[2].split()
 

@@ -1,15 +1,14 @@
 """Dependency-driven dual-arm task planning.
 
-Each synchronized round is planned in two legs: with both arms heading to
-start poses the planner rebuilds the dependency graph over unsolved objects
-and emits candidate object pairs (movable pairs, a chain terminal pair, or
-cycle-breaking pairs with the buffer flag); with both arms heading to goals it
-emits a bare goal-bound plan, whose leg the motion layer planned at selection.
+One task plan per synchronized round: the planner rebuilds the dependency
+graph over unsolved objects and emits candidate object pairs (movable pairs,
+a chain terminal pair, or cycle-breaking pairs with the buffer flag), or a
+single object for one arm.  The motion layer plans both legs of the round
+from that plan.
 """
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -19,7 +18,7 @@ from .geom import OrientedBox, Pose2, dist
 from .instances import Instance
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .motion import BindingMemo, InstantiatedSubTask, SyncMotion
+    from .motion import BindingMemo
 
 
 class TaskComplete(Exception):
@@ -34,19 +33,8 @@ class CycleTooShort(Exception):
     pass
 
 
-class Stage(enum.Enum):
-    TO_START = "tostart"
-    TO_GOAL = "togoal"
-
-
-@dataclass
-class ArmState:
-    stage: Stage = Stage.TO_START
-
-
 @dataclass
 class TaskPlan:
-    stage: Stage
     candidates: list[tuple[int, int]] = field(default_factory=list)
     need_buffer: bool = False
     single_arm: Optional[int] = None  # object moved by one arm alone
@@ -54,7 +42,7 @@ class TaskPlan:
 
 @dataclass
 class PlannerSession:
-    """Single-writer state machine for one rearrangement run."""
+    """The state of one rearrangement run, updated once per round."""
 
     instance: Instance
     rng_seed: int
@@ -62,11 +50,8 @@ class PlannerSession:
     current: Arrangement = None
     remaining: set[int] = field(default_factory=set)
     buffered: dict[int, Pose2] = field(default_factory=dict)
-    arm_states: list[ArmState] = field(default_factory=lambda: [ArmState(), ArmState()])
     ee: list = field(default_factory=list)
     rng: random.Random = None
-    # the selected sub-task and its goal-bound motion, until that leg runs
-    pending: Optional[tuple["InstantiatedSubTask", "SyncMotion"]] = None
     # footprint of each (object, pose) the run has had on the table
     boxes: dict[tuple[int, Pose2], OrientedBox] = field(default_factory=dict)
     # the scene as arm binding reads it, while a sub-task selection runs
@@ -120,28 +105,17 @@ def mark_buffer_target(cycle: list[int]) -> list[tuple[int, int]]:
     return [(cycle[k], cycle[(k + 1) % len(cycle)]) for k in range(len(cycle))]
 
 
-def removal_sequence_trace(session: PlannerSession) -> list[int]:
-    return list(session.removal_sequence)
-
-
 def _chain_lengths(decomp) -> dict[int, int]:
     return {v: len(c) for c in decomp.chains for v in c}
 
 
 def next_task_plan(session: PlannerSession) -> TaskPlan:
-    stages = {s.stage for s in session.arm_states}
-    if len(stages) > 1:
-        raise InconsistentState("arms are in mixed execution stages")
-    stage = stages.pop()
-
-    if stage == Stage.TO_GOAL:
-        return TaskPlan(stage=Stage.TO_GOAL)
-
+    """The task plan of the next round; TaskComplete once nothing remains."""
     if not session.remaining:
         raise TaskComplete
 
     if len(session.remaining) == 1:
-        return TaskPlan(stage=Stage.TO_START, single_arm=next(iter(session.remaining)))
+        return TaskPlan(single_arm=next(iter(session.remaining)))
 
     dg = session.graph_over_remaining()
     decomp = decompose(dg)
@@ -153,7 +127,7 @@ def next_task_plan(session: PlannerSession) -> TaskPlan:
             for a in range(len(movable))
             for b in range(a + 1, len(movable))
         ]
-        return TaskPlan(stage=Stage.TO_START, candidates=cands)
+        return TaskPlan(candidates=cands)
 
     if len(movable) == 1:
         m = movable[0]
@@ -163,9 +137,7 @@ def next_task_plan(session: PlannerSession) -> TaskPlan:
             key=lambda j: (-chain_len.get(j, 1), j),
         )
         if partners:
-            return TaskPlan(
-                stage=Stage.TO_START, candidates=[(m, j) for j in partners]
-            )
+            return TaskPlan(candidates=[(m, j) for j in partners])
         # nothing can ride along with m this round; break a cycle first and
         # let m pair up once the break spawns new movable objects
 
@@ -175,7 +147,7 @@ def next_task_plan(session: PlannerSession) -> TaskPlan:
             continue
         a, b = cyc
         if dg.out_neighbors(a) == {b} and dg.out_neighbors(b) == {a}:
-            return TaskPlan(stage=Stage.TO_START, candidates=[(a, b)])
+            return TaskPlan(candidates=[(a, b)])
     for cyc in decomp.cycles:
         if len(cyc) < 3:
             continue
@@ -183,23 +155,19 @@ def next_task_plan(session: PlannerSession) -> TaskPlan:
             (a, b) for a, b in mark_buffer_target(cyc) if dg.out_neighbors(a) == {b}
         ]
         if pairs:
-            return TaskPlan(stage=Stage.TO_START, candidates=pairs, need_buffer=True)
+            return TaskPlan(candidates=pairs, need_buffer=True)
     for scc in decomp.complex_sccs:
         out_deg = {v: len(dg.out_neighbors(v) & set(scc)) for v in scc}
         v = max(scc, key=lambda u: (out_deg[u], -u))
         partners = sorted(j for j in session.remaining if dg.out_neighbors(j) == {v})
         if partners:
-            return TaskPlan(
-                stage=Stage.TO_START,
-                candidates=[(x, v) for x in partners],
-                need_buffer=True,
-            )
-        return TaskPlan(stage=Stage.TO_START, single_arm=v, need_buffer=True)
+            return TaskPlan(candidates=[(x, v) for x in partners], need_buffer=True)
+        return TaskPlan(single_arm=v, need_buffer=True)
 
     if movable:
         # a lone movable object with no partner and no breakable cycle this
         # round still makes progress on its own
-        return TaskPlan(stage=Stage.TO_START, single_arm=movable[0])
+        return TaskPlan(single_arm=movable[0])
 
     raise InconsistentState(
         "no resolvable structure in the dependency graph; remaining="

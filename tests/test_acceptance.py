@@ -19,6 +19,7 @@ from sdar.motion import (
     InstantiatedSubTask,
     Mode,
     Pose2,
+    Stage,
     SubTaskInfeasible,
     SyncMotion,
     default_arms,
@@ -27,7 +28,6 @@ from sdar.motion import (
     untangle,
     validate_motion,
 )
-from sdar.taskplan import Stage
 
 ARMS = default_arms()
 

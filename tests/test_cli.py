@@ -244,3 +244,42 @@ def test_bench_pool_has_no_more_workers_than_instances(tmp_path, monkeypatch):
     assert run_cli("bench", suite, "--out", pooled, "--jobs", "1000") == 0
     assert sizes == [2]
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_gen_rejects_object_count_the_generator_cannot_build(tmp_path, capsys):
+    for category, n in (("R", "0"), ("S", "1")):
+        assert run_cli("gen", category, n, "--out", tmp_path) == 2, category
+        assert "input error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.inst"))
+
+
+def test_render_rejects_empty_or_undecodable_file(tmp_path, capsys):
+    for content in (b"", b"\xff\xfe\n"):
+        path = tmp_path / "input.txt"
+        path.write_bytes(content)
+        assert run_cli("render", path, "--out", tmp_path / "out") == 2, content
+        assert "input error:" in capsys.readouterr().err
+
+
+def test_render_rejects_trace_with_only_its_header(tmp_path, capsys):
+    inst_path = tmp_path / "s2.inst"
+    instances.save(instances.gen_single_cycle(2, 1), inst_path)
+    trace = tmp_path / "run.trace"
+    trace.write_text("sdar-trace/1\n")
+    assert run_cli("render", trace, "--instance", inst_path, "--out", tmp_path / "out") == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_bench_rejects_malformed_instance_before_planning(tmp_path, monkeypatch, capsys):
+    suite = tmp_path / "suite"
+    run_cli("gen", "S", "3", "--count", "2", "--seed", "0", "--out", suite)
+    # sorts after the good files, so a row-by-row load would plan them first
+    (suite / "zz_bad.inst").write_text(
+        "sdar-instance/1\nlabel X\nseed 0\nworkspace 1.0 0.6\nobjects 1\n0 zebra\n"
+    )
+    planned = []
+    monkeypatch.setattr(cli, "_bench_one", lambda payload: planned.append(payload))
+    csv = tmp_path / "report.csv"
+    assert run_cli("bench", suite, "--out", csv) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert planned == [] and not csv.exists()

@@ -4,12 +4,13 @@ from sdar import instances, sim
 from sdar.depgraph import decompose, footprint
 from sdar.geom import overlaps
 from sdar.motion import plan_motion, select_best_task
-from sdar.sim import _apply_leg
-from sdar.taskplan import Stage, TaskComplete, next_task_plan
+from sdar.sim import _apply_round
+from sdar.taskplan import TaskComplete, next_task_plan
 
 
 def step_through(inst, seed=0):
-    """Drive a session leg by leg, yielding (session, plan) before each leg."""
+    """Drive a session round by round, yielding (session, plan) before each
+    round."""
     session = sim.new_session(inst, seed)
     while True:
         try:
@@ -17,8 +18,8 @@ def step_through(inst, seed=0):
         except TaskComplete:
             return
         yield session, plan
-        sub, motion = plan_motion(plan, session, session.arms)
-        _apply_leg(session, sub, motion)
+        sub, _, goal = plan_motion(plan, session, session.arms)
+        _apply_round(session, sub, goal)
 
 
 def test_buffer_count_equals_long_cycle_count():
@@ -67,8 +68,6 @@ def test_selected_targets_never_overlap_live_footprints():
     for seed in range(8):
         inst = instances.gen_random(8, 500 + seed)
         for session, plan in step_through(inst, seed):
-            if plan.stage != Stage.TO_START:
-                continue
             try:
                 sub = select_best_task(plan, session, session.arms)
             except Exception:

@@ -32,6 +32,7 @@ from sdar.motion import (
     InstantiatedSubTask,
     Mode,
     NoFeasibleSubTask,
+    Stage,
     SubTaskInfeasible,
     SyncMotion,
     default_arms,
@@ -48,7 +49,7 @@ from sdar.motion import (
     _phases,
     _timed,
 )
-from sdar.taskplan import Stage, TaskComplete, next_task_plan
+from sdar.taskplan import TaskComplete, next_task_plan
 
 ARMS = default_arms()
 
@@ -418,32 +419,33 @@ def test_buffer_grid_pad_covers_rounding_of_the_square():
 
 # ---------------------------------------------------------- task selection
 
-def _step_legs(inst, seed=42, arms=None, max_legs=100):
-    """Plan and apply a run leg by leg; yields the session before each leg.
-    A run that has not ended after `max_legs` legs fails the test."""
+def _step_rounds(inst, seed=42, arms=None, max_rounds=50):
+    """Plan and apply a run round by round; yields the session before each
+    round.  A run that has not ended after `max_rounds` rounds fails the
+    test."""
     session = sim.new_session(inst, seed, arms)
-    for _ in range(max_legs):
+    for _ in range(max_rounds):
         yield session
         try:
             plan = next_task_plan(session)
         except TaskComplete:
             return
-        sub, leg = plan_motion(plan, session, session.arms)
-        sim._apply_leg(session, sub, leg)
-    raise AssertionError(f"{inst.label} not done after {max_legs} legs")
+        sub, _, goal = plan_motion(plan, session, session.arms)
+        sim._apply_round(session, sub, goal)
+    raise AssertionError(f"{inst.label} not done after {max_rounds} rounds")
 
 
 def test_scene_box_memo_matches_fresh_footprints_every_round():
     # a stale memo entry would show as a box left at an object's old pose
     for inst in (instances.showcase9(), instances.gen_mixed(3)):
-        legs = -1
-        for session in _step_legs(inst):
-            legs += 1
+        rounds = -1
+        for session in _step_rounds(inst):
+            rounds += 1
             fresh = [(i, footprint(i, p, inst.shapes)) for i, p in session.current.on_table()]
             memo = BindingMemo.of(session)
-            assert memo.table == fresh, legs
-            assert memo.boxes == dict(fresh), legs
-        assert session.buffers_used > 0 and legs == 2 * session.rounds > 0
+            assert memo.table == fresh, rounds
+            assert memo.boxes == dict(fresh), rounds
+        assert session.buffers_used > 0 and rounds == session.rounds > 0
         assert not session.remaining
 
 
@@ -518,7 +520,7 @@ def test_binding_memo_matches_fresh_memo_at_every_selection(monkeypatch):
         # verdict depend on the arm
         short = tuple(replace(a, reach=0.8) for a in default_arms(inst.workspace))
         for arms in (None, short):
-            for session in _step_legs(inst, arms=arms):
+            for session in _step_rounds(inst, arms=arms):
                 # no memo outlives its selection
                 assert session.binding is None
             assert not session.remaining
@@ -544,7 +546,7 @@ def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
     _checking_bind_arm(monkeypatch, check)
     for inst in (instances.showcase9(), instances.gen_mixed(3)):
         memos.clear()
-        for _ in _step_legs(inst):
+        for _ in _step_rounds(inst):
             pass
     assert sum(differ) > 10, (sum(differ), len(differ))
 
@@ -776,24 +778,16 @@ def test_goal_bound_leg_is_planned_once_at_selection(monkeypatch):
 
     monkeypatch.setattr(motion, "_ladder", recording)
     plan = next_task_plan(session)
-    sub, start_motion = plan_motion(plan, session, session.arms)
-    assert planned[-2] is start_motion
-    selected_goal_motion = planned[-1]
-    assert selected_goal_motion.stage == Stage.TO_GOAL
-    sim._apply_leg(session, sub, start_motion)
-
-    calls = []
-    monkeypatch.setattr(motion, "validate_motion", lambda *a, **k: calls.append(a))
-    plan = next_task_plan(session)
-    assert plan.stage == Stage.TO_GOAL
-    goal_sub, goal_motion = plan_motion(plan, session, session.arms)
-    assert calls == []
-    # the goal-bound leg keeps the bound assignment and starts where the
-    # start leg ended
-    assert goal_sub is sub
-    assert goal_motion is selected_goal_motion
+    sub, start_motion, goal_motion = plan_motion(plan, session, session.arms)
+    # the committed legs are the last two the ladder planned, in order
+    assert planned[-2] is start_motion and planned[-1] is goal_motion
+    assert start_motion.stage == Stage.TO_START
+    assert goal_motion.stage == Stage.TO_GOAL
+    # the goal-bound leg starts where the start leg ends
     for a in (0, 1):
-        assert goal_motion.paths[a].knots[0][1] == session.ee[a]
+        assert goal_motion.paths[a].knots[0][1] == start_motion.paths[a].end
+    sim._apply_round(session, sub, goal_motion)
+    assert session.ee == [goal_motion.paths[0].end, goal_motion.paths[1].end]
 
 
 def test_motion_determinism():

@@ -1,5 +1,6 @@
-from sdar import instances
+from sdar import instances, sim
 from sdar.geom import Pose2
+from sdar.motion import ArmTask, InstantiatedSubTask, Stage, plan_sync
 from sdar.sim import (
     dumps_trace,
     iterate_frames,
@@ -161,3 +162,48 @@ def test_forced_sequential_replay_preserves_plan():
     assert forced.sequence == metrics.sequence
     assert forced.makespan >= metrics.makespan
     assert set(forced.fallback_counts) == {"sequential"}
+
+
+def test_execute_plans_each_round_once(monkeypatch):
+    # one task plan and one motion call per round; the trace gets both legs
+    calls = {"plans": 0, "motions": 0}
+    next_plan, plan_motion = sim.next_task_plan, sim.plan_motion
+
+    def counted_plan(session):
+        plan = next_plan(session)
+        calls["plans"] += 1
+        return plan
+
+    def counted_motion(*args, **kwargs):
+        calls["motions"] += 1
+        return plan_motion(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "next_task_plan", counted_plan)
+    monkeypatch.setattr(sim, "plan_motion", counted_motion)
+    for inst in (instances.showcase9(), instances.gen_mixed(3)):
+        calls.update(plans=0, motions=0)
+        metrics, rec = run_instance(inst, 42)
+        assert metrics.success
+        assert calls == {"plans": metrics.sync_steps, "motions": metrics.sync_steps}
+        assert len(rec.trace.legs) == 2 * metrics.sync_steps
+
+
+def test_round_cap_ends_a_run_that_makes_no_progress(monkeypatch):
+    # every round parks both arms and moves nothing: without the cap of 2n
+    # rounds the run would never end
+    idle = InstantiatedSubTask((ArmTask(), ArmTask()))
+
+    def idle_round(plan, session, arms, **kwargs):
+        start = plan_sync(idle, arms, Stage.TO_START, session.ee)
+        goal = plan_sync(idle, arms, Stage.TO_GOAL, [p.end for p in start.paths])
+        return idle, start, goal
+
+    monkeypatch.setattr(sim, "plan_motion", idle_round)
+    inst = instances.showcase9()
+    metrics, rec = run_instance(inst, 0)
+    assert not metrics.success
+    assert metrics.failure == "round 19 exceeds the cap of 2n rounds (n = 9)"
+    assert metrics.sync_steps == 2 * inst.n and metrics.actions == 0
+    assert len(rec.trace.legs) == 4 * inst.n
+    ok, msg = verify_trace(rec.trace, inst)
+    assert not ok and "not at its goal pose" in msg

@@ -8,13 +8,10 @@ from sdar.geom import Pose2
 from sdar.motion import default_arms
 from sdar.taskplan import (
     CycleTooShort,
-    InconsistentState,
-    Stage,
     TaskComplete,
     assign_arms,
     mark_buffer_target,
     next_task_plan,
-    removal_sequence_trace,
 )
 
 
@@ -31,7 +28,6 @@ def pairs_as_set(cands):
 def test_showcase_first_round_pairs_all_movable():
     session = fresh_session(instances.showcase9())
     plan = next_task_plan(session)
-    assert plan.stage == Stage.TO_START
     assert pairs_as_set(plan.candidates) == {
         frozenset({4, 7}), frozenset({7, 8}), frozenset({4, 8})
     }
@@ -48,17 +44,6 @@ def test_cycle_round_emits_adjacent_pairs_with_buffer_flag():
     plan = next_task_plan(session)
     assert plan.need_buffer
     assert set(plan.candidates) == {(0, 1), (1, 2), (2, 3), (3, 0)}
-
-
-def test_to_goal_round_is_passthrough():
-    # the bound sub-task and its goal-bound motion live in session.pending
-    # (see test_motion.py::test_goal_bound_leg_is_planned_once_at_selection)
-    session = fresh_session(instances.showcase9())
-    for st in session.arm_states:
-        st.stage = Stage.TO_GOAL
-    plan = next_task_plan(session)
-    assert plan.stage == Stage.TO_GOAL
-    assert plan.candidates == [] and plan.single_arm is None and not plan.need_buffer
 
 
 def test_two_cycle_swap_has_no_buffer():
@@ -79,13 +64,6 @@ def test_single_object_left_uses_one_arm():
     plan = next_task_plan(session)
     assert plan.single_arm == keep
     assert plan.candidates == []
-
-
-def test_mixed_stages_raise():
-    session = fresh_session(instances.gen_random(2, 0))
-    session.arm_states[0].stage = Stage.TO_GOAL
-    with pytest.raises(InconsistentState):
-        next_task_plan(session)
 
 
 def test_task_complete_on_identity():
@@ -169,7 +147,7 @@ def test_removal_sequence_showcase():
     inst = instances.showcase9()
     session = fresh_session(inst)
     sim.execute(session)
-    seq = removal_sequence_trace(session)
+    seq = session.removal_sequence
     assert len(seq) == 10
     counts = {i: seq.count(i) for i in range(9)}
     doubled = [i for i, c in counts.items() if c == 2]
@@ -183,9 +161,9 @@ def test_removal_sequence_showcase():
 def test_removal_sequence_identity_and_swap():
     session = fresh_session(instances.identity_instance(3, 1))
     sim.execute(session)
-    assert removal_sequence_trace(session) == []
+    assert session.removal_sequence == []
 
     session = fresh_session(instances.gen_single_cycle(2, 3))
     sim.execute(session)
-    seq = removal_sequence_trace(session)
+    seq = session.removal_sequence
     assert sorted(seq) == [0, 1]
