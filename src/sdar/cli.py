@@ -387,6 +387,7 @@ def cmd_render(args) -> int:
         try:
             inst = instances.load(args.instance)
             trace = sim.load_trace(path)
+            sim.check_frames(trace, inst)
         except (ParseError, FeasibilityError, ValueError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return 2

@@ -269,6 +269,26 @@ def blocked_within2(inner: float, b: OrientedBox, gap: float) -> float:
     return reach * reach if reach > 0.0 else 0.0
 
 
+def blocked_within_box(inner: float, gap: float) -> float:
+    """Point-to-box distance (point_box_distance from the centre) below
+    which a box of inscribed radius `inner` (the smaller half extent) is
+    rejected against any box b by boxes_closer_than (gap > 0) or by overlaps
+    (gap <= 0): the rectangle counterpart of blocked_within2.
+
+    A box contains the disc of its inscribed radius about its centre.  With
+    the centre closer to b than inner + max(gap, 0) - INNER_SLACK, the disc,
+    and hence the box, reaches into b by more than the slack or lies less
+    than gap - INNER_SLACK from it.  The centre is within its distance to b
+    plus b's circumradius of b's centre, so it is also within both
+    bounding-circle prefilters.  Overlapping boxes have overlapping
+    projections on every axis, so overlaps finds no separating gap above
+    EPS; disjoint boxes get their exact distance, up to rounding far below
+    the slack, from _separated_distance.  Either way both exact tests return
+    True.  A bound that is not positive rejects nothing under a strict
+    comparison, since distances are never negative."""
+    return inner + max(gap, 0.0) - INNER_SLACK
+
+
 # Minimum free gap kept between distinct footprints in generated arrangements
 # and sampled buffer poses: finger pads extend 0.02 beyond a face, so any
 # smaller gap would make an object between two neighbors ungraspable.

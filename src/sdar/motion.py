@@ -30,11 +30,13 @@ from .geom import (
     Pose2,
     Workspace,
     blocked_within2,
+    blocked_within_box,
     box_at,
     boxes_closer_than,
     dist,
     inside,
     overlaps,
+    point_box_distance,
     prefilter_reach2,
     segment_clearance,
 )
@@ -170,6 +172,35 @@ class ArmPath:
                 a = (t - t0) / (t1 - t0)
                 return (p0[0] + a * (p1[0] - p0[0]), p0[1] + a * (p1[1] - p0[1]))
         return knots[-1][1]
+
+    def positions(self, times) -> list[Point]:
+        """[pos(t) for t in times] for nondecreasing `times`, in one walk
+        over the knots.  `pos` takes the first segment whose end time is at
+        least t; a segment passed over for some t is passed over for every
+        later one, so the walk never steps back and gives the same segment
+        and the same arithmetic."""
+        knots = self.knots
+        t_first, p_first = knots[0]
+        last = len(knots) - 1
+        seg = 1  # index of the segment's end knot
+        out = []
+        for t in times:
+            if t <= t_first:
+                out.append(p_first)
+                continue
+            while seg <= last and t > knots[seg][0]:
+                seg += 1
+            if seg > last:
+                out.append(knots[-1][1])
+                continue
+            t0, p0 = knots[seg - 1]
+            t1, p1 = knots[seg]
+            if t1 - t0 <= 1e-12:
+                out.append(p1)
+            else:
+                a = (t - t0) / (t1 - t0)
+                out.append((p0[0] + a * (p1[0] - p0[0]), p0[1] + a * (p1[1] - p0[1])))
+        return out
 
 
 def _timed(points: list[Point], depart: float = 0.0) -> ArmPath:
@@ -371,9 +402,11 @@ def sample_buffers(
 ) -> list[Pose2]:
     """Up to k poses whose footprint avoids all on-table objects, all pending
     goals, and each other.  Rejection sampling capped at 100*k draws; a draw
-    centred within an obstacle's inner bound is rejected before its box is
-    built.  Obstacles are listed in a grid (`BufferGrid`), so both of these
-    broad-phase tests visit only the obstacles of the draw's own cell.
+    centred within an obstacle's inner disc, or nearer to its rectangle than
+    the draw's inscribed radius plus the gap, is rejected before its box is
+    built.  Obstacles are listed in a grid (`BufferGrid`), so these
+    broad-phase tests visit only the obstacles of the draw's own cell.  Each
+    draw takes three `rng.uniform` values (x, y, theta) whatever its fate.
 
     min_gap > 0 additionally keeps finger room around the parked object;
     min_gap == 0 is the bare non-overlap contract."""
@@ -390,6 +423,11 @@ def sample_buffers(
     uniform = rng.uniform
     x_hi = workspace.width - margin
     y_hi = workspace.height - margin
+    inv = grid.inv
+    floor = math.floor
+    inner_of = grid.inner.get
+    reach_of = grid.reach.get
+    sure = blocked_within_box(grid.inner_radius, min_gap)
     found: list[Pose2] = []
     for _ in range(100 * k):
         if len(found) == k:
@@ -397,17 +435,21 @@ def sample_buffers(
         x = uniform(margin, x_hi)
         y = uniform(margin, y_hi)
         theta = uniform(-math.pi, math.pi)
-        cell = grid.cell(x, y)
-        if _surely_blocked(x, y, grid.inner.get(cell, ())):
-            continue
-        pose = Pose2(x, y, theta)
-        box = box_at(pose, hw, hh)
-        if not inside(workspace, box):
-            continue
-        if _blocked(box, grid.reach.get(cell, ()), min_gap):
-            continue
-        found.append(pose)
-        grid.add(box)
+        cell = (floor(x * inv), floor(y * inv))
+        for ox, oy, inner2 in inner_of(cell, ()):
+            dx = ox - x
+            dy = oy - y
+            if dx * dx + dy * dy < inner2:
+                break  # centred within an inner disc: surely rejected
+        else:
+            near = reach_of(cell, ())
+            if _surely_blocked(x, y, near, sure):
+                continue
+            pose = Pose2(x, y, theta)
+            box = box_at(pose, hw, hh)
+            if inside(workspace, box) and not _blocked(box, near, min_gap):
+                found.append(pose)
+                grid.add(box)
     if not found:
         raise BufferSamplingExhausted(
             f"no buffer pose found within {100 * k} draws for shape {buffered_shape}"
@@ -472,13 +514,15 @@ class BufferGrid:
                 cells[ix, iy].append(entry)
 
 
-def _surely_blocked(x: float, y: float, discs) -> bool:
-    """True iff a draw centred at (x, y) lies within an obstacle's inner
-    bound, where the exact test is certain to reject it."""
-    for ox, oy, inner2 in discs:
+def _surely_blocked(x: float, y: float, near, sure: float) -> bool:
+    """True iff a draw centred at (x, y) lies closer than `sure`
+    (`blocked_within_box`) to an obstacle in `near`, where the exact test is
+    certain to reject it.  Obstacles beyond the prefilter reach are skipped:
+    the bound cannot hold for them."""
+    for ox, oy, reach2, ob in near:
         dx = ox - x
         dy = oy - y
-        if dx * dx + dy * dy < inner2:
+        if dx * dx + dy * dy <= reach2 and point_box_distance((x, y), ob) < sure:
             return True
     return False
 
@@ -635,9 +679,9 @@ def _bind_arm(
     return None
 
 
-def _travel(session: PlannerSession, arm_idx: int, task: ArmTask) -> float:
+def _travel(session: PlannerSession, arm_idx: int, pick: Point, target: Pose2) -> float:
     start = tuple(session.ee[arm_idx])
-    return dist(start, task.pick) + dist(task.pick, task.target.xy)
+    return dist(start, pick) + dist(pick, target.xy)
 
 
 def _pending_goal_boxes(session: PlannerSession) -> list[OrientedBox]:
@@ -650,8 +694,14 @@ def _pending_goal_boxes(session: PlannerSession) -> list[OrientedBox]:
 
 def _iter_instantiations(plan: TaskPlan, session: PlannerSession, arms, k_buffers: int):
     """Candidate x angle-level x buffer enumeration, deterministic, narrowest
-    angle set first, then smallest max-arm travel."""
+    angle set first, then smallest max-arm travel.
+
+    Travel needs only each arm's pick and target, so every option is ranked
+    before any is bound, and options are then bound one at a time in that
+    order: a caller that stops at the first sub-task binds no other option.
+    Dropping the options that fail to bind keeps the order of the rest."""
     goal_of = session.instance.goal.pose_of
+    pose_of = session.current.pose_of
 
     if plan.single_arm is not None:
         obj = plan.single_arm
@@ -666,41 +716,42 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, arms, k_buffer
             if b not in buffers_for:
                 buffers_for[b] = _buffer_options(session, b, k_buffers)
 
+    ranked = []
+    for idx, (i, j) in enumerate(plan.candidates):
+        o1, o2 = assign_arms((i, j), session.current, arms)
+        if plan.need_buffer:
+            # second pair element parks at a buffer, first goes home
+            opts = [(goal_of(i), b) for b in buffers_for[j]]
+        else:
+            opts = [(goal_of(i), goal_of(j))]
+        for b_idx, (ti, tj) in enumerate(opts):
+            tmap = {i: ti, j: tj}
+            travel = max(
+                _travel(session, 0, pose_of(o1).xy, tmap[o1]),
+                _travel(session, 1, pose_of(o2).xy, tmap[o2]),
+            )
+            ranked.append((travel, idx, b_idx, o1, tmap[o1], o2, tmap[o2], (i, j)))
+    ranked.sort(key=lambda s: s[:3])
+
     seen = set()
     for level in (TOP_DOWN_SET, FULL_SET):
-        scored = []
-        for idx, (i, j) in enumerate(plan.candidates):
-            o1, o2 = assign_arms((i, j), session.current, arms)
+        for *_, o1, target1, o2, target2, pair in ranked:
+            t1 = _bind_arm(session, 0, arms, o1, target1, level, o2, target2)
+            if t1 is None:
+                continue
+            t2 = _bind_arm(session, 1, arms, o2, target2, level, o1, target1)
+            if t2 is None:
+                continue
             if plan.need_buffer:
-                # second pair element parks at a buffer, first goes home
-                opts = [(goal_of(i), b) for b in buffers_for[j]]
-            else:
-                opts = [(goal_of(i), goal_of(j))]
-            for b_idx, (ti, tj) in enumerate(opts):
-                tmap = {i: ti, j: tj}
-                t1 = _bind_arm(
-                    session, 0, arms, o1, tmap[o1], level, o2, tmap[o2]
-                )
-                if t1 is None:
-                    continue
-                t2 = _bind_arm(
-                    session, 1, arms, o2, tmap[o2], level, o1, tmap[o1]
-                )
-                if t2 is None:
-                    continue
-                if plan.need_buffer:
-                    if t1.obj == j:
-                        t1 = replace(t1, to_buffer=True)
-                    else:
-                        t2 = replace(t2, to_buffer=True)
-                travel = max(_travel(session, 0, t1), _travel(session, 1, t2))
-                scored.append((travel, idx, b_idx, (t1, t2), (i, j)))
-        for *_, tasks, pair in sorted(scored, key=lambda s: s[:3]):
-            key = (pair, tasks[0].target, tasks[1].target, tasks[0].angle, tasks[1].angle)
+                if t1.obj == pair[1]:
+                    t1 = replace(t1, to_buffer=True)
+                else:
+                    t2 = replace(t2, to_buffer=True)
+            key = (pair, t1.target, t2.target, t1.angle, t2.angle)
             if key in seen:
                 continue
             seen.add(key)
-            yield InstantiatedSubTask(tasks=tasks, pair=pair)
+            yield InstantiatedSubTask(tasks=(t1, t2), pair=pair)
 
 
 def _single_moves(session: PlannerSession, arms, obj: int, targets, to_buffer: bool):

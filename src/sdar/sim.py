@@ -95,10 +95,9 @@ def _sample_leg(motion: SyncMotion, dt: float):
     per_arm = [[], []]
     # a moving leg exports both of its ends, however coarse dt is
     steps = max(1, int(round(1.0 / dt))) if motion.duration > 1e-12 else 0
+    times = [motion.duration * k / steps for k in range(steps + 1)] if steps else [0.0]
     for a in (0, 1):
-        for k in range(steps + 1):
-            t = motion.duration * k / steps if steps else 0.0
-            x, y = motion.paths[a].pos(t)
+        for t, (x, y) in zip(times, motion.paths[a].positions(times)):
             per_arm[a].append((t, x, y, motion.carried_at(a, t)))
     return per_arm
 
@@ -515,10 +514,32 @@ def verify_trace(trace: Trace | str, instance: Instance) -> tuple[bool, str]:
     return True, "ok"
 
 
+def check_frames(trace: Trace, instance: Instance) -> None:
+    """ValueError unless iterate_frames can replay the trace: it must record
+    a run of this instance, name only the instance's objects, and give every
+    gripper-open event its place line.  Unlike verify_trace it accepts
+    unsolved and invalid runs, which are still drawn."""
+    if trace.instance_hash != instance_hash(instance):
+        raise ValueError(
+            f"trace is of instance {trace.instance_hash}, not {instance_hash(instance)}"
+        )
+    ids = set(instance.ids())
+    for leg in trace.legs:
+        placed = {obj for obj, _, _ in leg.places}
+        named = placed | {obj for _, _, obj, _, _ in leg.grips}
+        named.update(c for samples in leg.samples for *_, c in samples if c is not None)
+        if not named <= ids:
+            raise ValueError(f"leg {leg.index}: object {min(named - ids)} is not in the instance")
+        for _, action, obj, _, _ in leg.grips:
+            if action == "open" and obj not in placed:
+                raise ValueError(f"leg {leg.index}: object {obj} released with no place line")
+
+
 def iterate_frames(trace: Trace, instance: Instance):
     """Yield (table poses, ee points, carried ids) per exported time sample.
     Placements are applied at their gripper-open event times, so the last
-    frame of a successful trace shows the goal scene."""
+    frame of a successful trace shows the goal scene.  The trace must pass
+    check_frames."""
     table: dict[int, Pose2] = {i: instance.start.pose_of(i) for i in instance.ids()}
     for leg in trace.legs:
         place_of = {obj: pose for obj, pose, _ in leg.places}

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -283,3 +284,42 @@ def test_bench_rejects_malformed_instance_before_planning(tmp_path, monkeypatch,
     assert run_cli("bench", suite, "--out", csv) == 2
     assert "input error:" in capsys.readouterr().err
     assert planned == [] and not csv.exists()
+
+
+def _showcase9_trace(tmp_path):
+    trace = tmp_path / "s9.trace"
+    assert run_cli("plan", FIXTURES / "showcase9.inst", "--trace-out", trace) == 0
+    return trace
+
+
+def test_render_rejects_trace_of_another_instance(tmp_path, capsys):
+    trace = _showcase9_trace(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("render", trace, "--instance", FIXTURES / "identity4.inst", "--out", out) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not list(out.glob("frame_*.svg"))
+
+
+def test_render_rejects_release_without_place_line(tmp_path, capsys):
+    trace = _showcase9_trace(tmp_path)
+    lines = trace.read_text().splitlines(keepends=True)
+    trace.write_text("".join(ln for ln in lines if not ln.startswith("place ")))
+    out = tmp_path / "out"
+    assert run_cli("render", trace, "--instance", FIXTURES / "showcase9.inst", "--out", out) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not list(out.glob("frame_*.svg"))
+
+
+def test_render_rejects_object_the_instance_lacks(tmp_path, capsys):
+    # the hash matches, but one grip and its place line name object 99
+    trace = _showcase9_trace(tmp_path)
+    text = trace.read_text()
+    leg, obj = re.search(r"^place (\d+) (\d+) ", text, re.M).groups()
+    text = re.sub(rf"^(grip {leg} \d open) {obj} ", r"\1 99 ", text, flags=re.M)
+    text = re.sub(rf"^place {leg} {obj} ", f"place {leg} 99 ", text, flags=re.M)
+    trace.write_text(text)
+    assert text.count(" 99 ") == 2
+    out = tmp_path / "out"
+    assert run_cli("render", trace, "--instance", FIXTURES / "showcase9.inst", "--out", out) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not list(out.glob("frame_*.svg"))

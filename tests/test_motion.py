@@ -246,13 +246,19 @@ def test_sample_buffers_matches_reference_without_broad_phase():
 
 
 class ScriptedRng:
-    """Stands in for random.Random: uniform() returns the scripted draws."""
+    """Stands in for random.Random: uniform() returns the scripted draws, and
+    the state is the draws not yet used."""
 
     def __init__(self, draws):
-        self.draws = iter(draws)
+        self.draws = list(draws)
+        self.used = 0
 
     def uniform(self, lo, hi):
-        return next(self.draws)
+        self.used += 1
+        return self.draws[self.used - 1]
+
+    def getstate(self):
+        return tuple(self.draws[self.used:])
 
 
 def test_sample_buffers_broad_phase_keeps_boundary_draws():
@@ -300,8 +306,7 @@ def test_sample_buffers_inner_bound_keeps_boundary_draws():
 
 def _same_as_reference(scene, shapes, pending, shape, ws, rng_for, k, min_gap, skip=frozenset()):
     """Run sample_buffers and sample_buffers_reference from equal rngs; the
-    poses (or the exhaustion message) and the rng states after must match.
-    A ScriptedRng's state is its next unused draw."""
+    poses (or the exhaustion message) and the rng states after must match."""
     results = []
     for sampler in (sample_buffers, sample_buffers_reference):
         rng = rng_for()
@@ -309,8 +314,7 @@ def _same_as_reference(scene, shapes, pending, shape, ws, rng_for, k, min_gap, s
             got = sampler(scene, shapes, pending, k, rng, shape, ws, skip, min_gap)
         except BufferSamplingExhausted as exc:
             got = str(exc)
-        state = rng.getstate() if hasattr(rng, "getstate") else next(rng.draws, None)
-        results.append((got, state))
+        results.append((got, rng.getstate()))
     assert results[0] == results[1], (len(shapes), shape, min_gap, k)
     return results[0][0]
 
@@ -339,6 +343,42 @@ def test_sample_buffers_draws_on_cell_edges():
                     assert got == [Pose2(*far) if blocked else Pose2(x, y, math.pi / 4)]
 
 
+def test_sample_buffers_rectangle_bound_keeps_boundary_draws():
+    # draws facing an elongated obstacle's short face or a corner, where the
+    # inner disc test cannot reach: 1e-6 inside the rectangle bound (the
+    # draw's inscribed radius plus the gap) both exact tests reject the draw,
+    # 1e-6 beyond it the draw, turned to face the obstacle, passes, and on
+    # the bound the exact test decides
+    obstacle, shape = (0.09, 0.025), (0.02, 0.06)
+    far = (0.9, 0.5, 0.0)
+    ws = Workspace()
+    for alpha in (0.0, 0.4, math.pi / 2, -2.2, 2.9, -0.7):
+        ob = box_at(Pose2(0.5, 0.3, alpha), *obstacle)
+        (ux, uy), (vx, vy) = ob.axes()
+        # (rim point, outward direction in which it is the nearest point)
+        rims = [
+            ((0.5 + sg * 0.09 * ux, 0.3 + sg * 0.09 * uy), (sg * ux, sg * uy)) for sg in (1, -1)
+        ]
+        corner = (0.5 + 0.09 * ux + 0.025 * vx, 0.3 + 0.09 * uy + 0.025 * vy)
+        for phi in (math.pi / 6, math.pi / 4, math.pi / 3):
+            c, s = math.cos(phi), math.sin(phi)
+            rims.append((corner, (c * ux + s * vx, c * uy + s * vy)))
+        for min_gap in (MIN_GAP, 0.0):
+            grid = motion.BufferGrid(shape, min_gap, ws)
+            for (px, py), (dx, dy) in rims:
+                for offset in (1e-6, 0.0, -1e-6):
+                    d = min(shape) + min_gap + offset
+                    draw = (px + d * dx, py + d * dy, math.atan2(dy, dx))
+                    inner2 = motion.blocked_within2(grid.inner_radius, ob, min_gap)
+                    assert dist(draw[:2], ob.center.xy) ** 2 > inner2  # out of its reach
+                    got = _same_as_reference(
+                        Arrangement({0: ob.center}), {0: obstacle}, [], shape, ws,
+                        lambda: ScriptedRng([*draw, *far]), 1, min_gap,
+                    )
+                    if offset:
+                        assert got == [Pose2(*draw) if offset > 0.0 else Pose2(*far)], (alpha, min_gap, offset)
+
+
 def _inside(disc, px, py, strict):
     ox, oy, r2 = disc[:3]
     dx = ox - px
@@ -353,8 +393,8 @@ def _discs(cells):
 
 def _assert_listed(grid, points):
     """Every disc whose own test puts a point inside is in the point's cell:
-    the inner test is strict (`_surely_blocked`), the reach test is not
-    (`_blocked`)."""
+    the inner test is strict (`sample_buffers`), the reach test is not
+    (`_surely_blocked`, `_blocked`)."""
     for cells, strict in ((grid.inner, True), (grid.reach, False)):
         discs = _discs(cells)
         for px, py in points:
@@ -480,8 +520,17 @@ def bind_arm_reference(session, arm_idx, arms, obj, target, level, partner, part
 def _checking_bind_arm(monkeypatch, check):
     """Wrap motion._bind_arm so that every call also runs `check(session,
     args, call, result)`, where `call(memo)` binds again with `memo` as the
-    selection's memo."""
+    selection's memo.
+
+    The enumerator binds lazily, so a round would bind only the options up
+    to the one it commits; it is drained into a list before it yields, so
+    that every option of every selection is bound and checked.  The rng
+    draws and the sequence of sub-tasks are unchanged by this."""
     bind = motion._bind_arm
+    enumerate_all = motion._iter_instantiations
+
+    def drained(*args):
+        yield from list(enumerate_all(*args))
 
     def checked(session, *args):
         result = bind(session, *args)
@@ -498,6 +547,7 @@ def _checking_bind_arm(monkeypatch, check):
         return result
 
     monkeypatch.setattr(motion, "_bind_arm", checked)
+    monkeypatch.setattr(motion, "_iter_instantiations", drained)
 
 
 def test_binding_memo_matches_fresh_memo_at_every_selection(monkeypatch):
@@ -549,6 +599,89 @@ def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
         for _ in _step_rounds(inst):
             pass
     assert sum(differ) > 10, (sum(differ), len(differ))
+
+
+def iter_instantiations_reference(plan, session, arms, k_buffers):
+    """The eager enumeration: every option bound at each angle level, the
+    bound ones sorted by (max-arm travel, candidate, buffer), repeats
+    dropped."""
+    goal_of = session.instance.goal.pose_of
+    if plan.single_arm is not None:
+        obj = plan.single_arm
+        targets = motion._buffer_options(session, obj, k_buffers) if plan.need_buffer else [goal_of(obj)]
+        return list(motion._single_moves(session, arms, obj, targets, plan.need_buffer))
+    buffers_for = {}
+    if plan.need_buffer:
+        for _, b in plan.candidates:
+            if b not in buffers_for:
+                buffers_for[b] = motion._buffer_options(session, b, k_buffers)
+    out, seen = [], set()
+    for level in (motion.TOP_DOWN_SET, motion.FULL_SET):
+        scored = []
+        for idx, (i, j) in enumerate(plan.candidates):
+            o1, o2 = motion.assign_arms((i, j), session.current, arms)
+            if plan.need_buffer:
+                opts = [(goal_of(i), b) for b in buffers_for[j]]
+            else:
+                opts = [(goal_of(i), goal_of(j))]
+            for b_idx, (ti, tj) in enumerate(opts):
+                tmap = {i: ti, j: tj}
+                t1 = motion._bind_arm(session, 0, arms, o1, tmap[o1], level, o2, tmap[o2])
+                if t1 is None:
+                    continue
+                t2 = motion._bind_arm(session, 1, arms, o2, tmap[o2], level, o1, tmap[o1])
+                if t2 is None:
+                    continue
+                if plan.need_buffer:
+                    if t1.obj == j:
+                        t1 = replace(t1, to_buffer=True)
+                    else:
+                        t2 = replace(t2, to_buffer=True)
+                travel = max(
+                    dist(tuple(session.ee[a]), t.pick) + dist(t.pick, t.target.xy)
+                    for a, t in enumerate((t1, t2))
+                )
+                scored.append((travel, idx, b_idx, (t1, t2), (i, j)))
+        for *_, tasks, pair in sorted(scored, key=lambda s: s[:3]):
+            key = (pair, tasks[0].target, tasks[1].target, tasks[0].angle, tasks[1].angle)
+            if key not in seen:
+                seen.add(key)
+                out.append(InstantiatedSubTask(tasks=tasks, pair=pair))
+    return out
+
+
+def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
+    # every selection is enumerated twice from the same rng state: the lazy
+    # enumerator, drained, must yield the eager reference's sub-tasks in the
+    # same order and leave the rng where the reference leaves it
+    lazy = motion._iter_instantiations
+    kinds = []
+
+    def compared(plan, session, arms, k_buffers):
+        state = session.rng.getstate()
+        expect = iter_instantiations_reference(plan, session, arms, k_buffers)
+        after = session.rng.getstate()
+        session.rng.setstate(state)
+        got = list(lazy(plan, session, arms, k_buffers))
+        assert got == expect, (session.instance.label, session.rounds)
+        assert session.rng.getstate() == after
+        kinds.append(
+            "single" if plan.single_arm is not None else "buffer" if plan.need_buffer else "pair"
+        )
+        yield from got
+
+    monkeypatch.setattr(motion, "_iter_instantiations", compared)
+    # the last is a dense table the planner does not solve
+    cases = (
+        (instances.showcase9(), True), (instances.gen_mixed(3), True),
+        (instances.gen_random(14, 1), True), (instances.gen_random(18, 0), True),
+        (instances.gen_random(20, 0), False),
+    )
+    for inst, solved in cases:
+        metrics, _ = sim.run_instance(inst, 42)
+        assert metrics.success == solved, inst.label
+    assert set(kinds) == {"single", "buffer", "pair"}, kinds
+    assert len(kinds) > 30
 
 
 def test_select_best_task_unobstructed_pair():
@@ -937,3 +1070,43 @@ def test_validate_skipping_on_fast_and_jumping_paths():
         assert assert_validators_agree((parked, path), 1.0, ARMS) == {False}
     bad = validate_motion((parked, jump), ARMS, 1.0)
     assert bad == Conflict(0.5025, bad.detail)
+
+
+def test_positions_match_pos_bit_for_bit():
+    rng = random.Random(11)
+
+    def point():
+        return (rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.6))
+
+    def bits(points):
+        return [(x.hex(), y.hex()) for x, y in points]
+
+    paths = [
+        ArmPath([(0.0, (0.3, 0.3))]),
+        # zero-time knots (a jump at t = 0, a repeated knot, one at the end)
+        # and a jump within 1e-12
+        ArmPath([
+            (0.0, (0.1, 0.1)), (0.0, (0.2, 0.1)), (0.4, (0.5, 0.2)), (0.4, (0.5, 0.2)),
+            (0.6, (0.5, 0.4)), (0.6 + 4e-13, (0.1, 0.4)), (0.9, (0.6, 0.5)), (0.9, (0.7, 0.5)),
+        ]),
+    ]
+    for _ in range(40):
+        path = _timed([point() for _ in range(rng.randint(1, 5))], depart=rng.choice((0.0, rng.uniform(0.0, 0.5))))
+        paths.append(_pad(path, path.duration + rng.choice((0.0, 0.3))))
+    # retreats, waits and padding of the sequential rung
+    for first in (0, 1):
+        for serial in (False, True):
+            paths += _phases([(point(), point(), 0), (point(), point(), None)], ARMS, first, serial)[0]
+    for path in paths:
+        knot_times = [t for t, _ in path.knots]
+        end = path.duration
+        # before the start, on every knot, between knots, a DT grid and past the end
+        times = sorted(
+            [-0.1, 0.0, end, end + 1e-13, end + 0.5]
+            + knot_times
+            + [t + 2e-13 for t in knot_times]
+            + [rng.uniform(0.0, end) for _ in range(30)]
+            + [end * k / 50 for k in range(51)]
+        )
+        assert bits(path.positions(times)) == bits([path.pos(t) for t in times])
+    assert ArmPath([(0.0, (0.3, 0.3))]).positions([]) == []
