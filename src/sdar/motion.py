@@ -162,23 +162,16 @@ class ArmPath:
         return self.knots[-1][1]
 
     def pos(self, t: float) -> Point:
-        knots = self.knots
-        if t <= knots[0][0]:
-            return knots[0][1]
-        for (t0, p0), (t1, p1) in zip(knots, knots[1:]):
-            if t <= t1:
-                if t1 - t0 <= 1e-12:
-                    return p1
-                a = (t - t0) / (t1 - t0)
-                return (p0[0] + a * (p1[0] - p0[0]), p0[1] + a * (p1[1] - p0[1]))
-        return knots[-1][1]
+        return self.positions((t,))[0]
 
     def positions(self, times) -> list[Point]:
-        """[pos(t) for t in times] for nondecreasing `times`, in one walk
-        over the knots.  `pos` takes the first segment whose end time is at
-        least t; a segment passed over for some t is passed over for every
-        later one, so the walk never steps back and gives the same segment
-        and the same arithmetic."""
+        """The positions at nondecreasing `times`, in one walk over the
+        knots; `pos` is the single-time case.  The position at t lies on the
+        first segment whose end time is at least t (the first knot before
+        the path starts, the last one after it ends).  A segment passed over
+        for some t is passed over for every later one, even where knot times
+        run backwards, so the walk never steps back and gives each t the
+        segment, and the arithmetic, of a walk of its own."""
         knots = self.knots
         t_first, p_first = knots[0]
         last = len(knots) - 1
@@ -402,11 +395,15 @@ def sample_buffers(
 ) -> list[Pose2]:
     """Up to k poses whose footprint avoids all on-table objects, all pending
     goals, and each other.  Rejection sampling capped at 100*k draws; a draw
-    centred within an obstacle's inner disc, or nearer to its rectangle than
-    the draw's inscribed radius plus the gap, is rejected before its box is
-    built.  Obstacles are listed in a grid (`BufferGrid`), so these
-    broad-phase tests visit only the obstacles of the draw's own cell.  Each
-    draw takes three `rng.uniform` values (x, y, theta) whatever its fate.
+    nearer to an obstacle's rectangle than the draw's inscribed radius plus
+    the gap is rejected before its box is built.  While that bound is
+    positive it rejects every draw centred within an obstacle's inner disc
+    (`blocked_within2`), so the inner discs are kept only as a cheaper first
+    pass: on the default suite they save about a third of the sampling
+    time.  Both tests are sure rejections, so neither changes a result.
+    Obstacles are listed in a grid (`BufferGrid`), so these broad-phase
+    tests visit only the obstacles of the draw's own cell.  Each draw takes
+    three `rng.uniform` values (x, y, theta) whatever its fate.
 
     min_gap > 0 additionally keeps finger room around the parked object;
     min_gap == 0 is the bare non-overlap contract."""
@@ -423,8 +420,6 @@ def sample_buffers(
     uniform = rng.uniform
     x_hi = workspace.width - margin
     y_hi = workspace.height - margin
-    inv = grid.inv
-    floor = math.floor
     inner_of = grid.inner.get
     reach_of = grid.reach.get
     sure = blocked_within_box(grid.inner_radius, min_gap)
@@ -435,7 +430,7 @@ def sample_buffers(
         x = uniform(margin, x_hi)
         y = uniform(margin, y_hi)
         theta = uniform(-math.pi, math.pi)
-        cell = (floor(x * inv), floor(y * inv))
+        cell = grid.cell(x, y)
         for ox, oy, inner2 in inner_of(cell, ()):
             dx = ox - x
             dy = oy - y

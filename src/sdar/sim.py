@@ -516,15 +516,19 @@ def verify_trace(trace: Trace | str, instance: Instance) -> tuple[bool, str]:
 
 def check_frames(trace: Trace, instance: Instance) -> None:
     """ValueError unless iterate_frames can replay the trace: it must record
-    a run of this instance, name only the instance's objects, and give every
-    gripper-open event its place line.  Unlike verify_trace it accepts
-    unsolved and invalid runs, which are still drawn."""
+    a run of this instance, name only the instance's objects, give both arms
+    the same number of samples in each leg, and give every gripper-open
+    event its place line.  Unlike verify_trace it accepts unsolved and
+    invalid runs, which are still drawn."""
     if trace.instance_hash != instance_hash(instance):
         raise ValueError(
             f"trace is of instance {trace.instance_hash}, not {instance_hash(instance)}"
         )
     ids = set(instance.ids())
     for leg in trace.legs:
+        counts = [len(samples) for samples in leg.samples]
+        if counts[0] != counts[1]:
+            raise ValueError(f"leg {leg.index}: the arms have {counts[0]} and {counts[1]} samples")
         placed = {obj for obj, _, _ in leg.places}
         named = placed | {obj for _, _, obj, _, _ in leg.grips}
         named.update(c for samples in leg.samples for *_, c in samples if c is not None)

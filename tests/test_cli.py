@@ -323,3 +323,15 @@ def test_render_rejects_object_the_instance_lacks(tmp_path, capsys):
     assert run_cli("render", trace, "--instance", FIXTURES / "showcase9.inst", "--out", out) == 2
     assert "input error:" in capsys.readouterr().err
     assert not list(out.glob("frame_*.svg"))
+
+
+def test_render_rejects_leg_with_unequal_sample_counts(tmp_path, capsys):
+    # the hash matches, but one arm-1 sample of a leg is gone
+    trace = _showcase9_trace(tmp_path)
+    lines = trace.read_text().splitlines(keepends=True)
+    drop = next(i for i, ln in enumerate(lines) if ln.startswith("s 1 1 "))
+    trace.write_text("".join(lines[:drop] + lines[drop + 1:]))
+    out = tmp_path / "out"
+    assert run_cli("render", trace, "--instance", FIXTURES / "showcase9.inst", "--out", out) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not list(out.glob("frame_*.svg"))
