@@ -69,6 +69,9 @@ def _motion_flags_ok(args) -> bool:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        print(f"input error: --count must be >= 1, got {args.count}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     written = []
     try:
@@ -170,8 +173,7 @@ def _bench_one(payload):
     seq_makespan = float("nan")
     if metrics.success:
         forced, _ = sim.run_instance(
-            inst, seed, arms, dt=dt, k_buffers=k_buffers,
-            force_sequential=True, forced_subs=record.subs,
+            inst, seed, arms, dt=dt, force_sequential=True, forced_subs=record.subs
         )
         if forced.success:
             seq_makespan = forced.makespan

@@ -92,8 +92,8 @@ class Workspace:
     height: float = 0.6
 
     def __post_init__(self):
-        if not (self.width > 0.0 and self.height > 0.0):
-            raise ValueError("workspace dimensions must be positive")
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError("workspace dimensions must be positive and finite")
 
     @property
     def center(self) -> Point:

@@ -184,15 +184,18 @@ def _ellipse_slots(cx, cy, a, b, n, phase=0.0) -> list[tuple[float, float]]:
     return slots
 
 
-def _ring_half_range(slots, shift=OVERLAP_SHIFT) -> tuple[float, float]:
+def _pulled_back(cur, nxt) -> tuple[float, float]:
+    """The goal point of an object at `cur` bound for `nxt`: OVERLAP_SHIFT
+    short of `nxt`, so that its footprint overlaps the one there."""
+    f = OVERLAP_SHIFT / math.dist(cur, nxt)
+    return nxt[0] + (cur[0] - nxt[0]) * f, nxt[1] + (cur[1] - nxt[1]) * f
+
+
+def _ring_half_range(slots) -> tuple[float, float]:
     """Half-extent range small enough that a ring construction on these slots
     keeps MIN_GAP between every non-overlapping footprint pair."""
     n = len(slots)
-    goals = []
-    for k in range(n):
-        cur, nxt = slots[k], slots[(k + 1) % n]
-        f = shift / math.dist(cur, nxt)
-        goals.append((nxt[0] + (cur[0] - nxt[0]) * f, nxt[1] + (cur[1] - nxt[1]) * f))
+    goals = [_pulled_back(slots[k], slots[(k + 1) % n]) for k in range(n)]
     dmin = math.inf
     for i in range(n):
         for j in range(n):
@@ -220,14 +223,7 @@ def _ring_arrangements(rng, slots, shapes, ids):
         start[obj] = Pose2(sx + jx, sy + jy, rng.uniform(-0.3, 0.3))
     for k, obj in enumerate(ids):
         nxt = start[ids[(k + 1) % n]]
-        cur = start[obj]
-        d = math.dist(cur.xy, nxt.xy)
-        f = OVERLAP_SHIFT / d
-        goal[obj] = Pose2(
-            nxt.x + (cur.x - nxt.x) * f,
-            nxt.y + (cur.y - nxt.y) * f,
-            rng.uniform(-0.3, 0.3),
-        )
+        goal[obj] = Pose2(*_pulled_back(start[obj].xy, nxt.xy), rng.uniform(-0.3, 0.3))
     return Arrangement(start), Arrangement(goal)
 
 
@@ -357,10 +353,7 @@ def gen_mixed(seed: int, workspace: Workspace | None = None) -> Instance:
         for k, obj in enumerate(chain_ids):
             start[obj] = Pose2(*slots[k], th())
         for k, obj in enumerate(chain_ids[:-1]):
-            nxt = start[chain_ids[k + 1]]
-            cur = start[obj]
-            f = OVERLAP_SHIFT / math.dist(cur.xy, nxt.xy)
-            goal[obj] = Pose2(nxt.x + (cur.x - nxt.x) * f, nxt.y + (cur.y - nxt.y) * f, th())
+            goal[obj] = Pose2(*_pulled_back(start[obj].xy, start[chain_ids[k + 1]].xy), th())
         goal[chain_ids[-1]] = Pose2(*slots[4], th())
 
         # 3-cycle on a small ring.
@@ -371,18 +364,14 @@ def gen_mixed(seed: int, workspace: Workspace | None = None) -> Instance:
         for k, obj in enumerate(ring_ids):
             start[obj] = Pose2(*ring_slots[k], th())
         for k, obj in enumerate(ring_ids):
-            nxt = start[ring_ids[(k + 1) % 3]]
-            cur = start[obj]
-            f = OVERLAP_SHIFT / math.dist(cur.xy, nxt.xy)
-            goal[obj] = Pose2(nxt.x + (cur.x - nxt.x) * f, nxt.y + (cur.y - nxt.y) * f, th())
+            goal[obj] = Pose2(*_pulled_back(start[obj].xy, start[ring_ids[(k + 1) % 3]].xy), th())
 
         # 2-cycle: a side-by-side swap.
         p, q = swap_ids
         sp, sq = jit(0.50, 0.46), jit(0.72, 0.46)
         start[p], start[q] = Pose2(*sp, th()), Pose2(*sq, th())
-        f = OVERLAP_SHIFT / math.dist(sp, sq)
-        goal[p] = Pose2(sq[0] + (sp[0] - sq[0]) * f, sq[1] + (sp[1] - sq[1]) * f, th())
-        goal[q] = Pose2(sp[0] + (sq[0] - sp[0]) * f, sp[1] + (sq[1] - sp[1]) * f, th())
+        goal[p] = Pose2(*_pulled_back(sp, sq), th())
+        goal[q] = Pose2(*_pulled_back(sq, sp), th())
 
         # Isolated objects: short hops in a reserved column, touching nothing.
         iso_start = [(0.945, 0.07), (0.945, 0.25), (0.945, 0.43)]
@@ -535,6 +524,10 @@ def loads(text: str, source: str = "<string>") -> Instance:
             vals = [float(v) for v in parts[1:]]
         except ValueError as exc:
             fail(k, f"bad numeric field: {exc}")
+        if not all(math.isfinite(v) for v in vals):
+            fail(k, "non-finite number")
+        if not (vals[0] > 0.0 and vals[1] > 0.0):
+            fail(k, f"half extents must be positive, got {vals[0]!r} {vals[1]!r}")
         if obj in shapes:
             fail(k, f"duplicate object id {obj}")
         shapes[obj] = (vals[0], vals[1])

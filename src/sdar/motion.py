@@ -106,9 +106,8 @@ class GraspAngle(enum.Enum):
         return 0.0 if self in TOP_DOWN_SET else math.pi / 4
 
 
-GRASP_LADDER = tuple(GraspAngle)
 TOP_DOWN_SET = (GraspAngle.TOP_DOWN_LONG, GraspAngle.TOP_DOWN_SHORT)
-FULL_SET = GRASP_LADDER
+FULL_SET = tuple(GraspAngle)
 
 
 @dataclass(frozen=True)
@@ -390,7 +389,6 @@ def sample_buffers(
     rng,
     buffered_shape: tuple[float, float],
     workspace: Workspace,
-    skip_ids: set[int] = frozenset(),
     min_gap: float = MIN_GAP,
 ) -> list[Pose2]:
     """Up to k poses whose footprint avoids all on-table objects, all pending
@@ -412,8 +410,7 @@ def sample_buffers(
     hw, hh = buffered_shape
     grid = BufferGrid(buffered_shape, min_gap, workspace)
     for i, p in scene.on_table():
-        if i not in skip_ids:
-            grid.add(footprint(i, p, shapes))
+        grid.add(footprint(i, p, shapes))
     for ob in pending_goals:
         grid.add(ob)
     margin = grid.margin
@@ -929,14 +926,13 @@ def sequential_fallback(
     return res
 
 
-def _ladder(sub, arms, stage, ee, dt, force_sequential=False) -> SyncMotion:
-    if not force_sequential:
-        res = plan_sync(sub, arms, stage, ee, dt)
-        if isinstance(res, SyncMotion):
-            return res
-        res = untangle(sub, arms, stage, ee, dt)
-        if res is not None:
-            return res
+def _ladder(sub, arms, stage, ee, dt) -> SyncMotion:
+    res = plan_sync(sub, arms, stage, ee, dt)
+    if isinstance(res, SyncMotion):
+        return res
+    res = untangle(sub, arms, stage, ee, dt)
+    if res is not None:
+        return res
     return sequential_fallback(sub, arms, stage, ee, dt)
 
 
@@ -995,32 +991,25 @@ def plan_motion(
     arms,
     dt: float = DT,
     k_buffers: int = K_BUFFERS,
-    force_sequential: bool = False,
-    forced_sub: Optional[InstantiatedSubTask] = None,
 ) -> tuple[InstantiatedSubTask, SyncMotion, SyncMotion]:
     """Select the round's sub-task and plan both of its legs.
 
-    Instantiations are tried in order, then single-object recovery moves (or
-    only `forced_sub`).  The first one whose two legs both pass the rung
-    ladder, the goal-bound leg planned from the start leg's end
-    configuration, is returned as (sub, start motion, goal motion)."""
-    if forced_sub is not None:
-        subs = [forced_sub]
-    else:
-        subs = itertools.chain(
-            _iter_instantiations(plan, session, arms, k_buffers),
-            _degraded_single_moves(plan, session, arms, k_buffers),
-        )
+    Instantiations are tried in order, then single-object recovery moves;
+    the first whose two legs both pass the rung ladder, the goal-bound leg
+    planned from where the start leg ends, is returned as (sub, start, goal)."""
+    subs = itertools.chain(
+        _iter_instantiations(plan, session, arms, k_buffers),
+        _degraded_single_moves(plan, session, arms, k_buffers),
+    )
     last_error = "no feasible instantiation"
     with _selecting(session):
         for sub in subs:
             try:
-                start = _ladder(sub, arms, Stage.TO_START, session.ee, dt, force_sequential)
+                start = _ladder(sub, arms, Stage.TO_START, session.ee, dt)
                 ends = [start.paths[0].end, start.paths[1].end]
-                goal = _ladder(sub, arms, Stage.TO_GOAL, ends, dt, force_sequential)
+                goal = _ladder(sub, arms, Stage.TO_GOAL, ends, dt)
             except SubTaskInfeasible as exc:
                 last_error = str(exc)
                 continue
             return sub, start, goal
-    what = "forced sub-task" if forced_sub is not None else "all instantiations"
-    raise MotionFailure(f"{what} failed: {last_error}")
+    raise MotionFailure(f"all instantiations failed: {last_error}")

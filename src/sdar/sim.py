@@ -21,9 +21,11 @@ from .motion import (
     InstantiatedSubTask,
     MotionFailure,
     Stage,
+    SubTaskInfeasible,
     SyncMotion,
     default_arms,
     plan_motion,
+    sequential_fallback,
 )
 from .taskplan import PlannerSession, TaskComplete, next_task_plan
 
@@ -158,46 +160,51 @@ def execute(
     *,
     dt: float = DT,
     k_buffers: int = K_BUFFERS,
-    force_sequential: bool = False,
-    forced_subs: Optional[list] = None,
     record: Optional[RunRecord] = None,
 ) -> RunMetrics:
-    """Plan and apply rounds until the instance resolves.
-
-    Each round is one task plan, one `plan_motion` call for both legs and
-    one session update; the trace gets the round's two legs.  A run that
-    still has work after 2n rounds ends with RoundLimitExceeded."""
+    """Plan rounds until the instance resolves, each one task plan and one
+    `plan_motion` call for both legs, and commit each one as it comes.  A
+    run that still has work after 2n rounds ends with RoundLimitExceeded."""
     arms = arms or session.arms
+    rounds = _planned_rounds(session, arms, dt, k_buffers)
+    return _commit(session, arms, rounds, dt, record or RunRecord())
+
+
+def _planned_rounds(session: PlannerSession, arms, dt: float, k_buffers: int):
+    n = session.instance.n
+    while True:
+        try:
+            plan = next_task_plan(session)
+        except TaskComplete:
+            return
+        if session.rounds >= 2 * n:
+            raise RoundLimitExceeded(f"round {session.rounds + 1} exceeds the cap of 2n rounds (n = {n})")
+        yield (*plan_motion(plan, session, arms, dt=dt, k_buffers=k_buffers), plan.candidates)
+
+
+def _replayed_rounds(session: PlannerSession, arms, subs, dt: float):
+    """Recorded sub-tasks on the sequential rung, with no task planning."""
+    for sub in subs:
+        try:
+            start = sequential_fallback(sub, arms, Stage.TO_START, session.ee, dt)
+            goal = sequential_fallback(sub, arms, Stage.TO_GOAL, [p.end for p in start.paths], dt)
+        except SubTaskInfeasible as exc:
+            raise MotionFailure(f"forced sub-task failed: {exc}") from exc
+        yield sub, start, goal, []
+
+
+def _commit(session: PlannerSession, arms, rounds, dt: float, record: RunRecord) -> RunMetrics:
+    """Apply each (sub, start, goal, candidates) round, checking the arrangement
+    after it and the goal at the end; a MotionFailure is the run's failure."""
     inst = session.instance
     metrics = RunMetrics(n=inst.n)
-    trace = Trace(instance_hash(inst), session.rng_seed, arms, dt)
-    if record is not None:
-        record.trace = trace
+    trace = record.trace = Trace(instance_hash(inst), session.rng_seed, arms, dt)
     fallbacks: dict[str, int] = {}
     try:
-        while True:
-            try:
-                plan = next_task_plan(session)
-            except TaskComplete:
-                break
-            if session.rounds >= 2 * inst.n:
-                raise RoundLimitExceeded(
-                    f"round {session.rounds + 1} exceeds the cap of 2n rounds (n = {inst.n})"
-                )
-            forced = forced_subs[session.rounds] if forced_subs is not None else None
-            sub, start, goal = plan_motion(
-                plan,
-                session,
-                arms,
-                dt=dt,
-                k_buffers=k_buffers,
-                force_sequential=force_sequential,
-                forced_sub=forced,
-            )
-            if record is not None:
-                record.subs.append(sub)
-                record.motions += [start, goal]
-            _record_leg(trace, sub, start, plan.candidates, dt)
+        for sub, start, goal, candidates in rounds:
+            record.subs.append(sub)
+            record.motions += [start, goal]
+            _record_leg(trace, sub, start, candidates, dt)
             _record_leg(trace, sub, goal, [], dt)
             _apply_round(session, sub, goal)
             for motion in (start, goal):
@@ -234,17 +241,16 @@ def run_instance(
     force_sequential: bool = False,
     forced_subs=None,
 ) -> tuple[RunMetrics, RunRecord]:
+    """Plan and execute an instance, or, given `force_sequential=True` and a
+    run's `RunRecord.subs` as `forced_subs`, replay them one arm at a time."""
+    if bool(force_sequential) != (forced_subs is not None):
+        raise ValueError("force_sequential=True and forced_subs are passed together")
     session = new_session(instance, seed, arms)
     rec = RunRecord()
-    metrics = execute(
-        session,
-        dt=dt,
-        k_buffers=k_buffers,
-        force_sequential=force_sequential,
-        forced_subs=forced_subs,
-        record=rec,
-    )
-    return metrics, rec
+    if forced_subs is None:
+        return execute(session, dt=dt, k_buffers=k_buffers, record=rec), rec
+    rounds = _replayed_rounds(session, session.arms, forced_subs, dt)
+    return _commit(session, session.arms, rounds, dt, rec), rec
 
 
 # -------------------------------------------------------------- trace IO

@@ -61,6 +61,30 @@ def test_plan_corrupted_instance_exits_2(tmp_path, capsys):
     assert run_cli("plan", bad) == 2
 
 
+def test_bad_object_row_values_are_input_errors(tmp_path, capsys):
+    # a nan x in object 0's row, a negative half width in object 1's
+    rows = (FIXTURES / "showcase9.inst").read_text().splitlines()
+    for line, field, value in ((6, 3, "nan"), (7, 1, "-0.03")):
+        parts = rows[line - 1].split()
+        parts[field] = value
+        suite = tmp_path / f"line{line}"
+        suite.mkdir()
+        bad = suite / "bad.inst"
+        bad.write_text("\n".join(rows[: line - 1] + [" ".join(parts)] + rows[line:]) + "\n")
+        for args in (("plan", bad), ("bench", suite, "--out", tmp_path / "r.csv"),
+                     ("render", bad, "--out", tmp_path / "frames")):
+            assert run_cli(*args) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {bad}:{line}: "), (args, err)
+
+
+def test_gen_rejects_count_below_one(tmp_path, capsys):
+    for count in ("0", "-3"):
+        assert run_cli("gen", "R", "5", "--count", count, "--out", tmp_path) == 2
+        assert capsys.readouterr().err == f"input error: --count must be >= 1, got {count}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_bench_deterministic_and_ratios(tmp_path, capsys):
     suite = tmp_path / "suite"
     run_cli("gen", "S", "3", "--count", "2", "--seed", "0", "--out", suite)

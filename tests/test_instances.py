@@ -105,6 +105,22 @@ def test_parse_errors_carry_line_info():
         loads(bad)
 
 
+@pytest.mark.parametrize(
+    "line, field, value, reported",
+    [(7, 3, "nan", 7), (7, 8, "inf", 7), (7, 1, "-0.03", 7), (7, 2, "0", 7), (4, 1, "inf", 5)],
+)
+def test_non_finite_or_non_positive_values_are_parse_errors(line, field, value, reported):
+    # in object 1's row (line 7) or in the workspace size, whose header
+    # errors name the `objects` line; the geometry raised a bare error, or
+    # none at all for an infinite workspace
+    lines = dumps(instances.showcase9()).splitlines()
+    parts = lines[line - 1].split()
+    parts[field] = value
+    lines[line - 1] = " ".join(parts)
+    with pytest.raises(ParseError, match=rf"^<string>:{reported}: "):
+        loads("\n".join(lines))
+
+
 def test_showcase_fixture_file(tmp_path):
     inst = instances.showcase9()
     p = tmp_path / "showcase9.inst"

@@ -144,14 +144,13 @@ def test_buffer_samples_pass_overlap_audit():
 
 
 def sample_buffers_reference(
-    scene, shapes, pending_goals, k, rng, buffered_shape, workspace,
-    skip_ids=frozenset(), min_gap=MIN_GAP,
+    scene, shapes, pending_goals, k, rng, buffered_shape, workspace, min_gap=MIN_GAP,
 ):
     """sample_buffers without the broad phase: every draw is tested against
     every obstacle with the exact predicate."""
     hw, hh = buffered_shape
     margin = math.hypot(hw, hh)
-    table = [footprint(i, p, shapes) for i, p in scene.on_table() if i not in skip_ids]
+    table = [footprint(i, p, shapes) for i, p in scene.on_table()]
     found, found_boxes = [], []
     for _ in range(100 * k):
         if len(found) == k:
@@ -184,13 +183,14 @@ def _saturated_table():
     for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
         shapes[k] = (0.074, 0.074)
         poses[k] = Pose2(0.075 + 0.15 * i, 0.075 + 0.15 * j)
-    return Arrangement(poses), shapes, [], (0.05, 0.05), Workspace(0.3, 0.3), frozenset()
+    return Arrangement(poses), shapes, [], (0.05, 0.05), Workspace(0.3, 0.3)
 
 
 def _crowded_table(n, seed):
     inst = instances.gen_random(n, seed)
     pending = [footprint(i, inst.goal.pose_of(i), inst.shapes) for i in inst.ids() if i != 0]
-    return inst.start, inst.shapes, pending, inst.shapes[0], inst.workspace, frozenset({0})
+    scene = Arrangement({i: p for i, p in inst.start.on_table() if i != 0})
+    return scene, inst.shapes, pending, inst.shapes[0], inst.workspace
 
 
 def _random_table(seed, n, obstacle_halves, shape, ws=Workspace()):
@@ -205,14 +205,14 @@ def _random_table(seed, n, obstacle_halves, shape, ws=Workspace()):
             pending.append(box_at(pose, *half))
         else:
             shapes[i], poses[i] = half, pose
-    return Arrangement(poses), shapes, pending, shape, ws, frozenset()
+    return Arrangement(poses), shapes, pending, shape, ws
 
 
 def test_sample_buffers_matches_reference_without_broad_phase():
     wide = _random_table(3, 8, (0.08, 0.2), (0.004, 0.006))
     tiny = _random_table(4, 6, (1e-9, 2e-9), (1e-8, 3e-9))
     cases = [
-        (Arrangement({}), {}, [], (0.04, 0.04), Workspace(), frozenset()),
+        (Arrangement({}), {}, [], (0.04, 0.04), Workspace()),
         _crowded_table(12, 3),
         _crowded_table(20, 1),
         _crowded_table(22, 2),
@@ -229,14 +229,14 @@ def test_sample_buffers_matches_reference_without_broad_phase():
         for i, p in tiny[0].on_table()
     )
     outcomes = set()
-    for scene, shapes, pending, shape, ws, skip in cases:
+    for scene, shapes, pending, shape, ws in cases:
         for min_gap in (MIN_GAP, 0.0):
             for seed, k in ((0, 20), (1, 3), (2, 20)):
                 results = []
                 for sampler in (sample_buffers, sample_buffers_reference):
                     rng = random.Random(seed)
                     try:
-                        got = sampler(scene, shapes, pending, k, rng, shape, ws, skip, min_gap)
+                        got = sampler(scene, shapes, pending, k, rng, shape, ws, min_gap)
                     except BufferSamplingExhausted as exc:
                         got = str(exc)
                     results.append((got, rng.getstate()))
@@ -304,14 +304,14 @@ def test_sample_buffers_inner_bound_keeps_boundary_draws():
                         assert poses == [expect], (sampler.__name__, alpha, min_gap, s)
 
 
-def _same_as_reference(scene, shapes, pending, shape, ws, rng_for, k, min_gap, skip=frozenset()):
+def _same_as_reference(scene, shapes, pending, shape, ws, rng_for, k, min_gap):
     """Run sample_buffers and sample_buffers_reference from equal rngs; the
     poses (or the exhaustion message) and the rng states after must match."""
     results = []
     for sampler in (sample_buffers, sample_buffers_reference):
         rng = rng_for()
         try:
-            got = sampler(scene, shapes, pending, k, rng, shape, ws, skip, min_gap)
+            got = sampler(scene, shapes, pending, k, rng, shape, ws, min_gap)
         except BufferSamplingExhausted as exc:
             got = str(exc)
         results.append((got, rng.getstate()))
@@ -905,8 +905,8 @@ def test_goal_bound_leg_is_planned_once_at_selection(monkeypatch):
     ladder = motion._ladder
     planned = []
 
-    def recording(sub, arms, stage, ee, dt, force_sequential=False):
-        planned.append(ladder(sub, arms, stage, ee, dt, force_sequential))
+    def recording(sub, arms, stage, ee, dt):
+        planned.append(ladder(sub, arms, stage, ee, dt))
         return planned[-1]
 
     monkeypatch.setattr(motion, "_ladder", recording)

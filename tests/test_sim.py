@@ -1,6 +1,8 @@
+import pytest
+
 from sdar import instances, sim
 from sdar.geom import Pose2
-from sdar.motion import ArmTask, InstantiatedSubTask, Stage, plan_sync
+from sdar.motion import ArmTask, InstantiatedSubTask, Stage, default_arms, plan_sync
 from sdar.sim import (
     dumps_trace,
     iterate_frames,
@@ -162,6 +164,47 @@ def test_forced_sequential_replay_preserves_plan():
     assert forced.sequence == metrics.sequence
     assert forced.makespan >= metrics.makespan
     assert set(forced.fallback_counts) == {"sequential"}
+
+
+def test_replay_plans_no_task_and_no_motion(monkeypatch):
+    # the replay walks the recorded sub-tasks on the sequential rung alone
+    inst = instances.gen_mixed(5)
+    metrics, rec = run_instance(inst, 21)
+    calls = []
+
+    def counted(name):
+        fn = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+    counted("next_task_plan")
+    counted("plan_motion")
+    forced, frec = run_instance(inst, 21, force_sequential=True, forced_subs=rec.subs)
+    assert forced.success and calls == []
+    assert frec.subs == rec.subs
+    assert forced.sync_steps == metrics.sync_steps == len(frec.trace.legs) // 2
+    assert all(leg.mode == "sequential" and not leg.candidates for leg in frec.trace.legs)
+    assert verify_trace(frec.trace, inst) == (True, "ok")
+
+
+def test_run_instance_takes_force_sequential_and_forced_subs_together():
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 0)
+    for kwargs in ({"force_sequential": True}, {"forced_subs": rec.subs}):
+        with pytest.raises(ValueError, match="together"):
+            run_instance(inst, 0, **kwargs)
+
+
+def test_replay_the_sequential_rung_cannot_plan_is_a_failure():
+    # arms that must keep 0.3 apart cannot run showcase9's fifth round even
+    # one at a time: the replay stops there with the rung's reason
+    inst = instances.showcase9()
+    metrics, rec = run_instance(inst, 21)
+    tight = default_arms(inst.workspace, clearance=0.3)
+    forced, frec = run_instance(inst, 21, tight, force_sequential=True, forced_subs=rec.subs)
+    assert not forced.success
+    assert forced.failure.startswith("forced sub-task failed: sequential leg invalid at t=")
+    assert forced.sync_steps == 4 < metrics.sync_steps
+    assert len(frec.trace.legs) == 8 and frec.trace.metrics is forced
 
 
 def test_execute_plans_each_round_once(monkeypatch):
