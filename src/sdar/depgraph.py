@@ -45,17 +45,20 @@ def footprint(obj: int, pose: Pose2, shapes: Shapes) -> OrientedBox:
 
 
 def arrangement_violations(
-    arr: Arrangement, shapes: Shapes, workspace: Workspace
+    arr: Arrangement, shapes: Shapes, workspace: Workspace, involving=None
 ) -> list[str]:
-    """All feasibility violations: overlap pairs and out-of-workspace objects."""
+    """All feasibility violations: overlap pairs and out-of-workspace objects,
+    in id order.  Given a set `involving`, only the violations that involve
+    one of its objects, in the same order."""
     issues = []
     table = arr.on_table()
     boxes = [(i, footprint(i, p, shapes)) for i, p in table]
     for idx, (i, bi) in enumerate(boxes):
-        if not inside(workspace, bi):
+        every = involving is None or i in involving
+        if every and not inside(workspace, bi):
             issues.append(f"object {i} outside workspace")
         for j, bj in boxes[idx + 1 :]:
-            if overlaps(bi, bj):
+            if (every or j in involving) and overlaps(bi, bj):
                 issues.append(f"objects {i} and {j} overlap")
     return issues
 

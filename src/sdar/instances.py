@@ -485,14 +485,14 @@ def loads(text: str, source: str = "<string>") -> Instance:
 
     if not lines or lines[0].strip() != INSTANCE_FORMAT:
         fail(1, f"expected header {INSTANCE_FORMAT!r}")
-    header: dict[str, list[str]] = {}
+    header: dict[str, tuple[int, list[str]]] = {}  # field -> (line, values)
     body_start = None
     for k, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if not parts:
             continue
         if parts[0] in ("label", "seed", "workspace", "objects"):
-            header[parts[0]] = parts[1:]
+            header[parts[0]] = (k, parts[1:])
             if parts[0] == "objects":
                 body_start = k
                 break
@@ -501,13 +501,20 @@ def loads(text: str, source: str = "<string>") -> Instance:
     for key in ("label", "seed", "workspace", "objects"):
         if key not in header:
             fail(body_start or len(lines), f"missing {key!r} field")
-    try:
-        seed = int(header["seed"][0])
-        n = int(header["objects"][0])
-        ws = Workspace(float(header["workspace"][0]), float(header["workspace"][1]))
-    except (ValueError, IndexError) as exc:
-        fail(body_start or 1, f"bad header value: {exc}")
-    label = header["label"][0]
+
+    def value(key, count, convert):
+        lineno, values = header[key]
+        if len(values) < count:
+            fail(lineno, f"bad header value: {key} needs {count} value{'s' * (count > 1)}")
+        try:
+            return convert(*values[:count])
+        except ValueError as exc:
+            fail(lineno, f"bad header value: {exc}")
+
+    label = value("label", 1, str)
+    seed = value("seed", 1, int)
+    ws = value("workspace", 2, lambda w, h: Workspace(float(w), float(h)))
+    n = value("objects", 1, int)
 
     shapes: Shapes = {}
     start: dict[int, Pose2] = {}

@@ -226,16 +226,19 @@ class SyncMotion:
     event_times: tuple[Optional[float], Optional[float]]
 
     def carried_at(self, arm: int, t: float) -> Optional[int]:
+        return self.carried_over(arm, (t,))[0]
+
+    def carried_over(self, arm: int, times) -> list[Optional[int]]:
+        """The object `arm` holds at each of `times`; `carried_at` is the
+        single-time case."""
         obj = self.carried[arm]
         ev = self.event_times[arm]
-        if obj is None:
-            return None
-        if ev is None:
-            return obj
+        if obj is None or ev is None:
+            return [obj] * len(times)
         if self.stage == Stage.TO_START:
-            return obj if t >= ev - 1e-12 else None
+            return [obj if t >= ev - 1e-12 else None for t in times]
         # the object counts as placed exactly at the gripper-open event
-        return obj if t < ev - 1e-12 else None
+        return [obj if t < ev - 1e-12 else None for t in times]
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
 """Execute planning sessions, record run traces, and re-verify them.
 
 The verifier replays a trace file against the problem definition using only
-the geometric primitives, independent of the planner code paths: arrangement
-feasibility after every round, arm-arm clearance at every exported sample,
-pick/place consistency, and exact goal attainment.
+the geometric primitives, independent of the planner code paths: arm-arm
+clearance at every exported sample, finite numbers, pick/place consistency,
+arrangement feasibility, and exact goal attainment.  It does work only where
+something can change.  Every sample is checked, but a sample's clearance
+proves the following samples safe while both end-effectors together have
+moved less than its margin, so `segment_clearance` runs only where that
+bound runs out.  The start table is checked once, after the first leg;
+after that the table changes only at grasps and placements, and each
+placement is checked against the workspace and every object on the table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -94,14 +101,18 @@ def new_session(instance: Instance, seed: int, arms=None) -> PlannerSession:
 
 
 def _sample_leg(motion: SyncMotion, dt: float):
-    per_arm = [[], []]
     # a moving leg exports both of its ends, however coarse dt is
     steps = max(1, int(round(1.0 / dt))) if motion.duration > 1e-12 else 0
     times = [motion.duration * k / steps for k in range(steps + 1)] if steps else [0.0]
-    for a in (0, 1):
-        for t, (x, y) in zip(times, motion.paths[a].positions(times)):
-            per_arm[a].append((t, x, y, motion.carried_at(a, t)))
-    return per_arm
+    return [
+        [
+            (t, x, y, c)
+            for t, (x, y), c in zip(
+                times, motion.paths[a].positions(times), motion.carried_over(a, times)
+            )
+        ]
+        for a in (0, 1)
+    ]
 
 
 def _record_leg(trace, sub, motion, candidates, dt):
@@ -200,6 +211,7 @@ def _commit(session: PlannerSession, arms, rounds, dt: float, record: RunRecord)
     metrics = RunMetrics(n=inst.n)
     trace = record.trace = Trace(instance_hash(inst), session.rng_seed, arms, dt)
     fallbacks: dict[str, int] = {}
+    checked = False  # whether a round has passed the whole-table check
     try:
         for sub, start, goal, candidates in rounds:
             record.subs.append(sub)
@@ -210,11 +222,15 @@ def _commit(session: PlannerSession, arms, rounds, dt: float, record: RunRecord)
             for motion in (start, goal):
                 fallbacks[motion.mode.value] = fallbacks.get(motion.mode.value, 0) + 1
                 metrics.makespan += motion.duration
-            issues = arrangement_violations(session.current, inst.shapes, inst.workspace)
+            # once the table has passed, a round can only break it through
+            # the objects it moved
+            moved = {task.obj for task in sub.tasks if task.obj is not None} if checked else None
+            issues = arrangement_violations(session.current, inst.shapes, inst.workspace, moved)
             if issues:
                 raise ValidationFailure(
                     f"infeasible arrangement after round {session.rounds}: {issues}"
                 )
+            checked = True
     except MotionFailure as exc:
         metrics.failure = str(exc)
     else:
@@ -284,10 +300,20 @@ def dumps_trace(trace: Trace) -> str:
             f"leg {leg.index} stage {leg.stage} mode {leg.mode} objs {objs} "
             f"angles {angles} buffer {buf} candidates {cands} duration {_fmt(leg.duration)}"
         )
-        for a in (0, 1):
-            for t, x, y, carried in leg.samples[a]:
-                c = "-" if carried is None else str(carried)
-                lines.append(f"s {leg.index} {a} {_fmt(t)} {_fmt(x)} {_fmt(y)} {c}")
+        samples0, samples1 = leg.samples
+        times0 = [repr(float(s[0])) for s in samples0]
+        # a recorded leg gives both arms the same time objects, so arm 0's
+        # text serves arm 1; a parsed leg may not, and -0.0 == 0.0
+        same = len(samples1) == len(samples0) and all(
+            s1[0] is s0[0] for s0, s1 in zip(samples0, samples1)
+        )
+        times1 = times0 if same else [repr(float(s[0])) for s in samples1]
+        for a, samples, times in ((0, samples0, times0), (1, samples1, times1)):
+            head = f"s {leg.index} {a} "
+            lines += [
+                f"{head}{t} {float(x)!r} {float(y)!r} {'-' if c is None else c}"
+                for t, (_, x, y, c) in zip(times, samples)
+            ]
         for arm, action, obj, t, point in leg.grips:
             lines.append(
                 f"grip {leg.index} {arm} {action} {obj} {_fmt(t)} "
@@ -424,8 +450,63 @@ def load_trace(path) -> Trace:
 # ------------------------------------------------------------- verification
 
 
+CLEARANCE_SLACK = 1e-9
+
+
+def _clearance_violation(samples0, samples1, base0, base1, threshold: float):
+    """The first sample at which the two arm segments are closer than
+    `threshold`, as (index, clearance), or None.
+
+    Every sample is checked, most of them by a distance bound: the bases are
+    fixed, and moving a segment endpoint by d moves the distance of the two
+    segments by at most d.  So a sample of clearance c proves each later one
+    safe while c, minus the displacement of both EE points summed since that
+    sample, stays above threshold + CLEARANCE_SLACK, and `segment_clearance`
+    runs only at the samples no bound covers.  The result is the one a
+    full scan gives."""
+    budget = -1.0  # displacement the last computed sample still covers
+    moved = 0.0
+    prev0 = prev1 = None
+    for k, ((_, x0, y0, _), (_, x1, y1, _)) in enumerate(zip(samples0, samples1)):
+        p0, p1 = (x0, y0), (x1, y1)
+        if prev0 is not None:
+            moved += dist(prev0, p0) + dist(prev1, p1)
+        prev0, prev1 = p0, p1
+        if moved < budget:
+            continue
+        c = segment_clearance(base0, p0, base1, p1)
+        if c < threshold:
+            return k, c
+        budget = c - threshold - CLEARANCE_SLACK
+        moved = 0.0
+    return None
+
+
+def _non_finite(leg: LegRecord) -> Optional[str]:
+    """What in a leg is not a finite number, or None.  A sum of finite
+    numbers is finite unless it overflows, so an arm's sample values are
+    tested one by one only when their sum is not.  Placements need no test:
+    Pose2 refuses non-finite values."""
+    if not math.isfinite(leg.duration):
+        return "duration"
+    for a, samples in enumerate(leg.samples):
+        if not math.isfinite(sum([t + x + y for t, x, y, _ in samples])) and not all(
+            math.isfinite(v) for sample in samples for v in sample[:3]
+        ):
+            return f"arm {a + 1} sample"
+    for arm, _, obj, t, (x, y) in leg.grips:
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+            return f"arm {arm + 1} grip of object {obj}"
+    return None
+
+
 def verify_trace(trace: Trace | str, instance: Instance) -> tuple[bool, str]:
-    """Replay a trace against the instance using only geometric primitives."""
+    """Replay a trace against the instance using only geometric primitives.
+
+    The start table is checked once, after the first leg.  After that the
+    table loses objects only at gripper-close events and gains them only at
+    placements, and each placement is checked against the workspace and
+    every object on the table."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
     if trace.instance_hash != instance_hash(instance):
@@ -436,16 +517,18 @@ def verify_trace(trace: Trace | str, instance: Instance) -> tuple[bool, str]:
     ws = instance.workspace
 
     table: dict[int, Pose2] = {i: instance.start.pose_of(i) for i in instance.ids()}
+    # each object's footprint where it last landed, built once per landing
+    boxes = {i: box_at(p, *shapes[i]) for i, p in table.items()}
     held: dict[int, Optional[int]] = {0: None, 1: None}
     expect_stage = "tostart"
     prev_end = None
 
     def table_feasible(where: str) -> Optional[str]:
-        boxes = [(i, box_at(p, *shapes[i])) for i, p in sorted(table.items())]
-        for k, (i, bi) in enumerate(boxes):
+        on_table = [(i, boxes[i]) for i in sorted(table)]
+        for k, (i, bi) in enumerate(on_table):
             if not inside(ws, bi):
                 return f"{where}: object {i} outside workspace"
-            for j, bj in boxes[k + 1 :]:
+            for j, bj in on_table[k + 1 :]:
                 if overlaps(bi, bj):
                     return f"{where}: objects {i} and {j} overlap"
         return None
@@ -459,21 +542,22 @@ def verify_trace(trace: Trace | str, instance: Instance) -> tuple[bool, str]:
             return False, f"{where}: sample count mismatch between arms"
         if not leg.samples[0]:
             return False, f"{where}: no samples"
+        bad = _non_finite(leg)
+        if bad:
+            return False, f"{where}: non-finite {bad}"
         if prev_end is not None:
             for a in (0, 1):
                 _, x0, y0, _ = leg.samples[a][0]
                 if dist((x0, y0), prev_end[a]) > 1e-6:
                     return False, f"{where}: arm {a + 1} path discontinuity"
-        for k in range(len(leg.samples[0])):
-            _, x1, y1, _ = leg.samples[0][k]
-            _, x2, y2, _ = leg.samples[1][k]
-            c = segment_clearance(a1.base, (x1, y1), a2.base, (x2, y2))
-            if c < clearance - 1e-6:
-                return False, f"{where}: clearance {c:.4f} at sample {k}"
+        hit = _clearance_violation(*leg.samples, a1.base, a2.base, clearance - 1e-6)
+        if hit:
+            return False, f"{where}: clearance {hit[1]:.4f} at sample {hit[0]}"
         sample_gap = leg.duration / max(len(leg.samples[0]) - 1, 1)
         for arm, action, obj, t, point in leg.grips:
             # the event point must agree with nearby samples (unit EE speed)
-            near = min(leg.samples[arm], key=lambda s: abs(s[0] - t))
+            gaps = [abs(s[0] - t) for s in leg.samples[arm]]
+            near = leg.samples[arm][gaps.index(min(gaps))]
             if dist((near[1], near[2]), point) > sample_gap + 1e-9:
                 return False, f"{where}: arm {arm + 1} event point far from its path"
             if action == "close":
@@ -498,16 +582,18 @@ def verify_trace(trace: Trace | str, instance: Instance) -> tuple[bool, str]:
             box = box_at(pose, *shapes[obj])
             if not inside(ws, box):
                 return False, f"{where}: placement of {obj} outside workspace"
-            for j, pj in table.items():
-                if overlaps(box, box_at(pj, *shapes[j])):
+            for j in table:
+                if overlaps(box, boxes[j]):
                     return False, f"{where}: placement of {obj} overlaps object {j}"
             if kind == "goal" and not pose.almost_equal(instance.goal.pose_of(obj), 1e-9):
                 return False, f"{where}: goal placement of {obj} at the wrong pose"
             table[obj] = pose
+            boxes[obj] = box
             held[arm] = None
-        bad = table_feasible(where)
-        if bad:
-            return False, bad
+        if prev_end is None:  # the first leg checks the whole start table
+            bad = table_feasible(where)
+            if bad:
+                return False, bad
         prev_end = [
             (leg.samples[a][-1][1], leg.samples[a][-1][2]) for a in (0, 1)
         ]

@@ -78,6 +78,18 @@ def test_bad_object_row_values_are_input_errors(tmp_path, capsys):
             assert err.startswith(f"input error: {bad}:{line}: "), (args, err)
 
 
+def test_bad_header_lines_are_input_errors_at_their_own_line(tmp_path, capsys):
+    # an empty label (line 2) used to end in an IndexError traceback, and a
+    # bad seed (line 3) or workspace (line 4) was reported at line 5
+    rows = (FIXTURES / "showcase9.inst").read_text().splitlines()
+    for line, text in ((2, "label"), (3, "seed zero"), (4, "workspace nan 0.6")):
+        bad = tmp_path / f"line{line}.inst"
+        bad.write_text("\n".join(rows[: line - 1] + [text] + rows[line:]) + "\n")
+        assert run_cli("plan", bad) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {bad}:{line}: bad header value: "), err
+
+
 def test_gen_rejects_count_below_one(tmp_path, capsys):
     for count in ("0", "-3"):
         assert run_cli("gen", "R", "5", "--count", count, "--out", tmp_path) == 2

@@ -107,18 +107,36 @@ def test_parse_errors_carry_line_info():
 
 @pytest.mark.parametrize(
     "line, field, value, reported",
-    [(7, 3, "nan", 7), (7, 8, "inf", 7), (7, 1, "-0.03", 7), (7, 2, "0", 7), (4, 1, "inf", 5)],
+    [(7, 3, "nan", 7), (7, 8, "inf", 7), (7, 1, "-0.03", 7), (7, 2, "0", 7), (4, 1, "inf", 4)],
 )
 def test_non_finite_or_non_positive_values_are_parse_errors(line, field, value, reported):
-    # in object 1's row (line 7) or in the workspace size, whose header
-    # errors name the `objects` line; the geometry raised a bare error, or
-    # none at all for an infinite workspace
+    # in object 1's row (line 7) or in the workspace size (line 4); the
+    # geometry raised a bare error, or none at all for an infinite workspace
     lines = dumps(instances.showcase9()).splitlines()
     parts = lines[line - 1].split()
     parts[field] = value
     lines[line - 1] = " ".join(parts)
     with pytest.raises(ParseError, match=rf"^<string>:{reported}: "):
         loads("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (2, "label", "label needs 1 value"),
+        (3, "seed x", "invalid literal for int()"),
+        (3, "seed", "seed needs 1 value"),
+        (4, "workspace nan 0.6", "workspace dimensions must be positive and finite"),
+        (4, "workspace 1.0", "workspace needs 2 values"),
+        (5, "objects nine", "invalid literal for int()"),
+    ],
+)
+def test_bad_header_values_are_reported_at_their_own_line(line, text, message):
+    lines = dumps(instances.showcase9()).splitlines()
+    lines[line - 1] = text
+    with pytest.raises(ParseError) as err:
+        loads("\n".join(lines))
+    assert str(err.value).startswith(f"<string>:{line}: bad header value: {message}")
 
 
 def test_showcase_fixture_file(tmp_path):

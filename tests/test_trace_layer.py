@@ -1,0 +1,467 @@
+"""The trace layer does work only where something can change.  These tests
+hold it to full scans: `verify_trace` against a verifier that computes the
+clearance at every sample and checks the whole table after every leg, the
+round check of `sim._commit` against a whole-table `arrangement_violations`,
+and `dumps_trace` against the one-line-at-a-time formatter."""
+
+import math
+import random
+from dataclasses import replace
+from typing import Optional
+
+import pytest
+
+from sdar import depgraph, instances, sim
+from sdar.geom import Pose2, box_at, dist, inside, overlaps, segment_clearance
+from sdar.instances import Instance, instance_hash
+from sdar.sim import ValidationFailure, dumps_trace, loads_trace, run_instance, verify_trace
+
+PLAN_SEED = 42
+
+
+def _reference_non_finite(leg) -> Optional[str]:
+    if not math.isfinite(leg.duration):
+        return "duration"
+    for a in (0, 1):
+        if not all(math.isfinite(v) for sample in leg.samples[a] for v in sample[:3]):
+            return f"arm {a + 1} sample"
+    for arm, _, obj, t, point in leg.grips:
+        if not all(math.isfinite(v) for v in (t, *point)):
+            return f"arm {arm + 1} grip of object {obj}"
+    return None
+
+
+def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
+    """`verify_trace` as it was before it skipped work: `segment_clearance`
+    at every sample, the whole table after every leg.  It adds one rule, at
+    the place `verify_trace` has it: a leg with a non-finite number fails."""
+    if isinstance(trace, str):
+        trace = loads_trace(trace)
+    if trace.instance_hash != instance_hash(instance):
+        return False, "instance hash mismatch"
+    a1, a2 = trace.arms
+    clearance = max(a1.clearance, a2.clearance)
+    shapes = instance.shapes
+    ws = instance.workspace
+
+    table: dict[int, Pose2] = {i: instance.start.pose_of(i) for i in instance.ids()}
+    held: dict[int, Optional[int]] = {0: None, 1: None}
+    expect_stage = "tostart"
+    prev_end = None
+
+    def table_feasible(where: str) -> Optional[str]:
+        boxes = [(i, box_at(p, *shapes[i])) for i, p in sorted(table.items())]
+        for k, (i, bi) in enumerate(boxes):
+            if not inside(ws, bi):
+                return f"{where}: object {i} outside workspace"
+            for j, bj in boxes[k + 1 :]:
+                if overlaps(bi, bj):
+                    return f"{where}: objects {i} and {j} overlap"
+        return None
+
+    for leg in trace.legs:
+        where = f"leg {leg.index}"
+        if leg.stage != expect_stage:
+            return False, f"{where}: expected stage {expect_stage}, got {leg.stage}"
+        expect_stage = "togoal" if expect_stage == "tostart" else "tostart"
+        if len(leg.samples[0]) != len(leg.samples[1]):
+            return False, f"{where}: sample count mismatch between arms"
+        if not leg.samples[0]:
+            return False, f"{where}: no samples"
+        bad = _reference_non_finite(leg)
+        if bad:
+            return False, f"{where}: non-finite {bad}"
+        if prev_end is not None:
+            for a in (0, 1):
+                _, x0, y0, _ = leg.samples[a][0]
+                if dist((x0, y0), prev_end[a]) > 1e-6:
+                    return False, f"{where}: arm {a + 1} path discontinuity"
+        for k in range(len(leg.samples[0])):
+            _, x1, y1, _ = leg.samples[0][k]
+            _, x2, y2, _ = leg.samples[1][k]
+            c = segment_clearance(a1.base, (x1, y1), a2.base, (x2, y2))
+            if c < clearance - 1e-6:
+                return False, f"{where}: clearance {c:.4f} at sample {k}"
+        sample_gap = leg.duration / max(len(leg.samples[0]) - 1, 1)
+        for arm, action, obj, t, point in leg.grips:
+            near = min(leg.samples[arm], key=lambda s: abs(s[0] - t))
+            if dist((near[1], near[2]), point) > sample_gap + 1e-9:
+                return False, f"{where}: arm {arm + 1} event point far from its path"
+            if action == "close":
+                if obj not in table:
+                    return False, f"{where}: grasping object {obj} not on the table"
+                if held[arm] is not None:
+                    return False, f"{where}: arm {arm + 1} already holds an object"
+                if dist(point, table[obj].xy) > 1e-9:
+                    return False, f"{where}: arm {arm + 1} closed away from object {obj}"
+                del table[obj]
+                held[arm] = obj
+            else:
+                if held[arm] != obj:
+                    return False, f"{where}: arm {arm + 1} released unheld object {obj}"
+                placed = [p for o, p, _ in leg.places if o == obj]
+                if not placed or dist(point, placed[0].xy) > 1e-9:
+                    return False, f"{where}: arm {arm + 1} opened away from its placement"
+        for obj, pose, kind in leg.places:
+            arm = 0 if held[0] == obj else (1 if held[1] == obj else None)
+            if arm is None:
+                return False, f"{where}: placing object {obj} that is not held"
+            box = box_at(pose, *shapes[obj])
+            if not inside(ws, box):
+                return False, f"{where}: placement of {obj} outside workspace"
+            for j, pj in table.items():
+                if overlaps(box, box_at(pj, *shapes[j])):
+                    return False, f"{where}: placement of {obj} overlaps object {j}"
+            if kind == "goal" and not pose.almost_equal(instance.goal.pose_of(obj), 1e-9):
+                return False, f"{where}: goal placement of {obj} at the wrong pose"
+            table[obj] = pose
+            held[arm] = None
+        bad = table_feasible(where)
+        if bad:
+            return False, bad
+        prev_end = [(leg.samples[a][-1][1], leg.samples[a][-1][2]) for a in (0, 1)]
+
+    if held[0] is not None or held[1] is not None:
+        return False, "run ended with an object still held"
+    for i in instance.ids():
+        if i not in table or not table[i].almost_equal(instance.goal.pose_of(i), 1e-9):
+            return False, f"object {i} not at its goal pose at the end"
+    return True, "ok"
+
+
+def _acyclic_tables() -> list[Instance]:
+    # the benchmark's acyclic-pairs tables: per size, the first random
+    # tables whose dependency graph has no cycle and no complex SCC
+    out = []
+    for n in (6, 8, 10, 12):
+        s = got = 0
+        while got < 25:
+            inst = instances.gen_random(n, s * 131 + n)
+            s += 1
+            d = depgraph.decompose(inst.graph())
+            if not d.cycles and not d.complex_sccs:
+                out.append(inst)
+                got += 1
+    return out
+
+
+@pytest.fixture(scope="module")
+def workload_runs():
+    """(workload, instance, trace) for the benchmark's three workloads at
+    plan seed 42: every 5th default-suite instance, the 20 dense tables
+    (5 of them unsolved) and the 100 acyclic-pairs tables."""
+    tables = {
+        "default": instances.default_suite()[::5],
+        "dense": [instances.gen_random(n, s) for n in (14, 16, 18, 20, 22) for s in range(4)],
+        "acyclic-pairs": _acyclic_tables(),
+    }
+    return [
+        (name, inst, run_instance(inst, PLAN_SEED)[1].trace)
+        for name, insts in tables.items()
+        for inst in insts
+    ]
+
+
+def _computed_samples(leg, arms, monkeypatch) -> Optional[list[int]]:
+    """The sample indices at which the verifier's clearance scan calls
+    `segment_clearance` for one leg, or None when two samples hold the same
+    pair of EE points and the calls cannot be told apart."""
+    pairs = [(s0[1:3], s1[1:3]) for s0, s1 in zip(*leg.samples)]
+    if len(set(pairs)) < len(pairs):
+        return None
+    calls = []
+    real = sim.segment_clearance
+    monkeypatch.setattr(sim, "segment_clearance", lambda *a: calls.append((a[1], a[3])) or real(*a))
+    a1, a2 = arms
+    sim._clearance_violation(*leg.samples, a1.base, a2.base, max(a1.clearance, a2.clearance) - 1e-6)
+    monkeypatch.setattr(sim, "segment_clearance", real)
+    return [pairs.index(call) for call in calls]
+
+
+def test_verify_matches_full_scan_on_workload_traces(workload_runs):
+    seen = set()
+    for name, inst, trace in workload_runs:
+        got = verify_trace(trace, inst)
+        assert got == full_scan_verify(trace, inst), (name, inst.label)
+        seen.add(got[0])
+    assert seen == {True, False}  # dense has unsolved runs
+
+
+def test_verify_checks_fewer_samples_than_a_full_scan(workload_runs, monkeypatch):
+    calls = []
+    real = sim.segment_clearance
+    monkeypatch.setattr(sim, "segment_clearance", lambda *a: calls.append(1) or real(*a))
+    samples = 0
+    for name, inst, trace in workload_runs:
+        if name == "acyclic-pairs":
+            verify_trace(trace, inst)
+            samples += trace.sample_count()
+    assert 0 < len(calls) < samples / 4
+
+
+@pytest.mark.parametrize("moved_arm", [0, 1])
+def test_clearance_violation_after_skipped_samples(workload_runs, monkeypatch, moved_arm):
+    # a sample the scan passed over, after 10 more it passed over, gets one
+    # arm teleported onto the other: the scan must stop there
+    found = None
+    for name, inst, trace in workload_runs:
+        for leg in trace.legs:
+            computed = _computed_samples(leg, trace.arms, monkeypatch)
+            if computed is None:
+                continue
+            computed.append(len(leg.samples[0]))
+            runs = [k for k, nxt in zip(computed, computed[1:]) if nxt - k > 11]
+            if runs:
+                found = inst, trace, leg, runs[0] + 11
+                break
+        if found:
+            break
+    assert found, "no leg skips 11 samples in a row"
+    inst, trace, leg, j = found
+    kept = leg.samples[moved_arm][j]
+    _, x, y, c = leg.samples[1 - moved_arm][j]
+    leg.samples[moved_arm][j] = (kept[0], x, y, c)
+    try:
+        got = verify_trace(trace, inst)
+        assert got == full_scan_verify(trace, inst)
+        assert got == (False, f"leg {leg.index}: clearance 0.0000 at sample {j}")
+    finally:
+        leg.samples[moved_arm][j] = kept
+
+
+def _full_scan_clearance(samples0, samples1, base0, base1, threshold):
+    for k, ((_, x0, y0, _), (_, x1, y1, _)) in enumerate(zip(samples0, samples1)):
+        c = segment_clearance(base0, (x0, y0), base1, (x1, y1))
+        if c < threshold:
+            return k, c
+    return None
+
+
+def test_clearance_scan_is_exact_at_the_edge_of_its_bound():
+    # arm 1 at (1, 0) reaches to (x, 1) and arm 0 is fixed from (0, 0) to
+    # (0, 1), so the clearance is x: the sample at x = threshold - 1e-7
+    # lies just past what the first sample's bound covers
+    threshold = 0.1 - 1e-6
+    xs = [0.5 - 0.05 * k for k in range(9)] + [threshold - 1e-7] + [0.2, 0.3, 0.4, 0.5]
+    arm0 = [(0.0, 0.0, 1.0, None)] * len(xs)
+    arm1 = [(0.0, x, 1.0, None) for x in xs]
+    want = _full_scan_clearance(arm0, arm1, (0.0, 0.0), (1.0, 0.0), threshold)
+    assert want[0] == 9 and want[1] == pytest.approx(xs[9])
+    assert sim._clearance_violation(arm0, arm1, (0.0, 0.0), (1.0, 0.0), threshold) == want
+
+
+def test_clearance_scan_matches_full_scan_on_random_walks():
+    # both EE points wander near each other in small steps, so violations
+    # often come right after samples the bound passed over
+    rng = random.Random(7)
+    base0, base1 = (0.0, 0.0), (1.0, 0.0)
+    hits = 0
+    for _ in range(300):
+        threshold = rng.uniform(0.02, 0.1)
+        p0 = [rng.uniform(0.2, 0.4), rng.uniform(0.3, 0.6)]
+        p1 = [rng.uniform(0.6, 0.8), rng.uniform(0.3, 0.6)]
+        arm0, arm1 = [], []
+        for k in range(60):
+            for p in (p0, p1):
+                p[0] += rng.uniform(-0.012, 0.012) + (0.004 if p is p0 else -0.004)
+                p[1] += rng.uniform(-0.012, 0.012)
+            arm0.append((k / 59, p0[0], p0[1], None))
+            arm1.append((k / 59, p1[0], p1[1], None))
+        want = _full_scan_clearance(arm0, arm1, base0, base1, threshold)
+        assert sim._clearance_violation(arm0, arm1, base0, base1, threshold) == want
+        hits += want is not None
+    assert 50 < hits < 300
+
+
+def test_overlapping_start_table_fails_at_the_first_leg():
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 0)
+    trace = rec.trace
+    first = {obj for obj in trace.legs[0].objs if obj is not None}
+    still = [i for i in inst.ids() if i not in first]
+    mover, victim = still[0], still[1]
+    start = dict(inst.start.poses)
+    start[mover] = start[victim]
+    bad = replace(inst, start=depgraph.Arrangement(start))
+    trace.instance_hash = instance_hash(bad)
+    got = verify_trace(trace, bad)
+    assert got == full_scan_verify(trace, bad)
+    lo, hi = sorted((mover, victim))
+    assert got == (False, f"leg 0: objects {lo} and {hi} overlap")
+
+
+def test_later_placement_overlap(workload_runs):
+    # turn a placement after the first round until its footprint meets an
+    # object on the table; its gripper point stays where it was.  Crowded
+    # tables come first.
+    for name, inst, trace in sorted(workload_runs, key=lambda run: run[0] != "dense"):
+        for leg in trace.legs[3:]:
+            for p, (obj, pose, kind) in enumerate(leg.places):
+                try:
+                    for eighth in (1, 2, 3):
+                        turned = Pose2(pose.x, pose.y, pose.theta + eighth * math.pi / 4)
+                        leg.places[p] = (obj, turned, kind)
+                        want = full_scan_verify(trace, inst)
+                        if f"leg {leg.index}: placement of {obj} overlaps object" in want[1]:
+                            assert verify_trace(trace, inst) == want
+                            return
+                finally:
+                    leg.places[p] = (obj, pose, kind)
+    pytest.fail("no turned placement overlaps a neighbour")
+
+
+def test_nan_sample_is_rejected_naming_its_leg():
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 0)
+    trace = rec.trace
+    assert verify_trace(trace, inst) == (True, "ok")
+    leg = trace.legs[2]
+    k = len(leg.samples[0]) // 2
+    t, _, _, c = leg.samples[0][k]
+    leg.samples[0][k] = (t, math.nan, math.nan, c)
+    want = (False, "leg 2: non-finite arm 1 sample")
+    assert verify_trace(trace, inst) == want == full_scan_verify(trace, inst)
+    # the same trace as text
+    assert verify_trace(dumps_trace(trace), inst) == want
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("duration", math.nan, "duration"),
+        ("time", math.nan, "arm 2 sample"),
+        ("y", math.inf, "arm 2 sample"),
+        ("grip time", math.nan, "grip"),
+        ("grip point", -math.inf, "grip"),
+    ],
+)
+def test_non_finite_leg_numbers_are_rejected(field, value, reason):
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 0)
+    leg = rec.trace.legs[3]
+    if field == "duration":
+        leg.duration = value
+    elif field in ("time", "y"):
+        t, x, y, c = leg.samples[1][5]
+        leg.samples[1][5] = (value, x, y, c) if field == "time" else (t, x, value, c)
+    else:
+        arm, action, obj, t, (x, y) = leg.grips[0]
+        leg.grips[0] = (arm, action, obj, t, (value, y)) if field == "grip point" else (
+            arm, action, obj, value, (x, y))
+    ok, msg = verify_trace(rec.trace, inst)
+    assert not ok and msg.startswith("leg 3: non-finite ") and reason in msg, msg
+    assert (ok, msg) == full_scan_verify(rec.trace, inst)
+
+
+def test_non_finite_placement_cannot_be_parsed():
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 0)
+    lines = dumps_trace(rec.trace).splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("place "))
+    parts = lines[k].split()
+    parts[3] = "nan"
+    lines[k] = " ".join(parts)
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_trace("\n".join(lines) + "\n", inst)
+
+
+def _round_tables():
+    return [
+        instances.showcase9(),
+        instances.gen_mixed(5),
+        instances.gen_random(18, 0),
+        instances.gen_random(20, 0),  # unsolved at plan seed 42
+    ]
+
+
+def _checked_rounds(monkeypatch):
+    """Record (what sim._commit got, what a whole-table scan gives, the set
+    of moved objects it passed) at every round check."""
+    rounds = []
+    real = sim.arrangement_violations
+
+    def checked(arr, shapes, ws, involving=None):
+        got = real(arr, shapes, ws, involving)
+        rounds.append((got, real(arr, shapes, ws), involving))
+        return got
+
+    monkeypatch.setattr(sim, "arrangement_violations", checked)
+    return rounds
+
+
+def test_round_check_matches_full_scan(monkeypatch):
+    rounds = _checked_rounds(monkeypatch)
+    solved = []
+    for inst in _round_tables():
+        rounds.clear()
+        metrics, _ = run_instance(inst, PLAN_SEED)
+        solved.append(metrics.success)
+        assert len(rounds) == metrics.sync_steps > 1
+        assert [involving is None for *_, involving in rounds] == [True] + [False] * (len(rounds) - 1)
+        for got, full, _ in rounds:
+            assert got == full == []
+    assert solved == [True, True, True, False]
+
+
+def test_round_check_reports_an_overlapping_round_as_a_full_scan_does(monkeypatch):
+    rounds = _checked_rounds(monkeypatch)
+    plan_motion = sim.plan_motion
+
+    def third_round_overlaps(plan, session, arms, **kwargs):
+        sub, start, goal = plan_motion(plan, session, arms, **kwargs)
+        if session.rounds == 2:
+            moving = {t.obj for t in sub.tasks if t.obj is not None}
+            task = next(t for t in sub.tasks if t.obj is not None)
+            victim = next(i for i, _ in session.current.on_table() if i not in moving)
+            onto = replace(task, target=session.current.pose_of(victim))
+            sub = replace(sub, tasks=tuple(onto if t is task else t for t in sub.tasks))
+        return sub, start, goal
+
+    monkeypatch.setattr(sim, "plan_motion", third_round_overlaps)
+    for inst in _round_tables():
+        rounds.clear()
+        with pytest.raises(ValidationFailure) as err:
+            run_instance(inst, PLAN_SEED)
+        got, full, involving = rounds[-1]
+        assert len(rounds) == 3 and involving
+        assert got == full and any("overlap" in issue for issue in got)
+        assert str(err.value) == f"infeasible arrangement after round 3: {full}"
+
+
+def _line_by_line_samples(trace) -> list[str]:
+    # the sample lines as dumps_trace wrote them one at a time
+    out = []
+    for leg in trace.legs:
+        for a in (0, 1):
+            for t, x, y, carried in leg.samples[a]:
+                c = "-" if carried is None else str(carried)
+                out.append(f"s {leg.index} {a} {float(t)!r} {float(x)!r} {float(y)!r} {c}")
+    return out
+
+
+def test_dump_sample_lines_match_line_by_line_formatting(workload_runs):
+    for name, inst, trace in workload_runs[::7]:
+        lines = [ln for ln in dumps_trace(trace).splitlines() if ln.startswith("s ")]
+        assert lines == _line_by_line_samples(trace), (name, inst.label)
+
+
+def test_dump_roundtrip_keeps_negative_zero_and_nan():
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 0)
+    trace = rec.trace
+    leg = trace.legs[1]
+    zero = -0.0
+    for a in (0, 1):  # both arms share the -0.0 time object, as recorded legs do
+        _, x, y, c = leg.samples[a][0]
+        leg.samples[a][0] = (zero, x, y, c)
+    _, x1, _, c1 = leg.samples[1][1]
+    leg.samples[1][1] = (-0.0, x1, math.nan, c1)  # arm 0 keeps its own time here
+    t2, _, y2, c2 = leg.samples[0][2]
+    leg.samples[0][2] = (t2, -0.0, y2, c2)
+    text = dumps_trace(trace)
+    assert "s 1 0 -0.0 " in text and "s 1 1 -0.0 " in text
+    assert f"s 1 1 -0.0 {float(x1)!r} nan " in text
+    assert f"s 1 0 {float(leg.samples[0][1][0])!r} " in text
+    assert f"s 1 0 {float(t2)!r} -0.0 " in text
+    assert [ln for ln in text.splitlines() if ln.startswith("s ")] == _line_by_line_samples(trace)
+    assert dumps_trace(loads_trace(text)) == text
