@@ -138,7 +138,7 @@ def cmd_plan(args) -> int:
     elapsed = time.perf_counter() - t0
     if args.trace_out:
         sim.save_trace(record.trace, args.trace_out)
-    ok, msg = sim.verify_trace(record.trace, inst)
+    ok, msg = sim.verify_trace(record.trace, inst, arms)
     print(f"instance   {inst.label} (n={inst.n}, seed {args.seed})")
     print(f"success    {metrics.success}")
     print(f"actions    {metrics.actions}")
@@ -163,7 +163,7 @@ def _bench_one(payload):
     t0 = time.perf_counter()
     metrics, record = sim.run_instance(inst, seed, arms, dt=dt, k_buffers=k_buffers)
     elapsed = time.perf_counter() - t0
-    verified, _ = sim.verify_trace(record.trace, inst)
+    verified, _ = sim.verify_trace(record.trace, inst, arms)
     try:
         oracle = baseline.single_arm_optimal_actions(inst)
         oracle_actions = oracle.single_arm_optimal_actions
@@ -388,10 +388,14 @@ def cmd_render(args) -> int:
             return 2
         try:
             inst = instances.load(args.instance)
-            trace = sim.load_trace(path)
-            sim.check_frames(trace, inst)
         except (ParseError, FeasibilityError, ValueError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            trace = sim.load_trace(path)
+            sim.check_frames(trace, inst)
+        except ValueError as exc:
+            print(f"input error: {path}: {exc}", file=sys.stderr)
             return 2
         arms = trace.arms
         count = 0

@@ -18,8 +18,7 @@ import enum
 import itertools
 import math
 from collections import defaultdict
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .depgraph import Arrangement, footprint
@@ -365,17 +364,12 @@ def grasp_feasible(
     angle: GraspAngle,
     obstacles: list[OrientedBox],
     arm: ArmModel,
-    pads: Optional[list[OrientedBox]] = None,
 ) -> bool:
     """Reach plus free finger pads / approach corridor against the obstacles
-    (the grasped object itself must not be in the obstacle list).  `pads`,
-    if given, are the box's `_finger_pads` for the angle and the arm's
-    gripper, built earlier."""
+    (the grasped object itself must not be in the obstacle list)."""
     if dist(arm.base, obj_box.center.xy) > arm.reach:
         return False
-    if pads is None:
-        pads = _finger_pads(obj_box, angle, arm.ee_radius)
-    for pad in pads:
+    for pad in _finger_pads(obj_box, angle, arm.ee_radius):
         if any(overlaps(pad, ob) for ob in obstacles):
             return False
     return True
@@ -566,73 +560,18 @@ def _other_base_ok(point: Point, other: ArmModel, clearance: float) -> bool:
     return dist(point, other.base) >= clearance + BASE_KEEPOUT_MARGIN
 
 
-@dataclass
-class BindingMemo:
-    """The scene as arm binding reads it during one sub-task selection.
-
-    The scene does not change while a selection runs, so what binding needs
-    of it is built once, when the selection starts, and the memo is dropped
-    when it ends: the next round's scene differs."""
-
-    # (object, footprint) of every on-table object, in id order
-    table: list[tuple[int, OrientedBox]]
-    # each object's footprint at its current pose
-    boxes: dict[int, OrientedBox]
-    # (object, arm index, angle) -> grasp verdict at the current pose
-    grasps: dict[tuple[int, int, GraspAngle], bool] = field(default_factory=dict)
-    # (box, angle, gripper radius) -> _finger_pads
-    pads: dict[tuple[OrientedBox, GraspAngle, float], list[OrientedBox]] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, session: PlannerSession) -> "BindingMemo":
-        """Memo of the session's current scene; footprints come from the
-        run's (object, pose) memo `session.boxes`."""
-        shapes = session.instance.shapes
-        known = session.boxes
-        table = []
-        for key in session.current.on_table():
-            box = known.get(key)
-            if box is None:
-                box = known[key] = footprint(*key, shapes)
-            table.append((key[0], box))
-        return cls(table, dict(table))
-
-    def finger_pads(self, box: OrientedBox, angle: GraspAngle, ee_radius: float) -> list[OrientedBox]:
-        key = (box, angle, ee_radius)
-        pads = self.pads.get(key)
-        if pads is None:
-            pads = self.pads[key] = _finger_pads(box, angle, ee_radius)
-        return pads
-
-    def grasp_now(self, obj: int, arm_idx: int, arm: ArmModel, angle: GraspAngle) -> bool:
-        """grasp_feasible for `obj` at its current pose, all other on-table
-        objects being the obstacles."""
-        key = (obj, arm_idx, angle)
-        ok = self.grasps.get(key)
-        if ok is None:
-            box = self.boxes[obj]
-            obstacles = [b for i, b in self.table if i != obj]
-            ok = self.grasps[key] = grasp_feasible(
-                box, angle, obstacles, arm, self.finger_pads(box, angle, arm.ee_radius)
-            )
-        return ok
-
-
-@contextmanager
-def _selecting(session: PlannerSession):
-    """One sub-task selection, with `session.binding` set to a fresh memo of
-    the scene for its duration."""
-    session.binding = BindingMemo.of(session)
-    try:
-        yield
-    finally:
-        session.binding = None
+def _table_boxes(session: PlannerSession) -> list[tuple[int, OrientedBox]]:
+    """(object, footprint) of every on-table object, in id order.  The scene
+    does not change while a sub-task selection runs, so a selection builds
+    this list once, when it starts, and binds every option against it."""
+    shapes = session.instance.shapes
+    return [(i, footprint(i, p, shapes)) for i, p in session.current.on_table()]
 
 
 def _bind_arm(
     session: PlannerSession,
+    table: list[tuple[int, OrientedBox]],
     arm_idx: int,
-    arms,
     obj: int,
     target: Pose2,
     level,
@@ -640,11 +579,11 @@ def _bind_arm(
     partner_target: Optional[Pose2],
 ) -> Optional[ArmTask]:
     """First angle in the ladder level feasible for both the grasp at the
-    object's current pose and the placement at the target pose.  Reads the
-    scene from the selection's memo, `session.binding`."""
-    memo = session.binding
+    object's current pose and the placement at the target pose.  `table` is
+    the selection's `_table_boxes`."""
     shapes = session.instance.shapes
     ws = session.instance.workspace
+    arms = session.arms
     arm = arms[arm_idx]
     other = arms[1 - arm_idx]
     clearance = max(a.clearance for a in arms)
@@ -660,15 +599,17 @@ def _bind_arm(
     if dist(arm.base, target.xy) > arm.reach:
         return None
 
-    place_obstacles = [b for i, b in memo.table if i != obj and i != partner]
+    place_obstacles = [b for i, b in table if i != obj and i != partner]
     if partner_target is not None and partner is not None:
         place_obstacles.append(footprint(partner, partner_target, shapes))
     if any(overlaps(target_box, ob) for ob in place_obstacles):
         return None
 
+    cur_box = footprint(obj, cur_pose, shapes)
+    grasp_obstacles = [b for i, b in table if i != obj]
     for angle in level:
-        if memo.grasp_now(obj, arm_idx, arm, angle) and grasp_feasible(
-            target_box, angle, place_obstacles, arm, memo.finger_pads(target_box, angle, arm.ee_radius)
+        if grasp_feasible(cur_box, angle, grasp_obstacles, arm) and grasp_feasible(
+            target_box, angle, place_obstacles, arm
         ):
             return ArmTask(obj=obj, angle=angle, pick=cur_pose.xy, target=target)
     return None
@@ -687,7 +628,7 @@ def _pending_goal_boxes(session: PlannerSession) -> list[OrientedBox]:
     ]
 
 
-def _iter_instantiations(plan: TaskPlan, session: PlannerSession, arms, k_buffers: int):
+def _iter_instantiations(plan: TaskPlan, session: PlannerSession, table, k_buffers: int):
     """Candidate x angle-level x buffer enumeration, deterministic, narrowest
     angle set first, then smallest max-arm travel.
 
@@ -701,7 +642,7 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, arms, k_buffer
     if plan.single_arm is not None:
         obj = plan.single_arm
         targets = _buffer_options(session, obj, k_buffers) if plan.need_buffer else [goal_of(obj)]
-        yield from _single_moves(session, arms, obj, targets, plan.need_buffer)
+        yield from _single_moves(session, table, obj, targets, plan.need_buffer)
         return
 
     buffers_for: dict[int, list[Pose2]] = {}
@@ -713,7 +654,7 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, arms, k_buffer
 
     ranked = []
     for idx, (i, j) in enumerate(plan.candidates):
-        o1, o2 = assign_arms((i, j), session.current, arms)
+        o1, o2 = assign_arms((i, j), session.current, session.arms)
         if plan.need_buffer:
             # second pair element parks at a buffer, first goes home
             opts = [(goal_of(i), b) for b in buffers_for[j]]
@@ -731,10 +672,10 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, arms, k_buffer
     seen = set()
     for level in (TOP_DOWN_SET, FULL_SET):
         for *_, o1, target1, o2, target2, pair in ranked:
-            t1 = _bind_arm(session, 0, arms, o1, target1, level, o2, target2)
+            t1 = _bind_arm(session, table, 0, o1, target1, level, o2, target2)
             if t1 is None:
                 continue
-            t2 = _bind_arm(session, 1, arms, o2, target2, level, o1, target1)
+            t2 = _bind_arm(session, table, 1, o2, target2, level, o1, target1)
             if t2 is None:
                 continue
             if plan.need_buffer:
@@ -749,15 +690,15 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, arms, k_buffer
             yield InstantiatedSubTask(tasks=(t1, t2), pair=pair)
 
 
-def _single_moves(session: PlannerSession, arms, obj: int, targets, to_buffer: bool):
+def _single_moves(session: PlannerSession, table, obj: int, targets, to_buffer: bool):
     """One-arm instantiations moving `obj`: narrowest angle set first, then
     the arm nearest the object, then target order."""
     pose = session.current.pose_of(obj)
-    order = sorted((0, 1), key=lambda a: dist(arms[a].base, pose.xy))
+    order = sorted((0, 1), key=lambda a: dist(session.arms[a].base, pose.xy))
     for level in (TOP_DOWN_SET, FULL_SET):
         for arm_idx in order:
             for target in targets:
-                task = _bind_arm(session, arm_idx, arms, obj, target, level, None, None)
+                task = _bind_arm(session, table, arm_idx, obj, target, level, None, None)
                 if task is None:
                     continue
                 tasks = [ArmTask(), ArmTask()]
@@ -787,11 +728,10 @@ def _buffer_options(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
 
 
 def select_best_task(
-    plan: TaskPlan, session: PlannerSession, arms, k_buffers: int = K_BUFFERS
+    plan: TaskPlan, session: PlannerSession, k_buffers: int = K_BUFFERS
 ) -> InstantiatedSubTask:
-    with _selecting(session):
-        for sub in _iter_instantiations(plan, session, arms, k_buffers):
-            return sub
+    for sub in _iter_instantiations(plan, session, _table_boxes(session), k_buffers):
+        return sub
     raise NoFeasibleSubTask(f"no feasible instantiation for candidates {plan.candidates}")
 
 
@@ -939,9 +879,10 @@ def _ladder(sub, arms, stage, ee, dt) -> SyncMotion:
     return sequential_fallback(sub, arms, stage, ee, dt)
 
 
-def _relay_buffers(session: PlannerSession, obj: int, arms, k: int) -> list[Pose2]:
+def _relay_buffers(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
     """Buffer poses reachable by either arm, for handing an object across the
     exclusive zone around each arm base."""
+    arms = session.arms
     clearance = max(a.clearance for a in arms)
     return [
         p
@@ -950,7 +891,7 @@ def _relay_buffers(session: PlannerSession, obj: int, arms, k: int) -> list[Pose
     ]
 
 
-def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, arms, k_buffers):
+def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, table, k_buffers):
     """Last-resort recovery: move one object alone, nearest feasible arm; an
     object stuck between the two base keep-out zones is relayed via a buffer."""
     objs: list[int] = []
@@ -974,24 +915,23 @@ def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, arms, k_buff
             continue  # blocked by a live dependency, handled in pass 2/3
         else:
             targets = [session.instance.goal.pose_of(obj)]
-        yield from _single_moves(session, arms, obj, targets, to_buffer)
+        yield from _single_moves(session, table, obj, targets, to_buffer)
     # pass 2: a movable object no single arm can both pick and place is
     # relayed through a dual-reachable buffer (hand-over across the table)
     for obj in objs:
         if not plan.need_buffer and not dg.out_neighbors(obj):
-            yield from _single_moves(session, arms, obj, _relay_buffers(session, obj, arms, k_buffers), True)
+            yield from _single_moves(session, table, obj, _relay_buffers(session, obj, k_buffers), True)
     # pass 3: a cycle member nothing else frees is parked at a buffer, the
     # same way a single arm would break the cycle; an object already sitting
     # at a buffer is never re-parked (no progress in that)
     for obj in objs:
         if dg.out_neighbors(obj) and obj not in session.buffered:
-            yield from _single_moves(session, arms, obj, _buffer_options(session, obj, k_buffers), True)
+            yield from _single_moves(session, table, obj, _buffer_options(session, obj, k_buffers), True)
 
 
 def plan_motion(
     plan: TaskPlan,
     session: PlannerSession,
-    arms,
     dt: float = DT,
     k_buffers: int = K_BUFFERS,
 ) -> tuple[InstantiatedSubTask, SyncMotion, SyncMotion]:
@@ -1000,19 +940,20 @@ def plan_motion(
     Instantiations are tried in order, then single-object recovery moves;
     the first whose two legs both pass the rung ladder, the goal-bound leg
     planned from where the start leg ends, is returned as (sub, start, goal)."""
+    arms = session.arms
+    table = _table_boxes(session)
     subs = itertools.chain(
-        _iter_instantiations(plan, session, arms, k_buffers),
-        _degraded_single_moves(plan, session, arms, k_buffers),
+        _iter_instantiations(plan, session, table, k_buffers),
+        _degraded_single_moves(plan, session, table, k_buffers),
     )
     last_error = "no feasible instantiation"
-    with _selecting(session):
-        for sub in subs:
-            try:
-                start = _ladder(sub, arms, Stage.TO_START, session.ee, dt)
-                ends = [start.paths[0].end, start.paths[1].end]
-                goal = _ladder(sub, arms, Stage.TO_GOAL, ends, dt)
-            except SubTaskInfeasible as exc:
-                last_error = str(exc)
-                continue
-            return sub, start, goal
+    for sub in subs:
+        try:
+            start = _ladder(sub, arms, Stage.TO_START, session.ee, dt)
+            ends = [start.paths[0].end, start.paths[1].end]
+            goal = _ladder(sub, arms, Stage.TO_GOAL, ends, dt)
+        except SubTaskInfeasible as exc:
+            last_error = str(exc)
+            continue
+        return sub, start, goal
     raise MotionFailure(f"all instantiations failed: {last_error}")

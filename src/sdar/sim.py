@@ -155,19 +155,17 @@ def _apply_round(session: PlannerSession, sub: InstantiatedSubTask, goal_motion:
             continue
         session.current.poses[task.obj] = task.target
         session.removal_sequence.append(task.obj)
-        session.actions += 1
         if task.to_buffer:
             session.buffers_used += 1
-            session.buffered[task.obj] = task.target
+            session.buffered.add(task.obj)
         else:
             session.remaining.discard(task.obj)
-            session.buffered.pop(task.obj, None)
+            session.buffered.discard(task.obj)
     session.rounds += 1
 
 
 def execute(
     session: PlannerSession,
-    arms=None,
     *,
     dt: float = DT,
     k_buffers: int = K_BUFFERS,
@@ -176,12 +174,11 @@ def execute(
     """Plan rounds until the instance resolves, each one task plan and one
     `plan_motion` call for both legs, and commit each one as it comes.  A
     run that still has work after 2n rounds ends with RoundLimitExceeded."""
-    arms = arms or session.arms
-    rounds = _planned_rounds(session, arms, dt, k_buffers)
-    return _commit(session, arms, rounds, dt, record or RunRecord())
+    rounds = _planned_rounds(session, dt, k_buffers)
+    return _commit(session, rounds, dt, record or RunRecord())
 
 
-def _planned_rounds(session: PlannerSession, arms, dt: float, k_buffers: int):
+def _planned_rounds(session: PlannerSession, dt: float, k_buffers: int):
     n = session.instance.n
     while True:
         try:
@@ -190,11 +187,12 @@ def _planned_rounds(session: PlannerSession, arms, dt: float, k_buffers: int):
             return
         if session.rounds >= 2 * n:
             raise RoundLimitExceeded(f"round {session.rounds + 1} exceeds the cap of 2n rounds (n = {n})")
-        yield (*plan_motion(plan, session, arms, dt=dt, k_buffers=k_buffers), plan.candidates)
+        yield (*plan_motion(plan, session, dt=dt, k_buffers=k_buffers), plan.candidates)
 
 
-def _replayed_rounds(session: PlannerSession, arms, subs, dt: float):
+def _replayed_rounds(session: PlannerSession, subs, dt: float):
     """Recorded sub-tasks on the sequential rung, with no task planning."""
+    arms = session.arms
     for sub in subs:
         try:
             start = sequential_fallback(sub, arms, Stage.TO_START, session.ee, dt)
@@ -204,12 +202,12 @@ def _replayed_rounds(session: PlannerSession, arms, subs, dt: float):
         yield sub, start, goal, []
 
 
-def _commit(session: PlannerSession, arms, rounds, dt: float, record: RunRecord) -> RunMetrics:
+def _commit(session: PlannerSession, rounds, dt: float, record: RunRecord) -> RunMetrics:
     """Apply each (sub, start, goal, candidates) round, checking the arrangement
     after it and the goal at the end; a MotionFailure is the run's failure."""
     inst = session.instance
     metrics = RunMetrics(n=inst.n)
-    trace = record.trace = Trace(instance_hash(inst), session.rng_seed, arms, dt)
+    trace = record.trace = Trace(instance_hash(inst), session.rng_seed, session.arms, dt)
     fallbacks: dict[str, int] = {}
     checked = False  # whether a round has passed the whole-table check
     try:
@@ -238,7 +236,7 @@ def _commit(session: PlannerSession, arms, rounds, dt: float, record: RunRecord)
             if not session.current.poses[i].almost_equal(inst.goal.pose_of(i), 1e-9):
                 raise ValidationFailure(f"object {i} did not end at its goal pose")
         metrics.success = True
-    metrics.actions = session.actions
+    metrics.actions = len(session.removal_sequence)
     metrics.buffers_used = session.buffers_used
     metrics.sync_steps = session.rounds
     metrics.fallback_counts = fallbacks
@@ -265,8 +263,8 @@ def run_instance(
     rec = RunRecord()
     if forced_subs is None:
         return execute(session, dt=dt, k_buffers=k_buffers, record=rec), rec
-    rounds = _replayed_rounds(session, session.arms, forced_subs, dt)
-    return _commit(session, session.arms, rounds, dt, rec), rec
+    rounds = _replayed_rounds(session, forced_subs, dt)
+    return _commit(session, rounds, dt, rec), rec
 
 
 # -------------------------------------------------------------- trace IO
@@ -276,16 +274,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _arms_line(arms) -> dict:
+    """What a trace's arms line states of an arm pair: both bases, arm 1's
+    reach and gripper radius, and the larger clearance."""
+    a1, a2 = arms
+    return {
+        "base1": a1.base,
+        "base2": a2.base,
+        "reach": a1.reach,
+        "ee_radius": a1.ee_radius,
+        "clearance": max(a1.clearance, a2.clearance),
+    }
+
+
 def dumps_trace(trace: Trace) -> str:
-    a1, a2 = trace.arms
+    stated = _arms_line(trace.arms)
     lines = [
         TRACE_FORMAT,
         f"instance {trace.instance_hash} seed {trace.seed}",
         "arms "
-        f"base1 {_fmt(a1.base[0])} {_fmt(a1.base[1])} "
-        f"base2 {_fmt(a2.base[0])} {_fmt(a2.base[1])} "
-        f"reach {_fmt(a1.reach)} ee_radius {_fmt(a1.ee_radius)} "
-        f"clearance {_fmt(max(a1.clearance, a2.clearance))} dt {_fmt(trace.dt)}",
+        f"base1 {_fmt(stated['base1'][0])} {_fmt(stated['base1'][1])} "
+        f"base2 {_fmt(stated['base2'][0])} {_fmt(stated['base2'][1])} "
+        f"reach {_fmt(stated['reach'])} ee_radius {_fmt(stated['ee_radius'])} "
+        f"clearance {_fmt(stated['clearance'])} dt {_fmt(trace.dt)}",
     ]
     for leg in trace.legs:
         cands = ";".join(f"{i},{j}" for i, j in leg.candidates) or "-"
@@ -340,106 +351,112 @@ def save_trace(trace: Trace, path) -> None:
 
 
 def loads_trace(text: str) -> Trace:
-    """Parse a trace; ValueError if the text is not a well-formed trace."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != TRACE_FORMAT:
+    """Parse a trace; ValueError if the text is not a well-formed trace,
+    naming the first line that is not."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != TRACE_FORMAT:
         raise ValueError(f"expected {TRACE_FORMAT} header")
-    try:
-        return _parse_trace(lines)
-    except (IndexError, KeyError) as exc:
-        raise ValueError(f"malformed {TRACE_FORMAT} trace: {exc!r}") from exc
-
-
-def _parse_trace(lines: list[str]) -> Trace:
-    hdr = lines[1].split()
-    arm_f = lines[2].split()
-
-    def take(tokens, key):
-        return tokens[tokens.index(key) + 1 :]
-
-    base1 = (float(arm_f[2]), float(arm_f[3]))
-    base2 = (float(arm_f[5]), float(arm_f[6]))
-    reach = float(take(arm_f, "reach")[0])
-    ee_radius = float(take(arm_f, "ee_radius")[0])
-    clearance = float(take(arm_f, "clearance")[0])
-    dt = float(take(arm_f, "dt")[0])
-    a1 = ArmModel(base=base1, reach=reach, ee_radius=ee_radius, clearance=clearance)
-    a2 = ArmModel(base=base2, reach=reach, ee_radius=ee_radius, clearance=clearance)
-    trace = Trace(hdr[1], int(hdr[3]), (a1, a2), dt)
-
+    if len(lines) < 3:
+        raise ValueError(f"malformed {TRACE_FORMAT} trace: it ends before its arms line")
     legs: dict[int, LegRecord] = {}
-    metrics = None
-    for ln in lines[3:]:
-        parts = ln.split()
-        if parts[0] == "leg":
-            # leg I stage S mode M objs O1 O2 angles A1 A2 buffer X Y T candidates C duration D
-            idx = int(parts[1])
-            objs = tuple(None if v == "-" else int(v) for v in (parts[7], parts[8]))
-            angles = tuple(None if v == "-" else v for v in (parts[10], parts[11]))
-            buf = None
-            if parts[13] != "-":
-                buf = Pose2(float(parts[13]), float(parts[14]), float(parts[15]))
-            cands = []
-            if parts[17] != "-":
-                for item in parts[17].split(";"):
-                    i, j = item.split(",")
-                    cands.append((int(i), int(j)))
-            legs[idx] = LegRecord(
-                index=idx,
-                stage=parts[3],
-                mode=parts[5],
-                objs=objs,
-                angles=angles,
-                buffer_pose=buf,
-                candidates=cands,
-                duration=float(parts[19]),
-                samples=[[], []],
-                grips=[],
-                places=[],
-            )
-        elif parts[0] == "s":
-            leg = legs[int(parts[1])]
-            arm = int(parts[2])
-            carried = None if parts[6] == "-" else int(parts[6])
-            leg.samples[arm].append(
-                (float(parts[3]), float(parts[4]), float(parts[5]), carried)
-            )
-        elif parts[0] == "grip":
-            legs[int(parts[1])].grips.append(
-                (
-                    int(parts[2]),
-                    parts[3],
-                    int(parts[4]),
-                    float(parts[5]),
-                    (float(parts[6]), float(parts[7])),
-                )
-            )
-        elif parts[0] == "place":
-            legs[int(parts[1])].places.append(
-                (
-                    int(parts[2]),
-                    Pose2(float(parts[3]), float(parts[4]), float(parts[5])),
-                    parts[6],
-                )
-            )
-        elif parts[0] == "metrics":
-            fb = {}
-            if parts[10] != "-":
-                for item in parts[10].split(","):
-                    k, v = item.split("=")
-                    fb[k] = int(v)
-            metrics = RunMetrics(
-                n=0,
-                actions=int(parts[2]),
-                buffers_used=int(parts[4]),
-                sync_steps=int(parts[6]),
-                makespan=float(parts[8]),
-                fallback_counts=fb,
-                success=bool(int(parts[12])),
-            )
-    trace.legs = [legs[k] for k in sorted(legs)]
-    trace.metrics = metrics
+    try:
+        k, line = lines[1]
+        hdr = line.split()
+        instance, seed = hdr[1], int(hdr[3])
+        k, line = lines[2]
+        arms, dt = _parse_arms(line.split())
+        trace = Trace(instance, seed, arms, dt)
+        for k, line in lines[3:]:
+            _parse_line(line.split(), trace, legs)
+    except (IndexError, KeyError, ValueError) as exc:
+        detail = str(exc) if isinstance(exc, ValueError) else repr(exc)
+        raise ValueError(f"malformed {TRACE_FORMAT} trace: line {k}: {detail}") from exc
+    trace.legs = [legs[i] for i in sorted(legs)]
     return trace
+
+
+def _parse_arms(arm_f: list[str]) -> tuple[tuple[ArmModel, ArmModel], float]:
+    """The arm pair and dt of a trace's arms line."""
+
+    def take(key):
+        return float(arm_f[arm_f.index(key) + 1])
+
+    reach, ee_radius, clearance = take("reach"), take("ee_radius"), take("clearance")
+    arms = tuple(
+        ArmModel(base=base, reach=reach, ee_radius=ee_radius, clearance=clearance)
+        for base in ((float(arm_f[2]), float(arm_f[3])), (float(arm_f[5]), float(arm_f[6])))
+    )
+    return arms, take("dt")
+
+
+def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> None:
+    """Add one body line to the trace being parsed."""
+    if parts[0] == "leg":
+        # leg I stage S mode M objs O1 O2 angles A1 A2 buffer X Y T candidates C duration D
+        idx = int(parts[1])
+        objs = tuple(None if v == "-" else int(v) for v in (parts[7], parts[8]))
+        angles = tuple(None if v == "-" else v for v in (parts[10], parts[11]))
+        buf = None
+        if parts[13] != "-":
+            buf = Pose2(float(parts[13]), float(parts[14]), float(parts[15]))
+        cands = []
+        if parts[17] != "-":
+            for item in parts[17].split(";"):
+                i, j = item.split(",")
+                cands.append((int(i), int(j)))
+        legs[idx] = LegRecord(
+            index=idx,
+            stage=parts[3],
+            mode=parts[5],
+            objs=objs,
+            angles=angles,
+            buffer_pose=buf,
+            candidates=cands,
+            duration=float(parts[19]),
+            samples=[[], []],
+            grips=[],
+            places=[],
+        )
+    elif parts[0] == "s":
+        leg = legs[int(parts[1])]
+        arm = int(parts[2])
+        carried = None if parts[6] == "-" else int(parts[6])
+        leg.samples[arm].append(
+            (float(parts[3]), float(parts[4]), float(parts[5]), carried)
+        )
+    elif parts[0] == "grip":
+        legs[int(parts[1])].grips.append(
+            (
+                int(parts[2]),
+                parts[3],
+                int(parts[4]),
+                float(parts[5]),
+                (float(parts[6]), float(parts[7])),
+            )
+        )
+    elif parts[0] == "place":
+        legs[int(parts[1])].places.append(
+            (
+                int(parts[2]),
+                Pose2(float(parts[3]), float(parts[4]), float(parts[5])),
+                parts[6],
+            )
+        )
+    elif parts[0] == "metrics":
+        fb = {}
+        if parts[10] != "-":
+            for item in parts[10].split(","):
+                k, v = item.split("=")
+                fb[k] = int(v)
+        trace.metrics = RunMetrics(
+            n=0,
+            actions=int(parts[2]),
+            buffers_used=int(parts[4]),
+            sync_steps=int(parts[6]),
+            makespan=float(parts[8]),
+            fallback_counts=fb,
+            success=bool(int(parts[12])),
+        )
 
 
 def load_trace(path) -> Trace:
@@ -500,18 +517,37 @@ def _non_finite(leg: LegRecord) -> Optional[str]:
     return None
 
 
-def verify_trace(trace: Trace | str, instance: Instance) -> tuple[bool, str]:
+def _header_mismatch(trace: Trace, arms) -> Optional[str]:
+    """The first field of the trace's arms line that disagrees with `arms`
+    (or a dt that is not a finite positive number), or None."""
+    stated = _arms_line(trace.arms)
+    for name, want in _arms_line(arms).items():
+        if stated[name] != want:
+            return f"header {name} {stated[name]!r} differs from the arms' {want!r}"
+    if not (math.isfinite(trace.dt) and trace.dt > 0.0):
+        return f"header dt {trace.dt!r} is not a finite positive number"
+    return None
+
+
+def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[bool, str]:
     """Replay a trace against the instance using only geometric primitives.
 
-    The start table is checked once, after the first leg.  After that the
-    table loses objects only at gripper-close events and gains them only at
-    placements, and each placement is checked against the workspace and
-    every object on the table."""
+    The clearance threshold and the arm bases come from `arms`, the pair the
+    run was planned with (default: `default_arms` of the instance's
+    workspace), never from the trace, and a trace whose arms line states
+    other arms fails.  The start table is checked once, after the first
+    leg.  After that the table loses objects only at gripper-close events
+    and gains them only at placements, and each placement is checked against
+    the workspace and every object on the table."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
     if trace.instance_hash != instance_hash(instance):
         return False, "instance hash mismatch"
-    a1, a2 = trace.arms
+    arms = arms or default_arms(instance.workspace)
+    bad = _header_mismatch(trace, arms)
+    if bad:
+        return False, bad
+    a1, a2 = arms
     clearance = max(a1.clearance, a2.clearance)
     shapes = instance.shapes
     ws = instance.workspace

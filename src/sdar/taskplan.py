@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .depgraph import Arrangement, DepGraph, build_dependency_graph, decompose
-from .geom import OrientedBox, Pose2, dist
+from .geom import dist
 from .instances import Instance
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .motion import BindingMemo
 
 
 class TaskComplete(Exception):
@@ -49,15 +46,10 @@ class PlannerSession:
     arms: tuple = ()
     current: Arrangement = None
     remaining: set[int] = field(default_factory=set)
-    buffered: dict[int, Pose2] = field(default_factory=dict)
+    buffered: set[int] = field(default_factory=set)  # objects parked at a buffer
     ee: list = field(default_factory=list)
     rng: random.Random = None
-    # footprint of each (object, pose) the run has had on the table
-    boxes: dict[tuple[int, Pose2], OrientedBox] = field(default_factory=dict)
-    # the scene as arm binding reads it, while a sub-task selection runs
-    binding: Optional["BindingMemo"] = None
     removal_sequence: list[int] = field(default_factory=list)
-    actions: int = 0
     buffers_used: int = 0
     rounds: int = 0
 

@@ -361,6 +361,23 @@ def test_render_rejects_object_the_instance_lacks(tmp_path, capsys):
     assert not list(out.glob("frame_*.svg"))
 
 
+def test_render_names_the_trace_file_and_line_it_cannot_parse(tmp_path, capsys):
+    trace = _showcase9_trace(tmp_path)
+    lines = trace.read_text().splitlines(keepends=True)
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("place "))
+    parts = lines[k].split()
+    parts[3] = "nan"
+    lines[k] = " ".join(parts) + "\n"
+    trace.write_text("".join(lines))
+    out = tmp_path / "out"
+    assert run_cli("render", trace, "--instance", FIXTURES / "showcase9.inst", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {trace}: malformed sdar-trace/1 trace: line {k + 1}: "
+        f"non-finite pose (nan, {parts[4]}, {parts[5]})\n"
+    )
+    assert not list(out.glob("frame_*.svg"))
+
+
 def test_render_rejects_leg_with_unequal_sample_counts(tmp_path, capsys):
     # the hash matches, but one arm-1 sample of a leg is gone
     trace = _showcase9_trace(tmp_path)

@@ -18,7 +18,7 @@ def step_through(inst, seed=0):
         except TaskComplete:
             return
         yield session, plan
-        sub, _, goal = plan_motion(plan, session, session.arms)
+        sub, _, goal = plan_motion(plan, session)
         _apply_round(session, sub, goal)
 
 
@@ -69,7 +69,7 @@ def test_selected_targets_never_overlap_live_footprints():
         inst = instances.gen_random(8, 500 + seed)
         for session, plan in step_through(inst, seed):
             try:
-                sub = select_best_task(plan, session, session.arms)
+                sub = select_best_task(plan, session)
             except Exception:
                 continue
             moving = {t.obj for t in sub.tasks if t.obj is not None}

@@ -25,7 +25,6 @@ from sdar.motion import (
     ArmModel,
     ArmPath,
     ArmTask,
-    BindingMemo,
     BufferSamplingExhausted,
     Conflict,
     GraspAngle,
@@ -470,29 +469,16 @@ def _step_rounds(inst, seed=42, arms=None, max_rounds=50):
             plan = next_task_plan(session)
         except TaskComplete:
             return
-        sub, _, goal = plan_motion(plan, session, session.arms)
+        sub, _, goal = plan_motion(plan, session)
         sim._apply_round(session, sub, goal)
     raise AssertionError(f"{inst.label} not done after {max_rounds} rounds")
 
 
-def test_scene_box_memo_matches_fresh_footprints_every_round():
-    # a stale memo entry would show as a box left at an object's old pose
-    for inst in (instances.showcase9(), instances.gen_mixed(3)):
-        rounds = -1
-        for session in _step_rounds(inst):
-            rounds += 1
-            fresh = [(i, footprint(i, p, inst.shapes)) for i, p in session.current.on_table()]
-            memo = BindingMemo.of(session)
-            assert memo.table == fresh, rounds
-            assert memo.boxes == dict(fresh), rounds
-        assert session.buffers_used > 0 and rounds == session.rounds > 0
-        assert not session.remaining
-
-
-def bind_arm_reference(session, arm_idx, arms, obj, target, level, partner, partner_target):
-    """motion._bind_arm without the selection memo: every footprint, finger
-    pad and grasp verdict is built afresh."""
+def bind_arm_reference(session, arm_idx, obj, target, level, partner, partner_target):
+    """motion._bind_arm with every footprint and grasp verdict built afresh
+    from the session's current scene."""
     shapes = session.instance.shapes
+    arms = session.arms
     arm, other = arms[arm_idx], arms[1 - arm_idx]
     keepout = max(a.clearance for a in arms) + motion.BASE_KEEPOUT_MARGIN
     cur_pose = session.current.pose_of(obj)
@@ -517,50 +503,33 @@ def bind_arm_reference(session, arm_idx, arms, obj, target, level, partner, part
     return None
 
 
-def _checking_bind_arm(monkeypatch, check):
-    """Wrap motion._bind_arm so that every call also runs `check(session,
-    args, call, result)`, where `call(memo)` binds again with `memo` as the
-    selection's memo.
-
-    The enumerator binds lazily, so a round would bind only the options up
-    to the one it commits; it is drained into a list before it yields, so
-    that every option of every selection is bound and checked.  The rng
-    draws and the sequence of sub-tasks are unchanged by this."""
+def test_bind_arm_matches_reference_at_every_selection(monkeypatch):
+    # The enumerator binds lazily, so a round would bind only the options up
+    # to the one it commits; it is drained into a list before it yields, so
+    # that every option of every selection is bound and checked.  The rng
+    # draws and the sequence of sub-tasks are unchanged by this.
     bind = motion._bind_arm
     enumerate_all = motion._iter_instantiations
+    runs = []  # per run, the footprint list of each selection, in order
+    bound = []
+    stale = []  # per call after a run's first selection: the last list binds differently
 
     def drained(*args):
         yield from list(enumerate_all(*args))
 
-    def checked(session, *args):
-        result = bind(session, *args)
-
-        def call(memo):
-            kept = session.binding
-            session.binding = memo
-            try:
-                return bind(session, *args)
-            finally:
-                session.binding = kept
-
-        check(session, args, call, result)
+    def checked(session, table, *args):
+        result = bind(session, table, *args)
+        assert result == bind_arm_reference(session, *args)
+        selections = runs[-1]
+        if not selections or selections[-1] is not table:
+            selections.append(table)
+        if len(selections) > 1:
+            stale.append(bind(session, selections[-2], *args) != result)
+        bound.append(result)
         return result
 
     monkeypatch.setattr(motion, "_bind_arm", checked)
     monkeypatch.setattr(motion, "_iter_instantiations", drained)
-
-
-def test_binding_memo_matches_fresh_memo_at_every_selection(monkeypatch):
-    memos = {}  # id -> memo of every selection; the dict keeps ids unique
-    bound = []
-
-    def check(session, args, call, result):
-        assert result == call(BindingMemo.of(session)) == bind_arm_reference(session, *args)
-        memos.setdefault(id(session.binding), session.binding)
-        bound.append(result)
-
-    _checking_bind_arm(monkeypatch, check)
-    rounds = 0
     # the last two need top-down short and side grasps at times
     for inst in (
         instances.showcase9(), instances.gen_mixed(3), _escalation_instance(),
@@ -570,38 +539,19 @@ def test_binding_memo_matches_fresh_memo_at_every_selection(monkeypatch):
         # verdict depend on the arm
         short = tuple(replace(a, reach=0.8) for a in default_arms(inst.workspace))
         for arms in (None, short):
+            runs.append([])
             for session in _step_rounds(inst, arms=arms):
-                # no memo outlives its selection
-                assert session.binding is None
+                pass
             assert not session.remaining
-            rounds += session.rounds
-    # one memo per selection, each selection being one round
-    assert None not in memos.values() and len(memos) == rounds > 10
+            # one footprint list per selection, each selection being one round
+            assert len(runs[-1]) == session.rounds > 0
     angles = {t.angle for t in bound if t is not None}
     assert None in bound and len(angles) >= 3, angles
+    # a list kept from the previous selection would fail the check above
+    assert sum(stale) > 10, (sum(stale), len(stale))
 
 
-def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
-    # the memo of the previous selection, kept into the next one, binds
-    # differently: a memo that leaked across rounds would fail the check above
-    memos = []  # each selection's memo, in order
-    differ = []
-
-    def check(session, args, call, result):
-        if not memos or memos[-1] is not session.binding:
-            memos.append(session.binding)
-        if len(memos) > 1:
-            differ.append(call(memos[-2]) != result)
-
-    _checking_bind_arm(monkeypatch, check)
-    for inst in (instances.showcase9(), instances.gen_mixed(3)):
-        memos.clear()
-        for _ in _step_rounds(inst):
-            pass
-    assert sum(differ) > 10, (sum(differ), len(differ))
-
-
-def iter_instantiations_reference(plan, session, arms, k_buffers):
+def iter_instantiations_reference(plan, session, table, k_buffers):
     """The eager enumeration: every option bound at each angle level, the
     bound ones sorted by (max-arm travel, candidate, buffer), repeats
     dropped."""
@@ -609,7 +559,7 @@ def iter_instantiations_reference(plan, session, arms, k_buffers):
     if plan.single_arm is not None:
         obj = plan.single_arm
         targets = motion._buffer_options(session, obj, k_buffers) if plan.need_buffer else [goal_of(obj)]
-        return list(motion._single_moves(session, arms, obj, targets, plan.need_buffer))
+        return list(motion._single_moves(session, table, obj, targets, plan.need_buffer))
     buffers_for = {}
     if plan.need_buffer:
         for _, b in plan.candidates:
@@ -619,17 +569,17 @@ def iter_instantiations_reference(plan, session, arms, k_buffers):
     for level in (motion.TOP_DOWN_SET, motion.FULL_SET):
         scored = []
         for idx, (i, j) in enumerate(plan.candidates):
-            o1, o2 = motion.assign_arms((i, j), session.current, arms)
+            o1, o2 = motion.assign_arms((i, j), session.current, session.arms)
             if plan.need_buffer:
                 opts = [(goal_of(i), b) for b in buffers_for[j]]
             else:
                 opts = [(goal_of(i), goal_of(j))]
             for b_idx, (ti, tj) in enumerate(opts):
                 tmap = {i: ti, j: tj}
-                t1 = motion._bind_arm(session, 0, arms, o1, tmap[o1], level, o2, tmap[o2])
+                t1 = motion._bind_arm(session, table, 0, o1, tmap[o1], level, o2, tmap[o2])
                 if t1 is None:
                     continue
-                t2 = motion._bind_arm(session, 1, arms, o2, tmap[o2], level, o1, tmap[o1])
+                t2 = motion._bind_arm(session, table, 1, o2, tmap[o2], level, o1, tmap[o1])
                 if t2 is None:
                     continue
                 if plan.need_buffer:
@@ -657,12 +607,12 @@ def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
     lazy = motion._iter_instantiations
     kinds = []
 
-    def compared(plan, session, arms, k_buffers):
+    def compared(plan, session, table, k_buffers):
         state = session.rng.getstate()
-        expect = iter_instantiations_reference(plan, session, arms, k_buffers)
+        expect = iter_instantiations_reference(plan, session, table, k_buffers)
         after = session.rng.getstate()
         session.rng.setstate(state)
-        got = list(lazy(plan, session, arms, k_buffers))
+        got = list(lazy(plan, session, table, k_buffers))
         assert got == expect, (session.instance.label, session.rounds)
         assert session.rng.getstate() == after
         kinds.append(
@@ -688,7 +638,7 @@ def test_select_best_task_unobstructed_pair():
     inst = instances.gen_random(2, 1)
     session = sim.new_session(inst, 0)
     plan = next_task_plan(session)
-    sub = select_best_task(plan, session, ARMS)
+    sub = select_best_task(plan, session)
     assert {t.obj for t in sub.tasks} == {0, 1}
     assert all(t.angle == GraspAngle.TOP_DOWN_LONG for t in sub.tasks)
 
@@ -724,7 +674,7 @@ def test_select_best_task_prefers_narrow_angle_set():
     session = sim.new_session(inst, 0)
     plan = next_task_plan(session)
     assert (2, 3) in plan.candidates and (0, 1) in plan.candidates
-    sub = select_best_task(plan, session, ARMS)
+    sub = select_best_task(plan, session)
     assert sub.pair == (2, 3)
     assert all(t.angle in (GraspAngle.TOP_DOWN_LONG, GraspAngle.TOP_DOWN_SHORT) for t in sub.tasks)
 
@@ -747,7 +697,7 @@ def test_cycle_round_selection_returns_safe_buffer():
         session.current.poses[i] = inst.goal.pose_of(i)
     plan = next_task_plan(session)
     assert plan.need_buffer
-    sub = select_best_task(plan, session, ARMS)
+    sub = select_best_task(plan, session)
     buffer_pose = sub.buffer_pose
     assert buffer_pose is not None
     buffered_obj = next(t.obj for t in sub.tasks if t.to_buffer)
@@ -761,14 +711,14 @@ def test_cycle_round_selection_returns_safe_buffer():
 
 def test_no_feasible_sub_task_raised():
     inst = instances.gen_random(2, 1)
-    session = sim.new_session(inst, 0)
-    plan = next_task_plan(session)
     tiny = (
         ArmModel(base=(0.0, 0.3), reach=0.01, retract=(-0.06, 0.3), via=(0.08, 0.54)),
         ArmModel(base=(1.0, 0.3), reach=0.01, retract=(1.06, 0.3), via=(0.92, 0.54)),
     )
+    session = sim.new_session(inst, 0, tiny)
+    plan = next_task_plan(session)
     with pytest.raises(NoFeasibleSubTask):
-        select_best_task(plan, session, tiny)
+        select_best_task(plan, session)
 
 
 # ------------------------------------------------------------- plan_sync
@@ -911,7 +861,7 @@ def test_goal_bound_leg_is_planned_once_at_selection(monkeypatch):
 
     monkeypatch.setattr(motion, "_ladder", recording)
     plan = next_task_plan(session)
-    sub, start_motion, goal_motion = plan_motion(plan, session, session.arms)
+    sub, start_motion, goal_motion = plan_motion(plan, session)
     # the committed legs are the last two the ladder planned, in order
     assert planned[-2] is start_motion and planned[-1] is goal_motion
     assert start_motion.stage == Stage.TO_START

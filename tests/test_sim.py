@@ -113,6 +113,67 @@ def test_verify_rejects_clearance_violation():
     assert not ok and "clearance" in msg
 
 
+def _colliding_trace_text():
+    """A gen_random(3, 4) trace with arm 2 teleported onto arm 1 at sample
+    25 of leg 0, and its instance."""
+    inst = instances.gen_random(3, 4)
+    _, rec = run_instance(inst, 0)
+    leg = rec.trace.legs[0]
+    t, x, y, c = leg.samples[0][25]
+    leg.samples[1][25] = (leg.samples[1][25][0], x, y, c)
+    text = dumps_trace(rec.trace)
+    assert verify_trace(text, inst) == (False, "leg 0: clearance 0.0000 at sample 25")
+    return text, inst
+
+
+def _with_arms_field(text, name, value):
+    """The trace text with the value of one field of its arms line replaced."""
+    lines = text.splitlines()
+    assert lines[2].startswith("arms ")
+    parts = lines[2].split()
+    parts[parts.index(name) + 1] = value
+    lines[2] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("forged", ["nan", "0.0", "-1.0"])
+def test_forged_header_clearance_cannot_certify_a_collision(forged):
+    # the threshold comes from the caller's arms, not from the trace
+    text, inst = _colliding_trace_text()
+    ok, msg = verify_trace(_with_arms_field(text, "clearance", forged), inst)
+    assert not ok and msg == f"header clearance {float(forged)!r} differs from the arms' 0.1", msg
+
+
+@pytest.mark.parametrize("name, value", [("base1", "0.001"), ("base2", "0.999"), ("reach", "9.0"), ("ee_radius", "0.05")])
+def test_header_stating_other_arms_is_rejected(name, value):
+    inst = instances.gen_random(3, 4)
+    _, rec = run_instance(inst, 0)
+    text = dumps_trace(rec.trace)
+    assert verify_trace(text, inst) == (True, "ok")
+    ok, msg = verify_trace(_with_arms_field(text, name, value), inst)
+    assert not ok and msg.startswith(f"header {name} "), msg
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "0.0", "-0.02"])
+def test_header_dt_must_be_finite_and_positive(dt):
+    inst = instances.gen_random(3, 4)
+    _, rec = run_instance(inst, 0)
+    ok, msg = verify_trace(_with_arms_field(dumps_trace(rec.trace), "dt", dt), inst)
+    assert (ok, msg) == (False, f"header dt {float(dt)!r} is not a finite positive number")
+
+
+def test_verify_takes_the_arms_the_run_was_planned_with():
+    inst = instances.showcase9()
+    near = default_arms(inst.workspace, clearance=0.05)
+    _, rec = run_instance(inst, 0, near)
+    assert verify_trace(rec.trace, inst, near) == (True, "ok")
+    assert verify_trace(dumps_trace(rec.trace), inst, near) == (True, "ok")
+    # the default arms keep 0.1 apart: the trace's header disagrees with them
+    assert verify_trace(rec.trace, inst) == (
+        False, "header clearance 0.05 differs from the arms' 0.1"
+    )
+
+
 def test_verify_rejects_leg_without_samples():
     inst = instances.showcase9()
     _, rec = run_instance(inst, 42)
@@ -236,9 +297,9 @@ def test_round_cap_ends_a_run_that_makes_no_progress(monkeypatch):
     # rounds the run would never end
     idle = InstantiatedSubTask((ArmTask(), ArmTask()))
 
-    def idle_round(plan, session, arms, **kwargs):
-        start = plan_sync(idle, arms, Stage.TO_START, session.ee)
-        goal = plan_sync(idle, arms, Stage.TO_GOAL, [p.end for p in start.paths])
+    def idle_round(plan, session, **kwargs):
+        start = plan_sync(idle, session.arms, Stage.TO_START, session.ee)
+        goal = plan_sync(idle, session.arms, Stage.TO_GOAL, [p.end for p in start.paths])
         return idle, start, goal
 
     monkeypatch.setattr(sim, "plan_motion", idle_round)

@@ -361,8 +361,12 @@ def test_non_finite_placement_cannot_be_parsed():
     parts = lines[k].split()
     parts[3] = "nan"
     lines[k] = " ".join(parts)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError) as err:
         verify_trace("\n".join(lines) + "\n", inst)
+    # the parse error names the line
+    assert str(err.value) == (
+        f"malformed sdar-trace/1 trace: line {k + 1}: non-finite pose (nan, {parts[4]}, {parts[5]})"
+    )
 
 
 def _round_tables():
@@ -407,8 +411,8 @@ def test_round_check_reports_an_overlapping_round_as_a_full_scan_does(monkeypatc
     rounds = _checked_rounds(monkeypatch)
     plan_motion = sim.plan_motion
 
-    def third_round_overlaps(plan, session, arms, **kwargs):
-        sub, start, goal = plan_motion(plan, session, arms, **kwargs)
+    def third_round_overlaps(plan, session, **kwargs):
+        sub, start, goal = plan_motion(plan, session, **kwargs)
         if session.rounds == 2:
             moving = {t.obj for t in sub.tasks if t.obj is not None}
             task = next(t for t in sub.tasks if t.obj is not None)
