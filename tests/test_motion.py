@@ -503,33 +503,55 @@ def bind_arm_reference(session, arm_idx, obj, target, level, partner, partner_ta
     return None
 
 
-def test_bind_arm_matches_reference_at_every_selection(monkeypatch):
-    # The enumerator binds lazily, so a round would bind only the options up
-    # to the one it commits; it is drained into a list before it yields, so
-    # that every option of every selection is bound and checked.  The rng
-    # draws and the sequence of sub-tasks are unchanged by this.
+def test_scene_box_memo_matches_fresh_footprints_every_round():
+    # the footprint list a selection binds against: a box left at an
+    # object's old pose would show here
+    for inst in (instances.showcase9(), instances.gen_mixed(3)):
+        rounds = -1
+        for session in _step_rounds(inst):
+            rounds += 1
+            fresh = [(i, footprint(i, p, inst.shapes)) for i, p in session.current.on_table()]
+            assert motion._table_boxes(session) == fresh, rounds
+        assert session.buffers_used > 0 and rounds == session.rounds > 0
+        assert not session.remaining
+
+
+def _checking_bind_arm(monkeypatch, check):
+    """Wrap motion._bind_arm so that every call also runs `check(session,
+    table, args, call, result)`, where `call(other)` binds again with
+    `other` in place of the selection's footprint list `table`.
+
+    The enumerator binds lazily, so a round would bind only the options up
+    to the one it commits; it is drained into a list before it yields, so
+    that every option of every selection is bound and checked.  The rng
+    draws and the sequence of sub-tasks are unchanged by this."""
     bind = motion._bind_arm
     enumerate_all = motion._iter_instantiations
-    runs = []  # per run, the footprint list of each selection, in order
-    bound = []
-    stale = []  # per call after a run's first selection: the last list binds differently
 
     def drained(*args):
         yield from list(enumerate_all(*args))
 
     def checked(session, table, *args):
         result = bind(session, table, *args)
-        assert result == bind_arm_reference(session, *args)
-        selections = runs[-1]
-        if not selections or selections[-1] is not table:
-            selections.append(table)
-        if len(selections) > 1:
-            stale.append(bind(session, selections[-2], *args) != result)
-        bound.append(result)
+        check(session, table, args, lambda other: bind(session, other, *args), result)
         return result
 
     monkeypatch.setattr(motion, "_bind_arm", checked)
     monkeypatch.setattr(motion, "_iter_instantiations", drained)
+
+
+def test_binding_memo_matches_fresh_memo_at_every_selection(monkeypatch):
+    tables = []  # per run, the footprint list of each selection, in order
+    bound = []
+
+    def check(session, table, args, call, result):
+        assert result == call(motion._table_boxes(session)) == bind_arm_reference(session, *args)
+        selections = tables[-1]
+        if not selections or selections[-1] is not table:
+            selections.append(table)
+        bound.append(result)
+
+    _checking_bind_arm(monkeypatch, check)
     # the last two need top-down short and side grasps at times
     for inst in (
         instances.showcase9(), instances.gen_mixed(3), _escalation_instance(),
@@ -539,16 +561,35 @@ def test_bind_arm_matches_reference_at_every_selection(monkeypatch):
         # verdict depend on the arm
         short = tuple(replace(a, reach=0.8) for a in default_arms(inst.workspace))
         for arms in (None, short):
-            runs.append([])
+            tables.append([])
             for session in _step_rounds(inst, arms=arms):
                 pass
             assert not session.remaining
             # one footprint list per selection, each selection being one round
-            assert len(runs[-1]) == session.rounds > 0
+            assert len(tables[-1]) == session.rounds > 0
     angles = {t.angle for t in bound if t is not None}
     assert None in bound and len(angles) >= 3, angles
-    # a list kept from the previous selection would fail the check above
-    assert sum(stale) > 10, (sum(stale), len(stale))
+
+
+def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
+    # the footprint list of the previous selection, kept into the next one,
+    # binds differently: a list that leaked across rounds would fail the
+    # check above
+    tables = []  # each selection's footprint list, in order
+    differ = []
+
+    def check(session, table, args, call, result):
+        if not tables or tables[-1] is not table:
+            tables.append(table)
+        if len(tables) > 1:
+            differ.append(call(tables[-2]) != result)
+
+    _checking_bind_arm(monkeypatch, check)
+    for inst in (instances.showcase9(), instances.gen_mixed(3)):
+        tables.clear()
+        for _ in _step_rounds(inst):
+            pass
+    assert sum(differ) > 10, (sum(differ), len(differ))
 
 
 def iter_instantiations_reference(plan, session, table, k_buffers):
