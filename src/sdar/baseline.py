@@ -1,9 +1,11 @@
-"""Brute-force comparison oracles.
+"""Brute-force single-arm oracle, the action-count baseline of a run.
 
 An optimal single-arm rearrangement of an instance whose dependency structure
 is a disjoint union of simple cycles and acyclic parts needs exactly one move
 per object plus one extra relocation per cycle, so n + min-feedback-vertex-set
 is the exact single-arm action count there (and a lower bound elsewhere).
+The makespan baseline, a forced-sequential replay of the run, is `sim`'s:
+`sim.evaluate` reports both.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 from .depgraph import DepGraph, decompose
 from .instances import Instance
-from .sim import run_instance
 
 
 class BudgetExceeded(Exception):
@@ -85,15 +86,3 @@ def single_arm_optimal_actions(instance: Instance) -> OracleResult:
         assumption_holds=assumption,
     )
 
-
-def makespan_pair(instance: Instance, seed: int) -> tuple[float, float]:
-    """(synchronous makespan, forced-sequential makespan) for one instance."""
-    metrics, record = run_instance(instance, seed)
-    if not metrics.success:
-        raise RuntimeError(f"instance not solvable: {metrics.failure}")
-    forced, _ = run_instance(
-        instance, seed, force_sequential=True, forced_subs=record.subs
-    )
-    if not forced.success:
-        raise RuntimeError(f"forced sequential replay failed: {forced.failure}")
-    return metrics.makespan, forced.makespan

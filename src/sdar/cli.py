@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import baseline, instances, sim
+from . import instances, sim
 from .depgraph import footprint, to_dot
 from .geom import Pose2
 from .instances import FeasibilityError, GenerationExhausted, Instance, ParseError
@@ -160,23 +160,14 @@ def cmd_plan(args) -> int:
 def _bench_one(payload):
     name, inst, seed, clearance, dt, k_buffers = payload
     arms = default_arms(inst.workspace, clearance=clearance)
-    t0 = time.perf_counter()
-    metrics, record = sim.run_instance(inst, seed, arms, dt=dt, k_buffers=k_buffers)
-    elapsed = time.perf_counter() - t0
-    verified, _ = sim.verify_trace(record.trace, inst, arms)
-    try:
-        oracle = baseline.single_arm_optimal_actions(inst)
-        oracle_actions = oracle.single_arm_optimal_actions
-        assumption = oracle.assumption_holds
-    except baseline.BudgetExceeded:
+    ev = sim.evaluate(inst, seed, arms, dt=dt, k_buffers=k_buffers)
+    metrics, verified = ev.metrics, ev.verdict[0]
+    if ev.oracle is None:
         oracle_actions, assumption = -1, False
-    seq_makespan = float("nan")
-    if metrics.success:
-        forced, _ = sim.run_instance(
-            inst, seed, arms, dt=dt, force_sequential=True, forced_subs=record.subs
-        )
-        if forced.success:
-            seq_makespan = forced.makespan
+    else:
+        oracle_actions = ev.oracle.single_arm_optimal_actions
+        assumption = ev.oracle.assumption_holds
+    seq_makespan = float("nan") if ev.seq_makespan is None else ev.seq_makespan
     fb = metrics.fallback_counts
     ratio = oracle_actions / metrics.actions if metrics.actions and oracle_actions > 0 else float("nan")
     row = (
@@ -190,13 +181,13 @@ def _bench_one(payload):
         "name": name,
         "category": inst.category,
         "row": row,
-        "trace": sim.dumps_trace(record.trace),
+        "trace": sim.dumps_trace(ev.record.trace),
         "success": metrics.success and verified,
         "ratio": ratio if assumption and metrics.success else None,
-        "saving": (1.0 - metrics.makespan / seq_makespan)
-        if metrics.success and seq_makespan == seq_makespan and seq_makespan > 0
+        "saving": (1.0 - metrics.makespan / ev.seq_makespan)
+        if ev.seq_makespan is not None and ev.seq_makespan > 0
         else None,
-        "elapsed": elapsed,
+        "elapsed": ev.plan_s,
     }
 
 
@@ -388,7 +379,7 @@ def cmd_render(args) -> int:
             return 2
         try:
             inst = instances.load(args.instance)
-        except (ParseError, FeasibilityError, ValueError) as exc:
+        except (ParseError, FeasibilityError, ValueError, OSError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return 2
         try:

@@ -9,7 +9,8 @@ finally sequential execution with one arm parked at its retract pose.  Each
 rung is an ordered list of path variants, and `_first_valid` keeps the first
 that validates.  A round is two legs, start-bound (grasp) then goal-bound
 (place); its sub-task is committed only when both legs climb the ladder, and
-`plan_motion` returns both motions at once.
+`plan_motion` returns both motions at once.  `sequential_round` plans the
+same two legs on the sequential rung alone, for the forced-sequential replay.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ VALIDATE_GUARD = 0.0025
 # Clearance kept in reserve before skipping samples: far above the rounding
 # in sample times and segment distances, far below the grid's clearance step.
 VALIDATE_SLACK = 1e-9
-
-
-class NoFeasibleSubTask(Exception):
-    pass
 
 
 class BufferSamplingExhausted(Exception):
@@ -727,14 +724,6 @@ def _buffer_options(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
     return []
 
 
-def select_best_task(
-    plan: TaskPlan, session: PlannerSession, k_buffers: int = K_BUFFERS
-) -> InstantiatedSubTask:
-    for sub in _iter_instantiations(plan, session, _table_boxes(session), k_buffers):
-        return sub
-    raise NoFeasibleSubTask(f"no feasible instantiation for candidates {plan.candidates}")
-
-
 # ------------------------------------------------------------------ legs
 
 
@@ -879,6 +868,23 @@ def _ladder(sub, arms, stage, ee, dt) -> SyncMotion:
     return sequential_fallback(sub, arms, stage, ee, dt)
 
 
+def _legs(sub, arms, ee, dt, rung) -> tuple[SyncMotion, SyncMotion]:
+    """A round's two legs on `rung`: the start-bound leg from `ee`, then the
+    goal-bound leg from where the start leg ends.  SubTaskInfeasible if the
+    rung cannot plan either."""
+    start = rung(sub, arms, Stage.TO_START, ee, dt)
+    goal = rung(sub, arms, Stage.TO_GOAL, [p.end for p in start.paths], dt)
+    return start, goal
+
+
+def sequential_round(
+    sub: InstantiatedSubTask, arms, ee, dt: float = DT
+) -> tuple[SyncMotion, SyncMotion]:
+    """Both legs of a recorded round on the sequential rung alone: the step
+    of the forced-sequential replay."""
+    return _legs(sub, arms, ee, dt, sequential_fallback)
+
+
 def _relay_buffers(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
     """Buffer poses reachable by either arm, for handing an object across the
     exclusive zone around each arm base."""
@@ -949,9 +955,7 @@ def plan_motion(
     last_error = "no feasible instantiation"
     for sub in subs:
         try:
-            start = _ladder(sub, arms, Stage.TO_START, session.ee, dt)
-            ends = [start.paths[0].end, start.paths[1].end]
-            goal = _ladder(sub, arms, Stage.TO_GOAL, ends, dt)
+            start, goal = _legs(sub, arms, session.ee, dt, _ladder)
         except SubTaskInfeasible as exc:
             last_error = str(exc)
             continue

@@ -1,4 +1,8 @@
-"""Execute planning sessions, record run traces, and re-verify them.
+"""Execute planning sessions, record run traces, re-verify them, and
+evaluate runs.
+
+`evaluate` is the one step that makes a report row: the run, its verdict,
+the single-arm oracle, and the makespan of its forced-sequential replay.
 
 The verifier replays a trace file against the problem definition using only
 the geometric primitives, independent of the planner code paths: arm-arm
@@ -15,9 +19,11 @@ placement is checked against the workspace and every object on the table.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .baseline import BudgetExceeded, OracleResult, single_arm_optimal_actions
 from .depgraph import arrangement_violations
 from .geom import Pose2, box_at, dist, inside, overlaps, segment_clearance
 from .instances import Instance, instance_hash
@@ -32,7 +38,7 @@ from .motion import (
     SyncMotion,
     default_arms,
     plan_motion,
-    sequential_fallback,
+    sequential_round,
 )
 from .taskplan import PlannerSession, TaskComplete, next_task_plan
 
@@ -192,11 +198,9 @@ def _planned_rounds(session: PlannerSession, dt: float, k_buffers: int):
 
 def _replayed_rounds(session: PlannerSession, subs, dt: float):
     """Recorded sub-tasks on the sequential rung, with no task planning."""
-    arms = session.arms
     for sub in subs:
         try:
-            start = sequential_fallback(sub, arms, Stage.TO_START, session.ee, dt)
-            goal = sequential_fallback(sub, arms, Stage.TO_GOAL, [p.end for p in start.paths], dt)
+            start, goal = sequential_round(sub, session.arms, session.ee, dt)
         except SubTaskInfeasible as exc:
             raise MotionFailure(f"forced sub-task failed: {exc}") from exc
         yield sub, start, goal, []
@@ -265,6 +269,46 @@ def run_instance(
         return execute(session, dt=dt, k_buffers=k_buffers, record=rec), rec
     rounds = _replayed_rounds(session, forced_subs, dt)
     return _commit(session, rounds, dt, rec), rec
+
+
+@dataclass
+class Evaluation:
+    """One run as the paper reports it."""
+
+    metrics: RunMetrics
+    record: RunRecord
+    verdict: tuple[bool, str]  # verify_trace against the caller's arms
+    oracle: Optional[OracleResult]  # None when the oracle's budget is exceeded
+    seq_makespan: Optional[float]  # None unless the run and its replay succeed
+    plan_s: float  # wall seconds of the planning run alone
+
+
+def evaluate(
+    instance: Instance,
+    seed: int,
+    arms=None,
+    *,
+    dt: float = DT,
+    k_buffers: int = K_BUFFERS,
+) -> Evaluation:
+    """Plan and execute the instance, verify the trace, run the single-arm
+    oracle, and replay a solved run's sub-tasks on the sequential rung."""
+    t0 = time.perf_counter()
+    metrics, record = run_instance(instance, seed, arms, dt=dt, k_buffers=k_buffers)
+    plan_s = time.perf_counter() - t0
+    verdict = verify_trace(record.trace, instance, arms)
+    try:
+        oracle = single_arm_optimal_actions(instance)
+    except BudgetExceeded:
+        oracle = None
+    seq_makespan = None
+    if metrics.success:
+        forced, _ = run_instance(
+            instance, seed, arms, dt=dt, force_sequential=True, forced_subs=record.subs
+        )
+        if forced.success:
+            seq_makespan = forced.makespan
+    return Evaluation(metrics, record, verdict, oracle, seq_makespan, plan_s)
 
 
 # -------------------------------------------------------------- trace IO

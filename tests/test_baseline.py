@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from sdar import instances
+from sdar import instances, sim
 from sdar.baseline import (
     BudgetExceeded,
-    makespan_pair,
     min_fvs,
     single_arm_optimal_actions,
 )
@@ -151,14 +150,23 @@ def test_mixed_oracle_counts_only_long_cycles_and_swaps():
 
 # ------------------------------------------------------ sequential makespan
 
+def _makespans(inst, seed):
+    """(synchronous, forced-sequential) makespan of a run and its replay,
+    both of which must succeed."""
+    ev = sim.evaluate(inst, seed)
+    assert ev.metrics.success, ev.metrics.failure
+    assert ev.seq_makespan is not None, "forced sequential replay failed"
+    return ev.metrics.makespan, ev.seq_makespan
+
+
 def test_sequential_makespan_identity_is_zero():
     inst = instances.identity_instance(3, 1)
-    assert makespan_pair(inst, 0) == (0.0, 0.0)
+    assert _makespans(inst, 0) == (0.0, 0.0)
 
 
 def test_sequential_roughly_doubles_unobstructed_pair():
     inst = instances.gen_random(2, 0)  # seed 0: pair round runs synchronous
-    sync, seq = makespan_pair(inst, 0)
+    sync, seq = _makespans(inst, 0)
     assert seq > sync
     assert 1.3 <= seq / sync <= 3.5
 
@@ -166,5 +174,5 @@ def test_sequential_roughly_doubles_unobstructed_pair():
 def test_sequential_dominates_sync_on_random_instances():
     for seed in range(50):
         inst = instances.gen_random(10, 1000 + seed)
-        sync, seq = makespan_pair(inst, 7)
+        sync, seq = _makespans(inst, 7)
         assert seq >= sync - 1e-9, (seed, sync, seq)

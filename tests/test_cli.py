@@ -160,6 +160,16 @@ def test_render_rejects_trace_without_instance(tmp_path, capsys):
     assert run_cli("render", trace, "--out", tmp_path / "x") == 2
 
 
+def test_render_rejects_missing_instance_file(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    assert run_cli("plan", FIXTURES / "showcase9.inst", "--trace-out", trace) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("render", trace, "--instance", tmp_path / "nope.inst", "--out", out) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not list(out.glob("frame_*.svg"))
+
+
 def test_render_unknown_header_exits_2(tmp_path):
     weird = tmp_path / "nope.txt"
     weird.write_text("hello\n")

@@ -3,7 +3,7 @@
 from sdar import instances, sim
 from sdar.depgraph import decompose, footprint
 from sdar.geom import overlaps
-from sdar.motion import plan_motion, select_best_task
+from sdar.motion import K_BUFFERS, _iter_instantiations, _table_boxes, plan_motion
 from sdar.sim import _apply_round
 from sdar.taskplan import TaskComplete, next_task_plan
 
@@ -68,9 +68,8 @@ def test_selected_targets_never_overlap_live_footprints():
     for seed in range(8):
         inst = instances.gen_random(8, 500 + seed)
         for session, plan in step_through(inst, seed):
-            try:
-                sub = select_best_task(plan, session)
-            except Exception:
+            sub = next(_iter_instantiations(plan, session, _table_boxes(session), K_BUFFERS), None)
+            if sub is None:
                 continue
             moving = {t.obj for t in sub.tasks if t.obj is not None}
             for task in sub.tasks:

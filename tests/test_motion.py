@@ -30,7 +30,6 @@ from sdar.motion import (
     GraspAngle,
     InstantiatedSubTask,
     Mode,
-    NoFeasibleSubTask,
     Stage,
     SubTaskInfeasible,
     SyncMotion,
@@ -39,7 +38,6 @@ from sdar.motion import (
     plan_motion,
     plan_sync,
     sample_buffers,
-    select_best_task,
     sequential_fallback,
     untangle,
     validate_motion,
@@ -675,11 +673,17 @@ def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
     assert len(kinds) > 30
 
 
+def first_instantiation(plan, session):
+    """The sub-task that selection binds first, or None if it binds none."""
+    table = motion._table_boxes(session)
+    return next(motion._iter_instantiations(plan, session, table, motion.K_BUFFERS), None)
+
+
 def test_select_best_task_unobstructed_pair():
     inst = instances.gen_random(2, 1)
     session = sim.new_session(inst, 0)
     plan = next_task_plan(session)
-    sub = select_best_task(plan, session)
+    sub = first_instantiation(plan, session)
     assert {t.obj for t in sub.tasks} == {0, 1}
     assert all(t.angle == GraspAngle.TOP_DOWN_LONG for t in sub.tasks)
 
@@ -715,7 +719,7 @@ def test_select_best_task_prefers_narrow_angle_set():
     session = sim.new_session(inst, 0)
     plan = next_task_plan(session)
     assert (2, 3) in plan.candidates and (0, 1) in plan.candidates
-    sub = select_best_task(plan, session)
+    sub = first_instantiation(plan, session)
     assert sub.pair == (2, 3)
     assert all(t.angle in (GraspAngle.TOP_DOWN_LONG, GraspAngle.TOP_DOWN_SHORT) for t in sub.tasks)
 
@@ -738,7 +742,7 @@ def test_cycle_round_selection_returns_safe_buffer():
         session.current.poses[i] = inst.goal.pose_of(i)
     plan = next_task_plan(session)
     assert plan.need_buffer
-    sub = select_best_task(plan, session)
+    sub = first_instantiation(plan, session)
     buffer_pose = sub.buffer_pose
     assert buffer_pose is not None
     buffered_obj = next(t.obj for t in sub.tasks if t.to_buffer)
@@ -750,7 +754,7 @@ def test_cycle_round_selection_returns_safe_buffer():
         assert not overlaps(box, footprint(i, inst.goal.pose_of(i), inst.shapes))
 
 
-def test_no_feasible_sub_task_raised():
+def test_no_feasible_sub_task_yields_nothing():
     inst = instances.gen_random(2, 1)
     tiny = (
         ArmModel(base=(0.0, 0.3), reach=0.01, retract=(-0.06, 0.3), via=(0.08, 0.54)),
@@ -758,8 +762,7 @@ def test_no_feasible_sub_task_raised():
     )
     session = sim.new_session(inst, 0, tiny)
     plan = next_task_plan(session)
-    with pytest.raises(NoFeasibleSubTask):
-        select_best_task(plan, session)
+    assert first_instantiation(plan, session) is None
 
 
 # ------------------------------------------------------------- plan_sync

@@ -1,6 +1,7 @@
 import pytest
 
-from sdar import instances, sim
+from sdar import instances, motion, sim
+from sdar.baseline import single_arm_optimal_actions
 from sdar.geom import Pose2
 from sdar.motion import ArmTask, InstantiatedSubTask, Stage, default_arms, plan_sync
 from sdar.sim import (
@@ -311,3 +312,51 @@ def test_round_cap_ends_a_run_that_makes_no_progress(monkeypatch):
     assert len(rec.trace.legs) == 4 * inst.n
     ok, msg = verify_trace(rec.trace, inst)
     assert not ok and "not at its goal pose" in msg
+
+
+def test_replay_reaches_the_sequential_rung_through_motion(monkeypatch):
+    # the replay looks the rung up in motion, where a probe on
+    # motion.sequential_fallback sees each of its two legs per round
+    inst = instances.gen_mixed(5)
+    metrics, rec = run_instance(inst, 21)
+    calls = []
+    rung = motion.sequential_fallback
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return rung(*args, **kwargs)
+
+    monkeypatch.setattr(motion, "sequential_fallback", counted)
+    forced, _ = run_instance(inst, 21, force_sequential=True, forced_subs=rec.subs)
+    assert forced.success
+    assert len(calls) == 2 * forced.sync_steps == 2 * metrics.sync_steps
+    assert calls == [Stage.TO_START, Stage.TO_GOAL] * forced.sync_steps
+
+
+def test_evaluate_matches_its_steps_run_apart():
+    inst = instances.showcase9()
+    arms = default_arms(inst.workspace, clearance=0.08)
+    ev = sim.evaluate(inst, 42, arms, dt=0.04, k_buffers=10)
+    metrics, rec = run_instance(inst, 42, arms, dt=0.04, k_buffers=10)
+    forced, _ = run_instance(
+        inst, 42, arms, dt=0.04, force_sequential=True, forced_subs=rec.subs
+    )
+    assert metrics.success and forced.success
+    assert ev.metrics == metrics
+    assert ev.record.subs == rec.subs
+    assert dumps_trace(ev.record.trace) == dumps_trace(rec.trace)
+    assert ev.verdict == verify_trace(rec.trace, inst, arms) == (True, "ok")
+    assert ev.oracle == single_arm_optimal_actions(inst)
+    assert ev.seq_makespan == forced.makespan
+    assert ev.plan_s > 0.0
+
+
+def test_evaluate_of_an_unsolved_run_over_the_oracle_budget():
+    # 22 objects exceed the oracle's 20-vertex budget, and plan seed 42
+    # leaves this table unsolved, so there is nothing to replay
+    inst = instances.gen_random(22, 3)
+    ev = sim.evaluate(inst, 42)
+    assert inst.n > 20 and not ev.metrics.success
+    assert ev.oracle is None and ev.seq_makespan is None
+    assert ev.verdict == verify_trace(ev.record.trace, inst)
+    assert not ev.verdict[0]
