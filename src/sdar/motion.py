@@ -43,7 +43,10 @@ from .geom import (
 from .taskplan import PlannerSession, TaskPlan, assign_arms
 
 DT = 0.02
-K_BUFFERS = 20
+K_BUFFERS = 40
+# Draws per `sample_buffers` call, whatever k: the cap of a call that finds
+# little or no room.
+BUFFER_DRAWS = 2000
 DEFAULT_EE_RADIUS = 0.04
 DEFAULT_CLEARANCE = 0.10
 PAD_HALF_THICKNESS = 0.01
@@ -385,17 +388,20 @@ def sample_buffers(
     workspace: Workspace,
     min_gap: float = MIN_GAP,
 ) -> list[Pose2]:
-    """Up to k poses whose footprint avoids all on-table objects, all pending
-    goals, and each other.  Rejection sampling capped at 100*k draws; a draw
-    nearer to an obstacle's rectangle than the draw's inscribed radius plus
-    the gap is rejected before its box is built.  While that bound is
-    positive it rejects every draw centred within an obstacle's inner disc
-    (`blocked_within2`), so the inner discs are kept only as a cheaper first
-    pass: on the default suite they save about a third of the sampling
-    time.  Both tests are sure rejections, so neither changes a result.
-    Obstacles are listed in a grid (`BufferGrid`), so these broad-phase
-    tests visit only the obstacles of the draw's own cell.  Each draw takes
-    three `rng.uniform` values (x, y, theta) whatever its fate.
+    """Up to k poses whose footprint avoids all on-table objects and all
+    pending goals.  The poses are independent alternatives, not a packing:
+    a round parks at most one object, so no pose is tested against the
+    call's own earlier poses, and the same pose may come back more than
+    once.  Rejection sampling stops at k accepts or after a fixed budget of
+    BUFFER_DRAWS draws, whatever k is; each draw takes three `rng.uniform`
+    values (x, y, theta) whatever its fate.  A draw nearer to an obstacle's
+    rectangle than the draw's inscribed radius plus the gap is rejected
+    before its box is built.  While that bound is positive it rejects every
+    draw centred within an obstacle's inner disc (`blocked_within2`), so the
+    inner discs are kept only as a cheaper first pass.  Both tests are sure
+    rejections, so neither changes a result.  The obstacles are listed once
+    in a grid (`BufferGrid`), so these broad-phase tests visit only the
+    obstacles of the draw's own cell.
 
     min_gap > 0 additionally keeps finger room around the parked object;
     min_gap == 0 is the bare non-overlap contract."""
@@ -415,7 +421,7 @@ def sample_buffers(
     reach_of = grid.reach.get
     sure = blocked_within_box(grid.inner_radius, min_gap)
     found: list[Pose2] = []
-    for _ in range(100 * k):
+    for _ in range(BUFFER_DRAWS):
         if len(found) == k:
             break
         x = uniform(margin, x_hi)
@@ -435,10 +441,9 @@ def sample_buffers(
             box = box_at(pose, hw, hh)
             if inside(workspace, box) and not _blocked(box, near, min_gap):
                 found.append(pose)
-                grid.add(box)
     if not found:
         raise BufferSamplingExhausted(
-            f"no buffer pose found within {100 * k} draws for shape {buffered_shape}"
+            f"no buffer pose found within {BUFFER_DRAWS} draws for shape {buffered_shape}"
         )
     return found
 
@@ -453,8 +458,9 @@ GRID_PAD = 1e-9
 
 
 class BufferGrid:
-    """The obstacles of one `sample_buffers` call in a uniform grid of square
-    cells, cell (0, 0) at the origin.
+    """The fixed obstacles of one `sample_buffers` call (on-table objects
+    and pending goals) in a uniform grid of square cells, cell (0, 0) at the
+    origin.
 
     Each obstacle has an inner disc of squared radius `blocked_within2`
     (a draw centred inside is surely rejected) and a reach disc of squared

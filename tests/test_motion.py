@@ -144,12 +144,12 @@ def sample_buffers_reference(
     scene, shapes, pending_goals, k, rng, buffered_shape, workspace, min_gap=MIN_GAP,
 ):
     """sample_buffers without the broad phase: every draw is tested against
-    every obstacle with the exact predicate."""
+    every fixed obstacle with the exact predicate."""
     hw, hh = buffered_shape
     margin = math.hypot(hw, hh)
-    table = [footprint(i, p, shapes) for i, p in scene.on_table()]
-    found, found_boxes = [], []
-    for _ in range(100 * k):
+    obstacles = [footprint(i, p, shapes) for i, p in scene.on_table()] + pending_goals
+    found = []
+    for _ in range(motion.BUFFER_DRAWS):
         if len(found) == k:
             break
         pose = Pose2(
@@ -160,17 +160,15 @@ def sample_buffers_reference(
         box = box_at(pose, hw, hh)
         if not inside(workspace, box):
             continue
-        obstacles = table + pending_goals + found_boxes
         if min_gap > 0.0:
             if any(boxes_closer_than(box, ob, min_gap) for ob in obstacles):
                 continue
         elif any(overlaps(box, ob) for ob in obstacles):
             continue
         found.append(pose)
-        found_boxes.append(box)
     if not found:
         raise BufferSamplingExhausted(
-            f"no buffer pose found within {100 * k} draws for shape {buffered_shape}"
+            f"no buffer pose found within {motion.BUFFER_DRAWS} draws for shape {buffered_shape}"
         )
     return found
 
@@ -256,6 +254,36 @@ class ScriptedRng:
 
     def getstate(self):
         return tuple(self.draws[self.used:])
+
+
+class CountingRng(random.Random):
+    """random.Random that counts its uniform() calls."""
+
+    calls = 0
+
+    def uniform(self, lo, hi):
+        self.calls += 1
+        return super().uniform(lo, hi)
+
+
+def test_sample_buffers_budget_does_not_grow_with_k():
+    scene, shapes, pending, shape, ws = _saturated_table()
+    for k in (1, 10**5):
+        rng = CountingRng(1)
+        with pytest.raises(BufferSamplingExhausted, match=f"within {motion.BUFFER_DRAWS} draws"):
+            sample_buffers(scene, shapes, pending, k, rng, shape, ws)
+        assert rng.calls == 3 * motion.BUFFER_DRAWS, k
+
+
+def test_sample_buffers_poses_are_alternatives():
+    # one free draw repeated k times is accepted k times: the call's own
+    # poses are not obstacles
+    draw = (0.5, 0.3, 0.2)
+    for k in (1, 4):
+        poses = sample_buffers(
+            Arrangement({}), {}, [], k, ScriptedRng(draw * k), (0.05, 0.05), Workspace()
+        )
+        assert poses == [Pose2(*draw)] * k
 
 
 def test_sample_buffers_broad_phase_keeps_boundary_draws():
