@@ -1,9 +1,12 @@
 """Command-line front end: generate suites, plan instances, run benchmark
 sweeps, and render scenes, dependency graphs, and trace animations.
 
-Exit codes: 0 success, 1 planning failure, 2 input error.  Numeric defaults
-can be overridden with SDAR_<FLAG> environment variables (e.g. SDAR_SEED,
-SDAR_CLEARANCE, SDAR_DT, SDAR_K_BUFFERS, SDAR_JOBS).
+Exit codes: 0 success, 1 planning failure, 2 input error (a bad flag, an
+unreadable or malformed input file, or an output path that cannot be
+written).  Numeric defaults can be overridden with SDAR_<FLAG> environment
+variables (SDAR_SEED, SDAR_CLEARANCE, SDAR_JOBS).  The time step and the
+buffer poses per sampling call are the planner's constants `motion.DT` and
+`motion.K_BUFFERS`, not flags.
 """
 
 from __future__ import annotations
@@ -20,16 +23,13 @@ from . import instances, sim
 from .depgraph import footprint, to_dot
 from .geom import Pose2
 from .instances import FeasibilityError, GenerationExhausted, Instance, ParseError
-from .motion import DEFAULT_CLEARANCE, DT, K_BUFFERS, default_arms
+from .motion import DEFAULT_CLEARANCE, default_arms
 
 CSV_HEADER = (
     "instance,category,n,actions,oracle_actions,oracle_assumption,ratio,"
     "sync_steps,buffers_used,makespan,sequential_makespan,"
     "fb_synchronous,fb_untangled,fb_sequential,success,verified"
 )
-# Finest accepted --dt: a trace keeps 1/dt samples per arm per leg and the
-# validator walks 8/dt, so a finer step grows both without bound.
-MIN_DT = 1e-4
 
 
 def _env(name: str, cast, default):
@@ -46,21 +46,14 @@ def _env(name: str, cast, default):
 def _add_motion_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
     p.add_argument("--clearance", type=float, default=_env("CLEARANCE", float, DEFAULT_CLEARANCE))
-    p.add_argument("--dt", type=float, default=_env("DT", float, DT))
-    p.add_argument("--k-buffers", type=int, default=_env("K_BUFFERS", int, K_BUFFERS))
 
 
 def _motion_flags_ok(args) -> bool:
-    """Reject a --dt/--clearance/--k-buffers value (flag or SDAR_ variable)
-    that cannot be planned with, as an input error."""
-    if not (math.isfinite(args.dt) and args.dt >= MIN_DT):
-        bad = f"--dt must be a finite number >= {MIN_DT}, got {args.dt!r}"
-    elif not (math.isfinite(args.clearance) and args.clearance >= 0.0):
-        bad = f"--clearance must be a finite number >= 0, got {args.clearance!r}"
-    elif args.k_buffers < 1:
-        bad = f"--k-buffers must be >= 1, got {args.k_buffers}"
-    else:
+    """Reject a --clearance value (flag or SDAR_ variable) that cannot be
+    planned with, as an input error."""
+    if math.isfinite(args.clearance) and args.clearance >= 0.0:
         return True
+    bad = f"--clearance must be a finite number >= 0, got {args.clearance!r}"
     print(f"input error: {bad}", file=sys.stderr)
     return False
 
@@ -127,14 +120,12 @@ def cmd_plan(args) -> int:
         return 2
     try:
         inst = instances.load(args.instance)
-    except (ParseError, FeasibilityError, OSError) as exc:
+    except (ParseError, FeasibilityError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     arms = default_arms(inst.workspace, clearance=args.clearance)
     t0 = time.perf_counter()
-    metrics, record = sim.run_instance(
-        inst, args.seed, arms, dt=args.dt, k_buffers=args.k_buffers
-    )
+    metrics, record = sim.run_instance(inst, args.seed, arms)
     elapsed = time.perf_counter() - t0
     if args.trace_out:
         sim.save_trace(record.trace, args.trace_out)
@@ -158,9 +149,9 @@ def cmd_plan(args) -> int:
 
 
 def _bench_one(payload):
-    name, inst, seed, clearance, dt, k_buffers = payload
+    name, inst, seed, clearance = payload
     arms = default_arms(inst.workspace, clearance=clearance)
-    ev = sim.evaluate(inst, seed, arms, dt=dt, k_buffers=k_buffers)
+    ev = sim.evaluate(inst, seed, arms)
     metrics, verified = ev.metrics, ev.verdict[0]
     if ev.oracle is None:
         oracle_actions, assumption = -1, False
@@ -207,10 +198,16 @@ def cmd_bench(args) -> int:
     for p in paths:
         try:
             inst = instances.load(p)
-        except (ParseError, FeasibilityError, OSError) as exc:
+        except (ParseError, FeasibilityError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return 2
-        payloads.append((p.stem, inst, args.seed, args.clearance, args.dt, args.k_buffers))
+        payloads.append((p.stem, inst, args.seed, args.clearance))
+    # the output directories are made before any row is planned
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tdir = Path(args.traces) if args.traces else None
+    if tdir:
+        tdir.mkdir(parents=True, exist_ok=True)
     # the pool starts all its workers at once: no more than there are rows
     workers = min(args.jobs, len(payloads))
     if workers > 1:
@@ -220,15 +217,11 @@ def cmd_bench(args) -> int:
         results = [_bench_one(p) for p in payloads]
     results.sort(key=lambda r: r["name"])
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in results:
             fh.write(r["row"] + "\n")
-    if args.traces:
-        tdir = Path(args.traces)
-        tdir.mkdir(parents=True, exist_ok=True)
+    if tdir:
         for r in results:
             (tdir / f"{r['name']}.trace").write_text(r["trace"], encoding="utf-8")
 
@@ -356,7 +349,7 @@ def cmd_render(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     head = lines[0].strip() if lines else ""
@@ -379,7 +372,7 @@ def cmd_render(args) -> int:
             return 2
         try:
             inst = instances.load(args.instance)
-        except (ParseError, FeasibilityError, ValueError, OSError) as exc:
+        except (ParseError, FeasibilityError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return 2
         try:
@@ -440,7 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an input file it cannot read, an output path it cannot write
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -552,4 +552,8 @@ def loads(text: str, source: str = "<string>") -> Instance:
 
 def load(path) -> Instance:
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read(), source=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    return loads(text, source=str(path))

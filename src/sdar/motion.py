@@ -42,6 +42,9 @@ from .geom import (
 )
 from .taskplan import PlannerSession, TaskPlan, assign_arms
 
+# The planner's fixed resolutions: a leg exports a sample every DT of unit
+# time and validates at DT / VALIDATE_REFINE, and a buffer sampling call
+# returns at most K_BUFFERS poses.
 DT = 0.02
 K_BUFFERS = 40
 # Draws per `sample_buffers` call, whatever k: the cap of a call that finds
@@ -631,7 +634,7 @@ def _pending_goal_boxes(session: PlannerSession) -> list[OrientedBox]:
     ]
 
 
-def _iter_instantiations(plan: TaskPlan, session: PlannerSession, table, k_buffers: int):
+def _iter_instantiations(plan: TaskPlan, session: PlannerSession, table):
     """Candidate x angle-level x buffer enumeration, deterministic, narrowest
     angle set first, then smallest max-arm travel.
 
@@ -644,7 +647,7 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, table, k_buffe
 
     if plan.single_arm is not None:
         obj = plan.single_arm
-        targets = _buffer_options(session, obj, k_buffers) if plan.need_buffer else [goal_of(obj)]
+        targets = _buffer_options(session, obj) if plan.need_buffer else [goal_of(obj)]
         yield from _single_moves(session, table, obj, targets, plan.need_buffer)
         return
 
@@ -653,7 +656,7 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, table, k_buffe
         # deterministic per-object draws, in candidate order
         for _, b in plan.candidates:
             if b not in buffers_for:
-                buffers_for[b] = _buffer_options(session, b, k_buffers)
+                buffers_for[b] = _buffer_options(session, b)
 
     ranked = []
     for idx, (i, j) in enumerate(plan.candidates):
@@ -709,7 +712,7 @@ def _single_moves(session: PlannerSession, table, obj: int, targets, to_buffer: 
                 yield InstantiatedSubTask(tasks=tuple(tasks))
 
 
-def _buffer_options(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
+def _buffer_options(session: PlannerSession, obj: int) -> list[Pose2]:
     """Buffer poses for one object: finger-room sampling first, then the bare
     non-overlap contract on crowded tables (pad checks re-filter at bind)."""
     goals = _pending_goal_boxes(session)
@@ -719,7 +722,7 @@ def _buffer_options(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
                 session.current,
                 session.instance.shapes,
                 goals,
-                k,
+                K_BUFFERS,
                 session.rng,
                 session.instance.shapes[obj],
                 session.instance.workspace,
@@ -786,7 +789,7 @@ def _shift(knots: list[tuple[float, Point]], offset: float):
     return [(t + offset, p) for t, p in knots]
 
 
-def _first_valid(sub, arms, stage: Stage, dt: float, mode: Mode, variants) -> SyncMotion | Conflict:
+def _first_valid(sub, arms, stage: Stage, mode: Mode, variants) -> SyncMotion | Conflict:
     """Pad each (paths, arrival) variant to a common duration, wrap it as a
     SyncMotion and validate it: the first valid motion, else the last
     Conflict."""
@@ -795,31 +798,19 @@ def _first_valid(sub, arms, stage: Stage, dt: float, mode: Mode, variants) -> Sy
     for paths, arrival in variants:
         duration = max(paths[0].duration, paths[1].duration)
         padded = (_pad(paths[0], duration), _pad(paths[1], duration))
-        bad = validate_motion(padded, arms, duration, dt)
+        bad = validate_motion(padded, arms, duration)
         if bad is None:
             return SyncMotion(stage, mode, padded, duration, carried, tuple(arrival))
     return bad
 
 
-def plan_sync(
-    sub: InstantiatedSubTask,
-    arms,
-    stage: Stage,
-    ee,
-    dt: float = DT,
-) -> SyncMotion | Conflict:
+def plan_sync(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> SyncMotion | Conflict:
     """Straight-line synchronized motion for one leg, validated by sampling."""
     pts = _leg_endpoints(sub, stage, ee, arms)
-    return _first_valid(sub, arms, stage, dt, Mode.SYNCHRONOUS, [_straight(pts)])
+    return _first_valid(sub, arms, stage, Mode.SYNCHRONOUS, [_straight(pts)])
 
 
-def untangle(
-    sub: InstantiatedSubTask,
-    arms,
-    stage: Stage,
-    ee,
-    dt: float = DT,
-) -> Optional[SyncMotion]:
+def untangle(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> Optional[SyncMotion]:
     """Departure delays for the shorter-path arm (25% then 50%), then
     home-side via-point routing; first variant that validates wins."""
     pts = _leg_endpoints(sub, stage, ee, arms)
@@ -835,17 +826,11 @@ def untangle(
         for a, (s, g, _) in enumerate(pts)
     ]
     variants.append(_arriving(via, pts))
-    res = _first_valid(sub, arms, stage, dt, Mode.UNTANGLED, variants)
+    res = _first_valid(sub, arms, stage, Mode.UNTANGLED, variants)
     return res if isinstance(res, SyncMotion) else None
 
 
-def sequential_fallback(
-    sub: InstantiatedSubTask,
-    arms,
-    stage: Stage,
-    ee,
-    dt: float = DT,
-) -> SyncMotion:
+def sequential_fallback(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> SyncMotion:
     """Arm 1 retreats while arm 2 completes its task, then arm 2 retreats
     while arm 1 completes; if that choreography still conflicts, the mirrored
     and fully serial variants are tried before giving up.  A lone working arm
@@ -858,52 +843,50 @@ def sequential_fallback(
         # the idle arm parks first
         delays = [dist(*pts[1 - a][:2]) if a in active else 0.0 for a in (0, 1)]
         variants = [_straight(pts, delays)]
-    res = _first_valid(sub, arms, stage, dt, Mode.SEQUENTIAL, variants)
+    res = _first_valid(sub, arms, stage, Mode.SEQUENTIAL, variants)
     if isinstance(res, Conflict):
         raise SubTaskInfeasible(f"sequential leg invalid at t={res.t:.3f}: {res.detail}")
     return res
 
 
-def _ladder(sub, arms, stage, ee, dt) -> SyncMotion:
-    res = plan_sync(sub, arms, stage, ee, dt)
+def _ladder(sub, arms, stage, ee) -> SyncMotion:
+    res = plan_sync(sub, arms, stage, ee)
     if isinstance(res, SyncMotion):
         return res
-    res = untangle(sub, arms, stage, ee, dt)
+    res = untangle(sub, arms, stage, ee)
     if res is not None:
         return res
-    return sequential_fallback(sub, arms, stage, ee, dt)
+    return sequential_fallback(sub, arms, stage, ee)
 
 
-def _legs(sub, arms, ee, dt, rung) -> tuple[SyncMotion, SyncMotion]:
+def _legs(sub, arms, ee, rung) -> tuple[SyncMotion, SyncMotion]:
     """A round's two legs on `rung`: the start-bound leg from `ee`, then the
     goal-bound leg from where the start leg ends.  SubTaskInfeasible if the
     rung cannot plan either."""
-    start = rung(sub, arms, Stage.TO_START, ee, dt)
-    goal = rung(sub, arms, Stage.TO_GOAL, [p.end for p in start.paths], dt)
+    start = rung(sub, arms, Stage.TO_START, ee)
+    goal = rung(sub, arms, Stage.TO_GOAL, [p.end for p in start.paths])
     return start, goal
 
 
-def sequential_round(
-    sub: InstantiatedSubTask, arms, ee, dt: float = DT
-) -> tuple[SyncMotion, SyncMotion]:
+def sequential_round(sub: InstantiatedSubTask, arms, ee) -> tuple[SyncMotion, SyncMotion]:
     """Both legs of a recorded round on the sequential rung alone: the step
     of the forced-sequential replay."""
-    return _legs(sub, arms, ee, dt, sequential_fallback)
+    return _legs(sub, arms, ee, sequential_fallback)
 
 
-def _relay_buffers(session: PlannerSession, obj: int, k: int) -> list[Pose2]:
+def _relay_buffers(session: PlannerSession, obj: int) -> list[Pose2]:
     """Buffer poses reachable by either arm, for handing an object across the
     exclusive zone around each arm base."""
     arms = session.arms
     clearance = max(a.clearance for a in arms)
     return [
         p
-        for p in _buffer_options(session, obj, k)
+        for p in _buffer_options(session, obj)
         if all(_other_base_ok(p.xy, arm, clearance) for arm in arms)
     ]
 
 
-def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, table, k_buffers):
+def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, table):
     """Last-resort recovery: move one object alone, nearest feasible arm; an
     object stuck between the two base keep-out zones is relayed via a buffer."""
     objs: list[int] = []
@@ -922,7 +905,7 @@ def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, table, k_buf
             plan.single_arm is not None or any(obj == b for _, b in plan.candidates)
         )
         if to_buffer:
-            targets = _buffer_options(session, obj, k_buffers)
+            targets = _buffer_options(session, obj)
         elif dg.out_neighbors(obj):
             continue  # blocked by a live dependency, handled in pass 2/3
         else:
@@ -932,21 +915,16 @@ def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, table, k_buf
     # relayed through a dual-reachable buffer (hand-over across the table)
     for obj in objs:
         if not plan.need_buffer and not dg.out_neighbors(obj):
-            yield from _single_moves(session, table, obj, _relay_buffers(session, obj, k_buffers), True)
+            yield from _single_moves(session, table, obj, _relay_buffers(session, obj), True)
     # pass 3: a cycle member nothing else frees is parked at a buffer, the
     # same way a single arm would break the cycle; an object already sitting
     # at a buffer is never re-parked (no progress in that)
     for obj in objs:
         if dg.out_neighbors(obj) and obj not in session.buffered:
-            yield from _single_moves(session, table, obj, _buffer_options(session, obj, k_buffers), True)
+            yield from _single_moves(session, table, obj, _buffer_options(session, obj), True)
 
 
-def plan_motion(
-    plan: TaskPlan,
-    session: PlannerSession,
-    dt: float = DT,
-    k_buffers: int = K_BUFFERS,
-) -> tuple[InstantiatedSubTask, SyncMotion, SyncMotion]:
+def plan_motion(plan: TaskPlan, session: PlannerSession) -> tuple[InstantiatedSubTask, SyncMotion, SyncMotion]:
     """Select the round's sub-task and plan both of its legs.
 
     Instantiations are tried in order, then single-object recovery moves;
@@ -955,13 +933,13 @@ def plan_motion(
     arms = session.arms
     table = _table_boxes(session)
     subs = itertools.chain(
-        _iter_instantiations(plan, session, table, k_buffers),
-        _degraded_single_moves(plan, session, table, k_buffers),
+        _iter_instantiations(plan, session, table),
+        _degraded_single_moves(plan, session, table),
     )
     last_error = "no feasible instantiation"
     for sub in subs:
         try:
-            start, goal = _legs(sub, arms, session.ee, dt, _ladder)
+            start, goal = _legs(sub, arms, session.ee, _ladder)
         except SubTaskInfeasible as exc:
             last_error = str(exc)
             continue

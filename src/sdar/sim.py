@@ -29,7 +29,6 @@ from .geom import Pose2, box_at, dist, inside, overlaps, segment_clearance
 from .instances import Instance, instance_hash
 from .motion import (
     DT,
-    K_BUFFERS,
     ArmModel,
     InstantiatedSubTask,
     MotionFailure,
@@ -86,7 +85,7 @@ class Trace:
     instance_hash: str
     seed: int
     arms: tuple[ArmModel, ArmModel]
-    dt: float
+    dt: float = DT  # a parsed trace keeps its header's value; verify_trace wants DT
     legs: list[LegRecord] = field(default_factory=list)
     metrics: Optional[RunMetrics] = None
 
@@ -106,9 +105,8 @@ def new_session(instance: Instance, seed: int, arms=None) -> PlannerSession:
     return PlannerSession(instance=instance, rng_seed=seed, arms=arms)
 
 
-def _sample_leg(motion: SyncMotion, dt: float):
-    # a moving leg exports both of its ends, however coarse dt is
-    steps = max(1, int(round(1.0 / dt))) if motion.duration > 1e-12 else 0
+def _sample_leg(motion: SyncMotion):
+    steps = round(1.0 / DT) if motion.duration > 1e-12 else 0
     times = [motion.duration * k / steps for k in range(steps + 1)] if steps else [0.0]
     return [
         [
@@ -121,7 +119,7 @@ def _sample_leg(motion: SyncMotion, dt: float):
     ]
 
 
-def _record_leg(trace, sub, motion, candidates, dt):
+def _record_leg(trace, sub, motion, candidates):
     objs = tuple(t.obj for t in sub.tasks)
     angles = tuple(t.angle.value if t.angle else None for t in sub.tasks)
     grips = []
@@ -145,7 +143,7 @@ def _record_leg(trace, sub, motion, candidates, dt):
             buffer_pose=sub.buffer_pose,
             candidates=list(candidates),
             duration=motion.duration,
-            samples=_sample_leg(motion, dt),
+            samples=_sample_leg(motion),
             grips=grips,
             places=places,
         )
@@ -170,21 +168,14 @@ def _apply_round(session: PlannerSession, sub: InstantiatedSubTask, goal_motion:
     session.rounds += 1
 
 
-def execute(
-    session: PlannerSession,
-    *,
-    dt: float = DT,
-    k_buffers: int = K_BUFFERS,
-    record: Optional[RunRecord] = None,
-) -> RunMetrics:
+def execute(session: PlannerSession, *, record: Optional[RunRecord] = None) -> RunMetrics:
     """Plan rounds until the instance resolves, each one task plan and one
     `plan_motion` call for both legs, and commit each one as it comes.  A
     run that still has work after 2n rounds ends with RoundLimitExceeded."""
-    rounds = _planned_rounds(session, dt, k_buffers)
-    return _commit(session, rounds, dt, record or RunRecord())
+    return _commit(session, _planned_rounds(session), record or RunRecord())
 
 
-def _planned_rounds(session: PlannerSession, dt: float, k_buffers: int):
+def _planned_rounds(session: PlannerSession):
     n = session.instance.n
     while True:
         try:
@@ -193,33 +184,33 @@ def _planned_rounds(session: PlannerSession, dt: float, k_buffers: int):
             return
         if session.rounds >= 2 * n:
             raise RoundLimitExceeded(f"round {session.rounds + 1} exceeds the cap of 2n rounds (n = {n})")
-        yield (*plan_motion(plan, session, dt=dt, k_buffers=k_buffers), plan.candidates)
+        yield (*plan_motion(plan, session), plan.candidates)
 
 
-def _replayed_rounds(session: PlannerSession, subs, dt: float):
+def _replayed_rounds(session: PlannerSession, subs):
     """Recorded sub-tasks on the sequential rung, with no task planning."""
     for sub in subs:
         try:
-            start, goal = sequential_round(sub, session.arms, session.ee, dt)
+            start, goal = sequential_round(sub, session.arms, session.ee)
         except SubTaskInfeasible as exc:
             raise MotionFailure(f"forced sub-task failed: {exc}") from exc
         yield sub, start, goal, []
 
 
-def _commit(session: PlannerSession, rounds, dt: float, record: RunRecord) -> RunMetrics:
+def _commit(session: PlannerSession, rounds, record: RunRecord) -> RunMetrics:
     """Apply each (sub, start, goal, candidates) round, checking the arrangement
     after it and the goal at the end; a MotionFailure is the run's failure."""
     inst = session.instance
     metrics = RunMetrics(n=inst.n)
-    trace = record.trace = Trace(instance_hash(inst), session.rng_seed, session.arms, dt)
+    trace = record.trace = Trace(instance_hash(inst), session.rng_seed, session.arms)
     fallbacks: dict[str, int] = {}
     checked = False  # whether a round has passed the whole-table check
     try:
         for sub, start, goal, candidates in rounds:
             record.subs.append(sub)
             record.motions += [start, goal]
-            _record_leg(trace, sub, start, candidates, dt)
-            _record_leg(trace, sub, goal, [], dt)
+            _record_leg(trace, sub, start, candidates)
+            _record_leg(trace, sub, goal, [])
             _apply_round(session, sub, goal)
             for motion in (start, goal):
                 fallbacks[motion.mode.value] = fallbacks.get(motion.mode.value, 0) + 1
@@ -254,8 +245,6 @@ def run_instance(
     seed: int,
     arms=None,
     *,
-    dt: float = DT,
-    k_buffers: int = K_BUFFERS,
     force_sequential: bool = False,
     forced_subs=None,
 ) -> tuple[RunMetrics, RunRecord]:
@@ -266,9 +255,8 @@ def run_instance(
     session = new_session(instance, seed, arms)
     rec = RunRecord()
     if forced_subs is None:
-        return execute(session, dt=dt, k_buffers=k_buffers, record=rec), rec
-    rounds = _replayed_rounds(session, forced_subs, dt)
-    return _commit(session, rounds, dt, rec), rec
+        return execute(session, record=rec), rec
+    return _commit(session, _replayed_rounds(session, forced_subs), rec), rec
 
 
 @dataclass
@@ -283,18 +271,11 @@ class Evaluation:
     plan_s: float  # wall seconds of the planning run alone
 
 
-def evaluate(
-    instance: Instance,
-    seed: int,
-    arms=None,
-    *,
-    dt: float = DT,
-    k_buffers: int = K_BUFFERS,
-) -> Evaluation:
+def evaluate(instance: Instance, seed: int, arms=None) -> Evaluation:
     """Plan and execute the instance, verify the trace, run the single-arm
     oracle, and replay a solved run's sub-tasks on the sequential rung."""
     t0 = time.perf_counter()
-    metrics, record = run_instance(instance, seed, arms, dt=dt, k_buffers=k_buffers)
+    metrics, record = run_instance(instance, seed, arms)
     plan_s = time.perf_counter() - t0
     verdict = verify_trace(record.trace, instance, arms)
     try:
@@ -304,7 +285,7 @@ def evaluate(
     seq_makespan = None
     if metrics.success:
         forced, _ = run_instance(
-            instance, seed, arms, dt=dt, force_sequential=True, forced_subs=record.subs
+            instance, seed, arms, force_sequential=True, forced_subs=record.subs
         )
         if forced.success:
             seq_makespan = forced.makespan
@@ -433,6 +414,13 @@ def _parse_arms(arm_f: list[str]) -> tuple[tuple[ArmModel, ArmModel], float]:
     return arms, take("dt")
 
 
+def _arm_index(text: str) -> int:
+    arm = int(text)
+    if arm not in (0, 1):
+        raise ValueError(f"arm index {arm} is not 0 or 1")
+    return arm
+
+
 def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> None:
     """Add one body line to the trace being parsed."""
     if parts[0] == "leg":
@@ -463,15 +451,17 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
         )
     elif parts[0] == "s":
         leg = legs[int(parts[1])]
-        arm = int(parts[2])
+        arm = _arm_index(parts[2])
         carried = None if parts[6] == "-" else int(parts[6])
         leg.samples[arm].append(
             (float(parts[3]), float(parts[4]), float(parts[5]), carried)
         )
     elif parts[0] == "grip":
+        if parts[3] not in ("close", "open"):
+            raise ValueError(f"grip action {parts[3]!r} is not close or open")
         legs[int(parts[1])].grips.append(
             (
-                int(parts[2]),
+                _arm_index(parts[2]),
                 parts[3],
                 int(parts[4]),
                 float(parts[5]),
@@ -563,13 +553,13 @@ def _non_finite(leg: LegRecord) -> Optional[str]:
 
 def _header_mismatch(trace: Trace, arms) -> Optional[str]:
     """The first field of the trace's arms line that disagrees with `arms`
-    (or a dt that is not a finite positive number), or None."""
+    (or a dt other than the planner's DT), or None."""
     stated = _arms_line(trace.arms)
     for name, want in _arms_line(arms).items():
         if stated[name] != want:
             return f"header {name} {stated[name]!r} differs from the arms' {want!r}"
-    if not (math.isfinite(trace.dt) and trace.dt > 0.0):
-        return f"header dt {trace.dt!r} is not a finite positive number"
+    if trace.dt != DT:
+        return f"header dt {trace.dt!r} differs from the planner's {DT!r}"
     return None
 
 

@@ -1,9 +1,8 @@
-import os
 import re
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
 
 from sdar import cli, instances
 from sdar.cli import main
@@ -186,50 +185,62 @@ def test_bench_parallel_jobs_match_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def _exit_code(*args):
+    """The exit code of a command line that argparse may refuse."""
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_plan_rejects_bad_motion_flags(capsys):
-    for flags in (("--dt", "0"), ("--dt", "-0.02"), ("--k-buffers", "0")):
-        assert run_cli("plan", FIXTURES / "showcase9.inst", *flags) == 2, flags
-        assert "input error:" in capsys.readouterr().err
-
-
-def test_plan_rejects_bad_dt_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("SDAR_DT", "0")
-    assert run_cli("plan", FIXTURES / "showcase9.inst") == 2
-    assert "input error:" in capsys.readouterr().err
-
-
-def _plan_in_subprocess(*flags, **env):
-    """`sdar plan showcase9` in a child process, so that a run that never
-    ends fails the test at the timeout instead of hanging it."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "sdar.cli", "plan", str(FIXTURES / "showcase9.inst"), *flags],
-        env={**os.environ, "PYTHONPATH": path, **env},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-
-
-def test_plan_rejects_tiny_dt():
-    done = _plan_in_subprocess("--dt", "1e-9")
-    assert done.returncode == 2, done.stderr
-    assert "input error:" in done.stderr
-
-
-def test_plan_rejects_tiny_dt_from_environment():
-    done = _plan_in_subprocess(SDAR_DT="1e-9")
-    assert done.returncode == 2, done.stderr
-    assert "input error:" in done.stderr
+    # the time step and the buffer count are constants, not flags
+    for flags in (("--dt", "0.02"), ("--dt", "0"), ("--k-buffers", "5"), ("--k-buffers", "0")):
+        assert _exit_code("plan", FIXTURES / "showcase9.inst", *flags) == 2, flags
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_bench_rejects_bad_dt(tmp_path, capsys):
     suite = tmp_path / "suite"
     run_cli("gen", "S", "3", "--seed", "0", "--out", suite)
     csv = tmp_path / "report.csv"
-    assert run_cli("bench", suite, "--out", csv, "--dt", "0") == 2
-    assert "input error:" in capsys.readouterr().err
+    assert _exit_code("bench", suite, "--out", csv, "--dt", "0.02") == 2
+    assert "unrecognized arguments: --dt 0.02" in capsys.readouterr().err
     assert not csv.exists()
+
+
+def test_non_utf8_instance_is_an_input_error(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    bad = suite / "bad.inst"
+    bad.write_bytes(b"sdar-instance/1\nlabel \xff\n")
+    for args in (("plan", bad), ("bench", suite, "--out", tmp_path / "report.csv")):
+        assert run_cli(*args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {bad}: not UTF-8 text"), err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "bench", "gen", "render"])
+def test_unwritable_output_path_is_an_input_error(command, tmp_path, monkeypatch, capsys):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    suite = tmp_path / "suite"
+    run_cli("gen", "S", "3", "--seed", "0", "--out", suite)
+    csv = tmp_path / "report.csv"
+    args = {
+        "plan": ("plan", FIXTURES / "showcase9.inst", "--trace-out", tmp_path / "nodir" / "x.trace"),
+        "bench": ("bench", suite, "--out", csv, "--traces", a_file),
+        "gen": ("gen", "S", "3", "--out", a_file),
+        "render": ("render", FIXTURES / "showcase9.inst", "--out", a_file),
+    }[command]
+    planned = []
+    monkeypatch.setattr(cli, "_bench_one", planned.append)
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    # bench makes its output directories before it plans a row
+    assert planned == [] and not csv.exists()
 
 
 def test_plan_rejects_bad_clearance(capsys):

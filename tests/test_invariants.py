@@ -3,7 +3,7 @@
 from sdar import instances, sim
 from sdar.depgraph import decompose, footprint
 from sdar.geom import overlaps
-from sdar.motion import K_BUFFERS, _iter_instantiations, _table_boxes, plan_motion
+from sdar.motion import _iter_instantiations, _table_boxes, plan_motion
 from sdar.sim import _apply_round
 from sdar.taskplan import TaskComplete, next_task_plan
 
@@ -68,7 +68,7 @@ def test_selected_targets_never_overlap_live_footprints():
     for seed in range(8):
         inst = instances.gen_random(8, 500 + seed)
         for session, plan in step_through(inst, seed):
-            sub = next(_iter_instantiations(plan, session, _table_boxes(session), K_BUFFERS), None)
+            sub = next(_iter_instantiations(plan, session, _table_boxes(session)), None)
             if sub is None:
                 continue
             moving = {t.obj for t in sub.tasks if t.obj is not None}

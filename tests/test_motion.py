@@ -618,20 +618,20 @@ def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
     assert sum(differ) > 10, (sum(differ), len(differ))
 
 
-def iter_instantiations_reference(plan, session, table, k_buffers):
+def iter_instantiations_reference(plan, session, table):
     """The eager enumeration: every option bound at each angle level, the
     bound ones sorted by (max-arm travel, candidate, buffer), repeats
     dropped."""
     goal_of = session.instance.goal.pose_of
     if plan.single_arm is not None:
         obj = plan.single_arm
-        targets = motion._buffer_options(session, obj, k_buffers) if plan.need_buffer else [goal_of(obj)]
+        targets = motion._buffer_options(session, obj) if plan.need_buffer else [goal_of(obj)]
         return list(motion._single_moves(session, table, obj, targets, plan.need_buffer))
     buffers_for = {}
     if plan.need_buffer:
         for _, b in plan.candidates:
             if b not in buffers_for:
-                buffers_for[b] = motion._buffer_options(session, b, k_buffers)
+                buffers_for[b] = motion._buffer_options(session, b)
     out, seen = [], set()
     for level in (motion.TOP_DOWN_SET, motion.FULL_SET):
         scored = []
@@ -674,12 +674,12 @@ def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
     lazy = motion._iter_instantiations
     kinds = []
 
-    def compared(plan, session, table, k_buffers):
+    def compared(plan, session, table):
         state = session.rng.getstate()
-        expect = iter_instantiations_reference(plan, session, table, k_buffers)
+        expect = iter_instantiations_reference(plan, session, table)
         after = session.rng.getstate()
         session.rng.setstate(state)
-        got = list(lazy(plan, session, table, k_buffers))
+        got = list(lazy(plan, session, table))
         assert got == expect, (session.instance.label, session.rounds)
         assert session.rng.getstate() == after
         kinds.append(
@@ -704,7 +704,7 @@ def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
 def first_instantiation(plan, session):
     """The sub-task that selection binds first, or None if it binds none."""
     table = motion._table_boxes(session)
-    return next(motion._iter_instantiations(plan, session, table, motion.K_BUFFERS), None)
+    return next(motion._iter_instantiations(plan, session, table), None)
 
 
 def test_select_best_task_unobstructed_pair():
@@ -927,8 +927,8 @@ def test_goal_bound_leg_is_planned_once_at_selection(monkeypatch):
     ladder = motion._ladder
     planned = []
 
-    def recording(sub, arms, stage, ee, dt):
-        planned.append(ladder(sub, arms, stage, ee, dt))
+    def recording(sub, arms, stage, ee):
+        planned.append(ladder(sub, arms, stage, ee))
         return planned[-1]
 
     monkeypatch.setattr(motion, "_ladder", recording)
