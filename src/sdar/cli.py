@@ -3,17 +3,15 @@ sweeps, and render scenes, dependency graphs, and trace animations.
 
 Exit codes: 0 success, 1 planning failure, 2 input error (a bad flag, an
 unreadable or malformed input file, or an output path that cannot be
-written).  Numeric defaults can be overridden with SDAR_<FLAG> environment
-variables (SDAR_SEED, SDAR_CLEARANCE, SDAR_JOBS).  The time step and the
-buffer poses per sampling call are the planner's constants `motion.DT` and
-`motion.K_BUFFERS`, not flags.
+written).  Flags are the only settings: no environment variable is read.
+The time step and the buffer poses per sampling call are the planner's
+constants `motion.DT` and `motion.K_BUFFERS`, not flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,25 +30,14 @@ CSV_HEADER = (
 )
 
 
-def _env(name: str, cast, default):
-    raw = os.environ.get(f"SDAR_{name}")
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        print(f"warning: ignoring SDAR_{name}={raw!r}", file=sys.stderr)
-        return default
-
-
 def _add_motion_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-    p.add_argument("--clearance", type=float, default=_env("CLEARANCE", float, DEFAULT_CLEARANCE))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--clearance", type=float, default=DEFAULT_CLEARANCE)
 
 
 def _motion_flags_ok(args) -> bool:
-    """Reject a --clearance value (flag or SDAR_ variable) that cannot be
-    planned with, as an input error."""
+    """Reject a --clearance value that cannot be planned with, as an input
+    error."""
     if math.isfinite(args.clearance) and args.clearance >= 0.0:
         return True
     bad = f"--clearance must be a finite number >= 0, got {args.clearance!r}"
@@ -202,8 +189,12 @@ def cmd_bench(args) -> int:
             print(f"input error: {exc}", file=sys.stderr)
             return 2
         payloads.append((p.stem, inst, args.seed, args.clearance))
-    # the output directories are made before any row is planned
+    # the output path is checked and its directories made before any row is
+    # planned
     out = Path(args.out)
+    if out.is_dir():
+        print(f"input error: --out {out} is a directory", file=sys.stderr)
+        return 2
     out.parent.mkdir(parents=True, exist_ok=True)
     tdir = Path(args.traces) if args.traces else None
     if tdir:
@@ -405,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("category", choices=["R", "S", "D", "M", "default"])
     g.add_argument("n", type=int, nargs="?", default=None, help="object count (R/S/D)")
     g.add_argument("--count", type=int, default=1)
-    g.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="suites")
     g.set_defaults(func=cmd_gen)
 
@@ -419,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("suite")
     b.add_argument("--out", default="report.csv")
     b.add_argument("--traces", default=None, help="directory for per-instance traces")
-    b.add_argument("--jobs", type=int, default=_env("JOBS", int, 1))
+    b.add_argument("--jobs", type=int, default=1)
     _add_motion_flags(b)
     b.set_defaults(func=cmd_bench)
 

@@ -9,14 +9,16 @@ finally sequential execution with one arm parked at its retract pose.  Each
 rung is an ordered list of path variants, and `_first_valid` keeps the first
 that validates.  A round is two legs, start-bound (grasp) then goal-bound
 (place); its sub-task is committed only when both legs climb the ladder, and
-`plan_motion` returns both motions at once.  `sequential_round` plans the
-same two legs on the sequential rung alone, for the forced-sequential replay.
+`plan_motion` returns both motions at once.  The task plan decides which
+objects move and where; `_iter_instantiations` binds its pair options and
+then its one-arm moves to arms, grasp angles and poses, as one stream that
+yields each sub-task once.  `sequential_round` plans the same two legs on
+the sequential rung alone, for the forced-sequential replay.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -40,7 +42,7 @@ from .geom import (
     prefilter_reach2,
     segment_clearance,
 )
-from .taskplan import PlannerSession, TaskPlan, assign_arms
+from .taskplan import GOAL, RELAY, PlannerSession, TaskPlan, assign_arms
 
 # The planner's fixed resolutions: a leg exports a sample every DT of unit
 # time and validates at DT / VALIDATE_REFINE, and a buffer sampling call
@@ -540,7 +542,7 @@ def _blocked(box: OrientedBox, near, min_gap: float) -> bool:
 # ------------------------------------------------------ sub-task binding
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArmTask:
     obj: Optional[int] = None
     angle: Optional[GraspAngle] = None
@@ -549,10 +551,9 @@ class ArmTask:
     to_buffer: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstantiatedSubTask:
     tasks: tuple[ArmTask, ArmTask]
-    pair: Optional[tuple[int, int]] = None
 
     @property
     def buffer_pose(self) -> Optional[Pose2]:
@@ -635,81 +636,88 @@ def _pending_goal_boxes(session: PlannerSession) -> list[OrientedBox]:
 
 
 def _iter_instantiations(plan: TaskPlan, session: PlannerSession, table):
-    """Candidate x angle-level x buffer enumeration, deterministic, narrowest
-    angle set first, then smallest max-arm travel.
+    """The round's sub-tasks in try order, each yielded once: the pair
+    options, then the plan's one-arm moves, each group bound at the top-down
+    angles, then at every angle, in option order.  Options are bound one at
+    a time, so a caller that stops at the first sub-task binds no later
+    option and draws no buffer poses for a later one-arm move."""
+    seen = set()
+    for options in _option_groups(plan, session):
+        for level in (TOP_DOWN_SET, FULL_SET):
+            for option in options:
+                sub = _bind(session, table, option, level)
+                if sub is not None and sub not in seen:
+                    seen.add(sub)
+                    yield sub
 
-    Travel needs only each arm's pick and target, so every option is ranked
-    before any is bound, and options are then bound one at a time in that
-    order: a caller that stops at the first sub-task binds no other option.
-    Dropping the options that fail to bind keeps the order of the rest."""
+
+def _option_groups(plan: TaskPlan, session: PlannerSession):
+    """Options are per-arm moves `(obj, target, to_buffer)`, None for an idle
+    arm.  A group's buffer poses are drawn when the group is reached."""
+    yield _pair_options(plan, session)
+    for obj, kind in plan.singles:
+        yield _single_moves(session, obj, kind)
+
+
+def _pair_options(plan: TaskPlan, session: PlannerSession):
+    """Pair options ranked by max-arm travel, then candidate, then buffer.
+    The first object of a pair goes to its goal, the second to its goal or,
+    on a buffer plan, to each buffer pose drawn for it."""
     goal_of = session.instance.goal.pose_of
     pose_of = session.current.pose_of
-
-    if plan.single_arm is not None:
-        obj = plan.single_arm
-        targets = _buffer_options(session, obj) if plan.need_buffer else [goal_of(obj)]
-        yield from _single_moves(session, table, obj, targets, plan.need_buffer)
-        return
-
-    buffers_for: dict[int, list[Pose2]] = {}
-    if plan.need_buffer:
-        # deterministic per-object draws, in candidate order
-        for _, b in plan.candidates:
-            if b not in buffers_for:
-                buffers_for[b] = _buffer_options(session, b)
-
+    # on a buffer plan, deterministic per-object draws in candidate order
+    parked = dict.fromkeys(b for _, b in plan.candidates if plan.need_buffer)
+    buffers_for = {b: _buffer_options(session, b) for b in parked}
     ranked = []
     for idx, (i, j) in enumerate(plan.candidates):
         o1, o2 = assign_arms((i, j), session.current, session.arms)
-        if plan.need_buffer:
-            # second pair element parks at a buffer, first goes home
-            opts = [(goal_of(i), b) for b in buffers_for[j]]
-        else:
-            opts = [(goal_of(i), goal_of(j))]
-        for b_idx, (ti, tj) in enumerate(opts):
-            tmap = {i: ti, j: tj}
-            travel = max(
-                _travel(session, 0, pose_of(o1).xy, tmap[o1]),
-                _travel(session, 1, pose_of(o2).xy, tmap[o2]),
-            )
-            ranked.append((travel, idx, b_idx, o1, tmap[o1], o2, tmap[o2], (i, j)))
-    ranked.sort(key=lambda s: s[:3])
-
-    seen = set()
-    for level in (TOP_DOWN_SET, FULL_SET):
-        for *_, o1, target1, o2, target2, pair in ranked:
-            t1 = _bind_arm(session, table, 0, o1, target1, level, o2, target2)
-            if t1 is None:
-                continue
-            t2 = _bind_arm(session, table, 1, o2, target2, level, o1, target1)
-            if t2 is None:
-                continue
-            if plan.need_buffer:
-                if t1.obj == pair[1]:
-                    t1 = replace(t1, to_buffer=True)
-                else:
-                    t2 = replace(t2, to_buffer=True)
-            key = (pair, t1.target, t2.target, t1.angle, t2.angle)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield InstantiatedSubTask(tasks=(t1, t2), pair=pair)
+        pick1, pick2 = pose_of(o1).xy, pose_of(o2).xy
+        first = (i, goal_of(i), False)
+        targets = buffers_for[j] if plan.need_buffer else [goal_of(j)]
+        for b_idx, target in enumerate(targets):
+            second = (j, target, plan.need_buffer)
+            m1, m2 = (first, second) if o1 == i else (second, first)
+            travel = max(_travel(session, 0, pick1, m1[1]), _travel(session, 1, pick2, m2[1]))
+            ranked.append(((travel, idx, b_idx), (m1, m2)))
+    ranked.sort(key=lambda r: r[0])
+    return [option for _, option in ranked]
 
 
-def _single_moves(session: PlannerSession, table, obj: int, targets, to_buffer: bool):
-    """One-arm instantiations moving `obj`: narrowest angle set first, then
-    the arm nearest the object, then target order."""
+def _single_moves(session: PlannerSession, obj: int, kind: str):
+    """One-arm options moving `obj` to its goal, to buffer poses, or to relay
+    buffer poses either arm can reach (to hand an object across the zone
+    around an arm base): the arm nearest the object first, then target
+    order."""
+    arms = session.arms
+    targets = [session.instance.goal.pose_of(obj)] if kind == GOAL else _buffer_options(session, obj)
+    if kind == RELAY:
+        clearance = max(a.clearance for a in arms)
+        targets = [p for p in targets if all(_other_base_ok(p.xy, arm, clearance) for arm in arms)]
     pose = session.current.pose_of(obj)
-    order = sorted((0, 1), key=lambda a: dist(session.arms[a].base, pose.xy))
-    for level in (TOP_DOWN_SET, FULL_SET):
-        for arm_idx in order:
-            for target in targets:
-                task = _bind_arm(session, table, arm_idx, obj, target, level, None, None)
-                if task is None:
-                    continue
-                tasks = [ArmTask(), ArmTask()]
-                tasks[arm_idx] = replace(task, to_buffer=to_buffer)
-                yield InstantiatedSubTask(tasks=tuple(tasks))
+    order = sorted((0, 1), key=lambda a: dist(arms[a].base, pose.xy))
+    options = []
+    for arm_idx in order:
+        for target in targets:
+            move = (obj, target, kind != GOAL)
+            options.append((move, None) if arm_idx == 0 else (None, move))
+    return options
+
+
+def _bind(session: PlannerSession, table, option, level) -> Optional[InstantiatedSubTask]:
+    """Bind an option arm by arm at the first angle of `level` that suits
+    each, or None."""
+    tasks = []
+    for arm_idx, move in enumerate(option):
+        if move is None:
+            tasks.append(ArmTask())
+            continue
+        obj, target, to_buffer = move
+        partner, partner_target, _ = option[1 - arm_idx] or (None, None, None)
+        task = _bind_arm(session, table, arm_idx, obj, target, level, partner, partner_target)
+        if task is None:
+            return None
+        tasks.append(replace(task, to_buffer=True) if to_buffer else task)
+    return InstantiatedSubTask(tuple(tasks))
 
 
 def _buffer_options(session: PlannerSession, obj: int) -> list[Pose2]:
@@ -874,72 +882,16 @@ def sequential_round(sub: InstantiatedSubTask, arms, ee) -> tuple[SyncMotion, Sy
     return _legs(sub, arms, ee, sequential_fallback)
 
 
-def _relay_buffers(session: PlannerSession, obj: int) -> list[Pose2]:
-    """Buffer poses reachable by either arm, for handing an object across the
-    exclusive zone around each arm base."""
-    arms = session.arms
-    clearance = max(a.clearance for a in arms)
-    return [
-        p
-        for p in _buffer_options(session, obj)
-        if all(_other_base_ok(p.xy, arm, clearance) for arm in arms)
-    ]
-
-
-def _degraded_single_moves(plan: TaskPlan, session: PlannerSession, table):
-    """Last-resort recovery: move one object alone, nearest feasible arm; an
-    object stuck between the two base keep-out zones is relayed via a buffer."""
-    objs: list[int] = []
-    if plan.single_arm is not None:
-        objs = [plan.single_arm]
-    else:
-        for pair in plan.candidates:
-            for o in pair:
-                if o not in objs:
-                    objs.append(o)
-    dg = session.graph_over_remaining()
-
-    # pass 1: place one object directly (buffer targets if the plan says so)
-    for obj in objs:
-        to_buffer = plan.need_buffer and (
-            plan.single_arm is not None or any(obj == b for _, b in plan.candidates)
-        )
-        if to_buffer:
-            targets = _buffer_options(session, obj)
-        elif dg.out_neighbors(obj):
-            continue  # blocked by a live dependency, handled in pass 2/3
-        else:
-            targets = [session.instance.goal.pose_of(obj)]
-        yield from _single_moves(session, table, obj, targets, to_buffer)
-    # pass 2: a movable object no single arm can both pick and place is
-    # relayed through a dual-reachable buffer (hand-over across the table)
-    for obj in objs:
-        if not plan.need_buffer and not dg.out_neighbors(obj):
-            yield from _single_moves(session, table, obj, _relay_buffers(session, obj), True)
-    # pass 3: a cycle member nothing else frees is parked at a buffer, the
-    # same way a single arm would break the cycle; an object already sitting
-    # at a buffer is never re-parked (no progress in that)
-    for obj in objs:
-        if dg.out_neighbors(obj) and obj not in session.buffered:
-            yield from _single_moves(session, table, obj, _buffer_options(session, obj), True)
-
-
 def plan_motion(plan: TaskPlan, session: PlannerSession) -> tuple[InstantiatedSubTask, SyncMotion, SyncMotion]:
     """Select the round's sub-task and plan both of its legs.
 
-    Instantiations are tried in order, then single-object recovery moves;
-    the first whose two legs both pass the rung ladder, the goal-bound leg
-    planned from where the start leg ends, is returned as (sub, start, goal)."""
-    arms = session.arms
-    table = _table_boxes(session)
-    subs = itertools.chain(
-        _iter_instantiations(plan, session, table),
-        _degraded_single_moves(plan, session, table),
-    )
+    The sub-tasks of `_iter_instantiations` are tried in order; the first
+    whose two legs both pass the rung ladder, the goal-bound leg planned
+    from where the start leg ends, is returned as (sub, start, goal)."""
     last_error = "no feasible instantiation"
-    for sub in subs:
+    for sub in _iter_instantiations(plan, session, _table_boxes(session)):
         try:
-            start, goal = _legs(sub, arms, session.ee, _ladder)
+            start, goal = _legs(sub, session.arms, session.ee, _ladder)
         except SubTaskInfeasible as exc:
             last_error = str(exc)
             continue

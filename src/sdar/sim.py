@@ -615,6 +615,8 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
         bad = _non_finite(leg)
         if bad:
             return False, f"{where}: non-finite {bad}"
+        if any(abs(leg.samples[a][-1][0] - leg.duration) > 1e-9 for a in (0, 1)):
+            return False, f"{where}: duration differs from its last sample time"
         if prev_end is not None:
             for a in (0, 1):
                 _, x0, y0, _ = leg.samples[a][0]
@@ -623,12 +625,14 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
         hit = _clearance_violation(*leg.samples, a1.base, a2.base, clearance - 1e-6)
         if hit:
             return False, f"{where}: clearance {hit[1]:.4f} at sample {hit[0]}"
-        sample_gap = leg.duration / max(len(leg.samples[0]) - 1, 1)
         for arm, action, obj, t, point in leg.grips:
-            # the event point must agree with nearby samples (unit EE speed)
-            gaps = [abs(s[0] - t) for s in leg.samples[arm]]
-            near = leg.samples[arm][gaps.index(min(gaps))]
-            if dist((near[1], near[2]), point) > sample_gap + 1e-9:
+            # the event point must agree with nearby samples (unit EE speed),
+            # as far as the widest spacing of the arm's sample times allows
+            samples = leg.samples[arm]
+            spacing = max((b[0] - a[0] for a, b in zip(samples, samples[1:])), default=0.0)
+            gaps = [abs(s[0] - t) for s in samples]
+            near = samples[gaps.index(min(gaps))]
+            if dist((near[1], near[2]), point) > spacing + 1e-9:
                 return False, f"{where}: arm {arm + 1} event point far from its path"
             if action == "close":
                 if obj not in table:

@@ -2,16 +2,17 @@
 
 One task plan per synchronized round: the planner rebuilds the dependency
 graph over unsolved objects and emits candidate object pairs (movable pairs,
-a chain terminal pair, or cycle-breaking pairs with the buffer flag), or a
-single object for one arm.  The motion layer plans both legs of the round
-from that plan.
+a chain terminal pair, or cycle-breaking pairs with the buffer flag), then
+the one-arm moves to try if no pair works, each an object and its target
+(goal, buffer, or a relay buffer both arms can reach).  The task plan decides
+every move of the round; the motion layer binds the moves to arms, grasps
+and poses, and plans both legs of the round.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .depgraph import Arrangement, DepGraph, build_dependency_graph, decompose
 from .geom import dist
@@ -30,11 +31,19 @@ class CycleTooShort(Exception):
     pass
 
 
+# the targets of a one-arm move
+GOAL, BUFFER, RELAY = "goal", "buffer", "relay"
+
+
 @dataclass
 class TaskPlan:
+    """The object pairs to try (on a buffer plan the second object of each
+    pair parks at a buffer), then the one-arm moves `(object, GOAL | BUFFER
+    | RELAY)` in try order."""
+
     candidates: list[tuple[int, int]] = field(default_factory=list)
     need_buffer: bool = False
-    single_arm: Optional[int] = None  # object moved by one arm alone
+    singles: list[tuple[int, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -107,10 +116,43 @@ def next_task_plan(session: PlannerSession) -> TaskPlan:
         raise TaskComplete
 
     if len(session.remaining) == 1:
-        return TaskPlan(single_arm=next(iter(session.remaining)))
+        (obj,) = session.remaining
+        plan, movable = TaskPlan(singles=[(obj, GOAL)]), {obj}
+    else:
+        dg = session.graph_over_remaining()
+        decomp = decompose(dg)
+        plan, movable = _choose(session, dg, decomp), set(decomp.movable_now)
+    plan.singles += _recovery_moves(plan, movable, session.buffered)
+    return plan
 
-    dg = session.graph_over_remaining()
-    decomp = decompose(dg)
+
+def _recovery_moves(plan: TaskPlan, movable: set[int], buffered: set[int]) -> list[tuple[int, str]]:
+    """The one-arm moves to try after the plan's own, in try order, over the
+    plan's objects; blocked means not movable now.  A goal move is listed
+    once; a buffer move listed twice draws its poses afresh each time."""
+    objs = list(dict.fromkeys(o for pair in plan.candidates for o in pair)) or [plan.singles[0][0]]
+    parked = {b for _, b in plan.candidates} or set(objs)
+    # pass 1: each object alone, a parked one to a buffer, an unblocked one
+    # to its goal
+    moves = []
+    for obj in objs:
+        if plan.need_buffer and obj in parked:
+            moves.append((obj, BUFFER))
+        elif obj in movable and (obj, GOAL) not in plan.singles:
+            moves.append((obj, GOAL))
+    # pass 2: an unblocked object no single arm can both pick and place is
+    # handed across the table through a buffer both arms reach
+    if not plan.need_buffer:
+        moves += [(obj, RELAY) for obj in objs if obj in movable]
+    # pass 3: a blocked object nothing else frees is parked, as a single arm
+    # breaks a cycle; re-parking an object already at a buffer gains nothing
+    moves += [(obj, BUFFER) for obj in objs if obj not in movable and obj not in buffered]
+    return moves
+
+
+def _choose(session: PlannerSession, dg: DepGraph, decomp) -> TaskPlan:
+    """The round's pairs, or its lone-object move, from the graph over the
+    remaining objects."""
     movable = decomp.movable_now
 
     if len(movable) >= 2:
@@ -154,12 +196,12 @@ def next_task_plan(session: PlannerSession) -> TaskPlan:
         partners = sorted(j for j in session.remaining if dg.out_neighbors(j) == {v})
         if partners:
             return TaskPlan(candidates=[(x, v) for x in partners], need_buffer=True)
-        return TaskPlan(single_arm=v, need_buffer=True)
+        return TaskPlan(need_buffer=True, singles=[(v, BUFFER)])
 
     if movable:
         # a lone movable object with no partner and no breakable cycle this
         # round still makes progress on its own
-        return TaskPlan(single_arm=movable[0])
+        return TaskPlan(singles=[(movable[0], GOAL)])
 
     raise InconsistentState(
         "no resolvable structure in the dependency graph; remaining="

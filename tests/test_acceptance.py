@@ -35,6 +35,15 @@ ARMS = default_arms()
 # their total action count: any change to a plan changes one of the two
 BEHAVIOUR_DIGEST = "6fc08af60059"
 BEHAVIOUR_ACTIONS = 1889
+# the same over the 20 crowded tables gen_random(n, s), n = 14..22 even and
+# s = 0..3, per plan seed: (digest, actions, solved).  Their recovery moves
+# are where the one-arm move list is used most.
+DENSE_DIGESTS = {
+    42: ("5e6dccba9bde", 313, 15),
+    1: ("7f869ef4bea9", 308, 15),
+    2: ("2d9bc3e1cd90", 343, 15),
+    3: ("a07d38546b5f", 322, 13),
+}
 
 
 def _report(num, name, ok, detail=""):
@@ -153,6 +162,21 @@ def test_behaviour_digest_unchanged(suite_results):
     assert (digest[:12], actions) == (BEHAVIOUR_DIGEST, BEHAVIOUR_ACTIONS), (
         f"behaviour digest {digest[:12]} with {actions} actions; a change that "
         "alters plans must say why and record the new digest"
+    )
+
+
+@pytest.mark.parametrize("seed", sorted(DENSE_DIGESTS))
+def test_dense_digest_unchanged(seed):
+    h = hashlib.sha256()
+    actions = solved = 0
+    for n in (14, 16, 18, 20, 22):
+        for s in range(4):
+            metrics, record = sim.run_instance(instances.gen_random(n, s), seed)
+            h.update(sim.dumps_trace(record.trace).encode())
+            actions += metrics.actions
+            solved += metrics.success
+    assert (h.hexdigest()[:12], actions, solved) == DENSE_DIGESTS[seed], (
+        "a change that alters dense plans must say why and record the new digest"
     )
 
 

@@ -54,8 +54,8 @@ def test_candidates_never_include_solved_objects():
         for session, plan in step_through(inst):
             for pair in plan.candidates:
                 assert set(pair) <= session.remaining
-            if plan.single_arm is not None:
-                assert plan.single_arm in session.remaining
+            for obj, _ in plan.singles:
+                assert obj in session.remaining
             if plan.need_buffer and plan.candidates:
                 # every buffer-flagged pair lies on one cycle of the current graph
                 d = decompose(session.graph_over_remaining())

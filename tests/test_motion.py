@@ -46,7 +46,7 @@ from sdar.motion import (
     _phases,
     _timed,
 )
-from sdar.taskplan import TaskComplete, next_task_plan
+from sdar.taskplan import BUFFER, GOAL, TaskComplete, next_task_plan
 
 ARMS = default_arms()
 
@@ -548,14 +548,18 @@ def _checking_bind_arm(monkeypatch, check):
     `other` in place of the selection's footprint list `table`.
 
     The enumerator binds lazily, so a round would bind only the options up
-    to the one it commits; it is drained into a list before it yields, so
-    that every option of every selection is bound and checked.  The rng
-    draws and the sequence of sub-tasks are unchanged by this."""
+    to the one it commits; it is drained once before it yields, so that
+    every option of every selection is bound and checked.  The rng is then
+    set back and the round enumerates lazily, so the rng draws and the
+    sequence of sub-tasks are unchanged by this."""
     bind = motion._bind_arm
     enumerate_all = motion._iter_instantiations
 
-    def drained(*args):
-        yield from list(enumerate_all(*args))
+    def drained(plan, session, table):
+        state = session.rng.getstate()
+        list(enumerate_all(plan, session, table))
+        session.rng.setstate(state)
+        yield from enumerate_all(plan, session, table)
 
     def checked(session, table, *args):
         result = bind(session, table, *args)
@@ -619,20 +623,17 @@ def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
 
 
 def iter_instantiations_reference(plan, session, table):
-    """The eager enumeration: every option bound at each angle level, the
-    bound ones sorted by (max-arm travel, candidate, buffer), repeats
-    dropped."""
+    """The eager enumeration: every pair option bound at each angle level,
+    the bound ones sorted by (max-arm travel, candidate, buffer), then each
+    one-arm move of the plan, nearest arm first, bound at each angle level;
+    repeats dropped."""
     goal_of = session.instance.goal.pose_of
-    if plan.single_arm is not None:
-        obj = plan.single_arm
-        targets = motion._buffer_options(session, obj) if plan.need_buffer else [goal_of(obj)]
-        return list(motion._single_moves(session, table, obj, targets, plan.need_buffer))
     buffers_for = {}
     if plan.need_buffer:
         for _, b in plan.candidates:
             if b not in buffers_for:
                 buffers_for[b] = motion._buffer_options(session, b)
-    out, seen = [], set()
+    out = []
     for level in (motion.TOP_DOWN_SET, motion.FULL_SET):
         scored = []
         for idx, (i, j) in enumerate(plan.candidates):
@@ -658,19 +659,37 @@ def iter_instantiations_reference(plan, session, table):
                     dist(tuple(session.ee[a]), t.pick) + dist(t.pick, t.target.xy)
                     for a, t in enumerate((t1, t2))
                 )
-                scored.append((travel, idx, b_idx, (t1, t2), (i, j)))
-        for *_, tasks, pair in sorted(scored, key=lambda s: s[:3]):
-            key = (pair, tasks[0].target, tasks[1].target, tasks[0].angle, tasks[1].angle)
-            if key not in seen:
-                seen.add(key)
-                out.append(InstantiatedSubTask(tasks=tasks, pair=pair))
-    return out
+                scored.append((travel, idx, b_idx, (t1, t2)))
+        out += [InstantiatedSubTask(tasks=tasks) for *_, tasks in sorted(scored, key=lambda s: s[:3])]
+    for obj, kind in plan.singles:
+        if kind == GOAL:
+            targets = [goal_of(obj)]
+        elif kind == BUFFER:
+            targets = motion._buffer_options(session, obj)
+        else:
+            keepout = max(a.clearance for a in session.arms) + motion.BASE_KEEPOUT_MARGIN
+            targets = [
+                p for p in motion._buffer_options(session, obj)
+                if all(dist(p.xy, arm.base) >= keepout for arm in session.arms)
+            ]
+        pose = session.current.pose_of(obj)
+        order = sorted((0, 1), key=lambda a: dist(session.arms[a].base, pose.xy))
+        for level in (motion.TOP_DOWN_SET, motion.FULL_SET):
+            for arm_idx in order:
+                for target in targets:
+                    task = motion._bind_arm(session, table, arm_idx, obj, target, level, None, None)
+                    if task is not None:
+                        tasks = [ArmTask(), ArmTask()]
+                        tasks[arm_idx] = replace(task, to_buffer=kind != GOAL)
+                        out.append(InstantiatedSubTask(tasks=tuple(tasks)))
+    return list(dict.fromkeys(out))
 
 
 def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
     # every selection is enumerated twice from the same rng state: the lazy
     # enumerator, drained, must yield the eager reference's sub-tasks in the
-    # same order and leave the rng where the reference leaves it
+    # same order and leave the rng where the reference leaves it; the round
+    # then enumerates lazily from that state again, as an unchecked run does
     lazy = motion._iter_instantiations
     kinds = []
 
@@ -683,9 +702,10 @@ def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
         assert got == expect, (session.instance.label, session.rounds)
         assert session.rng.getstate() == after
         kinds.append(
-            "single" if plan.single_arm is not None else "buffer" if plan.need_buffer else "pair"
+            "single" if not plan.candidates else "buffer" if plan.need_buffer else "pair"
         )
-        yield from got
+        session.rng.setstate(state)
+        yield from lazy(plan, session, table)
 
     monkeypatch.setattr(motion, "_iter_instantiations", compared)
     # the last is a dense table the planner does not solve
@@ -699,6 +719,29 @@ def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
         assert metrics.success == solved, inst.label
     assert set(kinds) == {"single", "buffer", "pair"}, kinds
     assert len(kinds) > 30
+
+
+def test_drained_stream_never_repeats_a_sub_task(monkeypatch):
+    # every selection's whole stream, pairs and one-arm moves, drained from
+    # the rng state the round starts at; the round then runs as usual
+    lazy = motion._iter_instantiations
+    singles = []
+
+    def drained(plan, session, table):
+        state = session.rng.getstate()
+        subs = list(lazy(plan, session, table))
+        assert len(set(subs)) == len(subs), (session.instance.label, session.rounds)
+        singles.extend(sub for sub in subs if ArmTask() in sub.tasks)
+        session.rng.setstate(state)
+        yield from lazy(plan, session, table)
+
+    monkeypatch.setattr(motion, "_iter_instantiations", drained)
+    for inst in (
+        instances.showcase9(), instances.gen_mixed(3), instances.gen_random(14, 1),
+        instances.gen_random(20, 0), instances.gen_random(22, 3),
+    ):
+        sim.run_instance(inst, 42)
+    assert len(singles) > 100
 
 
 def first_instantiation(plan, session):
@@ -748,7 +791,7 @@ def test_select_best_task_prefers_narrow_angle_set():
     plan = next_task_plan(session)
     assert (2, 3) in plan.candidates and (0, 1) in plan.candidates
     sub = first_instantiation(plan, session)
-    assert sub.pair == (2, 3)
+    assert tuple(t.obj for t in sub.tasks) == (2, 3)
     assert all(t.angle in (GraspAngle.TOP_DOWN_LONG, GraspAngle.TOP_DOWN_SHORT) for t in sub.tasks)
 
 

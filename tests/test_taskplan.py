@@ -7,6 +7,9 @@ from sdar.depgraph import Arrangement, DepGraph, decompose
 from sdar.geom import Pose2
 from sdar.motion import default_arms
 from sdar.taskplan import (
+    BUFFER,
+    GOAL,
+    RELAY,
     CycleTooShort,
     TaskComplete,
     assign_arms,
@@ -62,8 +65,9 @@ def test_single_object_left_uses_one_arm():
             session.remaining.discard(i)
             session.current.poses[i] = inst.goal.pose_of(i)
     plan = next_task_plan(session)
-    assert plan.single_arm == keep
-    assert plan.candidates == []
+    # nothing is blocked in a one-object round, and the goal move is listed once
+    assert plan.singles == [(keep, GOAL), (keep, RELAY)]
+    assert plan.candidates == [] and not plan.need_buffer
 
 
 def test_task_complete_on_identity():
@@ -80,6 +84,54 @@ def test_chain_terminal_pair_when_one_movable():
     plan = next_task_plan(session)
     assert plan.candidates[0] == (4, 5)
     assert not plan.need_buffer
+
+
+# ------------------------------------------------------- one-arm move list
+
+def plan_over(monkeypatch, edges, buffered=()):
+    """The task plan of a round whose dependency graph over the remaining
+    objects has `edges`."""
+    vertices = tuple(sorted({v for e in edges for v in e}))
+    session = fresh_session(instances.showcase9())
+    session.remaining = set(vertices)
+    session.buffered = set(buffered)
+    graph = DepGraph(vertices, frozenset(edges))
+    monkeypatch.setattr(session, "graph_over_remaining", lambda: graph)
+    return next_task_plan(session)
+
+
+def test_single_arm_scc_break_parks_its_vertex_with_fresh_draws(monkeypatch):
+    # a complete 3-vertex SCC: no vertex has a lone partner, so vertex 0
+    # (largest out-degree, then smallest id) is parked by one arm
+    complete = [(i, j) for i in range(3) for j in range(3) if i != j]
+    plan = plan_over(monkeypatch, complete)
+    assert plan.candidates == [] and plan.need_buffer
+    # the plan's own move, pass 1 (the parked object alone), pass 3 (a
+    # blocked object not yet at a buffer): each buffer move draws afresh
+    assert plan.singles == [(0, BUFFER)] * 3
+    # an object already at a buffer is never re-parked by pass 3
+    assert plan_over(monkeypatch, complete, buffered={0}).singles == [(0, BUFFER)] * 2
+
+
+def test_pair_plan_moves_unblocked_objects_then_parks_blocked_ones(monkeypatch):
+    # 1 -> 0 and a 2-cycle 2 <-> 3: only 0 is movable, and 1 rides along
+    plan = plan_over(monkeypatch, [(1, 0), (2, 3), (3, 2)])
+    assert plan.candidates == [(0, 1)] and not plan.need_buffer
+    # pass 1: 0 to its goal (1 is blocked); pass 2: 0 through a relay;
+    # pass 3: the blocked 1 to a buffer
+    assert plan.singles == [(0, GOAL), (0, RELAY), (1, BUFFER)]
+    assert plan_over(monkeypatch, [(1, 0), (2, 3), (3, 2)], buffered={1}).singles == [
+        (0, GOAL), (0, RELAY),
+    ]
+
+
+def test_buffer_pair_plan_parks_each_object_alone(monkeypatch):
+    # a 3-cycle: every adjacent pair, the second object parked
+    plan = plan_over(monkeypatch, [(0, 1), (1, 2), (2, 0)], buffered={2})
+    assert plan.candidates == [(0, 1), (1, 2), (2, 0)] and plan.need_buffer
+    # pass 1 parks every pair's second object, no relay on a buffer plan,
+    # pass 3 parks the blocked objects not already at a buffer
+    assert plan.singles == [(0, BUFFER), (1, BUFFER), (2, BUFFER), (0, BUFFER), (1, BUFFER)]
 
 
 # ------------------------------------------------------------- assign_arms

@@ -33,8 +33,11 @@ def _reference_non_finite(leg) -> Optional[str]:
 
 def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
     """`verify_trace` as it was before it skipped work: `segment_clearance`
-    at every sample, the whole table after every leg.  It adds one rule, at
-    the place `verify_trace` has it: a leg with a non-finite number fails."""
+    at every sample, the whole table after every leg.  It adds two rules, at
+    the place `verify_trace` has them: a leg with a non-finite number fails,
+    and so does a leg whose duration is not its last sample time; an event
+    point may lie as far from its nearest sample as the widest spacing of
+    the arm's sample times."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
     if trace.instance_hash != instance_hash(instance):
@@ -71,6 +74,9 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
         bad = _reference_non_finite(leg)
         if bad:
             return False, f"{where}: non-finite {bad}"
+        for a in (0, 1):
+            if abs(leg.samples[a][-1][0] - leg.duration) > 1e-9:
+                return False, f"{where}: duration differs from its last sample time"
         if prev_end is not None:
             for a in (0, 1):
                 _, x0, y0, _ = leg.samples[a][0]
@@ -82,10 +88,11 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
             c = segment_clearance(a1.base, (x1, y1), a2.base, (x2, y2))
             if c < clearance - 1e-6:
                 return False, f"{where}: clearance {c:.4f} at sample {k}"
-        sample_gap = leg.duration / max(len(leg.samples[0]) - 1, 1)
         for arm, action, obj, t, point in leg.grips:
+            times = [s[0] for s in leg.samples[arm]]
+            spacing = max([b - a for a, b in zip(times, times[1:])] + [0.0])
             near = min(leg.samples[arm], key=lambda s: abs(s[0] - t))
-            if dist((near[1], near[2]), point) > sample_gap + 1e-9:
+            if dist((near[1], near[2]), point) > spacing + 1e-9:
                 return False, f"{where}: arm {arm + 1} event point far from its path"
             if action == "close":
                 if obj not in table:
@@ -351,6 +358,21 @@ def test_non_finite_leg_numbers_are_rejected(field, value, reason):
     ok, msg = verify_trace(rec.trace, inst)
     assert not ok and msg.startswith("leg 3: non-finite ") and reason in msg, msg
     assert (ok, msg) == full_scan_verify(rec.trace, inst)
+
+
+def test_grip_forged_with_an_inflated_duration_is_rejected():
+    # a grip moved to t = 0 lies far from its path; inflating the leg's
+    # duration must not widen the tolerance enough to let it pass
+    inst = instances.showcase9()
+    trace = run_instance(inst, PLAN_SEED)[1].trace
+    leg = trace.legs[0]
+    leg.grips[0] = (*leg.grips[0][:3], 0.0, leg.grips[0][4])
+    far = dumps_trace(trace)
+    leg.duration = 1e6
+    forged = dumps_trace(trace)
+    for verify in (verify_trace, full_scan_verify):
+        assert verify(far, inst) == (False, "leg 0: arm 1 event point far from its path")
+        assert verify(forged, inst) == (False, "leg 0: duration differs from its last sample time")
 
 
 def test_non_finite_placement_cannot_be_parsed():
