@@ -56,19 +56,14 @@ def cmd_gen(args) -> int:
     written = []
     try:
         if args.category == "default":
-            for inst in instances.default_suite():
-                path = out / inst.category / _suite_name(inst)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                instances.save(inst, path)
-                written.append(path)
+            made = instances.default_suite()
         else:
-            for k in range(args.count):
-                seed = args.seed + k
-                inst = _generate(args.category, args.n, seed)
-                path = out / inst.category / _suite_name(inst)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                instances.save(inst, path)
-                written.append(path)
+            made = (_generate(args.category, args.n, args.seed + k) for k in range(args.count))
+        for inst in made:
+            path = out / inst.category / _suite_name(inst)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            instances.save(inst, path)
+            written.append(path)
     except GenerationExhausted as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 2

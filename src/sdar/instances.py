@@ -25,7 +25,6 @@ INSTANCE_FORMAT = "sdar-instance/1"
 
 # Shared generator constants (workspace units).
 RAND_HALF_RANGE = (0.03, 0.06)
-RING_HALF_RANGE = (0.03, 0.045)
 OVERLAP_SHIFT = 0.05
 
 

@@ -44,9 +44,9 @@ from .geom import (
 )
 from .taskplan import GOAL, RELAY, PlannerSession, TaskPlan, assign_arms
 
-# The planner's fixed resolutions: a leg exports a sample every DT of unit
-# time and validates at DT / VALIDATE_REFINE, and a buffer sampling call
-# returns at most K_BUFFERS poses.
+# The planner's fixed resolutions: a leg validates at DT / VALIDATE_REFINE
+# (and a trace's leg is sampled at round(1/DT) + 1 times), and a buffer
+# sampling call returns at most K_BUFFERS poses.
 DT = 0.02
 K_BUFFERS = 40
 # Draws per `sample_buffers` call, whatever k: the cap of a call that finds
@@ -104,10 +104,6 @@ class GraspAngle(enum.Enum):
     SIDE_PLANE0_NEG = "side_plane0_neg"
     SIDE_PLANE1_POS = "side_plane1_pos"
     SIDE_PLANE1_NEG = "side_plane1_neg"
-
-    @property
-    def tilt(self) -> float:
-        return 0.0 if self in TOP_DOWN_SET else math.pi / 4
 
 
 TOP_DOWN_SET = (GraspAngle.TOP_DOWN_LONG, GraspAngle.TOP_DOWN_SHORT)
@@ -225,24 +221,8 @@ class SyncMotion:
     mode: Mode
     paths: tuple[ArmPath, ArmPath]
     duration: float
-    carried: tuple[Optional[int], Optional[int]]
     # per-arm time at which the gripper event (CLOSE/OPEN) fires
     event_times: tuple[Optional[float], Optional[float]]
-
-    def carried_at(self, arm: int, t: float) -> Optional[int]:
-        return self.carried_over(arm, (t,))[0]
-
-    def carried_over(self, arm: int, times) -> list[Optional[int]]:
-        """The object `arm` holds at each of `times`; `carried_at` is the
-        single-time case."""
-        obj = self.carried[arm]
-        ev = self.event_times[arm]
-        if obj is None or ev is None:
-            return [obj] * len(times)
-        if self.stage == Stage.TO_START:
-            return [obj if t >= ev - 1e-12 else None for t in times]
-        # the object counts as placed exactly at the gripper-open event
-        return [obj if t < ev - 1e-12 else None for t in times]
 
 
 @dataclass(frozen=True)
@@ -801,14 +781,13 @@ def _first_valid(sub, arms, stage: Stage, mode: Mode, variants) -> SyncMotion | 
     """Pad each (paths, arrival) variant to a common duration, wrap it as a
     SyncMotion and validate it: the first valid motion, else the last
     Conflict."""
-    carried = tuple(t.obj for t in sub.tasks)
     bad = None
     for paths, arrival in variants:
         duration = max(paths[0].duration, paths[1].duration)
         padded = (_pad(paths[0], duration), _pad(paths[1], duration))
         bad = validate_motion(padded, arms, duration)
         if bad is None:
-            return SyncMotion(stage, mode, padded, duration, carried, tuple(arrival))
+            return SyncMotion(stage, mode, padded, duration, tuple(arrival))
     return bad
 
 

@@ -4,16 +4,20 @@ evaluate runs.
 `evaluate` is the one step that makes a report row: the run, its verdict,
 the single-arm oracle, and the makespan of its forced-sequential replay.
 
+A trace records each leg's path knots exactly; the verifier and the
+renderer derive the leg's samples from them with their own interpolation.
 The verifier replays a trace file against the problem definition using only
-the geometric primitives, independent of the planner code paths: arm-arm
-clearance at every exported sample, finite numbers, pick/place consistency,
-arrangement feasibility, and exact goal attainment.  It does work only where
-something can change.  Every sample is checked, but a sample's clearance
-proves the following samples safe while both end-effectors together have
-moved less than its margin, so `segment_clearance` runs only where that
-bound runs out.  The start table is checked once, after the first leg;
-after that the table changes only at grasps and placements, and each
-placement is checked against the workspace and every object on the table.
+the geometric primitives, independent of the planner code paths: finite
+numbers, knots that form a path over the leg at no more than unit speed,
+gripper events on their arm's path, arm-arm clearance at every sample,
+pick/place consistency, arrangement feasibility, and exact goal attainment.
+It does work only where something can change.  Every sample is checked, but
+a sample's clearance proves the following samples safe while both
+end-effectors together have moved less than its margin, so
+`segment_clearance` runs only where that bound runs out.  The start table
+is checked once, after the first leg; after that the table changes only at
+grasps and placements, and each placement is checked against the workspace
+and every object on the table.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .motion import (
 )
 from .taskplan import PlannerSession, TaskComplete, next_task_plan
 
-TRACE_FORMAT = "sdar-trace/1"
+TRACE_FORMAT = "sdar-trace/2"
 
 
 class ValidationFailure(Exception):
@@ -75,8 +79,8 @@ class LegRecord:
     buffer_pose: Optional[Pose2]
     candidates: list[tuple[int, int]]
     duration: float
-    samples: list  # per arm: list of (t, x, y, carried|None)
-    grips: list  # (arm, action, obj, t)
+    knots: list  # per arm: its path's knots, (t, x, y)
+    grips: list  # (arm, action, obj, t, point)
     places: list  # (obj, Pose2, kind)
 
 
@@ -89,9 +93,6 @@ class Trace:
     legs: list[LegRecord] = field(default_factory=list)
     metrics: Optional[RunMetrics] = None
 
-    def sample_count(self) -> int:
-        return sum(len(leg.samples[0]) for leg in self.legs)
-
 
 @dataclass
 class RunRecord:
@@ -103,20 +104,6 @@ class RunRecord:
 def new_session(instance: Instance, seed: int, arms=None) -> PlannerSession:
     arms = arms or default_arms(instance.workspace)
     return PlannerSession(instance=instance, rng_seed=seed, arms=arms)
-
-
-def _sample_leg(motion: SyncMotion):
-    steps = round(1.0 / DT) if motion.duration > 1e-12 else 0
-    times = [motion.duration * k / steps for k in range(steps + 1)] if steps else [0.0]
-    return [
-        [
-            (t, x, y, c)
-            for t, (x, y), c in zip(
-                times, motion.paths[a].positions(times), motion.carried_over(a, times)
-            )
-        ]
-        for a in (0, 1)
-    ]
 
 
 def _record_leg(trace, sub, motion, candidates):
@@ -143,7 +130,7 @@ def _record_leg(trace, sub, motion, candidates):
             buffer_pose=sub.buffer_pose,
             candidates=list(candidates),
             duration=motion.duration,
-            samples=_sample_leg(motion),
+            knots=[[(t, x, y) for t, (x, y) in path.knots] for path in motion.paths],
             grips=grips,
             places=places,
         )
@@ -336,20 +323,8 @@ def dumps_trace(trace: Trace) -> str:
             f"leg {leg.index} stage {leg.stage} mode {leg.mode} objs {objs} "
             f"angles {angles} buffer {buf} candidates {cands} duration {_fmt(leg.duration)}"
         )
-        samples0, samples1 = leg.samples
-        times0 = [repr(float(s[0])) for s in samples0]
-        # a recorded leg gives both arms the same time objects, so arm 0's
-        # text serves arm 1; a parsed leg may not, and -0.0 == 0.0
-        same = len(samples1) == len(samples0) and all(
-            s1[0] is s0[0] for s0, s1 in zip(samples0, samples1)
-        )
-        times1 = times0 if same else [repr(float(s[0])) for s in samples1]
-        for a, samples, times in ((0, samples0, times0), (1, samples1, times1)):
-            head = f"s {leg.index} {a} "
-            lines += [
-                f"{head}{t} {float(x)!r} {float(y)!r} {'-' if c is None else c}"
-                for t, (_, x, y, c) in zip(times, samples)
-            ]
+        for a, knots in enumerate(leg.knots):
+            lines += [f"k {leg.index} {a} {_fmt(t)} {_fmt(x)} {_fmt(y)}" for t, x, y in knots]
         for arm, action, obj, t, point in leg.grips:
             lines.append(
                 f"grip {leg.index} {arm} {action} {obj} {_fmt(t)} "
@@ -445,16 +420,13 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
             buffer_pose=buf,
             candidates=cands,
             duration=float(parts[19]),
-            samples=[[], []],
+            knots=[[], []],
             grips=[],
             places=[],
         )
-    elif parts[0] == "s":
-        leg = legs[int(parts[1])]
-        arm = _arm_index(parts[2])
-        carried = None if parts[6] == "-" else int(parts[6])
-        leg.samples[arm].append(
-            (float(parts[3]), float(parts[4]), float(parts[5]), carried)
+    elif parts[0] == "k":
+        legs[int(parts[1])].knots[_arm_index(parts[2])].append(
+            (float(parts[3]), float(parts[4]), float(parts[5]))
         )
     elif parts[0] == "grip":
         if parts[3] not in ("close", "open"):
@@ -504,9 +476,45 @@ def load_trace(path) -> Trace:
 CLEARANCE_SLACK = 1e-9
 
 
-def _clearance_violation(samples0, samples1, base0, base1, threshold: float):
+def _sample_times(duration: float) -> list[float]:
+    """The times at which a leg is sampled: `round(1/DT)` + 1 evenly spaced
+    over a leg that moves, t = 0 alone over one that does not."""
+    steps = round(1.0 / DT) if duration > 1e-12 else 0
+    return [duration * k / steps for k in range(steps + 1)] if steps else [0.0]
+
+
+def _path_points(knots, times) -> list[tuple[float, float]]:
+    """The points of a path of (t, x, y) knots at nondecreasing `times`, in
+    one forward walk.  The point at t lies on the first segment whose end
+    time is at least t (the first knot before the path starts, the last one
+    after it ends); a segment shorter than 1e-12 in time gives its end."""
+    t_first, x_first, y_first = knots[0]
+    last = len(knots) - 1
+    seg = 1  # index of the segment's end knot
+    out = []
+    for t in times:
+        if t <= t_first:
+            out.append((x_first, y_first))
+            continue
+        while seg <= last and t > knots[seg][0]:
+            seg += 1
+        if seg > last:
+            out.append(knots[-1][1:])
+            continue
+        t0, x0, y0 = knots[seg - 1]
+        t1, x1, y1 = knots[seg]
+        if t1 - t0 <= 1e-12:
+            out.append((x1, y1))
+        else:
+            a = (t - t0) / (t1 - t0)
+            out.append((x0 + a * (x1 - x0), y0 + a * (y1 - y0)))
+    return out
+
+
+def _clearance_violation(points0, points1, base0, base1, threshold: float):
     """The first sample at which the two arm segments are closer than
-    `threshold`, as (index, clearance), or None.
+    `threshold`, as (index, clearance), or None; `points0` and `points1` are
+    the two arms' EE points at the same sample times.
 
     Every sample is checked, most of them by a distance bound: the bases are
     fixed, and moving a segment endpoint by d moves the distance of the two
@@ -518,8 +526,7 @@ def _clearance_violation(samples0, samples1, base0, base1, threshold: float):
     budget = -1.0  # displacement the last computed sample still covers
     moved = 0.0
     prev0 = prev1 = None
-    for k, ((_, x0, y0, _), (_, x1, y1, _)) in enumerate(zip(samples0, samples1)):
-        p0, p1 = (x0, y0), (x1, y1)
+    for k, (p0, p1) in enumerate(zip(points0, points1)):
         if prev0 is not None:
             moved += dist(prev0, p0) + dist(prev1, p1)
         prev0, prev1 = p0, p1
@@ -534,20 +541,35 @@ def _clearance_violation(samples0, samples1, base0, base1, threshold: float):
 
 
 def _non_finite(leg: LegRecord) -> Optional[str]:
-    """What in a leg is not a finite number, or None.  A sum of finite
-    numbers is finite unless it overflows, so an arm's sample values are
-    tested one by one only when their sum is not.  Placements need no test:
-    Pose2 refuses non-finite values."""
+    """What in a leg is not a finite number, or None.  Placements need no
+    test: Pose2 refuses non-finite values."""
     if not math.isfinite(leg.duration):
         return "duration"
-    for a, samples in enumerate(leg.samples):
-        if not math.isfinite(sum([t + x + y for t, x, y, _ in samples])) and not all(
-            math.isfinite(v) for sample in samples for v in sample[:3]
-        ):
-            return f"arm {a + 1} sample"
+    for a, knots in enumerate(leg.knots):
+        if not all(math.isfinite(v) for knot in knots for v in knot):
+            return f"arm {a + 1} knot"
     for arm, _, obj, t, (x, y) in leg.grips:
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
             return f"arm {arm + 1} grip of object {obj}"
+    return None
+
+
+def _path_fault(knots, duration: float) -> Optional[str]:
+    """Why an arm's finite knots are no path of its leg, or None.  There is
+    a knot, their times start at 0, never decrease and end at the leg's
+    duration (to within 1e-9), and no segment is faster than the planner's
+    unit EE speed."""
+    if not knots:
+        return "has no knots"
+    if knots[0][0] != 0.0:
+        return "path does not start at t = 0"
+    if abs(knots[-1][0] - duration) > 1e-9:
+        return "path does not end at the leg's duration"
+    for k, ((t0, x0, y0), (t1, x1, y1)) in enumerate(zip(knots, knots[1:]), 1):
+        if t1 < t0:
+            return f"knot {k} runs back in time"
+        if dist((x0, y0), (x1, y1)) > t1 - t0 + 1e-9:
+            return f"knot {k} is reached faster than unit speed"
     return None
 
 
@@ -569,10 +591,13 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     The clearance threshold and the arm bases come from `arms`, the pair the
     run was planned with (default: `default_arms` of the instance's
     workspace), never from the trace, and a trace whose arms line states
-    other arms fails.  The start table is checked once, after the first
-    leg.  After that the table loses objects only at gripper-close events
-    and gains them only at placements, and each placement is checked against
-    the workspace and every object on the table."""
+    other arms fails.  Each arm's knots must form a path over its leg at no
+    more than unit speed, continuing where the previous leg ended, and each
+    gripper event must lie on its arm's path at its time.  The start table
+    is checked once, after the first leg.  After that the table loses
+    objects only at gripper-close events and gains them only at placements,
+    and each placement is checked against the workspace and every object on
+    the table."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
     if trace.instance_hash != instance_hash(instance):
@@ -608,31 +633,26 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
         if leg.stage != expect_stage:
             return False, f"{where}: expected stage {expect_stage}, got {leg.stage}"
         expect_stage = "togoal" if expect_stage == "tostart" else "tostart"
-        if len(leg.samples[0]) != len(leg.samples[1]):
-            return False, f"{where}: sample count mismatch between arms"
-        if not leg.samples[0]:
-            return False, f"{where}: no samples"
         bad = _non_finite(leg)
         if bad:
             return False, f"{where}: non-finite {bad}"
-        if any(abs(leg.samples[a][-1][0] - leg.duration) > 1e-9 for a in (0, 1)):
-            return False, f"{where}: duration differs from its last sample time"
+        for a in (0, 1):
+            bad = _path_fault(leg.knots[a], leg.duration)
+            if bad:
+                return False, f"{where}: arm {a + 1} {bad}"
         if prev_end is not None:
             for a in (0, 1):
-                _, x0, y0, _ = leg.samples[a][0]
-                if dist((x0, y0), prev_end[a]) > 1e-6:
+                if dist(leg.knots[a][0][1:], prev_end[a]) > 1e-6:
                     return False, f"{where}: arm {a + 1} path discontinuity"
-        hit = _clearance_violation(*leg.samples, a1.base, a2.base, clearance - 1e-6)
+        times = _sample_times(leg.duration)
+        points = [_path_points(knots, times) for knots in leg.knots]
+        hit = _clearance_violation(*points, a1.base, a2.base, clearance - 1e-6)
         if hit:
             return False, f"{where}: clearance {hit[1]:.4f} at sample {hit[0]}"
         for arm, action, obj, t, point in leg.grips:
-            # the event point must agree with nearby samples (unit EE speed),
-            # as far as the widest spacing of the arm's sample times allows
-            samples = leg.samples[arm]
-            spacing = max((b[0] - a[0] for a, b in zip(samples, samples[1:])), default=0.0)
-            gaps = [abs(s[0] - t) for s in samples]
-            near = samples[gaps.index(min(gaps))]
-            if dist((near[1], near[2]), point) > spacing + 1e-9:
+            if not 0.0 <= t <= leg.duration:
+                return False, f"{where}: arm {arm + 1} event time outside the leg"
+            if dist(_path_points(leg.knots[arm], (t,))[0], point) > 1e-9:
                 return False, f"{where}: arm {arm + 1} event point far from its path"
             if action == "close":
                 if obj not in table:
@@ -668,9 +688,7 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
             bad = table_feasible(where)
             if bad:
                 return False, bad
-        prev_end = [
-            (leg.samples[a][-1][1], leg.samples[a][-1][2]) for a in (0, 1)
-        ]
+        prev_end = [leg.knots[a][-1][1:] for a in (0, 1)]
 
     if held[0] is not None or held[1] is not None:
         return False, "run ended with an object still held"
@@ -682,22 +700,21 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
 
 def check_frames(trace: Trace, instance: Instance) -> None:
     """ValueError unless iterate_frames can replay the trace: it must record
-    a run of this instance, name only the instance's objects, give both arms
-    the same number of samples in each leg, and give every gripper-open
-    event its place line.  Unlike verify_trace it accepts unsolved and
-    invalid runs, which are still drawn."""
+    a run of this instance, name only the instance's objects, give each arm
+    at least one knot in each leg, and give every gripper-open event its
+    place line.  Unlike verify_trace it accepts unsolved and invalid runs,
+    which are still drawn."""
     if trace.instance_hash != instance_hash(instance):
         raise ValueError(
             f"trace is of instance {trace.instance_hash}, not {instance_hash(instance)}"
         )
     ids = set(instance.ids())
     for leg in trace.legs:
-        counts = [len(samples) for samples in leg.samples]
-        if counts[0] != counts[1]:
-            raise ValueError(f"leg {leg.index}: the arms have {counts[0]} and {counts[1]} samples")
+        for a in (0, 1):
+            if not leg.knots[a]:
+                raise ValueError(f"leg {leg.index}: arm {a + 1} has no knots")
         placed = {obj for obj, _, _ in leg.places}
         named = placed | {obj for _, _, obj, _, _ in leg.grips}
-        named.update(c for samples in leg.samples for *_, c in samples if c is not None)
         if not named <= ids:
             raise ValueError(f"leg {leg.index}: object {min(named - ids)} is not in the instance")
         for _, action, obj, _, _ in leg.grips:
@@ -706,30 +723,28 @@ def check_frames(trace: Trace, instance: Instance) -> None:
 
 
 def iterate_frames(trace: Trace, instance: Instance):
-    """Yield (table poses, ee points, carried ids) per exported time sample.
-    Placements are applied at their gripper-open event times, so the last
-    frame of a successful trace shows the goal scene.  The trace must pass
-    check_frames."""
+    """Yield (table poses, ee points, carried ids) at each sample time of each
+    leg.  An arm carries an object from its gripper-close event on, or until
+    its gripper-open event, each to within 1e-12.  Placements are applied at
+    their gripper-open event times, so the last frame of a successful trace
+    shows the goal scene.  The trace must pass check_frames."""
     table: dict[int, Pose2] = {i: instance.start.pose_of(i) for i in instance.ids()}
     for leg in trace.legs:
         place_of = {obj: pose for obj, pose, _ in leg.places}
         opens = sorted(
             (t, obj) for _, action, obj, t, _ in leg.grips if action == "open"
         )
-        n = len(leg.samples[0])
-        for k in range(n):
-            now = leg.samples[0][k][0]
+        times = _sample_times(leg.duration)
+        points = [_path_points(knots, times) for knots in leg.knots]
+        for k, now in enumerate(times):
             while opens and opens[0][0] <= now + 1e-12:
                 _, obj = opens.pop(0)
                 table[obj] = place_of[obj]
-            ee = []
-            carried = []
-            for a in (0, 1):
-                _, x, y, c = leg.samples[a][k]
-                ee.append((x, y))
-                carried.append(c)
-                if c is not None and c in table:
-                    del table[c]
-            yield dict(table), list(ee), list(carried)
+            carried = [None, None]
+            for arm, action, obj, t, _ in leg.grips:
+                if (now >= t - 1e-12) == (action == "close"):
+                    carried[arm] = obj
+                    table.pop(obj, None)
+            yield dict(table), [points[0][k], points[1][k]], carried
         for t, obj in opens:
             table[obj] = place_of[obj]

@@ -15,6 +15,7 @@ from sdar.depgraph import DepGraph, decompose, footprint
 from sdar.geom import overlaps
 from sdar.motion import (
     DT,
+    ArmPath,
     ArmTask,
     InstantiatedSubTask,
     Mode,
@@ -31,19 +32,68 @@ from sdar.motion import (
 
 ARMS = default_arms()
 
-# sha256 prefix of the concatenated default-suite traces at plan seed 42, and
-# their total action count: any change to a plan changes one of the two
+# sha256 prefix of the concatenated default-suite traces at plan seed 42, as
+# sdar-trace/1 text (`_v1_text`) and as written, and their total action
+# count: any change to a plan changes one of them.  The sdar-trace/1 digest
+# was pinned before traces stored knots, so it shows that plans did not move.
 BEHAVIOUR_DIGEST = "6fc08af60059"
+BEHAVIOUR_DIGEST_V2 = "614f1e38b6d6"
 BEHAVIOUR_ACTIONS = 1889
 # the same over the 20 crowded tables gen_random(n, s), n = 14..22 even and
-# s = 0..3, per plan seed: (digest, actions, solved).  Their recovery moves
-# are where the one-arm move list is used most.
+# s = 0..3, per plan seed: (sdar-trace/1 digest, digest, actions, solved).
+# Their recovery moves are where the one-arm move list is used most.
 DENSE_DIGESTS = {
-    42: ("5e6dccba9bde", 313, 15),
-    1: ("7f869ef4bea9", 308, 15),
-    2: ("2d9bc3e1cd90", 343, 15),
-    3: ("a07d38546b5f", 322, 13),
+    42: ("5e6dccba9bde", "57827d2b23e2", 313, 15),
+    1: ("7f869ef4bea9", "f26bef0c2063", 308, 15),
+    2: ("2d9bc3e1cd90", "9aa870f62c7d", 343, 15),
+    3: ("a07d38546b5f", "560c3d55f54f", 322, 13),
 }
+
+
+def _v1_samples(leg) -> list[str]:
+    """A leg's sample lines as sdar-trace/1 wrote them: `round(1/DT)` + 1
+    samples per arm (t = 0 alone for a leg that does not move), at the
+    points of the arm's `ArmPath`, each with the object the arm holds then:
+    from its gripper-close event on a start-bound leg, until its
+    gripper-open event on a goal-bound leg, each to within 1e-12."""
+    steps = round(1.0 / DT) if leg.duration > 1e-12 else 0
+    times = [leg.duration * k / steps for k in range(steps + 1)] if steps else [0.0]
+    lines = []
+    for a in (0, 1):
+        path = ArmPath([(t, (x, y)) for t, x, y in leg.knots[a]])
+        obj = leg.objs[a]
+        event = next((t for arm, _, _, t, _ in leg.grips if arm == a), None)
+        for t, (x, y) in zip(times, path.positions(times)):
+            if obj is None or event is None:
+                held = obj
+            elif leg.stage == Stage.TO_START.value:
+                held = obj if t >= event - 1e-12 else None
+            else:
+                held = obj if t < event - 1e-12 else None
+            lines.append(f"s {leg.index} {a} {t!r} {x!r} {y!r} {'-' if held is None else held}")
+    return lines
+
+
+def _v1_text(trace) -> str:
+    """The trace as sdar-trace/1 text: knot lines become sample lines."""
+    lines = []
+    for line in sim.dumps_trace(trace).splitlines():
+        if line == sim.TRACE_FORMAT:
+            lines.append("sdar-trace/1")
+        elif line.startswith("leg "):
+            lines += [line, *_v1_samples(trace.legs[int(line.split()[1])])]
+        elif not line.startswith("k "):
+            lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _digests(traces) -> tuple[str, str]:
+    """(sdar-trace/1 digest, digest) of the concatenated traces."""
+    v1, v2 = hashlib.sha256(), hashlib.sha256()
+    for trace in traces:
+        v1.update(_v1_text(trace).encode())
+        v2.update(sim.dumps_trace(trace).encode())
+    return v1.hexdigest()[:12], v2.hexdigest()[:12]
 
 
 def _report(num, name, ok, detail=""):
@@ -154,29 +204,26 @@ def test_criterion_5_success_rate(suite_results):
 
 
 def test_behaviour_digest_unchanged(suite_results):
-    h = hashlib.sha256()
-    for _, _, record, _, _ in suite_results:
-        h.update(sim.dumps_trace(record.trace).encode())
+    v1, v2 = _digests(record.trace for _, _, record, _, _ in suite_results)
     actions = sum(metrics.actions for _, metrics, _, _, _ in suite_results)
-    digest = h.hexdigest()
-    assert (digest[:12], actions) == (BEHAVIOUR_DIGEST, BEHAVIOUR_ACTIONS), (
-        f"behaviour digest {digest[:12]} with {actions} actions; a change that "
-        "alters plans must say why and record the new digest"
+    assert (v1, v2, actions) == (BEHAVIOUR_DIGEST, BEHAVIOUR_DIGEST_V2, BEHAVIOUR_ACTIONS), (
+        f"behaviour digests {v1}, {v2} with {actions} actions; a change that "
+        "alters plans must say why and record the new digests"
     )
 
 
 @pytest.mark.parametrize("seed", sorted(DENSE_DIGESTS))
 def test_dense_digest_unchanged(seed):
-    h = hashlib.sha256()
+    traces = []
     actions = solved = 0
     for n in (14, 16, 18, 20, 22):
         for s in range(4):
             metrics, record = sim.run_instance(instances.gen_random(n, s), seed)
-            h.update(sim.dumps_trace(record.trace).encode())
+            traces.append(record.trace)
             actions += metrics.actions
             solved += metrics.success
-    assert (h.hexdigest()[:12], actions, solved) == DENSE_DIGESTS[seed], (
-        "a change that alters dense plans must say why and record the new digest"
+    assert (*_digests(traces), actions, solved) == DENSE_DIGESTS[seed], (
+        "a change that alters dense plans must say why and record the new digests"
     )
 
 

@@ -51,7 +51,7 @@ def test_plan_showcase_fixture(tmp_path, capsys):
     assert run_cli("plan", FIXTURES / "showcase9.inst", "--trace-out", trace) == 0
     out = capsys.readouterr().out
     assert "actions    10" in out
-    assert trace.read_text().startswith("sdar-trace/1")
+    assert trace.read_text().startswith("sdar-trace/2\n")
 
 
 def test_plan_corrupted_instance_exits_2(tmp_path, capsys):
@@ -141,8 +141,9 @@ def test_render_trace_frames(tmp_path):
     out = tmp_path / "frames"
     assert run_cli("render", trace, "--instance", inst_path, "--out", out) == 0
     frames = sorted(out.glob("frame_*.svg"))
-    sample_lines = [ln for ln in trace.read_text().splitlines() if ln.startswith("s ")]
-    assert len(frames) == len(sample_lines) // 2
+    # round(1/DT) + 1 frames per leg that moves, one per leg that does not
+    durations = [float(ln.split()[-1]) for ln in trace.read_text().splitlines() if ln.startswith("leg ")]
+    assert len(frames) == sum(51 if d > 0.0 else 1 for d in durations)
     for f in (frames[0], frames[-1]):
         ET.parse(f)
     # last frame shows every object filled at its goal footprint
@@ -317,7 +318,7 @@ def test_render_rejects_trace_with_only_its_header(tmp_path, capsys):
     inst_path = tmp_path / "s2.inst"
     instances.save(instances.gen_single_cycle(2, 1), inst_path)
     trace = tmp_path / "run.trace"
-    trace.write_text("sdar-trace/1\n")
+    trace.write_text("sdar-trace/2\n")
     assert run_cli("render", trace, "--instance", inst_path, "--out", tmp_path / "out") == 2
     assert "input error:" in capsys.readouterr().err
 
@@ -387,19 +388,18 @@ def test_render_names_the_trace_file_and_line_it_cannot_parse(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("render", trace, "--instance", FIXTURES / "showcase9.inst", "--out", out) == 2
     assert capsys.readouterr().err == (
-        f"input error: {trace}: malformed sdar-trace/1 trace: line {k + 1}: "
+        f"input error: {trace}: malformed sdar-trace/2 trace: line {k + 1}: "
         f"non-finite pose (nan, {parts[4]}, {parts[5]})\n"
     )
     assert not list(out.glob("frame_*.svg"))
 
 
 def test_render_rejects_leg_with_unequal_sample_counts(tmp_path, capsys):
-    # the hash matches, but one arm-1 sample of a leg is gone
+    # the hash matches, but arm 2 of leg 1 has no knots, so no samples
     trace = _showcase9_trace(tmp_path)
     lines = trace.read_text().splitlines(keepends=True)
-    drop = next(i for i, ln in enumerate(lines) if ln.startswith("s 1 1 "))
-    trace.write_text("".join(lines[:drop] + lines[drop + 1:]))
+    trace.write_text("".join(ln for ln in lines if not ln.startswith("k 1 1 ")))
     out = tmp_path / "out"
     assert run_cli("render", trace, "--instance", FIXTURES / "showcase9.inst", "--out", out) == 2
-    assert "input error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"input error: {trace}: leg 1: arm 2 has no knots\n"
     assert not list(out.glob("frame_*.svg"))

@@ -96,8 +96,6 @@ def test_grasp_ladder_order_is_top_down_first():
     ladder = list(GraspAngle)
     assert ladder[0] == GraspAngle.TOP_DOWN_LONG
     assert ladder[1] == GraspAngle.TOP_DOWN_SHORT
-    assert all(a.tilt == 0.0 for a in ladder[:2])
-    assert all(a.tilt == pytest.approx(math.pi / 4) for a in ladder[2:])
 
 
 # -------------------------------------------------------------- buffers
@@ -1194,22 +1192,3 @@ def test_positions_match_reference_bit_for_bit():
         assert bits(path.positions(times)) == expect
         assert bits([path.pos(t) for t in times]) == expect
     assert ArmPath([(0.0, (0.3, 0.3))]).positions([]) == []
-
-
-def test_carried_over_follows_the_event_time_rule():
-    # the object is held from the gripper-close event (start-bound leg) or
-    # until the gripper-open event (goal-bound leg), each to within 1e-12
-    still = ArmPath([(0.0, (0.3, 0.3)), (1.0, (0.3, 0.3))])
-    ev = 0.4
-    times = [0.0, ev - 2e-12, ev - 5e-13, ev, ev + 5e-13, ev + 2e-12, 1.0]
-    for stage, held in ((Stage.TO_START, [False, False, True, True, True, True, True]),
-                        (Stage.TO_GOAL, [True, True, False, False, False, False, False])):
-        m = SyncMotion(stage, Mode.SYNCHRONOUS, (still, still), 1.0, (7, None), (ev, None))
-        expect = [7 if h else None for h in held]
-        assert m.carried_over(0, times) == expect
-        assert [m.carried_at(0, t) for t in times] == expect
-        assert m.carried_over(1, times) == [None] * len(times)
-    # an arm that carries with no event time holds its object throughout
-    m = SyncMotion(Stage.TO_GOAL, Mode.SYNCHRONOUS, (still, still), 1.0, (None, 3), (None, None))
-    assert m.carried_over(1, times) == [3] * len(times)
-    assert m.carried_over(0, []) == []

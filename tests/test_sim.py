@@ -70,7 +70,7 @@ def test_trace_file_io(tmp_path):
     _, rec = run_instance(inst, 2)
     path = tmp_path / "run.trace"
     save_trace(rec.trace, path)
-    assert path.read_text().startswith("sdar-trace/1\n")
+    assert path.read_text().startswith("sdar-trace/2\n")
     ok, msg = verify_trace(load_trace(path), inst)
     assert ok, msg
 
@@ -104,26 +104,22 @@ def test_verify_rejects_clearance_violation():
     inst = instances.gen_random(3, 4)
     _, rec = run_instance(inst, 0)
     trace = rec.trace
-    # teleport one sample of arm 2 onto arm 1's sampled position
-    leg = next(l for l in trace.legs if len(l.samples[0]) > 2)
-    k = len(leg.samples[0]) // 2
-    t, x, y, c = leg.samples[0][k]
-    t2 = leg.samples[1][k][0]
-    leg.samples[1][k] = (t2, x, y, c)
-    ok, msg = verify_trace(trace, inst)
-    assert not ok and "clearance" in msg
+    # arm 2 follows arm 1's path through a moving leg: a path of unit speed
+    # that ends where the leg ends, but the two EE points coincide
+    leg = next(l for l in trace.legs if l.duration > 0.0)
+    leg.knots[1] = list(leg.knots[0])
+    assert verify_trace(trace, inst) == (False, f"leg {leg.index}: clearance 0.0000 at sample 0")
 
 
 def _colliding_trace_text():
-    """A gen_random(3, 4) trace with arm 2 teleported onto arm 1 at sample
-    25 of leg 0, and its instance."""
-    inst = instances.gen_random(3, 4)
-    _, rec = run_instance(inst, 0)
-    leg = rec.trace.legs[0]
-    t, x, y, c = leg.samples[0][25]
-    leg.samples[1][25] = (leg.samples[1][25][0], x, y, c)
+    """A gen_random(8, 1) trace planned by arms that keep 0.05 apart, with
+    the default arms (0.1 apart) stated in its header, and its instance:
+    leg 3 comes closer than 0.1 at sample 21."""
+    inst = instances.gen_random(8, 1)
+    _, rec = run_instance(inst, 0, default_arms(inst.workspace, clearance=0.05))
+    rec.trace.arms = default_arms(inst.workspace)
     text = dumps_trace(rec.trace)
-    assert verify_trace(text, inst) == (False, "leg 0: clearance 0.0000 at sample 25")
+    assert verify_trace(text, inst) == (False, "leg 3: clearance 0.0985 at sample 21")
     return text, inst
 
 
@@ -143,6 +139,9 @@ def test_forged_header_clearance_cannot_certify_a_collision(forged):
     text, inst = _colliding_trace_text()
     ok, msg = verify_trace(_with_arms_field(text, "clearance", forged), inst)
     assert not ok and msg == f"header clearance {float(forged)!r} differs from the arms' 0.1", msg
+    # the arms the run was planned with pass it
+    near = default_arms(inst.workspace, clearance=0.05)
+    assert verify_trace(_with_arms_field(text, "clearance", "0.05"), inst, near) == (True, "ok")
 
 
 @pytest.mark.parametrize("name, value", [("base1", "0.001"), ("base2", "0.999"), ("reach", "9.0"), ("ee_radius", "0.05")])
@@ -180,10 +179,10 @@ def test_verify_takes_the_arms_the_run_was_planned_with():
     "prefix, field, value, detail",
     [
         ("grip ", 2, "2", "arm index 2 is not 0 or 1"),
-        ("s 0 ", 2, "-1", "arm index -1 is not 0 or 1"),
+        ("k 0 ", 2, "-1", "arm index -1 is not 0 or 1"),
         ("grip ", 3, "squeeze", "grip action 'squeeze' is not close or open"),
     ],
-    ids=["grip-arm-2", "sample-arm-minus-1", "grip-action-squeeze"],
+    ids=["grip-arm-2", "knot-arm-minus-1", "grip-action-squeeze"],
 )
 def test_trace_naming_no_arm_or_action_cannot_be_parsed(prefix, field, value, detail):
     inst = instances.showcase9()
@@ -195,16 +194,20 @@ def test_trace_naming_no_arm_or_action_cannot_be_parsed(prefix, field, value, de
     lines[k] = " ".join(parts)
     with pytest.raises(ValueError) as err:
         verify_trace("\n".join(lines) + "\n", inst)
-    assert str(err.value) == f"malformed sdar-trace/1 trace: line {k + 1}: {detail}"
+    assert str(err.value) == f"malformed sdar-trace/2 trace: line {k + 1}: {detail}"
 
 
 def test_verify_rejects_leg_without_samples():
+    # a leg's samples come from its knots: an arm with none has no samples
     inst = instances.showcase9()
     _, rec = run_instance(inst, 42)
     text = dumps_trace(rec.trace)
     for k in (0, 1):
-        kept = [ln for ln in text.splitlines() if not ln.startswith(f"s {k} ")]
-        assert verify_trace("\n".join(kept) + "\n", inst) == (False, f"leg {k}: no samples")
+        for a in (0, 1):
+            kept = [ln for ln in text.splitlines() if not ln.startswith(f"k {k} {a} ")]
+            assert verify_trace("\n".join(kept) + "\n", inst) == (
+                False, f"leg {k}: arm {a + 1} has no knots"
+            )
 
 
 def test_final_state_must_reach_goal():
@@ -218,14 +221,40 @@ def test_final_state_must_reach_goal():
 
 
 def test_iterate_frames_counts_and_final_scene():
+    # round(1/DT) + 1 frames per leg that moves, one per leg that does not
     inst = instances.gen_single_cycle(2, 6)
     metrics, rec = run_instance(inst, 0)
     frames = list(iterate_frames(rec.trace, inst))
-    assert len(frames) == rec.trace.sample_count()
+    moving = sum(leg.duration > 0.0 for leg in rec.trace.legs)
+    assert moving > 0
+    assert len(frames) == moving * (round(1 / motion.DT) + 1) + len(rec.trace.legs) - moving
     table, ee, carried = frames[-1]
     for i in inst.ids():
         assert i in table
         assert table[i].almost_equal(inst.goal.pose_of(i), 1e-9)
+
+
+def test_frames_hold_an_object_from_close_until_open():
+    # an arm holds its object from the gripper-close event of a start-bound
+    # leg, and until the gripper-open event of a goal-bound leg, each to
+    # within 1e-12 of frame 20's time
+    inst = instances.gen_single_cycle(2, 6)
+    trace = run_instance(inst, 0)[1].trace
+    per_leg = round(1 / motion.DT) + 1
+    offsets = [-2e-12, -5e-13, 0.0, 5e-13, 2e-12]
+    for k, held in ((0, [True, True, True, True, False]), (1, [False, False, False, False, True])):
+        leg = trace.legs[k]
+        assert leg.duration > 0.0 and leg.grips
+        arm, action, obj, t, point = leg.grips[0]
+        assert action == ("close" if k == 0 else "open")
+        now = leg.duration * 20 / (per_leg - 1)
+        got = []
+        for off in offsets:
+            leg.grips[0] = (arm, action, obj, now + off, point)
+            frames = list(iterate_frames(trace, inst))
+            got.append(frames[k * per_leg + 20][2][arm] == obj)
+        leg.grips[0] = (arm, action, obj, t, point)
+        assert got == held, k
 
 
 def test_forced_sequential_replay_preserves_plan():

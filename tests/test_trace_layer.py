@@ -1,8 +1,9 @@
 """The trace layer does work only where something can change.  These tests
-hold it to full scans: `verify_trace` against a verifier that computes the
-clearance at every sample and checks the whole table after every leg, the
-round check of `sim._commit` against a whole-table `arrangement_violations`,
-and `dumps_trace` against the one-line-at-a-time formatter."""
+hold it to full scans: `verify_trace` against a verifier that derives each
+leg's samples through the planner's own `ArmPath`, computes the clearance
+at every sample and checks the whole table after every leg, and the round
+check of `sim._commit` against a whole-table `arrangement_violations`.  A
+trace keeps each path's knots bit for bit."""
 
 import math
 import random
@@ -14,17 +15,46 @@ import pytest
 from sdar import depgraph, instances, sim
 from sdar.geom import Pose2, box_at, dist, inside, overlaps, segment_clearance
 from sdar.instances import Instance, instance_hash
+from sdar.motion import DT, ArmPath
 from sdar.sim import ValidationFailure, dumps_trace, loads_trace, run_instance, verify_trace
 
 PLAN_SEED = 42
+
+
+def _path(knots) -> ArmPath:
+    return ArmPath([(t, (x, y)) for t, x, y in knots])
+
+
+def _samples(leg) -> list[list]:
+    """Each arm's EE points at the leg's sample times, `round(1/DT)` + 1
+    of them (t = 0 alone for a leg that does not move), by `ArmPath`."""
+    steps = round(1.0 / DT) if leg.duration > 1e-12 else 0
+    times = [leg.duration * k / steps for k in range(steps + 1)] if steps else [0.0]
+    return [_path(knots).positions(times) for knots in leg.knots]
+
+
+def _reference_path_fault(knots, duration) -> Optional[str]:
+    if not knots:
+        return "has no knots"
+    times = [t for t, _, _ in knots]
+    if times[0] != 0.0:
+        return "path does not start at t = 0"
+    if abs(times[-1] - duration) > 1e-9:
+        return "path does not end at the leg's duration"
+    for k in range(1, len(knots)):
+        if times[k] < times[k - 1]:
+            return f"knot {k} runs back in time"
+        if dist(knots[k - 1][1:], knots[k][1:]) > times[k] - times[k - 1] + 1e-9:
+            return f"knot {k} is reached faster than unit speed"
+    return None
 
 
 def _reference_non_finite(leg) -> Optional[str]:
     if not math.isfinite(leg.duration):
         return "duration"
     for a in (0, 1):
-        if not all(math.isfinite(v) for sample in leg.samples[a] for v in sample[:3]):
-            return f"arm {a + 1} sample"
+        if not all(math.isfinite(v) for knot in leg.knots[a] for v in knot):
+            return f"arm {a + 1} knot"
     for arm, _, obj, t, point in leg.grips:
         if not all(math.isfinite(v) for v in (t, *point)):
             return f"arm {arm + 1} grip of object {obj}"
@@ -32,12 +62,12 @@ def _reference_non_finite(leg) -> Optional[str]:
 
 
 def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
-    """`verify_trace` as it was before it skipped work: `segment_clearance`
-    at every sample, the whole table after every leg.  It adds two rules, at
-    the place `verify_trace` has them: a leg with a non-finite number fails,
-    and so does a leg whose duration is not its last sample time; an event
-    point may lie as far from its nearest sample as the widest spacing of
-    the arm's sample times."""
+    """`verify_trace` without its skipped work: `segment_clearance` at every
+    sample, the whole table after every leg.  It adds the path rules, at the
+    place `verify_trace` has them: each arm has knots, every number is
+    finite, knot times start at 0, never decrease and end at the duration,
+    no knot is reached faster than unit speed, and each gripper event lies
+    in the leg and within 1e-9 of its arm's path at its time."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
     if trace.instance_hash != instance_hash(instance):
@@ -67,32 +97,25 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
         if leg.stage != expect_stage:
             return False, f"{where}: expected stage {expect_stage}, got {leg.stage}"
         expect_stage = "togoal" if expect_stage == "tostart" else "tostart"
-        if len(leg.samples[0]) != len(leg.samples[1]):
-            return False, f"{where}: sample count mismatch between arms"
-        if not leg.samples[0]:
-            return False, f"{where}: no samples"
         bad = _reference_non_finite(leg)
         if bad:
             return False, f"{where}: non-finite {bad}"
         for a in (0, 1):
-            if abs(leg.samples[a][-1][0] - leg.duration) > 1e-9:
-                return False, f"{where}: duration differs from its last sample time"
+            bad = _reference_path_fault(leg.knots[a], leg.duration)
+            if bad:
+                return False, f"{where}: arm {a + 1} {bad}"
         if prev_end is not None:
             for a in (0, 1):
-                _, x0, y0, _ = leg.samples[a][0]
-                if dist((x0, y0), prev_end[a]) > 1e-6:
+                if dist(leg.knots[a][0][1:], prev_end[a]) > 1e-6:
                     return False, f"{where}: arm {a + 1} path discontinuity"
-        for k in range(len(leg.samples[0])):
-            _, x1, y1, _ = leg.samples[0][k]
-            _, x2, y2, _ = leg.samples[1][k]
-            c = segment_clearance(a1.base, (x1, y1), a2.base, (x2, y2))
+        for k, (p1, p2) in enumerate(zip(*_samples(leg))):
+            c = segment_clearance(a1.base, p1, a2.base, p2)
             if c < clearance - 1e-6:
                 return False, f"{where}: clearance {c:.4f} at sample {k}"
         for arm, action, obj, t, point in leg.grips:
-            times = [s[0] for s in leg.samples[arm]]
-            spacing = max([b - a for a, b in zip(times, times[1:])] + [0.0])
-            near = min(leg.samples[arm], key=lambda s: abs(s[0] - t))
-            if dist((near[1], near[2]), point) > spacing + 1e-9:
+            if not 0.0 <= t <= leg.duration:
+                return False, f"{where}: arm {arm + 1} event time outside the leg"
+            if dist(_path(leg.knots[arm]).pos(t), point) > 1e-9:
                 return False, f"{where}: arm {arm + 1} event point far from its path"
             if action == "close":
                 if obj not in table:
@@ -126,7 +149,7 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
         bad = table_feasible(where)
         if bad:
             return False, bad
-        prev_end = [(leg.samples[a][-1][1], leg.samples[a][-1][2]) for a in (0, 1)]
+        prev_end = [leg.knots[a][-1][1:] for a in (0, 1)]
 
     if held[0] is not None or held[1] is not None:
         return False, "run ended with an object still held"
@@ -169,18 +192,22 @@ def workload_runs():
     ]
 
 
-def _computed_samples(leg, arms, monkeypatch) -> Optional[list[int]]:
+def _threshold(arms) -> float:
+    return max(arms[0].clearance, arms[1].clearance) - 1e-6
+
+
+def _computed_samples(points, arms, monkeypatch) -> Optional[list[int]]:
     """The sample indices at which the verifier's clearance scan calls
-    `segment_clearance` for one leg, or None when two samples hold the same
-    pair of EE points and the calls cannot be told apart."""
-    pairs = [(s0[1:3], s1[1:3]) for s0, s1 in zip(*leg.samples)]
+    `segment_clearance` for one leg's sample points, or None when two
+    samples hold the same pair of EE points and the calls cannot be told
+    apart."""
+    pairs = list(zip(*points))
     if len(set(pairs)) < len(pairs):
         return None
     calls = []
     real = sim.segment_clearance
     monkeypatch.setattr(sim, "segment_clearance", lambda *a: calls.append((a[1], a[3])) or real(*a))
-    a1, a2 = arms
-    sim._clearance_violation(*leg.samples, a1.base, a2.base, max(a1.clearance, a2.clearance) - 1e-6)
+    sim._clearance_violation(*points, arms[0].base, arms[1].base, _threshold(arms))
     monkeypatch.setattr(sim, "segment_clearance", real)
     return [pairs.index(call) for call in calls]
 
@@ -202,43 +229,39 @@ def test_verify_checks_fewer_samples_than_a_full_scan(workload_runs, monkeypatch
     for name, inst, trace in workload_runs:
         if name == "acyclic-pairs":
             verify_trace(trace, inst)
-            samples += trace.sample_count()
+            samples += sum(len(_samples(leg)[0]) for leg in trace.legs)
     assert 0 < len(calls) < samples / 4
 
 
 @pytest.mark.parametrize("moved_arm", [0, 1])
 def test_clearance_violation_after_skipped_samples(workload_runs, monkeypatch, moved_arm):
-    # a sample the scan passed over, after 10 more it passed over, gets one
-    # arm teleported onto the other: the scan must stop there
+    # in the sample points of a workload leg, a sample the scan passed over,
+    # after 10 more it passed over, gets one arm teleported onto the other:
+    # the scan must stop there
     found = None
     for name, inst, trace in workload_runs:
         for leg in trace.legs:
-            computed = _computed_samples(leg, trace.arms, monkeypatch)
+            points = _samples(leg)
+            computed = _computed_samples(points, trace.arms, monkeypatch)
             if computed is None:
                 continue
-            computed.append(len(leg.samples[0]))
+            computed.append(len(points[0]))
             runs = [k for k, nxt in zip(computed, computed[1:]) if nxt - k > 11]
             if runs:
-                found = inst, trace, leg, runs[0] + 11
+                found = trace.arms, points, runs[0] + 11
                 break
         if found:
             break
     assert found, "no leg skips 11 samples in a row"
-    inst, trace, leg, j = found
-    kept = leg.samples[moved_arm][j]
-    _, x, y, c = leg.samples[1 - moved_arm][j]
-    leg.samples[moved_arm][j] = (kept[0], x, y, c)
-    try:
-        got = verify_trace(trace, inst)
-        assert got == full_scan_verify(trace, inst)
-        assert got == (False, f"leg {leg.index}: clearance 0.0000 at sample {j}")
-    finally:
-        leg.samples[moved_arm][j] = kept
+    arms, points, j = found
+    points[moved_arm][j] = points[1 - moved_arm][j]
+    args = (*points, arms[0].base, arms[1].base, _threshold(arms))
+    assert sim._clearance_violation(*args) == _full_scan_clearance(*args) == (j, 0.0)
 
 
-def _full_scan_clearance(samples0, samples1, base0, base1, threshold):
-    for k, ((_, x0, y0, _), (_, x1, y1, _)) in enumerate(zip(samples0, samples1)):
-        c = segment_clearance(base0, (x0, y0), base1, (x1, y1))
+def _full_scan_clearance(points0, points1, base0, base1, threshold):
+    for k, (p0, p1) in enumerate(zip(points0, points1)):
+        c = segment_clearance(base0, p0, base1, p1)
         if c < threshold:
             return k, c
     return None
@@ -250,8 +273,8 @@ def test_clearance_scan_is_exact_at_the_edge_of_its_bound():
     # lies just past what the first sample's bound covers
     threshold = 0.1 - 1e-6
     xs = [0.5 - 0.05 * k for k in range(9)] + [threshold - 1e-7] + [0.2, 0.3, 0.4, 0.5]
-    arm0 = [(0.0, 0.0, 1.0, None)] * len(xs)
-    arm1 = [(0.0, x, 1.0, None) for x in xs]
+    arm0 = [(0.0, 1.0)] * len(xs)
+    arm1 = [(x, 1.0) for x in xs]
     want = _full_scan_clearance(arm0, arm1, (0.0, 0.0), (1.0, 0.0), threshold)
     assert want[0] == 9 and want[1] == pytest.approx(xs[9])
     assert sim._clearance_violation(arm0, arm1, (0.0, 0.0), (1.0, 0.0), threshold) == want
@@ -272,8 +295,8 @@ def test_clearance_scan_matches_full_scan_on_random_walks():
             for p in (p0, p1):
                 p[0] += rng.uniform(-0.012, 0.012) + (0.004 if p is p0 else -0.004)
                 p[1] += rng.uniform(-0.012, 0.012)
-            arm0.append((k / 59, p0[0], p0[1], None))
-            arm1.append((k / 59, p1[0], p1[1], None))
+            arm0.append((p0[0], p0[1]))
+            arm1.append((p1[0], p1[1]))
         want = _full_scan_clearance(arm0, arm1, base0, base1, threshold)
         assert sim._clearance_violation(arm0, arm1, base0, base1, threshold) == want
         hits += want is not None
@@ -323,10 +346,9 @@ def test_nan_sample_is_rejected_naming_its_leg():
     trace = rec.trace
     assert verify_trace(trace, inst) == (True, "ok")
     leg = trace.legs[2]
-    k = len(leg.samples[0]) // 2
-    t, _, _, c = leg.samples[0][k]
-    leg.samples[0][k] = (t, math.nan, math.nan, c)
-    want = (False, "leg 2: non-finite arm 1 sample")
+    t, _, _ = leg.knots[0][1]
+    leg.knots[0][1] = (t, math.nan, math.nan)
+    want = (False, "leg 2: non-finite arm 1 knot")
     assert verify_trace(trace, inst) == want == full_scan_verify(trace, inst)
     # the same trace as text
     assert verify_trace(dumps_trace(trace), inst) == want
@@ -336,8 +358,8 @@ def test_nan_sample_is_rejected_naming_its_leg():
     "field, value, reason",
     [
         ("duration", math.nan, "duration"),
-        ("time", math.nan, "arm 2 sample"),
-        ("y", math.inf, "arm 2 sample"),
+        ("time", math.nan, "arm 2 knot"),
+        ("y", math.inf, "arm 2 knot"),
         ("grip time", math.nan, "grip"),
         ("grip point", -math.inf, "grip"),
     ],
@@ -349,8 +371,8 @@ def test_non_finite_leg_numbers_are_rejected(field, value, reason):
     if field == "duration":
         leg.duration = value
     elif field in ("time", "y"):
-        t, x, y, c = leg.samples[1][5]
-        leg.samples[1][5] = (value, x, y, c) if field == "time" else (t, x, value, c)
+        t, x, y = leg.knots[1][-1]
+        leg.knots[1][-1] = (value, x, y) if field == "time" else (t, x, value)
     else:
         arm, action, obj, t, (x, y) = leg.grips[0]
         leg.grips[0] = (arm, action, obj, t, (value, y)) if field == "grip point" else (
@@ -361,18 +383,61 @@ def test_non_finite_leg_numbers_are_rejected(field, value, reason):
 
 
 def test_grip_forged_with_an_inflated_duration_is_rejected():
-    # a grip moved to t = 0 lies far from its path; inflating the leg's
-    # duration must not widen the tolerance enough to let it pass
+    # a grip moved to t = 0 lies far from its path, and stretching the leg's
+    # duration and both arms' final knots to 1e6 cannot bring it back: the
+    # point is checked against the path at its own time
     inst = instances.showcase9()
     trace = run_instance(inst, PLAN_SEED)[1].trace
     leg = trace.legs[0]
+    assert leg.grips[0][0] == 0
     leg.grips[0] = (*leg.grips[0][:3], 0.0, leg.grips[0][4])
     far = dumps_trace(trace)
     leg.duration = 1e6
+    longer = dumps_trace(trace)
+    for knots in leg.knots:
+        knots[-1] = (1e6, *knots[-1][1:])
     forged = dumps_trace(trace)
     for verify in (verify_trace, full_scan_verify):
         assert verify(far, inst) == (False, "leg 0: arm 1 event point far from its path")
-        assert verify(forged, inst) == (False, "leg 0: duration differs from its last sample time")
+        assert verify(longer, inst) == (False, "leg 0: arm 1 path does not end at the leg's duration")
+        assert verify(forged, inst) == (False, "leg 0: arm 1 event point far from its path")
+
+
+def _retimed(knots, k, t):
+    knots[k] = (t, *knots[k][1:])
+
+
+def _shifted_grip(leg, g, dt=0.0, dx=0.0):
+    arm, action, obj, t, (x, y) = leg.grips[g]
+    leg.grips[g] = (arm, action, obj, t + dt, (x + dx, y))
+
+
+# showcase9 at plan seed 42, leg 0: arm 1 goes straight to its pick in
+# 0.3396; arm 2 reaches its pick at 0.2546 (knot 1) and waits there
+@pytest.mark.parametrize(
+    "tamper, want",
+    [
+        (lambda leg: _retimed(leg.knots[0], 0, 1e-6), "arm 1 path does not start at t = 0"),
+        (lambda leg: _retimed(leg.knots[0], 1, leg.duration + 1e-6),
+         "arm 1 path does not end at the leg's duration"),
+        (lambda leg: _retimed(leg.knots[1], 1, leg.knots[1][1][0] / 2),
+         "arm 2 knot 1 is reached faster than unit speed"),
+        (lambda leg: _retimed(leg.knots[1], 1, leg.duration + 1e-3), "arm 2 knot 2 runs back in time"),
+        (lambda leg: _shifted_grip(leg, 1, dx=1e-6), "arm 2 event point far from its path"),
+        (lambda leg: _shifted_grip(leg, 1, dt=-1e-3), "arm 2 event point far from its path"),
+        (lambda leg: _shifted_grip(leg, 0, dt=1e-3), "arm 1 event time outside the leg"),
+    ],
+    ids=["late-start", "late-end", "too-fast", "backwards", "off-path", "early-grip", "grip-after-leg"],
+)
+def test_tampered_path_is_rejected(tamper, want):
+    inst = instances.showcase9()
+    trace = run_instance(inst, PLAN_SEED)[1].trace
+    leg = trace.legs[0]
+    assert [len(knots) for knots in leg.knots] == [2, 3] and leg.knots[1][1][0] < leg.duration
+    tamper(leg)
+    text = dumps_trace(trace)
+    for verify in (verify_trace, full_scan_verify):
+        assert verify(trace, inst) == verify(text, inst) == (False, f"leg 0: {want}")
 
 
 def test_non_finite_placement_cannot_be_parsed():
@@ -387,7 +452,7 @@ def test_non_finite_placement_cannot_be_parsed():
         verify_trace("\n".join(lines) + "\n", inst)
     # the parse error names the line
     assert str(err.value) == (
-        f"malformed sdar-trace/1 trace: line {k + 1}: non-finite pose (nan, {parts[4]}, {parts[5]})"
+        f"malformed sdar-trace/2 trace: line {k + 1}: non-finite pose (nan, {parts[4]}, {parts[5]})"
     )
 
 
@@ -454,21 +519,18 @@ def test_round_check_reports_an_overlapping_round_as_a_full_scan_does(monkeypatc
         assert str(err.value) == f"infeasible arrangement after round 3: {full}"
 
 
-def _line_by_line_samples(trace) -> list[str]:
-    # the sample lines as dumps_trace wrote them one at a time
-    out = []
-    for leg in trace.legs:
-        for a in (0, 1):
-            for t, x, y, carried in leg.samples[a]:
-                c = "-" if carried is None else str(carried)
-                out.append(f"s {leg.index} {a} {float(t)!r} {float(x)!r} {float(y)!r} {c}")
-    return out
+def _bits(trace) -> list:
+    return [
+        (leg.duration.hex(), [[tuple(v.hex() for v in knot) for knot in knots] for knots in leg.knots])
+        for leg in trace.legs
+    ]
 
 
-def test_dump_sample_lines_match_line_by_line_formatting(workload_runs):
-    for name, inst, trace in workload_runs[::7]:
-        lines = [ln for ln in dumps_trace(trace).splitlines() if ln.startswith("s ")]
-        assert lines == _line_by_line_samples(trace), (name, inst.label)
+def test_dump_roundtrip_keeps_every_knot_bit_for_bit(workload_runs):
+    for name, inst, trace in workload_runs:
+        again = loads_trace(dumps_trace(trace))
+        assert _bits(again) == _bits(trace), (name, inst.label)
+        assert [leg.grips for leg in again.legs] == [leg.grips for leg in trace.legs]
 
 
 def test_dump_roundtrip_keeps_negative_zero_and_nan():
@@ -476,18 +538,13 @@ def test_dump_roundtrip_keeps_negative_zero_and_nan():
     _, rec = run_instance(inst, 0)
     trace = rec.trace
     leg = trace.legs[1]
-    zero = -0.0
-    for a in (0, 1):  # both arms share the -0.0 time object, as recorded legs do
-        _, x, y, c = leg.samples[a][0]
-        leg.samples[a][0] = (zero, x, y, c)
-    _, x1, _, c1 = leg.samples[1][1]
-    leg.samples[1][1] = (-0.0, x1, math.nan, c1)  # arm 0 keeps its own time here
-    t2, _, y2, c2 = leg.samples[0][2]
-    leg.samples[0][2] = (t2, -0.0, y2, c2)
+    (_, x0, y0), (t1, _, y1) = leg.knots[0][:2]
+    leg.knots[0][0] = (-0.0, x0, y0)
+    leg.knots[0][1] = (t1, -0.0, y1)
+    t2, x2, _ = leg.knots[1][1]
+    leg.knots[1][1] = (t2, x2, math.nan)
     text = dumps_trace(trace)
-    assert "s 1 0 -0.0 " in text and "s 1 1 -0.0 " in text
-    assert f"s 1 1 -0.0 {float(x1)!r} nan " in text
-    assert f"s 1 0 {float(leg.samples[0][1][0])!r} " in text
-    assert f"s 1 0 {float(t2)!r} -0.0 " in text
-    assert [ln for ln in text.splitlines() if ln.startswith("s ")] == _line_by_line_samples(trace)
+    assert f"k 1 0 -0.0 {x0!r} {y0!r}\n" in text
+    assert f"k 1 0 {t1!r} -0.0 {y1!r}\n" in text
+    assert f"k 1 1 {t2!r} {x2!r} nan\n" in text
     assert dumps_trace(loads_trace(text)) == text
