@@ -4,8 +4,9 @@ sweeps, and render scenes, dependency graphs, and trace animations.
 Exit codes: 0 success, 1 planning failure, 2 input error (a bad flag, an
 unreadable or malformed input file, or an output path that cannot be
 written).  Flags are the only settings: no environment variable is read.
-The time step and the buffer poses per sampling call are the planner's
-constants `motion.DT` and `motion.K_BUFFERS`, not flags.
+The planner's time step `motion.DT` and its buffer poses per sampling call
+`motion.K_BUFFERS` are constants, not flags.  Traces do not record DT:
+`sdar render` draws each moving leg at `round(1/DT)` + 1 frames.
 """
 
 from __future__ import annotations
@@ -321,7 +322,6 @@ def render_frame(inst: Instance, table, ee, carried, arms) -> str:
         parts.append(f'<circle cx="{ex:.1f}" cy="{ey:.1f}" r="{r:.1f}" fill="{fill}"/>')
         if carried[a] is not None:
             obj = carried[a]
-            hw, hh = inst.shapes[obj]
             box = footprint(obj, Pose2(ee[a][0], ee[a][1], 0.0), inst.shapes)
             parts.append(_svg_box(ws, box, _PALETTE[obj % len(_PALETTE)], "#d04040",
                                   opacity=0.8, label=obj))

@@ -45,7 +45,7 @@ from .geom import (
 from .taskplan import GOAL, RELAY, PlannerSession, TaskPlan, assign_arms
 
 # The planner's fixed resolutions: a leg validates at DT / VALIDATE_REFINE
-# (and a trace's leg is sampled at round(1/DT) + 1 times), and a buffer
+# (and `sdar render` draws a leg at round(1/DT) + 1 times), and a buffer
 # sampling call returns at most K_BUFFERS poses.
 DT = 0.02
 K_BUFFERS = 40
@@ -56,7 +56,7 @@ DEFAULT_EE_RADIUS = 0.04
 DEFAULT_CLEARANCE = 0.10
 PAD_HALF_THICKNESS = 0.01
 BASE_KEEPOUT_MARGIN = 0.01
-VALIDATE_REFINE = 8  # validator samples at dt / VALIDATE_REFINE
+VALIDATE_REFINE = 8  # validator samples at DT / VALIDATE_REFINE
 # Sampled clearance threshold above the limit.  EEs move at unit speed, so
 # clearance is 2-Lipschitz in time: samples >= clearance + GUARD at spacing
 # <= GUARD certify the continuous trajectory, and a leg ending at
@@ -245,19 +245,13 @@ def _max_speed(path: ArmPath) -> float:
 
 
 def validate_motion(
-    paths: tuple[ArmPath, ArmPath],
-    arms: tuple[ArmModel, ArmModel],
-    duration: float,
-    dt: float = DT,
-    margin: float = 0.0,
-    guard: Optional[float] = None,
+    paths: tuple[ArmPath, ArmPath], arms: tuple[ArmModel, ArmModel], duration: float
 ) -> Optional[Conflict]:
-    """First sampled arm-arm clearance violation, or None.
+    """First arm-arm clearance violation on the planner's grid, or None.
 
-    With guard=None (the planner's own validation) the threshold is
-    clearance + VALIDATE_GUARD at sample spacing <= VALIDATE_GUARD, which
-    certifies the continuous trajectory keeps the bare clearance.
-    Re-checkers pass guard=0.0 to test the bare threshold at their own grid.
+    The threshold is clearance + VALIDATE_GUARD at sample spacing <=
+    VALIDATE_GUARD, which certifies the continuous trajectory keeps the
+    bare clearance.
 
     Samples proven safe are skipped.  Moving a segment endpoint by d moves
     the segment distance by at most d, so clearance changes by at most
@@ -267,15 +261,11 @@ def validate_motion(
     failing sample's Conflict) is the one a full scan would return.
     """
     clearance = max(arms[0].clearance, arms[1].clearance)
-    if guard is None:
-        guard = VALIDATE_GUARD
     if duration <= 1e-12:
         steps = 1
-    elif guard > 0.0:
-        steps = max(int(round(VALIDATE_REFINE / dt)), int(math.ceil(duration / VALIDATE_GUARD)))
     else:
-        steps = int(round(VALIDATE_REFINE / dt))
-    limit = clearance + guard - margin - 1e-9
+        steps = max(int(round(VALIDATE_REFINE / DT)), int(math.ceil(duration / VALIDATE_GUARD)))
+    limit = clearance + VALIDATE_GUARD - 1e-9
     speed = _max_speed(paths[0]) + _max_speed(paths[1])
     # bound on the clearance change between neighbouring samples (inf*0 is nan)
     per_step = math.inf if speed == math.inf else speed * (duration / steps)

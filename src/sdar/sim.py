@@ -5,19 +5,18 @@ evaluate runs.
 the single-arm oracle, and the makespan of its forced-sequential replay.
 
 A trace records each leg's path knots exactly; the verifier and the
-renderer derive the leg's samples from them with their own interpolation.
+renderer read the arms' points off them with their own interpolation.
 The verifier replays a trace file against the problem definition using only
 the geometric primitives, independent of the planner code paths: finite
 numbers, knots that form a path over the leg at no more than unit speed,
-gripper events on their arm's path, arm-arm clearance at every sample,
-pick/place consistency, arrangement feasibility, and exact goal attainment.
-It does work only where something can change.  Every sample is checked, but
-a sample's clearance proves the following samples safe while both
-end-effectors together have moved less than its margin, so
-`segment_clearance` runs only where that bound runs out.  The start table
-is checked once, after the first leg; after that the table changes only at
-grasps and placements, and each placement is checked against the workspace
-and every object on the table.
+gripper events on their arm's path, arm-arm clearance over the whole
+continuous leg, pick/place consistency, arrangement feasibility, and exact
+goal attainment.  Clearance is certified by conservative advancement: the
+arms move at unit speed, so a clearance c above the threshold holds off
+the threshold for (c - threshold) / 2, and `segment_clearance` runs once
+per such step.  The start table is checked once, after the first leg;
+after that the table changes only at grasps and placements, and each
+placement is checked against the workspace and every object on the table.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ class Trace:
     instance_hash: str
     seed: int
     arms: tuple[ArmModel, ArmModel]
-    dt: float = DT  # a parsed trace keeps its header's value; verify_trace wants DT
     legs: list[LegRecord] = field(default_factory=list)
     metrics: Optional[RunMetrics] = None
 
@@ -98,7 +96,6 @@ class Trace:
 class RunRecord:
     trace: Optional[Trace] = None
     subs: list = field(default_factory=list)
-    motions: list[SyncMotion] = field(default_factory=list)
 
 
 def new_session(instance: Instance, seed: int, arms=None) -> PlannerSession:
@@ -195,7 +192,6 @@ def _commit(session: PlannerSession, rounds, record: RunRecord) -> RunMetrics:
     try:
         for sub, start, goal, candidates in rounds:
             record.subs.append(sub)
-            record.motions += [start, goal]
             _record_leg(trace, sub, start, candidates)
             _record_leg(trace, sub, goal, [])
             _apply_round(session, sub, goal)
@@ -308,7 +304,7 @@ def dumps_trace(trace: Trace) -> str:
         f"base1 {_fmt(stated['base1'][0])} {_fmt(stated['base1'][1])} "
         f"base2 {_fmt(stated['base2'][0])} {_fmt(stated['base2'][1])} "
         f"reach {_fmt(stated['reach'])} ee_radius {_fmt(stated['ee_radius'])} "
-        f"clearance {_fmt(stated['clearance'])} dt {_fmt(trace.dt)}",
+        f"clearance {_fmt(stated['clearance'])}",
     ]
     for leg in trace.legs:
         cands = ";".join(f"{i},{j}" for i, j in leg.candidates) or "-"
@@ -364,8 +360,7 @@ def loads_trace(text: str) -> Trace:
         hdr = line.split()
         instance, seed = hdr[1], int(hdr[3])
         k, line = lines[2]
-        arms, dt = _parse_arms(line.split())
-        trace = Trace(instance, seed, arms, dt)
+        trace = Trace(instance, seed, _parse_arms(line.split()))
         for k, line in lines[3:]:
             _parse_line(line.split(), trace, legs)
     except (IndexError, KeyError, ValueError) as exc:
@@ -375,18 +370,19 @@ def loads_trace(text: str) -> Trace:
     return trace
 
 
-def _parse_arms(arm_f: list[str]) -> tuple[tuple[ArmModel, ArmModel], float]:
-    """The arm pair and dt of a trace's arms line."""
+def _parse_arms(arm_f: list[str]) -> tuple[ArmModel, ArmModel]:
+    """The arm pair of a trace's arms line; fields are looked up by name,
+    so a field it does not read (the `dt` older traces carry) is passed
+    over."""
 
     def take(key):
         return float(arm_f[arm_f.index(key) + 1])
 
     reach, ee_radius, clearance = take("reach"), take("ee_radius"), take("clearance")
-    arms = tuple(
+    return tuple(
         ArmModel(base=base, reach=reach, ee_radius=ee_radius, clearance=clearance)
         for base in ((float(arm_f[2]), float(arm_f[3])), (float(arm_f[5]), float(arm_f[6])))
     )
-    return arms, take("dt")
 
 
 def _arm_index(text: str) -> int:
@@ -401,6 +397,8 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
     if parts[0] == "leg":
         # leg I stage S mode M objs O1 O2 angles A1 A2 buffer X Y T candidates C duration D
         idx = int(parts[1])
+        if idx in legs:
+            raise ValueError(f"leg {idx} is given twice")
         objs = tuple(None if v == "-" else int(v) for v in (parts[7], parts[8]))
         angles = tuple(None if v == "-" else v for v in (parts[10], parts[11]))
         buf = None
@@ -473,12 +471,21 @@ def load_trace(path) -> Trace:
 # ------------------------------------------------------------- verification
 
 
-CLEARANCE_SLACK = 1e-9
+# The clearance certificate of `verify_trace` holds the arms' clearance less
+# 1e-6 less CERTIFY_FLOOR, and a read must lie CERTIFY_FLOOR above that to
+# advance.  So a read below the clearance less 1e-6 fails, a leg whose
+# continuous clearance is at least the arms' clearance passes, and a leg of
+# duration d takes at most 2 * d / CERTIFY_FLOOR + 1 reads.  The bound it
+# certifies is lower by up to 1e-9 per knot, the slack by which
+# `_path_fault` lets a path outrun unit speed; the floor is four orders of
+# magnitude above that.
+CERTIFY_FLOOR = 1e-5
 
 
 def _sample_times(duration: float) -> list[float]:
-    """The times at which a leg is sampled: `round(1/DT)` + 1 evenly spaced
-    over a leg that moves, t = 0 alone over one that does not."""
+    """The times at which `iterate_frames` draws a leg: `round(1/DT)` + 1
+    evenly spaced over a leg that moves, t = 0 alone over one that does
+    not."""
     steps = round(1.0 / DT) if duration > 1e-12 else 0
     return [duration * k / steps for k in range(steps + 1)] if steps else [0.0]
 
@@ -511,33 +518,27 @@ def _path_points(knots, times) -> list[tuple[float, float]]:
     return out
 
 
-def _clearance_violation(points0, points1, base0, base1, threshold: float):
-    """The first sample at which the two arm segments are closer than
-    `threshold`, as (index, clearance), or None; `points0` and `points1` are
-    the two arms' EE points at the same sample times.
+def _uncertified(knots0, knots1, base0, base1, duration: float, threshold: float) -> Optional[str]:
+    """Why the two arms' paths over a leg of `duration` are not certified
+    to keep `threshold` clearance at every instant, or None.
 
-    Every sample is checked, most of them by a distance bound: the bases are
-    fixed, and moving a segment endpoint by d moves the distance of the two
-    segments by at most d.  So a sample of clearance c proves each later one
-    safe while c, minus the displacement of both EE points summed since that
-    sample, stays above threshold + CLEARANCE_SLACK, and `segment_clearance`
-    runs only at the samples no bound covers.  The result is the one a
-    full scan gives."""
-    budget = -1.0  # displacement the last computed sample still covers
-    moved = 0.0
-    prev0 = prev1 = None
-    for k, (p0, p1) in enumerate(zip(points0, points1)):
-        if prev0 is not None:
-            moved += dist(prev0, p0) + dist(prev1, p1)
-        prev0, prev1 = p0, p1
-        if moved < budget:
-            continue
+    Conservative advancement: both end-effectors move at no more than unit
+    speed, and moving a segment end by d moves the distance of the two
+    segments by at most d, so a clearance c read at t holds at least
+    `threshold` until t + (c - threshold) / 2, where the next read is.  A
+    read below `threshold` fails, and so does one within CERTIFY_FLOOR of
+    it, which keeps every step at least CERTIFY_FLOOR / 2 long."""
+    t = 0.0
+    while True:
+        (p0,), (p1,) = _path_points(knots0, (t,)), _path_points(knots1, (t,))
         c = segment_clearance(base0, p0, base1, p1)
         if c < threshold:
-            return k, c
-        budget = c - threshold - CLEARANCE_SLACK
-        moved = 0.0
-    return None
+            return f"clearance {c:.4f} at t={t:.4f}"
+        if c < threshold + CERTIFY_FLOOR:
+            return f"clearance not certified at t={t:.4f}"
+        t += (c - threshold) / 2.0
+        if t >= duration:
+            return None
 
 
 def _non_finite(leg: LegRecord) -> Optional[str]:
@@ -574,14 +575,12 @@ def _path_fault(knots, duration: float) -> Optional[str]:
 
 
 def _header_mismatch(trace: Trace, arms) -> Optional[str]:
-    """The first field of the trace's arms line that disagrees with `arms`
-    (or a dt other than the planner's DT), or None."""
+    """The first field of the trace's arms line that disagrees with `arms`,
+    or None."""
     stated = _arms_line(trace.arms)
     for name, want in _arms_line(arms).items():
         if stated[name] != want:
             return f"header {name} {stated[name]!r} differs from the arms' {want!r}"
-    if trace.dt != DT:
-        return f"header dt {trace.dt!r} differs from the planner's {DT!r}"
     return None
 
 
@@ -593,8 +592,9 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     workspace), never from the trace, and a trace whose arms line states
     other arms fails.  Each arm's knots must form a path over its leg at no
     more than unit speed, continuing where the previous leg ended, and each
-    gripper event must lie on its arm's path at its time.  The start table
-    is checked once, after the first leg.  After that the table loses
+    gripper event must lie on its arm's path at its time, and `_uncertified`
+    certifies the clearance over the whole leg.  The start table is checked
+    once, after the first leg.  After that the table loses
     objects only at gripper-close events and gains them only at placements,
     and each placement is checked against the workspace and every object on
     the table."""
@@ -607,7 +607,7 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     if bad:
         return False, bad
     a1, a2 = arms
-    clearance = max(a1.clearance, a2.clearance)
+    threshold = max(a1.clearance, a2.clearance) - 1e-6 - CERTIFY_FLOOR
     shapes = instance.shapes
     ws = instance.workspace
 
@@ -644,11 +644,6 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
             for a in (0, 1):
                 if dist(leg.knots[a][0][1:], prev_end[a]) > 1e-6:
                     return False, f"{where}: arm {a + 1} path discontinuity"
-        times = _sample_times(leg.duration)
-        points = [_path_points(knots, times) for knots in leg.knots]
-        hit = _clearance_violation(*points, a1.base, a2.base, clearance - 1e-6)
-        if hit:
-            return False, f"{where}: clearance {hit[1]:.4f} at sample {hit[0]}"
         for arm, action, obj, t, point in leg.grips:
             if not 0.0 <= t <= leg.duration:
                 return False, f"{where}: arm {arm + 1} event time outside the leg"
@@ -684,6 +679,10 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
             table[obj] = pose
             boxes[obj] = box
             held[arm] = None
+        # the leg's last check, as its cost grows with the leg's duration
+        bad = _uncertified(*leg.knots, a1.base, a2.base, leg.duration, threshold)
+        if bad:
+            return False, f"{where}: {bad}"
         if prev_end is None:  # the first leg checks the whole start table
             bad = table_feasible(where)
             if bad:

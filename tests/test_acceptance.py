@@ -27,8 +27,9 @@ from sdar.motion import (
     plan_sync,
     sequential_fallback,
     untangle,
-    validate_motion,
 )
+
+from fine_grid import least_clearance
 
 ARMS = default_arms()
 
@@ -37,16 +38,16 @@ ARMS = default_arms()
 # count: any change to a plan changes one of them.  The sdar-trace/1 digest
 # was pinned before traces stored knots, so it shows that plans did not move.
 BEHAVIOUR_DIGEST = "6fc08af60059"
-BEHAVIOUR_DIGEST_V2 = "614f1e38b6d6"
+BEHAVIOUR_DIGEST_V2 = "6f7efdc07bf1"
 BEHAVIOUR_ACTIONS = 1889
 # the same over the 20 crowded tables gen_random(n, s), n = 14..22 even and
 # s = 0..3, per plan seed: (sdar-trace/1 digest, digest, actions, solved).
 # Their recovery moves are where the one-arm move list is used most.
 DENSE_DIGESTS = {
-    42: ("5e6dccba9bde", "57827d2b23e2", 313, 15),
-    1: ("7f869ef4bea9", "f26bef0c2063", 308, 15),
-    2: ("2d9bc3e1cd90", "9aa870f62c7d", 343, 15),
-    3: ("a07d38546b5f", "560c3d55f54f", 322, 13),
+    42: ("5e6dccba9bde", "1fc899340b69", 313, 15),
+    1: ("7f869ef4bea9", "f3103733509b", 308, 15),
+    2: ("2d9bc3e1cd90", "f29975aa0f7b", 343, 15),
+    3: ("a07d38546b5f", "31de9a722e93", 322, 13),
 }
 
 
@@ -75,11 +76,14 @@ def _v1_samples(leg) -> list[str]:
 
 
 def _v1_text(trace) -> str:
-    """The trace as sdar-trace/1 text: knot lines become sample lines."""
+    """The trace as sdar-trace/1 text: knot lines become sample lines, and
+    the arms line ends in the `dt` field sdar-trace/1 wrote."""
     lines = []
     for line in sim.dumps_trace(trace).splitlines():
         if line == sim.TRACE_FORMAT:
             lines.append("sdar-trace/1")
+        elif line.startswith("arms "):
+            lines.append(f"{line} dt {DT!r}")
         elif line.startswith("leg "):
             lines += [line, *_v1_samples(trace.legs[int(line.split()[1])])]
         elif not line.startswith("k "):
@@ -218,10 +222,13 @@ def test_dense_digest_unchanged(seed):
     actions = solved = 0
     for n in (14, 16, 18, 20, 22):
         for s in range(4):
-            metrics, record = sim.run_instance(instances.gen_random(n, s), seed)
+            inst = instances.gen_random(n, s)
+            metrics, record = sim.run_instance(inst, seed)
             traces.append(record.trace)
             actions += metrics.actions
             solved += metrics.success
+            # every solved trace is certified
+            assert not metrics.success or sim.verify_trace(record.trace, inst) == (True, "ok")
     assert (*_digests(traces), actions, solved) == DENSE_DIGESTS[seed], (
         "a change that alters dense plans must say why and record the new digests"
     )
@@ -250,18 +257,24 @@ def test_criterion_6_parallelism_saving(suite_results):
 
 
 def test_criterion_7_trajectory_soundness(suite_results):
-    violations = []
-    arms_cache = {}
-    for inst, metrics, record, _, _ in suite_results:
+    # the verifier's certificate covers every instant of each leg; a scan of
+    # each leg's knots on 4x the planner's grid, at the bare clearance, must
+    # agree with it
+    uncertified, violations = [], []
+    closest = float("inf")
+    for inst, metrics, record, verified, msg in suite_results:
         if not metrics.success:
             continue
-        arms = arms_cache.setdefault(inst.workspace, default_arms(inst.workspace))
-        for motion in record.motions:
-            bad = validate_motion(motion.paths, arms, motion.duration, DT / 2, margin=1e-6, guard=0.0)
-            if bad is not None:
-                violations.append((inst.label, inst.seed, bad))
-    _report(7, "trajectory soundness at dt/2", not violations,
-            f"(violations={violations[:3]})")
+        if not verified:
+            uncertified.append((inst.label, inst.seed, msg))
+        arms = default_arms(inst.workspace)
+        for leg in record.trace.legs:
+            c, t = least_clearance(leg.knots, arms, leg.duration, 4)
+            closest = min(closest, c - arms[0].clearance)
+            if c < arms[0].clearance:
+                violations.append((inst.label, inst.seed, leg.index, c, t))
+    _report(7, "trajectory soundness, certified and on a 4x grid", not uncertified and not violations,
+            f"(uncertified={uncertified[:3]}, violations={violations[:3]}, closest {closest:+.4f})")
 
 
 def _leg(e1, t1, e2, t2):
@@ -325,10 +338,10 @@ def test_criterion_8_fallback_ladder():
     for inst in (instances.showcase9(), instances.gen_mixed(0)):
         metrics, record = sim.run_instance(inst, 42)
         assert metrics.success
-        for k, motion in enumerate(record.motions):
+        for k, leg in enumerate(record.trace.legs):
             sub = record.subs[k // 2]
-            ee = [p.knots[0][1] for p in motion.paths]
-            rungs = dict(_all_rungs(sub, ee)) if motion.stage == Stage.TO_GOAL else None
+            ee = [knots[0][1:] for knots in leg.knots]
+            rungs = dict(_all_rungs(sub, ee)) if leg.stage == Stage.TO_GOAL.value else None
             if rungs and len(rungs) > 1:
                 order = [Mode.SYNCHRONOUS, Mode.UNTANGLED, Mode.SEQUENTIAL]
                 seq = [rungs[m] for m in order if m in rungs]

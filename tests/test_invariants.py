@@ -1,9 +1,12 @@
 """Cross-module run invariants checked over generated instances."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sdar import instances, sim
 from sdar.depgraph import decompose, footprint
 from sdar.geom import overlaps
-from sdar.motion import _iter_instantiations, _table_boxes, plan_motion
+from sdar.motion import _iter_instantiations, _table_boxes, default_arms, plan_motion
 from sdar.sim import _apply_round
 from sdar.taskplan import TaskComplete, next_task_plan
 
@@ -92,3 +95,24 @@ def test_every_successful_trace_verifies():
         assert metrics.success
         ok, msg = sim.verify_trace(sim.dumps_trace(rec.trace), inst)
         assert ok, (inst.label, msg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    table=st.one_of(
+        st.tuples(st.just(instances.gen_random), st.integers(2, 8)),
+        st.tuples(st.just(instances.gen_single_cycle), st.integers(2, 6)),
+    ),
+    gen_seed=st.integers(0, 10_000),
+    plan_seed=st.integers(0, 10_000),
+    clearance=st.sampled_from([0.05, 0.1]),
+)
+def test_solved_runs_are_certified_and_replanned_byte_for_byte(table, gen_seed, plan_seed, clearance):
+    generate, n = table
+    inst = generate(n, gen_seed)
+    arms = default_arms(inst.workspace, clearance=clearance)
+    metrics, rec = sim.run_instance(inst, plan_seed, arms)
+    text = sim.dumps_trace(rec.trace)
+    assert sim.dumps_trace(sim.run_instance(inst, plan_seed, arms)[1].trace) == text
+    if metrics.success:
+        assert sim.verify_trace(text, inst, arms) == (True, "ok")

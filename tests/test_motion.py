@@ -48,6 +48,8 @@ from sdar.motion import (
 )
 from sdar.taskplan import BUFFER, GOAL, TaskComplete, next_task_plan
 
+from fine_grid import least_clearance
+
 ARMS = default_arms()
 
 
@@ -874,7 +876,7 @@ def test_untangle_by_departure_delay():
     assert untangle_kind(motion) == "delay"
     sync_lower_bound = max(dist(ee[0], (0.46, 0.50)), dist(ee[1], (0.58, 0.10)))
     assert motion.duration <= 1.5 * sync_lower_bound + 1e-9
-    assert validate_motion(motion.paths, ARMS, motion.duration, DT) is None
+    assert validate_motion(motion.paths, ARMS, motion.duration) is None
 
 
 def test_untangle_by_via_points_on_corridor_swap():
@@ -884,7 +886,7 @@ def test_untangle_by_via_points_on_corridor_swap():
     motion = untangle(sub, ARMS, Stage.TO_GOAL, ee)
     assert motion is not None and motion.mode == Mode.UNTANGLED
     assert untangle_kind(motion) == "via"
-    assert validate_motion(motion.paths, ARMS, motion.duration, DT) is None
+    assert validate_motion(motion.paths, ARMS, motion.duration) is None
 
 
 def test_untangle_fails_on_deep_crossing():
@@ -910,7 +912,7 @@ def test_sequential_succeeds_on_deep_crossing():
     sub, ee = pair_leg((0.30, 0.30), (0.72, 0.32), (0.70, 0.28), (0.28, 0.30))
     motion = sequential_fallback(sub, ARMS, Stage.TO_GOAL, ee)
     assert motion.mode == Mode.SEQUENTIAL
-    assert validate_motion(motion.paths, ARMS, motion.duration, DT) is None
+    assert validate_motion(motion.paths, ARMS, motion.duration) is None
 
 
 def test_sequential_never_shorter_than_sync_on_random_legs():
@@ -997,52 +999,45 @@ def test_motion_determinism():
 # ------------------------------------------------- resolution robustness
 
 def test_motions_valid_at_doubled_sampling_rate():
+    # every leg of the trace keeps the bare clearance on twice the planner's grid
     for inst in (instances.showcase9(), instances.gen_mixed(1), instances.gen_double_cycle(6, 2)):
         metrics, rec = sim.run_instance(inst, 9)
         assert metrics.success
-        for motion in rec.motions:
-            bad = validate_motion(motion.paths, ARMS, motion.duration, DT / 2, margin=1e-6, guard=0.0)
-            assert bad is None, (inst.label, bad)
+        for leg in rec.trace.legs:
+            c, t = least_clearance(leg.knots, ARMS, leg.duration, 2)
+            assert c >= ARMS[0].clearance, (inst.label, leg.index, c, t)
 
 
 # ------------------------------------------- validation: skipped samples
 
-def full_scan_validate(paths, arms, duration, dt=DT, margin=0.0, guard=None):
+def full_scan_validate(paths, arms, duration):
     """validate_motion's grid and threshold with every sample checked in order."""
     clearance = max(arms[0].clearance, arms[1].clearance)
-    if guard is None:
-        guard = VALIDATE_GUARD
     if duration <= 1e-12:
         steps = 1
-    elif guard > 0.0:
-        steps = max(int(round(VALIDATE_REFINE / dt)), int(math.ceil(duration / VALIDATE_GUARD)))
     else:
-        steps = int(round(VALIDATE_REFINE / dt))
+        steps = max(int(round(VALIDATE_REFINE / DT)), int(math.ceil(duration / VALIDATE_GUARD)))
     for k in range(steps + 1):
         t = duration * k / steps
         c = segment_clearance(arms[0].base, paths[0].pos(t), arms[1].base, paths[1].pos(t))
-        if c < clearance + guard - margin - 1e-9:
+        if c < clearance + VALIDATE_GUARD - 1e-9:
             return Conflict(t / duration if duration > 0 else 0.0, f"arm clearance {c:.4f}")
     return None
 
 
-# (dt, margin, guard): the planner's own validation, and re-checks at the
-# bare threshold as acceptance criterion 7 makes them
-VALIDATION_SETTINGS = [
-    (DT, 0.0, None),
-    (DT, 0.02, None),
-    (DT / 2, 0.0, 0.0),
-    (DT / 2, 1e-6, 0.0),
-]
+# shifts of the arms' clearance that move validate_motion's threshold: the
+# planner's own, 0.02 lower, the bare clearance and 1e-6 below it
+CLEARANCE_SHIFTS = (0.0, -0.02, -VALIDATE_GUARD, -VALIDATE_GUARD - 1e-6)
 
 
 def assert_validators_agree(paths, duration, arms) -> set:
     """Outcomes (True for None) of both validators, which must be equal."""
     outcomes = set()
-    for dt, margin, guard in VALIDATION_SETTINGS:
-        got = validate_motion(paths, arms, duration, dt, margin=margin, guard=guard)
-        want = full_scan_validate(paths, arms, duration, dt, margin, guard)
-        assert got == want, ([p.knots for p in paths], duration, dt, margin, guard)
+    for shift in CLEARANCE_SHIFTS:
+        shifted = tuple(replace(a, clearance=a.clearance + shift) for a in arms)
+        got = validate_motion(paths, shifted, duration)
+        want = full_scan_validate(paths, shifted, duration)
+        assert got == want, ([p.knots for p in paths], duration, shift)
         outcomes.add(want is None)
     return outcomes
 
@@ -1056,10 +1051,10 @@ def test_validate_skipping_matches_full_scan_on_random_legs(monkeypatch):
     outcomes = set()
     calls = []
 
-    def checked(paths, arms, duration, dt=DT, margin=0.0, guard=None):
+    def checked(paths, arms, duration):
         calls.append(duration)
         outcomes.update(assert_validators_agree(paths, duration, arms))
-        return validate_motion(paths, arms, duration, dt, margin, guard)
+        return validate_motion(paths, arms, duration)
 
     monkeypatch.setattr(motion, "validate_motion", checked)
     rng = random.Random(8)
@@ -1091,9 +1086,9 @@ def test_validate_skipping_matches_full_scan_on_random_legs(monkeypatch):
 def test_validate_skipping_matches_full_scan_on_planned_runs(monkeypatch):
     calls = []
 
-    def checked(paths, arms, duration, dt=DT, margin=0.0, guard=None):
+    def checked(paths, arms, duration):
         calls.append(assert_validators_agree(paths, duration, arms))
-        return validate_motion(paths, arms, duration, dt, margin, guard)
+        return validate_motion(paths, arms, duration)
 
     monkeypatch.setattr(motion, "validate_motion", checked)
     for inst in (instances.showcase9(), instances.gen_mixed(0), instances.gen_double_cycle(6, 2)):

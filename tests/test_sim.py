@@ -105,21 +105,23 @@ def test_verify_rejects_clearance_violation():
     _, rec = run_instance(inst, 0)
     trace = rec.trace
     # arm 2 follows arm 1's path through a moving leg: a path of unit speed
-    # that ends where the leg ends, but the two EE points coincide
+    # that ends where the leg ends, but the two EE points coincide.  Arm 2's
+    # grip, now off its path, goes too.
     leg = next(l for l in trace.legs if l.duration > 0.0)
     leg.knots[1] = list(leg.knots[0])
-    assert verify_trace(trace, inst) == (False, f"leg {leg.index}: clearance 0.0000 at sample 0")
+    leg.grips = [g for g in leg.grips if g[0] == 0]
+    assert verify_trace(trace, inst) == (False, f"leg {leg.index}: clearance 0.0000 at t=0.0000")
 
 
 def _colliding_trace_text():
     """A gen_random(8, 1) trace planned by arms that keep 0.05 apart, with
     the default arms (0.1 apart) stated in its header, and its instance:
-    leg 3 comes closer than 0.1 at sample 21."""
+    leg 3 cannot be certified to keep 0.1 apart beyond t = 0.6738."""
     inst = instances.gen_random(8, 1)
     _, rec = run_instance(inst, 0, default_arms(inst.workspace, clearance=0.05))
     rec.trace.arms = default_arms(inst.workspace)
     text = dumps_trace(rec.trace)
-    assert verify_trace(text, inst) == (False, "leg 3: clearance 0.0985 at sample 21")
+    assert verify_trace(text, inst) == (False, "leg 3: clearance not certified at t=0.6738")
     return text, inst
 
 
@@ -154,13 +156,17 @@ def test_header_stating_other_arms_is_rejected(name, value):
     assert not ok and msg.startswith(f"header {name} "), msg
 
 
-@pytest.mark.parametrize("dt", ["nan", "inf", "0.0", "-0.02", "0.04"])
-def test_header_dt_must_be_finite_and_positive(dt):
-    # a finite positive dt other than the planner's is rejected too
+def test_arms_line_with_a_dt_field_still_parses():
+    # sdar-trace/2 files written before the arms line lost its dt field
     inst = instances.gen_random(3, 4)
     _, rec = run_instance(inst, 0)
-    ok, msg = verify_trace(_with_arms_field(dumps_trace(rec.trace), "dt", dt), inst)
-    assert (ok, msg) == (False, f"header dt {float(dt)!r} differs from the planner's 0.02")
+    text = dumps_trace(rec.trace)
+    lines = text.splitlines()
+    assert lines[2].startswith("arms ") and " dt " not in lines[2]
+    lines[2] += " dt 0.02"
+    older = "\n".join(lines) + "\n"
+    assert dumps_trace(loads_trace(older)) == text
+    assert verify_trace(older, inst) == (True, "ok")
 
 
 def test_verify_takes_the_arms_the_run_was_planned_with():
@@ -195,6 +201,19 @@ def test_trace_naming_no_arm_or_action_cannot_be_parsed(prefix, field, value, de
     with pytest.raises(ValueError) as err:
         verify_trace("\n".join(lines) + "\n", inst)
     assert str(err.value) == f"malformed sdar-trace/2 trace: line {k + 1}: {detail}"
+
+
+def test_repeated_leg_index_cannot_be_parsed():
+    # a second `leg 0` line would replace the first leg and the knots
+    # already parsed for it
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 42)
+    lines = dumps_trace(rec.trace).splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("leg 1 "))
+    lines.insert(k, next(ln for ln in lines if ln.startswith("leg 0 ")))
+    with pytest.raises(ValueError) as err:
+        verify_trace("\n".join(lines) + "\n", inst)
+    assert str(err.value) == f"malformed sdar-trace/2 trace: line {k + 1}: leg 0 is given twice"
 
 
 def test_verify_rejects_leg_without_samples():

@@ -1,9 +1,10 @@
 """The trace layer does work only where something can change.  These tests
 hold it to full scans: `verify_trace` against a verifier that derives each
 leg's samples through the planner's own `ArmPath`, computes the clearance
-at every sample and checks the whole table after every leg, and the round
-check of `sim._commit` against a whole-table `arrangement_violations`.  A
-trace keeps each path's knots bit for bit."""
+at every sample and checks the whole table after every leg; the clearance
+certificate against scans of each leg on a fine grid; and the round check
+of `sim._commit` against a whole-table `arrangement_violations`.  A trace
+keeps each path's knots bit for bit."""
 
 import math
 import random
@@ -15,8 +16,18 @@ import pytest
 from sdar import depgraph, instances, sim
 from sdar.geom import Pose2, box_at, dist, inside, overlaps, segment_clearance
 from sdar.instances import Instance, instance_hash
-from sdar.motion import DT, ArmPath
-from sdar.sim import ValidationFailure, dumps_trace, loads_trace, run_instance, verify_trace
+from sdar.motion import DT, ArmPath, default_arms
+from sdar.sim import (
+    LegRecord,
+    Trace,
+    ValidationFailure,
+    dumps_trace,
+    loads_trace,
+    run_instance,
+    verify_trace,
+)
+
+from fine_grid import least_clearance, planner_steps
 
 PLAN_SEED = 42
 
@@ -62,12 +73,15 @@ def _reference_non_finite(leg) -> Optional[str]:
 
 
 def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
-    """`verify_trace` without its skipped work: `segment_clearance` at every
-    sample, the whole table after every leg.  It adds the path rules, at the
-    place `verify_trace` has them: each arm has knots, every number is
-    finite, knot times start at 0, never decrease and end at the duration,
-    no knot is reached faster than unit speed, and each gripper event lies
-    in the leg and within 1e-9 of its arm's path at its time."""
+    """`verify_trace` with a sampled clearance check in place of its
+    certificate: `segment_clearance` at each of a leg's `round(1/DT)` + 1
+    sample times, against the clearance less 1e-6, and the whole table
+    after every leg.  It adds the path rules, at the place `verify_trace`
+    has them: each arm has knots, every number is finite, knot times start
+    at 0, never decrease and end at the duration, no knot is reached faster
+    than unit speed, and each gripper event lies in the leg and within 1e-9
+    of its arm's path at its time.  It rejects whatever `verify_trace`
+    rejects, apart from clearance defects between its samples."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
     if trace.instance_hash != instance_hash(instance):
@@ -108,10 +122,6 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
             for a in (0, 1):
                 if dist(leg.knots[a][0][1:], prev_end[a]) > 1e-6:
                     return False, f"{where}: arm {a + 1} path discontinuity"
-        for k, (p1, p2) in enumerate(zip(*_samples(leg))):
-            c = segment_clearance(a1.base, p1, a2.base, p2)
-            if c < clearance - 1e-6:
-                return False, f"{where}: clearance {c:.4f} at sample {k}"
         for arm, action, obj, t, point in leg.grips:
             if not 0.0 <= t <= leg.duration:
                 return False, f"{where}: arm {arm + 1} event time outside the leg"
@@ -146,6 +156,10 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
                 return False, f"{where}: goal placement of {obj} at the wrong pose"
             table[obj] = pose
             held[arm] = None
+        for k, (p1, p2) in enumerate(zip(*_samples(leg))):
+            c = segment_clearance(a1.base, p1, a2.base, p2)
+            if c < clearance - 1e-6:
+                return False, f"{where}: clearance {c:.4f} at sample {k}"
         bad = table_feasible(where)
         if bad:
             return False, bad
@@ -192,26 +206,6 @@ def workload_runs():
     ]
 
 
-def _threshold(arms) -> float:
-    return max(arms[0].clearance, arms[1].clearance) - 1e-6
-
-
-def _computed_samples(points, arms, monkeypatch) -> Optional[list[int]]:
-    """The sample indices at which the verifier's clearance scan calls
-    `segment_clearance` for one leg's sample points, or None when two
-    samples hold the same pair of EE points and the calls cannot be told
-    apart."""
-    pairs = list(zip(*points))
-    if len(set(pairs)) < len(pairs):
-        return None
-    calls = []
-    real = sim.segment_clearance
-    monkeypatch.setattr(sim, "segment_clearance", lambda *a: calls.append((a[1], a[3])) or real(*a))
-    sim._clearance_violation(*points, arms[0].base, arms[1].base, _threshold(arms))
-    monkeypatch.setattr(sim, "segment_clearance", real)
-    return [pairs.index(call) for call in calls]
-
-
 def test_verify_matches_full_scan_on_workload_traces(workload_runs):
     seen = set()
     for name, inst, trace in workload_runs:
@@ -233,74 +227,88 @@ def test_verify_checks_fewer_samples_than_a_full_scan(workload_runs, monkeypatch
     assert 0 < len(calls) < samples / 4
 
 
-@pytest.mark.parametrize("moved_arm", [0, 1])
-def test_clearance_violation_after_skipped_samples(workload_runs, monkeypatch, moved_arm):
-    # in the sample points of a workload leg, a sample the scan passed over,
-    # after 10 more it passed over, gets one arm teleported onto the other:
-    # the scan must stop there
-    found = None
-    for name, inst, trace in workload_runs:
-        for leg in trace.legs:
-            points = _samples(leg)
-            computed = _computed_samples(points, trace.arms, monkeypatch)
-            if computed is None:
-                continue
-            computed.append(len(points[0]))
-            runs = [k for k, nxt in zip(computed, computed[1:]) if nxt - k > 11]
-            if runs:
-                found = trace.arms, points, runs[0] + 11
-                break
-        if found:
-            break
-    assert found, "no leg skips 11 samples in a row"
-    arms, points, j = found
-    points[moved_arm][j] = points[1 - moved_arm][j]
-    args = (*points, arms[0].base, arms[1].base, _threshold(arms))
-    assert sim._clearance_violation(*args) == _full_scan_clearance(*args) == (j, 0.0)
+def _one_leg_trace(knots0, knots1) -> tuple[Trace, Instance]:
+    """A trace of a table whose objects start at their goals: one
+    start-bound leg with no grips, in which the default arms' end-effectors
+    follow the given (t, x, y) knots."""
+    inst = instances.identity_instance(3, 0)
+    leg = LegRecord(
+        index=0, stage="tostart", mode="synchronous", objs=(None, None), angles=(None, None),
+        buffer_pose=None, candidates=[], duration=knots0[-1][0], knots=[knots0, knots1],
+        grips=[], places=[],
+    )
+    return Trace(instance_hash(inst), 0, default_arms(inst.workspace), legs=[leg]), inst
 
 
-def _full_scan_clearance(points0, points1, base0, base1, threshold):
-    for k, (p0, p1) in enumerate(zip(points0, points1)):
-        c = segment_clearance(base0, p0, base1, p1)
-        if c < threshold:
-            return k, c
-    return None
+def _parked(x, duration) -> list:
+    return [(0.0, x, 0.25), (duration, x, 0.25)]
 
 
-def test_clearance_scan_is_exact_at_the_edge_of_its_bound():
-    # arm 1 at (1, 0) reaches to (x, 1) and arm 0 is fixed from (0, 0) to
-    # (0, 1), so the clearance is x: the sample at x = threshold - 1e-7
-    # lies just past what the first sample's bound covers
-    threshold = 0.1 - 1e-6
-    xs = [0.5 - 0.05 * k for k in range(9)] + [threshold - 1e-7] + [0.2, 0.3, 0.4, 0.5]
-    arm0 = [(0.0, 1.0)] * len(xs)
-    arm1 = [(x, 1.0) for x in xs]
-    want = _full_scan_clearance(arm0, arm1, (0.0, 0.0), (1.0, 0.0), threshold)
-    assert want[0] == 9 and want[1] == pytest.approx(xs[9])
-    assert sim._clearance_violation(arm0, arm1, (0.0, 0.0), (1.0, 0.0), threshold) == want
+def test_dash_between_two_sample_times_is_rejected():
+    # at y = 0.25 the arms' segments are closest at their end-effectors, so
+    # the clearance is the gap between them: 0.104, except while arm 1
+    # dashes 0.009 towards arm 2 and back at unit speed, within the sample
+    # times 0.10 and 0.12 of the 1 s leg, down to 0.095
+    dash = [(0.0, 0.4, 0.25), (0.101, 0.4, 0.25), (0.11, 0.409, 0.25), (0.119, 0.4, 0.25), (1.0, 0.4, 0.25)]
+    trace, inst = _one_leg_trace(dash, _parked(0.504, 1.0))
+    assert full_scan_verify(trace, inst) == (True, "ok")
+    assert verify_trace(trace, inst) == (False, "leg 0: clearance not certified at t=0.1050")
+    c, t = least_clearance(trace.legs[0].knots, trace.arms, 1.0, 4)
+    assert c == pytest.approx(0.095) and 0.101 < t < 0.119
+
+
+def test_clearance_scan_is_exact_at_the_edge_of_its_bound(monkeypatch):
+    # arms parked for a 0.05 s leg at half a floor above the certified
+    # threshold are not certified at the first read; at one and a half
+    # floors above they pass.  Each takes at most 2 * duration / floor + 1
+    # reads.
+    floor = sim.CERTIFY_FLOOR
+    threshold = 0.1 - 1e-6 - floor
+    duration = 0.05
+    calls = []
+    real = sim.segment_clearance
+    monkeypatch.setattr(sim, "segment_clearance", lambda *a: calls.append(1) or real(*a))
+    for above, want in ((0.5, (False, "leg 0: clearance not certified at t=0.0000")), (1.5, (True, "ok"))):
+        trace, inst = _one_leg_trace(_parked(0.4, duration), _parked(0.4 + threshold + above * floor, duration))
+        calls.clear()
+        assert verify_trace(trace, inst) == want
+        assert 0 < len(calls) <= 2 * duration / floor + 1
+    assert len(calls) > 1000
 
 
 def test_clearance_scan_matches_full_scan_on_random_walks():
-    # both EE points wander near each other in small steps, so violations
-    # often come right after samples the bound passed over
+    # both end-effectors wander near each other at no more than unit speed:
+    # the certificate rejects every leg on which a scan on 10x the planner's
+    # grid crosses the threshold, and passes every leg that the scan keeps
+    # clear of the floor by more than its spacing
     rng = random.Random(7)
-    base0, base1 = (0.0, 0.0), (1.0, 0.0)
-    hits = 0
-    for _ in range(300):
+    arms = default_arms()
+    seen = {"crossed": 0, "clear": 0}
+    for _ in range(200):
         threshold = rng.uniform(0.02, 0.1)
-        p0 = [rng.uniform(0.2, 0.4), rng.uniform(0.3, 0.6)]
-        p1 = [rng.uniform(0.6, 0.8), rng.uniform(0.3, 0.6)]
-        arm0, arm1 = [], []
-        for k in range(60):
-            for p in (p0, p1):
-                p[0] += rng.uniform(-0.012, 0.012) + (0.004 if p is p0 else -0.004)
-                p[1] += rng.uniform(-0.012, 0.012)
-            arm0.append((p0[0], p0[1]))
-            arm1.append((p1[0], p1[1]))
-        want = _full_scan_clearance(arm0, arm1, base0, base1, threshold)
-        assert sim._clearance_violation(arm0, arm1, base0, base1, threshold) == want
-        hits += want is not None
-    assert 50 < hits < 300
+        walks = []
+        for x in (rng.uniform(0.25, 0.45), rng.uniform(0.55, 0.75)):
+            t, y = 0.0, rng.uniform(0.1, 0.5)
+            knots = [(t, x, y)]
+            for _ in range(rng.randint(1, 6)):
+                dx, dy = rng.uniform(-0.08, 0.08) + (0.08 if x < 0.5 else -0.08), rng.uniform(-0.08, 0.08)
+                t += math.hypot(dx, dy) / rng.uniform(0.5, 1.0)
+                x, y = x + dx, y + dy
+                knots.append((t, x, y))
+            walks.append(knots)
+        duration = max(knots[-1][0] for knots in walks)
+        for knots in walks:
+            knots.append((duration, *knots[-1][1:]))
+        got = sim._uncertified(*walks, arms[0].base, arms[1].base, duration, threshold)
+        c, _ = least_clearance(walks, arms, duration, 10)
+        spacing = duration / (10 * planner_steps(duration))
+        if c < threshold:
+            assert got is not None, walks
+            seen["crossed"] += 1
+        elif c - spacing >= threshold + sim.CERTIFY_FLOOR:
+            assert got is None, walks
+            seen["clear"] += 1
+    assert seen["crossed"] > 50 and seen["clear"] > 50, seen
 
 
 def test_overlapping_start_table_fails_at_the_first_leg():
