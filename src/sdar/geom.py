@@ -221,8 +221,25 @@ def boxes_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
     reach = a.circumradius + b.circumradius + gap
     if dx * dx + dy * dy > reach * reach:
         return False
-    if overlaps(a, b):
-        return True
+    return overlaps(a, b) or _corner_closer_than(a, b, gap)
+
+
+def near_miss(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
+    """True iff the rectangles are disjoint but closer than `gap`: the
+    razor-thin near miss that generated tables must not contain.  It is
+    `not overlaps(a, b) and boxes_closer_than(a, b, gap)`, with the same
+    prefilter; for gap > 0 it is also `0 < box_clearance(a, b) < gap`."""
+    dx = b.center.x - a.center.x
+    dy = b.center.y - a.center.y
+    reach = a.circumradius + b.circumradius + gap
+    if dx * dx + dy * dy > reach * reach:
+        return False
+    return not overlaps(a, b) and _corner_closer_than(a, b, gap)
+
+
+def _corner_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
+    """True iff a vertex of either rectangle lies closer than `gap` to the
+    other: for disjoint rectangles, iff their gap is below `gap`."""
     for p in a._corners:
         if point_box_distance(p, b) < gap:
             return True
@@ -287,6 +304,42 @@ def blocked_within_box(inner: float, gap: float) -> float:
     True.  A bound that is not positive rejects nothing under a strict
     comparison, since distances are never negative."""
     return inner + max(gap, 0.0) - INNER_SLACK
+
+
+def surely_blocked(x: float, y: float, near, sure: float) -> bool:
+    """True iff a draw centred at (x, y) lies closer than `sure`
+    (`blocked_within_box`) to an obstacle in `near`, a list of
+    (x, y, reach², box) entries with reach² from `prefilter_reach2`, where
+    the exact test is certain to reject it.  Obstacles beyond the prefilter
+    reach are skipped: the bound cannot hold for them."""
+    for ox, oy, reach2, ob in near:
+        dx = ox - x
+        dy = oy - y
+        if dx * dx + dy * dy <= reach2 and point_box_distance((x, y), ob) < sure:
+            return True
+    return False
+
+
+def blocked(
+    box: OrientedBox, near, gap: float, closer=boxes_closer_than, overlap=overlaps
+) -> bool:
+    """True iff the exact test (boxes_closer_than for gap > 0, overlaps
+    otherwise) rejects `box` against an obstacle in `near`, a list of
+    (x, y, reach², box) entries with reach² from `prefilter_reach2`.
+    Obstacles whose centres lie beyond the prefilter reach are skipped
+    without calling it: the test's own prefilter would clear them.  A caller
+    may pass its own names for the two tests (`closer`, `overlap`), so that
+    a wrapper installed on them sees the calls, or another test with the
+    same prefilter as `closer`, such as near_miss."""
+    x, y = box.center.x, box.center.y
+    for ox, oy, reach2, ob in near:
+        dx = ox - x
+        dy = oy - y
+        if dx * dx + dy * dy > reach2:
+            continue
+        if closer(box, ob, gap) if gap > 0.0 else overlap(box, ob):
+            return True
+    return False
 
 
 # Minimum free gap kept between distinct footprints in generated arrangements

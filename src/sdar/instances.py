@@ -11,6 +11,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .depgraph import (
     Arrangement,
@@ -19,7 +20,20 @@ from .depgraph import (
     build_dependency_graph,
     decompose,
 )
-from .geom import MIN_GAP, Pose2, Workspace, box_at, box_clearance, boxes_closer_than, inside, overlaps
+from .geom import (
+    MIN_GAP,
+    OrientedBox,
+    Pose2,
+    Workspace,
+    blocked,
+    blocked_within2,
+    blocked_within_box,
+    box_at,
+    inside,
+    near_miss,
+    prefilter_reach2,
+    surely_blocked,
+)
 
 INSTANCE_FORMAT = "sdar-instance/1"
 
@@ -80,45 +94,73 @@ def _validate(inst: Instance) -> list[str]:
     return issues
 
 
-def _sample_pose(rng: random.Random, ws: Workspace, hw: float, hh: float) -> Pose2:
-    margin = math.hypot(hw, hh)
-    return Pose2(
-        rng.uniform(margin, ws.width - margin),
-        rng.uniform(margin, ws.height - margin),
-        rng.uniform(-math.pi, math.pi),
-    )
-
-
 def _place_all(rng, ws, shapes, attempts_budget, cross_boxes=()) -> Arrangement:
     """Rejection-sample poses keeping MIN_GAP between same-arrangement
     footprints; against `cross_boxes` a pose must either overlap cleanly
-    (an intended dependency) or keep MIN_GAP (no razor-thin near misses)."""
+    (an intended dependency) or keep MIN_GAP (no razor-thin near misses).
+
+    Every attempt draws x, y and theta (three `rng.uniform` calls) whatever
+    its fate, and all objects share one budget of attempts.  Before an
+    object's draws, the boxes placed so far are listed once as inner discs
+    (`blocked_within2`) and as reach entries (`prefilter_reach2`), and
+    `cross_boxes` as reach entries.  A draw centred within an inner disc, or
+    nearer to a placed box than `blocked_within_box`, is surely rejected
+    before its box is built; the exact tests then skip every box beyond
+    reach, where their own prefilters would clear the draw.  So each draw
+    gets the verdict of a full scan against every box, and the arrangement,
+    the rng's state and a GenerationExhausted message are those of one."""
     placed: dict[int, Pose2] = {}
-    boxes = []
+    boxes: list[OrientedBox] = []
+    uniform = rng.uniform
     attempts = 0
     for obj in sorted(shapes):
         hw, hh = shapes[obj]
+        margin = math.hypot(hw, hh)
+        inner = min(hw, hh)
+        x_hi = ws.width - margin
+        y_hi = ws.height - margin
+        discs = []  # (x, y, inner²) of the placed boxes
+        for b in boxes:
+            inner2 = blocked_within2(inner, b, MIN_GAP)
+            if inner2 > 0.0:
+                discs.append((b.center.x, b.center.y, inner2))
+        near = [_reach_entry(margin, b) for b in boxes]
+        cross = [_reach_entry(margin, b) for b in cross_boxes]
+        sure = blocked_within_box(inner, MIN_GAP)
         while True:
             attempts += 1
             if attempts > attempts_budget:
                 raise GenerationExhausted(
                     f"failed to place object {obj} after {attempts_budget} attempts"
                 )
-            pose = _sample_pose(rng, ws, hw, hh)
-            box = box_at(pose, hw, hh)
-            if not inside(ws, box):
-                continue
-            if any(boxes_closer_than(box, b, MIN_GAP) for b in boxes):
-                continue
-            if any(
-                not overlaps(box, b) and boxes_closer_than(box, b, MIN_GAP)
-                for b in cross_boxes
-            ):
-                continue
-            placed[obj] = pose
-            boxes.append(box)
-            break
-    return Arrangement(dict(placed))
+            x = uniform(margin, x_hi)
+            y = uniform(margin, y_hi)
+            theta = uniform(-math.pi, math.pi)
+            for ox, oy, inner2 in discs:
+                dx = ox - x
+                dy = oy - y
+                if dx * dx + dy * dy < inner2:
+                    break  # centred within an inner disc: surely rejected
+            else:
+                if surely_blocked(x, y, near, sure):
+                    continue
+                pose = Pose2(x, y, theta)
+                box = box_at(pose, hw, hh)
+                if (
+                    inside(ws, box)
+                    and not blocked(box, near, MIN_GAP)
+                    and not blocked(box, cross, MIN_GAP, near_miss)
+                ):
+                    break
+        placed[obj] = pose
+        boxes.append(box)
+    return Arrangement(placed)
+
+
+def _reach_entry(margin: float, b: OrientedBox) -> tuple:
+    """The (x, y, reach², box) entry of `b` for draws of circumradius
+    `margin` at MIN_GAP, as `geom.blocked` reads it."""
+    return (b.center.x, b.center.y, prefilter_reach2(margin, b, MIN_GAP), b)
 
 
 def _gap_audit(inst: Instance) -> list[str]:
@@ -131,13 +173,11 @@ def _gap_audit(inst: Instance) -> list[str]:
         ids = sorted(boxes)
         for k, i in enumerate(ids):
             for j in ids[k + 1 :]:
-                if 0.0 < box_clearance(boxes[i], boxes[j]) < MIN_GAP:
+                if near_miss(boxes[i], boxes[j], MIN_GAP):
                     issues.append(f"{group}: near-flush pair ({i}, {j})")
     for i in inst.ids():
         for j in inst.ids():
-            if i == j:
-                continue
-            if not overlaps(gb[i], sb[j]) and box_clearance(gb[i], sb[j]) < MIN_GAP:
+            if i != j and near_miss(gb[i], sb[j], MIN_GAP):
                 issues.append(f"goal {i} nearly flush with start {j}")
     return issues
 
@@ -165,13 +205,11 @@ def gen_random(n: int, seed: int, workspace: Workspace | None = None) -> Instanc
 def _ellipse_slots(cx, cy, a, b, n, phase=0.0) -> list[tuple[float, float]]:
     """n points equally spaced by arc length on an ellipse."""
     samples = 2048
-    pts = []
-    arc = [0.0]
-    for k in range(samples + 1):
-        t = phase + 2.0 * math.pi * k / samples
-        pts.append((cx + a * math.cos(t), cy + b * math.sin(t)))
-        if k:
-            arc.append(arc[-1] + math.dist(pts[-2], pts[-1]))
+    pts = [
+        (cx + a * math.cos(t), cy + b * math.sin(t))
+        for t in (phase + 2.0 * math.pi * k / samples for k in range(samples + 1))
+    ]
+    arc = list(accumulate(map(math.dist, pts, pts[1:]), initial=0.0))
     total = arc[-1]
     slots = []
     targets = [total * k / n for k in range(n)]

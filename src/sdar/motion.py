@@ -31,6 +31,7 @@ from .geom import (
     Point,
     Pose2,
     Workspace,
+    blocked,
     blocked_within2,
     blocked_within_box,
     box_at,
@@ -38,9 +39,9 @@ from .geom import (
     dist,
     inside,
     overlaps,
-    point_box_distance,
     prefilter_reach2,
     segment_clearance,
+    surely_blocked,
 )
 from .taskplan import GOAL, RELAY, PlannerSession, TaskPlan, assign_arms
 
@@ -410,11 +411,15 @@ def sample_buffers(
                 break  # centred within an inner disc: surely rejected
         else:
             near = reach_of(cell, ())
-            if _surely_blocked(x, y, near, sure):
+            if surely_blocked(x, y, near, sure):
                 continue
             pose = Pose2(x, y, theta)
             box = box_at(pose, hw, hh)
-            if inside(workspace, box) and not _blocked(box, near, min_gap):
+            # this module's names for the exact tests, so that the probes
+            # perfbench installs on `motion` see their calls
+            if inside(workspace, box) and not blocked(
+                box, near, min_gap, boxes_closer_than, overlaps
+            ):
                 found.append(pose)
     if not found:
         raise BufferSamplingExhausted(
@@ -479,34 +484,6 @@ class BufferGrid:
         for ix in range(lo_x, hi_x + 1):
             for iy in rows:
                 cells[ix, iy].append(entry)
-
-
-def _surely_blocked(x: float, y: float, near, sure: float) -> bool:
-    """True iff a draw centred at (x, y) lies closer than `sure`
-    (`blocked_within_box`) to an obstacle in `near`, where the exact test is
-    certain to reject it.  Obstacles beyond the prefilter reach are skipped:
-    the bound cannot hold for them."""
-    for ox, oy, reach2, ob in near:
-        dx = ox - x
-        dy = oy - y
-        if dx * dx + dy * dy <= reach2 and point_box_distance((x, y), ob) < sure:
-            return True
-    return False
-
-
-def _blocked(box: OrientedBox, near, min_gap: float) -> bool:
-    """True iff the exact test rejects `box` against an obstacle in `near`.
-    Obstacles whose centres lie beyond the prefilter reach are skipped
-    without calling it: the test's own prefilter would clear them."""
-    x, y = box.center.x, box.center.y
-    for ox, oy, reach2, ob in near:
-        dx = ox - x
-        dy = oy - y
-        if dx * dx + dy * dy > reach2:
-            continue
-        if boxes_closer_than(box, ob, min_gap) if min_gap > 0.0 else overlaps(box, ob):
-            return True
-    return False
 
 
 # ------------------------------------------------------ sub-task binding

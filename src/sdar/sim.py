@@ -11,12 +11,13 @@ the geometric primitives, independent of the planner code paths: finite
 numbers, knots that form a path over the leg at no more than unit speed,
 gripper events on their arm's path, arm-arm clearance over the whole
 continuous leg, pick/place consistency, arrangement feasibility, and exact
-goal attainment.  Clearance is certified by conservative advancement: the
-arms move at unit speed, so a clearance c above the threshold holds off
-the threshold for (c - threshold) / 2, and `segment_clearance` runs once
-per such step.  The start table is checked once, after the first leg;
-after that the table changes only at grasps and placements, and each
-placement is checked against the workspace and every object on the table.
+goal attainment.  Clearance is certified by conservative advancement:
+between knots each arm moves at a constant speed v, so a clearance c above
+the threshold holds off it for about (c - threshold) / (v0 + v1), up to the
+next knot, and `segment_clearance` runs once per such step.  The start
+table is checked once, after the first leg; after that the table changes
+only at grasps and placements, and each placement is checked against the
+workspace and every object on the table.
 """
 
 from __future__ import annotations
@@ -473,12 +474,15 @@ def load_trace(path) -> Trace:
 
 # The clearance certificate of `verify_trace` holds the arms' clearance less
 # 1e-6 less CERTIFY_FLOOR, and a read must lie CERTIFY_FLOOR above that to
-# advance.  So a read below the clearance less 1e-6 fails, a leg whose
-# continuous clearance is at least the arms' clearance passes, and a leg of
-# duration d takes at most 2 * d / CERTIFY_FLOOR + 1 reads.  The bound it
-# certifies is lower by up to 1e-9 per knot, the slack by which
-# `_path_fault` lets a path outrun unit speed; the floor is four orders of
-# magnitude above that.
+# advance.  So a read below the clearance less 1e-6 fails, and a leg whose
+# continuous clearance is at least the arms' clearance passes.  Between
+# knots a step covers at least CERTIFY_FLOOR / 2 of the arms' summed path
+# length, so a leg of duration d at unit speed takes at most
+# 4 * d / CERTIFY_FLOOR reads plus one per knot and one more, and a stretch
+# where both arms stand still takes one.  A path may jump by up to 1e-9 at a
+# knot (`_path_fault`'s slack), so the bound it certifies is lower by up to
+# 1e-9 per knot met at one instant; the floor is four orders of magnitude
+# above that.
 CERTIFY_FLOOR = 1e-5
 
 
@@ -522,13 +526,20 @@ def _uncertified(knots0, knots1, base0, base1, duration: float, threshold: float
     """Why the two arms' paths over a leg of `duration` are not certified
     to keep `threshold` clearance at every instant, or None.
 
-    Conservative advancement: both end-effectors move at no more than unit
-    speed, and moving a segment end by d moves the distance of the two
-    segments by at most d, so a clearance c read at t holds at least
-    `threshold` until t + (c - threshold) / 2, where the next read is.  A
-    read below `threshold` fails, and so does one within CERTIFY_FLOOR of
-    it, which keeps every step at least CERTIFY_FLOOR / 2 long."""
+    Conservative advancement: between two knots of either arm each
+    end-effector moves along one segment at a constant speed, and moving a
+    segment end by d moves the distance of the two segments by at most d.
+    So a clearance c read at t stays above `threshold` + CERTIFY_FLOOR / 2
+    until t + (c - threshold - CERTIFY_FLOOR / 2) / (v0 + v1), v being each
+    arm's speed on its current segment, or until the next knot of either
+    arm, where the next read is; with both arms still it holds until that
+    knot.  A read below `threshold` fails, and so does one within
+    CERTIFY_FLOOR of it, which keeps every step short of a knot at least
+    CERTIFY_FLOOR / (2 * (v0 + v1)) long.  A head-on approach ends in a read
+    within the floor, not on `threshold`, where rounding would pick the
+    failure."""
     t = 0.0
+    k0 = k1 = 1  # each arm's first knot after t
     while True:
         (p0,), (p1,) = _path_points(knots0, (t,)), _path_points(knots1, (t,))
         c = segment_clearance(base0, p0, base1, p1)
@@ -536,9 +547,31 @@ def _uncertified(knots0, knots1, base0, base1, duration: float, threshold: float
             return f"clearance {c:.4f} at t={t:.4f}"
         if c < threshold + CERTIFY_FLOOR:
             return f"clearance not certified at t={t:.4f}"
-        t += (c - threshold) / 2.0
+        k0, v0, next0 = _pace(knots0, k0, t)
+        k1, v1, next1 = _pace(knots1, k1, t)
+        speed = v0 + v1
+        step = (c - threshold - CERTIFY_FLOOR / 2.0) / speed if speed > 0.0 else math.inf
+        t = min(t + step, next0, next1)
         if t >= duration:
             return None
+
+
+def _pace(knots, k: int, t: float) -> tuple[int, float, float]:
+    """For a path of (t, x, y) knots at time t: the index of its first knot
+    after t (searched from `k` on), the speed of the segment that ends
+    there, and that knot's time; past the last knot, the arm stands still
+    for ever.  A segment shorter than 1e-12 in time has speed 0:
+    `_path_points` puts the arm at its end throughout, a jump of at most
+    1e-12 + 1e-9 (`_path_fault`) that CERTIFY_FLOOR covers."""
+    while k < len(knots) and knots[k][0] <= t:
+        k += 1
+    if k == len(knots):
+        return k, 0.0, math.inf
+    t0, x0, y0 = knots[k - 1]
+    t1, x1, y1 = knots[k]
+    if t1 - t0 <= 1e-12:
+        return k, 0.0, t1
+    return k, math.hypot(x1 - x0, y1 - y0) / (t1 - t0), t1
 
 
 def _non_finite(leg: LegRecord) -> Optional[str]:

@@ -17,6 +17,7 @@ from sdar.geom import (
     box_clearance,
     boxes_closer_than,
     inside,
+    near_miss,
     overlaps,
     point_box_distance,
     prefilter_reach2,
@@ -394,6 +395,54 @@ def test_boxes_closer_than_is_strict_at_the_gap():
             for first, second in ((a, b), (b, a)):
                 assert not boxes_closer_than(first, second, gap)
                 assert boxes_closer_than(first, second, gap + 2.0**-20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_near_miss_is_a_positive_clearance_below_the_gap(data):
+    # random pairs, pairs flush along a shared edge line, and pairs moved to
+    # a chosen distance: zero (touching), within EPS, or about the gap
+    def box(label, span=0.6):
+        return box_at(
+            Pose2(
+                data.draw(st.floats(-span, span), label=label + "x"),
+                data.draw(st.floats(-span, span), label=label + "y"),
+                data.draw(st.floats(-math.pi, math.pi), label=label + "t"),
+            ),
+            data.draw(st.floats(0.005, 0.2), label=label + "w"),
+            data.draw(st.floats(0.005, 0.2), label=label + "h"),
+        )
+
+    gap = data.draw(st.sampled_from([MIN_GAP, 2.0**-6]) | st.floats(1e-4, 0.1), label="gap")
+    a = box("a")
+    kind = data.draw(st.sampled_from(["random", "flush", "distance"]), label="kind")
+    if kind == "random":
+        b = box("b")
+    elif kind == "flush":
+        # b turned like a, on the far side of one of a's edge lines
+        (ux, uy), (vx, vy) = a.axes()
+        bw = data.draw(st.floats(0.005, 0.2), label="bw")
+        bh = data.draw(st.floats(0.005, 0.2), label="bh")
+        along = data.draw(st.floats(-0.4, 0.4), label="along")
+        off = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 3e-9]), label="off")
+        d = a.half_width + bw + off
+        b = box_at(
+            Pose2(a.center.x + d * ux + along * vx, a.center.y + d * uy + along * vy, a.center.theta),
+            bw,
+            bh,
+        )
+    else:
+        b = box("b")
+        if overlaps(a, b):
+            return
+        target = data.draw(
+            st.sampled_from([0.0, 1e-10, 2e-9, gap * (1 - 1e-9), gap, gap * (1 + 1e-9)]),
+            label="target",
+        )
+        b = _shifted_to_gap(a, b, target)
+    want = 0.0 < box_clearance(a, b) < gap
+    assert near_miss(a, b, gap) == want
+    assert near_miss(b, a, gap) == (0.0 < box_clearance(b, a) < gap)
 
 
 # ---------------------------------------------------------------- workspace

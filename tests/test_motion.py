@@ -419,7 +419,7 @@ def _discs(cells):
 def _assert_listed(grid, points):
     """Every disc whose own test puts a point inside is in the point's cell:
     the inner test is strict (`sample_buffers`), the reach test is not
-    (`_surely_blocked`, `_blocked`)."""
+    (`geom.surely_blocked`, `geom.blocked`)."""
     for cells, strict in ((grid.inner, True), (grid.reach, False)):
         discs = _discs(cells)
         for px, py in points:

@@ -257,11 +257,15 @@ def test_dash_between_two_sample_times_is_rejected():
     assert c == pytest.approx(0.095) and 0.101 < t < 0.119
 
 
+def _gliding(x, duration) -> list:
+    return [(0.0, x, 0.25), (duration, x + duration / 2, 0.25)]
+
+
 def test_clearance_scan_is_exact_at_the_edge_of_its_bound(monkeypatch):
-    # arms parked for a 0.05 s leg at half a floor above the certified
-    # threshold are not certified at the first read; at one and a half
-    # floors above they pass.  Each takes at most 2 * duration / floor + 1
-    # reads.
+    # arms gliding side by side at half speed for a 0.05 s leg, at half a
+    # floor above the certified threshold, are not certified at the first
+    # read; at one and a half floors above they pass.  With the arms' speeds
+    # summing to 1, each takes at most 2 * duration / floor + 1 reads.
     floor = sim.CERTIFY_FLOOR
     threshold = 0.1 - 1e-6 - floor
     duration = 0.05
@@ -269,11 +273,41 @@ def test_clearance_scan_is_exact_at_the_edge_of_its_bound(monkeypatch):
     real = sim.segment_clearance
     monkeypatch.setattr(sim, "segment_clearance", lambda *a: calls.append(1) or real(*a))
     for above, want in ((0.5, (False, "leg 0: clearance not certified at t=0.0000")), (1.5, (True, "ok"))):
-        trace, inst = _one_leg_trace(_parked(0.4, duration), _parked(0.4 + threshold + above * floor, duration))
+        gap = threshold + above * floor
+        trace, inst = _one_leg_trace(_gliding(0.4, duration), _gliding(0.4 + gap, duration))
         calls.clear()
         assert verify_trace(trace, inst) == want
         assert 0 < len(calls) <= 2 * duration / floor + 1
     assert len(calls) > 1000
+
+
+def test_clearance_scan_passes_a_still_stretch_in_one_read(monkeypatch):
+    # both arms parked at the same edge take one read whatever the leg's
+    # length; the last leg of a showcase9 trace, padded with 1,000 s of both
+    # arms standing still, keeps its verdict and adds only a few reads
+    floor = sim.CERTIFY_FLOOR
+    threshold = 0.1 - 1e-6 - floor
+    calls = []
+    real = sim.segment_clearance
+    monkeypatch.setattr(sim, "segment_clearance", lambda *a: calls.append(1) or real(*a))
+    for duration in (0.05, 1e6):
+        trace, inst = _one_leg_trace(_parked(0.4, duration), _parked(0.4 + threshold + 1.5 * floor, duration))
+        calls.clear()
+        assert verify_trace(trace, inst) == (True, "ok")
+        assert len(calls) == 1
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 42)
+    trace = rec.trace
+    calls.clear()
+    assert verify_trace(trace, inst) == (True, "ok")
+    unpadded = len(calls)
+    last = trace.legs[-1]
+    end = last.duration + 1000.0
+    last.knots = [knots + [(end, *knots[-1][1:])] for knots in last.knots]
+    last.duration = end
+    calls.clear()
+    assert verify_trace(trace, inst) == (True, "ok")
+    assert len(calls) <= unpadded + 2
 
 
 def test_clearance_scan_matches_full_scan_on_random_walks():
