@@ -12,7 +12,7 @@ from .instances import (
     save,
 )
 from .motion import ArmModel, GraspAngle, SyncMotion, default_arms
-from .sim import RunMetrics, execute, new_session, run_instance, verify_trace
+from .sim import RunMetrics, new_session, run_instance, verify_trace
 from .taskplan import PlannerSession, TaskPlan, next_task_plan
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "build_dependency_graph",
     "decompose",
     "default_arms",
-    "execute",
     "gen_double_cycle",
     "gen_mixed",
     "gen_random",

@@ -199,7 +199,7 @@ def gen_random(n: int, seed: int, workspace: Workspace | None = None) -> Instanc
         goal = _place_all(rng, ws, shapes, 10_000, cross_boxes=start_boxes)
         return Instance(ws, shapes, start, goal, f"R{n}", seed)
 
-    return _audited(build, seed, _gap_audit)
+    return _audited(build, seed)
 
 
 def _ellipse_slots(cx, cy, a, b, n, phase=0.0) -> list[tuple[float, float]]:
@@ -264,7 +264,9 @@ def _ring_arrangements(rng, slots, shapes, ids):
     return Arrangement(start), Arrangement(goal)
 
 
-def _audited(builder, seed, audit, cap=50):
+def _audited(builder, seed, audit=lambda inst: [], cap=50):
+    """The first instance `builder(seed, attempt)` builds that passes
+    validation, then `audit` (its structure complaints) and the gap audit."""
     last = "no attempt"
     for attempt in range(cap):
         try:
@@ -274,7 +276,7 @@ def _audited(builder, seed, audit, cap=50):
             continue
         problems = _validate(inst)
         if not problems:
-            problems = audit(inst)
+            problems = audit(inst) + _gap_audit(inst)
         if not problems:
             return inst
         last = "; ".join(problems)
@@ -307,8 +309,7 @@ def gen_single_cycle(n: int, seed: int, workspace: Workspace | None = None) -> I
             and not d.complex_sccs
             and not d.others
         )
-        problems = [] if ok else [f"expected a single {n}-cycle, got {d}"]
-        return problems + _gap_audit(inst)
+        return [] if ok else [f"expected a single {n}-cycle, got {d}"]
 
     return _audited(build, seed, audit)
 
@@ -346,8 +347,7 @@ def gen_double_cycle(n: int, seed: int, workspace: Workspace | None = None) -> I
             and not d.complex_sccs
             and not d.others
         )
-        problems = [] if ok else [f"expected cycles of {n1} and {n2}, got {d}"]
-        return problems + _gap_audit(inst)
+        return [] if ok else [f"expected cycles of {n1} and {n2}, got {d}"]
 
     return _audited(build, seed, audit)
 
@@ -429,8 +429,7 @@ def gen_mixed(seed: int, workspace: Workspace | None = None) -> Instance:
             and not d.complex_sccs
             and not d.others
         )
-        problems = [] if ok else [f"mixed structure audit failed: {d}"]
-        return problems + _gap_audit(inst)
+        return [] if ok else [f"mixed structure audit failed: {d}"]
 
     return _audited(build, seed, audit)
 

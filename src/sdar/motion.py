@@ -744,7 +744,7 @@ def _shift(knots: list[tuple[float, Point]], offset: float):
     return [(t + offset, p) for t, p in knots]
 
 
-def _first_valid(sub, arms, stage: Stage, mode: Mode, variants) -> SyncMotion | Conflict:
+def _first_valid(arms, stage: Stage, mode: Mode, variants) -> SyncMotion | Conflict:
     """Pad each (paths, arrival) variant to a common duration, wrap it as a
     SyncMotion and validate it: the first valid motion, else the last
     Conflict."""
@@ -761,7 +761,7 @@ def _first_valid(sub, arms, stage: Stage, mode: Mode, variants) -> SyncMotion | 
 def plan_sync(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> SyncMotion | Conflict:
     """Straight-line synchronized motion for one leg, validated by sampling."""
     pts = _leg_endpoints(sub, stage, ee, arms)
-    return _first_valid(sub, arms, stage, Mode.SYNCHRONOUS, [_straight(pts)])
+    return _first_valid(arms, stage, Mode.SYNCHRONOUS, [_straight(pts)])
 
 
 def untangle(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> Optional[SyncMotion]:
@@ -780,7 +780,7 @@ def untangle(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> Optional[SyncM
         for a, (s, g, _) in enumerate(pts)
     ]
     variants.append(_arriving(via, pts))
-    res = _first_valid(sub, arms, stage, Mode.UNTANGLED, variants)
+    res = _first_valid(arms, stage, Mode.UNTANGLED, variants)
     return res if isinstance(res, SyncMotion) else None
 
 
@@ -797,7 +797,7 @@ def sequential_fallback(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> Syn
         # the idle arm parks first
         delays = [dist(*pts[1 - a][:2]) if a in active else 0.0 for a in (0, 1)]
         variants = [_straight(pts, delays)]
-    res = _first_valid(sub, arms, stage, Mode.SEQUENTIAL, variants)
+    res = _first_valid(arms, stage, Mode.SEQUENTIAL, variants)
     if isinstance(res, Conflict):
         raise SubTaskInfeasible(f"sequential leg invalid at t={res.t:.3f}: {res.detail}")
     return res

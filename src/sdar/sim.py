@@ -3,6 +3,7 @@ evaluate runs.
 
 `evaluate` is the one step that makes a report row: the run, its verdict,
 the single-arm oracle, and the makespan of its forced-sequential replay.
+A run's trace is its record: `_metrics` reads its metrics off the legs.
 
 A trace records each leg's path knots exactly; the verifier and the
 renderer read the arms' points off them with their own interpolation.
@@ -10,18 +11,20 @@ The verifier replays a trace file against the problem definition using only
 the geometric primitives, independent of the planner code paths: finite
 numbers, knots that form a path over the leg at no more than unit speed,
 gripper events on their arm's path, arm-arm clearance over the whole
-continuous leg, pick/place consistency, arrangement feasibility, and exact
-goal attainment.  Clearance is certified by conservative advancement:
-between knots each arm moves at a constant speed v, so a clearance c above
-the threshold holds off it for about (c - threshold) / (v0 + v1), up to the
-next knot, and `segment_clearance` runs once per such step.  The start
-table is checked once, after the first leg; after that the table changes
-only at grasps and placements, and each placement is checked against the
-workspace and every object on the table.
+continuous leg, pick/place consistency, arrangement feasibility, exact goal
+attainment, and a metrics line that `_metrics` reads off the legs again.
+Clearance is certified by conservative advancement: between knots each arm
+moves at a constant speed v, so a clearance c above the threshold holds off
+it for about (c - threshold) / (v0 + v1), up to the next knot, and
+`segment_clearance` runs once per such step.  The start table is checked
+once, after the first leg; after that the table changes only at grasps and
+placements, and each placement is checked against the workspace and every
+object on the table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,11 +37,9 @@ from .instances import Instance, instance_hash
 from .motion import (
     DT,
     ArmModel,
-    InstantiatedSubTask,
     MotionFailure,
     Stage,
     SubTaskInfeasible,
-    SyncMotion,
     default_arms,
     plan_motion,
     sequential_round,
@@ -58,7 +59,6 @@ class RoundLimitExceeded(MotionFailure):
 
 @dataclass
 class RunMetrics:
-    n: int
     actions: int = 0
     buffers_used: int = 0
     sync_steps: int = 0
@@ -95,7 +95,7 @@ class Trace:
 
 @dataclass
 class RunRecord:
-    trace: Optional[Trace] = None
+    trace: Trace
     subs: list = field(default_factory=list)
 
 
@@ -135,40 +135,18 @@ def _record_leg(trace, sub, motion, candidates):
     )
 
 
-def _apply_round(session: PlannerSession, sub: InstantiatedSubTask, goal_motion: SyncMotion):
-    """Update the session after a round: the arms end where the goal-bound
-    leg ends, and each moved object sits at its target."""
-    session.ee = [goal_motion.paths[0].end, goal_motion.paths[1].end]
-    for task in sub.tasks:
-        if task.obj is None:
-            continue
-        session.current.poses[task.obj] = task.target
-        session.removal_sequence.append(task.obj)
-        if task.to_buffer:
-            session.buffers_used += 1
-            session.buffered.add(task.obj)
-        else:
-            session.remaining.discard(task.obj)
-            session.buffered.discard(task.obj)
-    session.rounds += 1
-
-
-def execute(session: PlannerSession, *, record: Optional[RunRecord] = None) -> RunMetrics:
-    """Plan rounds until the instance resolves, each one task plan and one
-    `plan_motion` call for both legs, and commit each one as it comes.  A
-    run that still has work after 2n rounds ends with RoundLimitExceeded."""
-    return _commit(session, _planned_rounds(session), record or RunRecord())
-
-
 def _planned_rounds(session: PlannerSession):
+    """Plan rounds until the instance resolves, each one task plan and one
+    `plan_motion` call for both legs.  A run that still has work after 2n
+    rounds ends with RoundLimitExceeded."""
     n = session.instance.n
-    while True:
+    for done in itertools.count():
         try:
             plan = next_task_plan(session)
         except TaskComplete:
             return
-        if session.rounds >= 2 * n:
-            raise RoundLimitExceeded(f"round {session.rounds + 1} exceeds the cap of 2n rounds (n = {n})")
+        if done >= 2 * n:
+            raise RoundLimitExceeded(f"round {done + 1} exceeds the cap of 2n rounds (n = {n})")
         yield (*plan_motion(plan, session), plan.candidates)
 
 
@@ -182,46 +160,57 @@ def _replayed_rounds(session: PlannerSession, subs):
         yield sub, start, goal, []
 
 
-def _commit(session: PlannerSession, rounds, record: RunRecord) -> RunMetrics:
-    """Apply each (sub, start, goal, candidates) round, checking the arrangement
-    after it and the goal at the end; a MotionFailure is the run's failure."""
+def _commit(session: PlannerSession, rounds) -> tuple[RunMetrics, RunRecord]:
+    """Record and apply each (sub, start, goal, candidates) round, checking
+    the arrangement after it and the goal at the end; a MotionFailure is the
+    run's failure.  The run's metrics are read off the legs it recorded."""
     inst = session.instance
-    metrics = RunMetrics(n=inst.n)
-    trace = record.trace = Trace(instance_hash(inst), session.rng_seed, session.arms)
-    fallbacks: dict[str, int] = {}
+    record = RunRecord(Trace(instance_hash(inst), session.rng_seed, session.arms))
+    failure = None
     checked = False  # whether a round has passed the whole-table check
     try:
         for sub, start, goal, candidates in rounds:
             record.subs.append(sub)
-            _record_leg(trace, sub, start, candidates)
-            _record_leg(trace, sub, goal, [])
-            _apply_round(session, sub, goal)
-            for motion in (start, goal):
-                fallbacks[motion.mode.value] = fallbacks.get(motion.mode.value, 0) + 1
-                metrics.makespan += motion.duration
+            _record_leg(record.trace, sub, start, candidates)
+            _record_leg(record.trace, sub, goal, [])
+            session.apply_round(sub, goal)
             # once the table has passed, a round can only break it through
             # the objects it moved
             moved = {task.obj for task in sub.tasks if task.obj is not None} if checked else None
             issues = arrangement_violations(session.current, inst.shapes, inst.workspace, moved)
             if issues:
                 raise ValidationFailure(
-                    f"infeasible arrangement after round {session.rounds}: {issues}"
+                    f"infeasible arrangement after round {len(record.subs)}: {issues}"
                 )
             checked = True
     except MotionFailure as exc:
-        metrics.failure = str(exc)
+        failure = str(exc)
     else:
         for i in inst.ids():
             if not session.current.poses[i].almost_equal(inst.goal.pose_of(i), 1e-9):
                 raise ValidationFailure(f"object {i} did not end at its goal pose")
-        metrics.success = True
-    metrics.actions = len(session.removal_sequence)
-    metrics.buffers_used = session.buffers_used
-    metrics.sync_steps = session.rounds
-    metrics.fallback_counts = fallbacks
-    metrics.sequence = list(session.removal_sequence)
-    trace.metrics = metrics
-    return metrics
+    metrics = record.trace.metrics = _metrics(record.trace.legs, failure)
+    return metrics, record
+
+
+def _metrics(legs: list[LegRecord], failure: Optional[str]) -> RunMetrics:
+    """The metrics of a run with these legs, which succeeded unless it has a
+    `failure`: a place line is an action, a leg pair a round."""
+    places = [place for leg in legs for place in leg.places]
+    makespan, modes = 0.0, {}
+    for leg in legs:  # a running sum in leg order (sum() compensates on 3.12+)
+        makespan += leg.duration
+        modes[leg.mode] = modes.get(leg.mode, 0) + 1
+    return RunMetrics(
+        actions=len(places),
+        buffers_used=sum(kind == "buffer" for _, _, kind in places),
+        sync_steps=len(legs) // 2,
+        makespan=makespan,
+        fallback_counts=modes,
+        success=failure is None,
+        sequence=[obj for obj, _, _ in places],
+        failure=failure,
+    )
 
 
 def run_instance(
@@ -237,10 +226,9 @@ def run_instance(
     if bool(force_sequential) != (forced_subs is not None):
         raise ValueError("force_sequential=True and forced_subs are passed together")
     session = new_session(instance, seed, arms)
-    rec = RunRecord()
     if forced_subs is None:
-        return execute(session, record=rec), rec
-    return _commit(session, _replayed_rounds(session, forced_subs), rec), rec
+        return _commit(session, _planned_rounds(session))
+    return _commit(session, _replayed_rounds(session, forced_subs))
 
 
 @dataclass
@@ -454,7 +442,6 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
                 k, v = item.split("=")
                 fb[k] = int(v)
         trace.metrics = RunMetrics(
-            n=0,
             actions=int(parts[2]),
             buffers_used=int(parts[4]),
             sync_steps=int(parts[6]),
@@ -630,7 +617,8 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     once, after the first leg.  After that the table loses
     objects only at gripper-close events and gains them only at placements,
     and each placement is checked against the workspace and every object on
-    the table."""
+    the table.  A metrics line, checked last, must state a solved run with
+    the trace's legs."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
     if trace.instance_hash != instance_hash(instance):
@@ -727,6 +715,12 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     for i in instance.ids():
         if i not in table or not table[i].almost_equal(instance.goal.pose_of(i), 1e-9):
             return False, f"object {i} not at its goal pose at the end"
+    if trace.metrics is not None:
+        derived = _metrics(trace.legs, None)
+        for name in ("actions", "buffers_used", "sync_steps", "makespan", "fallback_counts", "success"):
+            stated, want = getattr(trace.metrics, name), getattr(derived, name)
+            if stated != want:
+                return False, f"metrics {name} {stated!r} disagrees with the legs' {want!r}"
     return True, "ok"
 
 

@@ -48,34 +48,41 @@ class TaskPlan:
 
 @dataclass
 class PlannerSession:
-    """The state of one rearrangement run, updated once per round."""
+    """What planning reads of one rearrangement run: the instance, the arms,
+    the rng, and the table and arm state after the rounds so far."""
 
     instance: Instance
     rng_seed: int
-    arms: tuple = ()
-    current: Arrangement = None
-    remaining: set[int] = field(default_factory=set)
-    buffered: set[int] = field(default_factory=set)  # objects parked at a buffer
-    ee: list = field(default_factory=list)
-    rng: random.Random = None
-    removal_sequence: list[int] = field(default_factory=list)
-    buffers_used: int = 0
-    rounds: int = 0
+    arms: tuple
+    current: Arrangement = field(init=False)
+    remaining: set[int] = field(init=False)  # objects not yet at their goal
+    buffered: set[int] = field(init=False)  # objects parked at a buffer
+    ee: list = field(init=False)
+    rng: random.Random = field(init=False)
 
     def __post_init__(self):
-        if self.current is None:
-            self.current = self.instance.start.copy()
-        if not self.remaining:
-            self.remaining = {
-                i
-                for i in self.instance.ids()
-                if not self.instance.start.pose_of(i).almost_equal(
-                    self.instance.goal.pose_of(i)
-                )
-            }
+        start, goal = self.instance.start, self.instance.goal
+        self.current = start.copy()
+        self.remaining = {
+            i for i in self.instance.ids() if not start.pose_of(i).almost_equal(goal.pose_of(i))
+        }
+        self.buffered = set()
+        self.ee = [self.arms[0].retract, self.arms[1].retract]
         self.rng = random.Random(self.rng_seed)
-        if self.arms and not self.ee:
-            self.ee = [self.arms[0].retract, self.arms[1].retract]
+
+    def apply_round(self, sub, goal_motion) -> None:
+        """Update the session after a round's sub-task: the arms end where
+        the goal-bound leg ends, and each moved object sits at its target."""
+        self.ee = [goal_motion.paths[0].end, goal_motion.paths[1].end]
+        for task in sub.tasks:
+            if task.obj is None:
+                continue
+            self.current.poses[task.obj] = task.target
+            if task.to_buffer:
+                self.buffered.add(task.obj)
+            else:
+                self.remaining.discard(task.obj)
+                self.buffered.discard(task.obj)
 
     def graph_over_remaining(self) -> DepGraph:
         cur = Arrangement({i: self.current.poses[i] for i in self.remaining})

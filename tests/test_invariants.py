@@ -1,5 +1,7 @@
 """Cross-module run invariants checked over generated instances."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +9,6 @@ from sdar import instances, sim
 from sdar.depgraph import decompose, footprint
 from sdar.geom import overlaps
 from sdar.motion import _iter_instantiations, _table_boxes, default_arms, plan_motion
-from sdar.sim import _apply_round
 from sdar.taskplan import TaskComplete, next_task_plan
 
 
@@ -22,7 +23,7 @@ def step_through(inst, seed=0):
             return
         yield session, plan
         sub, _, goal = plan_motion(plan, session)
-        _apply_round(session, sub, goal)
+        session.apply_round(sub, goal)
 
 
 def test_buffer_count_equals_long_cycle_count():
@@ -102,6 +103,7 @@ def test_every_successful_trace_verifies():
     table=st.one_of(
         st.tuples(st.just(instances.gen_random), st.integers(2, 8)),
         st.tuples(st.just(instances.gen_single_cycle), st.integers(2, 6)),
+        st.tuples(st.just(instances.gen_double_cycle), st.integers(4, 8)),
     ),
     gen_seed=st.integers(0, 10_000),
     plan_seed=st.integers(0, 10_000),
@@ -114,5 +116,7 @@ def test_solved_runs_are_certified_and_replanned_byte_for_byte(table, gen_seed, 
     metrics, rec = sim.run_instance(inst, plan_seed, arms)
     text = sim.dumps_trace(rec.trace)
     assert sim.dumps_trace(sim.run_instance(inst, plan_seed, arms)[1].trace) == text
+    # the metrics line states the run's metrics but its sequence and failure
+    assert sim.loads_trace(text).metrics == replace(metrics, sequence=[], failure=None)
     if metrics.success:
         assert sim.verify_trace(text, inst, arms) == (True, "ok")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sdar import instances, motion, sim
@@ -154,6 +156,41 @@ def test_header_stating_other_arms_is_rejected(name, value):
     assert verify_trace(text, inst) == (True, "ok")
     ok, msg = verify_trace(_with_arms_field(text, name, value), inst)
     assert not ok and msg.startswith(f"header {name} "), msg
+
+
+def _with_metrics_field(text: str, name: str, forge) -> str:
+    """The trace text with the value after `name` on its metrics line, the
+    last line, passed through `forge`."""
+    head, _, line = text.rstrip("\n").rpartition("\n")
+    parts = line.split()
+    k = parts.index(name) + 1
+    parts[k] = forge(parts[k])
+    return f"{head}\n{' '.join(parts)}\n"
+
+
+@pytest.mark.parametrize(
+    "name, field, forge",
+    [
+        ("actions", "actions", lambda v: str(int(v) - 1)),
+        ("buffers_used", "buffers_used", lambda v: str(int(v) + 1)),
+        ("sync_steps", "sync_steps", lambda v: str(int(v) + 1)),
+        ("makespan", "makespan", lambda v: repr(math.nextafter(float(v), 0.0))),
+        ("fallbacks", "fallback_counts", lambda v: v.replace("=", "=1", 1)),
+        ("success", "success", lambda v: "0"),
+    ],
+    ids=["actions", "buffers_used", "sync_steps", "makespan", "fallbacks", "success"],
+)
+def test_forged_metrics_line_is_rejected(name, field, forge):
+    # every field of the metrics line is read off the legs again, a
+    # makespan one ulp off included
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 42)
+    text = dumps_trace(rec.trace)
+    assert verify_trace(text, inst) == (True, "ok")
+    forged = _with_metrics_field(text, name, forge)
+    assert forged != text
+    ok, msg = verify_trace(forged, inst)
+    assert not ok and msg.startswith(f"metrics {field} ") and " disagrees with the legs' " in msg, msg
 
 
 def test_arms_line_with_a_dt_field_still_parses():

@@ -196,10 +196,8 @@ def test_three_cycle_break_leaves_a_chain():
 # --------------------------------------------------------- removal sequence
 
 def test_removal_sequence_showcase():
-    inst = instances.showcase9()
-    session = fresh_session(inst)
-    sim.execute(session)
-    seq = session.removal_sequence
+    metrics, _ = sim.run_instance(instances.showcase9(), 0)
+    seq = metrics.sequence
     assert len(seq) == 10
     counts = {i: seq.count(i) for i in range(9)}
     doubled = [i for i, c in counts.items() if c == 2]
@@ -211,11 +209,9 @@ def test_removal_sequence_showcase():
 
 
 def test_removal_sequence_identity_and_swap():
-    session = fresh_session(instances.identity_instance(3, 1))
-    sim.execute(session)
-    assert session.removal_sequence == []
+    metrics, _ = sim.run_instance(instances.identity_instance(3, 1), 0)
+    assert metrics.sequence == []
 
-    session = fresh_session(instances.gen_single_cycle(2, 3))
-    sim.execute(session)
-    seq = session.removal_sequence
+    metrics, _ = sim.run_instance(instances.gen_single_cycle(2, 3), 0)
+    seq = metrics.sequence
     assert sorted(seq) == [0, 1]

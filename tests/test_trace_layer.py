@@ -305,6 +305,7 @@ def test_clearance_scan_passes_a_still_stretch_in_one_read(monkeypatch):
     end = last.duration + 1000.0
     last.knots = [knots + [(end, *knots[-1][1:])] for knots in last.knots]
     last.duration = end
+    trace.metrics.makespan = sim._metrics(trace.legs, None).makespan  # the padded legs' makespan
     calls.clear()
     assert verify_trace(trace, inst) == (True, "ok")
     assert len(calls) <= unpadded + 2
@@ -539,10 +540,12 @@ def test_round_check_matches_full_scan(monkeypatch):
 def test_round_check_reports_an_overlapping_round_as_a_full_scan_does(monkeypatch):
     rounds = _checked_rounds(monkeypatch)
     plan_motion = sim.plan_motion
+    planned = []  # the rounds planned so far in this run
 
     def third_round_overlaps(plan, session, **kwargs):
         sub, start, goal = plan_motion(plan, session, **kwargs)
-        if session.rounds == 2:
+        planned.append(sub)
+        if len(planned) == 3:
             moving = {t.obj for t in sub.tasks if t.obj is not None}
             task = next(t for t in sub.tasks if t.obj is not None)
             victim = next(i for i, _ in session.current.on_table() if i not in moving)
@@ -553,6 +556,7 @@ def test_round_check_reports_an_overlapping_round_as_a_full_scan_does(monkeypatc
     monkeypatch.setattr(sim, "plan_motion", third_round_overlaps)
     for inst in _round_tables():
         rounds.clear()
+        planned.clear()
         with pytest.raises(ValidationFailure) as err:
             run_instance(inst, PLAN_SEED)
         got, full, involving = rounds[-1]
