@@ -176,9 +176,17 @@ def cmd_bench(args) -> int:
     if not paths:
         print(f"no .inst files under {suite_dir}", file=sys.stderr)
         return 2
-    # every file is loaded and checked before any row is planned
+    # every file is loaded and checked before any row is planned; a row and
+    # its trace file are named by the file's stem, so stems must differ
     payloads = []
+    stems = {}
     for p in paths:
+        if p.stem in stems:
+            print(
+                f"input error: {stems[p.stem]} and {p} share the name {p.stem}", file=sys.stderr
+            )
+            return 2
+        stems[p.stem] = p
         try:
             inst = instances.load(p)
         except (ParseError, FeasibilityError) as exc:

@@ -502,13 +502,6 @@ class ArmTask:
 class InstantiatedSubTask:
     tasks: tuple[ArmTask, ArmTask]
 
-    @property
-    def buffer_pose(self) -> Optional[Pose2]:
-        for t in self.tasks:
-            if t.to_buffer:
-                return t.target
-        return None
-
 
 def _other_base_ok(point: Point, other: ArmModel, clearance: float) -> bool:
     return dist(point, other.base) >= clearance + BASE_KEEPOUT_MARGIN

@@ -10,9 +10,10 @@ renderer read the arms' points off them with their own interpolation.
 The verifier replays a trace file against the problem definition using only
 the geometric primitives, independent of the planner code paths: finite
 numbers, knots that form a path over the leg at no more than unit speed,
-gripper events on their arm's path, arm-arm clearance over the whole
-continuous leg, pick/place consistency, arrangement feasibility, exact goal
-attainment, and a metrics line that `_metrics` reads off the legs again.
+grasps on even legs and releases on odd ones, each at the point its arm's
+knots give, arm-arm clearance over the whole continuous leg, pick/place
+consistency, arrangement feasibility, exact goal attainment, and a metrics
+line that `_metrics` reads off the legs again.
 Clearance is certified by conservative advancement: between knots each arm
 moves at a constant speed v, so a clearance c above the threshold holds off
 it for about (c - threshold) / (v0 + v1), up to the next knot, and
@@ -46,7 +47,7 @@ from .motion import (
 )
 from .taskplan import PlannerSession, TaskComplete, next_task_plan
 
-TRACE_FORMAT = "sdar-trace/2"
+TRACE_FORMAT = "sdar-trace/3"
 
 
 class ValidationFailure(Exception):
@@ -71,16 +72,16 @@ class RunMetrics:
 
 @dataclass
 class LegRecord:
+    """One leg of a round: even legs grasp (start-bound), odd legs place
+    (goal-bound).  Its objects are those of its grips."""
+
     index: int
-    stage: str
     mode: str
-    objs: tuple[Optional[int], Optional[int]]
     angles: tuple[Optional[str], Optional[str]]
-    buffer_pose: Optional[Pose2]
     candidates: list[tuple[int, int]]
     duration: float
     knots: list  # per arm: its path's knots, (t, x, y)
-    grips: list  # (arm, action, obj, t, point)
+    grips: list  # (arm, action, obj, t)
     places: list  # (obj, Pose2, kind)
 
 
@@ -105,27 +106,21 @@ def new_session(instance: Instance, seed: int, arms=None) -> PlannerSession:
 
 
 def _record_leg(trace, sub, motion, candidates):
-    objs = tuple(t.obj for t in sub.tasks)
     angles = tuple(t.angle.value if t.angle else None for t in sub.tasks)
+    grasp = motion.stage == Stage.TO_START
     grips = []
     places = []
     for a, task in enumerate(sub.tasks):
         if task.obj is None:
             continue
-        ev = motion.event_times[a]
-        if motion.stage == Stage.TO_START:
-            grips.append((a, "close", task.obj, ev, task.pick))
-        else:
-            grips.append((a, "open", task.obj, ev, task.target.xy))
+        grips.append((a, "close" if grasp else "open", task.obj, motion.event_times[a]))
+        if not grasp:
             places.append((task.obj, task.target, "buffer" if task.to_buffer else "goal"))
     trace.legs.append(
         LegRecord(
             index=len(trace.legs),
-            stage=motion.stage.value,
             mode=motion.mode.value,
-            objs=objs,
             angles=angles,
-            buffer_pose=sub.buffer_pose,
             candidates=list(candidates),
             duration=motion.duration,
             knots=[[(t, x, y) for t, (x, y) in path.knots] for path in motion.paths],
@@ -297,24 +292,15 @@ def dumps_trace(trace: Trace) -> str:
     ]
     for leg in trace.legs:
         cands = ";".join(f"{i},{j}" for i, j in leg.candidates) or "-"
-        objs = " ".join("-" if o is None else str(o) for o in leg.objs)
         angles = " ".join(a or "-" for a in leg.angles)
-        buf = (
-            f"{_fmt(leg.buffer_pose.x)} {_fmt(leg.buffer_pose.y)} {_fmt(leg.buffer_pose.theta)}"
-            if leg.buffer_pose
-            else "- - -"
-        )
         lines.append(
-            f"leg {leg.index} stage {leg.stage} mode {leg.mode} objs {objs} "
-            f"angles {angles} buffer {buf} candidates {cands} duration {_fmt(leg.duration)}"
+            f"leg {leg.index} mode {leg.mode} angles {angles} "
+            f"candidates {cands} duration {_fmt(leg.duration)}"
         )
         for a, knots in enumerate(leg.knots):
             lines += [f"k {leg.index} {a} {_fmt(t)} {_fmt(x)} {_fmt(y)}" for t, x, y in knots]
-        for arm, action, obj, t, point in leg.grips:
-            lines.append(
-                f"grip {leg.index} {arm} {action} {obj} {_fmt(t)} "
-                f"{_fmt(point[0])} {_fmt(point[1])}"
-            )
+        for arm, action, obj, t in leg.grips:
+            lines.append(f"grip {leg.index} {arm} {action} {obj} {_fmt(t)}")
         for obj, pose, kind in leg.places:
             lines.append(
                 f"place {leg.index} {obj} {_fmt(pose.x)} {_fmt(pose.y)} {_fmt(pose.theta)} {kind}"
@@ -337,7 +323,8 @@ def save_trace(trace: Trace, path) -> None:
 
 def loads_trace(text: str) -> Trace:
     """Parse a trace; ValueError if the text is not a well-formed trace,
-    naming the first line that is not."""
+    naming the first line that is not.  Its legs are given in index order
+    from 0."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != TRACE_FORMAT:
         raise ValueError(f"expected {TRACE_FORMAT} header")
@@ -355,7 +342,7 @@ def loads_trace(text: str) -> Trace:
     except (IndexError, KeyError, ValueError) as exc:
         detail = str(exc) if isinstance(exc, ValueError) else repr(exc)
         raise ValueError(f"malformed {TRACE_FORMAT} trace: line {k}: {detail}") from exc
-    trace.legs = [legs[i] for i in sorted(legs)]
+    trace.legs = list(legs.values())
     return trace
 
 
@@ -384,29 +371,24 @@ def _arm_index(text: str) -> int:
 def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> None:
     """Add one body line to the trace being parsed."""
     if parts[0] == "leg":
-        # leg I stage S mode M objs O1 O2 angles A1 A2 buffer X Y T candidates C duration D
+        # leg I mode M angles A1 A2 candidates C duration D
         idx = int(parts[1])
         if idx in legs:
             raise ValueError(f"leg {idx} is given twice")
-        objs = tuple(None if v == "-" else int(v) for v in (parts[7], parts[8]))
-        angles = tuple(None if v == "-" else v for v in (parts[10], parts[11]))
-        buf = None
-        if parts[13] != "-":
-            buf = Pose2(float(parts[13]), float(parts[14]), float(parts[15]))
+        if idx != len(legs):
+            raise ValueError(f"expected leg {len(legs)}, got leg {idx}")
+        angles = tuple(None if v == "-" else v for v in (parts[5], parts[6]))
         cands = []
-        if parts[17] != "-":
-            for item in parts[17].split(";"):
+        if parts[8] != "-":
+            for item in parts[8].split(";"):
                 i, j = item.split(",")
                 cands.append((int(i), int(j)))
         legs[idx] = LegRecord(
             index=idx,
-            stage=parts[3],
-            mode=parts[5],
-            objs=objs,
+            mode=parts[3],
             angles=angles,
-            buffer_pose=buf,
             candidates=cands,
-            duration=float(parts[19]),
+            duration=float(parts[10]),
             knots=[[], []],
             grips=[],
             places=[],
@@ -419,13 +401,7 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
         if parts[3] not in ("close", "open"):
             raise ValueError(f"grip action {parts[3]!r} is not close or open")
         legs[int(parts[1])].grips.append(
-            (
-                _arm_index(parts[2]),
-                parts[3],
-                int(parts[4]),
-                float(parts[5]),
-                (float(parts[6]), float(parts[7])),
-            )
+            (_arm_index(parts[2]), parts[3], int(parts[4]), float(parts[5]))
         )
     elif parts[0] == "place":
         legs[int(parts[1])].places.append(
@@ -569,8 +545,8 @@ def _non_finite(leg: LegRecord) -> Optional[str]:
     for a, knots in enumerate(leg.knots):
         if not all(math.isfinite(v) for knot in knots for v in knot):
             return f"arm {a + 1} knot"
-    for arm, _, obj, t, (x, y) in leg.grips:
-        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+    for arm, _, obj, t in leg.grips:
+        if not math.isfinite(t):
             return f"arm {arm + 1} grip of object {obj}"
     return None
 
@@ -611,14 +587,15 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     run was planned with (default: `default_arms` of the instance's
     workspace), never from the trace, and a trace whose arms line states
     other arms fails.  Each arm's knots must form a path over its leg at no
-    more than unit speed, continuing where the previous leg ended, and each
-    gripper event must lie on its arm's path at its time, and `_uncertified`
-    certifies the clearance over the whole leg.  The start table is checked
-    once, after the first leg.  After that the table loses
-    objects only at gripper-close events and gains them only at placements,
-    and each placement is checked against the workspace and every object on
-    the table.  A metrics line, checked last, must state a solved run with
-    the trace's legs."""
+    more than unit speed, continuing where the previous leg ended, and
+    `_uncertified` certifies the clearance over the whole leg.  Even legs
+    only close grippers and odd legs only open them; at each event the arm's
+    point on its path must lie on the object it closes on or the placement
+    it opens at.  The start table is checked once, after the first leg.
+    After that the table loses objects only at gripper-close events and
+    gains them only at placements, and each placement is checked against the
+    workspace and every object on the table.  A metrics line, checked last,
+    must state a solved run with the trace's legs."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
     if trace.instance_hash != instance_hash(instance):
@@ -636,7 +613,6 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     # each object's footprint where it last landed, built once per landing
     boxes = {i: box_at(p, *shapes[i]) for i, p in table.items()}
     held: dict[int, Optional[int]] = {0: None, 1: None}
-    expect_stage = "tostart"
     prev_end = None
 
     def table_feasible(where: str) -> Optional[str]:
@@ -651,9 +627,7 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
 
     for leg in trace.legs:
         where = f"leg {leg.index}"
-        if leg.stage != expect_stage:
-            return False, f"{where}: expected stage {expect_stage}, got {leg.stage}"
-        expect_stage = "togoal" if expect_stage == "tostart" else "tostart"
+        grasping = leg.index % 2 == 0
         bad = _non_finite(leg)
         if bad:
             return False, f"{where}: non-finite {bad}"
@@ -665,11 +639,13 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
             for a in (0, 1):
                 if dist(leg.knots[a][0][1:], prev_end[a]) > 1e-6:
                     return False, f"{where}: arm {a + 1} path discontinuity"
-        for arm, action, obj, t, point in leg.grips:
+        for arm, action, obj, t in leg.grips:
+            if (action == "close") != grasping:
+                kind = "grasp" if grasping else "place"
+                return False, f"{where}: arm {arm + 1} {action}s on a {kind} leg"
             if not 0.0 <= t <= leg.duration:
                 return False, f"{where}: arm {arm + 1} event time outside the leg"
-            if dist(_path_points(leg.knots[arm], (t,))[0], point) > 1e-9:
-                return False, f"{where}: arm {arm + 1} event point far from its path"
+            (point,) = _path_points(leg.knots[arm], (t,))
             if action == "close":
                 if obj not in table:
                     return False, f"{where}: grasping object {obj} not on the table"
@@ -740,10 +716,10 @@ def check_frames(trace: Trace, instance: Instance) -> None:
             if not leg.knots[a]:
                 raise ValueError(f"leg {leg.index}: arm {a + 1} has no knots")
         placed = {obj for obj, _, _ in leg.places}
-        named = placed | {obj for _, _, obj, _, _ in leg.grips}
+        named = placed | {obj for _, _, obj, _ in leg.grips}
         if not named <= ids:
             raise ValueError(f"leg {leg.index}: object {min(named - ids)} is not in the instance")
-        for _, action, obj, _, _ in leg.grips:
+        for _, action, obj, _ in leg.grips:
             if action == "open" and obj not in placed:
                 raise ValueError(f"leg {leg.index}: object {obj} released with no place line")
 
@@ -757,9 +733,7 @@ def iterate_frames(trace: Trace, instance: Instance):
     table: dict[int, Pose2] = {i: instance.start.pose_of(i) for i in instance.ids()}
     for leg in trace.legs:
         place_of = {obj: pose for obj, pose, _ in leg.places}
-        opens = sorted(
-            (t, obj) for _, action, obj, t, _ in leg.grips if action == "open"
-        )
+        opens = sorted((t, obj) for _, action, obj, t in leg.grips if action == "open")
         times = _sample_times(leg.duration)
         points = [_path_points(knots, times) for knots in leg.knots]
         for k, now in enumerate(times):
@@ -767,7 +741,7 @@ def iterate_frames(trace: Trace, instance: Instance):
                 _, obj = opens.pop(0)
                 table[obj] = place_of[obj]
             carried = [None, None]
-            for arm, action, obj, t, _ in leg.grips:
+            for arm, action, obj, t in leg.grips:
                 if (now >= t - 1e-12) == (action == "close"):
                     carried[arm] = obj
                     table.pop(obj, None)

@@ -34,20 +34,23 @@ from fine_grid import least_clearance
 ARMS = default_arms()
 
 # sha256 prefix of the concatenated default-suite traces at plan seed 42, as
-# sdar-trace/1 text (`_v1_text`) and as written, and their total action
-# count: any change to a plan changes one of them.  The sdar-trace/1 digest
-# was pinned before traces stored knots, so it shows that plans did not move.
+# sdar-trace/1 text (`_v1_text`), as sdar-trace/2 text (`_v2_text`) and as
+# written, and their total action count: any change to a plan changes one of
+# them.  The sdar-trace/1 and /2 digests were pinned before the formats
+# changed, so they show that plans did not move.
 BEHAVIOUR_DIGEST = "6fc08af60059"
 BEHAVIOUR_DIGEST_V2 = "6f7efdc07bf1"
+BEHAVIOUR_DIGEST_V3 = "56a55ce92586"
 BEHAVIOUR_ACTIONS = 1889
 # the same over the 20 crowded tables gen_random(n, s), n = 14..22 even and
-# s = 0..3, per plan seed: (sdar-trace/1 digest, digest, actions, solved).
-# Their recovery moves are where the one-arm move list is used most.
+# s = 0..3, per plan seed: (sdar-trace/1 digest, sdar-trace/2 digest, digest,
+# actions, solved).  Their recovery moves are where the one-arm move list is
+# used most.
 DENSE_DIGESTS = {
-    42: ("5e6dccba9bde", "1fc899340b69", 313, 15),
-    1: ("7f869ef4bea9", "f3103733509b", 308, 15),
-    2: ("2d9bc3e1cd90", "f29975aa0f7b", 343, 15),
-    3: ("a07d38546b5f", "31de9a722e93", 322, 13),
+    42: ("5e6dccba9bde", "1fc899340b69", "e55a87419e80", 313, 15),
+    1: ("7f869ef4bea9", "f3103733509b", "92c30929936f", 308, 15),
+    2: ("2d9bc3e1cd90", "f29975aa0f7b", "db963486c821", 343, 15),
+    3: ("a07d38546b5f", "31de9a722e93", "0184537fe556", 322, 13),
 }
 
 
@@ -55,32 +58,68 @@ def _v1_samples(leg) -> list[str]:
     """A leg's sample lines as sdar-trace/1 wrote them: `round(1/DT)` + 1
     samples per arm (t = 0 alone for a leg that does not move), at the
     points of the arm's `ArmPath`, each with the object the arm holds then:
-    from its gripper-close event on a start-bound leg, until its
-    gripper-open event on a goal-bound leg, each to within 1e-12."""
+    from its gripper-close event on a start-bound (even) leg, until its
+    gripper-open event on a goal-bound (odd) leg, each to within 1e-12."""
     steps = round(1.0 / DT) if leg.duration > 1e-12 else 0
     times = [leg.duration * k / steps for k in range(steps + 1)] if steps else [0.0]
     lines = []
     for a in (0, 1):
         path = ArmPath([(t, (x, y)) for t, x, y in leg.knots[a]])
-        obj = leg.objs[a]
-        event = next((t for arm, _, _, t, _ in leg.grips if arm == a), None)
+        grip = next(((obj, t) for arm, _, obj, t in leg.grips if arm == a), None)
         for t, (x, y) in zip(times, path.positions(times)):
-            if obj is None or event is None:
-                held = obj
-            elif leg.stage == Stage.TO_START.value:
-                held = obj if t >= event - 1e-12 else None
+            if grip is None:
+                held = None
+            elif leg.index % 2 == 0:
+                held = grip[0] if t >= grip[1] - 1e-12 else None
             else:
-                held = obj if t < event - 1e-12 else None
+                held = grip[0] if t < grip[1] - 1e-12 else None
             lines.append(f"s {leg.index} {a} {t!r} {x!r} {y!r} {'-' if held is None else held}")
     return lines
 
 
-def _v1_text(trace) -> str:
-    """The trace as sdar-trace/1 text: knot lines become sample lines, and
-    the arms line ends in the `dt` field sdar-trace/1 wrote."""
+def _v2_text(trace, inst) -> str:
+    """The trace as sdar-trace/2 text: each leg line states its stage (the
+    leg's parity), its objects (its grips') and its round's buffer pose (the
+    `buffer` place of the round's goal-bound leg), and each grip line its
+    point: the object's last pose at a close, its placement at an open."""
+    table = {i: inst.start.pose_of(i) for i in inst.ids()}
     lines = []
     for line in sim.dumps_trace(trace).splitlines():
+        parts = line.split()
         if line == sim.TRACE_FORMAT:
+            lines.append("sdar-trace/2")
+        elif parts[0] == "leg":
+            leg = trace.legs[int(parts[1])]
+            objs = ["-", "-"]
+            for arm, _, obj, _ in leg.grips:
+                objs[arm] = str(obj)
+            goal_leg = trace.legs[leg.index | 1]
+            buf = next((pose for _, pose, kind in goal_leg.places if kind == "buffer"), None)
+            buf = f"{buf.x!r} {buf.y!r} {buf.theta!r}" if buf else "- - -"
+            stage = (Stage.TO_START, Stage.TO_GOAL)[leg.index % 2].value
+            lines.append(
+                f"leg {leg.index} stage {stage} mode {parts[3]} objs {' '.join(objs)} "
+                f"angles {parts[5]} {parts[6]} buffer {buf} "
+                f"candidates {parts[8]} duration {parts[10]}"
+            )
+        elif parts[0] == "grip":
+            leg, obj = trace.legs[int(parts[1])], int(parts[4])
+            if parts[3] == "open":
+                table[obj] = next(pose for o, pose, _ in leg.places if o == obj)
+            x, y = table[obj].xy
+            lines.append(f"{line} {x!r} {y!r}")
+        else:
+            lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _v1_text(trace, v2_text: str) -> str:
+    """The trace as sdar-trace/1 text: its sdar-trace/2 text with the knot
+    lines turned into sample lines, and the `dt` field sdar-trace/1 wrote at
+    the end of the arms line."""
+    lines = []
+    for line in v2_text.splitlines():
+        if line == "sdar-trace/2":
             lines.append("sdar-trace/1")
         elif line.startswith("arms "):
             lines.append(f"{line} dt {DT!r}")
@@ -91,13 +130,16 @@ def _v1_text(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _digests(traces) -> tuple[str, str]:
-    """(sdar-trace/1 digest, digest) of the concatenated traces."""
-    v1, v2 = hashlib.sha256(), hashlib.sha256()
-    for trace in traces:
-        v1.update(_v1_text(trace).encode())
-        v2.update(sim.dumps_trace(trace).encode())
-    return v1.hexdigest()[:12], v2.hexdigest()[:12]
+def _digests(runs) -> tuple[str, str, str]:
+    """(sdar-trace/1, sdar-trace/2, sdar-trace/3 digest) of the concatenated
+    traces of the (trace, instance) runs."""
+    v1, v2, v3 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for trace, inst in runs:
+        v2_text = _v2_text(trace, inst)
+        v1.update(_v1_text(trace, v2_text).encode())
+        v2.update(v2_text.encode())
+        v3.update(sim.dumps_trace(trace).encode())
+    return v1.hexdigest()[:12], v2.hexdigest()[:12], v3.hexdigest()[:12]
 
 
 def _report(num, name, ok, detail=""):
@@ -208,28 +250,29 @@ def test_criterion_5_success_rate(suite_results):
 
 
 def test_behaviour_digest_unchanged(suite_results):
-    v1, v2 = _digests(record.trace for _, _, record, _, _ in suite_results)
+    digests = _digests((record.trace, inst) for inst, _, record, _, _ in suite_results)
     actions = sum(metrics.actions for _, metrics, _, _, _ in suite_results)
-    assert (v1, v2, actions) == (BEHAVIOUR_DIGEST, BEHAVIOUR_DIGEST_V2, BEHAVIOUR_ACTIONS), (
-        f"behaviour digests {v1}, {v2} with {actions} actions; a change that "
+    want = (BEHAVIOUR_DIGEST, BEHAVIOUR_DIGEST_V2, BEHAVIOUR_DIGEST_V3, BEHAVIOUR_ACTIONS)
+    assert (*digests, actions) == want, (
+        f"behaviour digests {digests} with {actions} actions; a change that "
         "alters plans must say why and record the new digests"
     )
 
 
 @pytest.mark.parametrize("seed", sorted(DENSE_DIGESTS))
 def test_dense_digest_unchanged(seed):
-    traces = []
+    runs = []
     actions = solved = 0
     for n in (14, 16, 18, 20, 22):
         for s in range(4):
             inst = instances.gen_random(n, s)
             metrics, record = sim.run_instance(inst, seed)
-            traces.append(record.trace)
+            runs.append((record.trace, inst))
             actions += metrics.actions
             solved += metrics.success
             # every solved trace is certified
             assert not metrics.success or sim.verify_trace(record.trace, inst) == (True, "ok")
-    assert (*_digests(traces), actions, solved) == DENSE_DIGESTS[seed], (
+    assert (*_digests(runs), actions, solved) == DENSE_DIGESTS[seed], (
         "a change that alters dense plans must say why and record the new digests"
     )
 
@@ -341,7 +384,7 @@ def test_criterion_8_fallback_ladder():
         for k, leg in enumerate(record.trace.legs):
             sub = record.subs[k // 2]
             ee = [knots[0][1:] for knots in leg.knots]
-            rungs = dict(_all_rungs(sub, ee)) if leg.stage == Stage.TO_GOAL.value else None
+            rungs = dict(_all_rungs(sub, ee)) if k % 2 == 1 else None
             if rungs and len(rungs) > 1:
                 order = [Mode.SYNCHRONOUS, Mode.UNTANGLED, Mode.SEQUENTIAL]
                 seq = [rungs[m] for m in order if m in rungs]

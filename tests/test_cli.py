@@ -51,7 +51,7 @@ def test_plan_showcase_fixture(tmp_path, capsys):
     assert run_cli("plan", FIXTURES / "showcase9.inst", "--trace-out", trace) == 0
     out = capsys.readouterr().out
     assert "actions    10" in out
-    assert trace.read_text().startswith("sdar-trace/2\n")
+    assert trace.read_text().startswith("sdar-trace/3\n")
 
 
 def test_plan_corrupted_instance_exits_2(tmp_path, capsys):
@@ -318,7 +318,7 @@ def test_render_rejects_trace_with_only_its_header(tmp_path, capsys):
     inst_path = tmp_path / "s2.inst"
     instances.save(instances.gen_single_cycle(2, 1), inst_path)
     trace = tmp_path / "run.trace"
-    trace.write_text("sdar-trace/2\n")
+    trace.write_text("sdar-trace/3\n")
     assert run_cli("render", trace, "--instance", inst_path, "--out", tmp_path / "out") == 2
     assert "input error:" in capsys.readouterr().err
 
@@ -335,6 +335,23 @@ def test_bench_rejects_malformed_instance_before_planning(tmp_path, monkeypatch,
     csv = tmp_path / "report.csv"
     assert run_cli("bench", suite, "--out", csv) == 2
     assert "input error:" in capsys.readouterr().err
+    assert planned == [] and not csv.exists()
+
+
+def test_bench_rejects_instances_sharing_a_name_before_planning(tmp_path, monkeypatch, capsys):
+    # rows and trace files are named by the file stem: two R4_0001.inst in
+    # different directories would give two rows of one name and one trace
+    suite = tmp_path / "dup"
+    for sub in ("a", "b"):
+        assert run_cli("gen", "R", "4", "--count", "1", "--seed", "1", "--out", suite / sub) == 0
+    first, second = sorted(suite.rglob("*.inst"))
+    assert first.name == second.name == "R4_0001.inst"
+    planned = []
+    monkeypatch.setattr(cli, "_bench_one", lambda payload: planned.append(payload))
+    csv = tmp_path / "report.csv"
+    assert run_cli("bench", suite, "--out", csv, "--traces", tmp_path / "traces") == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {first} and {second} share the name R4_0001\n"
     assert planned == [] and not csv.exists()
 
 
@@ -388,7 +405,7 @@ def test_render_names_the_trace_file_and_line_it_cannot_parse(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("render", trace, "--instance", FIXTURES / "showcase9.inst", "--out", out) == 2
     assert capsys.readouterr().err == (
-        f"input error: {trace}: malformed sdar-trace/2 trace: line {k + 1}: "
+        f"input error: {trace}: malformed sdar-trace/3 trace: line {k + 1}: "
         f"non-finite pose (nan, {parts[4]}, {parts[5]})\n"
     )
     assert not list(out.glob("frame_*.svg"))

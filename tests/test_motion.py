@@ -814,9 +814,9 @@ def test_cycle_round_selection_returns_safe_buffer():
     plan = next_task_plan(session)
     assert plan.need_buffer
     sub = first_instantiation(plan, session)
-    buffer_pose = sub.buffer_pose
-    assert buffer_pose is not None
-    buffered_obj = next(t.obj for t in sub.tasks if t.to_buffer)
+    buffered = [t for t in sub.tasks if t.to_buffer]
+    assert buffered
+    buffered_obj, buffer_pose = buffered[0].obj, buffered[0].target
     box = footprint(buffered_obj, buffer_pose, inst.shapes)
     for i, p in session.current.on_table():
         if i != buffered_obj:

@@ -72,7 +72,7 @@ def test_trace_file_io(tmp_path):
     _, rec = run_instance(inst, 2)
     path = tmp_path / "run.trace"
     save_trace(rec.trace, path)
-    assert path.read_text().startswith("sdar-trace/2\n")
+    assert path.read_text().startswith("sdar-trace/3\n")
     ok, msg = verify_trace(load_trace(path), inst)
     assert ok, msg
 
@@ -108,7 +108,7 @@ def test_verify_rejects_clearance_violation():
     trace = rec.trace
     # arm 2 follows arm 1's path through a moving leg: a path of unit speed
     # that ends where the leg ends, but the two EE points coincide.  Arm 2's
-    # grip, now off its path, goes too.
+    # grip, whose point is now on arm 1's path, goes too.
     leg = next(l for l in trace.legs if l.duration > 0.0)
     leg.knots[1] = list(leg.knots[0])
     leg.grips = [g for g in leg.grips if g[0] == 0]
@@ -194,7 +194,7 @@ def test_forged_metrics_line_is_rejected(name, field, forge):
 
 
 def test_arms_line_with_a_dt_field_still_parses():
-    # sdar-trace/2 files written before the arms line lost its dt field
+    # the arms line of older traces ended in a dt field
     inst = instances.gen_random(3, 4)
     _, rec = run_instance(inst, 0)
     text = dumps_trace(rec.trace)
@@ -237,7 +237,7 @@ def test_trace_naming_no_arm_or_action_cannot_be_parsed(prefix, field, value, de
     lines[k] = " ".join(parts)
     with pytest.raises(ValueError) as err:
         verify_trace("\n".join(lines) + "\n", inst)
-    assert str(err.value) == f"malformed sdar-trace/2 trace: line {k + 1}: {detail}"
+    assert str(err.value) == f"malformed sdar-trace/3 trace: line {k + 1}: {detail}"
 
 
 def test_repeated_leg_index_cannot_be_parsed():
@@ -250,7 +250,35 @@ def test_repeated_leg_index_cannot_be_parsed():
     lines.insert(k, next(ln for ln in lines if ln.startswith("leg 0 ")))
     with pytest.raises(ValueError) as err:
         verify_trace("\n".join(lines) + "\n", inst)
-    assert str(err.value) == f"malformed sdar-trace/2 trace: line {k + 1}: leg 0 is given twice"
+    assert str(err.value) == f"malformed sdar-trace/3 trace: line {k + 1}: leg 0 is given twice"
+
+
+def test_legs_out_of_index_order_cannot_be_parsed():
+    # a leg's stage is its index's parity, so legs must run 0, 1, 2, ...:
+    # renumbered 0, 1, 7, 8, ... the trace cannot be parsed at leg 7
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 42)
+    lines = []
+    for line in dumps_trace(rec.trace).splitlines():
+        parts = line.split()
+        if parts[0] in ("leg", "k", "grip", "place") and int(parts[1]) >= 2:
+            parts[1] = str(int(parts[1]) + 5)
+        lines.append(" ".join(parts))
+    k = lines.index(next(ln for ln in lines if ln.startswith("leg 7 ")))
+    with pytest.raises(ValueError) as err:
+        verify_trace("\n".join(lines) + "\n", inst)
+    assert str(err.value) == f"malformed sdar-trace/3 trace: line {k + 1}: expected leg 2, got leg 7"
+
+
+def test_older_trace_format_cannot_be_parsed():
+    # sdar-trace/2 leg and grip lines carry fields that sdar-trace/3 states
+    # once elsewhere; there is no reader for them
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 42)
+    older = dumps_trace(rec.trace).replace("sdar-trace/3\n", "sdar-trace/2\n", 1)
+    with pytest.raises(ValueError) as err:
+        loads_trace(older)
+    assert str(err.value) == "expected sdar-trace/3 header"
 
 
 def test_verify_rejects_leg_without_samples():
@@ -301,15 +329,15 @@ def test_frames_hold_an_object_from_close_until_open():
     for k, held in ((0, [True, True, True, True, False]), (1, [False, False, False, False, True])):
         leg = trace.legs[k]
         assert leg.duration > 0.0 and leg.grips
-        arm, action, obj, t, point = leg.grips[0]
+        arm, action, obj, t = leg.grips[0]
         assert action == ("close" if k == 0 else "open")
         now = leg.duration * 20 / (per_leg - 1)
         got = []
         for off in offsets:
-            leg.grips[0] = (arm, action, obj, now + off, point)
+            leg.grips[0] = (arm, action, obj, now + off)
             frames = list(iterate_frames(trace, inst))
             got.append(frames[k * per_leg + 20][2][arm] == obj)
-        leg.grips[0] = (arm, action, obj, t, point)
+        leg.grips[0] = (arm, action, obj, t)
         assert got == held, k
 
 

@@ -66,8 +66,8 @@ def _reference_non_finite(leg) -> Optional[str]:
     for a in (0, 1):
         if not all(math.isfinite(v) for knot in leg.knots[a] for v in knot):
             return f"arm {a + 1} knot"
-    for arm, _, obj, t, point in leg.grips:
-        if not all(math.isfinite(v) for v in (t, *point)):
+    for arm, _, obj, t in leg.grips:
+        if not math.isfinite(t):
             return f"arm {arm + 1} grip of object {obj}"
     return None
 
@@ -79,9 +79,11 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
     after every leg.  It adds the path rules, at the place `verify_trace`
     has them: each arm has knots, every number is finite, knot times start
     at 0, never decrease and end at the duration, no knot is reached faster
-    than unit speed, and each gripper event lies in the leg and within 1e-9
-    of its arm's path at its time.  It rejects whatever `verify_trace`
-    rejects, apart from clearance defects between its samples."""
+    than unit speed, even legs only close grippers and odd legs only open
+    them, and each gripper event lies in the leg, where its arm's `ArmPath`
+    gives the point it closes or opens at.  It rejects whatever
+    `verify_trace` rejects, apart from clearance defects between its
+    samples."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
     if trace.instance_hash != instance_hash(instance):
@@ -93,7 +95,6 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
 
     table: dict[int, Pose2] = {i: instance.start.pose_of(i) for i in instance.ids()}
     held: dict[int, Optional[int]] = {0: None, 1: None}
-    expect_stage = "tostart"
     prev_end = None
 
     def table_feasible(where: str) -> Optional[str]:
@@ -108,9 +109,6 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
 
     for leg in trace.legs:
         where = f"leg {leg.index}"
-        if leg.stage != expect_stage:
-            return False, f"{where}: expected stage {expect_stage}, got {leg.stage}"
-        expect_stage = "togoal" if expect_stage == "tostart" else "tostart"
         bad = _reference_non_finite(leg)
         if bad:
             return False, f"{where}: non-finite {bad}"
@@ -122,11 +120,14 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
             for a in (0, 1):
                 if dist(leg.knots[a][0][1:], prev_end[a]) > 1e-6:
                     return False, f"{where}: arm {a + 1} path discontinuity"
-        for arm, action, obj, t, point in leg.grips:
+        for arm, action, obj, t in leg.grips:
+            if leg.index % 2 == 0 and action == "open":
+                return False, f"{where}: arm {arm + 1} opens on a grasp leg"
+            if leg.index % 2 == 1 and action == "close":
+                return False, f"{where}: arm {arm + 1} closes on a place leg"
             if not 0.0 <= t <= leg.duration:
                 return False, f"{where}: arm {arm + 1} event time outside the leg"
-            if dist(_path(leg.knots[arm]).pos(t), point) > 1e-9:
-                return False, f"{where}: arm {arm + 1} event point far from its path"
+            point = _path(leg.knots[arm]).pos(t)
             if action == "close":
                 if obj not in table:
                     return False, f"{where}: grasping object {obj} not on the table"
@@ -233,9 +234,8 @@ def _one_leg_trace(knots0, knots1) -> tuple[Trace, Instance]:
     follow the given (t, x, y) knots."""
     inst = instances.identity_instance(3, 0)
     leg = LegRecord(
-        index=0, stage="tostart", mode="synchronous", objs=(None, None), angles=(None, None),
-        buffer_pose=None, candidates=[], duration=knots0[-1][0], knots=[knots0, knots1],
-        grips=[], places=[],
+        index=0, mode="synchronous", angles=(None, None), candidates=[],
+        duration=knots0[-1][0], knots=[knots0, knots1], grips=[], places=[],
     )
     return Trace(instance_hash(inst), 0, default_arms(inst.workspace), legs=[leg]), inst
 
@@ -350,7 +350,7 @@ def test_overlapping_start_table_fails_at_the_first_leg():
     inst = instances.showcase9()
     _, rec = run_instance(inst, 0)
     trace = rec.trace
-    first = {obj for obj in trace.legs[0].objs if obj is not None}
+    first = {obj for _, _, obj, _ in trace.legs[0].grips}
     still = [i for i in inst.ids() if i not in first]
     mover, victim = still[0], still[1]
     start = dict(inst.start.poses)
@@ -404,7 +404,6 @@ def test_nan_sample_is_rejected_naming_its_leg():
         ("time", math.nan, "arm 2 knot"),
         ("y", math.inf, "arm 2 knot"),
         ("grip time", math.nan, "grip"),
-        ("grip point", -math.inf, "grip"),
     ],
 )
 def test_non_finite_leg_numbers_are_rejected(field, value, reason):
@@ -417,23 +416,21 @@ def test_non_finite_leg_numbers_are_rejected(field, value, reason):
         t, x, y = leg.knots[1][-1]
         leg.knots[1][-1] = (value, x, y) if field == "time" else (t, x, value)
     else:
-        arm, action, obj, t, (x, y) = leg.grips[0]
-        leg.grips[0] = (arm, action, obj, t, (value, y)) if field == "grip point" else (
-            arm, action, obj, value, (x, y))
+        leg.grips[0] = (*leg.grips[0][:3], value)
     ok, msg = verify_trace(rec.trace, inst)
     assert not ok and msg.startswith("leg 3: non-finite ") and reason in msg, msg
     assert (ok, msg) == full_scan_verify(rec.trace, inst)
 
 
 def test_grip_forged_with_an_inflated_duration_is_rejected():
-    # a grip moved to t = 0 lies far from its path, and stretching the leg's
-    # duration and both arms' final knots to 1e6 cannot bring it back: the
-    # point is checked against the path at its own time
+    # a grip moved to t = 0 finds its arm far from the object, and
+    # stretching the leg's duration and both arms' final knots to 1e6 cannot
+    # bring it back: the point is read off the path at the grip's own time
     inst = instances.showcase9()
     trace = run_instance(inst, PLAN_SEED)[1].trace
     leg = trace.legs[0]
-    assert leg.grips[0][0] == 0
-    leg.grips[0] = (*leg.grips[0][:3], 0.0, leg.grips[0][4])
+    assert leg.grips[0][:3] == (0, "close", 8)
+    leg.grips[0] = (*leg.grips[0][:3], 0.0)
     far = dumps_trace(trace)
     leg.duration = 1e6
     longer = dumps_trace(trace)
@@ -441,22 +438,27 @@ def test_grip_forged_with_an_inflated_duration_is_rejected():
         knots[-1] = (1e6, *knots[-1][1:])
     forged = dumps_trace(trace)
     for verify in (verify_trace, full_scan_verify):
-        assert verify(far, inst) == (False, "leg 0: arm 1 event point far from its path")
+        assert verify(far, inst) == (False, "leg 0: arm 1 closed away from object 8")
         assert verify(longer, inst) == (False, "leg 0: arm 1 path does not end at the leg's duration")
-        assert verify(forged, inst) == (False, "leg 0: arm 1 event point far from its path")
+        assert verify(forged, inst) == (False, "leg 0: arm 1 closed away from object 8")
 
 
 def _retimed(knots, k, t):
     knots[k] = (t, *knots[k][1:])
 
 
-def _shifted_grip(leg, g, dt=0.0, dx=0.0):
-    arm, action, obj, t, (x, y) = leg.grips[g]
-    leg.grips[g] = (arm, action, obj, t + dt, (x + dx, y))
+def _shifted_grip(leg, g, dt):
+    arm, action, obj, t = leg.grips[g]
+    leg.grips[g] = (arm, action, obj, t + dt)
 
 
-# showcase9 at plan seed 42, leg 0: arm 1 goes straight to its pick in
-# 0.3396; arm 2 reaches its pick at 0.2546 (knot 1) and waits there
+def _swapped_arms(leg):
+    leg.grips = [(1 - arm, *rest) for arm, *rest in leg.grips]
+
+
+# showcase9 at plan seed 42, leg 0: arm 1 goes straight to its pick of
+# object 8 in 0.3396; arm 2 reaches its pick of object 7 at 0.2546 (knot 1)
+# and waits there
 @pytest.mark.parametrize(
     "tamper, want",
     [
@@ -466,11 +468,11 @@ def _shifted_grip(leg, g, dt=0.0, dx=0.0):
         (lambda leg: _retimed(leg.knots[1], 1, leg.knots[1][1][0] / 2),
          "arm 2 knot 1 is reached faster than unit speed"),
         (lambda leg: _retimed(leg.knots[1], 1, leg.duration + 1e-3), "arm 2 knot 2 runs back in time"),
-        (lambda leg: _shifted_grip(leg, 1, dx=1e-6), "arm 2 event point far from its path"),
-        (lambda leg: _shifted_grip(leg, 1, dt=-1e-3), "arm 2 event point far from its path"),
-        (lambda leg: _shifted_grip(leg, 0, dt=1e-3), "arm 1 event time outside the leg"),
+        (lambda leg: _shifted_grip(leg, 1, -1e-3), "arm 2 closed away from object 7"),
+        (lambda leg: _shifted_grip(leg, 0, 1e-3), "arm 1 event time outside the leg"),
+        (_swapped_arms, "arm 2 closed away from object 8"),
     ],
-    ids=["late-start", "late-end", "too-fast", "backwards", "off-path", "early-grip", "grip-after-leg"],
+    ids=["late-start", "late-end", "too-fast", "backwards", "early-grip", "grip-after-leg", "swapped-arms"],
 )
 def test_tampered_path_is_rejected(tamper, want):
     inst = instances.showcase9()
@@ -481,6 +483,23 @@ def test_tampered_path_is_rejected(tamper, want):
     text = dumps_trace(trace)
     for verify in (verify_trace, full_scan_verify):
         assert verify(trace, inst) == verify(text, inst) == (False, f"leg 0: {want}")
+
+
+@pytest.mark.parametrize(
+    "k, action, want",
+    [(0, "open", "leg 0: arm 1 opens on a grasp leg"), (1, "close", "leg 1: arm 1 closes on a place leg")],
+)
+def test_grip_against_its_leg_parity_is_rejected(k, action, want):
+    # even legs grasp and odd legs place: a grip line that says otherwise
+    # is rejected before the table is read
+    inst = instances.showcase9()
+    trace = run_instance(inst, PLAN_SEED)[1].trace
+    leg = trace.legs[k]
+    assert leg.grips[0][0] == 0 and leg.grips[0][1] != action
+    leg.grips[0] = (0, action, *leg.grips[0][2:])
+    text = dumps_trace(trace)
+    for verify in (verify_trace, full_scan_verify):
+        assert verify(trace, inst) == verify(text, inst) == (False, want)
 
 
 def test_non_finite_placement_cannot_be_parsed():
@@ -495,7 +514,7 @@ def test_non_finite_placement_cannot_be_parsed():
         verify_trace("\n".join(lines) + "\n", inst)
     # the parse error names the line
     assert str(err.value) == (
-        f"malformed sdar-trace/2 trace: line {k + 1}: non-finite pose (nan, {parts[4]}, {parts[5]})"
+        f"malformed sdar-trace/3 trace: line {k + 1}: non-finite pose (nan, {parts[4]}, {parts[5]})"
     )
 
 
