@@ -45,14 +45,18 @@ def footprint(obj: int, pose: Pose2, shapes: Shapes) -> OrientedBox:
 
 
 def arrangement_violations(
-    arr: Arrangement, shapes: Shapes, workspace: Workspace, involving=None
+    arr: Arrangement, shapes: Shapes, workspace: Workspace, involving=None, boxes=None
 ) -> list[str]:
     """All feasibility violations: overlap pairs and out-of-workspace objects,
     in id order.  Given a set `involving`, only the violations that involve
-    one of its objects, in the same order."""
+    one of its objects, in the same order.  `boxes`, if given, maps each
+    object to its footprint in `arr`, and is read instead of building them."""
     issues = []
     table = arr.on_table()
-    boxes = [(i, footprint(i, p, shapes)) for i, p in table]
+    if boxes is None:
+        boxes = [(i, footprint(i, p, shapes)) for i, p in table]
+    else:
+        boxes = [(i, boxes[i]) for i, _ in table]
     for idx, (i, bi) in enumerate(boxes):
         every = involving is None or i in involving
         if every and not inside(workspace, bi):
@@ -94,21 +98,30 @@ def build_dependency_graph(
     shapes: Shapes,
     workspace: Workspace,
     check: bool = True,
+    boxes=None,
 ) -> DepGraph:
-    """Edge set from pairwise goal-vs-current overlap tests (no self-edges)."""
+    """Edge set from pairwise goal-vs-current overlap tests (no self-edges).
+    `boxes`, if given, is a pair of maps from each object to its footprint
+    in `start` and in `goal`, which are read instead of building them."""
     if set(start.poses) != set(goal.poses):
         raise InfeasibleArrangement("start and goal arrangements cover different ids")
     if check:
         check_feasible(start, shapes, workspace)
         check_feasible(goal, shapes, workspace)
-    start_boxes = {i: footprint(i, p, shapes) for i, p in start.on_table()}
-    goal_boxes = {i: footprint(i, p, shapes) for i, p in goal.on_table()}
+    ids = start.ids()
+    if boxes is None:
+        start_boxes = {i: footprint(i, p, shapes) for i, p in start.on_table()}
+        goal_boxes = {i: footprint(i, p, shapes) for i, p in goal.on_table()}
+    else:
+        start_boxes, goal_boxes = boxes
+    starts = [(j, start_boxes[j]) for j in ids]
     edges = set()
-    for i, gb in goal_boxes.items():
-        for j, sb in start_boxes.items():
+    for i in ids:
+        gb = goal_boxes[i]
+        for j, sb in starts:
             if i != j and overlaps(gb, sb):
                 edges.add((i, j))
-    return DepGraph(tuple(sorted(start.poses)), frozenset(edges))
+    return DepGraph(tuple(ids), frozenset(edges))
 
 
 @dataclass

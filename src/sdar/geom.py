@@ -183,15 +183,68 @@ def segments_intersect(p0: Point, p1: Point, q0: Point, q1: Point) -> bool:
 
 
 def segment_clearance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
-    """Minimum Euclidean distance between two closed segments (0 iff they intersect)."""
-    if segments_intersect(p0, p1, q0, q1):
+    """Minimum Euclidean distance between two closed segments (0 iff they intersect).
+
+    It is `segments_intersect` and then the least of the four
+    `point_segment_distance` values, written out as one straight-line kernel
+    with the same float operations in the same order, so every value is
+    bit for bit theirs.  Only an orientation within EPS of 0 falls back to
+    `segments_intersect`."""
+    p0x, p0y = p0
+    p1x, p1y = p1
+    q0x, q0y = q0
+    q1x, q1y = q1
+    # the four _orient values: q0 and q1 against p0->p1, p0 and p1 against q0->q1
+    dpx = p1x - p0x
+    dpy = p1y - p0y
+    dqx = q1x - q0x
+    dqy = q1y - q0y
+    q0px = q0x - p0x
+    q0py = q0y - p0y
+    q1px = q1x - p0x
+    q1py = q1y - p0y
+    p0qx = p0x - q0x
+    p0qy = p0y - q0y
+    p1qx = p1x - q0x
+    p1qy = p1y - q0y
+    o1 = dpx * q0py - dpy * q0px
+    o2 = dpx * q1py - dpy * q1px
+    o3 = dqx * p0qy - dqy * p0qx
+    o4 = dqx * p1qy - dqy * p1qx
+    if (
+        (o1 > EPS or o1 < -EPS)
+        and (o2 > EPS or o2 < -EPS)
+        and (o3 > EPS or o3 < -EPS)
+        and (o4 > EPS or o4 < -EPS)
+    ):
+        if (o1 > EPS) != (o2 > EPS) and (o3 > EPS) != (o4 > EPS):
+            return 0.0
+    elif segments_intersect(p0, p1, q0, q1):
         return 0.0
-    return min(
-        point_segment_distance(q0, p0, p1),
-        point_segment_distance(q1, p0, p1),
-        point_segment_distance(p0, q0, q1),
-        point_segment_distance(p1, q0, q1),
-    )
+    # point_segment_distance of q0 and q1 to p0->p1, then of p0 and p1 to q0->q1
+    len2 = dpx * dpx + dpy * dpy
+    if len2 <= EPS * EPS:
+        d1 = math.hypot(q0px, q0py)
+        d2 = math.hypot(q1px, q1py)
+    else:
+        t = (q0px * dpx + q0py * dpy) / len2
+        t = (t if t > 0.0 else 0.0) if t < 1.0 else 1.0
+        d1 = math.hypot(q0x - (p0x + t * dpx), q0y - (p0y + t * dpy))
+        t = (q1px * dpx + q1py * dpy) / len2
+        t = (t if t > 0.0 else 0.0) if t < 1.0 else 1.0
+        d2 = math.hypot(q1x - (p0x + t * dpx), q1y - (p0y + t * dpy))
+    len2 = dqx * dqx + dqy * dqy
+    if len2 <= EPS * EPS:
+        d3 = math.hypot(p0qx, p0qy)
+        d4 = math.hypot(p1qx, p1qy)
+    else:
+        t = (p0qx * dqx + p0qy * dqy) / len2
+        t = (t if t > 0.0 else 0.0) if t < 1.0 else 1.0
+        d3 = math.hypot(p0x - (q0x + t * dqx), p0y - (q0y + t * dqy))
+        t = (p1qx * dqx + p1qy * dqy) / len2
+        t = (t if t > 0.0 else 0.0) if t < 1.0 else 1.0
+        d4 = math.hypot(p1x - (q0x + t * dqx), p1y - (q0y + t * dqy))
+    return min(d1, d2, d3, d4)
 
 
 def _separated_distance(a: OrientedBox, b: OrientedBox) -> float:

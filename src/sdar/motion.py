@@ -508,11 +508,11 @@ def _other_base_ok(point: Point, other: ArmModel, clearance: float) -> bool:
 
 
 def _table_boxes(session: PlannerSession) -> list[tuple[int, OrientedBox]]:
-    """(object, footprint) of every on-table object, in id order.  The scene
-    does not change while a sub-task selection runs, so a selection builds
-    this list once, when it starts, and binds every option against it."""
-    shapes = session.instance.shapes
-    return [(i, footprint(i, p, shapes)) for i, p in session.current.on_table()]
+    """(object, footprint) of every on-table object, in id order, as the
+    session holds them.  The scene does not change while a sub-task
+    selection runs, so a selection takes this list once, when it starts,
+    and binds every option against it."""
+    return list(session.boxes.items())
 
 
 def _bind_arm(
@@ -528,14 +528,13 @@ def _bind_arm(
     """First angle in the ladder level feasible for both the grasp at the
     object's current pose and the placement at the target pose.  `table` is
     the selection's `_table_boxes`."""
-    shapes = session.instance.shapes
     ws = session.instance.workspace
     arms = session.arms
     arm = arms[arm_idx]
     other = arms[1 - arm_idx]
     clearance = max(a.clearance for a in arms)
     cur_pose = session.current.pose_of(obj)
-    target_box = footprint(obj, target, shapes)
+    target_box = session.footprint_at(obj, target)
 
     if not _other_base_ok(cur_pose.xy, other, clearance):
         return None
@@ -548,11 +547,11 @@ def _bind_arm(
 
     place_obstacles = [b for i, b in table if i != obj and i != partner]
     if partner_target is not None and partner is not None:
-        place_obstacles.append(footprint(partner, partner_target, shapes))
+        place_obstacles.append(session.footprint_at(partner, partner_target))
     if any(overlaps(target_box, ob) for ob in place_obstacles):
         return None
 
-    cur_box = footprint(obj, cur_pose, shapes)
+    cur_box = session.boxes[obj]
     grasp_obstacles = [b for i, b in table if i != obj]
     for angle in level:
         if grasp_feasible(cur_box, angle, grasp_obstacles, arm) and grasp_feasible(
@@ -568,11 +567,7 @@ def _travel(session: PlannerSession, arm_idx: int, pick: Point, target: Pose2) -
 
 
 def _pending_goal_boxes(session: PlannerSession) -> list[OrientedBox]:
-    shapes = session.instance.shapes
-    return [
-        footprint(i, session.instance.goal.pose_of(i), shapes)
-        for i in sorted(session.remaining)
-    ]
+    return [session.goal_boxes[i] for i in sorted(session.remaining)]
 
 
 def _iter_instantiations(plan: TaskPlan, session: PlannerSession, table):

@@ -172,7 +172,9 @@ def _commit(session: PlannerSession, rounds) -> tuple[RunMetrics, RunRecord]:
             # once the table has passed, a round can only break it through
             # the objects it moved
             moved = {task.obj for task in sub.tasks if task.obj is not None} if checked else None
-            issues = arrangement_violations(session.current, inst.shapes, inst.workspace, moved)
+            issues = arrangement_violations(
+                session.current, inst.shapes, inst.workspace, moved, session.boxes
+            )
             if issues:
                 raise ValidationFailure(
                     f"infeasible arrangement after round {len(record.subs)}: {issues}"
@@ -591,10 +593,11 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     `_uncertified` certifies the clearance over the whole leg.  Even legs
     only close grippers and odd legs only open them; at each event the arm's
     point on its path must lie on the object it closes on or the placement
-    it opens at.  The start table is checked once, after the first leg.
-    After that the table loses objects only at gripper-close events and
-    gains them only at placements, and each placement is checked against the
-    workspace and every object on the table.  A metrics line, checked last,
+    it opens at, and each placement needs an open of its object by the arm
+    holding it on the same leg.  The start table is checked once, after the
+    first leg.  After that the table loses objects only at gripper-close
+    events and gains them only at placements, and each placement is checked
+    against the workspace and every object on the table.  A metrics line, checked last,
     must state a solved run with the trace's legs."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
@@ -661,10 +664,13 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
                 placed = [p for o, p, _ in leg.places if o == obj]
                 if not placed or dist(point, placed[0].xy) > 1e-9:
                     return False, f"{where}: arm {arm + 1} opened away from its placement"
+        opened = {(arm, obj) for arm, action, obj, _ in leg.grips if action == "open"}
         for obj, pose, kind in leg.places:
             arm = 0 if held[0] == obj else (1 if held[1] == obj else None)
             if arm is None:
                 return False, f"{where}: placing object {obj} that is not held"
+            if (arm, obj) not in opened:
+                return False, f"{where}: arm {arm + 1} places object {obj} with no open"
             box = box_at(pose, *shapes[obj])
             if not inside(ws, box):
                 return False, f"{where}: placement of {obj} outside workspace"

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .depgraph import Arrangement, DepGraph, build_dependency_graph, decompose
-from .geom import dist
+from .depgraph import Arrangement, DepGraph, build_dependency_graph, decompose, footprint
+from .geom import OrientedBox, Pose2, dist
 from .instances import Instance
 
 
@@ -49,7 +49,12 @@ class TaskPlan:
 @dataclass
 class PlannerSession:
     """What planning reads of one rearrangement run: the instance, the arms,
-    the rng, and the table and arm state after the rounds so far."""
+    the rng, and the table and arm state after the rounds so far.
+
+    The session holds each object's footprint at its current pose (`boxes`)
+    and at its goal (`goal_boxes`), both keyed in id order; `place` moves an
+    object with its box, so a round rebuilds only the boxes of the objects
+    it moved."""
 
     instance: Instance
     rng_seed: int
@@ -57,6 +62,8 @@ class PlannerSession:
     current: Arrangement = field(init=False)
     remaining: set[int] = field(init=False)  # objects not yet at their goal
     buffered: set[int] = field(init=False)  # objects parked at a buffer
+    boxes: dict[int, OrientedBox] = field(init=False)  # footprint at the current pose
+    goal_boxes: dict[int, OrientedBox] = field(init=False)  # footprint at the goal
     ee: list = field(init=False)
     rng: random.Random = field(init=False)
 
@@ -67,6 +74,9 @@ class PlannerSession:
             i for i in self.instance.ids() if not start.pose_of(i).almost_equal(goal.pose_of(i))
         }
         self.buffered = set()
+        shapes = self.instance.shapes
+        self.boxes = {i: footprint(i, p, shapes) for i, p in self.current.on_table()}
+        self.goal_boxes = {i: footprint(i, p, shapes) for i, p in goal.on_table()}
         self.ee = [self.arms[0].retract, self.arms[1].retract]
         self.rng = random.Random(self.rng_seed)
 
@@ -77,18 +87,37 @@ class PlannerSession:
         for task in sub.tasks:
             if task.obj is None:
                 continue
-            self.current.poses[task.obj] = task.target
+            self.place(task.obj, task.target)
             if task.to_buffer:
                 self.buffered.add(task.obj)
             else:
                 self.remaining.discard(task.obj)
                 self.buffered.discard(task.obj)
 
+    def place(self, obj: int, pose: Pose2) -> None:
+        """Put `obj` at `pose` on the table, with its footprint there."""
+        self.current.poses[obj] = pose
+        self.boxes[obj] = self.footprint_at(obj, pose)
+
+    def footprint_at(self, obj: int, pose: Pose2) -> OrientedBox:
+        """The footprint of `obj` at `pose`: the held goal box when `pose`
+        is the object's goal, else a fresh one."""
+        if pose == self.instance.goal.poses[obj]:
+            return self.goal_boxes[obj]
+        return footprint(obj, pose, self.instance.shapes)
+
     def graph_over_remaining(self) -> DepGraph:
+        """The dependency graph over the remaining objects, built from the
+        held boxes."""
         cur = Arrangement({i: self.current.poses[i] for i in self.remaining})
         goal = Arrangement({i: self.instance.goal.poses[i] for i in self.remaining})
         return build_dependency_graph(
-            cur, goal, self.instance.shapes, self.instance.workspace, check=False
+            cur,
+            goal,
+            self.instance.shapes,
+            self.instance.workspace,
+            check=False,
+            boxes=(self.boxes, self.goal_boxes),
         )
 
 
@@ -161,6 +190,7 @@ def _choose(session: PlannerSession, dg: DepGraph, decomp) -> TaskPlan:
     """The round's pairs, or its lone-object move, from the graph over the
     remaining objects."""
     movable = decomp.movable_now
+    succ = dg.successors()  # each vertex's out-neighbours, read once per round
 
     if len(movable) >= 2:
         cands = [
@@ -174,7 +204,7 @@ def _choose(session: PlannerSession, dg: DepGraph, decomp) -> TaskPlan:
         m = movable[0]
         chain_len = _chain_lengths(decomp)
         partners = sorted(
-            (j for j in session.remaining if j != m and dg.out_neighbors(j) == {m}),
+            (j for j, out in succ.items() if out == [m]),
             key=lambda j: (-chain_len.get(j, 1), j),
         )
         if partners:
@@ -187,20 +217,19 @@ def _choose(session: PlannerSession, dg: DepGraph, decomp) -> TaskPlan:
         if len(cyc) != 2:
             continue
         a, b = cyc
-        if dg.out_neighbors(a) == {b} and dg.out_neighbors(b) == {a}:
+        if succ[a] == [b] and succ[b] == [a]:
             return TaskPlan(candidates=[(a, b)])
     for cyc in decomp.cycles:
         if len(cyc) < 3:
             continue
-        pairs = [
-            (a, b) for a, b in mark_buffer_target(cyc) if dg.out_neighbors(a) == {b}
-        ]
+        pairs = [(a, b) for a, b in mark_buffer_target(cyc) if succ[a] == [b]]
         if pairs:
             return TaskPlan(candidates=pairs, need_buffer=True)
     for scc in decomp.complex_sccs:
-        out_deg = {v: len(dg.out_neighbors(v) & set(scc)) for v in scc}
+        members = set(scc)
+        out_deg = {v: sum(w in members for w in succ[v]) for v in scc}
         v = max(scc, key=lambda u: (out_deg[u], -u))
-        partners = sorted(j for j in session.remaining if dg.out_neighbors(j) == {v})
+        partners = sorted(j for j, out in succ.items() if out == [v])
         if partners:
             return TaskPlan(candidates=[(x, v) for x in partners], need_buffer=True)
         return TaskPlan(need_buffer=True, singles=[(v, BUFFER)])

@@ -20,6 +20,7 @@ from sdar.geom import (
     near_miss,
     overlaps,
     point_box_distance,
+    point_segment_distance,
     prefilter_reach2,
     segment_clearance,
     segments_intersect,
@@ -202,6 +203,76 @@ def test_clearance_symmetry_and_intersection_consistency(vals):
         assert d1 == 0.0
     else:
         assert d1 >= 0.0
+
+
+def clearance_reference(p0, p1, q0, q1) -> float:
+    """segment_clearance as its parts: 0 where the segments intersect, else
+    the least of the four endpoint-to-segment distances."""
+    if segments_intersect(p0, p1, q0, q1):
+        return 0.0
+    return min(
+        point_segment_distance(q0, p0, p1),
+        point_segment_distance(q1, p0, p1),
+        point_segment_distance(p0, q0, q1),
+        point_segment_distance(p1, q0, q1),
+    )
+
+
+_coords = st.one_of(
+    st.floats(-5, 5, allow_nan=False, allow_infinity=False),
+    # a coarse lattice, where collinear and touching segments are common
+    st.integers(-8, 8).map(lambda k: k / 4),
+    # within EPS of the lattice, where orientations round to 0 or not
+    st.tuples(st.integers(-8, 8), st.sampled_from([-2e-9, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9])).map(
+        lambda t: t[0] / 4 + t[1]
+    ),
+)
+_points = st.tuples(_coords, _coords)
+
+
+@st.composite
+def _segment_pairs(draw):
+    p0, p1, q0, q1 = draw(_points), draw(_points), draw(_points), draw(_points)
+    kind = draw(st.sampled_from(
+        ["free", "zero p", "zero q", "both zero", "shared", "collinear", "touching"]
+    ))
+    if kind in ("zero p", "both zero"):
+        p1 = p0
+    if kind in ("zero q", "both zero"):
+        q1 = q0 if kind == "zero q" else p0
+    if kind == "shared":
+        q0 = draw(st.sampled_from([p0, p1]))
+    if kind in ("collinear", "touching"):
+        s = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0]))
+        q0 = (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
+        if kind == "collinear":
+            s = draw(st.sampled_from([-0.5, 0.5, 0.75, 1.0, 3.0]))
+            q1 = (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
+    return p0, p1, q0, q1
+
+
+@settings(max_examples=600, deadline=None)
+@given(_segment_pairs())
+def test_segment_clearance_is_its_reference_bit_for_bit(segments):
+    p0, p1, q0, q1 = segments
+    for a, b in (((p0, p1), (q0, q1)), ((q0, q1), (p0, p1)), ((p1, p0), (q1, q0))):
+        assert segment_clearance(*a, *b).hex() == clearance_reference(*a, *b).hex(), (a, b)
+
+
+def test_segment_clearance_degenerate_cases_match_the_reference():
+    cases = [
+        ((0, 0), (0, 0), (0, 0), (0, 0)),  # two equal points
+        ((0, 0), (0, 0), (1, 1), (1, 1)),  # two points apart
+        ((0.5, 0), (0.5, 0), (0, 0), (1, 0)),  # a point on a segment
+        ((0, 0), (1, 0), (1, 0), (2, 0)),  # collinear, touching end to end
+        ((0, 0), (1, 0), (2, 0), (3, 0)),  # collinear, apart
+        ((0, 0), (2, 0), (1, 0), (3, 0)),  # collinear, overlapping
+        ((0, 0), (1, 1), (1, 1), (2, 0)),  # a shared endpoint
+        ((0, 0), (2, 0), (1, 0), (1, 1)),  # a T, touching
+        ((0, 0), (2, 0), (1, 1e-10), (1, 1)),  # a T, within EPS of touching
+    ]
+    for p0, p1, q0, q1 in cases:
+        assert segment_clearance(p0, p1, q0, q1).hex() == clearance_reference(p0, p1, q0, q1).hex()
 
 
 # ------------------------------------------------------- box frame and gaps

@@ -810,7 +810,7 @@ def test_cycle_round_selection_returns_safe_buffer():
     session = sim.new_session(inst, 7)
     for i in (4, 5, 6, 7, 8):
         session.remaining.discard(i)
-        session.current.poses[i] = inst.goal.pose_of(i)
+        session.place(i, inst.goal.pose_of(i))
     plan = next_task_plan(session)
     assert plan.need_buffer
     sub = first_instantiation(plan, session)

@@ -294,6 +294,34 @@ def test_verify_rejects_leg_without_samples():
             )
 
 
+def test_verify_rejects_a_place_with_no_open():
+    # showcase9's second leg places object 8 that arm 1 opens on; without
+    # the open, the place line alone must not move the object
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 42)
+    lines = dumps_trace(rec.trace).splitlines()
+    assert sum(ln.startswith("grip 1 0 open 8 ") for ln in lines) == 1
+    kept = [ln for ln in lines if not ln.startswith("grip 1 0 open 8 ")]
+    assert verify_trace("\n".join(kept) + "\n", inst) == (
+        False, "leg 1: arm 1 places object 8 with no open"
+    )
+
+
+def test_verify_rejects_a_close_and_a_place_on_one_grasp_leg():
+    # object 8 closed on and placed on the even leg 0, its open dropped from
+    # leg 1: a grasp leg opens no gripper, so it places nothing
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 42)
+    lines = dumps_trace(rec.trace).splitlines()
+    (place,) = [ln for ln in lines if ln.startswith("place 1 8 ")]
+    close = lines.index(next(ln for ln in lines if ln.startswith("grip 0 0 close 8 ")))
+    moved = [ln for ln in lines if not ln.startswith(("grip 1 0 open 8 ", "place 1 8 "))]
+    moved.insert(close, "place 0 8 " + place[len("place 1 8 "):])
+    assert verify_trace("\n".join(moved) + "\n", inst) == (
+        False, "leg 0: arm 1 places object 8 with no open"
+    )
+
+
 def test_final_state_must_reach_goal():
     inst = instances.gen_random(3, 6)
     _, rec = run_instance(inst, 0)

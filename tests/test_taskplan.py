@@ -43,7 +43,7 @@ def test_cycle_round_emits_adjacent_pairs_with_buffer_flag():
     # pretend objects 4..8 are already solved
     for i in (4, 5, 6, 7, 8):
         session.remaining.discard(i)
-        session.current.poses[i] = inst.goal.pose_of(i)
+        session.place(i, inst.goal.pose_of(i))
     plan = next_task_plan(session)
     assert plan.need_buffer
     assert set(plan.candidates) == {(0, 1), (1, 2), (2, 3), (3, 0)}
@@ -63,7 +63,7 @@ def test_single_object_left_uses_one_arm():
     for i in list(session.remaining):
         if i != keep:
             session.remaining.discard(i)
-            session.current.poses[i] = inst.goal.pose_of(i)
+            session.place(i, inst.goal.pose_of(i))
     plan = next_task_plan(session)
     # nothing is blocked in a one-object round, and the goal move is listed once
     assert plan.singles == [(keep, GOAL), (keep, RELAY)]

@@ -2,9 +2,10 @@
 hold it to full scans: `verify_trace` against a verifier that derives each
 leg's samples through the planner's own `ArmPath`, computes the clearance
 at every sample and checks the whole table after every leg; the clearance
-certificate against scans of each leg on a fine grid; and the round check
-of `sim._commit` against a whole-table `arrangement_violations`.  A trace
-keeps each path's knots bit for bit."""
+certificate against scans of each leg on a fine grid; the round check
+of `sim._commit` against a whole-table `arrangement_violations`; and the
+footprints the planner session holds against fresh ones.  A trace keeps
+each path's knots bit for bit."""
 
 import math
 import random
@@ -17,6 +18,7 @@ from sdar import depgraph, instances, sim
 from sdar.geom import Pose2, box_at, dist, inside, overlaps, segment_clearance
 from sdar.instances import Instance, instance_hash
 from sdar.motion import DT, ArmPath, default_arms
+from sdar.taskplan import PlannerSession
 from sdar.sim import (
     LegRecord,
     Trace,
@@ -533,8 +535,8 @@ def _checked_rounds(monkeypatch):
     rounds = []
     real = sim.arrangement_violations
 
-    def checked(arr, shapes, ws, involving=None):
-        got = real(arr, shapes, ws, involving)
+    def checked(arr, shapes, ws, involving=None, boxes=None):
+        got = real(arr, shapes, ws, involving, boxes)
         rounds.append((got, real(arr, shapes, ws), involving))
         return got
 
@@ -582,6 +584,42 @@ def test_round_check_reports_an_overlapping_round_as_a_full_scan_does(monkeypatc
         assert len(rounds) == 3 and involving
         assert got == full and any("overlap" in issue for issue in got)
         assert str(err.value) == f"infeasible arrangement after round 3: {full}"
+
+
+def test_held_boxes_match_fresh_footprints_after_every_round(monkeypatch):
+    # the session holds each object's footprint at its current pose and at
+    # its goal, and rebuilds only the moved objects' boxes in a round: after
+    # every round both maps, and the graph built from them, must be what
+    # fresh footprints give
+    apply_round = PlannerSession.apply_round
+    rounds = []
+
+    def checked(session, sub, goal_motion):
+        apply_round(session, sub, goal_motion)
+        inst = session.instance
+        shapes = inst.shapes
+        fresh = [(i, depgraph.footprint(i, p, shapes)) for i, p in session.current.on_table()]
+        assert list(session.boxes.items()) == fresh
+        goals = [(i, depgraph.footprint(i, p, shapes)) for i, p in inst.goal.on_table()]
+        assert list(session.goal_boxes.items()) == goals
+        left = sorted(session.remaining)
+        graph = depgraph.build_dependency_graph(
+            depgraph.Arrangement({i: session.current.pose_of(i) for i in left}),
+            depgraph.Arrangement({i: inst.goal.pose_of(i) for i in left}),
+            shapes,
+            inst.workspace,
+            check=False,
+        )
+        assert session.graph_over_remaining() == graph
+        rounds.append(bool(session.buffered))
+
+    monkeypatch.setattr(PlannerSession, "apply_round", checked)
+    tables = instances.default_suite()[::5] + [
+        instances.gen_random(n, s) for n in (14, 16, 18, 20, 22) for s in range(4)
+    ]
+    solved = [run_instance(inst, PLAN_SEED)[0].success for inst in tables]
+    assert sum(solved) == len(tables) - 5
+    assert len(rounds) > 300 and any(rounds)
 
 
 def _bits(trace) -> list:
