@@ -82,9 +82,6 @@ class DepGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def out_neighbors(self, v: int) -> set[int]:
-        return {j for i, j in self.edges if i == v}
-
     def successors(self) -> dict[int, list[int]]:
         succ: dict[int, list[int]] = {v: [] for v in self.vertices}
         for i, j in sorted(self.edges):
@@ -134,9 +131,9 @@ class Decomposition:
     others: list[int] = field(default_factory=list)
 
 
-def _tarjan_sccs(g: DepGraph) -> list[list[int]]:
-    """Iterative Tarjan; components returned sorted by smallest member."""
-    succ = g.successors()
+def _tarjan_sccs(succ: dict[int, list[int]]) -> list[list[int]]:
+    """Iterative Tarjan over a graph's `successors()`, rooted in vertex
+    order; components returned sorted by smallest member."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -144,7 +141,7 @@ def _tarjan_sccs(g: DepGraph) -> list[list[int]]:
     counter = 0
     sccs: list[list[int]] = []
 
-    for root in g.vertices:
+    for root in succ:
         if root in index:
             continue
         work = [(root, iter(succ[root]))]
@@ -184,12 +181,11 @@ def _tarjan_sccs(g: DepGraph) -> list[list[int]]:
     return sorted(sccs, key=lambda c: c[0])
 
 
-def _cycle_order(component: list[int], g: DepGraph) -> list[int]:
-    """Vertices of a simple-cycle SCC listed so consecutive pairs are edges."""
+def _cycle_order(component: list[int], succ: dict[int, list[int]]) -> list[int]:
+    """Vertices of a simple-cycle SCC listed so consecutive pairs are edges;
+    `succ` is the graph's `successors()`, each list in ascending order."""
     members = set(component)
-    succ_in = {
-        v: next(j for j in sorted(g.out_neighbors(v)) if j in members) for v in component
-    }
+    succ_in = {v: next(j for j in succ[v] if j in members) for v in component}
     start = min(component)
     order = [start]
     cur = succ_in[start]
@@ -206,7 +202,8 @@ def decompose(g: DepGraph) -> Decomposition:
         out_deg[i] += 1
         in_deg[j] += 1
 
-    sccs = _tarjan_sccs(g)
+    succ = g.successors()
+    sccs = _tarjan_sccs(succ)
     cycles: list[list[int]] = []
     complex_sccs: list[list[int]] = []
     big_scc_members: set[int] = set()
@@ -215,9 +212,9 @@ def decompose(g: DepGraph) -> Decomposition:
             continue
         members = set(comp)
         big_scc_members |= members
-        intra = sum(1 for i, j in g.edges if i in members and j in members)
+        intra = sum(1 for i in comp for j in succ[i] if j in members)
         if intra == len(comp):
-            cycles.append(_cycle_order(comp, g))
+            cycles.append(_cycle_order(comp, succ))
         else:
             complex_sccs.append(comp)
 

@@ -1,4 +1,5 @@
-"""Exact 2-D primitives: oriented rectangles, workspace containment, segment clearance.
+"""Exact 2-D primitives: oriented rectangles, workspace containment, segment
+clearance, and piecewise-linear paths of (t, x, y) knots.
 
 All geometry is double precision.  Touching counts as overlapping (conservative:
 a spurious dependency edge is harmless, a missed one is not).
@@ -414,3 +415,72 @@ def point_box_distance(p: Point, box: OrientedBox) -> float:
 
 def dist(a: Point, b: Point) -> float:
     return math.hypot(b[0] - a[0], b[1] - a[1])
+
+
+class PathWalker:
+    """Reads a piecewise-linear path of (t, x, y) knots at nondecreasing
+    times.  The point at t lies on the first segment whose end time is at
+    least t (the first knot before the path starts, the last one after it
+    ends), and a segment shorter than 1e-12 in time gives its end.  Each
+    read walks on from where the last one stopped: a segment passed over
+    for some t is passed over for every later one, even where knot times
+    run backwards, so every read gives the segment, and the arithmetic, of
+    a walk of its own."""
+
+    __slots__ = ("knots", "_seg", "_ahead")
+
+    def __init__(self, knots):
+        self.knots = knots
+        self._seg = 1  # index of the end knot of the last point's segment
+        self._ahead = 1  # index of the first knot after the last pace's time
+
+    def point(self, t: float) -> Point:
+        """The path's point at t."""
+        knots = self.knots
+        if t <= knots[0][0]:
+            return knots[0][1:]
+        seg = self._seg
+        last = len(knots) - 1
+        while seg <= last and t > knots[seg][0]:
+            seg += 1
+        self._seg = seg
+        if seg > last:
+            return knots[-1][1:]
+        t0, x0, y0 = knots[seg - 1]
+        t1, x1, y1 = knots[seg]
+        if t1 - t0 <= 1e-12:
+            return (x1, y1)
+        a = (t - t0) / (t1 - t0)
+        return (x0 + a * (x1 - x0), y0 + a * (y1 - y0))
+
+    def pace(self, t: float) -> tuple[float, float]:
+        """(speed, time) of the segment that ends at the path's first knot
+        after t: its speed and that knot's time.  Past the last knot the
+        path stands still for ever, (0.0, inf).  A segment shorter than
+        1e-12 in time has speed 0, as `point` gives its end throughout."""
+        knots = self.knots
+        k = self._ahead
+        while k < len(knots) and knots[k][0] <= t:
+            k += 1
+        self._ahead = k
+        if k == len(knots):
+            return 0.0, math.inf
+        t0, x0, y0 = knots[k - 1]
+        t1, x1, y1 = knots[k]
+        if t1 - t0 <= 1e-12:
+            return 0.0, t1
+        return math.hypot(x1 - x0, y1 - y0) / (t1 - t0), t1
+
+
+def max_speed(knots) -> float:
+    """Largest knot-to-knot speed of a path of (t, x, y) knots; inf if its
+    point jumps anywhere (a move in no time, or knot times that run
+    backwards)."""
+    fastest = 0.0
+    for (t0, x0, y0), (t1, x1, y1) in zip(knots, knots[1:]):
+        span = t1 - t0
+        if span > 1e-12:
+            fastest = max(fastest, math.hypot(x1 - x0, y1 - y0) / span)
+        elif span < 0.0 or x0 != x1 or y0 != y1:
+            return math.inf
+    return fastest

@@ -28,6 +28,7 @@ from .depgraph import Arrangement, footprint
 from .geom import (
     MIN_GAP,
     OrientedBox,
+    PathWalker,
     Point,
     Pose2,
     Workspace,
@@ -38,6 +39,7 @@ from .geom import (
     boxes_closer_than,
     dist,
     inside,
+    max_speed,
     overlaps,
     prefilter_reach2,
     segment_clearance,
@@ -149,9 +151,10 @@ def default_arms(
 
 @dataclass
 class ArmPath:
-    """Piecewise-linear EE path over [0, duration] in absolute time."""
+    """Piecewise-linear EE path of (t, x, y) knots over [0, duration] in
+    absolute time, read with `geom.PathWalker`."""
 
-    knots: list[tuple[float, Point]]
+    knots: list[tuple[float, float, float]]
 
     @property
     def duration(self) -> float:
@@ -159,58 +162,24 @@ class ArmPath:
 
     @property
     def end(self) -> Point:
-        return self.knots[-1][1]
-
-    def pos(self, t: float) -> Point:
-        return self.positions((t,))[0]
-
-    def positions(self, times) -> list[Point]:
-        """The positions at nondecreasing `times`, in one walk over the
-        knots; `pos` is the single-time case.  The position at t lies on the
-        first segment whose end time is at least t (the first knot before
-        the path starts, the last one after it ends).  A segment passed over
-        for some t is passed over for every later one, even where knot times
-        run backwards, so the walk never steps back and gives each t the
-        segment, and the arithmetic, of a walk of its own."""
-        knots = self.knots
-        t_first, p_first = knots[0]
-        last = len(knots) - 1
-        seg = 1  # index of the segment's end knot
-        out = []
-        for t in times:
-            if t <= t_first:
-                out.append(p_first)
-                continue
-            while seg <= last and t > knots[seg][0]:
-                seg += 1
-            if seg > last:
-                out.append(knots[-1][1])
-                continue
-            t0, p0 = knots[seg - 1]
-            t1, p1 = knots[seg]
-            if t1 - t0 <= 1e-12:
-                out.append(p1)
-            else:
-                a = (t - t0) / (t1 - t0)
-                out.append((p0[0] + a * (p1[0] - p0[0]), p0[1] + a * (p1[1] - p0[1])))
-        return out
+        return self.knots[-1][1:]
 
 
 def _timed(points: list[Point], depart: float = 0.0) -> ArmPath:
     """Unit-speed path through points, departing at `depart`."""
-    knots = [(0.0, points[0])]
+    knots = [(0.0, *points[0])]
     if depart > 0.0:
-        knots.append((depart, points[0]))
+        knots.append((depart, *points[0]))
     t = depart
     for a, b in zip(points, points[1:]):
         t += dist(a, b)
-        knots.append((t, b))
+        knots.append((t, *b))
     return ArmPath(knots)
 
 
 def _pad(path: ArmPath, duration: float) -> ArmPath:
     if path.duration < duration - 1e-12:
-        return ArmPath(path.knots + [(duration, path.end)])
+        return ArmPath(path.knots + [(duration, *path.end)])
     return path
 
 
@@ -230,19 +199,6 @@ class SyncMotion:
 class Conflict:
     t: float
     detail: str
-
-
-def _max_speed(path: ArmPath) -> float:
-    """Largest knot-to-knot speed of a path; inf if `pos` jumps anywhere
-    (a move in no time, or knot times that run backwards)."""
-    fastest = 0.0
-    for (t0, p0), (t1, p1) in zip(path.knots, path.knots[1:]):
-        span = t1 - t0
-        if span > 1e-12:
-            fastest = max(fastest, dist(p0, p1) / span)
-        elif span < 0.0 or p0[0] != p1[0] or p0[1] != p1[1]:
-            return math.inf
-    return fastest
 
 
 def validate_motion(
@@ -267,15 +223,16 @@ def validate_motion(
     else:
         steps = max(int(round(VALIDATE_REFINE / DT)), int(math.ceil(duration / VALIDATE_GUARD)))
     limit = clearance + VALIDATE_GUARD - 1e-9
-    speed = _max_speed(paths[0]) + _max_speed(paths[1])
+    speed = max_speed(paths[0].knots) + max_speed(paths[1].knots)
     # bound on the clearance change between neighbouring samples (inf*0 is nan)
     per_step = math.inf if speed == math.inf else speed * (duration / steps)
+    # the sample times never decrease, so each arm's walker reads on
+    point0 = PathWalker(paths[0].knots).point
+    point1 = PathWalker(paths[1].knots).point
     k = 0
     while k <= steps:
         t = duration * k / steps
-        p1 = paths[0].pos(t)
-        p2 = paths[1].pos(t)
-        c = segment_clearance(arms[0].base, p1, arms[1].base, p2)
+        c = segment_clearance(arms[0].base, point0(t), arms[1].base, point1(t))
         if c < limit:
             return Conflict(t / duration if duration > 0 else 0.0, f"arm clearance {c:.4f}")
         # the slack absorbs rounding in the sample times and the clearance
@@ -728,8 +685,8 @@ def _phases(pts, arms, first: int, serial: bool):
     return paths, arrival
 
 
-def _shift(knots: list[tuple[float, Point]], offset: float):
-    return [(t + offset, p) for t, p in knots]
+def _shift(knots: list[tuple[float, float, float]], offset: float):
+    return [(t + offset, x, y) for t, x, y in knots]
 
 
 def _first_valid(arms, stage: Stage, mode: Mode, variants) -> SyncMotion | Conflict:

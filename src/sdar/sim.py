@@ -6,7 +6,8 @@ the single-arm oracle, and the makespan of its forced-sequential replay.
 A run's trace is its record: `_metrics` reads its metrics off the legs.
 
 A trace records each leg's path knots exactly; the verifier and the
-renderer read the arms' points off them with their own interpolation.
+renderer read the arms' points off them with `geom.PathWalker`, the walker
+the planner validates its legs with.
 The verifier replays a trace file against the problem definition using only
 the geometric primitives, independent of the planner code paths: finite
 numbers, knots that form a path over the leg at no more than unit speed,
@@ -33,7 +34,7 @@ from typing import Optional
 
 from .baseline import BudgetExceeded, OracleResult, single_arm_optimal_actions
 from .depgraph import arrangement_violations
-from .geom import Pose2, box_at, dist, inside, overlaps, segment_clearance
+from .geom import PathWalker, Pose2, box_at, dist, inside, overlaps, segment_clearance
 from .instances import Instance, instance_hash
 from .motion import (
     DT,
@@ -123,7 +124,7 @@ def _record_leg(trace, sub, motion, candidates):
             angles=angles,
             candidates=list(candidates),
             duration=motion.duration,
-            knots=[[(t, x, y) for t, (x, y) in path.knots] for path in motion.paths],
+            knots=[path.knots for path in motion.paths],
             grips=grips,
             places=places,
         )
@@ -459,34 +460,6 @@ def _sample_times(duration: float) -> list[float]:
     return [duration * k / steps for k in range(steps + 1)] if steps else [0.0]
 
 
-def _path_points(knots, times) -> list[tuple[float, float]]:
-    """The points of a path of (t, x, y) knots at nondecreasing `times`, in
-    one forward walk.  The point at t lies on the first segment whose end
-    time is at least t (the first knot before the path starts, the last one
-    after it ends); a segment shorter than 1e-12 in time gives its end."""
-    t_first, x_first, y_first = knots[0]
-    last = len(knots) - 1
-    seg = 1  # index of the segment's end knot
-    out = []
-    for t in times:
-        if t <= t_first:
-            out.append((x_first, y_first))
-            continue
-        while seg <= last and t > knots[seg][0]:
-            seg += 1
-        if seg > last:
-            out.append(knots[-1][1:])
-            continue
-        t0, x0, y0 = knots[seg - 1]
-        t1, x1, y1 = knots[seg]
-        if t1 - t0 <= 1e-12:
-            out.append((x1, y1))
-        else:
-            a = (t - t0) / (t1 - t0)
-            out.append((x0 + a * (x1 - x0), y0 + a * (y1 - y0)))
-    return out
-
-
 def _uncertified(knots0, knots1, base0, base1, duration: float, threshold: float) -> Optional[str]:
     """Why the two arms' paths over a leg of `duration` are not certified
     to keep `threshold` clearance at every instant, or None.
@@ -502,41 +475,25 @@ def _uncertified(knots0, knots1, base0, base1, duration: float, threshold: float
     CERTIFY_FLOOR of it, which keeps every step short of a knot at least
     CERTIFY_FLOOR / (2 * (v0 + v1)) long.  A head-on approach ends in a read
     within the floor, not on `threshold`, where rounding would pick the
-    failure."""
+    failure.  A segment shorter than 1e-12 in time has speed 0 and puts the
+    arm at its end throughout, a jump of at most 1e-12 + 1e-9
+    (`_path_fault`) that CERTIFY_FLOOR covers.  t never decreases, so each
+    arm's walker reads on."""
+    walk0, walk1 = PathWalker(knots0), PathWalker(knots1)
     t = 0.0
-    k0 = k1 = 1  # each arm's first knot after t
     while True:
-        (p0,), (p1,) = _path_points(knots0, (t,)), _path_points(knots1, (t,))
-        c = segment_clearance(base0, p0, base1, p1)
+        c = segment_clearance(base0, walk0.point(t), base1, walk1.point(t))
         if c < threshold:
             return f"clearance {c:.4f} at t={t:.4f}"
         if c < threshold + CERTIFY_FLOOR:
             return f"clearance not certified at t={t:.4f}"
-        k0, v0, next0 = _pace(knots0, k0, t)
-        k1, v1, next1 = _pace(knots1, k1, t)
+        v0, next0 = walk0.pace(t)
+        v1, next1 = walk1.pace(t)
         speed = v0 + v1
         step = (c - threshold - CERTIFY_FLOOR / 2.0) / speed if speed > 0.0 else math.inf
         t = min(t + step, next0, next1)
         if t >= duration:
             return None
-
-
-def _pace(knots, k: int, t: float) -> tuple[int, float, float]:
-    """For a path of (t, x, y) knots at time t: the index of its first knot
-    after t (searched from `k` on), the speed of the segment that ends
-    there, and that knot's time; past the last knot, the arm stands still
-    for ever.  A segment shorter than 1e-12 in time has speed 0:
-    `_path_points` puts the arm at its end throughout, a jump of at most
-    1e-12 + 1e-9 (`_path_fault`) that CERTIFY_FLOOR covers."""
-    while k < len(knots) and knots[k][0] <= t:
-        k += 1
-    if k == len(knots):
-        return k, 0.0, math.inf
-    t0, x0, y0 = knots[k - 1]
-    t1, x1, y1 = knots[k]
-    if t1 - t0 <= 1e-12:
-        return k, 0.0, t1
-    return k, math.hypot(x1 - x0, y1 - y0) / (t1 - t0), t1
 
 
 def _non_finite(leg: LegRecord) -> Optional[str]:
@@ -648,7 +605,7 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
                 return False, f"{where}: arm {arm + 1} {action}s on a {kind} leg"
             if not 0.0 <= t <= leg.duration:
                 return False, f"{where}: arm {arm + 1} event time outside the leg"
-            (point,) = _path_points(leg.knots[arm], (t,))
+            point = PathWalker(leg.knots[arm]).point(t)
             if action == "close":
                 if obj not in table:
                     return False, f"{where}: grasping object {obj} not on the table"
@@ -740,9 +697,8 @@ def iterate_frames(trace: Trace, instance: Instance):
     for leg in trace.legs:
         place_of = {obj: pose for obj, pose, _ in leg.places}
         opens = sorted((t, obj) for _, action, obj, t in leg.grips if action == "open")
-        times = _sample_times(leg.duration)
-        points = [_path_points(knots, times) for knots in leg.knots]
-        for k, now in enumerate(times):
+        walk0, walk1 = map(PathWalker, leg.knots)
+        for now in _sample_times(leg.duration):
             while opens and opens[0][0] <= now + 1e-12:
                 _, obj = opens.pop(0)
                 table[obj] = place_of[obj]
@@ -751,6 +707,6 @@ def iterate_frames(trace: Trace, instance: Instance):
                 if (now >= t - 1e-12) == (action == "close"):
                     carried[arm] = obj
                     table.pop(obj, None)
-            yield dict(table), [points[0][k], points[1][k]], carried
+            yield dict(table), [walk0.point(now), walk1.point(now)], carried
         for t, obj in opens:
             table[obj] = place_of[obj]

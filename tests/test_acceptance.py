@@ -15,7 +15,6 @@ from sdar.depgraph import DepGraph, decompose, footprint
 from sdar.geom import overlaps
 from sdar.motion import (
     DT,
-    ArmPath,
     ArmTask,
     InstantiatedSubTask,
     Mode,
@@ -30,6 +29,7 @@ from sdar.motion import (
 )
 
 from fine_grid import least_clearance
+from path_reference import reference_point
 
 ARMS = default_arms()
 
@@ -57,16 +57,16 @@ DENSE_DIGESTS = {
 def _v1_samples(leg) -> list[str]:
     """A leg's sample lines as sdar-trace/1 wrote them: `round(1/DT)` + 1
     samples per arm (t = 0 alone for a leg that does not move), at the
-    points of the arm's `ArmPath`, each with the object the arm holds then:
+    arm's points by `reference_point`, each with the object the arm holds then:
     from its gripper-close event on a start-bound (even) leg, until its
     gripper-open event on a goal-bound (odd) leg, each to within 1e-12."""
     steps = round(1.0 / DT) if leg.duration > 1e-12 else 0
     times = [leg.duration * k / steps for k in range(steps + 1)] if steps else [0.0]
     lines = []
     for a in (0, 1):
-        path = ArmPath([(t, (x, y)) for t, x, y in leg.knots[a]])
         grip = next(((obj, t) for arm, _, obj, t in leg.grips if arm == a), None)
-        for t, (x, y) in zip(times, path.positions(times)):
+        for t in times:
+            x, y = reference_point(leg.knots[a], t)
             if grip is None:
                 held = None
             elif leg.index % 2 == 0:

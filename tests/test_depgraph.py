@@ -168,8 +168,9 @@ def test_decomposition_partition_and_movable_properties():
             + len(d.others)
         )
         assert counted == n
+        succ = g.successors()
         for v in range(n):
-            assert (v in d.movable_now) == (not g.out_neighbors(v))
+            assert (v in d.movable_now) == (not succ[v])
         for cyc in d.cycles:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 assert (a, b) in edges

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sdar.geom import (
     MIN_GAP,
     OrientedBox,
+    PathWalker,
     Pose2,
     Workspace,
     blocked_within2,
@@ -17,6 +18,7 @@ from sdar.geom import (
     box_clearance,
     boxes_closer_than,
     inside,
+    max_speed,
     near_miss,
     overlaps,
     point_box_distance,
@@ -25,6 +27,8 @@ from sdar.geom import (
     segment_clearance,
     segments_intersect,
 )
+
+from path_reference import reference_point
 
 
 # ---------------------------------------------------------------- oracles
@@ -273,6 +277,70 @@ def test_segment_clearance_degenerate_cases_match_the_reference():
     ]
     for p0, p1, q0, q1 in cases:
         assert segment_clearance(p0, p1, q0, q1).hex() == clearance_reference(p0, p1, q0, q1).hex()
+
+
+# ---------------------------------------------------------------- paths
+
+def reference_pace(knots, t):
+    """(speed, time) of the segment ending at the first knot after t, by a
+    scan of its own; (0.0, inf) past the last knot."""
+    for (t0, x0, y0), (t1, x1, y1) in zip(knots, knots[1:]):
+        if t1 > t:
+            if t1 - t0 <= 1e-12:
+                return 0.0, t1
+            return math.hypot(x1 - x0, y1 - y0) / (t1 - t0), t1
+    return 0.0, math.inf
+
+
+@st.composite
+def _walks(draw):
+    """(knots, times, reads): a knot list whose steps in time may be 0, 4e-13,
+    backwards or forwards; times before its start, on and 2e-13 past every
+    knot, between knots and past its end; and a nondecreasing subsequence of
+    them for one walker to read."""
+    coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    step = st.one_of(
+        st.just(0.0), st.just(4e-13), st.floats(-0.5, -1e-3), st.floats(1e-3, 0.5)
+    )
+    t = draw(st.sampled_from([0.0, -0.25, 0.5]))
+    knots = []
+    for _ in range(draw(st.integers(1, 8))):
+        knots.append((t, draw(coord), draw(coord)))
+        t += draw(step)
+    knot_times = [k[0] for k in knots]
+    lo, hi = min(knot_times), max(knot_times)
+    times = (
+        [knots[0][0] - 0.1, knots[-1][0] + 1e-13, hi + 0.5]
+        + knot_times
+        + [t + 2e-13 for t in knot_times]
+        + draw(st.lists(st.floats(lo, hi), max_size=10))
+    )
+    times.sort()
+    keep = draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
+    return knots, times, [t for t, k in zip(times, keep) if k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walks())
+def test_path_walker_is_its_reference_bit_for_bit(walk):
+    knots, times, reads = walk
+    for t in times:
+        fresh = PathWalker(knots)
+        assert _bits(fresh.point(t)) == _bits(reference_point(knots, t)), (knots, t)
+        assert _bits(fresh.pace(t)) == _bits(reference_pace(knots, t)), (knots, t)
+    # one walker read at nondecreasing times gives what fresh walks give
+    walker = PathWalker(knots)
+    for t in reads:
+        assert _bits(walker.point(t)) == _bits(PathWalker(knots).point(t)), (knots, reads, t)
+        assert _bits(walker.pace(t)) == _bits(PathWalker(knots).pace(t)), (knots, reads, t)
+
+
+def test_max_speed_is_inf_only_where_the_point_jumps():
+    assert max_speed([(0.0, 0.1, 0.1)]) == 0.0
+    assert max_speed([(0.0, 0.1, 0.1), (0.5, 0.4, 0.5), (0.5, 0.4, 0.5)]) == 1.0
+    # a move within 1e-12 in time, or knot times that run backwards
+    assert max_speed([(0.0, 0.1, 0.1), (4e-13, 0.2, 0.1)]) == math.inf
+    assert max_speed([(0.0, 0.1, 0.1), (0.5, 0.1, 0.1), (0.4, 0.1, 0.1)]) == math.inf
 
 
 # ------------------------------------------------------- box frame and gaps

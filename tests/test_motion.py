@@ -49,6 +49,7 @@ from sdar.motion import (
 from sdar.taskplan import BUFFER, GOAL, TaskComplete, next_task_plan
 
 from fine_grid import least_clearance
+from path_reference import reference_point
 
 ARMS = default_arms()
 
@@ -65,7 +66,7 @@ def pair_leg(e1, t1, e2, t2):
 
 def untangle_kind(motion: SyncMotion) -> str:
     knots = [p.knots for p in motion.paths]
-    delayed = any(len(k) > 2 and k[0][1] == k[1][1] and k[1][0] > 0 for k in knots)
+    delayed = any(len(k) > 2 and k[0][1:] == k[1][1:] and k[1][0] > 0 for k in knots)
     return "delay" if delayed else "via"
 
 
@@ -861,7 +862,7 @@ def test_plan_sync_single_arm_idle_is_a_point():
     ee = [(0.3, 0.3), ARMS[1].retract]
     motion = plan_sync(sub, ARMS, Stage.TO_GOAL, ee)
     assert isinstance(motion, SyncMotion)
-    xs = {p for _, p in motion.paths[1].knots}
+    xs = {(x, y) for _, x, y in motion.paths[1].knots}
     assert xs == {ARMS[1].retract}
 
 
@@ -983,7 +984,7 @@ def test_goal_bound_leg_is_planned_once_at_selection(monkeypatch):
     assert goal_motion.stage == Stage.TO_GOAL
     # the goal-bound leg starts where the start leg ends
     for a in (0, 1):
-        assert goal_motion.paths[a].knots[0][1] == start_motion.paths[a].end
+        assert goal_motion.paths[a].knots[0][1:] == start_motion.paths[a].end
     session.apply_round(sub, goal_motion)
     assert session.ee == [goal_motion.paths[0].end, goal_motion.paths[1].end]
 
@@ -1019,7 +1020,8 @@ def full_scan_validate(paths, arms, duration):
         steps = max(int(round(VALIDATE_REFINE / DT)), int(math.ceil(duration / VALIDATE_GUARD)))
     for k in range(steps + 1):
         t = duration * k / steps
-        c = segment_clearance(arms[0].base, paths[0].pos(t), arms[1].base, paths[1].pos(t))
+        p1, p2 = (reference_point(path.knots, t) for path in paths)
+        c = segment_clearance(arms[0].base, p1, arms[1].base, p2)
         if c < clearance + VALIDATE_GUARD - 1e-9:
             return Conflict(t / duration if duration > 0 else 0.0, f"arm clearance {c:.4f}")
     return None
@@ -1116,74 +1118,15 @@ def test_validate_skipping_on_delays_vias_padding_and_zero_length_legs():
 
 
 def test_validate_skipping_on_fast_and_jumping_paths():
-    parked = ArmPath([(0.0, (0.3, 0.3)), (1.0, (0.3, 0.3))])
+    parked = ArmPath([(0.0, 0.3, 0.3), (1.0, 0.3, 0.3)])
     far, near = (0.9, 0.3), (0.35, 0.3)
     # a dash 18x faster than unit speed: a unit-speed bound would skip it
-    dash = ArmPath([(0.0, far), (0.5, far), (0.53, near), (0.56, near), (0.59, far), (1.0, far)])
+    dash = ArmPath([(0.0, *far), (0.5, *far), (0.53, *near), (0.56, *near), (0.59, *far), (1.0, *far)])
     # zero-time jumps into conflict and out again 0.003 later
-    jump = ArmPath([(0.0, far), (0.5, far), (0.5, near), (0.503, near), (0.503, far), (1.0, far)])
+    jump = ArmPath([(0.0, *far), (0.5, *far), (0.5, *near), (0.503, *near), (0.503, *far), (1.0, *far)])
     # knot times that run backwards
-    backwards = ArmPath([(0.0, far), (0.6, far), (0.4, near), (1.0, near)])
+    backwards = ArmPath([(0.0, *far), (0.6, *far), (0.4, *near), (1.0, *near)])
     for path in (dash, jump, backwards):
         assert assert_validators_agree((parked, path), 1.0, ARMS) == {False}
     bad = validate_motion((parked, jump), ARMS, 1.0)
     assert bad == Conflict(0.5025, bad.detail)
-
-
-def _pos_reference(path, t):
-    """The position at t by a scan of its own: the first segment whose end
-    time is at least t, the first knot before the start, the last after."""
-    knots = path.knots
-    if t <= knots[0][0]:
-        return knots[0][1]
-    for (t0, p0), (t1, p1) in zip(knots, knots[1:]):
-        if t <= t1:
-            if t1 - t0 <= 1e-12:
-                return p1
-            a = (t - t0) / (t1 - t0)
-            return (p0[0] + a * (p1[0] - p0[0]), p0[1] + a * (p1[1] - p0[1]))
-    return knots[-1][1]
-
-
-def test_positions_match_reference_bit_for_bit():
-    rng = random.Random(11)
-
-    def point():
-        return (rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.6))
-
-    def bits(points):
-        return [(x.hex(), y.hex()) for x, y in points]
-
-    paths = [
-        ArmPath([(0.0, (0.3, 0.3))]),
-        # zero-time knots (a jump at t = 0, a repeated knot, one at the end)
-        # and a jump within 1e-12
-        ArmPath([
-            (0.0, (0.1, 0.1)), (0.0, (0.2, 0.1)), (0.4, (0.5, 0.2)), (0.4, (0.5, 0.2)),
-            (0.6, (0.5, 0.4)), (0.6 + 4e-13, (0.1, 0.4)), (0.9, (0.6, 0.5)), (0.9, (0.7, 0.5)),
-        ]),
-        # knot times that run backwards
-        ArmPath([(0.0, (0.9, 0.3)), (0.6, (0.9, 0.3)), (0.4, (0.35, 0.3)), (1.0, (0.35, 0.3))]),
-    ]
-    for _ in range(40):
-        path = _timed([point() for _ in range(rng.randint(1, 5))], depart=rng.choice((0.0, rng.uniform(0.0, 0.5))))
-        paths.append(_pad(path, path.duration + rng.choice((0.0, 0.3))))
-    # retreats, waits and padding of the sequential rung
-    for first in (0, 1):
-        for serial in (False, True):
-            paths += _phases([(point(), point(), 0), (point(), point(), None)], ARMS, first, serial)[0]
-    for path in paths:
-        knot_times = [t for t, _ in path.knots]
-        end = path.duration
-        # before the start, on every knot, between knots, a DT grid and past the end
-        times = sorted(
-            [-0.1, 0.0, end, end + 1e-13, end + 0.5]
-            + knot_times
-            + [t + 2e-13 for t in knot_times]
-            + [rng.uniform(0.0, end) for _ in range(30)]
-            + [end * k / 50 for k in range(51)]
-        )
-        expect = bits([_pos_reference(path, t) for t in times])
-        assert bits(path.positions(times)) == expect
-        assert bits([path.pos(t) for t in times]) == expect
-    assert ArmPath([(0.0, (0.3, 0.3))]).positions([]) == []

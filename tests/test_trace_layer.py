@@ -1,7 +1,8 @@
 """The trace layer does work only where something can change.  These tests
-hold it to full scans: `verify_trace` against a verifier that derives each
-leg's samples through the planner's own `ArmPath`, computes the clearance
-at every sample and checks the whole table after every leg; the clearance
+hold it to full scans: `verify_trace` against a verifier that reads each
+leg's samples off its knots by a per-time scan of its own
+(`path_reference`), computes the clearance at every sample and checks the
+whole table after every leg; the clearance
 certificate against scans of each leg on a fine grid; the round check
 of `sim._commit` against a whole-table `arrangement_violations`; and the
 footprints the planner session holds against fresh ones.  A trace keeps
@@ -17,7 +18,7 @@ import pytest
 from sdar import depgraph, instances, sim
 from sdar.geom import Pose2, box_at, dist, inside, overlaps, segment_clearance
 from sdar.instances import Instance, instance_hash
-from sdar.motion import DT, ArmPath, default_arms
+from sdar.motion import DT, default_arms
 from sdar.taskplan import PlannerSession
 from sdar.sim import (
     LegRecord,
@@ -30,20 +31,17 @@ from sdar.sim import (
 )
 
 from fine_grid import least_clearance, planner_steps
+from path_reference import reference_point
 
 PLAN_SEED = 42
 
 
-def _path(knots) -> ArmPath:
-    return ArmPath([(t, (x, y)) for t, x, y in knots])
-
-
 def _samples(leg) -> list[list]:
     """Each arm's EE points at the leg's sample times, `round(1/DT)` + 1
-    of them (t = 0 alone for a leg that does not move), by `ArmPath`."""
+    of them (t = 0 alone for a leg that does not move), by `reference_point`."""
     steps = round(1.0 / DT) if leg.duration > 1e-12 else 0
     times = [leg.duration * k / steps for k in range(steps + 1)] if steps else [0.0]
-    return [_path(knots).positions(times) for knots in leg.knots]
+    return [[reference_point(knots, t) for t in times] for knots in leg.knots]
 
 
 def _reference_path_fault(knots, duration) -> Optional[str]:
@@ -82,8 +80,8 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
     has them: each arm has knots, every number is finite, knot times start
     at 0, never decrease and end at the duration, no knot is reached faster
     than unit speed, even legs only close grippers and odd legs only open
-    them, and each gripper event lies in the leg, where its arm's `ArmPath`
-    gives the point it closes or opens at.  It rejects whatever
+    them, and each gripper event lies in the leg, where `reference_point` on
+    its arm's knots gives the point it closes or opens at.  It rejects whatever
     `verify_trace` rejects, apart from clearance defects between its
     samples."""
     if isinstance(trace, str):
@@ -129,7 +127,7 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
                 return False, f"{where}: arm {arm + 1} closes on a place leg"
             if not 0.0 <= t <= leg.duration:
                 return False, f"{where}: arm {arm + 1} event time outside the leg"
-            point = _path(leg.knots[arm]).pos(t)
+            point = reference_point(leg.knots[arm], t)
             if action == "close":
                 if obj not in table:
                     return False, f"{where}: grasping object {obj} not on the table"
