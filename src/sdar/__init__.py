@@ -1,6 +1,8 @@
 """Dual-arm tabletop rearrangement planner on a 2-D geometric surrogate."""
 
-from .depgraph import Arrangement, DepGraph, Decomposition, build_dependency_graph, decompose
+from .depgraph import (
+    Arrangement, DepGraph, Decomposition, build_dependency_graph, decompose, footprints
+)
 from .geom import OrientedBox, Pose2, Workspace
 from .instances import (
     Instance,
@@ -34,6 +36,7 @@ __all__ = [
     "build_dependency_graph",
     "decompose",
     "default_arms",
+    "footprints",
     "gen_double_cycle",
     "gen_mixed",
     "gen_random",

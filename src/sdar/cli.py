@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import instances, sim
-from .depgraph import footprint, to_dot
+from .depgraph import footprint, footprints, to_dot
 from .geom import Pose2
 from .instances import FeasibilityError, GenerationExhausted, Instance, ParseError
 from .motion import DEFAULT_CLEARANCE, default_arms
@@ -290,17 +290,11 @@ def render_scene(inst: Instance, which: str) -> str:
     ws = inst.workspace
     parts = _svg_open(ws)
     if which == "goal":
-        for i in inst.ids():
-            parts.append(
-                _svg_box(ws, footprint(i, inst.start.pose_of(i), inst.shapes),
-                         "white", "#999", dash="4 3")
-            )
+        for box in footprints(inst.start, inst.shapes).values():
+            parts.append(_svg_box(ws, box, "white", "#999", dash="4 3"))
     arr = inst.goal if which == "goal" else inst.start
-    for i in inst.ids():
-        parts.append(
-            _svg_box(ws, footprint(i, arr.pose_of(i), inst.shapes),
-                     _PALETTE[i % len(_PALETTE)], "#333", label=i)
-        )
+    for i, box in footprints(arr, inst.shapes).items():
+        parts.append(_svg_box(ws, box, _PALETTE[i % len(_PALETTE)], "#333", label=i))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -308,11 +302,8 @@ def render_scene(inst: Instance, which: str) -> str:
 def render_frame(inst: Instance, table, ee, carried, arms) -> str:
     ws = inst.workspace
     parts = _svg_open(ws)
-    for i in inst.ids():
-        parts.append(
-            _svg_box(ws, footprint(i, inst.goal.pose_of(i), inst.shapes),
-                     "none", "#bbb", dash="3 3")
-        )
+    for box in footprints(inst.goal, inst.shapes).values():
+        parts.append(_svg_box(ws, box, "none", "#bbb", dash="3 3"))
     for i, pose in sorted(table.items()):
         parts.append(
             _svg_box(ws, footprint(i, pose, inst.shapes),

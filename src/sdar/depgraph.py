@@ -44,33 +44,29 @@ def footprint(obj: int, pose: Pose2, shapes: Shapes) -> OrientedBox:
     return box_at(pose, hw, hh)
 
 
+def footprints(arr: Arrangement, shapes: Shapes) -> dict[int, OrientedBox]:
+    """Each object's footprint in `arr`, keyed in id order: the scene that
+    the graph, the feasibility checks and the buffer sampler read."""
+    return {i: footprint(i, p, shapes) for i, p in arr.on_table()}
+
+
 def arrangement_violations(
-    arr: Arrangement, shapes: Shapes, workspace: Workspace, involving=None, boxes=None
+    boxes: dict[int, OrientedBox], workspace: Workspace, involving=None
 ) -> list[str]:
-    """All feasibility violations: overlap pairs and out-of-workspace objects,
-    in id order.  Given a set `involving`, only the violations that involve
-    one of its objects, in the same order.  `boxes`, if given, maps each
-    object to its footprint in `arr`, and is read instead of building them."""
+    """All feasibility violations of a footprint map keyed in id order:
+    overlap pairs and out-of-workspace objects, in id order.  Given a set
+    `involving`, only the violations that involve one of its objects, in the
+    same order."""
     issues = []
-    table = arr.on_table()
-    if boxes is None:
-        boxes = [(i, footprint(i, p, shapes)) for i, p in table]
-    else:
-        boxes = [(i, boxes[i]) for i, _ in table]
-    for idx, (i, bi) in enumerate(boxes):
+    items = list(boxes.items())
+    for idx, (i, bi) in enumerate(items):
         every = involving is None or i in involving
         if every and not inside(workspace, bi):
             issues.append(f"object {i} outside workspace")
-        for j, bj in boxes[idx + 1 :]:
+        for j, bj in items[idx + 1 :]:
             if (every or j in involving) and overlaps(bi, bj):
                 issues.append(f"objects {i} and {j} overlap")
     return issues
-
-
-def check_feasible(arr: Arrangement, shapes: Shapes, workspace: Workspace) -> None:
-    issues = arrangement_violations(arr, shapes, workspace)
-    if issues:
-        raise InfeasibleArrangement("; ".join(issues))
 
 
 @dataclass(frozen=True)
@@ -90,28 +86,14 @@ class DepGraph:
 
 
 def build_dependency_graph(
-    start: Arrangement,
-    goal: Arrangement,
-    shapes: Shapes,
-    workspace: Workspace,
-    check: bool = True,
-    boxes=None,
+    start_boxes: dict[int, OrientedBox], goal_boxes: dict[int, OrientedBox]
 ) -> DepGraph:
-    """Edge set from pairwise goal-vs-current overlap tests (no self-edges).
-    `boxes`, if given, is a pair of maps from each object to its footprint
-    in `start` and in `goal`, which are read instead of building them."""
-    if set(start.poses) != set(goal.poses):
+    """Edge set from pairwise goal-vs-current overlap tests (no self-edges),
+    over two footprint maps of the same objects keyed in id order."""
+    if start_boxes.keys() != goal_boxes.keys():
         raise InfeasibleArrangement("start and goal arrangements cover different ids")
-    if check:
-        check_feasible(start, shapes, workspace)
-        check_feasible(goal, shapes, workspace)
-    ids = start.ids()
-    if boxes is None:
-        start_boxes = {i: footprint(i, p, shapes) for i, p in start.on_table()}
-        goal_boxes = {i: footprint(i, p, shapes) for i, p in goal.on_table()}
-    else:
-        start_boxes, goal_boxes = boxes
-    starts = [(j, start_boxes[j]) for j in ids]
+    ids = list(start_boxes)
+    starts = list(start_boxes.items())
     edges = set()
     for i in ids:
         gb = goal_boxes[i]

@@ -19,6 +19,7 @@ from .depgraph import (
     arrangement_violations,
     build_dependency_graph,
     decompose,
+    footprints,
 )
 from .geom import (
     MIN_GAP,
@@ -75,18 +76,22 @@ class Instance:
         return sorted(self.shapes)
 
     def graph(self):
-        return build_dependency_graph(self.start, self.goal, self.shapes, self.workspace)
+        """The dependency graph of the instance, which `loads` and the
+        generators have already checked to be feasible."""
+        return build_dependency_graph(
+            footprints(self.start, self.shapes), footprints(self.goal, self.shapes)
+        )
 
 
 def instance_hash(inst: Instance) -> str:
     return hashlib.sha256(dumps(inst).encode()).hexdigest()[:12]
 
 
-def _validate(inst: Instance) -> list[str]:
-    issues = arrangement_violations(inst.start, inst.shapes, inst.workspace)
-    issues += [
-        "goal: " + v for v in arrangement_violations(inst.goal, inst.shapes, inst.workspace)
-    ]
+def _validate(inst: Instance, start_boxes, goal_boxes) -> list[str]:
+    """Feasibility complaints about an instance, given its start and goal
+    footprint maps."""
+    issues = arrangement_violations(start_boxes, inst.workspace)
+    issues += ["goal: " + v for v in arrangement_violations(goal_boxes, inst.workspace)]
     if set(inst.start.poses) != set(inst.goal.poses) or set(inst.start.poses) != set(
         inst.shapes
     ):
@@ -163,12 +168,11 @@ def _reach_entry(margin: float, b: OrientedBox) -> tuple:
     return (b.center.x, b.center.y, prefilter_reach2(margin, b, MIN_GAP), b)
 
 
-def _gap_audit(inst: Instance) -> list[str]:
+def _gap_audit(inst: Instance, sb, gb) -> list[str]:
     """Reachable arrangements must never put two distinct live footprints
-    closer than MIN_GAP without a full overlap (gripper finger room)."""
+    closer than MIN_GAP without a full overlap (gripper finger room).  `sb`
+    and `gb` are the start and goal footprint maps."""
     issues = []
-    sb = {i: box_at(inst.start.pose_of(i), *inst.shapes[i]) for i in inst.ids()}
-    gb = {i: box_at(inst.goal.pose_of(i), *inst.shapes[i]) for i in inst.ids()}
     for group, boxes in (("start", sb), ("goal", gb)):
         ids = sorted(boxes)
         for k, i in enumerate(ids):
@@ -274,9 +278,10 @@ def _audited(builder, seed, audit=lambda inst: [], cap=50):
         except GenerationExhausted as exc:
             last = str(exc)
             continue
-        problems = _validate(inst)
+        boxes = footprints(inst.start, inst.shapes), footprints(inst.goal, inst.shapes)
+        problems = _validate(inst, *boxes)
         if not problems:
-            problems = audit(inst) + _gap_audit(inst)
+            problems = audit(inst) + _gap_audit(inst, *boxes)
         if not problems:
             return inst
         last = "; ".join(problems)
@@ -580,7 +585,7 @@ def loads(text: str, source: str = "<string>") -> Instance:
     if rows != n:
         raise ParseError(f"{source}: object table has {rows} rows, header says {n}")
     inst = Instance(ws, shapes, Arrangement(start), Arrangement(goal), label, seed)
-    problems = _validate(inst)
+    problems = _validate(inst, footprints(inst.start, shapes), footprints(inst.goal, shapes))
     if problems:
         raise FeasibilityError(f"{source}: " + "; ".join(problems))
     return inst

@@ -24,7 +24,6 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .depgraph import Arrangement, footprint
 from .geom import (
     MIN_GAP,
     OrientedBox,
@@ -312,29 +311,28 @@ def grasp_feasible(
 
 
 def sample_buffers(
-    scene: Arrangement,
-    shapes,
-    pending_goals: list[OrientedBox],
+    obstacles: list[OrientedBox],
     k: int,
     rng,
     buffered_shape: tuple[float, float],
     workspace: Workspace,
     min_gap: float = MIN_GAP,
 ) -> list[Pose2]:
-    """Up to k poses whose footprint avoids all on-table objects and all
-    pending goals.  The poses are independent alternatives, not a packing:
-    a round parks at most one object, so no pose is tested against the
-    call's own earlier poses, and the same pose may come back more than
-    once.  Rejection sampling stops at k accepts or after a fixed budget of
-    BUFFER_DRAWS draws, whatever k is; each draw takes three `rng.uniform`
-    values (x, y, theta) whatever its fate.  A draw nearer to an obstacle's
-    rectangle than the draw's inscribed radius plus the gap is rejected
-    before its box is built.  While that bound is positive it rejects every
-    draw centred within an obstacle's inner disc (`blocked_within2`), so the
-    inner discs are kept only as a cheaper first pass.  Both tests are sure
-    rejections, so neither changes a result.  The obstacles are listed once
-    in a grid (`BufferGrid`), so these broad-phase tests visit only the
-    obstacles of the draw's own cell.
+    """Up to k poses whose footprint avoids every obstacle box (the planner
+    passes the on-table objects, then the pending goals).  The poses are
+    independent alternatives, not a packing: a round parks at most one
+    object, so no pose is tested against the call's own earlier poses, and
+    the same pose may come back more than once.  Rejection sampling stops at
+    k accepts or after a fixed budget of BUFFER_DRAWS draws, whatever k is;
+    each draw takes three `rng.uniform` values (x, y, theta) whatever its
+    fate.  A draw nearer to an obstacle's rectangle than the draw's
+    inscribed radius plus the gap is rejected before its box is built.
+    While that bound is positive it rejects every draw centred within an
+    obstacle's inner disc (`blocked_within2`), so the inner discs are kept
+    only as a cheaper first pass.  Both tests are sure rejections, so
+    neither changes a result.  The obstacles are listed once in a grid
+    (`BufferGrid`), so these broad-phase tests visit only the obstacles of
+    the draw's own cell.
 
     min_gap > 0 additionally keeps finger room around the parked object;
     min_gap == 0 is the bare non-overlap contract."""
@@ -342,9 +340,7 @@ def sample_buffers(
         raise ValueError("k must be >= 1")
     hw, hh = buffered_shape
     grid = BufferGrid(buffered_shape, min_gap, workspace)
-    for i, p in scene.on_table():
-        grid.add(footprint(i, p, shapes))
-    for ob in pending_goals:
+    for ob in obstacles:
         grid.add(ob)
     margin = grid.margin
     uniform = rng.uniform
@@ -464,17 +460,8 @@ def _other_base_ok(point: Point, other: ArmModel, clearance: float) -> bool:
     return dist(point, other.base) >= clearance + BASE_KEEPOUT_MARGIN
 
 
-def _table_boxes(session: PlannerSession) -> list[tuple[int, OrientedBox]]:
-    """(object, footprint) of every on-table object, in id order, as the
-    session holds them.  The scene does not change while a sub-task
-    selection runs, so a selection takes this list once, when it starts,
-    and binds every option against it."""
-    return list(session.boxes.items())
-
-
 def _bind_arm(
     session: PlannerSession,
-    table: list[tuple[int, OrientedBox]],
     arm_idx: int,
     obj: int,
     target: Pose2,
@@ -483,8 +470,8 @@ def _bind_arm(
     partner_target: Optional[Pose2],
 ) -> Optional[ArmTask]:
     """First angle in the ladder level feasible for both the grasp at the
-    object's current pose and the placement at the target pose.  `table` is
-    the selection's `_table_boxes`."""
+    object's current pose and the placement at the target pose, against the
+    session's held boxes."""
     ws = session.instance.workspace
     arms = session.arms
     arm = arms[arm_idx]
@@ -502,6 +489,7 @@ def _bind_arm(
     if dist(arm.base, target.xy) > arm.reach:
         return None
 
+    table = session.boxes.items()
     place_obstacles = [b for i, b in table if i != obj and i != partner]
     if partner_target is not None and partner is not None:
         place_obstacles.append(session.footprint_at(partner, partner_target))
@@ -523,11 +511,7 @@ def _travel(session: PlannerSession, arm_idx: int, pick: Point, target: Pose2) -
     return dist(start, pick) + dist(pick, target.xy)
 
 
-def _pending_goal_boxes(session: PlannerSession) -> list[OrientedBox]:
-    return [session.goal_boxes[i] for i in sorted(session.remaining)]
-
-
-def _iter_instantiations(plan: TaskPlan, session: PlannerSession, table):
+def _iter_instantiations(plan: TaskPlan, session: PlannerSession):
     """The round's sub-tasks in try order, each yielded once: the pair
     options, then the plan's one-arm moves, each group bound at the top-down
     angles, then at every angle, in option order.  Options are bound one at
@@ -537,7 +521,7 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession, table):
     for options in _option_groups(plan, session):
         for level in (TOP_DOWN_SET, FULL_SET):
             for option in options:
-                sub = _bind(session, table, option, level)
+                sub = _bind(session, option, level)
                 if sub is not None and sub not in seen:
                     seen.add(sub)
                     yield sub
@@ -595,7 +579,7 @@ def _single_moves(session: PlannerSession, obj: int, kind: str):
     return options
 
 
-def _bind(session: PlannerSession, table, option, level) -> Optional[InstantiatedSubTask]:
+def _bind(session: PlannerSession, option, level) -> Optional[InstantiatedSubTask]:
     """Bind an option arm by arm at the first angle of `level` that suits
     each, or None."""
     tasks = []
@@ -605,7 +589,7 @@ def _bind(session: PlannerSession, table, option, level) -> Optional[Instantiate
             continue
         obj, target, to_buffer = move
         partner, partner_target, _ = option[1 - arm_idx] or (None, None, None)
-        task = _bind_arm(session, table, arm_idx, obj, target, level, partner, partner_target)
+        task = _bind_arm(session, arm_idx, obj, target, level, partner, partner_target)
         if task is None:
             return None
         tasks.append(replace(task, to_buffer=True) if to_buffer else task)
@@ -614,14 +598,15 @@ def _bind(session: PlannerSession, table, option, level) -> Optional[Instantiate
 
 def _buffer_options(session: PlannerSession, obj: int) -> list[Pose2]:
     """Buffer poses for one object: finger-room sampling first, then the bare
-    non-overlap contract on crowded tables (pad checks re-filter at bind)."""
-    goals = _pending_goal_boxes(session)
+    non-overlap contract on crowded tables (pad checks re-filter at bind).
+    The obstacles are the held on-table boxes in id order, then the pending
+    goals."""
+    obstacles = [*session.boxes.values()]
+    obstacles += [session.goal_boxes[i] for i in sorted(session.remaining)]
     for min_gap in (MIN_GAP, 0.0):
         try:
             return sample_buffers(
-                session.current,
-                session.instance.shapes,
-                goals,
+                obstacles,
                 K_BUFFERS,
                 session.rng,
                 session.instance.shapes[obj],
@@ -780,7 +765,7 @@ def plan_motion(plan: TaskPlan, session: PlannerSession) -> tuple[InstantiatedSu
     whose two legs both pass the rung ladder, the goal-bound leg planned
     from where the start leg ends, is returned as (sub, start, goal)."""
     last_error = "no feasible instantiation"
-    for sub in _iter_instantiations(plan, session, _table_boxes(session)):
+    for sub in _iter_instantiations(plan, session):
         try:
             start, goal = _legs(sub, session.arms, session.ee, _ladder)
         except SubTaskInfeasible as exc:

@@ -39,6 +39,8 @@ from .instances import Instance, instance_hash
 from .motion import (
     DT,
     ArmModel,
+    GraspAngle,
+    Mode,
     MotionFailure,
     Stage,
     SubTaskInfeasible,
@@ -173,9 +175,7 @@ def _commit(session: PlannerSession, rounds) -> tuple[RunMetrics, RunRecord]:
             # once the table has passed, a round can only break it through
             # the objects it moved
             moved = {task.obj for task in sub.tasks if task.obj is not None} if checked else None
-            issues = arrangement_violations(
-                session.current, inst.shapes, inst.workspace, moved, session.boxes
-            )
+            issues = arrangement_violations(session.boxes, inst.workspace, moved)
             if issues:
                 raise ValidationFailure(
                     f"infeasible arrangement after round {len(record.subs)}: {issues}"
@@ -371,6 +371,18 @@ def _arm_index(text: str) -> int:
     return arm
 
 
+# the values a trace's enumerated fields may take
+MODES = tuple(m.value for m in Mode)
+ANGLES = tuple(a.value for a in GraspAngle)  # or "-" for an idle arm
+PLACE_KINDS = ("goal", "buffer")
+
+
+def _one_of(field: str, value: str, allowed: tuple[str, ...]) -> str:
+    if value not in allowed:
+        raise ValueError(f"{field} {value!r} is not one of {', '.join(allowed)}")
+    return value
+
+
 def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> None:
     """Add one body line to the trace being parsed."""
     if parts[0] == "leg":
@@ -380,7 +392,9 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
             raise ValueError(f"leg {idx} is given twice")
         if idx != len(legs):
             raise ValueError(f"expected leg {len(legs)}, got leg {idx}")
-        angles = tuple(None if v == "-" else v for v in (parts[5], parts[6]))
+        angles = tuple(
+            None if a == "-" else _one_of("angle", a, ANGLES) for a in (parts[5], parts[6])
+        )
         cands = []
         if parts[8] != "-":
             for item in parts[8].split(";"):
@@ -388,7 +402,7 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
                 cands.append((int(i), int(j)))
         legs[idx] = LegRecord(
             index=idx,
-            mode=parts[3],
+            mode=_one_of("leg mode", parts[3], MODES),
             angles=angles,
             candidates=cands,
             duration=float(parts[10]),
@@ -411,7 +425,7 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
             (
                 int(parts[2]),
                 Pose2(float(parts[3]), float(parts[4]), float(parts[5])),
-                parts[6],
+                _one_of("place kind", parts[6], PLACE_KINDS),
             )
         )
     elif parts[0] == "metrics":

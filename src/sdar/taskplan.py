@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .depgraph import Arrangement, DepGraph, build_dependency_graph, decompose, footprint
+from .depgraph import Arrangement, DepGraph, build_dependency_graph, decompose, footprint, footprints
 from .geom import OrientedBox, Pose2, dist
 from .instances import Instance
 
@@ -74,9 +74,8 @@ class PlannerSession:
             i for i in self.instance.ids() if not start.pose_of(i).almost_equal(goal.pose_of(i))
         }
         self.buffered = set()
-        shapes = self.instance.shapes
-        self.boxes = {i: footprint(i, p, shapes) for i, p in self.current.on_table()}
-        self.goal_boxes = {i: footprint(i, p, shapes) for i, p in goal.on_table()}
+        self.boxes = footprints(self.current, self.instance.shapes)
+        self.goal_boxes = footprints(goal, self.instance.shapes)
         self.ee = [self.arms[0].retract, self.arms[1].retract]
         self.rng = random.Random(self.rng_seed)
 
@@ -109,15 +108,9 @@ class PlannerSession:
     def graph_over_remaining(self) -> DepGraph:
         """The dependency graph over the remaining objects, built from the
         held boxes."""
-        cur = Arrangement({i: self.current.poses[i] for i in self.remaining})
-        goal = Arrangement({i: self.instance.goal.poses[i] for i in self.remaining})
+        left = sorted(self.remaining)
         return build_dependency_graph(
-            cur,
-            goal,
-            self.instance.shapes,
-            self.instance.workspace,
-            check=False,
-            boxes=(self.boxes, self.goal_boxes),
+            {i: self.boxes[i] for i in left}, {i: self.goal_boxes[i] for i in left}
         )
 
 

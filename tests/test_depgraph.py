@@ -11,9 +11,10 @@ from sdar.depgraph import (
     build_dependency_graph,
     decompose,
     footprint,
+    footprints,
     to_dot,
 )
-from sdar.geom import Pose2, Workspace, overlaps
+from sdar.geom import Pose2, overlaps
 
 
 def graph(n, edges):
@@ -59,24 +60,31 @@ def test_random_instances_match_brute_force():
 
 
 def test_infeasible_input_rejected():
-    ws = Workspace()
+    # maps over different ids; an overlapping start and a goal outside the
+    # workspace are rejected where instances enter (`instances.loads`)
     shapes = {0: (0.05, 0.05), 1: (0.05, 0.05)}
-    overlapping = Arrangement({0: Pose2(0.5, 0.3), 1: Pose2(0.52, 0.3)})
-    fine = Arrangement({0: Pose2(0.2, 0.2), 1: Pose2(0.8, 0.4)})
-    with pytest.raises(InfeasibleArrangement):
-        build_dependency_graph(overlapping, fine, shapes, ws)
-    outside = Arrangement({0: Pose2(0.5, 0.3), 1: Pose2(1.5, 0.3)})
-    with pytest.raises(InfeasibleArrangement):
-        build_dependency_graph(fine, outside, shapes, ws)
+    fine = footprints(Arrangement({0: Pose2(0.2, 0.2), 1: Pose2(0.8, 0.4)}), shapes)
+    for other in ({0: fine[0]}, {**fine, 2: fine[1]}, {0: fine[0], 2: fine[1]}):
+        with pytest.raises(InfeasibleArrangement, match="cover different ids"):
+            build_dependency_graph(fine, other)
+        with pytest.raises(InfeasibleArrangement, match="cover different ids"):
+            build_dependency_graph(other, fine)
 
 
 def test_goal_overlapping_own_start_is_not_an_edge():
-    ws = Workspace()
     shapes = {0: (0.05, 0.05)}
-    start = Arrangement({0: Pose2(0.5, 0.3)})
-    goal = Arrangement({0: Pose2(0.52, 0.3)})
-    g = build_dependency_graph(start, goal, shapes, ws)
+    start = footprints(Arrangement({0: Pose2(0.5, 0.3)}), shapes)
+    goal = footprints(Arrangement({0: Pose2(0.52, 0.3)}), shapes)
+    g = build_dependency_graph(start, goal)
     assert g.edges == frozenset()
+
+
+def test_footprints_are_keyed_in_id_order():
+    shapes = {i: (0.03, 0.02) for i in range(4)}
+    arr = Arrangement({3: Pose2(0.8, 0.2), 0: Pose2(0.2, 0.2), 2: Pose2(0.5, 0.4), 1: Pose2(0.3, 0.5)})
+    boxes = footprints(arr, shapes)
+    assert list(boxes) == [0, 1, 2, 3]
+    assert all(boxes[i] == footprint(i, p, shapes) for i, p in arr.poses.items())
 
 
 # --------------------------------------------------------------- decompose

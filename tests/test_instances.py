@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sdar import instances
-from sdar.depgraph import Arrangement, arrangement_violations, decompose
+from sdar.depgraph import Arrangement, arrangement_violations, decompose, footprints
 from sdar.geom import MIN_GAP, Pose2, Workspace, box_at, boxes_closer_than, inside, overlaps
 from sdar.instances import (
     FeasibilityError,
@@ -23,8 +23,8 @@ from sdar.instances import (
 
 
 def assert_feasible(inst):
-    assert not arrangement_violations(inst.start, inst.shapes, inst.workspace)
-    assert not arrangement_violations(inst.goal, inst.shapes, inst.workspace)
+    assert not arrangement_violations(footprints(inst.start, inst.shapes), inst.workspace)
+    assert not arrangement_violations(footprints(inst.goal, inst.shapes), inst.workspace)
 
 
 def test_single_object_instance():
@@ -97,8 +97,22 @@ def test_load_rejects_overlapping_start():
     f1 = lines[6].split()
     f1[3:6] = f0[3:6]
     lines[6] = " ".join(f1)
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError, match="objects 0 and 1 overlap"):
         loads("\n".join(lines))
+    # an overlapping start, and a goal outside the workspace: the graph is
+    # built from what `loads` has checked, and checks neither again
+    shapes = {0: (0.05, 0.05), 1: (0.05, 0.05)}
+    overlapping = Arrangement({0: Pose2(0.5, 0.3), 1: Pose2(0.52, 0.3)})
+    fine = Arrangement({0: Pose2(0.2, 0.2), 1: Pose2(0.8, 0.4)})
+    outside = Arrangement({0: Pose2(0.5, 0.3), 1: Pose2(1.5, 0.3)})
+    for start, goal, issue in (
+        (overlapping, fine, "<string>: objects 0 and 1 overlap"),
+        (fine, outside, "<string>: goal: object 1 outside workspace"),
+    ):
+        bad = instances.Instance(Workspace(), shapes, start, goal, "X2", 0)
+        with pytest.raises(FeasibilityError) as err:
+            loads(dumps(bad))
+        assert str(err.value) == issue
 
 
 def test_parse_errors_carry_line_info():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sdar import instances, sim
 from sdar.depgraph import decompose, footprint
 from sdar.geom import overlaps
-from sdar.motion import _iter_instantiations, _table_boxes, default_arms, plan_motion
+from sdar.motion import _iter_instantiations, default_arms, plan_motion
 from sdar.taskplan import TaskComplete, next_task_plan
 
 
@@ -72,7 +72,7 @@ def test_selected_targets_never_overlap_live_footprints():
     for seed in range(8):
         inst = instances.gen_random(8, 500 + seed)
         for session, plan in step_through(inst, seed):
-            sub = next(_iter_instantiations(plan, session, _table_boxes(session)), None)
+            sub = next(_iter_instantiations(plan, session), None)
             if sub is None:
                 continue
             moving = {t.obj for t in sub.tasks if t.obj is not None}

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from sdar import instances, motion, sim
-from sdar.depgraph import Arrangement, footprint
+from sdar.depgraph import Arrangement, footprint, footprints
 from sdar.geom import (
     MIN_GAP,
     Pose2,
@@ -106,7 +106,7 @@ def test_grasp_ladder_order_is_top_down_first():
 def test_sample_buffers_on_empty_table():
     ws = Workspace()
     rng = random.Random(0)
-    poses = sample_buffers(Arrangement({}), {}, [], 5, rng, (0.04, 0.04), ws)
+    poses = sample_buffers([], 5, rng, (0.04, 0.04), ws)
     assert len(poses) == 5
     for p in poses:
         assert 0 <= p.x <= ws.width and 0 <= p.y <= ws.height
@@ -123,17 +123,17 @@ def test_sample_buffers_exhausted_on_saturated_table():
             poses[k] = Pose2(0.075 + 0.15 * i, 0.075 + 0.15 * j)
             k += 1
     with pytest.raises(BufferSamplingExhausted):
-        sample_buffers(Arrangement(poses), shapes, [], 3, random.Random(1), (0.05, 0.05), ws)
+        sample_buffers(
+            [*footprints(Arrangement(poses), shapes).values()], 3, random.Random(1), (0.05, 0.05), ws
+        )
 
 
 def test_buffer_samples_pass_overlap_audit():
     inst = instances.showcase9()
     session = sim.new_session(inst, 5)
     pending = [footprint(i, inst.goal.pose_of(i), inst.shapes) for i in inst.ids()]
-    poses = sample_buffers(
-        session.current, inst.shapes, pending, 20, session.rng, (0.03, 0.03), inst.workspace
-    )
     live = [footprint(i, p, inst.shapes) for i, p in session.current.on_table()]
+    poses = sample_buffers(live + pending, 20, session.rng, (0.03, 0.03), inst.workspace)
     for pose in poses:
         box = box_at(pose, 0.03, 0.03)
         for other in live + pending:
@@ -141,14 +141,11 @@ def test_buffer_samples_pass_overlap_audit():
             assert box_clearance(box, other) >= MIN_GAP - 1e-12
 
 
-def sample_buffers_reference(
-    scene, shapes, pending_goals, k, rng, buffered_shape, workspace, min_gap=MIN_GAP,
-):
+def sample_buffers_reference(obstacles, k, rng, buffered_shape, workspace, min_gap=MIN_GAP):
     """sample_buffers without the broad phase: every draw is tested against
     every fixed obstacle with the exact predicate."""
     hw, hh = buffered_shape
     margin = math.hypot(hw, hh)
-    obstacles = [footprint(i, p, shapes) for i, p in scene.on_table()] + pending_goals
     found = []
     for _ in range(motion.BUFFER_DRAWS):
         if len(found) == k:
@@ -175,40 +172,39 @@ def sample_buffers_reference(
 
 
 def _saturated_table():
-    shapes, poses = {}, {}
-    for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        shapes[k] = (0.074, 0.074)
-        poses[k] = Pose2(0.075 + 0.15 * i, 0.075 + 0.15 * j)
-    return Arrangement(poses), shapes, [], (0.05, 0.05), Workspace(0.3, 0.3)
+    obstacles = [
+        box_at(Pose2(0.075 + 0.15 * i, 0.075 + 0.15 * j), 0.074, 0.074)
+        for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]
+    ]
+    return obstacles, (0.05, 0.05), Workspace(0.3, 0.3)
 
 
 def _crowded_table(n, seed):
+    """The start boxes of every object but 0, then their goal boxes."""
     inst = instances.gen_random(n, seed)
+    on_table = [footprint(i, p, inst.shapes) for i, p in inst.start.on_table() if i != 0]
     pending = [footprint(i, inst.goal.pose_of(i), inst.shapes) for i in inst.ids() if i != 0]
-    scene = Arrangement({i: p for i, p in inst.start.on_table() if i != 0})
-    return scene, inst.shapes, pending, inst.shapes[0], inst.workspace
+    return on_table + pending, inst.shapes[0], inst.workspace
 
 
 def _random_table(seed, n, obstacle_halves, shape, ws=Workspace()):
     """n boxes of random size and pose, overlaps allowed: the sampler only
-    reads their footprints.  Every third one is a pending goal."""
+    reads their footprints.  Every third one stands for a pending goal and
+    is listed after the others."""
     rng = random.Random(seed)
-    shapes, poses, pending = {}, {}, []
+    on_table, pending = [], []
     for i in range(n):
         half = (rng.uniform(*obstacle_halves), rng.uniform(*obstacle_halves))
         pose = Pose2(rng.uniform(0.0, ws.width), rng.uniform(0.0, ws.height), rng.uniform(-3.2, 3.2))
-        if i % 3 == 2:
-            pending.append(box_at(pose, *half))
-        else:
-            shapes[i], poses[i] = half, pose
-    return Arrangement(poses), shapes, pending, shape, ws
+        (pending if i % 3 == 2 else on_table).append(box_at(pose, *half))
+    return on_table + pending, shape, ws
 
 
 def test_sample_buffers_matches_reference_without_broad_phase():
     wide = _random_table(3, 8, (0.08, 0.2), (0.004, 0.006))
     tiny = _random_table(4, 6, (1e-9, 2e-9), (1e-8, 3e-9))
     cases = [
-        (Arrangement({}), {}, [], (0.04, 0.04), Workspace()),
+        ([], (0.04, 0.04), Workspace()),
         _crowded_table(12, 3),
         _crowded_table(20, 1),
         _crowded_table(22, 2),
@@ -219,24 +215,22 @@ def test_sample_buffers_matches_reference_without_broad_phase():
         tiny,
     ]
     # discs many grid cells wide, and inner bounds of zero at min_gap 0
-    assert min(min(h) for h in wide[1].values()) > 4 * motion.BufferGrid(wide[3], 0.0, wide[4]).side
-    assert all(
-        motion.blocked_within2(min(tiny[3]), box_at(p, *tiny[1][i]), 0.0) == 0.0
-        for i, p in tiny[0].on_table()
-    )
+    side = motion.BufferGrid(wide[1], 0.0, wide[2]).side
+    assert min(min(b.half_width, b.half_height) for b in wide[0]) > 4 * side
+    assert all(motion.blocked_within2(min(tiny[1]), b, 0.0) == 0.0 for b in tiny[0])
     outcomes = set()
-    for scene, shapes, pending, shape, ws in cases:
+    for obstacles, shape, ws in cases:
         for min_gap in (MIN_GAP, 0.0):
             for seed, k in ((0, 20), (1, 3), (2, 20)):
                 results = []
                 for sampler in (sample_buffers, sample_buffers_reference):
                     rng = random.Random(seed)
                     try:
-                        got = sampler(scene, shapes, pending, k, rng, shape, ws, min_gap)
+                        got = sampler(obstacles, k, rng, shape, ws, min_gap)
                     except BufferSamplingExhausted as exc:
                         got = str(exc)
                     results.append((got, rng.getstate()))
-                assert results[0] == results[1], (len(shapes), min_gap, seed, k)
+                assert results[0] == results[1], (len(obstacles), min_gap, seed, k)
                 outcomes.add(type(results[0][0]))
     assert outcomes == {list, str}
 
@@ -268,11 +262,11 @@ class CountingRng(random.Random):
 
 
 def test_sample_buffers_budget_does_not_grow_with_k():
-    scene, shapes, pending, shape, ws = _saturated_table()
+    obstacles, shape, ws = _saturated_table()
     for k in (1, 10**5):
         rng = CountingRng(1)
         with pytest.raises(BufferSamplingExhausted, match=f"within {motion.BUFFER_DRAWS} draws"):
-            sample_buffers(scene, shapes, pending, k, rng, shape, ws)
+            sample_buffers(obstacles, k, rng, shape, ws)
         assert rng.calls == 3 * motion.BUFFER_DRAWS, k
 
 
@@ -281,9 +275,7 @@ def test_sample_buffers_poses_are_alternatives():
     # poses are not obstacles
     draw = (0.5, 0.3, 0.2)
     for k in (1, 4):
-        poses = sample_buffers(
-            Arrangement({}), {}, [], k, ScriptedRng(draw * k), (0.05, 0.05), Workspace()
-        )
+        poses = sample_buffers([], k, ScriptedRng(draw * k), (0.05, 0.05), Workspace())
         assert poses == [Pose2(*draw)] * k
 
 
@@ -292,15 +284,13 @@ def test_sample_buffers_broad_phase_keeps_boundary_draws():
     # whose corner touches the obstacle's sits exactly at the summed
     # circumradii, the edge of both exact tests' bounding-circle prefilters
     r = math.hypot(0.05, 0.05)
-    scene = Arrangement({0: Pose2(0.3, 0.3, math.pi / 4)})
-    shapes = {0: (0.05, 0.05)}
+    obstacles = [box_at(Pose2(0.3, 0.3, math.pi / 4), 0.05, 0.05)]
     far = (0.8, 0.3, 0.0)
     for min_gap, x in ((0.0, 0.3 + 2 * r), (MIN_GAP, 0.3 + 2 * r + MIN_GAP - 1e-6)):
         draws = [x, 0.3, math.pi / 4, *far]
         for sampler in (sample_buffers, sample_buffers_reference):
             poses = sampler(
-                scene, shapes, [], 1, ScriptedRng(draws), (0.05, 0.05), Workspace(),
-                min_gap=min_gap,
+                obstacles, 1, ScriptedRng(draws), (0.05, 0.05), Workspace(), min_gap=min_gap
             )
             assert poses == [Pose2(*far)], (sampler.__name__, min_gap)
 
@@ -312,7 +302,7 @@ def test_sample_buffers_inner_bound_keeps_boundary_draws():
     obstacle, shape = (0.09, 0.025), (0.02, 0.06)
     far = (0.9, 0.5, 0.0)
     for alpha in (0.0, 0.4, math.pi / 2, -2.2):
-        scene = Arrangement({0: Pose2(0.5, 0.3, alpha)})
+        obstacles = [box_at(Pose2(0.5, 0.3, alpha), *obstacle)]
         # the obstacle's short axis, and the draw turned to match it
         ux, uy = -math.sin(alpha), math.cos(alpha)
         for min_gap in (MIN_GAP, 0.0):
@@ -324,24 +314,24 @@ def test_sample_buffers_inner_bound_keeps_boundary_draws():
                     expect = Pose2(*draw) if offset > 0.0 else Pose2(*far)
                     for sampler in (sample_buffers, sample_buffers_reference):
                         poses = sampler(
-                            scene, {0: obstacle}, [], 1, ScriptedRng([*draw, *far]), shape,
-                            Workspace(), min_gap=min_gap,
+                            obstacles, 1, ScriptedRng([*draw, *far]), shape, Workspace(),
+                            min_gap=min_gap,
                         )
                         assert poses == [expect], (sampler.__name__, alpha, min_gap, s)
 
 
-def _same_as_reference(scene, shapes, pending, shape, ws, rng_for, k, min_gap):
+def _same_as_reference(obstacles, shape, ws, rng_for, k, min_gap):
     """Run sample_buffers and sample_buffers_reference from equal rngs; the
     poses (or the exhaustion message) and the rng states after must match."""
     results = []
     for sampler in (sample_buffers, sample_buffers_reference):
         rng = rng_for()
         try:
-            got = sampler(scene, shapes, pending, k, rng, shape, ws, min_gap)
+            got = sampler(obstacles, k, rng, shape, ws, min_gap)
         except BufferSamplingExhausted as exc:
             got = str(exc)
         results.append((got, rng.getstate()))
-    assert results[0] == results[1], (len(shapes), shape, min_gap, k)
+    assert results[0] == results[1], (len(obstacles), shape, min_gap, k)
     return results[0][0]
 
 
@@ -360,11 +350,11 @@ def test_sample_buffers_draws_on_cell_edges():
             for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 for extra, blocked in ((0.0, True), (2e-6, False)):
                     d = touch + extra
-                    scene = Arrangement({0: Pose2(x + dx * d, y + dy * d, math.pi / 4)})
+                    obstacles = [box_at(Pose2(x + dx * d, y + dy * d, math.pi / 4), *shape)]
                     far = (0.85, 0.45, 0.0)
                     draws = [x, y, math.pi / 4, *far]
                     got = _same_as_reference(
-                        scene, {0: shape}, [], shape, ws, lambda: ScriptedRng(draws), 1, min_gap
+                        obstacles, shape, ws, lambda: ScriptedRng(draws), 1, min_gap
                     )
                     assert got == [Pose2(*far) if blocked else Pose2(x, y, math.pi / 4)]
 
@@ -398,8 +388,7 @@ def test_sample_buffers_rectangle_bound_keeps_boundary_draws():
                     inner2 = motion.blocked_within2(grid.inner_radius, ob, min_gap)
                     assert dist(draw[:2], ob.center.xy) ** 2 > inner2  # out of its reach
                     got = _same_as_reference(
-                        Arrangement({0: ob.center}), {0: obstacle}, [], shape, ws,
-                        lambda: ScriptedRng([*draw, *far]), 1, min_gap,
+                        [ob], shape, ws, lambda: ScriptedRng([*draw, *far]), 1, min_gap
                     )
                     if offset:
                         assert got == [Pose2(*draw) if offset > 0.0 else Pose2(*far)], (alpha, min_gap, offset)
@@ -531,22 +520,22 @@ def bind_arm_reference(session, arm_idx, obj, target, level, partner, partner_ta
 
 
 def test_scene_box_memo_matches_fresh_footprints_every_round():
-    # the footprint list a selection binds against: a box left at an
-    # object's old pose would show here
+    # the held boxes a selection binds against: a box left at an object's
+    # old pose would show here
     for inst in (instances.showcase9(), instances.gen_mixed(3)):
         parked = set()  # every object seen at a buffer between rounds
         for rounds, session in enumerate(_step_rounds(inst)):
             parked |= session.buffered
             fresh = [(i, footprint(i, p, inst.shapes)) for i, p in session.current.on_table()]
-            assert motion._table_boxes(session) == fresh, rounds
+            assert list(session.boxes.items()) == fresh, rounds
         assert parked and rounds == sim.run_instance(inst, 42)[0].sync_steps > 0
         assert not session.remaining
 
 
 def _checking_bind_arm(monkeypatch, check):
     """Wrap motion._bind_arm so that every call also runs `check(session,
-    table, args, call, result)`, where `call(other)` binds again with
-    `other` in place of the selection's footprint list `table`.
+    args, call, result)`, where `call(boxes)` binds again with `boxes` held
+    in place of the session's own.
 
     The enumerator binds lazily, so a round would bind only the options up
     to the one it commits; it is drained once before it yields, so that
@@ -556,15 +545,23 @@ def _checking_bind_arm(monkeypatch, check):
     bind = motion._bind_arm
     enumerate_all = motion._iter_instantiations
 
-    def drained(plan, session, table):
+    def drained(plan, session):
         state = session.rng.getstate()
-        list(enumerate_all(plan, session, table))
+        list(enumerate_all(plan, session))
         session.rng.setstate(state)
-        yield from enumerate_all(plan, session, table)
+        yield from enumerate_all(plan, session)
 
-    def checked(session, table, *args):
-        result = bind(session, table, *args)
-        check(session, table, args, lambda other: bind(session, other, *args), result)
+    def checked(session, *args):
+        result = bind(session, *args)
+
+        def call(boxes):
+            held, session.boxes = session.boxes, boxes
+            try:
+                return bind(session, *args)
+            finally:
+                session.boxes = held
+
+        check(session, args, call, result)
         return result
 
     monkeypatch.setattr(motion, "_bind_arm", checked)
@@ -572,14 +569,15 @@ def _checking_bind_arm(monkeypatch, check):
 
 
 def test_binding_memo_matches_fresh_memo_at_every_selection(monkeypatch):
-    tables = []  # per run, the footprint list of each selection, in order
+    tables = []  # per run, the held boxes of each selection, in order
     bound = []
 
-    def check(session, table, args, call, result):
-        assert result == call(motion._table_boxes(session)) == bind_arm_reference(session, *args)
+    def check(session, args, call, result):
+        fresh = footprints(session.current, session.instance.shapes)
+        assert result == call(fresh) == bind_arm_reference(session, *args)
         selections = tables[-1]
-        if not selections or selections[-1] is not table:
-            selections.append(table)
+        if not selections or selections[-1] != session.boxes:
+            selections.append(dict(session.boxes))
         bound.append(result)
 
     _checking_bind_arm(monkeypatch, check)
@@ -596,22 +594,22 @@ def test_binding_memo_matches_fresh_memo_at_every_selection(monkeypatch):
             for rounds, session in enumerate(_step_rounds(inst, arms=arms)):
                 pass
             assert not session.remaining
-            # one footprint list per selection, each selection being one round
+            # one table per selection, each selection being one round
             assert len(tables[-1]) == rounds > 0
     angles = {t.angle for t in bound if t is not None}
     assert None in bound and len(angles) >= 3, angles
 
 
 def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
-    # the footprint list of the previous selection, kept into the next one,
-    # binds differently: a list that leaked across rounds would fail the
-    # check above
-    tables = []  # each selection's footprint list, in order
+    # the held boxes of the previous selection, kept into the next one, bind
+    # differently: boxes that went stale across rounds would fail the check
+    # above
+    tables = []  # each selection's held boxes, copied when it starts
     differ = []
 
-    def check(session, table, args, call, result):
-        if not tables or tables[-1] is not table:
-            tables.append(table)
+    def check(session, args, call, result):
+        if not tables or tables[-1] != session.boxes:
+            tables.append(dict(session.boxes))
         if len(tables) > 1:
             differ.append(call(tables[-2]) != result)
 
@@ -623,7 +621,37 @@ def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
     assert sum(differ) > 10, (sum(differ), len(differ))
 
 
-def iter_instantiations_reference(plan, session, table):
+def test_sampler_reads_the_held_boxes_then_the_pending_goals(monkeypatch):
+    # on the dense tables, every sampling call gets the session's own box
+    # objects, in id order, then the goal boxes of the remaining objects,
+    # none of them built again
+    sample = motion.sample_buffers
+    new_session = sim.new_session
+    sessions, calls = [], []
+
+    def opened(*args):
+        sessions.append(new_session(*args))
+        return sessions[-1]
+
+    def checked(obstacles, *args, **kwargs):
+        session = sessions[-1]
+        assert list(session.boxes) == sorted(session.boxes)
+        held = [*session.boxes.values()]
+        held += [session.goal_boxes[i] for i in sorted(session.remaining)]
+        assert len(obstacles) == len(held)
+        assert all(got is box for got, box in zip(obstacles, held))
+        calls.append(len(held))
+        return sample(obstacles, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "new_session", opened)
+    monkeypatch.setattr(motion, "sample_buffers", checked)
+    for n in (14, 16, 18, 20, 22):
+        for s in range(4):
+            sim.run_instance(instances.gen_random(n, s), 42)
+    assert len(calls) > 100
+
+
+def iter_instantiations_reference(plan, session):
     """The eager enumeration: every pair option bound at each angle level,
     the bound ones sorted by (max-arm travel, candidate, buffer), then each
     one-arm move of the plan, nearest arm first, bound at each angle level;
@@ -645,10 +673,10 @@ def iter_instantiations_reference(plan, session, table):
                 opts = [(goal_of(i), goal_of(j))]
             for b_idx, (ti, tj) in enumerate(opts):
                 tmap = {i: ti, j: tj}
-                t1 = motion._bind_arm(session, table, 0, o1, tmap[o1], level, o2, tmap[o2])
+                t1 = motion._bind_arm(session, 0, o1, tmap[o1], level, o2, tmap[o2])
                 if t1 is None:
                     continue
-                t2 = motion._bind_arm(session, table, 1, o2, tmap[o2], level, o1, tmap[o1])
+                t2 = motion._bind_arm(session, 1, o2, tmap[o2], level, o1, tmap[o1])
                 if t2 is None:
                     continue
                 if plan.need_buffer:
@@ -678,7 +706,7 @@ def iter_instantiations_reference(plan, session, table):
         for level in (motion.TOP_DOWN_SET, motion.FULL_SET):
             for arm_idx in order:
                 for target in targets:
-                    task = motion._bind_arm(session, table, arm_idx, obj, target, level, None, None)
+                    task = motion._bind_arm(session, arm_idx, obj, target, level, None, None)
                     if task is not None:
                         tasks = [ArmTask(), ArmTask()]
                         tasks[arm_idx] = replace(task, to_buffer=kind != GOAL)
@@ -694,19 +722,19 @@ def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
     lazy = motion._iter_instantiations
     kinds = []
 
-    def compared(plan, session, table):
+    def compared(plan, session):
         state = session.rng.getstate()
-        expect = iter_instantiations_reference(plan, session, table)
+        expect = iter_instantiations_reference(plan, session)
         after = session.rng.getstate()
         session.rng.setstate(state)
-        got = list(lazy(plan, session, table))
+        got = list(lazy(plan, session))
         assert got == expect, (session.instance.label, sorted(session.remaining))
         assert session.rng.getstate() == after
         kinds.append(
             "single" if not plan.candidates else "buffer" if plan.need_buffer else "pair"
         )
         session.rng.setstate(state)
-        yield from lazy(plan, session, table)
+        yield from lazy(plan, session)
 
     monkeypatch.setattr(motion, "_iter_instantiations", compared)
     # the last is a dense table the planner does not solve
@@ -728,13 +756,13 @@ def test_drained_stream_never_repeats_a_sub_task(monkeypatch):
     lazy = motion._iter_instantiations
     singles = []
 
-    def drained(plan, session, table):
+    def drained(plan, session):
         state = session.rng.getstate()
-        subs = list(lazy(plan, session, table))
+        subs = list(lazy(plan, session))
         assert len(set(subs)) == len(subs), (session.instance.label, sorted(session.remaining))
         singles.extend(sub for sub in subs if ArmTask() in sub.tasks)
         session.rng.setstate(state)
-        yield from lazy(plan, session, table)
+        yield from lazy(plan, session)
 
     monkeypatch.setattr(motion, "_iter_instantiations", drained)
     for inst in (
@@ -747,8 +775,7 @@ def test_drained_stream_never_repeats_a_sub_task(monkeypatch):
 
 def first_instantiation(plan, session):
     """The sub-task that selection binds first, or None if it binds none."""
-    table = motion._table_boxes(session)
-    return next(motion._iter_instantiations(plan, session, table), None)
+    return next(motion._iter_instantiations(plan, session), None)
 
 
 def test_select_best_task_unobstructed_pair():

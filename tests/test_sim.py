@@ -218,14 +218,27 @@ def test_verify_takes_the_arms_the_run_was_planned_with():
     )
 
 
+GRASP_ANGLES = ", ".join(a.value for a in motion.GraspAngle)
+
+
 @pytest.mark.parametrize(
     "prefix, field, value, detail",
     [
         ("grip ", 2, "2", "arm index 2 is not 0 or 1"),
         ("k 0 ", 2, "-1", "arm index -1 is not 0 or 1"),
         ("grip ", 3, "squeeze", "grip action 'squeeze' is not close or open"),
+        ("place ", 6, "shelf", "place kind 'shelf' is not one of goal, buffer"),
+        (
+            "leg 0 ", 3, "teleport",
+            "leg mode 'teleport' is not one of synchronous, untangled, sequential",
+        ),
+        ("leg 0 ", 5, "sideways", f"angle 'sideways' is not one of {GRASP_ANGLES}"),
+        ("leg 0 ", 6, "nope", f"angle 'nope' is not one of {GRASP_ANGLES}"),
     ],
-    ids=["grip-arm-2", "knot-arm-minus-1", "grip-action-squeeze"],
+    ids=[
+        "grip-arm-2", "knot-arm-minus-1", "grip-action-squeeze", "place-kind-shelf",
+        "leg-mode-teleport", "angle-sideways", "angle-nope",
+    ],
 )
 def test_trace_naming_no_arm_or_action_cannot_be_parsed(prefix, field, value, detail):
     inst = instances.showcase9()

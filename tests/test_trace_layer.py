@@ -528,16 +528,27 @@ def _round_tables():
 
 
 def _checked_rounds(monkeypatch):
-    """Record (what sim._commit got, what a whole-table scan gives, the set
-    of moved objects it passed) at every round check."""
+    """Record (what sim._commit got, what a whole-table scan of fresh
+    footprints gives, the set of moved objects it passed) at every round
+    check."""
     rounds = []
     real = sim.arrangement_violations
+    new_session = sim.new_session
+    sessions = []
 
-    def checked(arr, shapes, ws, involving=None, boxes=None):
-        got = real(arr, shapes, ws, involving, boxes)
-        rounds.append((got, real(arr, shapes, ws), involving))
+    def opened(*args):
+        sessions.append(new_session(*args))
+        return sessions[-1]
+
+    def checked(boxes, ws, involving=None):
+        got = real(boxes, ws, involving)
+        session = sessions[-1]
+        assert boxes is session.boxes
+        fresh = depgraph.footprints(session.current, session.instance.shapes)
+        rounds.append((got, real(fresh, ws), involving))
         return got
 
+    monkeypatch.setattr(sim, "new_session", opened)
     monkeypatch.setattr(sim, "arrangement_violations", checked)
     return rounds
 
@@ -602,11 +613,10 @@ def test_held_boxes_match_fresh_footprints_after_every_round(monkeypatch):
         assert list(session.goal_boxes.items()) == goals
         left = sorted(session.remaining)
         graph = depgraph.build_dependency_graph(
-            depgraph.Arrangement({i: session.current.pose_of(i) for i in left}),
-            depgraph.Arrangement({i: inst.goal.pose_of(i) for i in left}),
-            shapes,
-            inst.workspace,
-            check=False,
+            depgraph.footprints(
+                depgraph.Arrangement({i: session.current.pose_of(i) for i in left}), shapes
+            ),
+            depgraph.footprints(depgraph.Arrangement({i: inst.goal.pose_of(i) for i in left}), shapes),
         )
         assert session.graph_over_remaining() == graph
         rounds.append(bool(session.buffered))
