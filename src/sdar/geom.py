@@ -268,14 +268,70 @@ def box_clearance(a: OrientedBox, b: OrientedBox) -> float:
 def boxes_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
     """True iff the rectangles overlap or their gap is below `gap`.  The gap
     of disjoint rectangles is the least of the 8 vertex-to-box distances of
-    `_separated_distance`, and it is below `gap` iff one of them is, so the
-    scan stops at the first such vertex."""
-    dx = b.center.x - a.center.x
-    dy = b.center.y - a.center.y
-    reach = a.circumradius + b.circumradius + gap
-    if dx * dx + dy * dy > reach * reach:
+    `_separated_distance`, and it is below `gap` iff one of them is.
+
+    It is the bounding-circle prefilter, then `overlaps(a, b) or
+    _corner_closer_than(a, b, gap)`, written out as one straight-line
+    kernel: the separating-axis gaps and the vertex-to-box distances use the
+    float operations of `overlaps` and `point_box_distance`, so every
+    verdict is theirs.  A vertex inside the other box, where both of
+    `point_box_distance`'s excesses are at most 0, is at distance 0.0
+    without a `math.hypot` call."""
+    ac, bc = a.center, b.center
+    acx, acy, bcx, bcy = ac.x, ac.y, bc.x, bc.y
+    dx = bcx - acx
+    dy = bcy - acy
+    d2 = dx * dx + dy * dy
+    ra, rb = a.circumradius, b.circumradius
+    reach = ra + rb + gap
+    if d2 > reach * reach:
         return False
-    return overlaps(a, b) or _corner_closer_than(a, b, gap)
+    aw, ah, bw, bh = a.half_width, a.half_height, b.half_width, b.half_height
+    (aux, auy), (avx, avy) = a._axes
+    (bux, buy), (bvx, bvy) = b._axes
+    reach = ra + rb
+    if not d2 > reach * reach + EPS:
+        # overlaps: no separating gap above EPS on any of the four axes
+        for x, y in a._axes + b._axes:
+            c = dx * x + dy * y
+            pa = x * aux + y * auy
+            qa = x * avx + y * avy
+            pb = x * bux + y * buy
+            qb = x * bvx + y * bvy
+            if (c if c >= 0.0 else -c) - (
+                (aw * (pa if pa >= 0.0 else -pa) + ah * (qa if qa >= 0.0 else -qa))
+                + (bw * (pb if pb >= 0.0 else -pb) + bh * (qb if qb >= 0.0 else -qb))
+            ) > EPS:
+                break
+        else:
+            return True
+    # point_box_distance of a's vertices to b, then of b's vertices to a
+    hypot = math.hypot
+    for px, py in a._corners:
+        qx = px - bcx
+        qy = py - bcy
+        lx = qx * bux + qy * buy
+        ly = qx * bvx + qy * bvy
+        ex = (lx if lx >= 0.0 else -lx) - bw
+        ey = (ly if ly >= 0.0 else -ly) - bh
+        if ex <= 0.0 and ey <= 0.0:
+            if 0.0 < gap:
+                return True
+        elif hypot(0.0 if 0.0 > ex else ex, 0.0 if 0.0 > ey else ey) < gap:
+            return True
+    for px, py in b._corners:
+        qx = px - acx
+        qy = py - acy
+        lx = qx * aux + qy * auy
+        ly = qx * avx + qy * avy
+        ex = (lx if lx >= 0.0 else -lx) - aw
+        ey = (ly if ly >= 0.0 else -ly) - ah
+        if ex <= 0.0 and ey <= 0.0:
+            if 0.0 < gap:
+                return True
+        elif hypot(0.0 if 0.0 > ex else ex, 0.0 if 0.0 > ey else ey) < gap:
+            return True
+    return False
 
 
 def near_miss(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
@@ -374,24 +430,21 @@ def surely_blocked(x: float, y: float, near, sure: float) -> bool:
     return False
 
 
-def blocked(
-    box: OrientedBox, near, gap: float, closer=boxes_closer_than, overlap=overlaps
-) -> bool:
+def blocked(box: OrientedBox, near, gap: float, closer=boxes_closer_than) -> bool:
     """True iff the exact test (boxes_closer_than for gap > 0, overlaps
     otherwise) rejects `box` against an obstacle in `near`, a list of
     (x, y, reach², box) entries with reach² from `prefilter_reach2`.
     Obstacles whose centres lie beyond the prefilter reach are skipped
     without calling it: the test's own prefilter would clear them.  A caller
-    may pass its own names for the two tests (`closer`, `overlap`), so that
-    a wrapper installed on them sees the calls, or another test with the
-    same prefilter as `closer`, such as near_miss."""
+    may pass another test with the same prefilter as `closer`, such as
+    near_miss."""
     x, y = box.center.x, box.center.y
     for ox, oy, reach2, ob in near:
         dx = ox - x
         dy = oy - y
         if dx * dx + dy * dy > reach2:
             continue
-        if closer(box, ob, gap) if gap > 0.0 else overlap(box, ob):
+        if closer(box, ob, gap) if gap > 0.0 else overlaps(box, ob):
             return True
     return False
 

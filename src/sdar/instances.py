@@ -99,10 +99,14 @@ def _validate(inst: Instance, start_boxes, goal_boxes) -> list[str]:
     return issues
 
 
-def _place_all(rng, ws, shapes, attempts_budget, cross_boxes=()) -> Arrangement:
+def _place_all(
+    rng, ws, shapes, attempts_budget, cross_boxes=()
+) -> tuple[Arrangement, dict[int, OrientedBox]]:
     """Rejection-sample poses keeping MIN_GAP between same-arrangement
     footprints; against `cross_boxes` a pose must either overlap cleanly
     (an intended dependency) or keep MIN_GAP (no razor-thin near misses).
+    Returns the arrangement and its footprint map, the boxes the draws
+    accepted, keyed in id order as `depgraph.footprints` keys them.
 
     Every attempt draws x, y and theta (three `rng.uniform` calls) whatever
     its fate, and all objects share one budget of attempts.  Before an
@@ -115,7 +119,7 @@ def _place_all(rng, ws, shapes, attempts_budget, cross_boxes=()) -> Arrangement:
     gets the verdict of a full scan against every box, and the arrangement,
     the rng's state and a GenerationExhausted message are those of one."""
     placed: dict[int, Pose2] = {}
-    boxes: list[OrientedBox] = []
+    accepted: dict[int, OrientedBox] = {}
     uniform = rng.uniform
     attempts = 0
     for obj in sorted(shapes):
@@ -125,11 +129,11 @@ def _place_all(rng, ws, shapes, attempts_budget, cross_boxes=()) -> Arrangement:
         x_hi = ws.width - margin
         y_hi = ws.height - margin
         discs = []  # (x, y, inner²) of the placed boxes
-        for b in boxes:
+        for b in accepted.values():
             inner2 = blocked_within2(inner, b, MIN_GAP)
             if inner2 > 0.0:
                 discs.append((b.center.x, b.center.y, inner2))
-        near = [_reach_entry(margin, b) for b in boxes]
+        near = [_reach_entry(margin, b) for b in accepted.values()]
         cross = [_reach_entry(margin, b) for b in cross_boxes]
         sure = blocked_within_box(inner, MIN_GAP)
         while True:
@@ -158,8 +162,8 @@ def _place_all(rng, ws, shapes, attempts_budget, cross_boxes=()) -> Arrangement:
                 ):
                     break
         placed[obj] = pose
-        boxes.append(box)
-    return Arrangement(placed)
+        accepted[obj] = box
+    return Arrangement(placed), accepted
 
 
 def _reach_entry(margin: float, b: OrientedBox) -> tuple:
@@ -198,10 +202,9 @@ def gen_random(n: int, seed: int, workspace: Workspace | None = None) -> Instanc
             i: (rng.uniform(*RAND_HALF_RANGE), rng.uniform(*RAND_HALF_RANGE))
             for i in range(n)
         }
-        start = _place_all(rng, ws, shapes, 10_000)
-        start_boxes = [box_at(p, *shapes[i]) for i, p in start.on_table()]
-        goal = _place_all(rng, ws, shapes, 10_000, cross_boxes=start_boxes)
-        return Instance(ws, shapes, start, goal, f"R{n}", seed)
+        start, start_boxes = _place_all(rng, ws, shapes, 10_000)
+        goal, goal_boxes = _place_all(rng, ws, shapes, 10_000, cross_boxes=start_boxes.values())
+        return Instance(ws, shapes, start, goal, f"R{n}", seed), (start_boxes, goal_boxes)
 
     return _audited(build, seed)
 
@@ -268,20 +271,28 @@ def _ring_arrangements(rng, slots, shapes, ids):
     return Arrangement(start), Arrangement(goal)
 
 
-def _audited(builder, seed, audit=lambda inst: [], cap=50):
+def _audited(builder, seed, audit=None, cap=50):
     """The first instance `builder(seed, attempt)` builds that passes
-    validation, then `audit` (its structure complaints) and the gap audit."""
+    validation, then `audit` (its complaints about the decomposition of the
+    dependency graph, if given) and the gap audit.  A builder returns an
+    instance, or an instance and its start and goal footprint maps when it
+    has built them already; the checks all read one pair of maps."""
     last = "no attempt"
     for attempt in range(cap):
         try:
-            inst = builder(seed, attempt)
+            built = builder(seed, attempt)
         except GenerationExhausted as exc:
             last = str(exc)
             continue
-        boxes = footprints(inst.start, inst.shapes), footprints(inst.goal, inst.shapes)
+        if isinstance(built, Instance):
+            inst = built
+            boxes = footprints(inst.start, inst.shapes), footprints(inst.goal, inst.shapes)
+        else:
+            inst, boxes = built
         problems = _validate(inst, *boxes)
         if not problems:
-            problems = audit(inst) + _gap_audit(inst, *boxes)
+            structure = audit(decompose(build_dependency_graph(*boxes))) if audit else []
+            problems = structure + _gap_audit(inst, *boxes)
         if not problems:
             return inst
         last = "; ".join(problems)
@@ -304,11 +315,10 @@ def gen_single_cycle(n: int, seed: int, workspace: Workspace | None = None) -> I
         start, goal = _ring_arrangements(rng, slots, shapes, list(range(n)))
         return Instance(ws, shapes, start, goal, f"S{n}", seed)
 
-    def audit(inst):
-        d = decompose(inst.graph())
+    def audit(d):
         ok = (
             len(d.cycles) == 1
-            and sorted(d.cycles[0]) == inst.ids()
+            and sorted(d.cycles[0]) == list(range(n))
             and not d.chains
             and not d.isolated
             and not d.complex_sccs
@@ -342,8 +352,7 @@ def gen_double_cycle(n: int, seed: int, workspace: Workspace | None = None) -> I
         goal = Arrangement({**g1.poses, **g2.poses})
         return Instance(ws, shapes, start, goal, f"D{n}", seed)
 
-    def audit(inst):
-        d = decompose(inst.graph())
+    def audit(d):
         ok = (
             len(d.cycles) == 2
             and sorted(len(c) for c in d.cycles) == sorted((n1, n2))
@@ -424,8 +433,7 @@ def gen_mixed(seed: int, workspace: Workspace | None = None) -> Instance:
 
         return Instance(ws, shapes, Arrangement(start), Arrangement(goal), f"M{seed}", seed)
 
-    def audit(inst):
-        d = decompose(inst.graph())
+    def audit(d):
         ok = (
             len(d.isolated) == 3
             and len(d.chains) == 1

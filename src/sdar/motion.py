@@ -20,18 +20,17 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .geom import (
+    EPS,
     MIN_GAP,
     OrientedBox,
     PathWalker,
     Point,
     Pose2,
     Workspace,
-    blocked,
     blocked_within2,
     blocked_within_box,
     box_at,
@@ -42,7 +41,6 @@ from .geom import (
     overlaps,
     prefilter_reach2,
     segment_clearance,
-    surely_blocked,
 )
 from .taskplan import GOAL, RELAY, PlannerSession, TaskPlan, assign_arms
 
@@ -325,55 +323,83 @@ def sample_buffers(
     the same pose may come back more than once.  Rejection sampling stops at
     k accepts or after a fixed budget of BUFFER_DRAWS draws, whatever k is;
     each draw takes three `rng.uniform` values (x, y, theta) whatever its
-    fate.  A draw nearer to an obstacle's rectangle than the draw's
-    inscribed radius plus the gap is rejected before its box is built.
-    While that bound is positive it rejects every draw centred within an
-    obstacle's inner disc (`blocked_within2`), so the inner discs are kept
-    only as a cheaper first pass.  Both tests are sure rejections, so
-    neither changes a result.  The obstacles are listed once in a grid
-    (`BufferGrid`), so these broad-phase tests visit only the obstacles of
-    the draw's own cell.
+    fate, and `rng.uniform(a, b)` must return a value between a and b (up
+    to rounding), as `random.Random`'s does.
 
-    min_gap > 0 additionally keeps finger room around the parked object;
-    min_gap == 0 is the bare non-overlap contract."""
+    The obstacles are listed once in a grid (`BufferGrid`), and a draw
+    reads only its own cell.  A draw centred within an obstacle's inner disc
+    (`blocked_within2`) is surely rejected.  Otherwise one pass over the
+    cell's reach entries skips each obstacle beyond its reach disc (the
+    exact test's own prefilter would clear it), surely rejects a draw nearer
+    to an obstacle's rectangle than the draw's inscribed radius plus the gap
+    (`blocked_within_box`; whenever that bound is positive it covers the
+    inner discs, which are only a cheaper first test), and collects the
+    obstacles in reach.  A draw with none in reach builds no box when it
+    lies in the draw domain, which proves its box inside the workspace
+    (`FIT_ROUNDING`); any other draw's box gets `inside` and the exact test
+    against the obstacles in reach, in the order they were given.
+    Sure rejections and skips change no verdict, so the poses, the
+    exact-test calls and the rng's state are those of a scan over every
+    obstacle.
+
+    min_gap > 0 additionally keeps finger room around the parked object
+    (`boxes_closer_than`); min_gap == 0 is the bare non-overlap contract
+    (`overlaps`)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     hw, hh = buffered_shape
     grid = BufferGrid(buffered_shape, min_gap, workspace)
     for ob in obstacles:
         grid.add(ob)
+    inner, reach, inv, gx, gy, rows = grid.inner, grid.reach, grid.inv, grid.gx, grid.gy, grid.rows
+    sure = blocked_within_box(grid.inner_radius, min_gap)
     margin = grid.margin
-    uniform = rng.uniform
     x_hi = workspace.width - margin
     y_hi = workspace.height - margin
-    inner_of = grid.inner.get
-    reach_of = grid.reach.get
-    sure = blocked_within_box(grid.inner_radius, min_gap)
+    # a box centred in [margin, x_hi] x [margin, y_hi] is inside the
+    # workspace, up to rounding that EPS covers on such a table
+    fits = (workspace.width + workspace.height) * FIT_ROUNDING <= EPS
+    uniform = rng.uniform
+    hypot = math.hypot
+    pi = math.pi
     found: list[Pose2] = []
     for _ in range(BUFFER_DRAWS):
-        if len(found) == k:
-            break
         x = uniform(margin, x_hi)
         y = uniform(margin, y_hi)
-        theta = uniform(-math.pi, math.pi)
-        cell = grid.cell(x, y)
-        for ox, oy, inner2 in inner_of(cell, ()):
+        theta = uniform(-pi, pi)
+        i = int(x * inv - gx) * rows + int(y * inv - gy)
+        for ox, oy, inner2 in inner[i]:
             dx = ox - x
             dy = oy - y
             if dx * dx + dy * dy < inner2:
                 break  # centred within an inner disc: surely rejected
         else:
-            near = reach_of(cell, ())
-            if surely_blocked(x, y, near, sure):
-                continue
-            pose = Pose2(x, y, theta)
-            box = box_at(pose, hw, hh)
-            # this module's names for the exact tests, so that the probes
-            # perfbench installs on `motion` see their calls
-            if inside(workspace, box) and not blocked(
-                box, near, min_gap, boxes_closer_than, overlaps
-            ):
+            near = []
+            for ox, oy, reach2, ux, uy, bw, bh, ob in reach[i]:
+                dx = x - ox
+                dy = y - oy
+                if dx * dx + dy * dy > reach2:
+                    continue
+                # geom.point_box_distance((x, y), ob) < sure, written out
+                lx = dx * ux + dy * uy
+                ly = dy * ux - dx * uy
+                ax = (lx if lx >= 0.0 else -lx) - bw
+                ay = (ly if ly >= 0.0 else -ly) - bh
+                if ax > 0.0 or ay > 0.0:
+                    if hypot(ax if ax > 0.0 else 0.0, ay if ay > 0.0 else 0.0) < sure:
+                        break
+                elif sure > 0.0:
+                    break  # centred within the rectangle
+                near.append(ob)
+            else:
+                pose = Pose2(x, y, theta)
+                if near or not (fits and margin <= x <= x_hi and margin <= y <= y_hi):
+                    box = box_at(pose, hw, hh)
+                    if not (inside(workspace, box) and _clears(box, near, min_gap)):
+                        continue
                 found.append(pose)
+                if len(found) == k:
+                    break
     if not found:
         raise BufferSamplingExhausted(
             f"no buffer pose found within {BUFFER_DRAWS} draws for shape {buffered_shape}"
@@ -381,42 +407,90 @@ def sample_buffers(
     return found
 
 
+def _clears(box: OrientedBox, near: list[OrientedBox], min_gap: float) -> bool:
+    """True iff the exact test (boxes_closer_than for min_gap > 0, overlaps
+    otherwise) clears `box` against every obstacle in `near`.  It calls this
+    module's names for the tests, so that the probes perfbench installs on
+    `motion` see the calls."""
+    if min_gap > 0.0:
+        for ob in near:
+            if boxes_closer_than(box, ob, min_gap):
+                return False
+    else:
+        for ob in near:
+            if overlaps(box, ob):
+                return False
+    return True
+
+
 # Cells across the workspace diagonal, at most: with cells no smaller than
 # that, than the draw's circumradius and than the gap, a disc spans a bounded
 # number of cells whatever the shapes.
 GRID_MAX_CELLS = 64
+# Cell side in circumradii of the buffered object.  On a `default` pass an
+# obstacle's two discs are listed in 29 cells, against 54 with cells one
+# circumradius wide; a draw reads one cell, a call lists every obstacle, and
+# the longer cell lists cost less than the listing saved.
+GRID_CELL_RADII = 1.5
 # Pad on a disc's bounding square, relative to its radius and coordinates:
 # far above the rounding in a square root or a cell index, far below a cell.
 GRID_PAD = 1e-9
+# Bound on the rounding in a box's corners, relative to the workspace size:
+# it is a few ulps of the size, far below this.  A box centred its
+# circumradius or more from each edge of the table is inside it, up to that
+# rounding, which `inside`'s EPS tolerance covers on tables up to
+# EPS / FIT_ROUNDING (about 1,100) in width plus height; `sample_buffers`
+# builds no box for such a draw with nothing in reach.
+FIT_ROUNDING = 2.0**-40
 
 
 class BufferGrid:
     """The fixed obstacles of one `sample_buffers` call (on-table objects
-    and pending goals) in a uniform grid of square cells, cell (0, 0) at the
-    origin.
+    and pending goals) in two flat lists of square cells, `inner` and
+    `reach`, that cover only the draw domain (the rectangle between
+    (margin, margin) and (width - margin, height - margin)) plus one cell of
+    rounding slack on each side.  A point (x, y) of it is in cell
+    `int(x * inv - gx) * rows + int(y * inv - gy)`.
 
     Each obstacle has an inner disc of squared radius `blocked_within2`
-    (a draw centred inside is surely rejected) and a reach disc of squared
-    radius `prefilter_reach2` (one centred outside is cleared by the exact
-    test's own prefilter).  A disc is listed in every cell its padded
-    bounding square touches, in the order the obstacles were added.  Cell
-    indices are monotone in the coordinates and the pad covers the rounding
-    in the square's edges, so a point that a disc's own test puts inside
-    finds the disc in its cell."""
+    (a draw centred inside is surely rejected), listed as (x, y, inner²)
+    unless it is not positive, and a reach disc of squared radius
+    `prefilter_reach2` (a draw centred outside is cleared by the exact
+    test's own prefilter), listed as (x, y, reach², ux, uy, half width,
+    half height, box): the obstacle's first axis and half extents are for
+    the rectangle-distance bound.  A disc is listed in every cell of the
+    grid that its padded bounding square touches, in the order the
+    obstacles were added.  Cell indices are monotone in the coordinates and
+    the pad covers the rounding in the square's edges, so a draw that a
+    disc's own test puts inside finds the disc in its cell."""
 
     def __init__(self, buffered_shape: tuple[float, float], min_gap: float, workspace: Workspace):
         hw, hh = buffered_shape
-        self.margin = math.hypot(hw, hh)
+        self.margin = margin = math.hypot(hw, hh)
         self.inner_radius = min(hw, hh)
         self.min_gap = min_gap
-        self.side = max(self.margin, min_gap, workspace.diagonal / GRID_MAX_CELLS)
-        self.inv = 1.0 / self.side
-        self.inner: defaultdict[tuple[int, int], list] = defaultdict(list)  # (x, y, inner²)
-        self.reach: defaultdict[tuple[int, int], list] = defaultdict(list)  # (x, y, reach², box)
+        self.side = max(GRID_CELL_RADII * margin, min_gap, workspace.diagonal / GRID_MAX_CELLS)
+        self.inv = inv = 1.0 / self.side
+        w, h = workspace.width, workspace.height
+        # uniform(margin, w - margin) lies between its bounds in either order
+        x_lo, x_hi = sorted((margin, w - margin))
+        y_lo, y_hi = sorted((margin, h - margin))
+        self.gx = float(math.floor(x_lo * inv) - 1)
+        self.gy = float(math.floor(y_lo * inv) - 1)
+        self.cols = self._col(x_hi) + 2
+        self.rows = self._row(y_hi) + 2
+        self.inner: list = [()] * (self.cols * self.rows)
+        self.reach: list = [()] * (self.cols * self.rows)
 
-    def cell(self, x: float, y: float) -> tuple[int, int]:
-        inv = self.inv
-        return (math.floor(x * inv), math.floor(y * inv))
+    def _col(self, x: float) -> int:
+        return math.floor(x * self.inv - self.gx)
+
+    def _row(self, y: float) -> int:
+        return math.floor(y * self.inv - self.gy)
+
+    def cell(self, x: float, y: float) -> int:
+        """The cell index of a point of the draw domain."""
+        return self._col(x) * self.rows + self._row(y)
 
     def add(self, ob: OrientedBox) -> None:
         """List an obstacle's discs; an inner disc that is not positive
@@ -426,17 +500,25 @@ class BufferGrid:
         if inner2 > 0.0:
             self._list(self.inner, x, y, inner2, (x, y, inner2))
         reach2 = prefilter_reach2(self.margin, ob, self.min_gap)
-        self._list(self.reach, x, y, reach2, (x, y, reach2, ob))
+        (ux, uy), _ = ob.axes()
+        entry = (x, y, reach2, ux, uy, ob.half_width, ob.half_height, ob)
+        self._list(self.reach, x, y, reach2, entry)
 
     def _list(self, cells, x: float, y: float, r2: float, entry) -> None:
+        """List `entry` in the cells of the grid that the padded bounding
+        square of the disc about (x, y) of squared radius r2 touches."""
         r = math.sqrt(r2)
         h = r + GRID_PAD * (r + abs(x) + abs(y))
-        lo_x, lo_y = self.cell(x - h, y - h)
-        hi_x, hi_y = self.cell(x + h, y + h)
-        rows = range(lo_y, hi_y + 1)
-        for ix in range(lo_x, hi_x + 1):
-            for iy in rows:
-                cells[ix, iy].append(entry)
+        rows = self.rows
+        lo_y = max(self._row(y - h), 0)
+        hi_y = min(self._row(y + h), rows - 1)
+        for ix in range(max(self._col(x - h), 0), min(self._col(x + h), self.cols - 1) + 1):
+            for i in range(ix * rows + lo_y, ix * rows + hi_y + 1):
+                listed = cells[i]
+                if listed:
+                    listed.append(entry)
+                else:
+                    cells[i] = [entry]
 
 
 # ------------------------------------------------------ sub-task binding

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdar import geom
 from sdar.geom import (
+    EPS,
     MIN_GAP,
     OrientedBox,
     PathWalker,
@@ -534,6 +536,61 @@ def test_boxes_closer_than_is_strict_at_the_gap():
             for first, second in ((a, b), (b, a)):
                 assert not boxes_closer_than(first, second, gap)
                 assert boxes_closer_than(first, second, gap + 2.0**-20)
+
+
+def boxes_closer_than_reference(a, b, gap):
+    """boxes_closer_than as two calls: the bounding-circle prefilter, then
+    overlaps and the vertex-to-box scan."""
+    dx = b.center.x - a.center.x
+    dy = b.center.y - a.center.y
+    reach = a.circumradius + b.circumradius + gap
+    if dx * dx + dy * dy > reach * reach:
+        return False
+    return overlaps(a, b) or geom._corner_closer_than(a, b, gap)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_boxes_closer_than_matches_the_two_call_form(data):
+    # random pairs; pairs flush along one of a's edge lines or corner to
+    # corner along its diagonal, at or a hair from touching or the gap; pairs
+    # turned 45 degrees to each other; and degenerate boxes, a hair thin or
+    # far longer than wide
+    half = st.floats(0.005, 0.2) | st.sampled_from([1e-12, 1e-9, 2.0**-30, 0.7])
+    turn = st.floats(-math.pi, math.pi) | st.sampled_from([0.0, math.pi / 4, math.pi / 2])
+
+    def box(label):
+        x = data.draw(st.floats(-0.6, 0.6), label=label + "x")
+        y = data.draw(st.floats(-0.6, 0.6), label=label + "y")
+        theta = data.draw(turn, label=label + "t")
+        return box_at(Pose2(x, y, theta), data.draw(half), data.draw(half))
+
+    gaps = st.sampled_from([0.0, MIN_GAP, 2.0**-6, -0.01]) | st.floats(1e-4, 0.2)
+    gap = data.draw(gaps, label="gap")
+    a = box("a")
+    kind = data.draw(st.sampled_from(["random", "flush", "corner", "turned"]), label="kind")
+    if kind == "random":
+        b = box("b")
+    else:
+        bw, bh = data.draw(half, label="bw"), data.draw(half, label="bh")
+        hairs = [0.0, 1e-12, -1e-12, EPS, -EPS, 2 * EPS]
+        offsets = hairs + [gap, gap * (1 + 1e-12), gap * (1 - 1e-12)]
+        off = data.draw(st.sampled_from(offsets), label="off")
+        (ux, uy), (vx, vy) = a.axes()
+        theta = a.center.theta + (math.pi / 4 if kind == "turned" else 0.0)
+        along = 0.0
+        if kind == "corner":
+            d = a.circumradius + math.hypot(bw, bh) + off
+            ux, uy = (ux + vx) / math.sqrt(2.0), (uy + vy) / math.sqrt(2.0)
+            theta += data.draw(st.sampled_from([0.0, math.pi / 4]), label="corner turn")
+        else:
+            d = a.half_width + bw + off
+            along = data.draw(st.floats(-0.3, 0.3) | st.just(0.0), label="along")
+        x = a.center.x + d * ux + along * vx
+        y = a.center.y + d * uy + along * vy
+        b = box_at(Pose2(x, y, theta), bw, bh)
+    assert boxes_closer_than(a, b, gap) == boxes_closer_than_reference(a, b, gap)
+    assert boxes_closer_than(b, a, gap) == boxes_closer_than_reference(b, a, gap)
 
 
 @settings(max_examples=300, deadline=None)

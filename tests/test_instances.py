@@ -184,9 +184,9 @@ def test_default_suite_shape():
 def place_all_reference(rng, ws, shapes, attempts_budget, cross_boxes=()):
     """_place_all without the broad phase: every draw's box is built and
     tested against every placed box and every cross box with the exact
-    predicates."""
+    predicates.  Returns the arrangement and its footprint map."""
     placed = {}
-    boxes = []
+    boxes = {}
     attempts = 0
     for obj in sorted(shapes):
         hw, hh = shapes[obj]
@@ -205,7 +205,7 @@ def place_all_reference(rng, ws, shapes, attempts_budget, cross_boxes=()):
             box = box_at(pose, hw, hh)
             if not inside(ws, box):
                 continue
-            if any(boxes_closer_than(box, b, MIN_GAP) for b in boxes):
+            if any(boxes_closer_than(box, b, MIN_GAP) for b in boxes.values()):
                 continue
             if any(
                 not overlaps(box, b) and boxes_closer_than(box, b, MIN_GAP)
@@ -213,15 +213,16 @@ def place_all_reference(rng, ws, shapes, attempts_budget, cross_boxes=()):
             ):
                 continue
             placed[obj] = pose
-            boxes.append(box)
+            boxes[obj] = box
             break
-    return Arrangement(placed)
+    return Arrangement(placed), boxes
 
 
 def _placements(place, n, seed, budget, ws):
     """What gen_random's first attempt does with `place`: the start, then
     the goal against the start's boxes.  Each outcome is an arrangement's
-    poses or an exhaustion message, with the rng's state after it."""
+    poses or an exhaustion message, with the rng's state after it; the
+    boxes `place` returns must be the arrangement's footprint map."""
     rng = random.Random(("R", n, seed, 0).__repr__())
     shapes = {
         i: (rng.uniform(*instances.RAND_HALF_RANGE), rng.uniform(*instances.RAND_HALF_RANGE))
@@ -231,12 +232,13 @@ def _placements(place, n, seed, budget, ws):
     cross = ()
     for _ in range(2):
         try:
-            arr = place(rng, ws, shapes, budget, cross_boxes=cross)
+            arr, boxes = place(rng, ws, shapes, budget, cross_boxes=cross)
         except GenerationExhausted as exc:
             out.append((str(exc), rng.getstate()))
             break
+        assert list(boxes.items()) == list(footprints(arr, shapes).items())
         out.append((arr.poses, rng.getstate()))
-        cross = [box_at(p, *shapes[i]) for i, p in arr.on_table()]
+        cross = boxes.values()
     return out
 
 

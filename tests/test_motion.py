@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdar import instances, motion, sim
 from sdar.depgraph import Arrangement, footprint, footprints
@@ -337,16 +339,18 @@ def _same_as_reference(obstacles, shape, ws, rng_for, k, min_gap):
 
 def test_sample_buffers_draws_on_cell_edges():
     # squares turned 45 degrees touch corner to corner at the summed
-    # circumradii (less the gap); a draw sits exactly on a cell edge with an
-    # obstacle touching it from each side, and again just clear of it
+    # circumradii (less the gap); a draw sits exactly on a cell edge in the
+    # draw domain with an obstacle touching it from each side, and again
+    # just clear of it
     ws = Workspace()
     shape = (0.03, 0.03)
     r = math.hypot(*shape)
     for min_gap in (0.0, MIN_GAP):
         side = motion.BufferGrid(shape, min_gap, ws).side
         touch = 2 * r + max(min_gap - 1e-6, 0.0)
-        for mx, my in ((8, 5), (11, 4), (13, 9)):
+        for mx, my in ((8, 5), (11, 4), (13, 2)):
             x, y = mx * side, my * side
+            assert r <= x <= ws.width - r and r <= y <= ws.height - r
             for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 for extra, blocked in ((0.0, True), (2e-6, False)):
                     d = touch + extra
@@ -394,6 +398,77 @@ def test_sample_buffers_rectangle_bound_keeps_boundary_draws():
                         assert got == [Pose2(*draw) if offset > 0.0 else Pose2(*far)], (alpha, min_gap, offset)
 
 
+def test_sample_buffers_builds_no_box_for_a_draw_with_nothing_in_reach(monkeypatch):
+    # draws at the corners of the draw domain, turned so that a corner of
+    # the box reaches furthest towards the table's edge, pass as they pass
+    # the reference's `inside`, with no box built when nothing is in reach;
+    # a draw the domain does not prove inside the table gets its box
+    built = []
+    real_box_at = motion.box_at
+    monkeypatch.setattr(motion, "box_at", lambda *args: built.append(args) or real_box_at(*args))
+    shape = (0.05, 0.02)
+    m = math.hypot(*shape)
+    diag = math.atan2(shape[1], shape[0])
+    hair = math.nextafter(m, 0.0)
+    for ws, boxes, lo in (
+        (Workspace(), False, m),
+        (Workspace(0.4, 0.11), False, m),
+        (Workspace(), True, hair),  # a draw a hair outside the domain
+        (Workspace(2e3, 1e3), True, m),  # too large for the rounding bound
+        (Workspace(0.09, 0.3), True, m),  # narrower than the box: no domain
+    ):
+        draws = []
+        for x in (lo, ws.width - m):
+            for y in (lo, ws.height - m):
+                for theta in (diag, -diag, math.pi - diag, diag - math.pi, 0.0, math.pi / 2):
+                    draws += [x, y, theta]
+        k = len(draws) // 3
+        # repeated for a call that accepts none of them and runs its budget
+        script = draws * (motion.BUFFER_DRAWS // k)
+        built.clear()
+        got = _same_as_reference([], shape, ws, lambda: ScriptedRng(script), k, MIN_GAP)
+        assert bool(built) == boxes, ws
+        if not boxes:
+            assert len(got) == k
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sample_buffers_matches_reference_on_random_tables(data):
+    # random obstacle sets (some reaching over the table's edge, some
+    # elongated, some larger than the table) on random tables, for a
+    # buffered object that is square-ish, elongated or larger than the table
+    ws = Workspace(data.draw(st.floats(0.2, 1.5), label="w"), data.draw(st.floats(0.2, 1.0), label="h"))
+    kind = data.draw(st.sampled_from(["box", "elongated", "huge"]), label="kind")
+    if kind == "box":
+        shape = (data.draw(st.floats(0.005, 0.08)), data.draw(st.floats(0.005, 0.08)))
+    elif kind == "elongated":
+        shape = (data.draw(st.floats(0.002, 0.01)), data.draw(st.floats(0.05, 0.25)))
+        shape = shape[:: data.draw(st.sampled_from([1, -1]))]
+    else:
+        big = max(ws.width, ws.height)
+        shape = (data.draw(st.floats(0.3 * big, 1.2 * big)), data.draw(st.floats(0.01, 1.2 * big)))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    n = data.draw(st.integers(0, 14), label="n")
+    table = random.Random(seed)
+    obstacles = []
+    for _ in range(n):
+        half = [table.uniform(0.003, 0.12), table.uniform(0.003, 0.12)]
+        if table.random() < 0.2:
+            half[0] *= 4.0  # elongated
+        if table.random() < 0.05:
+            half = [1.1 * ws.width, 1.1 * ws.height]  # larger than the table
+        pose = Pose2(
+            table.uniform(-0.05, ws.width + 0.05),
+            table.uniform(-0.05, ws.height + 0.05),
+            table.uniform(-math.pi, math.pi),
+        )
+        obstacles.append(box_at(pose, *half))
+    min_gap = data.draw(st.sampled_from([0.0, MIN_GAP]), label="min_gap")
+    k = data.draw(st.sampled_from([1, 3, 40]), label="k")
+    _same_as_reference(obstacles, shape, ws, lambda: random.Random(seed + 1), k, min_gap)
+
+
 def _inside(disc, px, py, strict):
     ox, oy, r2 = disc[:3]
     dx = ox - px
@@ -403,17 +478,24 @@ def _inside(disc, px, py, strict):
 
 
 def _discs(cells):
-    return {disc for listed in cells.values() for disc in listed}
+    return {disc for listed in cells for disc in listed}
+
+
+def _domain(grid, ws):
+    """The x and y ranges of the draws: uniform(margin, size - margin) lies
+    between its bounds in either order."""
+    m = grid.margin
+    return sorted((m, ws.width - m)), sorted((m, ws.height - m))
 
 
 def _assert_listed(grid, points):
     """Every disc whose own test puts a point inside is in the point's cell:
-    the inner test is strict (`sample_buffers`), the reach test is not
-    (`geom.surely_blocked`, `geom.blocked`)."""
+    the inner test is strict (`sample_buffers`' first pass), the reach test
+    is not (its second pass)."""
     for cells, strict in ((grid.inner, True), (grid.reach, False)):
         discs = _discs(cells)
         for px, py in points:
-            listed = cells.get(grid.cell(px, py), ())
+            listed = cells[grid.cell(px, py)]
             for disc in discs:
                 if _inside(disc, px, py, strict):
                     assert disc in listed, (disc, px, py, strict)
@@ -430,42 +512,102 @@ def _ulps(v, n):
 
 
 def test_buffer_grid_lists_each_disc_in_every_cell_it_reaches():
+    # the grid covers only the draw domain (plus a cell of slack), so the
+    # rim of every disc is swept where it lies in the domain, and so are the
+    # domain's own edges where they cross a disc: discs centred near the
+    # table's edge are clipped there
     ws = Workspace()
     rng = random.Random(7)
+    clipped = 0
     for min_gap in (MIN_GAP, 0.0):
         for shape in ((0.03, 0.02), (0.004, 0.005), (0.1, 0.01)):
             grid = motion.BufferGrid(shape, min_gap, ws)
+            (x_lo, x_hi), (y_lo, y_hi) = _domain(grid, ws)
             for _ in range(6):
                 half = (rng.uniform(0.003, 0.15), rng.uniform(0.003, 0.15))
                 grid.add(box_at(Pose2(rng.uniform(0, 1), rng.uniform(0, 0.6), rng.uniform(-3, 3)), *half))
             # the rim of every disc along the axes and diagonals, a few ulps
-            # either way in each coordinate
+            # either way in each coordinate, and the domain's edges level
+            # with the disc's centre
             rims = set()
             for cells in (grid.inner, grid.reach):
                 for ox, oy, r2, *_ in _discs(cells):
                     rad = math.sqrt(r2)
+                    clipped += ox - rad < x_lo or ox + rad > x_hi or oy - rad < y_lo
                     for ux, uy in ((1, 0), (-1, 0), (0, 1), (0, -1), (0.6, 0.8), (-0.8, 0.6)):
                         for px in _ulps(ox + ux * rad, 3):
                             for py in _ulps(oy + uy * rad, 3):
                                 rims.add((px, py))
-            _assert_listed(grid, rims)
+                    for ex in (x_lo, x_hi):
+                        for py in _ulps(oy, 3):
+                            rims.add((ex, py))
+                    for ey in (y_lo, y_hi):
+                        for px in _ulps(ox, 3):
+                            rims.add((px, ey))
+            drawn = [(px, py) for px, py in rims if x_lo <= px <= x_hi and y_lo <= py <= y_hi]
+            assert len(drawn) > len(rims) / 4
+            _assert_listed(grid, drawn)
+    assert clipped > 10
+
+
+def test_buffer_grid_covers_the_draw_domain_and_one_cell_more():
+    # a point of the domain, or a few ulps beyond its edges, has a cell of
+    # the grid; the domain itself lies in the columns and rows between the
+    # slack ones.  Shapes wider than half the table turn the domain round
+    # (uniform(margin, size - margin) has its bounds swapped), and shapes
+    # larger than the table take it below zero
+    for shape, ws in (
+        ((0.03, 0.02), Workspace()),
+        ((0.004, 0.005), Workspace()),
+        ((0.3, 0.1), Workspace(0.5, 0.9)),
+        ((0.9, 0.7), Workspace()),
+        ((1e-4, 1e-4), Workspace(3.0, 0.2)),
+    ):
+        for min_gap in (MIN_GAP, 0.0):
+            grid = motion.BufferGrid(shape, min_gap, ws)
+            assert len(grid.inner) == len(grid.reach) == grid.cols * grid.rows
+            (x_lo, x_hi), (y_lo, y_hi) = _domain(grid, ws)
+            for lo, hi, index, count in (
+                (x_lo, x_hi, grid._col, grid.cols),
+                (y_lo, y_hi, grid._row, grid.rows),
+            ):
+                assert index(lo) == 1 and index(hi) == count - 2
+                for v in _ulps(lo, 4) + _ulps(hi, 4) + [(lo + hi) / 2]:
+                    assert 0 <= index(v) < count
+            for x in (x_lo, x_hi):
+                for y in (y_lo, y_hi):
+                    assert 0 <= grid.cell(x, y) < len(grid.reach)
 
 
 def test_buffer_grid_pad_covers_rounding_of_the_square():
     # the reach disc at min_gap 0 has r² = reach² + EPS, whose root is
-    # rounded.  Centred at x = sqrt(r²), it has the left edge of its square
-    # at exactly 0.0, a cell edge; where the rounded root squares to no more
-    # than r², a point a hair left of 0, in cell -1, is inside the disc
+    # rounded.  b is the edge between the domain's first two columns, and
+    # the disc is centred at the least x whose square's left edge x - r
+    # rounds to b or beyond, so without the pad the square would start in
+    # the second column; where the rounded root squares to no more than r²,
+    # a point a hair left of b, in the first column, is inside the disc.
+    # The buffered shape, and so the cell side and b, varies per case
     ws = Workspace()
-    shape = (0.03, 0.02)
     found = 0
-    for half in (0.01 + 0.0007 * i for i in range(40)):
+    for shape in ((0.03 + 0.0003 * i, 0.02) for i in range(40)):
         grid = motion.BufferGrid(shape, 0.0, ws)
-        ox = math.sqrt(motion.prefilter_reach2(grid.margin, box_at(Pose2(0.5, 0.3), half, 0.04), 0.0))
-        grid.add(box_at(Pose2(ox, 0.3), half, 0.04))
+        r2 = motion.prefilter_reach2(grid.margin, box_at(Pose2(0.5, 0.3), 0.02, 0.09), 0.0)
+        r = math.sqrt(r2)
+        b = (2 + grid.gx) * grid.side
+        while grid._col(b) >= 2:
+            b = math.nextafter(b, -math.inf)
+        while grid._col(b) < 2:
+            b = math.nextafter(b, math.inf)
+        ox = b + r
+        while ox - r < b:
+            ox = math.nextafter(ox, math.inf)
+        while math.nextafter(ox, -math.inf) - r >= b:
+            ox = math.nextafter(ox, -math.inf)
+        grid.add(box_at(Pose2(ox, 0.3), 0.02, 0.09))
         (disc,) = _discs(grid.reach)
-        px = -1e-300
-        assert grid.cell(px, 0.3)[0] == -1
+        px = math.nextafter(b, -math.inf)
+        assert grid._col(px) == 1 and grid._col(ox - r) == 2
+        assert px >= _domain(grid, ws)[0][0]  # a draw can land there
         if _inside(disc, px, 0.3, strict=False):
             _assert_listed(grid, [(px, 0.3)])
             found += 1
