@@ -2,8 +2,9 @@
 
 An optimal single-arm rearrangement of an instance whose dependency structure
 is a disjoint union of simple cycles and acyclic parts needs exactly one move
-per object plus one extra relocation per cycle, so n + min-feedback-vertex-set
-is the exact single-arm action count there (and a lower bound elsewhere).
+per object out of place plus one extra relocation per cycle: that count plus
+the min-feedback-vertex-set is the exact single-arm action count there (and
+a lower bound elsewhere).
 The makespan baseline, a forced-sequential replay of the run, is `sim`'s:
 `sim.evaluate` reports both.
 """
@@ -74,15 +75,18 @@ def min_fvs(g: DepGraph) -> int:
 
 
 def single_arm_optimal_actions(instance: Instance) -> OracleResult:
-    """n + min_fvs: exact when all size->=2 SCCs are simple cycles, otherwise
-    a lower bound (flagged by assumption_holds=False)."""
+    """Objects out of place (as `PlannerSession.remaining` counts them, each
+    isolated in the graph when at its goal) + min_fvs: exact when all size->=2
+    SCCs are simple cycles, otherwise a lower bound (assumption_holds=False)."""
     g = instance.graph()
     d = decompose(g)
     assumption = not d.complex_sccs
     f = min_fvs(g)
+    start, goal = instance.start, instance.goal
+    moves = sum(not start.pose_of(i).almost_equal(goal.pose_of(i)) for i in instance.ids())
     return OracleResult(
         min_fvs=f,
-        single_arm_optimal_actions=instance.n + f,
+        single_arm_optimal_actions=moves + f,
         assumption_holds=assumption,
     )
 

@@ -138,17 +138,6 @@ def inside(w: Workspace, b: OrientedBox) -> bool:
     return all(w.contains_point(p) for p in b._corners)
 
 
-def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    ax, ay = a
-    dx, dy = b[0] - ax, b[1] - ay
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 <= EPS * EPS:
-        return math.hypot(p[0] - ax, p[1] - ay)
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / seg_len2
-    t = max(0.0, min(1.0, t))
-    return math.hypot(p[0] - (ax + t * dx), p[1] - (ay + t * dy))
-
-
 def _orient(a: Point, b: Point, c: Point) -> int:
     v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     if v > EPS:
@@ -186,10 +175,10 @@ def segments_intersect(p0: Point, p1: Point, q0: Point, q1: Point) -> bool:
 def segment_clearance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
     """Minimum Euclidean distance between two closed segments (0 iff they intersect).
 
-    It is `segments_intersect` and then the least of the four
-    `point_segment_distance` values, written out as one straight-line kernel
-    with the same float operations in the same order, so every value is
-    bit for bit theirs.  Only an orientation within EPS of 0 falls back to
+    It is `segments_intersect` and then the least of the four endpoint to
+    segment distances (`tests/geom_reference.py`), written out as one
+    straight-line kernel with the same float operations in the same order,
+    so every value is bit for bit theirs.  Only an orientation within EPS of 0 falls back to
     `segments_intersect`."""
     p0x, p0y = p0
     p1x, p1y = p1
@@ -222,7 +211,7 @@ def segment_clearance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
             return 0.0
     elif segments_intersect(p0, p1, q0, q1):
         return 0.0
-    # point_segment_distance of q0 and q1 to p0->p1, then of p0 and p1 to q0->q1
+    # the distances of q0 and q1 to p0->p1, then of p0 and p1 to q0->q1
     len2 = dpx * dpx + dpy * dpy
     if len2 <= EPS * EPS:
         d1 = math.hypot(q0px, q0py)
@@ -248,27 +237,11 @@ def segment_clearance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
     return min(d1, d2, d3, d4)
 
 
-def _separated_distance(a: OrientedBox, b: OrientedBox) -> float:
-    """Distance between two disjoint rectangles.  Disjoint convex polygons
-    attain their distance at a vertex of one of them, so the 8
-    vertex-to-box distances give it exactly."""
-    return min(
-        [point_box_distance(p, b) for p in a._corners]
-        + [point_box_distance(p, a) for p in b._corners]
-    )
-
-
-def box_clearance(a: OrientedBox, b: OrientedBox) -> float:
-    """Exact distance between two closed rectangles (0 if they overlap)."""
-    if overlaps(a, b):
-        return 0.0
-    return _separated_distance(a, b)
-
-
 def boxes_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
     """True iff the rectangles overlap or their gap is below `gap`.  The gap
-    of disjoint rectangles is the least of the 8 vertex-to-box distances of
-    `_separated_distance`, and it is below `gap` iff one of them is.
+    of disjoint rectangles is the least of their 8 vertex-to-box distances
+    (`separated_distance` in `tests/geom_reference.py`), and it is below
+    `gap` iff one of them is.
 
     It is the bounding-circle prefilter, then `overlaps(a, b) or
     _corner_closer_than(a, b, gap)`, written out as one straight-line
@@ -338,7 +311,8 @@ def near_miss(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
     """True iff the rectangles are disjoint but closer than `gap`: the
     razor-thin near miss that generated tables must not contain.  It is
     `not overlaps(a, b) and boxes_closer_than(a, b, gap)`, with the same
-    prefilter; for gap > 0 it is also `0 < box_clearance(a, b) < gap`."""
+    prefilter; for gap > 0 it is also `0 < box_clearance(a, b) < gap`
+    (`tests/geom_reference.py`)."""
     dx = b.center.x - a.center.x
     dy = b.center.y - a.center.y
     reach = a.circumradius + b.circumradius + gap
@@ -388,9 +362,10 @@ def blocked_within2(inner: float, b: OrientedBox, gap: float) -> float:
     by more than the slack or lie less than gap - INNER_SLACK apart.  The
     centres are then also within both bounding-circle prefilters.  Overlapping
     boxes have overlapping projections on every axis, so overlaps finds no
-    separating gap above EPS; disjoint boxes get their exact distance, up to
-    rounding far below the slack, from _separated_distance.  Either way both
-    exact tests return True.  Returns 0.0 when the bound is not positive, so
+    separating gap above EPS; disjoint boxes get their exact distance (the
+    `separated_distance` of `tests/geom_reference.py`), up to rounding far
+    below the slack, from their vertices.  Either way both exact tests
+    return True.  Returns 0.0 when the bound is not positive, so
     a strict comparison then rejects nothing."""
     reach = inner + min(b.half_width, b.half_height) + max(gap, 0.0) - INNER_SLACK
     return reach * reach if reach > 0.0 else 0.0
@@ -410,43 +385,46 @@ def blocked_within_box(inner: float, gap: float) -> float:
     bounding-circle prefilters.  Overlapping boxes have overlapping
     projections on every axis, so overlaps finds no separating gap above
     EPS; disjoint boxes get their exact distance, up to rounding far below
-    the slack, from _separated_distance.  Either way both exact tests return
+    the slack, from their vertices.  Either way both exact tests return
     True.  A bound that is not positive rejects nothing under a strict
     comparison, since distances are never negative."""
     return inner + max(gap, 0.0) - INNER_SLACK
 
 
-def surely_blocked(x: float, y: float, near, sure: float) -> bool:
-    """True iff a draw centred at (x, y) lies closer than `sure`
-    (`blocked_within_box`) to an obstacle in `near`, a list of
-    (x, y, reach², box) entries with reach² from `prefilter_reach2`, where
-    the exact test is certain to reject it.  Obstacles beyond the prefilter
-    reach are skipped: the bound cannot hold for them."""
-    for ox, oy, reach2, ob in near:
-        dx = ox - x
-        dy = oy - y
-        if dx * dx + dy * dy <= reach2 and point_box_distance((x, y), ob) < sure:
-            return True
-    return False
+def reach_entry(radius: float, b: OrientedBox, gap: float) -> tuple:
+    """The reach entry of `b` for draws of circumradius `radius` at `gap`,
+    as `in_reach` reads it: (x, y, reach², ux, uy, half width, half height,
+    box), with reach² from `prefilter_reach2` and b's first axis."""
+    (ux, uy), _ = b._axes
+    c = b.center
+    return (c.x, c.y, prefilter_reach2(radius, b, gap), ux, uy, b.half_width, b.half_height, b)
 
 
-def blocked(box: OrientedBox, near, gap: float, closer=boxes_closer_than) -> bool:
-    """True iff the exact test (boxes_closer_than for gap > 0, overlaps
-    otherwise) rejects `box` against an obstacle in `near`, a list of
-    (x, y, reach², box) entries with reach² from `prefilter_reach2`.
-    Obstacles whose centres lie beyond the prefilter reach are skipped
-    without calling it: the test's own prefilter would clear them.  A caller
-    may pass another test with the same prefilter as `closer`, such as
-    near_miss."""
-    x, y = box.center.x, box.center.y
-    for ox, oy, reach2, ob in near:
-        dx = ox - x
-        dy = oy - y
+def in_reach(x: float, y: float, entries, sure: float):
+    """The boxes of `entries` (`reach_entry` tuples) whose reach disc holds
+    a draw centred at (x, y), in entry order, or None when the draw lies
+    closer than `sure` (`blocked_within_box`) to one of them, so that the
+    exact test must reject it.  A box beyond its reach disc is skipped: the
+    exact test's own prefilter clears the draw, and the bound cannot hold.
+    The distance is `point_box_distance` written out with its float
+    operations, and 0.0 inside a rectangle without a `math.hypot` call."""
+    near = []
+    for ox, oy, reach2, ux, uy, bw, bh, ob in entries:
+        dx = x - ox
+        dy = y - oy
         if dx * dx + dy * dy > reach2:
             continue
-        if closer(box, ob, gap) if gap > 0.0 else overlaps(box, ob):
-            return True
-    return False
+        lx = dx * ux + dy * uy
+        ly = dy * ux - dx * uy
+        ax = (lx if lx >= 0.0 else -lx) - bw
+        ay = (ly if ly >= 0.0 else -ly) - bh
+        if ax > 0.0 or ay > 0.0:
+            if math.hypot(ax if ax > 0.0 else 0.0, ay if ay > 0.0 else 0.0) < sure:
+                return None
+        elif sure > 0.0:
+            return None
+        near.append(ob)
+    return near
 
 
 # Minimum free gap kept between distinct footprints in generated arrangements

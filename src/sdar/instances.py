@@ -26,14 +26,14 @@ from .geom import (
     OrientedBox,
     Pose2,
     Workspace,
-    blocked,
     blocked_within2,
     blocked_within_box,
     box_at,
+    boxes_closer_than,
+    in_reach,
     inside,
     near_miss,
-    prefilter_reach2,
-    surely_blocked,
+    reach_entry,
 )
 
 INSTANCE_FORMAT = "sdar-instance/1"
@@ -111,13 +111,14 @@ def _place_all(
     Every attempt draws x, y and theta (three `rng.uniform` calls) whatever
     its fate, and all objects share one budget of attempts.  Before an
     object's draws, the boxes placed so far are listed once as inner discs
-    (`blocked_within2`) and as reach entries (`prefilter_reach2`), and
-    `cross_boxes` as reach entries.  A draw centred within an inner disc, or
-    nearer to a placed box than `blocked_within_box`, is surely rejected
-    before its box is built; the exact tests then skip every box beyond
-    reach, where their own prefilters would clear the draw.  So each draw
-    gets the verdict of a full scan against every box, and the arrangement,
-    the rng's state and a GenerationExhausted message are those of one."""
+    (`blocked_within2`) and as `reach_entry`s, and `cross_boxes` as reach
+    entries.  A draw centred within an inner disc is surely rejected, and
+    `in_reach`, the buffer sampler's pass, surely rejects it or gives the
+    placed boxes in reach before its box is built; the exact tests then skip
+    every box beyond reach, where their own prefilters would clear the draw.
+    So each draw gets the verdict of a full scan against every box, and the
+    arrangement, the rng's state and a GenerationExhausted message are those
+    of one."""
     placed: dict[int, Pose2] = {}
     accepted: dict[int, OrientedBox] = {}
     uniform = rng.uniform
@@ -133,8 +134,8 @@ def _place_all(
             inner2 = blocked_within2(inner, b, MIN_GAP)
             if inner2 > 0.0:
                 discs.append((b.center.x, b.center.y, inner2))
-        near = [_reach_entry(margin, b) for b in accepted.values()]
-        cross = [_reach_entry(margin, b) for b in cross_boxes]
+        entries = [reach_entry(margin, b, MIN_GAP) for b in accepted.values()]
+        cross = [reach_entry(margin, b, MIN_GAP) for b in cross_boxes]
         sure = blocked_within_box(inner, MIN_GAP)
         while True:
             attempts += 1
@@ -151,25 +152,30 @@ def _place_all(
                 if dx * dx + dy * dy < inner2:
                     break  # centred within an inner disc: surely rejected
             else:
-                if surely_blocked(x, y, near, sure):
-                    continue
-                pose = Pose2(x, y, theta)
-                box = box_at(pose, hw, hh)
-                if (
-                    inside(ws, box)
-                    and not blocked(box, near, MIN_GAP)
-                    and not blocked(box, cross, MIN_GAP, near_miss)
-                ):
-                    break
+                near = in_reach(x, y, entries, sure)
+                if near is not None:
+                    pose = Pose2(x, y, theta)
+                    box = box_at(pose, hw, hh)
+                    if inside(ws, box) and _clear_of(box, near, cross):
+                        break
         placed[obj] = pose
         accepted[obj] = box
     return Arrangement(placed), accepted
 
 
-def _reach_entry(margin: float, b: OrientedBox) -> tuple:
-    """The (x, y, reach², box) entry of `b` for draws of circumradius
-    `margin` at MIN_GAP, as `geom.blocked` reads it."""
-    return (b.center.x, b.center.y, prefilter_reach2(margin, b, MIN_GAP), b)
+def _clear_of(box: OrientedBox, near, cross) -> bool:
+    """True iff `box` keeps MIN_GAP from every box of `near`, and is no
+    `near_miss` of a box of the reach entries `cross` with its centre in reach."""
+    for ob in near:
+        if boxes_closer_than(box, ob, MIN_GAP):
+            return False
+    x, y = box.center.x, box.center.y
+    for ox, oy, reach2, _, _, _, _, ob in cross:
+        dx = ox - x
+        dy = oy - y
+        if dx * dx + dy * dy <= reach2 and near_miss(box, ob, MIN_GAP):
+            return False
+    return True
 
 
 def _gap_audit(inst: Instance, sb, gb) -> list[str]:

@@ -36,10 +36,11 @@ from .geom import (
     box_at,
     boxes_closer_than,
     dist,
+    in_reach,
     inside,
     max_speed,
     overlaps,
-    prefilter_reach2,
+    reach_entry,
     segment_clearance,
 )
 from .taskplan import GOAL, RELAY, PlannerSession, TaskPlan, assign_arms
@@ -329,15 +330,15 @@ def sample_buffers(
     The obstacles are listed once in a grid (`BufferGrid`), and a draw
     reads only its own cell.  A draw centred within an obstacle's inner disc
     (`blocked_within2`) is surely rejected.  Otherwise one pass over the
-    cell's reach entries skips each obstacle beyond its reach disc (the
-    exact test's own prefilter would clear it), surely rejects a draw nearer
-    to an obstacle's rectangle than the draw's inscribed radius plus the gap
-    (`blocked_within_box`; whenever that bound is positive it covers the
-    inner discs, which are only a cheaper first test), and collects the
-    obstacles in reach.  A draw with none in reach builds no box when it
-    lies in the draw domain, which proves its box inside the workspace
-    (`FIT_ROUNDING`); any other draw's box gets `inside` and the exact test
-    against the obstacles in reach, in the order they were given.
+    cell's reach entries (`in_reach`) skips each obstacle beyond its reach
+    disc (the exact test's own prefilter would clear it), surely rejects a
+    draw nearer to an obstacle's rectangle than the draw's inscribed radius
+    plus the gap (`blocked_within_box`; whenever that bound is positive it
+    covers the inner discs, which are only a cheaper first test), and
+    collects the obstacles in reach.  A draw with none in reach builds no
+    box when it lies in the draw domain, which proves its box inside the
+    workspace (`FIT_ROUNDING`); any other draw's box gets `inside` and the
+    exact test against the obstacles in reach, in the order they were given.
     Sure rejections and skips change no verdict, so the poses, the
     exact-test calls and the rng's state are those of a scan over every
     obstacle.
@@ -360,7 +361,6 @@ def sample_buffers(
     # workspace, up to rounding that EPS covers on such a table
     fits = (workspace.width + workspace.height) * FIT_ROUNDING <= EPS
     uniform = rng.uniform
-    hypot = math.hypot
     pi = math.pi
     found: list[Pose2] = []
     for _ in range(BUFFER_DRAWS):
@@ -374,24 +374,8 @@ def sample_buffers(
             if dx * dx + dy * dy < inner2:
                 break  # centred within an inner disc: surely rejected
         else:
-            near = []
-            for ox, oy, reach2, ux, uy, bw, bh, ob in reach[i]:
-                dx = x - ox
-                dy = y - oy
-                if dx * dx + dy * dy > reach2:
-                    continue
-                # geom.point_box_distance((x, y), ob) < sure, written out
-                lx = dx * ux + dy * uy
-                ly = dy * ux - dx * uy
-                ax = (lx if lx >= 0.0 else -lx) - bw
-                ay = (ly if ly >= 0.0 else -ly) - bh
-                if ax > 0.0 or ay > 0.0:
-                    if hypot(ax if ax > 0.0 else 0.0, ay if ay > 0.0 else 0.0) < sure:
-                        break
-                elif sure > 0.0:
-                    break  # centred within the rectangle
-                near.append(ob)
-            else:
+            near = in_reach(x, y, reach[i], sure)
+            if near is not None:
                 pose = Pose2(x, y, theta)
                 if near or not (fits and margin <= x <= x_hi and margin <= y <= y_hi):
                     box = box_at(pose, hw, hh)
@@ -456,11 +440,9 @@ class BufferGrid:
     (a draw centred inside is surely rejected), listed as (x, y, inner²)
     unless it is not positive, and a reach disc of squared radius
     `prefilter_reach2` (a draw centred outside is cleared by the exact
-    test's own prefilter), listed as (x, y, reach², ux, uy, half width,
-    half height, box): the obstacle's first axis and half extents are for
-    the rectangle-distance bound.  A disc is listed in every cell of the
-    grid that its padded bounding square touches, in the order the
-    obstacles were added.  Cell indices are monotone in the coordinates and
+    test's own prefilter), listed as its `reach_entry`.  A disc is listed
+    in every cell of the grid that its padded bounding square touches, in
+    the order the obstacles were added.  Cell indices are monotone in the coordinates and
     the pad covers the rounding in the square's edges, so a draw that a
     disc's own test puts inside finds the disc in its cell."""
 
@@ -488,10 +470,6 @@ class BufferGrid:
     def _row(self, y: float) -> int:
         return math.floor(y * self.inv - self.gy)
 
-    def cell(self, x: float, y: float) -> int:
-        """The cell index of a point of the draw domain."""
-        return self._col(x) * self.rows + self._row(y)
-
     def add(self, ob: OrientedBox) -> None:
         """List an obstacle's discs; an inner disc that is not positive
         rejects nothing and is left out."""
@@ -499,10 +477,8 @@ class BufferGrid:
         inner2 = blocked_within2(self.inner_radius, ob, self.min_gap)
         if inner2 > 0.0:
             self._list(self.inner, x, y, inner2, (x, y, inner2))
-        reach2 = prefilter_reach2(self.margin, ob, self.min_gap)
-        (ux, uy), _ = ob.axes()
-        entry = (x, y, reach2, ux, uy, ob.half_width, ob.half_height, ob)
-        self._list(self.reach, x, y, reach2, entry)
+        entry = reach_entry(self.margin, ob, self.min_gap)
+        self._list(self.reach, x, y, entry[2], entry)
 
     def _list(self, cells, x: float, y: float, r2: float, entry) -> None:
         """List `entry` in the cells of the grid that the padded bounding

@@ -120,7 +120,7 @@ def test_identity_oracle():
     inst = instances.identity_instance(4, 0)
     res = single_arm_optimal_actions(inst)
     assert res.min_fvs == 0
-    assert res.single_arm_optimal_actions == 4
+    assert res.single_arm_optimal_actions == 0  # every object starts at its goal
     assert res.assumption_holds
 
 

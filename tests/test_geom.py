@@ -16,20 +16,22 @@ from sdar.geom import (
     Pose2,
     Workspace,
     blocked_within2,
+    blocked_within_box,
     box_at,
-    box_clearance,
     boxes_closer_than,
+    in_reach,
     inside,
     max_speed,
     near_miss,
     overlaps,
     point_box_distance,
-    point_segment_distance,
     prefilter_reach2,
+    reach_entry,
     segment_clearance,
     segments_intersect,
 )
 
+from geom_reference import box_clearance, point_segment_distance
 from path_reference import reference_point
 
 
@@ -639,6 +641,75 @@ def test_near_miss_is_a_positive_clearance_below_the_gap(data):
     want = 0.0 < box_clearance(a, b) < gap
     assert near_miss(a, b, gap) == want
     assert near_miss(b, a, gap) == (0.0 < box_clearance(b, a) < gap)
+
+
+def in_reach_reference(x, y, entries, sure):
+    """in_reach as its parts: each entry's reach² skip, then
+    point_box_distance against the sure-rejection distance."""
+    near = []
+    for ox, oy, reach2, *_, ob in entries:
+        dx, dy = ox - x, oy - y
+        if dx * dx + dy * dy > reach2:
+            continue
+        if point_box_distance((x, y), ob) < sure:
+            return None
+        near.append(ob)
+    return near
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_in_reach_is_its_reference(data):
+    # random boxes, some a hair thin; sure distances above and at or below
+    # zero; draws at random, inside a box's rectangle (on its edges too),
+    # on a box's reach circle, or on the rim of its sure-rejection distance,
+    # each a few ulps either way
+    half = st.floats(0.005, 0.2) | st.sampled_from([1e-9, 0.05])
+    radius = data.draw(st.floats(0.005, 0.15), label="radius")
+    gap = data.draw(st.sampled_from([0.0, MIN_GAP, -0.01]), label="gap")
+    boxes = [
+        box_at(
+            Pose2(
+                data.draw(st.floats(0.0, 1.0), label="bx"),
+                data.draw(st.floats(0.0, 0.6), label="by"),
+                data.draw(st.floats(-math.pi, math.pi), label="bt"),
+            ),
+            data.draw(half, label="bw"),
+            data.draw(half, label="bh"),
+        )
+        for _ in range(data.draw(st.integers(0, 8), label="n"))
+    ]
+    entries = [reach_entry(radius, b, gap) for b in boxes]
+    for entry, b in zip(entries, boxes):
+        assert entry[:2] == b.center.xy and entry[2] == prefilter_reach2(radius, b, gap)
+        assert entry[3:5] == b.axes()[0] and entry[5:] == (b.half_width, b.half_height, b)
+    sures = st.sampled_from([0.0, -0.0, -0.01, blocked_within_box(radius / 2, gap)])
+    sure = data.draw(sures | st.floats(-0.05, 0.1), label="sure")
+    kind = data.draw(st.sampled_from(["random", "rectangle", "circle", "rim"]), label="kind")
+    if kind == "random" or not boxes:
+        x = data.draw(st.floats(-0.2, 1.2), label="x")
+        y = data.draw(st.floats(-0.2, 0.8), label="y")
+    else:
+        ox, oy, reach2, ux, uy, bw, bh, _ = data.draw(st.sampled_from(entries), label="entry")
+        vx, vy = -uy, ux
+        if kind == "rectangle":
+            lx = data.draw(st.floats(-bw, bw) | st.sampled_from([bw, -bw]), label="lx")
+            ly = data.draw(st.floats(-bh, bh) | st.sampled_from([bh, -bh]), label="ly")
+        elif kind == "circle":
+            phi = data.draw(st.floats(-math.pi, math.pi), label="phi")
+            lx, ly = math.sqrt(reach2) * math.cos(phi), math.sqrt(reach2) * math.sin(phi)
+        else:
+            along = data.draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]), label="along")
+            lx, ly = along[0] * (bw + sure), along[1] * (bh + sure)
+        x, y = ox + lx * ux + ly * vx, oy + lx * uy + ly * vy
+        steps = data.draw(st.integers(-3, 3), label="ulps")
+        for _ in range(abs(steps)):
+            x = math.nextafter(x, math.copysign(math.inf, steps))
+    got = in_reach(x, y, entries, sure)
+    want = in_reach_reference(x, y, entries, sure)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [id(b) for b in got] == [id(b) for b in want]
 
 
 # ---------------------------------------------------------------- workspace

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdar import instances
 from sdar.depgraph import Arrangement, arrangement_violations, decompose, footprints
@@ -242,17 +244,44 @@ def _placements(place, n, seed, budget, ws):
     return out
 
 
-def test_place_all_matches_reference_without_broad_phase():
-    # crowded tables (R24 exhausts its budget), a tiny budget and a small
-    # workspace, where the goal, placed against the start's boxes, exhausts
-    cases = [(n, seed, 10_000, Workspace()) for n in (14, 18, 22, 24) for seed in (0, 3)]
-    cases += [(n, 1, 40, Workspace()) for n in (6, 16)]
-    cases += [(n, seed, 2_000, Workspace(0.4, 0.3)) for n in (3, 5) for seed in (0, 1)]
-    outcomes = []
-    for n, seed, budget, ws in cases:
-        got = _placements(instances._place_all, n, seed, budget, ws)
-        assert got == _placements(place_all_reference, n, seed, budget, ws), (n, seed, budget, ws)
-        outcomes.append(tuple(type(result) for result, _ in got))
+# crowded tables (R24 exhausts its budget), a tiny budget and a small
+# workspace, where the goal, placed against the start's boxes, exhausts
+PLACE_ALL_EXAMPLES = [(n, seed, 10_000, Workspace()) for n in (14, 18, 22, 24) for seed in (0, 3)]
+PLACE_ALL_EXAMPLES += [(n, 1, 40, Workspace()) for n in (6, 16)]
+PLACE_ALL_EXAMPLES += [(n, seed, 2_000, Workspace(0.4, 0.3)) for n in (3, 5) for seed in (0, 1)]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for n, seed, budget, ws in reversed(cases):
+            test = example(n=n, seed=seed, budget=budget, ws=ws)(test)
+        return test
+
+    return decorate
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    seed=st.integers(0, 2**31 - 1),
+    budget=st.sampled_from([40, 300, 2_000, 10_000]) | st.integers(1, 3_000),
+    ws=st.floats(0.35, 1.5).map(lambda s: Workspace(s, 0.6 * s)),
+)
+@_with_examples(PLACE_ALL_EXAMPLES)
+def test_place_all_matches_reference_without_broad_phase(n, seed, budget, ws):
+    # the poses or the exhaustion message, the rng's state and the
+    # footprint map of the start and then the goal placed against it
+    got = _placements(instances._place_all, n, seed, budget, ws)
+    assert got == _placements(place_all_reference, n, seed, budget, ws)
+
+
+def test_place_all_examples_reach_every_outcome():
+    # the fixed examples place both arrangements, exhaust on the start, and
+    # exhaust on the goal
+    outcomes = [
+        tuple(type(result) for result, _ in _placements(instances._place_all, *case))
+        for case in PLACE_ALL_EXAMPLES
+    ]
     assert outcomes.count((dict, dict)) > 5
     assert (str,) in outcomes and (dict, str) in outcomes
 

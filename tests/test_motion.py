@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdar import instances, motion, sim
+from sdar import geom, instances, motion, sim
 from sdar.depgraph import Arrangement, footprint, footprints
 from sdar.geom import (
     MIN_GAP,
     Pose2,
     Workspace,
     box_at,
-    box_clearance,
     boxes_closer_than,
     dist,
     inside,
@@ -51,6 +50,7 @@ from sdar.motion import (
 from sdar.taskplan import BUFFER, GOAL, TaskComplete, next_task_plan
 
 from fine_grid import least_clearance
+from geom_reference import box_clearance, grid_cell
 from path_reference import reference_point
 
 ARMS = default_arms()
@@ -495,7 +495,7 @@ def _assert_listed(grid, points):
     for cells, strict in ((grid.inner, True), (grid.reach, False)):
         discs = _discs(cells)
         for px, py in points:
-            listed = cells[grid.cell(px, py)]
+            listed = cells[grid_cell(grid, px, py)]
             for disc in discs:
                 if _inside(disc, px, py, strict):
                     assert disc in listed, (disc, px, py, strict)
@@ -576,7 +576,7 @@ def test_buffer_grid_covers_the_draw_domain_and_one_cell_more():
                     assert 0 <= index(v) < count
             for x in (x_lo, x_hi):
                 for y in (y_lo, y_hi):
-                    assert 0 <= grid.cell(x, y) < len(grid.reach)
+                    assert 0 <= grid_cell(grid, x, y) < len(grid.reach)
 
 
 def test_buffer_grid_pad_covers_rounding_of_the_square():
@@ -591,7 +591,7 @@ def test_buffer_grid_pad_covers_rounding_of_the_square():
     found = 0
     for shape in ((0.03 + 0.0003 * i, 0.02) for i in range(40)):
         grid = motion.BufferGrid(shape, 0.0, ws)
-        r2 = motion.prefilter_reach2(grid.margin, box_at(Pose2(0.5, 0.3), 0.02, 0.09), 0.0)
+        r2 = geom.prefilter_reach2(grid.margin, box_at(Pose2(0.5, 0.3), 0.02, 0.09), 0.0)
         r = math.sqrt(r2)
         b = (2 + grid.gx) * grid.side
         while grid._col(b) >= 2:
