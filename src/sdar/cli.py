@@ -101,11 +101,7 @@ def _suite_name(inst: Instance) -> str:
 def cmd_plan(args) -> int:
     if not _motion_flags_ok(args):
         return 2
-    try:
-        inst = instances.load(args.instance)
-    except (ParseError, FeasibilityError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    inst = instances.load(args.instance)
     arms = default_arms(inst.workspace, clearance=args.clearance)
     t0 = time.perf_counter()
     metrics, record = sim.run_instance(inst, args.seed, arms)
@@ -187,12 +183,7 @@ def cmd_bench(args) -> int:
             )
             return 2
         stems[p.stem] = p
-        try:
-            inst = instances.load(p)
-        except (ParseError, FeasibilityError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
-        payloads.append((p.stem, inst, args.seed, args.clearance))
+        payloads.append((p.stem, instances.load(p), args.seed, args.clearance))
     # the output path is checked and its directories made before any row is
     # planned
     out = Path(args.out)
@@ -340,11 +331,7 @@ def cmd_render(args) -> int:
     head = lines[0].strip() if lines else ""
 
     if head == instances.INSTANCE_FORMAT:
-        try:
-            inst = instances.load(path)
-        except (ParseError, FeasibilityError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
+        inst = instances.load(path)
         (out / "start.svg").write_text(render_scene(inst, "start"), encoding="utf-8")
         (out / "goal.svg").write_text(render_scene(inst, "goal"), encoding="utf-8")
         (out / "depgraph.dot").write_text(to_dot(inst.graph()), encoding="utf-8")
@@ -355,11 +342,7 @@ def cmd_render(args) -> int:
         if not args.instance:
             print("trace rendering needs --instance", file=sys.stderr)
             return 2
-        try:
-            inst = instances.load(args.instance)
-        except (ParseError, FeasibilityError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
+        inst = instances.load(args.instance)
         try:
             trace = sim.load_trace(path)
             sim.check_frames(trace, inst)
@@ -420,7 +403,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # an input file it cannot read, an output path it cannot write
+    # an input file it cannot read or parse, an output path it cannot write
+    except (OSError, ParseError, FeasibilityError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,9 +26,6 @@ class Arrangement:
 
     poses: dict[int, Pose2]
 
-    def ids(self) -> list[int]:
-        return sorted(self.poses)
-
     def on_table(self) -> list[tuple[int, Pose2]]:
         return sorted(self.poses.items())
 

@@ -40,9 +40,9 @@ class Pose2:
     def xy(self) -> Point:
         return (self.x, self.y)
 
-    def almost_equal(self, other: "Pose2", tol: float = EPS) -> bool:
+    def almost_equal(self, other: "Pose2") -> bool:
         dth = abs(normalize_angle(self.theta - other.theta))
-        return abs(self.x - other.x) <= tol and abs(self.y - other.y) <= tol and dth <= tol
+        return abs(self.x - other.x) <= EPS and abs(self.y - other.y) <= EPS and dth <= EPS
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,8 @@ class Workspace:
             raise ValueError("workspace dimensions must be positive and finite")
 
     @property
-    def center(self) -> Point:
-        return (self.width / 2.0, self.height / 2.0)
-
-    @property
     def diagonal(self) -> float:
         return math.hypot(self.width, self.height)
-
-    def contains_point(self, p: Point, tol: float = EPS) -> bool:
-        return -tol <= p[0] <= self.width + tol and -tol <= p[1] <= self.height + tol
 
 
 def box_at(pose: Pose2, half_width: float, half_height: float) -> OrientedBox:
@@ -134,8 +127,10 @@ def overlaps(a: OrientedBox, b: OrientedBox) -> bool:
 
 
 def inside(w: Workspace, b: OrientedBox) -> bool:
-    """True iff all four corners lie in the closed workspace rectangle."""
-    return all(w.contains_point(p) for p in b._corners)
+    """True iff all four corners lie in the closed workspace rectangle,
+    widened by EPS."""
+    x_hi, y_hi = w.width + EPS, w.height + EPS
+    return all(-EPS <= x <= x_hi and -EPS <= y <= y_hi for x, y in b._corners)
 
 
 def _orient(a: Point, b: Point, c: Point) -> int:

@@ -261,120 +261,113 @@ def _ring_half_range(slots) -> tuple[float, float]:
     return h_min, h_max
 
 
-def _ring_arrangements(rng, slots, shapes, ids):
-    """Starts on the slots; each goal sits on the next slot, pulled back enough
-    to guarantee footprint overlap with that slot's occupant."""
-    n = len(ids)
-    start = {}
-    goal = {}
-    for k, obj in enumerate(ids):
-        sx, sy = slots[k]
-        jx, jy = rng.uniform(-0.004, 0.004), rng.uniform(-0.004, 0.004)
-        start[obj] = Pose2(sx + jx, sy + jy, rng.uniform(-0.3, 0.3))
-    for k, obj in enumerate(ids):
-        nxt = start[ids[(k + 1) % n]]
-        goal[obj] = Pose2(*_pulled_back(start[obj].xy, nxt.xy), rng.uniform(-0.3, 0.3))
-    return Arrangement(start), Arrangement(goal)
+AUDIT_ATTEMPTS = 50
 
 
-def _audited(builder, seed, audit=None, cap=50):
+def _audited(builder, seed, expected=None):
     """The first instance `builder(seed, attempt)` builds that passes
-    validation, then `audit` (its complaints about the decomposition of the
-    dependency graph, if given) and the gap audit.  A builder returns an
-    instance, or an instance and its start and goal footprint maps when it
-    has built them already; the checks all read one pair of maps."""
+    validation, then has the `_structure` `expected` (if given), then passes
+    the gap audit.  A builder returns an instance with its start and goal
+    footprint maps, which every check reads."""
     last = "no attempt"
-    for attempt in range(cap):
+    for attempt in range(AUDIT_ATTEMPTS):
         try:
-            built = builder(seed, attempt)
+            inst, boxes = builder(seed, attempt)
         except GenerationExhausted as exc:
             last = str(exc)
             continue
-        if isinstance(built, Instance):
-            inst = built
-            boxes = footprints(inst.start, inst.shapes), footprints(inst.goal, inst.shapes)
-        else:
-            inst, boxes = built
         problems = _validate(inst, *boxes)
+        if not problems and expected is not None:
+            got = _structure(decompose(build_dependency_graph(*boxes)))
+            if got != expected:
+                problems = [f"expected structure {expected}, got {got}"]
         if not problems:
-            structure = audit(decompose(build_dependency_graph(*boxes))) if audit else []
-            problems = structure + _gap_audit(inst, *boxes)
+            problems = _gap_audit(inst, *boxes)
         if not problems:
             return inst
         last = "; ".join(problems)
     raise GenerationExhausted(f"audit never passed: {last}")
 
 
-def gen_single_cycle(n: int, seed: int, workspace: Workspace | None = None) -> Instance:
+def _structure(d) -> tuple:
+    """The shape of a decomposition: its sorted cycle lengths, its sorted
+    chain lengths, and its counts of isolated objects, complex SCCs and
+    others."""
+    return (
+        sorted(map(len, d.cycles)),
+        sorted(map(len, d.chains)),
+        len(d.isolated),
+        len(d.complex_sccs),
+        len(d.others),
+    )
+
+
+def _boxed(inst: Instance):
+    """An instance with its start and goal footprint maps, as `_audited`
+    takes it from a builder."""
+    return inst, (footprints(inst.start, inst.shapes), footprints(inst.goal, inst.shapes))
+
+
+def _rings(rng, rings) -> tuple[Shapes, Arrangement, Arrangement]:
+    """Objects on rings of ellipse slots, numbered ring by ring.  Each ring
+    is (cx, cy, a, b, count, phase bound): its slots start at a phase drawn
+    below the bound, its shapes are drawn inside its `_ring_half_range`, its
+    starts sit on its slots with a small jitter, and each goal sits on the
+    ring's next start, pulled back so that the two footprints overlap.  Every
+    ring's phase is drawn first, then each ring's shapes, then each ring's
+    starts and goals."""
+    slots = [
+        _ellipse_slots(cx, cy, a, b, count, rng.uniform(0, bound))
+        for cx, cy, a, b, count, bound in rings
+    ]
+    shapes: Shapes = {}
+    for ring in slots:
+        lo, hi = _ring_half_range(ring)
+        for _ in ring:
+            shapes[len(shapes)] = (rng.uniform(lo, hi), rng.uniform(lo, hi))
+    start: dict[int, Pose2] = {}
+    goal: dict[int, Pose2] = {}
+    for ring in slots:
+        ids = range(len(start), len(start) + len(ring))
+        for obj, (sx, sy) in zip(ids, ring):
+            jx, jy = rng.uniform(-0.004, 0.004), rng.uniform(-0.004, 0.004)
+            start[obj] = Pose2(sx + jx, sy + jy, rng.uniform(-0.3, 0.3))
+        for k, obj in enumerate(ids):
+            nxt = start[ids[(k + 1) % len(ids)]]
+            goal[obj] = Pose2(*_pulled_back(start[obj].xy, nxt.xy), rng.uniform(-0.3, 0.3))
+    return shapes, Arrangement(start), Arrangement(goal)
+
+
+def gen_single_cycle(n: int, seed: int) -> Instance:
     """Configurations inducing exactly one simple n-cycle."""
     if n < 2:
         raise ValueError("single cycle needs n >= 2")
-    ws = workspace or Workspace()
 
     def build(s, attempt):
         rng = random.Random(("S", n, s, attempt).__repr__())
-        slots = _ellipse_slots(
-            ws.width / 2, ws.height / 2, 0.36, 0.22, n, phase=rng.uniform(0, 2 * math.pi)
-        )
-        lo, hi = _ring_half_range(slots)
-        shapes = {i: (rng.uniform(lo, hi), rng.uniform(lo, hi)) for i in range(n)}
-        start, goal = _ring_arrangements(rng, slots, shapes, list(range(n)))
-        return Instance(ws, shapes, start, goal, f"S{n}", seed)
+        rings = _rings(rng, [(0.5, 0.3, 0.36, 0.22, n, 2 * math.pi)])
+        return _boxed(Instance(Workspace(), *rings, f"S{n}", seed))
 
-    def audit(d):
-        ok = (
-            len(d.cycles) == 1
-            and sorted(d.cycles[0]) == list(range(n))
-            and not d.chains
-            and not d.isolated
-            and not d.complex_sccs
-            and not d.others
-        )
-        return [] if ok else [f"expected a single {n}-cycle, got {d}"]
-
-    return _audited(build, seed, audit)
+    return _audited(build, seed, ([n], [], 0, 0, 0))
 
 
-def gen_double_cycle(n: int, seed: int, workspace: Workspace | None = None) -> Instance:
+def gen_double_cycle(n: int, seed: int) -> Instance:
     """Configurations inducing exactly two vertex-disjoint simple cycles."""
     if n < 4:
         raise ValueError("double cycle needs n >= 4")
-    ws = workspace or Workspace()
     n1 = (n + 1) // 2
     n2 = n - n1
 
     def build(s, attempt):
         rng = random.Random(("D", n, s, attempt).__repr__())
-        left = _ellipse_slots(0.26, ws.height / 2, 0.16, 0.16, n1, rng.uniform(0, 6.28))
-        right = _ellipse_slots(0.74, ws.height / 2, 0.16, 0.16, n2, rng.uniform(0, 6.28))
-        shapes = {}
-        for ring, ids in ((left, range(n1)), (right, range(n1, n))):
-            lo, hi = _ring_half_range(ring)
-            for i in ids:
-                shapes[i] = (rng.uniform(lo, hi), rng.uniform(lo, hi))
-        s1, g1 = _ring_arrangements(rng, left, shapes, list(range(n1)))
-        s2, g2 = _ring_arrangements(rng, right, shapes, list(range(n1, n)))
-        start = Arrangement({**s1.poses, **s2.poses})
-        goal = Arrangement({**g1.poses, **g2.poses})
-        return Instance(ws, shapes, start, goal, f"D{n}", seed)
+        rings = _rings(rng, [(0.26, 0.3, 0.16, 0.16, n1, 6.28), (0.74, 0.3, 0.16, 0.16, n2, 6.28)])
+        return _boxed(Instance(Workspace(), *rings, f"D{n}", seed))
 
-    def audit(d):
-        ok = (
-            len(d.cycles) == 2
-            and sorted(len(c) for c in d.cycles) == sorted((n1, n2))
-            and not d.chains
-            and not d.isolated
-            and not d.complex_sccs
-            and not d.others
-        )
-        return [] if ok else [f"expected cycles of {n1} and {n2}, got {d}"]
-
-    return _audited(build, seed, audit)
+    return _audited(build, seed, (sorted((n1, n2)), [], 0, 0, 0))
 
 
-def gen_mixed(seed: int, workspace: Workspace | None = None) -> Instance:
+def gen_mixed(seed: int) -> Instance:
     """12 objects: 3 isolated, one 4-chain, one 2-cycle, one 3-cycle."""
-    ws = workspace or Workspace()
 
     def build(s, attempt):
         rng = random.Random(("M", s, attempt).__repr__())
@@ -437,26 +430,16 @@ def gen_mixed(seed: int, workspace: Workspace | None = None) -> Instance:
             start[obj] = Pose2(*jit(*iso_start[k], 0.005), th())
             goal[obj] = Pose2(*jit(*iso_goal[k], 0.005), th())
 
-        return Instance(ws, shapes, Arrangement(start), Arrangement(goal), f"M{seed}", seed)
-
-    def audit(d):
-        ok = (
-            len(d.isolated) == 3
-            and len(d.chains) == 1
-            and len(d.chains[0]) == 4
-            and sorted(len(c) for c in d.cycles) == [2, 3]
-            and not d.complex_sccs
-            and not d.others
+        return _boxed(
+            Instance(Workspace(), shapes, Arrangement(start), Arrangement(goal), f"M{seed}", seed)
         )
-        return [] if ok else [f"mixed structure audit failed: {d}"]
 
-    return _audited(build, seed, audit)
+    return _audited(build, seed, ([2, 3], [4], 3, 0, 0))
 
 
-def showcase9(workspace: Workspace | None = None) -> Instance:
+def showcase9() -> Instance:
     """Hand-placed 9-object fixture: a 4-cycle 0-1-2-3, a chain 6->5->4, a
     branch vertex 8 hanging off the cycle (edge 2->8), and isolated object 7."""
-    ws = workspace or Workspace()
     h = (0.03, 0.03)
     shapes = {i: h for i in range(9)}
     start = {
@@ -481,7 +464,7 @@ def showcase9(workspace: Workspace | None = None) -> Instance:
         7: Pose2(0.74, 0.48),
         8: Pose2(0.55, 0.45),
     }
-    return Instance(ws, shapes, Arrangement(start), Arrangement(goal), "X9", 0)
+    return Instance(Workspace(), shapes, Arrangement(start), Arrangement(goal), "X9", 0)
 
 
 def identity_instance(n: int = 3, seed: int = 0) -> Instance:

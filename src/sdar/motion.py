@@ -535,7 +535,7 @@ def _bind_arm(
     arm = arms[arm_idx]
     other = arms[1 - arm_idx]
     clearance = max(a.clearance for a in arms)
-    cur_pose = session.current.pose_of(obj)
+    cur_pose = session.boxes[obj].center
     target_box = session.footprint_at(obj, target)
 
     if not _other_base_ok(cur_pose.xy, other, clearance):
@@ -598,14 +598,13 @@ def _pair_options(plan: TaskPlan, session: PlannerSession):
     The first object of a pair goes to its goal, the second to its goal or,
     on a buffer plan, to each buffer pose drawn for it."""
     goal_of = session.instance.goal.pose_of
-    pose_of = session.current.pose_of
     # on a buffer plan, deterministic per-object draws in candidate order
     parked = dict.fromkeys(b for _, b in plan.candidates if plan.need_buffer)
     buffers_for = {b: _buffer_options(session, b) for b in parked}
     ranked = []
     for idx, (i, j) in enumerate(plan.candidates):
-        o1, o2 = assign_arms((i, j), session.current, session.arms)
-        pick1, pick2 = pose_of(o1).xy, pose_of(o2).xy
+        o1, o2 = assign_arms((i, j), session.boxes, session.arms)
+        pick1, pick2 = session.boxes[o1].center.xy, session.boxes[o2].center.xy
         first = (i, goal_of(i), False)
         targets = buffers_for[j] if plan.need_buffer else [goal_of(j)]
         for b_idx, target in enumerate(targets):
@@ -627,7 +626,7 @@ def _single_moves(session: PlannerSession, obj: int, kind: str):
     if kind == RELAY:
         clearance = max(a.clearance for a in arms)
         targets = [p for p in targets if all(_other_base_ok(p.xy, arm, clearance) for arm in arms)]
-    pose = session.current.pose_of(obj)
+    pose = session.boxes[obj].center
     order = sorted((0, 1), key=lambda a: dist(arms[a].base, pose.xy))
     options = []
     for arm_idx in order:

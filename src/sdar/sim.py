@@ -185,7 +185,7 @@ def _commit(session: PlannerSession, rounds) -> tuple[RunMetrics, RunRecord]:
         failure = str(exc)
     else:
         for i in inst.ids():
-            if not session.current.poses[i].almost_equal(inst.goal.pose_of(i), 1e-9):
+            if not session.boxes[i].center.almost_equal(inst.goal.pose_of(i)):
                 raise ValidationFailure(f"object {i} did not end at its goal pose")
     metrics = record.trace.metrics = _metrics(record.trace.legs, failure)
     return metrics, record
@@ -326,8 +326,9 @@ def save_trace(trace: Trace, path) -> None:
 
 def loads_trace(text: str) -> Trace:
     """Parse a trace; ValueError if the text is not a well-formed trace,
-    naming the first line that is not.  Its legs are given in index order
-    from 0."""
+    naming the first line that is not.  Every line must have its kind's
+    keywords and number of fields (`LAYOUTS`), and a metrics line, if any,
+    must be the last line.  Its legs are given in index order from 0."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != TRACE_FORMAT:
         raise ValueError(f"expected {TRACE_FORMAT} header")
@@ -336,11 +337,13 @@ def loads_trace(text: str) -> Trace:
     legs: dict[int, LegRecord] = {}
     try:
         k, line = lines[1]
-        hdr = line.split()
+        hdr = _laid_out(line.split(), "instance _ seed _")
         instance, seed = hdr[1], int(hdr[3])
         k, line = lines[2]
         trace = Trace(instance, seed, _parse_arms(line.split()))
         for k, line in lines[3:]:
+            if trace.metrics is not None:
+                raise ValueError("a line follows the metrics line")
             _parse_line(line.split(), trace, legs)
     except (IndexError, KeyError, ValueError) as exc:
         detail = str(exc) if isinstance(exc, ValueError) else repr(exc)
@@ -350,9 +353,10 @@ def loads_trace(text: str) -> Trace:
 
 
 def _parse_arms(arm_f: list[str]) -> tuple[ArmModel, ArmModel]:
-    """The arm pair of a trace's arms line; fields are looked up by name,
-    so a field it does not read (the `dt` older traces carry) is passed
-    over."""
+    """The arm pair of a trace's arms line; the bases lead, and the other
+    fields are looked up by name, so a field it does not read (the `dt`
+    older traces carry) is passed over."""
+    _laid_out(arm_f[:7], "arms base1 _ _ base2 _ _")
 
     def take(key):
         return float(arm_f[arm_f.index(key) + 1])
@@ -377,6 +381,27 @@ ANGLES = tuple(a.value for a in GraspAngle)  # or "-" for an idle arm
 PLACE_KINDS = ("goal", "buffer")
 
 
+# each body line kind's fields: a keyword, or "_" where a value goes
+LAYOUTS = {
+    "leg": "leg _ mode _ angles _ _ candidates _ duration _",
+    "k": "k _ _ _ _ _",
+    "grip": "grip _ _ _ _ _",
+    "place": "place _ _ _ _ _ _",
+    "metrics": "metrics actions _ buffers_used _ sync_steps _ makespan _ fallbacks _ success _",
+}
+
+
+def _laid_out(parts: list[str], layout: str) -> list[str]:
+    """`parts`, if they have the fields of `layout`."""
+    want = layout.split()
+    if len(parts) != len(want):
+        raise ValueError(f"{want[0]} line has {len(parts)} fields, not {len(want)}")
+    for got, key in zip(parts, want):
+        if key != "_" and got != key:
+            raise ValueError(f"{want[0]} line has {got!r} where {key!r} belongs")
+    return parts
+
+
 def _one_of(field: str, value: str, allowed: tuple[str, ...]) -> str:
     if value not in allowed:
         raise ValueError(f"{field} {value!r} is not one of {', '.join(allowed)}")
@@ -385,8 +410,8 @@ def _one_of(field: str, value: str, allowed: tuple[str, ...]) -> str:
 
 def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> None:
     """Add one body line to the trace being parsed."""
+    _laid_out(parts, LAYOUTS[_one_of("line kind", parts[0], tuple(LAYOUTS))])
     if parts[0] == "leg":
-        # leg I mode M angles A1 A2 candidates C duration D
         idx = int(parts[1])
         if idx in legs:
             raise ValueError(f"leg {idx} is given twice")
@@ -428,7 +453,7 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
                 _one_of("place kind", parts[6], PLACE_KINDS),
             )
         )
-    elif parts[0] == "metrics":
+    else:
         fb = {}
         if parts[10] != "-":
             for item in parts[10].split(","):
@@ -583,14 +608,13 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     shapes = instance.shapes
     ws = instance.workspace
 
-    table: dict[int, Pose2] = {i: instance.start.pose_of(i) for i in instance.ids()}
-    # each object's footprint where it last landed, built once per landing
-    boxes = {i: box_at(p, *shapes[i]) for i, p in table.items()}
+    # each on-table object's footprint, built once per landing
+    boxes = {i: box_at(instance.start.pose_of(i), *shapes[i]) for i in instance.ids()}
     held: dict[int, Optional[int]] = {0: None, 1: None}
     prev_end = None
 
     def table_feasible(where: str) -> Optional[str]:
-        on_table = [(i, boxes[i]) for i in sorted(table)]
+        on_table = sorted(boxes.items())
         for k, (i, bi) in enumerate(on_table):
             if not inside(ws, bi):
                 return f"{where}: object {i} outside workspace"
@@ -621,13 +645,13 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
                 return False, f"{where}: arm {arm + 1} event time outside the leg"
             point = PathWalker(leg.knots[arm]).point(t)
             if action == "close":
-                if obj not in table:
+                if obj not in boxes:
                     return False, f"{where}: grasping object {obj} not on the table"
                 if held[arm] is not None:
                     return False, f"{where}: arm {arm + 1} already holds an object"
-                if dist(point, table[obj].xy) > 1e-9:
+                if dist(point, boxes[obj].center.xy) > 1e-9:
                     return False, f"{where}: arm {arm + 1} closed away from object {obj}"
-                del table[obj]
+                del boxes[obj]
                 held[arm] = obj
             else:
                 if held[arm] != obj:
@@ -645,12 +669,11 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
             box = box_at(pose, *shapes[obj])
             if not inside(ws, box):
                 return False, f"{where}: placement of {obj} outside workspace"
-            for j in table:
-                if overlaps(box, boxes[j]):
+            for j, other in boxes.items():
+                if overlaps(box, other):
                     return False, f"{where}: placement of {obj} overlaps object {j}"
-            if kind == "goal" and not pose.almost_equal(instance.goal.pose_of(obj), 1e-9):
+            if kind == "goal" and not pose.almost_equal(instance.goal.pose_of(obj)):
                 return False, f"{where}: goal placement of {obj} at the wrong pose"
-            table[obj] = pose
             boxes[obj] = box
             held[arm] = None
         # the leg's last check, as its cost grows with the leg's duration
@@ -666,7 +689,7 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     if held[0] is not None or held[1] is not None:
         return False, "run ended with an object still held"
     for i in instance.ids():
-        if i not in table or not table[i].almost_equal(instance.goal.pose_of(i), 1e-9):
+        if i not in boxes or not boxes[i].center.almost_equal(instance.goal.pose_of(i)):
             return False, f"object {i} not at its goal pose at the end"
     if trace.metrics is not None:
         derived = _metrics(trace.legs, None)

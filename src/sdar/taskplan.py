@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .depgraph import Arrangement, DepGraph, build_dependency_graph, decompose, footprint, footprints
+from .depgraph import DepGraph, build_dependency_graph, decompose, footprint, footprints
 from .geom import OrientedBox, Pose2, dist
 from .instances import Instance
 
@@ -51,15 +51,14 @@ class PlannerSession:
     """What planning reads of one rearrangement run: the instance, the arms,
     the rng, and the table and arm state after the rounds so far.
 
-    The session holds each object's footprint at its current pose (`boxes`)
-    and at its goal (`goal_boxes`), both keyed in id order; `place` moves an
-    object with its box, so a round rebuilds only the boxes of the objects
-    it moved."""
+    The session holds each object's footprint at its current pose (`boxes`,
+    whose centres are the table's poses) and at its goal (`goal_boxes`),
+    both keyed in id order; `place` moves an object's box, so a round
+    rebuilds only the boxes of the objects it moved."""
 
     instance: Instance
     rng_seed: int
     arms: tuple
-    current: Arrangement = field(init=False)
     remaining: set[int] = field(init=False)  # objects not yet at their goal
     buffered: set[int] = field(init=False)  # objects parked at a buffer
     boxes: dict[int, OrientedBox] = field(init=False)  # footprint at the current pose
@@ -69,12 +68,11 @@ class PlannerSession:
 
     def __post_init__(self):
         start, goal = self.instance.start, self.instance.goal
-        self.current = start.copy()
         self.remaining = {
             i for i in self.instance.ids() if not start.pose_of(i).almost_equal(goal.pose_of(i))
         }
         self.buffered = set()
-        self.boxes = footprints(self.current, self.instance.shapes)
+        self.boxes = footprints(start, self.instance.shapes)
         self.goal_boxes = footprints(goal, self.instance.shapes)
         self.ee = [self.arms[0].retract, self.arms[1].retract]
         self.rng = random.Random(self.rng_seed)
@@ -95,7 +93,6 @@ class PlannerSession:
 
     def place(self, obj: int, pose: Pose2) -> None:
         """Put `obj` at `pose` on the table, with its footprint there."""
-        self.current.poses[obj] = pose
         self.boxes[obj] = self.footprint_at(obj, pose)
 
     def footprint_at(self, obj: int, pose: Pose2) -> OrientedBox:
@@ -114,11 +111,12 @@ class PlannerSession:
         )
 
 
-def assign_arms(pair: tuple[int, int], current: Arrangement, arms) -> tuple[int, int]:
-    """Bind a pair to arms: smaller x goes to the left-base arm; ties fall to
-    base distance, then id.  Symmetric in the pair order."""
+def assign_arms(pair: tuple[int, int], boxes: dict[int, OrientedBox], arms) -> tuple[int, int]:
+    """Bind a pair to arms by the centres of their boxes: smaller x goes to
+    the left-base arm; ties fall to base distance, then id.  Symmetric in
+    the pair order."""
     i, j = pair
-    pi, pj = current.pose_of(i), current.pose_of(j)
+    pi, pj = boxes[i].center, boxes[j].center
 
     def key(obj, pose):
         return (pose.x, dist(arms[0].base, pose.xy), obj)

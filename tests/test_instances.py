@@ -78,6 +78,27 @@ def test_mixed_structure_is_fixed():
     assert dumps(gen_mixed(0)) != dumps(gen_mixed(1))
 
 
+@pytest.mark.parametrize(
+    "make, structure",
+    [
+        (instances.showcase9, ([4], [3], 1, 0, 1)),
+        (lambda: gen_mixed(0), ([2, 3], [4], 3, 0, 0)),
+        (lambda: gen_random(13, 2), ([3], [3], 1, 1, 0)),
+    ],
+    ids=["showcase9", "M0", "R13-2"],
+)
+def test_audit_compares_every_field_of_the_structure(make, structure):
+    # no generated table fails the audit on one field alone, so each field
+    # is put off by one here
+    built = instances._boxed(make())
+    assert instances._audited(lambda seed, attempt: built, 0, structure) is built[0]
+    for k, field in enumerate(structure):
+        expected = (*structure[:k], field + [9] if k < 2 else field + 1, *structure[k + 1 :])
+        with pytest.raises(GenerationExhausted) as err:
+            instances._audited(lambda seed, attempt: built, 0, expected)
+        assert str(err.value) == f"audit never passed: expected structure {expected}, got {structure}"
+
+
 def test_roundtrip_bit_exact(tmp_path):
     for inst in (gen_random(6, 3), gen_single_cycle(5, 1), instances.showcase9()):
         p = tmp_path / "x.inst"

@@ -80,9 +80,9 @@ def test_selected_targets_never_overlap_live_footprints():
                 if task.obj is None:
                     continue
                 box = footprint(task.obj, task.target, inst.shapes)
-                for i, p in session.current.on_table():
+                for i, other in session.boxes.items():
                     if i not in moving:
-                        assert not overlaps(box, footprint(i, p, inst.shapes))
+                        assert not overlaps(box, other)
 
 
 def test_every_successful_trace_verifies():

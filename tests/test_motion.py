@@ -134,7 +134,7 @@ def test_buffer_samples_pass_overlap_audit():
     inst = instances.showcase9()
     session = sim.new_session(inst, 5)
     pending = [footprint(i, inst.goal.pose_of(i), inst.shapes) for i in inst.ids()]
-    live = [footprint(i, p, inst.shapes) for i, p in session.current.on_table()]
+    live = list(session.boxes.values())
     poses = sample_buffers(live + pending, 20, session.rng, (0.03, 0.03), inst.workspace)
     for pose in poses:
         box = box_at(pose, 0.03, 0.03)
@@ -634,19 +634,19 @@ def _step_rounds(inst, seed=42, arms=None, max_rounds=50):
 
 def bind_arm_reference(session, arm_idx, obj, target, level, partner, partner_target):
     """motion._bind_arm with every footprint and grasp verdict built afresh
-    from the session's current scene."""
+    from the poses of the session's held boxes."""
     shapes = session.instance.shapes
     arms = session.arms
     arm, other = arms[arm_idx], arms[1 - arm_idx]
     keepout = max(a.clearance for a in arms) + motion.BASE_KEEPOUT_MARGIN
-    cur_pose = session.current.pose_of(obj)
+    cur_pose = session.boxes[obj].center
     cur_box = footprint(obj, cur_pose, shapes)
     target_box = footprint(obj, target, shapes)
     if dist(cur_pose.xy, other.base) < keepout or dist(target.xy, other.base) < keepout:
         return None
     if not inside(session.instance.workspace, target_box) or dist(arm.base, target.xy) > arm.reach:
         return None
-    table = [(i, footprint(i, p, shapes)) for i, p in session.current.on_table()]
+    table = [(i, footprint(i, b.center, shapes)) for i, b in session.boxes.items()]
     grasp_obstacles = [b for i, b in table if i != obj]
     place_obstacles = [b for i, b in table if i not in (obj, partner)]
     if partner is not None and partner_target is not None:
@@ -662,14 +662,15 @@ def bind_arm_reference(session, arm_idx, obj, target, level, partner, partner_ta
 
 
 def test_scene_box_memo_matches_fresh_footprints_every_round():
-    # the held boxes a selection binds against: a box left at an object's
-    # old pose would show here
+    # the held boxes a selection binds against: each object's box, in id
+    # order, is its footprint at the box's own centre
     for inst in (instances.showcase9(), instances.gen_mixed(3)):
         parked = set()  # every object seen at a buffer between rounds
         for rounds, session in enumerate(_step_rounds(inst)):
             parked |= session.buffered
-            fresh = [(i, footprint(i, p, inst.shapes)) for i, p in session.current.on_table()]
+            fresh = [(i, footprint(i, b.center, inst.shapes)) for i, b in session.boxes.items()]
             assert list(session.boxes.items()) == fresh, rounds
+            assert list(session.boxes) == inst.ids(), rounds
         assert parked and rounds == sim.run_instance(inst, 42)[0].sync_steps > 0
         assert not session.remaining
 
@@ -715,7 +716,8 @@ def test_binding_memo_matches_fresh_memo_at_every_selection(monkeypatch):
     bound = []
 
     def check(session, args, call, result):
-        fresh = footprints(session.current, session.instance.shapes)
+        shapes = session.instance.shapes
+        fresh = {i: footprint(i, b.center, shapes) for i, b in session.boxes.items()}
         assert result == call(fresh) == bind_arm_reference(session, *args)
         selections = tables[-1]
         if not selections or selections[-1] != session.boxes:
@@ -808,7 +810,7 @@ def iter_instantiations_reference(plan, session):
     for level in (motion.TOP_DOWN_SET, motion.FULL_SET):
         scored = []
         for idx, (i, j) in enumerate(plan.candidates):
-            o1, o2 = motion.assign_arms((i, j), session.current, session.arms)
+            o1, o2 = motion.assign_arms((i, j), session.boxes, session.arms)
             if plan.need_buffer:
                 opts = [(goal_of(i), b) for b in buffers_for[j]]
             else:
@@ -843,7 +845,7 @@ def iter_instantiations_reference(plan, session):
                 p for p in motion._buffer_options(session, obj)
                 if all(dist(p.xy, arm.base) >= keepout for arm in session.arms)
             ]
-        pose = session.current.pose_of(obj)
+        pose = session.boxes[obj].center
         order = sorted((0, 1), key=lambda a: dist(session.arms[a].base, pose.xy))
         for level in (motion.TOP_DOWN_SET, motion.FULL_SET):
             for arm_idx in order:
@@ -988,9 +990,9 @@ def test_cycle_round_selection_returns_safe_buffer():
     assert buffered
     buffered_obj, buffer_pose = buffered[0].obj, buffered[0].target
     box = footprint(buffered_obj, buffer_pose, inst.shapes)
-    for i, p in session.current.on_table():
+    for i, other in session.boxes.items():
         if i != buffered_obj:
-            assert not overlaps(box, footprint(i, p, inst.shapes))
+            assert not overlaps(box, other)
     for i in session.remaining:
         assert not overlaps(box, footprint(i, inst.goal.pose_of(i), inst.shapes))
 

@@ -234,10 +234,14 @@ GRASP_ANGLES = ", ".join(a.value for a in motion.GraspAngle)
         ),
         ("leg 0 ", 5, "sideways", f"angle 'sideways' is not one of {GRASP_ANGLES}"),
         ("leg 0 ", 6, "nope", f"angle 'nope' is not one of {GRASP_ANGLES}"),
+        ("instance ", 2, "sd", "instance line has 'sd' where 'seed' belongs"),
+        ("leg 0 ", 2, "xmode", "leg line has 'xmode' where 'mode' belongs"),
+        ("metrics ", 1, "moves", "metrics line has 'moves' where 'actions' belongs"),
     ],
     ids=[
         "grip-arm-2", "knot-arm-minus-1", "grip-action-squeeze", "place-kind-shelf",
-        "leg-mode-teleport", "angle-sideways", "angle-nope",
+        "leg-mode-teleport", "angle-sideways", "angle-nope", "header-keyword",
+        "leg-keyword", "metrics-keyword",
     ],
 )
 def test_trace_naming_no_arm_or_action_cannot_be_parsed(prefix, field, value, detail):
@@ -250,6 +254,37 @@ def test_trace_naming_no_arm_or_action_cannot_be_parsed(prefix, field, value, de
     lines[k] = " ".join(parts)
     with pytest.raises(ValueError) as err:
         verify_trace("\n".join(lines) + "\n", inst)
+    assert str(err.value) == f"malformed sdar-trace/3 trace: line {k + 1}: {detail}"
+
+
+def _with_extra_field(lines, prefix):
+    k = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    return lines[:k] + [lines[k] + " 0.5"] + lines[k + 1 :], k
+
+
+@pytest.mark.parametrize(
+    "forge, detail",
+    [
+        (
+            lambda lines: (lines[:3] + ["note x"] + lines[3:], 3),
+            "line kind 'note' is not one of leg, k, grip, place, metrics",
+        ),
+        (lambda lines: _with_extra_field(lines, "k "), "k line has 7 fields, not 6"),
+        (lambda lines: _with_extra_field(lines, "grip "), "grip line has 7 fields, not 6"),
+        (lambda lines: (lines + lines[-1:], len(lines)), "a line follows the metrics line"),
+        (lambda lines: (lines[:3] + lines[-1:] + lines[3:-1], 4), "a line follows the metrics line"),
+    ],
+    ids=["unknown-kind", "knot-extra-field", "grip-extra-field", "second-metrics", "metrics-first"],
+)
+def test_trace_out_of_layout_cannot_be_parsed(forge, detail):
+    # a line the parser would not read is an error, not passed over
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 42)
+    text = dumps_trace(rec.trace)
+    assert verify_trace(text, inst) == (True, "ok")
+    lines, k = forge(text.splitlines())
+    with pytest.raises(ValueError) as err:
+        loads_trace("\n".join(lines) + "\n")
     assert str(err.value) == f"malformed sdar-trace/3 trace: line {k + 1}: {detail}"
 
 
@@ -356,7 +391,7 @@ def test_iterate_frames_counts_and_final_scene():
     table, ee, carried = frames[-1]
     for i in inst.ids():
         assert i in table
-        assert table[i].almost_equal(inst.goal.pose_of(i), 1e-9)
+        assert table[i].almost_equal(inst.goal.pose_of(i))
 
 
 def test_frames_hold_an_object_from_close_until_open():

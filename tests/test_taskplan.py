@@ -3,8 +3,8 @@ import random
 import pytest
 
 from sdar import instances, sim
-from sdar.depgraph import Arrangement, DepGraph, decompose
-from sdar.geom import Pose2
+from sdar.depgraph import DepGraph, decompose
+from sdar.geom import Pose2, box_at
 from sdar.motion import default_arms
 from sdar.taskplan import (
     BUFFER,
@@ -136,16 +136,20 @@ def test_buffer_pair_plan_parks_each_object_alone(monkeypatch):
 
 # ------------------------------------------------------------- assign_arms
 
+def _boxes(*poses):
+    return {i: box_at(p, 0.03, 0.03) for i, p in enumerate(poses)}
+
+
 def test_assign_arms_by_x_coordinate():
     arms = default_arms()
-    cur = Arrangement({0: Pose2(0.2, 0.3), 1: Pose2(0.8, 0.3)})
+    cur = _boxes(Pose2(0.2, 0.3), Pose2(0.8, 0.3))
     assert assign_arms((0, 1), cur, arms) == (0, 1)
     assert assign_arms((1, 0), cur, arms) == (0, 1)
 
 
 def test_assign_arms_tie_breaks_on_base_distance():
     arms = default_arms()
-    cur = Arrangement({0: Pose2(0.5, 0.31), 1: Pose2(0.5, 0.55)})
+    cur = _boxes(Pose2(0.5, 0.31), Pose2(0.5, 0.55))
     # equal x: object 0 is nearer arm 1's base (y = 0.3)
     assert assign_arms((0, 1), cur, arms) == (0, 1)
 
@@ -154,11 +158,9 @@ def test_assign_arms_symmetric_over_random_pairs():
     arms = default_arms()
     rng = random.Random(11)
     for _ in range(50):
-        cur = Arrangement(
-            {
-                0: Pose2(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.5)),
-                1: Pose2(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.5)),
-            }
+        cur = _boxes(
+            Pose2(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.5)),
+            Pose2(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.5)),
         )
         assert assign_arms((0, 1), cur, arms) == assign_arms((1, 0), cur, arms)
 

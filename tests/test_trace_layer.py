@@ -153,7 +153,7 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
             for j, pj in table.items():
                 if overlaps(box, box_at(pj, *shapes[j])):
                     return False, f"{where}: placement of {obj} overlaps object {j}"
-            if kind == "goal" and not pose.almost_equal(instance.goal.pose_of(obj), 1e-9):
+            if kind == "goal" and not pose.almost_equal(instance.goal.pose_of(obj)):
                 return False, f"{where}: goal placement of {obj} at the wrong pose"
             table[obj] = pose
             held[arm] = None
@@ -169,7 +169,7 @@ def full_scan_verify(trace, instance: Instance) -> tuple[bool, str]:
     if held[0] is not None or held[1] is not None:
         return False, "run ended with an object still held"
     for i in instance.ids():
-        if i not in table or not table[i].almost_equal(instance.goal.pose_of(i), 1e-9):
+        if i not in table or not table[i].almost_equal(instance.goal.pose_of(i)):
             return False, f"object {i} not at its goal pose at the end"
     return True, "ok"
 
@@ -544,7 +544,8 @@ def _checked_rounds(monkeypatch):
         got = real(boxes, ws, involving)
         session = sessions[-1]
         assert boxes is session.boxes
-        fresh = depgraph.footprints(session.current, session.instance.shapes)
+        shapes = session.instance.shapes
+        fresh = {i: depgraph.footprint(i, b.center, shapes) for i, b in boxes.items()}
         rounds.append((got, real(fresh, ws), involving))
         return got
 
@@ -578,8 +579,8 @@ def test_round_check_reports_an_overlapping_round_as_a_full_scan_does(monkeypatc
         if len(planned) == 3:
             moving = {t.obj for t in sub.tasks if t.obj is not None}
             task = next(t for t in sub.tasks if t.obj is not None)
-            victim = next(i for i, _ in session.current.on_table() if i not in moving)
-            onto = replace(task, target=session.current.pose_of(victim))
+            victim = next(i for i in session.boxes if i not in moving)
+            onto = replace(task, target=session.boxes[victim].center)
             sub = replace(sub, tasks=tuple(onto if t is task else t for t in sub.tasks))
         return sub, start, goal
 
@@ -598,8 +599,9 @@ def test_round_check_reports_an_overlapping_round_as_a_full_scan_does(monkeypatc
 def test_held_boxes_match_fresh_footprints_after_every_round(monkeypatch):
     # the session holds each object's footprint at its current pose and at
     # its goal, and rebuilds only the moved objects' boxes in a round: after
-    # every round both maps, and the graph built from them, must be what
-    # fresh footprints give
+    # every round each moved object's box sits at its target, both maps hold
+    # each object's footprint at the box's own centre, and the graph built
+    # from them is what fresh footprints give
     apply_round = PlannerSession.apply_round
     rounds = []
 
@@ -607,14 +609,15 @@ def test_held_boxes_match_fresh_footprints_after_every_round(monkeypatch):
         apply_round(session, sub, goal_motion)
         inst = session.instance
         shapes = inst.shapes
-        fresh = [(i, depgraph.footprint(i, p, shapes)) for i, p in session.current.on_table()]
-        assert list(session.boxes.items()) == fresh
+        assert all(session.boxes[t.obj].center == t.target for t in sub.tasks if t.obj is not None)
+        fresh = [(i, depgraph.footprint(i, b.center, shapes)) for i, b in session.boxes.items()]
+        assert list(session.boxes.items()) == fresh and list(session.boxes) == inst.ids()
         goals = [(i, depgraph.footprint(i, p, shapes)) for i, p in inst.goal.on_table()]
         assert list(session.goal_boxes.items()) == goals
         left = sorted(session.remaining)
         graph = depgraph.build_dependency_graph(
             depgraph.footprints(
-                depgraph.Arrangement({i: session.current.pose_of(i) for i in left}), shapes
+                depgraph.Arrangement({i: session.boxes[i].center for i in left}), shapes
             ),
             depgraph.footprints(depgraph.Arrangement({i: inst.goal.pose_of(i) for i in left}), shapes),
         )
