@@ -322,7 +322,8 @@ def render_frame(inst: Instance, table, ee, carried, arms) -> str:
 def cmd_render(args) -> int:
     path = Path(args.path)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # --out is made only once the input has been read and parsed, so an input
+    # error leaves no directory behind
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -332,6 +333,7 @@ def cmd_render(args) -> int:
 
     if head == instances.INSTANCE_FORMAT:
         inst = instances.load(path)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "start.svg").write_text(render_scene(inst, "start"), encoding="utf-8")
         (out / "goal.svg").write_text(render_scene(inst, "goal"), encoding="utf-8")
         (out / "depgraph.dot").write_text(to_dot(inst.graph()), encoding="utf-8")
@@ -350,6 +352,7 @@ def cmd_render(args) -> int:
             print(f"input error: {path}: {exc}", file=sys.stderr)
             return 2
         arms = trace.arms
+        out.mkdir(parents=True, exist_ok=True)
         count = 0
         for k, (table, ee, carried) in enumerate(sim.iterate_frames(trace, inst)):
             frame = render_frame(inst, table, ee, carried, arms)

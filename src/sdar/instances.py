@@ -108,11 +108,15 @@ def _place_all(
     Returns the arrangement and its footprint map, the boxes the draws
     accepted, keyed in id order as `depgraph.footprints` keys them.
 
-    Every attempt draws x, y and theta (three `rng.uniform` calls) whatever
-    its fate, and all objects share one budget of attempts.  Before an
-    object's draws, the boxes placed so far are listed once as inner discs
-    (`blocked_within2`) and as `reach_entry`s, and `cross_boxes` as reach
-    entries.  A draw centred within an inner disc is surely rejected, and
+    Every attempt takes three `rng.random()` values in [0, 1] (x, y, theta)
+    whatever its fate, scaled with the arithmetic of `random.Random.uniform`,
+    `a + (b - a) * u`: x in [margin, width - margin] (margin the shape's
+    circumradius), y likewise and theta in [-pi, pi], the values of three
+    `rng.uniform(a, b)` calls; theta is scaled only for a draw that the sure
+    tests below do not reject.  All objects share one budget of attempts.
+    Before an object's draws, the boxes placed so far are listed once as
+    inner discs (`blocked_within2`) and as `reach_entry`s, and `cross_boxes`
+    as reach entries.  A draw centred within an inner disc is surely rejected, and
     `in_reach`, the buffer sampler's pass, surely rejects it or gives the
     placed boxes in reach before its box is built; the exact tests then skip
     every box beyond reach, where their own prefilters would clear the draw.
@@ -121,14 +125,17 @@ def _place_all(
     of one."""
     placed: dict[int, Pose2] = {}
     accepted: dict[int, OrientedBox] = {}
-    uniform = rng.uniform
+    unit = rng.random
+    pi = math.pi
+    turn = pi - -pi
     attempts = 0
     for obj in sorted(shapes):
         hw, hh = shapes[obj]
         margin = math.hypot(hw, hh)
         inner = min(hw, hh)
-        x_hi = ws.width - margin
-        y_hi = ws.height - margin
+        # uniform(margin, width - margin)'s b - a, and likewise for y
+        x_span = ws.width - margin - margin
+        y_span = ws.height - margin - margin
         discs = []  # (x, y, inner²) of the placed boxes
         for b in accepted.values():
             inner2 = blocked_within2(inner, b, MIN_GAP)
@@ -143,9 +150,9 @@ def _place_all(
                 raise GenerationExhausted(
                     f"failed to place object {obj} after {attempts_budget} attempts"
                 )
-            x = uniform(margin, x_hi)
-            y = uniform(margin, y_hi)
-            theta = uniform(-math.pi, math.pi)
+            x = margin + x_span * unit()
+            y = margin + y_span * unit()
+            t = unit()
             for ox, oy, inner2 in discs:
                 dx = ox - x
                 dy = oy - y
@@ -154,7 +161,7 @@ def _place_all(
             else:
                 near = in_reach(x, y, entries, sure)
                 if near is not None:
-                    pose = Pose2(x, y, theta)
+                    pose = Pose2(x, y, -pi + turn * t)
                     box = box_at(pose, hw, hh)
                     if inside(ws, box) and _clear_of(box, near, cross):
                         break

@@ -322,10 +322,14 @@ def sample_buffers(
     independent alternatives, not a packing: a round parks at most one
     object, so no pose is tested against the call's own earlier poses, and
     the same pose may come back more than once.  Rejection sampling stops at
-    k accepts or after a fixed budget of BUFFER_DRAWS draws, whatever k is;
-    each draw takes three `rng.uniform` values (x, y, theta) whatever its
-    fate, and `rng.uniform(a, b)` must return a value between a and b (up
-    to rounding), as `random.Random`'s does.
+    k accepts or after a fixed budget of BUFFER_DRAWS draws, whatever k is.
+    Each draw takes three `rng.random()` values in [0, 1] (x, y, theta)
+    whatever its fate, and scales each with the arithmetic of
+    `random.Random.uniform`, `a + (b - a) * u`: x in [margin, width -
+    margin] (margin the shape's circumradius), y likewise and theta in
+    [-pi, pi].  So the poses and the rng's state are those of three
+    `rng.uniform(a, b)` calls per draw; theta is scaled only for a draw that
+    the sure tests below do not reject.
 
     The obstacles are listed once in a grid (`BufferGrid`), and a draw
     reads only its own cell.  A draw centred within an obstacle's inner disc
@@ -360,13 +364,16 @@ def sample_buffers(
     # a box centred in [margin, x_hi] x [margin, y_hi] is inside the
     # workspace, up to rounding that EPS covers on such a table
     fits = (workspace.width + workspace.height) * FIT_ROUNDING <= EPS
-    uniform = rng.uniform
+    unit = rng.random
+    x_span = x_hi - margin
+    y_span = y_hi - margin
     pi = math.pi
+    turn = pi - -pi
     found: list[Pose2] = []
     for _ in range(BUFFER_DRAWS):
-        x = uniform(margin, x_hi)
-        y = uniform(margin, y_hi)
-        theta = uniform(-pi, pi)
+        x = margin + x_span * unit()
+        y = margin + y_span * unit()
+        t = unit()
         i = int(x * inv - gx) * rows + int(y * inv - gy)
         for ox, oy, inner2 in inner[i]:
             dx = ox - x
@@ -376,7 +383,7 @@ def sample_buffers(
         else:
             near = in_reach(x, y, reach[i], sure)
             if near is not None:
-                pose = Pose2(x, y, theta)
+                pose = Pose2(x, y, -pi + turn * t)
                 if near or not (fits and margin <= x <= x_hi and margin <= y <= y_hi):
                     box = box_at(pose, hw, hh)
                     if not (inside(workspace, box) and _clears(box, near, min_gap)):
@@ -454,7 +461,8 @@ class BufferGrid:
         self.side = max(GRID_CELL_RADII * margin, min_gap, workspace.diagonal / GRID_MAX_CELLS)
         self.inv = inv = 1.0 / self.side
         w, h = workspace.width, workspace.height
-        # uniform(margin, w - margin) lies between its bounds in either order
+        # a draw scales a unit in [0, 1] as uniform(margin, w - margin) does,
+        # so it lies between those bounds in either order
         x_lo, x_hi = sorted((margin, w - margin))
         y_lo, y_hi = sorted((margin, h - margin))
         self.gx = float(math.floor(x_lo * inv) - 1)

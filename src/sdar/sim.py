@@ -353,15 +353,10 @@ def loads_trace(text: str) -> Trace:
 
 
 def _parse_arms(arm_f: list[str]) -> tuple[ArmModel, ArmModel]:
-    """The arm pair of a trace's arms line; the bases lead, and the other
-    fields are looked up by name, so a field it does not read (the `dt`
-    older traces carry) is passed over."""
-    _laid_out(arm_f[:7], "arms base1 _ _ base2 _ _")
-
-    def take(key):
-        return float(arm_f[arm_f.index(key) + 1])
-
-    reach, ee_radius, clearance = take("reach"), take("ee_radius"), take("clearance")
+    """The arm pair of a trace's arms line, laid out as `dumps_trace` writes
+    it: the bases, then reach, ee_radius and clearance, each once."""
+    _laid_out(arm_f, "arms base1 _ _ base2 _ _ reach _ ee_radius _ clearance _")
+    reach, ee_radius, clearance = float(arm_f[8]), float(arm_f[10]), float(arm_f[12])
     return tuple(
         ArmModel(base=base, reach=reach, ee_radius=ee_radius, clearance=clearance)
         for base in ((float(arm_f[2]), float(arm_f[3])), (float(arm_f[5]), float(arm_f[6])))

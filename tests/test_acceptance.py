@@ -2,7 +2,6 @@
 pass/fail line each.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import hashlib
-import itertools
 import random
 import time
 
@@ -29,6 +28,7 @@ from sdar.motion import (
 )
 
 from fine_grid import least_clearance
+from fvs_reference import naive_min_fvs
 from path_reference import reference_point
 
 ARMS = default_arms()
@@ -416,32 +416,6 @@ def test_criterion_9_determinism(tmp_path):
             f"({len(payload[0][1])} traces compared byte-for-byte)")
 
 
-def _naive_min_fvs(n, edges):
-    def has_cycle(keep):
-        succ = {v: [] for v in keep}
-        for i, j in edges:
-            if i in keep and j in keep:
-                succ[i].append(j)
-        color = {v: 0 for v in keep}
-
-        def dfs(v):
-            color[v] = 1
-            for w in succ[v]:
-                if color[w] == 1 or (color[w] == 0 and dfs(w)):
-                    return True
-            color[v] = 2
-            return False
-
-        return any(color[v] == 0 and dfs(v) for v in keep)
-
-    verts = list(range(n))
-    for size in range(n + 1):
-        for subset in itertools.combinations(verts, size):
-            if not has_cycle(set(verts) - set(subset)):
-                return size
-    return n
-
-
 def test_criterion_10_oracle_self_check():
     t0 = time.time()
     rng = random.Random(2024)
@@ -451,7 +425,7 @@ def test_criterion_10_oracle_self_check():
             (i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.25
         )
         g = DepGraph(tuple(range(n)), edges)
-        assert min_fvs(g) == _naive_min_fvs(n, edges)
+        assert min_fvs(g) == naive_min_fvs(n, edges)
     elapsed = time.time() - t0
     _report(10, "min-FVS oracle self-check", elapsed < 30.0,
             f"(1000 graphs, {elapsed:.1f}s)")

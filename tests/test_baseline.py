@@ -1,7 +1,8 @@
-import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdar import instances, sim
 from sdar.baseline import (
@@ -11,41 +12,11 @@ from sdar.baseline import (
 )
 from sdar.depgraph import DepGraph
 
+from fvs_reference import min_fvs_subset_reference, naive_min_fvs
+
 
 def graph(n, edges):
     return DepGraph(tuple(range(n)), frozenset(edges))
-
-
-# ------------------------------------------------------- independent oracle
-
-def naive_min_fvs(n, edges) -> int:
-    """Plain subset enumeration with DFS cycle detection, no SCC shortcuts."""
-
-    def has_cycle(keep):
-        succ = {v: [] for v in keep}
-        for i, j in edges:
-            if i in keep and j in keep:
-                succ[i].append(j)
-        color = {v: 0 for v in keep}
-
-        def dfs(v):
-            color[v] = 1
-            for w in succ[v]:
-                if color[w] == 1:
-                    return True
-                if color[w] == 0 and dfs(w):
-                    return True
-            color[v] = 2
-            return False
-
-        return any(color[v] == 0 and dfs(v) for v in keep)
-
-    verts = list(range(n))
-    for size in range(n + 1):
-        for subset in itertools.combinations(verts, size):
-            if not has_cycle(set(verts) - set(subset)):
-                return size
-    return n
 
 
 def test_acyclic_graph_needs_no_removals():
@@ -74,6 +45,45 @@ def test_min_fvs_matches_naive_enumerator_on_random_graphs():
             (i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.3
         }
         assert min_fvs(graph(n, edges)) == naive_min_fvs(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_min_fvs_matches_subset_search_on_random_digraphs(n, p, seed):
+    # dense enough for complex SCCs, where the branching search does its work
+    rng = random.Random(seed)
+    edges = {(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p}
+    g = graph(n, edges)
+    assert min_fvs(g) == min_fvs_subset_reference(g)
+
+
+# The oracle of each table of the `dense` benchmark workload, gen_random(n, s)
+# for n = 14..22 even and s = 0..3 in that order, as (min_fvs, single-arm
+# optimal actions, assumption_holds), or None over the 20-vertex budget.  It
+# reads no plan seed, so it is the same at seed 42 as at any other.
+DENSE_ORACLE = [
+    (1, 15, False), (2, 16, False), (2, 16, False), (1, 15, True),
+    (1, 17, False), (3, 19, False), (4, 20, False), (2, 18, False),
+    (2, 20, False), (2, 20, False), (2, 20, False), (3, 21, False),
+    (4, 24, False), (4, 24, False), (3, 23, False), (2, 22, False),
+    None, None, None, None,
+]
+
+
+def test_dense_oracle_values_and_subset_search():
+    got = []
+    for n in (14, 16, 18, 20, 22):
+        for s in range(4):
+            inst = instances.gen_random(n, s)
+            if n > 20:
+                with pytest.raises(BudgetExceeded):
+                    single_arm_optimal_actions(inst)
+                got.append(None)
+                continue
+            res = single_arm_optimal_actions(inst)
+            assert res.min_fvs == min_fvs_subset_reference(inst.graph()), (n, s)
+            got.append((res.min_fvs, res.single_arm_optimal_actions, res.assumption_holds))
+    assert got == DENSE_ORACLE
 
 
 def test_budget_guard():

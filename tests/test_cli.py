@@ -314,6 +314,18 @@ def test_render_rejects_empty_or_undecodable_file(tmp_path, capsys):
         assert "input error:" in capsys.readouterr().err
 
 
+def test_render_input_error_creates_no_out_directory(tmp_path, capsys):
+    # a header with no seed line, and an input file that does not exist
+    rows = (FIXTURES / "showcase9.inst").read_text().splitlines()
+    bad = tmp_path / "bad.inst"
+    bad.write_text("\n".join(row for row in rows if not row.startswith("seed ")) + "\n")
+    for path in (bad, tmp_path / "nothere.inst"):
+        out = tmp_path / "d"
+        assert run_cli("render", path, "--out", out) == 2, path
+        assert "input error:" in capsys.readouterr().err
+        assert not out.exists(), path
+
+
 def test_render_rejects_trace_with_only_its_header(tmp_path, capsys):
     inst_path = tmp_path / "s2.inst"
     instances.save(instances.gen_single_cycle(2, 1), inst_path)

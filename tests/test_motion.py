@@ -238,29 +238,69 @@ def test_sample_buffers_matches_reference_without_broad_phase():
 
 
 class ScriptedRng:
-    """Stands in for random.Random: uniform() returns the scripted draws, and
-    the state is the draws not yet used."""
+    """Stands in for random.Random: random() returns the scripted units,
+    uniform(a, b) scales the next one as random.Random's does, and the state
+    is the units not yet used."""
 
-    def __init__(self, draws):
-        self.draws = list(draws)
+    def __init__(self, units):
+        self.units = list(units)
         self.used = 0
 
-    def uniform(self, lo, hi):
+    def random(self):
         self.used += 1
-        return self.draws[self.used - 1]
+        return self.units[self.used - 1]
+
+    def uniform(self, a, b):
+        return a + (b - a) * self.random()
 
     def getstate(self):
-        return tuple(self.draws[self.used:])
+        return tuple(self.units[self.used:])
+
+
+def unit_for(lo, hi, value):
+    """The unit that uniform(lo, hi) scales nearest to `value`, searched over
+    8 ulps either side of (value - lo) / (hi - lo).  Its image is `value`
+    or, at worst, a neighbouring float: where lo sits half an ulp off the
+    grid of the sums, ties to even leave every other float with no unit
+    (0.367999 on the default table, for a box of half sides 0.02 and 0.06)."""
+    span = hi - lo
+    u = (value - lo) / span
+    for _ in range(8):
+        u = math.nextafter(u, -math.inf)
+    units = [u]
+    for _ in range(16):
+        units.append(math.nextafter(units[-1], math.inf))
+    best = min(units, key=lambda unit: abs(lo + span * unit - value))
+    assert abs(lo + span * best - value) <= math.ulp(value), (lo, hi, value)
+    return best
+
+
+def scripted(draws, shape, ws):
+    """(units, poses): the units whose draws for a buffered `shape` on `ws`
+    are nearest the (x, y, theta) of `draws`, and the poses they yield.  A
+    yaw's unit is (theta + pi) / 2pi; x and y have the units of `unit_for`.
+    A test that needs a draw exactly where it scripts it asserts its pose."""
+    m = math.hypot(*shape)
+    units, poses = [], []
+    x_hi, y_hi = ws.width - m, ws.height - m
+    for x, y, theta in draws:
+        draw = [unit_for(m, x_hi, x), unit_for(m, y_hi, y), (theta + math.pi) / (2 * math.pi)]
+        units += draw
+        rng = ScriptedRng(draw)
+        poses.append(
+            Pose2(rng.uniform(m, x_hi), rng.uniform(m, y_hi), rng.uniform(-math.pi, math.pi))
+        )
+    return units, poses
 
 
 class CountingRng(random.Random):
-    """random.Random that counts its uniform() calls."""
+    """random.Random that counts its random() calls."""
 
     calls = 0
 
-    def uniform(self, lo, hi):
+    def random(self):
         self.calls += 1
-        return super().uniform(lo, hi)
+        return super().random()
 
 
 def test_sample_buffers_budget_does_not_grow_with_k():
@@ -275,10 +315,10 @@ def test_sample_buffers_budget_does_not_grow_with_k():
 def test_sample_buffers_poses_are_alternatives():
     # one free draw repeated k times is accepted k times: the call's own
     # poses are not obstacles
-    draw = (0.5, 0.3, 0.2)
+    units, pose = scripted([(0.5, 0.3, 0.2)], (0.05, 0.05), Workspace())
     for k in (1, 4):
-        poses = sample_buffers([], k, ScriptedRng(draw * k), (0.05, 0.05), Workspace())
-        assert poses == [Pose2(*draw)] * k
+        poses = sample_buffers([], k, ScriptedRng(units * k), (0.05, 0.05), Workspace())
+        assert poses == pose * k
 
 
 def test_sample_buffers_broad_phase_keeps_boundary_draws():
@@ -287,14 +327,17 @@ def test_sample_buffers_broad_phase_keeps_boundary_draws():
     # circumradii, the edge of both exact tests' bounding-circle prefilters
     r = math.hypot(0.05, 0.05)
     obstacles = [box_at(Pose2(0.3, 0.3, math.pi / 4), 0.05, 0.05)]
-    far = (0.8, 0.3, 0.0)
     for min_gap, x in ((0.0, 0.3 + 2 * r), (MIN_GAP, 0.3 + 2 * r + MIN_GAP - 1e-6)):
-        draws = [x, 0.3, math.pi / 4, *far]
+        units, (at, far) = scripted(
+            [(x, 0.3, math.pi / 4), (0.8, 0.3, 0.0)], (0.05, 0.05), Workspace()
+        )
+        if min_gap == 0.0:  # exactly at the summed circumradii
+            assert at == Pose2(x, 0.3, math.pi / 4)
         for sampler in (sample_buffers, sample_buffers_reference):
             poses = sampler(
-                obstacles, 1, ScriptedRng(draws), (0.05, 0.05), Workspace(), min_gap=min_gap
+                obstacles, 1, ScriptedRng(units), (0.05, 0.05), Workspace(), min_gap=min_gap
             )
-            assert poses == [Pose2(*far)], (sampler.__name__, min_gap)
+            assert poses == [far], (sampler.__name__, min_gap)
 
 
 def test_sample_buffers_inner_bound_keeps_boundary_draws():
@@ -313,10 +356,11 @@ def test_sample_buffers_inner_bound_keeps_boundary_draws():
                 for offset in (1e-6, -1e-6):
                     s = sign * (bound + offset)
                     draw = (0.5 + s * ux, 0.3 + s * uy, alpha + math.pi / 2)
-                    expect = Pose2(*draw) if offset > 0.0 else Pose2(*far)
+                    units, (near, clear) = scripted([draw, far], shape, Workspace())
+                    expect = near if offset > 0.0 else clear
                     for sampler in (sample_buffers, sample_buffers_reference):
                         poses = sampler(
-                            obstacles, 1, ScriptedRng([*draw, *far]), shape, Workspace(),
+                            obstacles, 1, ScriptedRng(units), shape, Workspace(),
                             min_gap=min_gap,
                         )
                         assert poses == [expect], (sampler.__name__, alpha, min_gap, s)
@@ -355,12 +399,12 @@ def test_sample_buffers_draws_on_cell_edges():
                 for extra, blocked in ((0.0, True), (2e-6, False)):
                     d = touch + extra
                     obstacles = [box_at(Pose2(x + dx * d, y + dy * d, math.pi / 4), *shape)]
-                    far = (0.85, 0.45, 0.0)
-                    draws = [x, y, math.pi / 4, *far]
+                    units, (at, far) = scripted([(x, y, math.pi / 4), (0.85, 0.45, 0.0)], shape, ws)
+                    assert at == Pose2(x, y, math.pi / 4)
                     got = _same_as_reference(
-                        obstacles, shape, ws, lambda: ScriptedRng(draws), 1, min_gap
+                        obstacles, shape, ws, lambda: ScriptedRng(units), 1, min_gap
                     )
-                    assert got == [Pose2(*far) if blocked else Pose2(x, y, math.pi / 4)]
+                    assert got == [far if blocked else at]
 
 
 def test_sample_buffers_rectangle_bound_keeps_boundary_draws():
@@ -391,11 +435,12 @@ def test_sample_buffers_rectangle_bound_keeps_boundary_draws():
                     draw = (px + d * dx, py + d * dy, math.atan2(dy, dx))
                     inner2 = motion.blocked_within2(grid.inner_radius, ob, min_gap)
                     assert dist(draw[:2], ob.center.xy) ** 2 > inner2  # out of its reach
+                    units, (at, clear) = scripted([draw, far], shape, ws)
                     got = _same_as_reference(
-                        [ob], shape, ws, lambda: ScriptedRng([*draw, *far]), 1, min_gap
+                        [ob], shape, ws, lambda: ScriptedRng(units), 1, min_gap
                     )
                     if offset:
-                        assert got == [Pose2(*draw) if offset > 0.0 else Pose2(*far)], (alpha, min_gap, offset)
+                        assert got == [at if offset > 0.0 else clear], (alpha, min_gap, offset)
 
 
 def test_sample_buffers_builds_no_box_for_a_draw_with_nothing_in_reach(monkeypatch):
@@ -413,7 +458,7 @@ def test_sample_buffers_builds_no_box_for_a_draw_with_nothing_in_reach(monkeypat
     for ws, boxes, lo in (
         (Workspace(), False, m),
         (Workspace(0.4, 0.11), False, m),
-        (Workspace(), True, hair),  # a draw a hair outside the domain
+        (Workspace(), True, hair),  # a unit just below 0: a hair outside the domain
         (Workspace(2e3, 1e3), True, m),  # too large for the rounding bound
         (Workspace(0.09, 0.3), True, m),  # narrower than the box: no domain
     ):
@@ -421,10 +466,14 @@ def test_sample_buffers_builds_no_box_for_a_draw_with_nothing_in_reach(monkeypat
         for x in (lo, ws.width - m):
             for y in (lo, ws.height - m):
                 for theta in (diag, -diag, math.pi - diag, diag - math.pi, 0.0, math.pi / 2):
-                    draws += [x, y, theta]
-        k = len(draws) // 3
+                    draws.append((x, y, theta))
+        units, poses = scripted(draws, shape, ws)
+        assert [(p.x, p.y) for p in poses] == [(x, y) for x, y, _ in draws]
+        if lo == hair:
+            assert units[0] < 0.0
+        k = len(draws)
         # repeated for a call that accepts none of them and runs its budget
-        script = draws * (motion.BUFFER_DRAWS // k)
+        script = units * (motion.BUFFER_DRAWS // k)
         built.clear()
         got = _same_as_reference([], shape, ws, lambda: ScriptedRng(script), k, MIN_GAP)
         assert bool(built) == boxes, ws

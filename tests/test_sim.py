@@ -193,17 +193,22 @@ def test_forged_metrics_line_is_rejected(name, field, forge):
     assert not ok and msg.startswith(f"metrics {field} ") and " disagrees with the legs' " in msg, msg
 
 
-def test_arms_line_with_a_dt_field_still_parses():
-    # the arms line of older traces ended in a dt field
-    inst = instances.gen_random(3, 4)
+@pytest.mark.parametrize(
+    "extra", [" note x", " reach 9.0", " dt", " dt 0.02"], ids=["note", "reach", "bare_dt", "dt"]
+)
+def test_arms_line_with_a_field_past_its_layout_is_rejected(extra):
+    # the arms line holds the bases, reach, ee_radius and clearance, each
+    # once and in that order: an appended field, a second reach and the dt
+    # field of sdar-trace/1 are forgeries of the layout
+    inst = instances.showcase9()
     _, rec = run_instance(inst, 0)
-    text = dumps_trace(rec.trace)
-    lines = text.splitlines()
-    assert lines[2].startswith("arms ") and " dt " not in lines[2]
-    lines[2] += " dt 0.02"
-    older = "\n".join(lines) + "\n"
-    assert dumps_trace(loads_trace(older)) == text
-    assert verify_trace(older, inst) == (True, "ok")
+    lines = dumps_trace(rec.trace).splitlines()
+    assert lines[2].startswith("arms ") and " dt" not in lines[2]
+    lines[2] += extra
+    with pytest.raises(ValueError) as err:
+        verify_trace("\n".join(lines) + "\n", inst)
+    fields = 13 + len(extra.split())
+    assert str(err.value) == f"malformed sdar-trace/3 trace: line 3: arms line has {fields} fields, not 13"
 
 
 def test_verify_takes_the_arms_the_run_was_planned_with():
