@@ -226,9 +226,9 @@ def decompose(g: DepGraph) -> Decomposition:
     return Decomposition(movable, isolated, chains, cycles, complex_sccs, others)
 
 
-def to_dot(g: DepGraph, name: str = "dg") -> str:
+def to_dot(g: DepGraph) -> str:
     """DOT export, one `i -> j;` line per edge."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph dg {"]
     for v in g.vertices:
         lines.append(f"  {v};")
     for i, j in sorted(g.edges):

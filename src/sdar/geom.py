@@ -239,12 +239,13 @@ def boxes_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
     `gap` iff one of them is.
 
     It is the bounding-circle prefilter, then `overlaps(a, b) or
-    _corner_closer_than(a, b, gap)`, written out as one straight-line
-    kernel: the separating-axis gaps and the vertex-to-box distances use the
-    float operations of `overlaps` and `point_box_distance`, so every
-    verdict is theirs.  A vertex inside the other box, where both of
-    `point_box_distance`'s excesses are at most 0, is at distance 0.0
-    without a `math.hypot` call."""
+    corner_closer_than(a, b, gap)` (`tests/geom_reference.py`), written out
+    as one straight-line kernel: the separating-axis gaps and the
+    vertex-to-box distances use the float operations of `overlaps` and of
+    the reference's `point_box_distance`, so every verdict is theirs.  A
+    vertex inside the other box, where both of `point_box_distance`'s
+    excesses are at most 0, is at distance 0.0 without a `math.hypot`
+    call."""
     ac, bc = a.center, b.center
     acx, acy, bcx, bcy = ac.x, ac.y, bc.x, bc.y
     dx = bcx - acx
@@ -304,28 +305,9 @@ def boxes_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
 
 def near_miss(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
     """True iff the rectangles are disjoint but closer than `gap`: the
-    razor-thin near miss that generated tables must not contain.  It is
-    `not overlaps(a, b) and boxes_closer_than(a, b, gap)`, with the same
-    prefilter; for gap > 0 it is also `0 < box_clearance(a, b) < gap`
-    (`tests/geom_reference.py`)."""
-    dx = b.center.x - a.center.x
-    dy = b.center.y - a.center.y
-    reach = a.circumradius + b.circumradius + gap
-    if dx * dx + dy * dy > reach * reach:
-        return False
-    return not overlaps(a, b) and _corner_closer_than(a, b, gap)
-
-
-def _corner_closer_than(a: OrientedBox, b: OrientedBox, gap: float) -> bool:
-    """True iff a vertex of either rectangle lies closer than `gap` to the
-    other: for disjoint rectangles, iff their gap is below `gap`."""
-    for p in a._corners:
-        if point_box_distance(p, b) < gap:
-            return True
-    for p in b._corners:
-        if point_box_distance(p, a) < gap:
-            return True
-    return False
+    razor-thin near miss that generated tables must not contain.  For
+    gap > 0 it is `0 < box_clearance(a, b) < gap` (`tests/geom_reference.py`)."""
+    return boxes_closer_than(a, b, gap) and not overlaps(a, b)
 
 
 def prefilter_reach2(radius: float, b: OrientedBox, gap: float) -> float:
@@ -367,10 +349,11 @@ def blocked_within2(inner: float, b: OrientedBox, gap: float) -> float:
 
 
 def blocked_within_box(inner: float, gap: float) -> float:
-    """Point-to-box distance (point_box_distance from the centre) below
-    which a box of inscribed radius `inner` (the smaller half extent) is
-    rejected against any box b by boxes_closer_than (gap > 0) or by overlaps
-    (gap <= 0): the rectangle counterpart of blocked_within2.
+    """Point-to-box distance (`point_box_distance` of
+    `tests/geom_reference.py`, from the centre) below which a box of
+    inscribed radius `inner` (the smaller half extent) is rejected against
+    any box b by boxes_closer_than (gap > 0) or by overlaps (gap <= 0): the
+    rectangle counterpart of blocked_within2.
 
     A box contains the disc of its inscribed radius about its centre.  With
     the centre closer to b than inner + max(gap, 0) - INNER_SLACK, the disc,
@@ -401,8 +384,9 @@ def in_reach(x: float, y: float, entries, sure: float):
     closer than `sure` (`blocked_within_box`) to one of them, so that the
     exact test must reject it.  A box beyond its reach disc is skipped: the
     exact test's own prefilter clears the draw, and the bound cannot hold.
-    The distance is `point_box_distance` written out with its float
-    operations, and 0.0 inside a rectangle without a `math.hypot` call."""
+    The distance is `point_box_distance` (`tests/geom_reference.py`)
+    written out with its float operations, and 0.0 inside a rectangle
+    without a `math.hypot` call."""
     near = []
     for ox, oy, reach2, ux, uy, bw, bh, ob in entries:
         dx = x - ox
@@ -426,17 +410,6 @@ def in_reach(x: float, y: float, entries, sure: float):
 # and sampled buffer poses: finger pads extend 0.02 beyond a face, so any
 # smaller gap would make an object between two neighbors ungraspable.
 MIN_GAP = 0.022
-
-
-def point_box_distance(p: Point, box: OrientedBox) -> float:
-    """Distance from a point to a closed oriented rectangle (0 inside)."""
-    (ux, uy), (vx, vy) = box._axes
-    dx, dy = p[0] - box.center.x, p[1] - box.center.y
-    lx = dx * ux + dy * uy
-    ly = dx * vx + dy * vy
-    ox = max(abs(lx) - box.half_width, 0.0)
-    oy = max(abs(ly) - box.half_height, 0.0)
-    return math.hypot(ox, oy)
 
 
 def dist(a: Point, b: Point) -> float:

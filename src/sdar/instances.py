@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 
 from .depgraph import (
     Arrangement,
@@ -499,21 +500,65 @@ def default_suite() -> list[Instance]:
     return suite
 
 
+class Layout:
+    """One line kind of a text format, stated once for its writer and its
+    reader: its fields, each a keyword or `_` where a value goes.
+    `format(*values)` fills the slots in order, writing each value with `str`
+    (a float's `repr`), and `read(parts)` returns the slot values of a split
+    line, ValueError unless the line has exactly the layout's fields and
+    keywords.  `kind` names the line in errors: its first keyword unless
+    given."""
+
+    __slots__ = ("kind", "format", "_size", "_keys", "_values")
+
+    def __init__(self, text: str, kind: str = ""):
+        fields = text.split()
+        self.kind = kind or fields[0]
+        self._size = len(fields)
+        self._keys = [(k, f) for k, f in enumerate(fields) if f != "_"]
+        slots = [k for k, f in enumerate(fields) if f == "_"]
+        if len(slots) > 1:
+            self._values = itemgetter(*slots)
+        else:  # a lone slot is read as a one-item slice: `read` returns a sequence
+            self._values = itemgetter(slice(slots[0], slots[0] + 1))
+        # `format` is the layout's f-string, compiled once: it fills a line
+        # faster than `%` or `str.format` do, and a keyword, a plain word,
+        # goes into it as it is
+        line = " ".join(f"{{v{k}!s}}" if f == "_" else f for k, f in enumerate(fields))
+        self.format = eval(f"lambda {', '.join(f'v{k}' for k in slots)}: f{line!r}")
+
+    def read(self, parts: list[str]):
+        if len(parts) != self._size:
+            raise ValueError(f"{self.kind} line has {len(parts)} fields, not {self._size}")
+        for k, key in self._keys:
+            if parts[k] != key:
+                raise ValueError(f"{self.kind} line has {parts[k]!r} where {key!r} belongs")
+        return self._values(parts)
+
+
+# an instance file: INSTANCE_FORMAT, the header lines once each and in this
+# order, then one row per object in id order
+HEADER = (Layout("label _"), Layout("seed _"), Layout("workspace _ _"), Layout("objects _"))
+# id, half width and height, start x y theta, goal x y theta
+ROW = Layout("_ _ _ _ _ _ _ _ _", "object")
+
+
 def dumps(inst: Instance) -> str:
+    label, seed, workspace, objects = HEADER
+    row = ROW.format
     lines = [
         INSTANCE_FORMAT,
-        f"label {inst.label}",
-        f"seed {inst.seed}",
-        f"workspace {inst.workspace.width!r} {inst.workspace.height!r}",
-        f"objects {inst.n}",
+        label.format(inst.label),
+        seed.format(inst.seed),
+        workspace.format(inst.workspace.width, inst.workspace.height),
+        objects.format(inst.n),
     ]
+    start, goal = inst.start.poses, inst.goal.poses
     for i in inst.ids():
         hw, hh = inst.shapes[i]
-        s = inst.start.pose_of(i)
-        g = inst.goal.pose_of(i)
-        lines.append(
-            f"{i} {hw!r} {hh!r} {s.x!r} {s.y!r} {s.theta!r} {g.x!r} {g.y!r} {g.theta!r}"
-        )
+        s = start[i]
+        g = goal[i]
+        lines.append(row(i, hw, hh, s.x, s.y, s.theta, g.x, g.y, g.theta))
     return "\n".join(lines) + "\n"
 
 
@@ -522,72 +567,50 @@ def save(inst: Instance, path) -> None:
         fh.write(dumps(inst))
 
 
+def _workspace(width: str, height: str) -> Workspace:
+    return Workspace(float(width), float(height))
+
+
 def loads(text: str, source: str = "<string>") -> Instance:
+    """Parse an instance file: its format line, the `HEADER` lines in order,
+    then exactly `objects` rows, blank lines aside.  ParseError names the
+    first line that is not laid out or valued as `dumps` writes it, and
+    FeasibilityError an infeasible table."""
     lines = text.splitlines()
-
-    def fail(lineno, msg):
-        raise ParseError(f"{source}:{lineno}: {msg}")
-
     if not lines or lines[0].strip() != INSTANCE_FORMAT:
-        fail(1, f"expected header {INSTANCE_FORMAT!r}")
-    header: dict[str, tuple[int, list[str]]] = {}  # field -> (line, values)
-    body_start = None
-    for k, raw in enumerate(lines[1:], start=2):
-        parts = raw.split()
-        if not parts:
-            continue
-        if parts[0] in ("label", "seed", "workspace", "objects"):
-            header[parts[0]] = (k, parts[1:])
-            if parts[0] == "objects":
-                body_start = k
-                break
-        else:
-            fail(k, f"unexpected field {parts[0]!r}")
-    for key in ("label", "seed", "workspace", "objects"):
-        if key not in header:
-            fail(body_start or len(lines), f"missing {key!r} field")
-
-    def value(key, count, convert):
-        lineno, values = header[key]
-        if len(values) < count:
-            fail(lineno, f"bad header value: {key} needs {count} value{'s' * (count > 1)}")
-        try:
-            return convert(*values[:count])
-        except ValueError as exc:
-            fail(lineno, f"bad header value: {exc}")
-
-    label = value("label", 1, str)
-    seed = value("seed", 1, int)
-    ws = value("workspace", 2, lambda w, h: Workspace(float(w), float(h)))
-    n = value("objects", 1, int)
-
+        raise ParseError(f"{source}:1: expected header {INSTANCE_FORMAT!r}")
+    filled = [(k, parts) for k, raw in enumerate(lines[1:], start=2) if (parts := raw.split())]
+    if len(filled) < len(HEADER):
+        raise ParseError(f"{source}:{len(lines)}: missing {HEADER[len(filled)].kind!r} line")
+    header = []
+    try:
+        for (k, parts), layout, convert in zip(filled, HEADER, (str, int, _workspace, int)):
+            header.append(convert(*layout.read(parts)))
+    except ValueError as exc:
+        raise ParseError(f"{source}:{k}: bad header value: {exc}") from exc
+    label, seed, ws, n = header
+    rows = filled[len(HEADER) :]
     shapes: Shapes = {}
     start: dict[int, Pose2] = {}
     goal: dict[int, Pose2] = {}
-    rows = 0
-    for k, raw in enumerate(lines[body_start:], start=body_start + 1):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 9:
-            fail(k, f"expected 9 fields, got {len(parts)}")
-        try:
-            obj = int(parts[0])
-            vals = [float(v) for v in parts[1:]]
-        except ValueError as exc:
-            fail(k, f"bad numeric field: {exc}")
-        if not all(math.isfinite(v) for v in vals):
-            fail(k, "non-finite number")
-        if not (vals[0] > 0.0 and vals[1] > 0.0):
-            fail(k, f"half extents must be positive, got {vals[0]!r} {vals[1]!r}")
-        if obj in shapes:
-            fail(k, f"duplicate object id {obj}")
-        shapes[obj] = (vals[0], vals[1])
-        start[obj] = Pose2(vals[2], vals[3], vals[4])
-        goal[obj] = Pose2(vals[5], vals[6], vals[7])
-        rows += 1
-    if rows != n:
-        raise ParseError(f"{source}: object table has {rows} rows, header says {n}")
+    try:
+        for k, parts in rows:
+            fields = ROW.read(parts)
+            obj = int(fields[0])
+            hw, hh, sx, sy, st, gx, gy, gt = vals = [*map(float, fields[1:])]
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("non-finite number")
+            if not (hw > 0.0 and hh > 0.0):
+                raise ValueError(f"half extents must be positive, got {hw!r} {hh!r}")
+            if obj in shapes:
+                raise ValueError(f"duplicate object id {obj}")
+            shapes[obj] = (hw, hh)
+            start[obj] = Pose2(sx, sy, st)
+            goal[obj] = Pose2(gx, gy, gt)
+    except ValueError as exc:
+        raise ParseError(f"{source}:{k}: {exc}") from exc
+    if len(rows) != n:
+        raise ParseError(f"{source}: object table has {len(rows)} rows, header says {n}")
     inst = Instance(ws, shapes, Arrangement(start), Arrangement(goal), label, seed)
     problems = _validate(inst, footprints(inst.start, shapes), footprints(inst.goal, shapes))
     if problems:

@@ -215,7 +215,7 @@ def validate_motion(
     after it.  The grid is unchanged, so the result (None, or the first
     failing sample's Conflict) is the one a full scan would return.
     """
-    clearance = max(arms[0].clearance, arms[1].clearance)
+    clearance = arms[0].clearance
     if duration <= 1e-12:
         steps = 1
     else:
@@ -542,7 +542,7 @@ def _bind_arm(
     arms = session.arms
     arm = arms[arm_idx]
     other = arms[1 - arm_idx]
-    clearance = max(a.clearance for a in arms)
+    clearance = arms[0].clearance
     cur_pose = session.boxes[obj].center
     target_box = session.footprint_at(obj, target)
 
@@ -632,7 +632,7 @@ def _single_moves(session: PlannerSession, obj: int, kind: str):
     arms = session.arms
     targets = [session.instance.goal.pose_of(obj)] if kind == GOAL else _buffer_options(session, obj)
     if kind == RELAY:
-        clearance = max(a.clearance for a in arms)
+        clearance = arms[0].clearance
         targets = [p for p in targets if all(_other_base_ok(p.xy, arm, clearance) for arm in arms)]
     pose = session.boxes[obj].center
     order = sorted((0, 1), key=lambda a: dist(arms[a].base, pose.xy))

@@ -35,7 +35,7 @@ from typing import Optional
 from .baseline import BudgetExceeded, OracleResult, single_arm_optimal_actions
 from .depgraph import arrangement_violations
 from .geom import PathWalker, Pose2, box_at, dist, inside, overlaps, segment_clearance
-from .instances import Instance, instance_hash
+from .instances import Instance, Layout, instance_hash
 from .motion import (
     DT,
     ArmModel,
@@ -48,7 +48,7 @@ from .motion import (
     plan_motion,
     sequential_round,
 )
-from .taskplan import PlannerSession, TaskComplete, next_task_plan
+from .taskplan import PlannerSession, TaskComplete, check_arm_pair, next_task_plan
 
 TRACE_FORMAT = "sdar-trace/3"
 
@@ -265,56 +265,63 @@ def evaluate(instance: Instance, seed: int, arms=None) -> Evaluation:
 # -------------------------------------------------------------- trace IO
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# each trace line kind, after the TRACE_FORMAT line: the header, the arms
+# line, then per leg its leg line, knots, grips and places, and last metrics
+HEADER = Layout("instance _ seed _")
+ARMS = Layout("arms base1 _ _ base2 _ _ reach _ ee_radius _ clearance _")
+LEG = Layout("leg _ mode _ angles _ _ candidates _ duration _")
+KNOT = Layout("k _ _ _ _ _")
+GRIP = Layout("grip _ _ _ _ _")
+PLACE = Layout("place _ _ _ _ _ _")
+METRICS = Layout("metrics actions _ buffers_used _ sync_steps _ makespan _ fallbacks _ success _")
+# the body line kinds, by keyword
+LAYOUTS = {layout.kind: layout for layout in (LEG, KNOT, GRIP, PLACE, METRICS)}
 
 
 def _arms_line(arms) -> dict:
-    """What a trace's arms line states of an arm pair: both bases, arm 1's
-    reach and gripper radius, and the larger clearance."""
+    """What a trace's arms line states of an arm pair: both bases, and the
+    reach, gripper radius and clearance the two arms share."""
     a1, a2 = arms
     return {
         "base1": a1.base,
         "base2": a2.base,
         "reach": a1.reach,
         "ee_radius": a1.ee_radius,
-        "clearance": max(a1.clearance, a2.clearance),
+        "clearance": a1.clearance,
     }
 
 
 def dumps_trace(trace: Trace) -> str:
+    """The trace as text, each line filled into its kind's layout; every
+    number that is not a count or an index is written as the `repr` of its
+    float."""
     stated = _arms_line(trace.arms)
+    shared = stated["reach"], stated["ee_radius"], stated["clearance"]
+    arms = (*stated["base1"], *stated["base2"], *shared)
     lines = [
         TRACE_FORMAT,
-        f"instance {trace.instance_hash} seed {trace.seed}",
-        "arms "
-        f"base1 {_fmt(stated['base1'][0])} {_fmt(stated['base1'][1])} "
-        f"base2 {_fmt(stated['base2'][0])} {_fmt(stated['base2'][1])} "
-        f"reach {_fmt(stated['reach'])} ee_radius {_fmt(stated['ee_radius'])} "
-        f"clearance {_fmt(stated['clearance'])}",
+        HEADER.format(trace.instance_hash, trace.seed),
+        ARMS.format(*map(float, arms)),
     ]
+    leg_line, knot, grip, place = LEG.format, KNOT.format, GRIP.format, PLACE.format
     for leg in trace.legs:
-        cands = ";".join(f"{i},{j}" for i, j in leg.candidates) or "-"
-        angles = " ".join(a or "-" for a in leg.angles)
-        lines.append(
-            f"leg {leg.index} mode {leg.mode} angles {angles} "
-            f"candidates {cands} duration {_fmt(leg.duration)}"
-        )
+        i = leg.index
+        cands = ";".join(f"{a},{b}" for a, b in leg.candidates) or "-"
+        angle1, angle2 = (a or "-" for a in leg.angles)
+        lines.append(leg_line(i, leg.mode, angle1, angle2, cands, float(leg.duration)))
         for a, knots in enumerate(leg.knots):
-            lines += [f"k {leg.index} {a} {_fmt(t)} {_fmt(x)} {_fmt(y)}" for t, x, y in knots]
+            lines += [knot(i, a, float(t), float(x), float(y)) for t, x, y in knots]
         for arm, action, obj, t in leg.grips:
-            lines.append(f"grip {leg.index} {arm} {action} {obj} {_fmt(t)}")
+            lines.append(grip(i, arm, action, obj, float(t)))
         for obj, pose, kind in leg.places:
-            lines.append(
-                f"place {leg.index} {obj} {_fmt(pose.x)} {_fmt(pose.y)} {_fmt(pose.theta)} {kind}"
-            )
+            lines.append(place(i, obj, float(pose.x), float(pose.y), float(pose.theta), kind))
     m = trace.metrics
     if m is not None:
         fb = ",".join(f"{k}={v}" for k, v in sorted(m.fallback_counts.items())) or "-"
         lines.append(
-            f"metrics actions {m.actions} buffers_used {m.buffers_used} "
-            f"sync_steps {m.sync_steps} makespan {_fmt(m.makespan)} fallbacks {fb} "
-            f"success {int(m.success)}"
+            METRICS.format(
+                m.actions, m.buffers_used, m.sync_steps, float(m.makespan), fb, int(m.success)
+            )
         )
     return "\n".join(lines) + "\n"
 
@@ -326,9 +333,9 @@ def save_trace(trace: Trace, path) -> None:
 
 def loads_trace(text: str) -> Trace:
     """Parse a trace; ValueError if the text is not a well-formed trace,
-    naming the first line that is not.  Every line must have its kind's
-    keywords and number of fields (`LAYOUTS`), and a metrics line, if any,
-    must be the last line.  Its legs are given in index order from 0."""
+    naming the first line that is not.  Every line must be laid out as its
+    kind's layout, and a metrics line, if any, must be the last line.  Its
+    legs are given in index order from 0."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != TRACE_FORMAT:
         raise ValueError(f"expected {TRACE_FORMAT} header")
@@ -337,10 +344,15 @@ def loads_trace(text: str) -> Trace:
     legs: dict[int, LegRecord] = {}
     try:
         k, line = lines[1]
-        hdr = _laid_out(line.split(), "instance _ seed _")
-        instance, seed = hdr[1], int(hdr[3])
+        instance, seed = HEADER.read(line.split())
+        seed = int(seed)
         k, line = lines[2]
-        trace = Trace(instance, seed, _parse_arms(line.split()))
+        x1, y1, x2, y2, reach, ee_radius, clearance = map(float, ARMS.read(line.split()))
+        arms = tuple(
+            ArmModel(base=base, reach=reach, ee_radius=ee_radius, clearance=clearance)
+            for base in ((x1, y1), (x2, y2))
+        )
+        trace = Trace(instance, seed, arms)
         for k, line in lines[3:]:
             if trace.metrics is not None:
                 raise ValueError("a line follows the metrics line")
@@ -350,17 +362,6 @@ def loads_trace(text: str) -> Trace:
         raise ValueError(f"malformed {TRACE_FORMAT} trace: line {k}: {detail}") from exc
     trace.legs = list(legs.values())
     return trace
-
-
-def _parse_arms(arm_f: list[str]) -> tuple[ArmModel, ArmModel]:
-    """The arm pair of a trace's arms line, laid out as `dumps_trace` writes
-    it: the bases, then reach, ee_radius and clearance, each once."""
-    _laid_out(arm_f, "arms base1 _ _ base2 _ _ reach _ ee_radius _ clearance _")
-    reach, ee_radius, clearance = float(arm_f[8]), float(arm_f[10]), float(arm_f[12])
-    return tuple(
-        ArmModel(base=base, reach=reach, ee_radius=ee_radius, clearance=clearance)
-        for base in ((float(arm_f[2]), float(arm_f[3])), (float(arm_f[5]), float(arm_f[6])))
-    )
 
 
 def _arm_index(text: str) -> int:
@@ -376,27 +377,6 @@ ANGLES = tuple(a.value for a in GraspAngle)  # or "-" for an idle arm
 PLACE_KINDS = ("goal", "buffer")
 
 
-# each body line kind's fields: a keyword, or "_" where a value goes
-LAYOUTS = {
-    "leg": "leg _ mode _ angles _ _ candidates _ duration _",
-    "k": "k _ _ _ _ _",
-    "grip": "grip _ _ _ _ _",
-    "place": "place _ _ _ _ _ _",
-    "metrics": "metrics actions _ buffers_used _ sync_steps _ makespan _ fallbacks _ success _",
-}
-
-
-def _laid_out(parts: list[str], layout: str) -> list[str]:
-    """`parts`, if they have the fields of `layout`."""
-    want = layout.split()
-    if len(parts) != len(want):
-        raise ValueError(f"{want[0]} line has {len(parts)} fields, not {len(want)}")
-    for got, key in zip(parts, want):
-        if key != "_" and got != key:
-            raise ValueError(f"{want[0]} line has {got!r} where {key!r} belongs")
-    return parts
-
-
 def _one_of(field: str, value: str, allowed: tuple[str, ...]) -> str:
     if value not in allowed:
         raise ValueError(f"{field} {value!r} is not one of {', '.join(allowed)}")
@@ -405,62 +385,62 @@ def _one_of(field: str, value: str, allowed: tuple[str, ...]) -> str:
 
 def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> None:
     """Add one body line to the trace being parsed."""
-    _laid_out(parts, LAYOUTS[_one_of("line kind", parts[0], tuple(LAYOUTS))])
-    if parts[0] == "leg":
-        idx = int(parts[1])
+    kind = _one_of("line kind", parts[0], tuple(LAYOUTS))
+    values = LAYOUTS[kind].read(parts)
+    if kind == "k":
+        leg, arm, t, x, y = values
+        legs[int(leg)].knots[_arm_index(arm)].append((float(t), float(x), float(y)))
+    elif kind == "leg":
+        idx, mode, angle1, angle2, cands_text, duration = values
+        idx = int(idx)
         if idx in legs:
             raise ValueError(f"leg {idx} is given twice")
         if idx != len(legs):
             raise ValueError(f"expected leg {len(legs)}, got leg {idx}")
-        angles = tuple(
-            None if a == "-" else _one_of("angle", a, ANGLES) for a in (parts[5], parts[6])
-        )
+        angles = tuple(None if a == "-" else _one_of("angle", a, ANGLES) for a in (angle1, angle2))
         cands = []
-        if parts[8] != "-":
-            for item in parts[8].split(";"):
+        if cands_text != "-":
+            for item in cands_text.split(";"):
                 i, j = item.split(",")
                 cands.append((int(i), int(j)))
         legs[idx] = LegRecord(
             index=idx,
-            mode=_one_of("leg mode", parts[3], MODES),
+            mode=_one_of("leg mode", mode, MODES),
             angles=angles,
             candidates=cands,
-            duration=float(parts[10]),
+            duration=float(duration),
             knots=[[], []],
             grips=[],
             places=[],
         )
-    elif parts[0] == "k":
-        legs[int(parts[1])].knots[_arm_index(parts[2])].append(
-            (float(parts[3]), float(parts[4]), float(parts[5]))
-        )
-    elif parts[0] == "grip":
-        if parts[3] not in ("close", "open"):
-            raise ValueError(f"grip action {parts[3]!r} is not close or open")
-        legs[int(parts[1])].grips.append(
-            (_arm_index(parts[2]), parts[3], int(parts[4]), float(parts[5]))
-        )
-    elif parts[0] == "place":
-        legs[int(parts[1])].places.append(
+    elif kind == "grip":
+        leg, arm, action, obj, t = values
+        if action not in ("close", "open"):
+            raise ValueError(f"grip action {action!r} is not close or open")
+        legs[int(leg)].grips.append((_arm_index(arm), action, int(obj), float(t)))
+    elif kind == "place":
+        leg, obj, x, y, theta, place_kind = values
+        legs[int(leg)].places.append(
             (
-                int(parts[2]),
-                Pose2(float(parts[3]), float(parts[4]), float(parts[5])),
-                _one_of("place kind", parts[6], PLACE_KINDS),
+                int(obj),
+                Pose2(float(x), float(y), float(theta)),
+                _one_of("place kind", place_kind, PLACE_KINDS),
             )
         )
     else:
+        actions, buffers_used, sync_steps, makespan, fallbacks, success = values
         fb = {}
-        if parts[10] != "-":
-            for item in parts[10].split(","):
+        if fallbacks != "-":
+            for item in fallbacks.split(","):
                 k, v = item.split("=")
                 fb[k] = int(v)
         trace.metrics = RunMetrics(
-            actions=int(parts[2]),
-            buffers_used=int(parts[4]),
-            sync_steps=int(parts[6]),
-            makespan=float(parts[8]),
+            actions=int(actions),
+            buffers_used=int(buffers_used),
+            sync_steps=int(sync_steps),
+            makespan=float(makespan),
             fallback_counts=fb,
-            success=bool(int(parts[12])),
+            success=bool(int(success)),
         )
 
 
@@ -579,8 +559,10 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     The clearance threshold and the arm bases come from `arms`, the pair the
     run was planned with (default: `default_arms` of the instance's
     workspace), never from the trace, and a trace whose arms line states
-    other arms fails.  Each arm's knots must form a path over its leg at no
-    more than unit speed, continuing where the previous leg ended, and
+    other arms fails; ValueError if the two arms of `arms` differ in reach,
+    ee_radius or clearance, which an arms line states once for both.  Each
+    arm's knots must form a path over its leg at no more than unit speed,
+    continuing where the previous leg ended, and
     `_uncertified` certifies the clearance over the whole leg.  Even legs
     only close grippers and odd legs only open them; at each event the arm's
     point on its path must lie on the object it closes on or the placement
@@ -592,14 +574,15 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     must state a solved run with the trace's legs."""
     if isinstance(trace, str):
         trace = loads_trace(trace)
+    arms = arms or default_arms(instance.workspace)
+    check_arm_pair(arms)
     if trace.instance_hash != instance_hash(instance):
         return False, "instance hash mismatch"
-    arms = arms or default_arms(instance.workspace)
     bad = _header_mismatch(trace, arms)
     if bad:
         return False, bad
     a1, a2 = arms
-    threshold = max(a1.clearance, a2.clearance) - 1e-6 - CERTIFY_FLOOR
+    threshold = a1.clearance - 1e-6 - CERTIFY_FLOOR
     shapes = instance.shapes
     ws = instance.workspace
 

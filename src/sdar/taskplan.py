@@ -46,15 +46,25 @@ class TaskPlan:
     singles: list[tuple[int, str]] = field(default_factory=list)
 
 
+def check_arm_pair(arms) -> None:
+    """ValueError unless the two arms share their reach, ee_radius and
+    clearance, the values a trace's arms line states once for both."""
+    for name in ("reach", "ee_radius", "clearance"):
+        v1, v2 = (getattr(arm, name) for arm in arms)
+        if v1 != v2:
+            raise ValueError(f"the arms differ in {name}: {v1!r} and {v2!r}")
+
+
 @dataclass
 class PlannerSession:
     """What planning reads of one rearrangement run: the instance, the arms,
     the rng, and the table and arm state after the rounds so far.
 
-    The session holds each object's footprint at its current pose (`boxes`,
-    whose centres are the table's poses) and at its goal (`goal_boxes`),
-    both keyed in id order; `place` moves an object's box, so a round
-    rebuilds only the boxes of the objects it moved."""
+    Its two arms share their reach, ee_radius and clearance
+    (`check_arm_pair`).  The session holds each object's footprint at its
+    current pose (`boxes`, whose centres are the table's poses) and at its
+    goal (`goal_boxes`), both keyed in id order; `place` moves an object's
+    box, so a round rebuilds only the boxes of the objects it moved."""
 
     instance: Instance
     rng_seed: int
@@ -67,6 +77,7 @@ class PlannerSession:
     rng: random.Random = field(init=False)
 
     def __post_init__(self):
+        check_arm_pair(self.arms)
         start, goal = self.instance.start, self.instance.goal
         self.remaining = {
             i for i in self.instance.ids() if not start.pose_of(i).almost_equal(goal.pose_of(i))

@@ -1,11 +1,37 @@
 """Exact distances and a grid's cell lookup, by plain formulas of their own,
 for the tests to hold `sdar.geom`'s kernels and `sdar.motion.BufferGrid`
-against: the distance from a point to a segment, the distance between two
-rectangles, and the cell a point of a buffer grid's draw domain is in."""
+against: the distance from a point to a segment or to a rectangle, the
+distance between two rectangles, and the cell a point of a buffer grid's
+draw domain is in."""
 
 import math
 
-from sdar.geom import EPS, overlaps, point_box_distance
+from sdar.geom import EPS, overlaps
+
+
+def point_box_distance(p, box) -> float:
+    """Distance from a point to a closed oriented rectangle (0 inside)."""
+    (ux, uy), (vx, vy) = box._axes
+    dx, dy = p[0] - box.center.x, p[1] - box.center.y
+    lx = dx * ux + dy * uy
+    ly = dx * vx + dy * vy
+    ox = max(abs(lx) - box.half_width, 0.0)
+    oy = max(abs(ly) - box.half_height, 0.0)
+    return math.hypot(ox, oy)
+
+
+def corner_closer_than(a, b, gap) -> bool:
+    """True iff a vertex of either rectangle lies closer than `gap` to the
+    other: for disjoint rectangles, iff their gap is below `gap`.
+    `sdar.geom.boxes_closer_than` is `overlaps(a, b) or` this, after its
+    bounding-circle prefilter."""
+    for p in a._corners:
+        if point_box_distance(p, b) < gap:
+            return True
+    for p in b._corners:
+        if point_box_distance(p, a) < gap:
+            return True
+    return False
 
 
 def point_segment_distance(p, a, b) -> float:

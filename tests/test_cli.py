@@ -89,6 +89,40 @@ def test_bad_header_lines_are_input_errors_at_their_own_line(tmp_path, capsys):
         assert err.startswith(f"input error: {bad}:{line}: bad header value: "), err
 
 
+@pytest.mark.parametrize(
+    "forge, line, detail",
+    [
+        (lambda rows: rows[:2] + ["seed 0 junk"] + rows[3:], 3,
+         "bad header value: seed line has 3 fields, not 2"),
+        (lambda rows: rows[:3] + ["workspace 1.0 0.6 9"] + rows[4:], 4,
+         "bad header value: workspace line has 4 fields, not 3"),
+        (lambda rows: rows[:2] + ["label ZZ"] + rows[2:], 3,
+         "bad header value: seed line has 'label' where 'seed' belongs"),
+        (lambda rows: rows[:1] + [rows[2], rows[1]] + rows[3:], 2,
+         "bad header value: label line has 'seed' where 'label' belongs"),
+        (lambda rows: rows[:5] + [rows[5] + " 0.0"] + rows[6:], 6,
+         "object line has 10 fields, not 9"),
+    ],
+    ids=[
+        "seed-junk", "workspace-third-value", "second-label", "seed-before-label", "row-tenth-field",
+    ],
+)
+def test_lines_dumps_never_writes_are_input_errors_at_their_own_line(
+    tmp_path, capsys, forge, line, detail
+):
+    # the header lines come once each and in the order dumps writes them,
+    # each with its layout's fields, and an object row has 9 fields
+    rows = forge((FIXTURES / "showcase9.inst").read_text().splitlines())
+    text = "\n".join(rows) + "\n"
+    with pytest.raises(instances.ParseError) as err:
+        instances.loads(text)
+    assert str(err.value) == f"<string>:{line}: {detail}"
+    bad = tmp_path / "forged.inst"
+    bad.write_text(text)
+    assert run_cli("plan", bad) == 2
+    assert capsys.readouterr().err == f"input error: {bad}:{line}: {detail}\n"
+
+
 def test_gen_rejects_count_below_one(tmp_path, capsys):
     for count in ("0", "-3"):
         assert run_cli("gen", "R", "5", "--count", count, "--out", tmp_path) == 2

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdar import geom
 from sdar.geom import (
     EPS,
     MIN_GAP,
@@ -24,14 +23,18 @@ from sdar.geom import (
     max_speed,
     near_miss,
     overlaps,
-    point_box_distance,
     prefilter_reach2,
     reach_entry,
     segment_clearance,
     segments_intersect,
 )
 
-from geom_reference import box_clearance, point_segment_distance
+from geom_reference import (
+    box_clearance,
+    corner_closer_than,
+    point_box_distance,
+    point_segment_distance,
+)
 from path_reference import reference_point
 
 
@@ -548,7 +551,7 @@ def boxes_closer_than_reference(a, b, gap):
     reach = a.circumradius + b.circumradius + gap
     if dx * dx + dy * dy > reach * reach:
         return False
-    return overlaps(a, b) or geom._corner_closer_than(a, b, gap)
+    return overlaps(a, b) or corner_closer_than(a, b, gap)
 
 
 @settings(max_examples=500, deadline=None)

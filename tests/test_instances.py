@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,8 @@ from sdar.instances import (
     loads,
     save,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def assert_feasible(inst):
@@ -100,7 +103,15 @@ def test_audit_compares_every_field_of_the_structure(make, structure):
 
 
 def test_roundtrip_bit_exact(tmp_path):
-    for inst in (gen_random(6, 3), gen_single_cycle(5, 1), instances.showcase9()):
+    # the fixture files, and every 5th default-suite instance below, re-dump
+    # byte for byte through loads and dumps
+    paths = sorted(FIXTURES.glob("*.inst"))
+    assert [path.name for path in paths] == ["identity4.inst", "showcase9.inst"]
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert dumps(loads(text)) == text, path.name
+    suite = instances.default_suite()[::5]
+    for inst in (gen_random(6, 3), gen_single_cycle(5, 1), instances.showcase9(), *suite):
         p = tmp_path / "x.inst"
         save(inst, p)
         again = load(p)
@@ -166,11 +177,11 @@ def test_non_finite_or_non_positive_values_are_parse_errors(line, field, value, 
 @pytest.mark.parametrize(
     "line, text, message",
     [
-        (2, "label", "label needs 1 value"),
+        (2, "label", "label line has 1 fields, not 2"),
         (3, "seed x", "invalid literal for int()"),
-        (3, "seed", "seed needs 1 value"),
+        (3, "seed", "seed line has 1 fields, not 2"),
         (4, "workspace nan 0.6", "workspace dimensions must be positive and finite"),
-        (4, "workspace 1.0", "workspace needs 2 values"),
+        (4, "workspace 1.0", "workspace line has 2 fields, not 3"),
         (5, "objects nine", "invalid literal for int()"),
     ],
 )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -223,6 +224,31 @@ def test_verify_takes_the_arms_the_run_was_planned_with():
     )
 
 
+def test_an_arm_pair_shares_what_its_arms_line_states():
+    # the arms line states one reach, ee_radius and clearance for both arms:
+    # a pair whose arms differ in them is refused by the planner and by the
+    # verifier, not planned or checked as the first arm's values
+    inst = instances.showcase9()
+    a1, a2 = arms = default_arms(inst.workspace)
+    text = dumps_trace(run_instance(inst, 0)[1].trace)
+
+    def verified_with(inst, seed, pair):
+        return verify_trace(text, inst, pair)
+
+    for name, other in (
+        ("reach", replace(a2, reach=a2.reach + 5.0, ee_radius=0.03, clearance=0.05)),
+        ("ee_radius", replace(a2, ee_radius=0.03)),
+        ("clearance", replace(a2, clearance=0.05)),
+    ):
+        for pair in ((a1, other), (other, a1)):
+            v1, v2 = (getattr(arm, name) for arm in pair)
+            for call in (run_instance, verified_with):
+                with pytest.raises(ValueError) as err:
+                    call(inst, 0, pair)
+                assert str(err.value) == f"the arms differ in {name}: {v1!r} and {v2!r}"
+    assert verify_trace(text, inst, arms) == (True, "ok")
+
+
 GRASP_ANGLES = ", ".join(a.value for a in motion.GraspAngle)
 
 
@@ -240,12 +266,13 @@ GRASP_ANGLES = ", ".join(a.value for a in motion.GraspAngle)
         ("leg 0 ", 5, "sideways", f"angle 'sideways' is not one of {GRASP_ANGLES}"),
         ("leg 0 ", 6, "nope", f"angle 'nope' is not one of {GRASP_ANGLES}"),
         ("instance ", 2, "sd", "instance line has 'sd' where 'seed' belongs"),
+        ("instance ", 3, "x", "invalid literal for int() with base 10: 'x'"),
         ("leg 0 ", 2, "xmode", "leg line has 'xmode' where 'mode' belongs"),
         ("metrics ", 1, "moves", "metrics line has 'moves' where 'actions' belongs"),
     ],
     ids=[
         "grip-arm-2", "knot-arm-minus-1", "grip-action-squeeze", "place-kind-shelf",
-        "leg-mode-teleport", "angle-sideways", "angle-nope", "header-keyword",
+        "leg-mode-teleport", "angle-sideways", "angle-nope", "header-keyword", "header-seed",
         "leg-keyword", "metrics-keyword",
     ],
 )
