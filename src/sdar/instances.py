@@ -56,6 +56,16 @@ class FeasibilityError(Exception):
     pass
 
 
+def _checked_label(label: str) -> str:
+    """`label`, ValueError unless `dumps` writes it as one field that `loads`
+    reads back and `instance_hash` encodes: not empty, with no character that
+    `str.split` or `str.splitlines` breaks at, and encodable as UTF-8."""
+    if not label or any(c.isspace() for c in label):
+        raise ValueError(f"label {label!r} is empty or holds whitespace")
+    label.encode()  # a lone surrogate raises UnicodeEncodeError, a ValueError
+    return label
+
+
 @dataclass
 class Instance:
     workspace: Workspace
@@ -64,6 +74,9 @@ class Instance:
     goal: Arrangement
     label: str
     seed: int
+
+    def __post_init__(self):
+        _checked_label(self.label)
 
     @property
     def n(self) -> int:
@@ -582,9 +595,9 @@ def loads(text: str, source: str = "<string>") -> Instance:
     filled = [(k, parts) for k, raw in enumerate(lines[1:], start=2) if (parts := raw.split())]
     if len(filled) < len(HEADER):
         raise ParseError(f"{source}:{len(lines)}: missing {HEADER[len(filled)].kind!r} line")
-    header = []
+    header, converts = [], (_checked_label, int, _workspace, int)
     try:
-        for (k, parts), layout, convert in zip(filled, HEADER, (str, int, _workspace, int)):
+        for (k, parts), layout, convert in zip(filled, HEADER, converts):
             header.append(convert(*layout.read(parts)))
     except ValueError as exc:
         raise ParseError(f"{source}:{k}: bad header value: {exc}") from exc

@@ -294,7 +294,12 @@ def _arms_line(arms) -> dict:
 def dumps_trace(trace: Trace) -> str:
     """The trace as text, each line filled into its kind's layout; every
     number that is not a count or an index is written as the `repr` of its
-    float."""
+    float.  ValueError if the arms line would misstate arm 2: its reach,
+    ee_radius or clearance is written as other text than arm 1's."""
+    for name in ("reach", "ee_radius", "clearance"):
+        v1, v2 = (repr(float(getattr(arm, name))) for arm in trace.arms)
+        if v1 != v2:
+            raise ValueError(f"the arms differ in {name}: {v1} and {v2}")
     stated = _arms_line(trace.arms)
     shared = stated["reach"], stated["ee_radius"], stated["clearance"]
     arms = (*stated["base1"], *stated["base2"], *shared)

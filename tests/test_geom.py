@@ -543,9 +543,23 @@ def test_boxes_closer_than_is_strict_at_the_gap():
                 assert boxes_closer_than(first, second, gap + 2.0**-20)
 
 
+def test_boxes_closer_than_scans_the_vertices_of_both_boxes():
+    # b turned 45 degrees points one corner at the middle of a's long face,
+    # 0.01 away; a's corners are all farther than the gap from b, so only
+    # the pass over b's vertices finds the pair too close, in either order
+    a = box_at(Pose2(0.5, 0.3), 0.1, 0.02)
+    b = box_at(Pose2(0.5, 0.3 + 0.02 + 0.01 + 0.03 * math.sqrt(2.0), math.pi / 4), 0.03, 0.03)
+    assert not overlaps(a, b)
+    assert min(point_box_distance(p, b) for p in a.corners()) > MIN_GAP
+    assert min(point_box_distance(p, a) for p in b.corners()) == pytest.approx(0.01)
+    assert boxes_closer_than(a, b, MIN_GAP)
+    assert boxes_closer_than(b, a, MIN_GAP)
+
+
 def boxes_closer_than_reference(a, b, gap):
     """boxes_closer_than as two calls: the bounding-circle prefilter, then
-    overlaps and the vertex-to-box scan."""
+    overlaps and the reference's vertex-to-box scan, whose arithmetic is
+    written apart from geom's vertex pass."""
     dx = b.center.x - a.center.x
     dy = b.center.y - a.center.y
     reach = a.circumradius + b.circumradius + gap

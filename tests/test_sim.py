@@ -249,6 +249,22 @@ def test_an_arm_pair_shares_what_its_arms_line_states():
     assert verify_trace(text, inst, arms) == (True, "ok")
 
 
+def test_dumps_trace_refuses_to_misstate_arm_2():
+    # a hand-built trace whose arms differ in what the arms line states once
+    # used to be written with arm 1's values
+    inst = instances.showcase9()
+    trace = run_instance(inst, 0)[1].trace
+    a1, a2 = trace.arms
+    for name, value in (("reach", a2.reach + 5.0), ("ee_radius", 0.03), ("clearance", 0.05)):
+        forged = replace(trace, arms=(a1, replace(a2, **{name: value})))
+        with pytest.raises(ValueError) as err:
+            dumps_trace(forged)
+        assert str(err.value) == f"the arms differ in {name}: {getattr(a1, name)!r} and {value!r}"
+    # the check compares written text, so a parsed nan clearance dumps back as it was
+    text = _with_arms_field(dumps_trace(trace), "clearance", "nan")
+    assert dumps_trace(loads_trace(text)) == text
+
+
 GRASP_ANGLES = ", ".join(a.value for a in motion.GraspAngle)
 
 
