@@ -66,7 +66,7 @@ def _checked_label(label: str) -> str:
     return label
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
     workspace: Workspace
     shapes: Shapes

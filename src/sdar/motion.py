@@ -12,15 +12,21 @@ that validates.  A round is two legs, start-bound (grasp) then goal-bound
 `plan_motion` returns both motions at once.  The task plan decides which
 objects move and where; `_iter_instantiations` binds its pair options and
 then its one-arm moves to arms, grasp angles and poses, as one stream that
-yields each sub-task once.  `sequential_round` plans the same two legs on
-the sequential rung alone, for the forced-sequential replay.
+yields each sub-task once.  Buffer poses are drawn only when the stream
+reaches them, each call from its own key (plan seed, round, object,
+listing), so no pose depends on which draws came before it.
+`sequential_round` plans the same two legs on the sequential rung alone,
+for the forced-sequential replay.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import random
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from itertools import tee
 from typing import Optional
 
 from .geom import (
@@ -53,6 +59,9 @@ K_BUFFERS = 40
 # Draws per `sample_buffers` call, whatever k: the cap of a call that finds
 # little or no room.
 BUFFER_DRAWS = 2000
+# The listing a buffer plan's pair draws are keyed by; a one-arm move's is
+# its index in the plan's singles.
+PAIR_LISTING = -1
 DEFAULT_EE_RADIUS = 0.04
 DEFAULT_CLEARANCE = 0.10
 PAD_HALF_THICKNESS = 0.01
@@ -580,13 +589,14 @@ def _travel(session: PlannerSession, arm_idx: int, pick: Point, target: Pose2) -
 def _iter_instantiations(plan: TaskPlan, session: PlannerSession):
     """The round's sub-tasks in try order, each yielded once: the pair
     options, then the plan's one-arm moves, each group bound at the top-down
-    angles, then at every angle, in option order.  Options are bound one at
-    a time, so a caller that stops at the first sub-task binds no later
-    option and draws no buffer poses for a later one-arm move."""
+    angles, then at every angle, in option order.  Both passes read one
+    stream of the group's options, so a caller that stops at the first
+    sub-task binds no later option, draws no buffer poses for a pair the
+    ranking has not reached, and none for a later one-arm move."""
     seen = set()
     for options in _option_groups(plan, session):
-        for level in (TOP_DOWN_SET, FULL_SET):
-            for option in options:
+        for level, stream in zip((TOP_DOWN_SET, FULL_SET), tee(options)):
+            for option in stream:
                 sub = _bind(session, option, level)
                 if sub is not None and sub not in seen:
                     seen.add(sub)
@@ -595,42 +605,65 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession):
 
 def _option_groups(plan: TaskPlan, session: PlannerSession):
     """Options are per-arm moves `(obj, target, to_buffer)`, None for an idle
-    arm.  A group's buffer poses are drawn when the group is reached."""
+    arm.  A one-arm move's buffer poses are drawn when its group is reached,
+    keyed by its index in `plan.singles`."""
     yield _pair_options(plan, session)
-    for obj, kind in plan.singles:
-        yield _single_moves(session, obj, kind)
+    for listing, (obj, kind) in enumerate(plan.singles):
+        yield _single_moves(session, obj, kind, listing)
 
 
 def _pair_options(plan: TaskPlan, session: PlannerSession):
     """Pair options ranked by max-arm travel, then candidate, then buffer.
     The first object of a pair goes to its goal, the second to its goal or,
-    on a buffer plan, to each buffer pose drawn for it."""
+    on a buffer plan, to each buffer pose drawn for it (under the key
+    `PAIR_LISTING`, which every pair parking it shares).
+
+    A generator that draws lazily: no option of a candidate travels less
+    than its bound, the goal-bound arm's whole travel and the parking arm's
+    travel to its pick (adding a leg cannot round below it), so a candidate
+    is expanded, its parked object's poses drawn once, only while its
+    (bound, candidate) comes before the best pending option's (travel,
+    candidate).  The order is that of sorting every option."""
     goal_of = session.instance.goal.pose_of
-    # on a buffer plan, deterministic per-object draws in candidate order
-    parked = dict.fromkeys(b for _, b in plan.candidates if plan.need_buffer)
-    buffers_for = {b: _buffer_options(session, b) for b in parked}
     ranked = []
     for idx, (i, j) in enumerate(plan.candidates):
-        o1, o2 = assign_arms((i, j), session.boxes, session.arms)
-        pick1, pick2 = session.boxes[o1].center.xy, session.boxes[o2].center.xy
+        o1, _ = assign_arms((i, j), session.boxes, session.arms)
+        a = 0 if o1 == i else 1  # the goal-bound arm; arm 1 - a moves j
+        whole = _travel(session, a, session.boxes[i].center.xy, goal_of(i))
+        pick_j = session.boxes[j].center.xy
+        bound = max(whole, dist(tuple(session.ee[1 - a]), pick_j))
+        ranked.append((bound, idx, a, whole, pick_j))
+    ranked.sort()
+    buffers_for = {}
+    pending = []
+    k = 0
+    while k < len(ranked) or pending:
+        if pending and (k == len(ranked) or pending[0][:2] < ranked[k][:2]):
+            yield heappop(pending)[3]
+            continue
+        _, idx, a, whole, pick_j = ranked[k]
+        k += 1
+        i, j = plan.candidates[idx]
+        if plan.need_buffer:
+            if j not in buffers_for:
+                buffers_for[j] = _buffer_options(session, j, PAIR_LISTING)
+            targets = buffers_for[j]
+        else:
+            targets = [goal_of(j)]
         first = (i, goal_of(i), False)
-        targets = buffers_for[j] if plan.need_buffer else [goal_of(j)]
         for b_idx, target in enumerate(targets):
             second = (j, target, plan.need_buffer)
-            m1, m2 = (first, second) if o1 == i else (second, first)
-            travel = max(_travel(session, 0, pick1, m1[1]), _travel(session, 1, pick2, m2[1]))
-            ranked.append(((travel, idx, b_idx), (m1, m2)))
-    ranked.sort(key=lambda r: r[0])
-    return [option for _, option in ranked]
+            travel = max(whole, _travel(session, 1 - a, pick_j, target))
+            heappush(pending, (travel, idx, b_idx, (first, second) if a == 0 else (second, first)))
 
 
-def _single_moves(session: PlannerSession, obj: int, kind: str):
+def _single_moves(session: PlannerSession, obj: int, kind: str, listing: int):
     """One-arm options moving `obj` to its goal, to buffer poses, or to relay
     buffer poses either arm can reach (to hand an object across the zone
     around an arm base): the arm nearest the object first, then target
     order."""
     arms = session.arms
-    targets = [session.instance.goal.pose_of(obj)] if kind == GOAL else _buffer_options(session, obj)
+    targets = [session.instance.goal.pose_of(obj)] if kind == GOAL else _buffer_options(session, obj, listing)
     if kind == RELAY:
         clearance = arms[0].clearance
         targets = [p for p in targets if all(_other_base_ok(p.xy, arm, clearance) for arm in arms)]
@@ -661,11 +694,13 @@ def _bind(session: PlannerSession, option, level) -> Optional[InstantiatedSubTas
     return InstantiatedSubTask(tuple(tasks))
 
 
-def _buffer_options(session: PlannerSession, obj: int) -> list[Pose2]:
+def _buffer_options(session: PlannerSession, obj: int, listing: int) -> list[Pose2]:
     """Buffer poses for one object: finger-room sampling first, then the bare
     non-overlap contract on crowded tables (pad checks re-filter at bind).
     The obstacles are the held on-table boxes in id order, then the pending
-    goals."""
+    goals.  The draws are keyed by (plan seed, round, object, listing), so
+    they are the same whenever and however often the key is drawn."""
+    rng = random.Random(repr((session.rng_seed, session.round, obj, listing)))
     obstacles = [*session.boxes.values()]
     obstacles += [session.goal_boxes[i] for i in sorted(session.remaining)]
     for min_gap in (MIN_GAP, 0.0):
@@ -673,7 +708,7 @@ def _buffer_options(session: PlannerSession, obj: int) -> list[Pose2]:
             return sample_buffers(
                 obstacles,
                 K_BUFFERS,
-                session.rng,
+                rng,
                 session.instance.shapes[obj],
                 session.instance.workspace,
                 min_gap=min_gap,

@@ -11,7 +11,6 @@ and poses, and plans both legs of the round.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .depgraph import DepGraph, build_dependency_graph, decompose, footprint, footprints
@@ -58,7 +57,9 @@ def check_arm_pair(arms) -> None:
 @dataclass
 class PlannerSession:
     """What planning reads of one rearrangement run: the instance, the arms,
-    the rng, and the table and arm state after the rounds so far.
+    the plan seed, and the table and arm state after the rounds so far.
+    Buffer draws are keyed by the seed and `round`, the number of rounds
+    applied, so no draw depends on another.
 
     Its two arms share their reach, ee_radius and clearance
     (`check_arm_pair`).  The session holds each object's footprint at its
@@ -74,7 +75,7 @@ class PlannerSession:
     boxes: dict[int, OrientedBox] = field(init=False)  # footprint at the current pose
     goal_boxes: dict[int, OrientedBox] = field(init=False)  # footprint at the goal
     ee: list = field(init=False)
-    rng: random.Random = field(init=False)
+    round: int = field(init=False)  # rounds applied so far
 
     def __post_init__(self):
         check_arm_pair(self.arms)
@@ -86,12 +87,13 @@ class PlannerSession:
         self.boxes = footprints(start, self.instance.shapes)
         self.goal_boxes = footprints(goal, self.instance.shapes)
         self.ee = [self.arms[0].retract, self.arms[1].retract]
-        self.rng = random.Random(self.rng_seed)
+        self.round = 0
 
     def apply_round(self, sub, goal_motion) -> None:
         """Update the session after a round's sub-task: the arms end where
         the goal-bound leg ends, and each moved object sits at its target."""
         self.ee = [goal_motion.paths[0].end, goal_motion.paths[1].end]
+        self.round += 1
         for task in sub.tasks:
             if task.obj is None:
                 continue
@@ -167,7 +169,8 @@ def next_task_plan(session: PlannerSession) -> TaskPlan:
 def _recovery_moves(plan: TaskPlan, movable: set[int], buffered: set[int]) -> list[tuple[int, str]]:
     """The one-arm moves to try after the plan's own, in try order, over the
     plan's objects; blocked means not movable now.  A goal move is listed
-    once; a buffer move listed twice draws its poses afresh each time."""
+    once; a buffer move listed twice draws its poses under its own key each
+    time."""
     objs = list(dict.fromkeys(o for pair in plan.candidates for o in pair)) or [plan.singles[0][0]]
     parked = {b for _, b in plan.candidates} or set(objs)
     # pass 1: each object alone, a parked one to a buffer, an unblocked one

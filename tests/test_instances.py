@@ -131,6 +131,16 @@ def test_labels_that_would_not_survive_their_file_are_refused(label):
         dataclasses.replace(instances.showcase9(), label=label)
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(instances.Instance)])
+def test_an_instance_field_cannot_be_reassigned(field):
+    # the label check runs at construction, so a label set afterwards could
+    # dump as a file that does not load; every field is fixed instead
+    inst = instances.showcase9()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(inst, field, "X 9")
+    assert loads(dumps(inst)) == inst
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(st.characters(exclude_categories=()), max_size=8))
 @example("R12")

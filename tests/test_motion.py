@@ -135,7 +135,7 @@ def test_buffer_samples_pass_overlap_audit():
     session = sim.new_session(inst, 5)
     pending = [footprint(i, inst.goal.pose_of(i), inst.shapes) for i in inst.ids()]
     live = list(session.boxes.values())
-    poses = sample_buffers(live + pending, 20, session.rng, (0.03, 0.03), inst.workspace)
+    poses = sample_buffers(live + pending, 20, random.Random(5), (0.03, 0.03), inst.workspace)
     for pose in poses:
         box = box_at(pose, 0.03, 0.03)
         for other in live + pending:
@@ -731,16 +731,14 @@ def _checking_bind_arm(monkeypatch, check):
 
     The enumerator binds lazily, so a round would bind only the options up
     to the one it commits; it is drained once before it yields, so that
-    every option of every selection is bound and checked.  The rng is then
-    set back and the round enumerates lazily, so the rng draws and the
-    sequence of sub-tasks are unchanged by this."""
+    every option of every selection is bound and checked.  The round then
+    enumerates lazily again: buffer draws are keyed, so the sub-tasks are
+    unchanged by this."""
     bind = motion._bind_arm
     enumerate_all = motion._iter_instantiations
 
     def drained(plan, session):
-        state = session.rng.getstate()
         list(enumerate_all(plan, session))
-        session.rng.setstate(state)
         yield from enumerate_all(plan, session)
 
     def checked(session, *args):
@@ -848,13 +846,14 @@ def iter_instantiations_reference(plan, session):
     """The eager enumeration: every pair option bound at each angle level,
     the bound ones sorted by (max-arm travel, candidate, buffer), then each
     one-arm move of the plan, nearest arm first, bound at each angle level;
-    repeats dropped."""
+    repeats dropped.  Every parked candidate's poses are drawn up front,
+    under the pair listing, and each one-arm move's under its index."""
     goal_of = session.instance.goal.pose_of
     buffers_for = {}
     if plan.need_buffer:
         for _, b in plan.candidates:
             if b not in buffers_for:
-                buffers_for[b] = motion._buffer_options(session, b)
+                buffers_for[b] = motion._buffer_options(session, b, motion.PAIR_LISTING)
     out = []
     for level in (motion.TOP_DOWN_SET, motion.FULL_SET):
         scored = []
@@ -883,15 +882,15 @@ def iter_instantiations_reference(plan, session):
                 )
                 scored.append((travel, idx, b_idx, (t1, t2)))
         out += [InstantiatedSubTask(tasks=tasks) for *_, tasks in sorted(scored, key=lambda s: s[:3])]
-    for obj, kind in plan.singles:
+    for listing, (obj, kind) in enumerate(plan.singles):
         if kind == GOAL:
             targets = [goal_of(obj)]
         elif kind == BUFFER:
-            targets = motion._buffer_options(session, obj)
+            targets = motion._buffer_options(session, obj, listing)
         else:
             keepout = max(a.clearance for a in session.arms) + motion.BASE_KEEPOUT_MARGIN
             targets = [
-                p for p in motion._buffer_options(session, obj)
+                p for p in motion._buffer_options(session, obj, listing)
                 if all(dist(p.xy, arm.base) >= keepout for arm in session.arms)
             ]
         pose = session.boxes[obj].center
@@ -908,25 +907,19 @@ def iter_instantiations_reference(plan, session):
 
 
 def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
-    # every selection is enumerated twice from the same rng state: the lazy
-    # enumerator, drained, must yield the eager reference's sub-tasks in the
-    # same order and leave the rng where the reference leaves it; the round
-    # then enumerates lazily from that state again, as an unchecked run does
+    # every selection is enumerated twice: the lazy enumerator, drained, must
+    # yield the eager reference's sub-tasks in the same order; the round then
+    # enumerates lazily again, as an unchecked run does
     lazy = motion._iter_instantiations
     kinds = []
 
     def compared(plan, session):
-        state = session.rng.getstate()
         expect = iter_instantiations_reference(plan, session)
-        after = session.rng.getstate()
-        session.rng.setstate(state)
         got = list(lazy(plan, session))
         assert got == expect, (session.instance.label, sorted(session.remaining))
-        assert session.rng.getstate() == after
         kinds.append(
             "single" if not plan.candidates else "buffer" if plan.need_buffer else "pair"
         )
-        session.rng.setstate(state)
         yield from lazy(plan, session)
 
     monkeypatch.setattr(motion, "_iter_instantiations", compared)
@@ -934,7 +927,7 @@ def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
     cases = (
         (instances.showcase9(), True), (instances.gen_mixed(3), True),
         (instances.gen_random(14, 1), True), (instances.gen_random(18, 0), True),
-        (instances.gen_random(20, 0), False),
+        (instances.gen_random(22, 1), False),
     )
     for inst, solved in cases:
         metrics, _ = sim.run_instance(inst, 42)
@@ -944,17 +937,15 @@ def test_lazy_enumeration_matches_eager_reference_at_every_round(monkeypatch):
 
 
 def test_drained_stream_never_repeats_a_sub_task(monkeypatch):
-    # every selection's whole stream, pairs and one-arm moves, drained from
-    # the rng state the round starts at; the round then runs as usual
+    # every selection's whole stream, pairs and one-arm moves, drained; the
+    # round then runs as usual
     lazy = motion._iter_instantiations
     singles = []
 
     def drained(plan, session):
-        state = session.rng.getstate()
         subs = list(lazy(plan, session))
         assert len(set(subs)) == len(subs), (session.instance.label, sorted(session.remaining))
         singles.extend(sub for sub in subs if ArmTask() in sub.tasks)
-        session.rng.setstate(state)
         yield from lazy(plan, session)
 
     monkeypatch.setattr(motion, "_iter_instantiations", drained)
@@ -964,6 +955,66 @@ def test_drained_stream_never_repeats_a_sub_task(monkeypatch):
     ):
         sim.run_instance(inst, 42)
     assert len(singles) > 100
+
+
+def test_buffer_draws_are_keyed_by_round_object_and_listing():
+    inst = instances.showcase9()
+    session = sim.new_session(inst, 42)
+    obj = inst.ids()[0]
+    poses = motion._buffer_options(session, obj, 0)
+    assert len(poses) == motion.K_BUFFERS
+    # the same key gives the same poses, whatever was drawn in between
+    motion._buffer_options(session, inst.ids()[1], 0)
+    assert motion._buffer_options(session, obj, 0) == poses
+    # another listing, object or round is another key
+    for other in (motion._buffer_options(session, obj, 1),
+                  motion._buffer_options(session, obj, motion.PAIR_LISTING),
+                  motion._buffer_options(session, inst.ids()[1], 0)):
+        assert other != poses
+    session.round += 1
+    assert motion._buffer_options(session, obj, 0) != poses
+    # and another plan seed
+    assert motion._buffer_options(sim.new_session(inst, 43), obj, 0) != poses
+
+
+def test_a_candidates_poses_do_not_depend_on_earlier_draws():
+    # every option of a buffer plan's pair stream parks its object at a pose
+    # that object draws alone, in a fresh session, under the pair listing
+    inst = instances.gen_single_cycle(6, 0)
+    session = sim.new_session(inst, 42)
+    plan = next_task_plan(session)
+    parked = {j for _, j in plan.candidates}
+    assert plan.need_buffer and len(parked) == 6
+    alone = {j: motion._buffer_options(sim.new_session(inst, 42), j, motion.PAIR_LISTING) for j in parked}
+    stream = list(motion._pair_options(plan, session))
+    seen = set()
+    for option in stream:
+        [(obj, target, _)] = [move for move in option if move[2]]
+        assert target in alone[obj]
+        seen.add(obj)
+    assert seen == parked and len(stream) == sum(map(len, alone.values()))
+
+
+def test_first_ranked_buffer_option_draws_for_its_object_alone(monkeypatch):
+    # a six-cycle's buffer plan parks one of six objects; its first-ranked
+    # option commits, so only that candidate's parked object is sampled
+    inst = instances.gen_single_cycle(6, 0)
+    session = sim.new_session(inst, 42)
+    plan = next_task_plan(session)
+    assert plan.need_buffer and len({j for _, j in plan.candidates}) == 6
+    first = iter_instantiations_reference(plan, session)[0]
+    drawn = []
+    real = motion._buffer_options
+
+    def recorded(session, obj, listing):
+        drawn.append((obj, listing))
+        return real(session, obj, listing)
+
+    monkeypatch.setattr(motion, "_buffer_options", recorded)
+    sub, _, _ = plan_motion(plan, session)
+    assert sub == first
+    (parked,) = (t.obj for t in sub.tasks if t.to_buffer)
+    assert drawn == [(parked, motion.PAIR_LISTING)]
 
 
 def first_instantiation(plan, session):

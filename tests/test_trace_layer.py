@@ -523,7 +523,7 @@ def _round_tables():
         instances.showcase9(),
         instances.gen_mixed(5),
         instances.gen_random(18, 0),
-        instances.gen_random(20, 0),  # unsolved at plan seed 42
+        instances.gen_random(22, 1),  # unsolved at plan seed 42
     ]
 
 
@@ -629,7 +629,7 @@ def test_held_boxes_match_fresh_footprints_after_every_round(monkeypatch):
         instances.gen_random(n, s) for n in (14, 16, 18, 20, 22) for s in range(4)
     ]
     solved = [run_instance(inst, PLAN_SEED)[0].success for inst in tables]
-    assert sum(solved) == len(tables) - 5
+    assert sum(solved) == len(tables) - 3
     assert len(rounds) > 300 and any(rounds)
 
 
