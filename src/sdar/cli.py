@@ -4,7 +4,7 @@ sweeps, and render scenes, dependency graphs, and trace animations.
 Exit codes: 0 success, 1 planning failure, 2 input error (a bad flag, an
 unreadable or malformed input file, or an output path that cannot be
 written).  Flags are the only settings: no environment variable is read.
-The planner's time step `motion.DT` and its buffer poses per sampling call
+The planner's time step `motion.DT` and its buffer poses per listing
 `motion.K_BUFFERS` are constants, not flags.  Traces do not record DT:
 `sdar render` draws each moving leg at `round(1/DT)` + 1 frames.
 """

@@ -12,9 +12,10 @@ that validates.  A round is two legs, start-bound (grasp) then goal-bound
 `plan_motion` returns both motions at once.  The task plan decides which
 objects move and where; `_iter_instantiations` binds its pair options and
 then its one-arm moves to arms, grasp angles and poses, as one stream that
-yields each sub-task once.  Buffer poses are drawn only when the stream
-reaches them, each call from its own key (plan seed, round, object,
-listing), so no pose depends on which draws came before it.
+yields each sub-task once.  Buffer poses are drawn one at a time, only as
+far as the option ranking reads them, each listing from its own key (plan
+seed, round, object, listing), so no pose depends on which draws came
+before it.
 `sequential_round` plans the same two legs on the sequential rung alone,
 for the forced-sequential replay.
 """
@@ -24,8 +25,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, replace
-from heapq import heappop, heappush
+from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush
 from itertools import tee
 from typing import Optional
 
@@ -53,11 +54,11 @@ from .taskplan import GOAL, RELAY, PlannerSession, TaskPlan, assign_arms
 
 # The planner's fixed resolutions: a leg validates at DT / VALIDATE_REFINE
 # (and `sdar render` draws a leg at round(1/DT) + 1 times), and a buffer
-# sampling call returns at most K_BUFFERS poses.
+# listing holds at most K_BUFFERS poses.
 DT = 0.02
 K_BUFFERS = 40
-# Draws per `sample_buffers` call, whatever k: the cap of a call that finds
-# little or no room.
+# Draws per sampling pass, whatever the poses asked for: the cap of a pass
+# that finds little or no room.
 BUFFER_DRAWS = 2000
 # The listing a buffer plan's pair draws are keyed by; a one-arm move's is
 # its index in the plan's singles.
@@ -318,53 +319,71 @@ def grasp_feasible(
 # ------------------------------------------------------------- buffers
 
 
-def sample_buffers(
-    obstacles: list[OrientedBox],
-    k: int,
-    rng,
-    buffered_shape: tuple[float, float],
-    workspace: Workspace,
-    min_gap: float = MIN_GAP,
-) -> list[Pose2]:
-    """Up to k poses whose footprint avoids every obstacle box (the planner
-    passes the on-table objects, then the pending goals).  The poses are
-    independent alternatives, not a packing: a round parks at most one
-    object, so no pose is tested against the call's own earlier poses, and
-    the same pose may come back more than once.  Rejection sampling stops at
-    k accepts or after a fixed budget of BUFFER_DRAWS draws, whatever k is.
-    Each draw takes three `rng.random()` values in [0, 1] (x, y, theta)
-    whatever its fate, and scales each with the arithmetic of
-    `random.Random.uniform`, `a + (b - a) * u`: x in [margin, width -
-    margin] (margin the shape's circumradius), y likewise and theta in
-    [-pi, pi].  So the poses and the rng's state are those of three
+@dataclass(eq=False)
+class BufferDraws:
+    """One resumable rejection-sampling pass of `sample_buffers`: the fixed
+    obstacles (the planner passes the on-table objects, then the pending
+    goals), the rng, the buffered shape, the workspace and the gap, with the
+    draws left of the pass's BUFFER_DRAWS budget and the poses it has found.
+    The obstacle grid is built at the pass's first draw."""
+
+    obstacles: list[OrientedBox]
+    rng: random.Random
+    buffered_shape: tuple[float, float]
+    workspace: Workspace
+    min_gap: float = MIN_GAP
+    left: int = field(default=BUFFER_DRAWS, init=False)
+    found: int = field(default=0, init=False)
+    grid: Optional[BufferGrid] = field(default=None, init=False)
+
+
+def sample_buffers(draws: BufferDraws, k: int) -> list[Pose2]:
+    """The pass's next poses, up to k, whose footprint avoids every obstacle
+    box.  The poses are independent alternatives, not a packing: a round
+    parks at most one object, so no pose is tested against the pass's own
+    earlier poses, and the same pose may come back more than once.  A call
+    stops at k accepts or when the pass has used its fixed budget of
+    BUFFER_DRAWS draws, whatever k is; a later call resumes where it
+    stopped, so calls for one pose at a time draw the poses, and use the
+    rng, exactly as one call for all of them does.  A call that ends with
+    the budget used and no pose found by the whole pass raises
+    BufferSamplingExhausted.  Each draw takes three `rng.random()` values in
+    [0, 1] (x, y, theta) whatever its fate, and scales each with the
+    arithmetic of `random.Random.uniform`, `a + (b - a) * u`: x in [margin,
+    width - margin] (margin the shape's circumradius), y likewise and theta
+    in [-pi, pi].  So the poses and the rng's state are those of three
     `rng.uniform(a, b)` calls per draw; theta is scaled only for a draw that
     the sure tests below do not reject.
 
-    The obstacles are listed once in a grid (`BufferGrid`), and a draw
-    reads only its own cell.  A draw centred within an obstacle's inner disc
-    (`blocked_within2`) is surely rejected.  Otherwise one pass over the
-    cell's reach entries (`in_reach`) skips each obstacle beyond its reach
-    disc (the exact test's own prefilter would clear it), surely rejects a
-    draw nearer to an obstacle's rectangle than the draw's inscribed radius
-    plus the gap (`blocked_within_box`; whenever that bound is positive it
-    covers the inner discs, which are only a cheaper first test), and
-    collects the obstacles in reach.  A draw with none in reach builds no
-    box when it lies in the draw domain, which proves its box inside the
-    workspace (`FIT_ROUNDING`); any other draw's box gets `inside` and the
-    exact test against the obstacles in reach, in the order they were given.
-    Sure rejections and skips change no verdict, so the poses, the
-    exact-test calls and the rng's state are those of a scan over every
-    obstacle.
+    The obstacles are listed once per pass in a grid (`BufferGrid`), and a
+    draw reads only its own cell.  A draw centred within an obstacle's inner
+    disc (`blocked_within2`) is surely rejected.  Otherwise one pass over
+    the cell's reach entries (`in_reach`) skips each obstacle beyond its
+    reach disc (the exact test's own prefilter would clear it), surely
+    rejects a draw nearer to an obstacle's rectangle than the draw's
+    inscribed radius plus the gap (`blocked_within_box`; whenever that bound
+    is positive it covers the inner discs, which are only a cheaper first
+    test), and collects the obstacles in reach.  A draw with none in reach
+    builds no box when it lies in the draw domain, which proves its box
+    inside the workspace (`FIT_ROUNDING`); any other draw's box gets
+    `inside` and the exact test against the obstacles in reach, in the order
+    they were given.  Sure rejections and skips change no verdict, so the
+    poses, the exact-test calls and the rng's state are those of a scan over
+    every obstacle.
 
     min_gap > 0 additionally keeps finger room around the parked object
     (`boxes_closer_than`); min_gap == 0 is the bare non-overlap contract
     (`overlaps`)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    hw, hh = buffered_shape
-    grid = BufferGrid(buffered_shape, min_gap, workspace)
-    for ob in obstacles:
-        grid.add(ob)
+    hw, hh = draws.buffered_shape
+    workspace = draws.workspace
+    min_gap = draws.min_gap
+    grid = draws.grid
+    if grid is None:
+        grid = draws.grid = BufferGrid(draws.buffered_shape, min_gap, workspace)
+        for ob in draws.obstacles:
+            grid.add(ob)
     inner, reach, inv, gx, gy, rows = grid.inner, grid.reach, grid.inv, grid.gx, grid.gy, grid.rows
     sure = blocked_within_box(grid.inner_radius, min_gap)
     margin = grid.margin
@@ -373,13 +392,15 @@ def sample_buffers(
     # a box centred in [margin, x_hi] x [margin, y_hi] is inside the
     # workspace, up to rounding that EPS covers on such a table
     fits = (workspace.width + workspace.height) * FIT_ROUNDING <= EPS
-    unit = rng.random
+    unit = draws.rng.random
     x_span = x_hi - margin
     y_span = y_hi - margin
     pi = math.pi
     turn = pi - -pi
     found: list[Pose2] = []
-    for _ in range(BUFFER_DRAWS):
+    left = draws.left
+    # `left` counts the draws the pass has left after this one
+    for left in range(left - 1, -1, -1):
         x = margin + x_span * unit()
         y = margin + y_span * unit()
         t = unit()
@@ -400,9 +421,11 @@ def sample_buffers(
                 found.append(pose)
                 if len(found) == k:
                     break
-    if not found:
+    draws.left = left
+    draws.found += len(found)
+    if not draws.found and not left:
         raise BufferSamplingExhausted(
-            f"no buffer pose found within {BUFFER_DRAWS} draws for shape {buffered_shape}"
+            f"no buffer pose found within {BUFFER_DRAWS} draws for shape {draws.buffered_shape}"
         )
     return found
 
@@ -591,8 +614,8 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession):
     options, then the plan's one-arm moves, each group bound at the top-down
     angles, then at every angle, in option order.  Both passes read one
     stream of the group's options, so a caller that stops at the first
-    sub-task binds no later option, draws no buffer poses for a pair the
-    ranking has not reached, and none for a later one-arm move."""
+    sub-task binds no later option, draws no buffer pose the ranking has
+    not reached, and none for a later one-arm move."""
     seen = set()
     for options in _option_groups(plan, session):
         for level, stream in zip((TOP_DOWN_SET, FULL_SET), tee(options)):
@@ -605,7 +628,7 @@ def _iter_instantiations(plan: TaskPlan, session: PlannerSession):
 
 def _option_groups(plan: TaskPlan, session: PlannerSession):
     """Options are per-arm moves `(obj, target, to_buffer)`, None for an idle
-    arm.  A one-arm move's buffer poses are drawn when its group is reached,
+    arm.  A one-arm move's buffer poses are drawn as its options are read,
     keyed by its index in `plan.singles`."""
     yield _pair_options(plan, session)
     for listing, (obj, kind) in enumerate(plan.singles):
@@ -618,63 +641,68 @@ def _pair_options(plan: TaskPlan, session: PlannerSession):
     on a buffer plan, to each buffer pose drawn for it (under the key
     `PAIR_LISTING`, which every pair parking it shares).
 
-    A generator that draws lazily: no option of a candidate travels less
-    than its bound, the goal-bound arm's whole travel and the parking arm's
-    travel to its pick (adding a leg cannot round below it), so a candidate
-    is expanded, its parked object's poses drawn once, only while its
-    (bound, candidate) comes before the best pending option's (travel,
-    candidate).  The order is that of sorting every option."""
+    A generator that draws lazily, one pose at a time.  No option of a
+    candidate travels less than its bound, the goal-bound arm's whole travel
+    and the parking arm's travel to its pick (adding a leg cannot round
+    below it), so the heap holds, beside the drawn options, one entry per
+    candidate for its next undrawn pose, keyed (bound, candidate, next
+    index).  No undrawn option ranks below that key, so a pose is drawn only
+    when its entry comes first, and the order is that of sorting every
+    option."""
     goal_of = session.instance.goal.pose_of
-    ranked = []
+    pending = []
+    parking = []
     for idx, (i, j) in enumerate(plan.candidates):
         o1, _ = assign_arms((i, j), session.boxes, session.arms)
         a = 0 if o1 == i else 1  # the goal-bound arm; arm 1 - a moves j
         whole = _travel(session, a, session.boxes[i].center.xy, goal_of(i))
         pick_j = session.boxes[j].center.xy
-        bound = max(whole, dist(tuple(session.ee[1 - a]), pick_j))
-        ranked.append((bound, idx, a, whole, pick_j))
-    ranked.sort()
-    buffers_for = {}
-    pending = []
-    k = 0
-    while k < len(ranked) or pending:
-        if pending and (k == len(ranked) or pending[0][:2] < ranked[k][:2]):
-            yield heappop(pending)[3]
-            continue
-        _, idx, a, whole, pick_j = ranked[k]
-        k += 1
-        i, j = plan.candidates[idx]
-        if plan.need_buffer:
-            if j not in buffers_for:
-                buffers_for[j] = _buffer_options(session, j, PAIR_LISTING)
-            targets = buffers_for[j]
-        else:
-            targets = [goal_of(j)]
         first = (i, goal_of(i), False)
-        for b_idx, target in enumerate(targets):
-            second = (j, target, plan.need_buffer)
-            travel = max(whole, _travel(session, 1 - a, pick_j, target))
-            heappush(pending, (travel, idx, b_idx, (first, second) if a == 0 else (second, first)))
+        if plan.need_buffer:
+            parking.append((a, whole, pick_j, first, j))
+            pending.append((max(whole, dist(tuple(session.ee[1 - a]), pick_j)), idx, 0, None))
+        else:
+            second = (j, goal_of(j), False)
+            travel = max(whole, _travel(session, 1 - a, pick_j, goal_of(j)))
+            pending.append((travel, idx, 0, (first, second) if a == 0 else (second, first)))
+    heapify(pending)
+    streams = {}
+    while pending:
+        bound, idx, b_idx, option = heappop(pending)
+        if option is not None:
+            yield option
+            continue
+        # the candidate's next undrawn pose: draw it, rank its option
+        a, whole, pick_j, first, j = parking[idx]
+        if j not in streams:
+            streams[j] = _buffer_options(session, j, PAIR_LISTING)
+        target = streams[j].pose(b_idx)
+        if target is None:
+            continue
+        second = (j, target, True)
+        travel = max(whole, _travel(session, 1 - a, pick_j, target))
+        heappush(pending, (travel, idx, b_idx, (first, second) if a == 0 else (second, first)))
+        heappush(pending, (bound, idx, b_idx + 1, None))
 
 
 def _single_moves(session: PlannerSession, obj: int, kind: str, listing: int):
     """One-arm options moving `obj` to its goal, to buffer poses, or to relay
-    buffer poses either arm can reach (to hand an object across the zone
-    around an arm base): the arm nearest the object first, then target
-    order."""
+    buffer poses outside both arms' base keep-outs (to hand an object across
+    the zone around an arm base; reach is left to binding): the arm nearest
+    the object first, then target order.  A generator: a buffer pose is
+    drawn when the options reach it, and the relay filter reads each pose
+    as it comes."""
     arms = session.arms
-    targets = [session.instance.goal.pose_of(obj)] if kind == GOAL else _buffer_options(session, obj, listing)
-    if kind == RELAY:
-        clearance = arms[0].clearance
-        targets = [p for p in targets if all(_other_base_ok(p.xy, arm, clearance) for arm in arms)]
+    clearance = arms[0].clearance
+    goal = kind == GOAL
+    targets = [session.instance.goal.pose_of(obj)] if goal else _buffer_options(session, obj, listing)
     pose = session.boxes[obj].center
-    order = sorted((0, 1), key=lambda a: dist(arms[a].base, pose.xy))
-    options = []
-    for arm_idx in order:
+    for arm_idx in sorted((0, 1), key=lambda a: dist(arms[a].base, pose.xy)):
         for target in targets:
-            move = (obj, target, kind != GOAL)
-            options.append((move, None) if arm_idx == 0 else (None, move))
-    return options
+            if kind == RELAY and not all(_other_base_ok(target.xy, arm, clearance) for arm in arms):
+                continue
+            move = (obj, target, not goal)
+            yield (move, None) if arm_idx == 0 else (None, move)
 
 
 def _bind(session: PlannerSession, option, level) -> Optional[InstantiatedSubTask]:
@@ -694,28 +722,54 @@ def _bind(session: PlannerSession, option, level) -> Optional[InstantiatedSubTas
     return InstantiatedSubTask(tuple(tasks))
 
 
-def _buffer_options(session: PlannerSession, obj: int, listing: int) -> list[Pose2]:
-    """Buffer poses for one object: finger-room sampling first, then the bare
-    non-overlap contract on crowded tables (pad checks re-filter at bind).
-    The obstacles are the held on-table boxes in id order, then the pending
-    goals.  The draws are keyed by (plan seed, round, object, listing), so
-    they are the same whenever and however often the key is drawn."""
+class BufferStream:
+    """One keyed listing's buffer poses, drawn one at a time as they are
+    read and kept for every later read: finger-room sampling first, then the
+    bare non-overlap contract on crowded tables (pad checks re-filter at
+    bind).  The `MIN_GAP` pass ends at K_BUFFERS accepts or after its
+    BUFFER_DRAWS draws; the gap-0 pass draws, from the same rng, only when
+    the `MIN_GAP` pass found no pose.  So the poses, and the rng units used
+    up to each, are those of drawing the whole listing at once."""
+
+    def __init__(self, obstacles: list[OrientedBox], rng, buffered_shape, workspace: Workspace):
+        # the passes still to draw, the current one last
+        self._passes = [
+            BufferDraws(obstacles, rng, buffered_shape, workspace, min_gap) for min_gap in (0.0, MIN_GAP)
+        ]
+        self.poses: list[Pose2] = []
+
+    def pose(self, index: int) -> Optional[Pose2]:
+        """Pose `index` of the listing, drawn if need be, or None past its
+        last pose."""
+        poses = self.poses
+        passes = self._passes
+        while len(poses) <= index and passes:
+            try:
+                got = sample_buffers(passes[-1], 1)
+            except BufferSamplingExhausted:
+                passes.pop()  # nothing found: the next pass draws
+                continue
+            poses += got
+            if not got or len(poses) == K_BUFFERS:
+                passes.clear()  # the listing is complete
+        return poses[index] if index < len(poses) else None
+
+    def __iter__(self):
+        index = 0
+        while (pose := self.pose(index)) is not None:
+            yield pose
+            index += 1
+
+
+def _buffer_options(session: PlannerSession, obj: int, listing: int) -> BufferStream:
+    """The buffer pose stream of one object.  The obstacles are the held
+    on-table boxes in id order, then the pending goals.  The draws are keyed
+    by (plan seed, round, object, listing), so they are the same whenever
+    and however often the key is drawn."""
     rng = random.Random(repr((session.rng_seed, session.round, obj, listing)))
     obstacles = [*session.boxes.values()]
     obstacles += [session.goal_boxes[i] for i in sorted(session.remaining)]
-    for min_gap in (MIN_GAP, 0.0):
-        try:
-            return sample_buffers(
-                obstacles,
-                K_BUFFERS,
-                rng,
-                session.instance.shapes[obj],
-                session.instance.workspace,
-                min_gap=min_gap,
-            )
-        except BufferSamplingExhausted:
-            continue
-    return []
+    return BufferStream(obstacles, rng, session.instance.shapes[obj], session.instance.workspace)
 
 
 # ------------------------------------------------------------------ legs

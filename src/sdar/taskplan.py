@@ -4,9 +4,10 @@ One task plan per synchronized round: the planner rebuilds the dependency
 graph over unsolved objects and emits candidate object pairs (movable pairs,
 a chain terminal pair, or cycle-breaking pairs with the buffer flag), then
 the one-arm moves to try if no pair works, each an object and its target
-(goal, buffer, or a relay buffer both arms can reach).  The task plan decides
-every move of the round; the motion layer binds the moves to arms, grasps
-and poses, and plans both legs of the round.
+(goal, buffer, or a relay buffer outside both arm bases' keep-out zones;
+reach is left to binding).  The task plan decides every move of the round;
+the motion layer binds the moves to arms, grasps and poses, and plans both
+legs of the round.
 """
 
 from __future__ import annotations
@@ -182,7 +183,8 @@ def _recovery_moves(plan: TaskPlan, movable: set[int], buffered: set[int]) -> li
         elif obj in movable and (obj, GOAL) not in plan.singles:
             moves.append((obj, GOAL))
     # pass 2: an unblocked object no single arm can both pick and place is
-    # handed across the table through a buffer both arms reach
+    # handed across the table through a buffer outside both arm bases'
+    # keep-out zones (binding checks the reach of the arm that moves it)
     if not plan.need_buffer:
         moves += [(obj, RELAY) for obj in objs if obj in movable]
     # pass 3: a blocked object nothing else frees is parked, as a single arm

@@ -26,6 +26,7 @@ from sdar.motion import (
     ArmModel,
     ArmPath,
     ArmTask,
+    BufferDraws,
     BufferSamplingExhausted,
     Conflict,
     GraspAngle,
@@ -47,7 +48,7 @@ from sdar.motion import (
     _phases,
     _timed,
 )
-from sdar.taskplan import BUFFER, GOAL, TaskComplete, next_task_plan
+from sdar.taskplan import BUFFER, GOAL, RELAY, TaskComplete, next_task_plan
 
 from fine_grid import least_clearance
 from geom_reference import box_clearance, grid_cell
@@ -108,7 +109,7 @@ def test_grasp_ladder_order_is_top_down_first():
 def test_sample_buffers_on_empty_table():
     ws = Workspace()
     rng = random.Random(0)
-    poses = sample_buffers([], 5, rng, (0.04, 0.04), ws)
+    poses = sample_pass([], 5, rng, (0.04, 0.04), ws)
     assert len(poses) == 5
     for p in poses:
         assert 0 <= p.x <= ws.width and 0 <= p.y <= ws.height
@@ -125,7 +126,7 @@ def test_sample_buffers_exhausted_on_saturated_table():
             poses[k] = Pose2(0.075 + 0.15 * i, 0.075 + 0.15 * j)
             k += 1
     with pytest.raises(BufferSamplingExhausted):
-        sample_buffers(
+        sample_pass(
             [*footprints(Arrangement(poses), shapes).values()], 3, random.Random(1), (0.05, 0.05), ws
         )
 
@@ -135,12 +136,18 @@ def test_buffer_samples_pass_overlap_audit():
     session = sim.new_session(inst, 5)
     pending = [footprint(i, inst.goal.pose_of(i), inst.shapes) for i in inst.ids()]
     live = list(session.boxes.values())
-    poses = sample_buffers(live + pending, 20, random.Random(5), (0.03, 0.03), inst.workspace)
+    poses = sample_pass(live + pending, 20, random.Random(5), (0.03, 0.03), inst.workspace)
     for pose in poses:
         box = box_at(pose, 0.03, 0.03)
         for other in live + pending:
             assert not overlaps(box, other)
             assert box_clearance(box, other) >= MIN_GAP - 1e-12
+
+
+def sample_pass(obstacles, k, rng, buffered_shape, workspace, min_gap=MIN_GAP):
+    """One `sample_buffers` call on a fresh pass: up to k poses, or
+    BufferSamplingExhausted, as one eager call drew them."""
+    return sample_buffers(BufferDraws(obstacles, rng, buffered_shape, workspace, min_gap), k)
 
 
 def sample_buffers_reference(obstacles, k, rng, buffered_shape, workspace, min_gap=MIN_GAP):
@@ -225,7 +232,7 @@ def test_sample_buffers_matches_reference_without_broad_phase():
         for min_gap in (MIN_GAP, 0.0):
             for seed, k in ((0, 20), (1, 3), (2, 20)):
                 results = []
-                for sampler in (sample_buffers, sample_buffers_reference):
+                for sampler in (sample_pass, sample_buffers_reference):
                     rng = random.Random(seed)
                     try:
                         got = sampler(obstacles, k, rng, shape, ws, min_gap)
@@ -308,7 +315,7 @@ def test_sample_buffers_budget_does_not_grow_with_k():
     for k in (1, 10**5):
         rng = CountingRng(1)
         with pytest.raises(BufferSamplingExhausted, match=f"within {motion.BUFFER_DRAWS} draws"):
-            sample_buffers(obstacles, k, rng, shape, ws)
+            sample_pass(obstacles, k, rng, shape, ws)
         assert rng.calls == 3 * motion.BUFFER_DRAWS, k
 
 
@@ -317,7 +324,7 @@ def test_sample_buffers_poses_are_alternatives():
     # poses are not obstacles
     units, pose = scripted([(0.5, 0.3, 0.2)], (0.05, 0.05), Workspace())
     for k in (1, 4):
-        poses = sample_buffers([], k, ScriptedRng(units * k), (0.05, 0.05), Workspace())
+        poses = sample_pass([], k, ScriptedRng(units * k), (0.05, 0.05), Workspace())
         assert poses == pose * k
 
 
@@ -333,7 +340,7 @@ def test_sample_buffers_broad_phase_keeps_boundary_draws():
         )
         if min_gap == 0.0:  # exactly at the summed circumradii
             assert at == Pose2(x, 0.3, math.pi / 4)
-        for sampler in (sample_buffers, sample_buffers_reference):
+        for sampler in (sample_pass, sample_buffers_reference):
             poses = sampler(
                 obstacles, 1, ScriptedRng(units), (0.05, 0.05), Workspace(), min_gap=min_gap
             )
@@ -358,7 +365,7 @@ def test_sample_buffers_inner_bound_keeps_boundary_draws():
                     draw = (0.5 + s * ux, 0.3 + s * uy, alpha + math.pi / 2)
                     units, (near, clear) = scripted([draw, far], shape, Workspace())
                     expect = near if offset > 0.0 else clear
-                    for sampler in (sample_buffers, sample_buffers_reference):
+                    for sampler in (sample_pass, sample_buffers_reference):
                         poses = sampler(
                             obstacles, 1, ScriptedRng(units), shape, Workspace(),
                             min_gap=min_gap,
@@ -370,7 +377,7 @@ def _same_as_reference(obstacles, shape, ws, rng_for, k, min_gap):
     """Run sample_buffers and sample_buffers_reference from equal rngs; the
     poses (or the exhaustion message) and the rng states after must match."""
     results = []
-    for sampler in (sample_buffers, sample_buffers_reference):
+    for sampler in (sample_pass, sample_buffers_reference):
         rng = rng_for()
         try:
             got = sampler(obstacles, k, rng, shape, ws, min_gap)
@@ -481,12 +488,11 @@ def test_sample_buffers_builds_no_box_for_a_draw_with_nothing_in_reach(monkeypat
             assert len(got) == k
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_sample_buffers_matches_reference_on_random_tables(data):
-    # random obstacle sets (some reaching over the table's edge, some
-    # elongated, some larger than the table) on random tables, for a
-    # buffered object that is square-ish, elongated or larger than the table
+def _draw_table(data):
+    """(obstacles, shape, workspace, seed): random obstacle sets (some
+    reaching over the table's edge, some elongated, some larger than the
+    table) on a random table, for a buffered object that is square-ish,
+    elongated or larger than the table, and the seed that drew them."""
     ws = Workspace(data.draw(st.floats(0.2, 1.5), label="w"), data.draw(st.floats(0.2, 1.0), label="h"))
     kind = data.draw(st.sampled_from(["box", "elongated", "huge"]), label="kind")
     if kind == "box":
@@ -513,9 +519,68 @@ def test_sample_buffers_matches_reference_on_random_tables(data):
             table.uniform(-math.pi, math.pi),
         )
         obstacles.append(box_at(pose, *half))
+    return obstacles, shape, ws, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sample_buffers_matches_reference_on_random_tables(data):
+    obstacles, shape, ws, seed = _draw_table(data)
     min_gap = data.draw(st.sampled_from([0.0, MIN_GAP]), label="min_gap")
     k = data.draw(st.sampled_from([1, 3, 40]), label="k")
     _same_as_reference(obstacles, shape, ws, lambda: random.Random(seed + 1), k, min_gap)
+
+
+def listing_reference(obstacles, k, rng, shape, ws):
+    """A listing's first k poses as the eager sampler drew them: the
+    `MIN_GAP` pass, then, only if it found nothing, the gap-0 pass."""
+    for min_gap in (MIN_GAP, 0.0):
+        try:
+            return sample_buffers_reference(obstacles, k, rng, shape, ws, min_gap)
+        except BufferSamplingExhausted:
+            continue
+    return []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stream_reads_a_prefix_of_the_eager_listing(data):
+    # a listing's stream, read to any prefix (or past its end), gives that
+    # prefix of the eager two-pass listing, having used the rng units the
+    # eager loop used up to its last pose; a pass that finds nothing uses
+    # its whole budget before the gap-0 pass draws.  The crowded tables
+    # have listings of every kind: full, partial, from the gap-0 pass, none
+    if data.draw(st.booleans(), label="crowded"):
+        n = data.draw(st.sampled_from([14, 16, 18, 20, 22]), label="n")
+        obstacles, shape, ws = _crowded_table(n, data.draw(st.integers(0, 3), label="table"))
+    else:
+        obstacles, shape, ws, _ = _draw_table(data)
+    key = repr(data.draw(st.tuples(st.integers(0, 99), st.integers(0, 40), st.integers(-1, 3)), label="key"))
+    # poses to read: any prefix, or one past a full listing
+    read = data.draw(st.just(motion.K_BUFFERS + 1) | st.integers(1, motion.K_BUFFERS), label="read")
+    passes = []
+    real = motion.sample_buffers
+
+    def recorded(draws, k):
+        try:
+            return real(draws, k)
+        finally:
+            passes.append((draws.min_gap, draws.left, draws.found))
+
+    rng = CountingRng(key)
+    stream = motion.BufferStream(obstacles, rng, shape, ws)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(motion, "sample_buffers", recorded)
+        got = [stream.pose(i) for i in range(read)]
+    eager = CountingRng(key)
+    expect = listing_reference(obstacles, min(read, motion.K_BUFFERS), eager, shape, ws)
+    assert got == expect + [None] * (read - len(expect))
+    assert stream.poses == expect
+    assert rng.calls == eager.calls
+    if any(gap == 0.0 for gap, _, _ in passes):
+        last_gap = max(i for i, (gap, _, _) in enumerate(passes) if gap > 0.0)
+        assert passes[last_gap] == (MIN_GAP, 0, 0)
+        assert all(gap > 0.0 for gap, _, _ in passes[:last_gap])
 
 
 def _inside(disc, px, py, strict):
@@ -812,34 +877,61 @@ def test_stale_binding_memo_gives_wrong_binding(monkeypatch):
     assert sum(differ) > 10, (sum(differ), len(differ))
 
 
+DENSE_TABLES = [(n, s) for n in (14, 16, 18, 20, 22) for s in range(4)]
+
+
 def test_sampler_reads_the_held_boxes_then_the_pending_goals(monkeypatch):
-    # on the dense tables, every sampling call gets the session's own box
-    # objects, in id order, then the goal boxes of the remaining objects,
-    # none of them built again
+    # on the dense tables, every sampling call of every pass gets the
+    # session's own box objects, in id order, then the goal boxes of the
+    # remaining objects, none of them built again
     sample = motion.sample_buffers
     new_session = sim.new_session
-    sessions, calls = [], []
+    sessions, passes = [], []
 
     def opened(*args):
         sessions.append(new_session(*args))
         return sessions[-1]
 
-    def checked(obstacles, *args, **kwargs):
+    def checked(draws, k):
         session = sessions[-1]
         assert list(session.boxes) == sorted(session.boxes)
         held = [*session.boxes.values()]
         held += [session.goal_boxes[i] for i in sorted(session.remaining)]
-        assert len(obstacles) == len(held)
-        assert all(got is box for got, box in zip(obstacles, held))
-        calls.append(len(held))
-        return sample(obstacles, *args, **kwargs)
+        assert len(draws.obstacles) == len(held)
+        assert all(got is box for got, box in zip(draws.obstacles, held))
+        if draws.grid is None:  # the pass's first draw
+            passes.append(len(held))
+        return sample(draws, k)
 
     monkeypatch.setattr(sim, "new_session", opened)
     monkeypatch.setattr(motion, "sample_buffers", checked)
-    for n in (14, 16, 18, 20, 22):
-        for s in range(4):
-            sim.run_instance(instances.gen_random(n, s), 42)
-    assert len(calls) > 100
+    for n, s in DENSE_TABLES:
+        sim.run_instance(instances.gen_random(n, s), 42)
+    assert len(passes) > 100
+
+
+def test_dense_tables_draw_the_pinned_poses_and_exhausted_passes(monkeypatch):
+    # sample_buffers wrapped as the benchmark's traced probe wraps it (poses
+    # are the len() of each result, an exhausted pass is the exception) over
+    # the 20 dense tables at plan seed 42: a sampler the probe could not see
+    # into, or draws that turn eager, move these counts (656 poses when each
+    # listing drew all its poses at once)
+    sample = motion.sample_buffers
+    counts = {"poses": 0, "exhausted": 0}
+
+    def probed(*args, **kwargs):
+        try:
+            poses = sample(*args, **kwargs)
+        except BufferSamplingExhausted:
+            counts["exhausted"] += 1
+            raise
+        counts["poses"] += len(poses)
+        return poses
+
+    monkeypatch.setattr(motion, "sample_buffers", probed)
+    for n, s in DENSE_TABLES:
+        sim.run_instance(instances.gen_random(n, s), 42)
+    assert counts == {"poses": 278, "exhausted": 65}
 
 
 def iter_instantiations_reference(plan, session):
@@ -961,20 +1053,23 @@ def test_buffer_draws_are_keyed_by_round_object_and_listing():
     inst = instances.showcase9()
     session = sim.new_session(inst, 42)
     obj = inst.ids()[0]
-    poses = motion._buffer_options(session, obj, 0)
+    def listing(session, obj, listing):
+        return list(motion._buffer_options(session, obj, listing))
+
+    poses = listing(session, obj, 0)
     assert len(poses) == motion.K_BUFFERS
     # the same key gives the same poses, whatever was drawn in between
-    motion._buffer_options(session, inst.ids()[1], 0)
-    assert motion._buffer_options(session, obj, 0) == poses
+    listing(session, inst.ids()[1], 0)
+    assert listing(session, obj, 0) == poses
     # another listing, object or round is another key
-    for other in (motion._buffer_options(session, obj, 1),
-                  motion._buffer_options(session, obj, motion.PAIR_LISTING),
-                  motion._buffer_options(session, inst.ids()[1], 0)):
+    for other in (listing(session, obj, 1),
+                  listing(session, obj, motion.PAIR_LISTING),
+                  listing(session, inst.ids()[1], 0)):
         assert other != poses
     session.round += 1
-    assert motion._buffer_options(session, obj, 0) != poses
+    assert listing(session, obj, 0) != poses
     # and another plan seed
-    assert motion._buffer_options(sim.new_session(inst, 43), obj, 0) != poses
+    assert listing(sim.new_session(inst, 43), obj, 0) != poses
 
 
 def test_a_candidates_poses_do_not_depend_on_earlier_draws():
@@ -985,7 +1080,7 @@ def test_a_candidates_poses_do_not_depend_on_earlier_draws():
     plan = next_task_plan(session)
     parked = {j for _, j in plan.candidates}
     assert plan.need_buffer and len(parked) == 6
-    alone = {j: motion._buffer_options(sim.new_session(inst, 42), j, motion.PAIR_LISTING) for j in parked}
+    alone = {j: list(motion._buffer_options(sim.new_session(inst, 42), j, motion.PAIR_LISTING)) for j in parked}
     stream = list(motion._pair_options(plan, session))
     seen = set()
     for option in stream:
@@ -997,24 +1092,67 @@ def test_a_candidates_poses_do_not_depend_on_earlier_draws():
 
 def test_first_ranked_buffer_option_draws_for_its_object_alone(monkeypatch):
     # a six-cycle's buffer plan parks one of six objects; its first-ranked
-    # option commits, so only that candidate's parked object is sampled
-    inst = instances.gen_single_cycle(6, 0)
-    session = sim.new_session(inst, 42)
-    plan = next_task_plan(session)
-    assert plan.need_buffer and len({j for _, j in plan.candidates}) == 6
-    first = iter_instantiations_reference(plan, session)[0]
-    drawn = []
+    # option commits, so only that candidate's parked object is sampled, and
+    # only as far as the ranking reads.  On the second cycle the goal-bound
+    # arm travels farther than the parking arm, so the first pose ranks
+    # first and is the only pose drawn; on the first the parking arm's
+    # travel decides, and the poses up to the chosen one's bound are drawn
+    drawn, poses = [], []
     real = motion._buffer_options
+    sample = motion.sample_buffers
 
     def recorded(session, obj, listing):
         drawn.append((obj, listing))
         return real(session, obj, listing)
 
+    def counted(draws, k):
+        got = sample(draws, k)
+        poses.extend(got)
+        return got
+
     monkeypatch.setattr(motion, "_buffer_options", recorded)
-    sub, _, _ = plan_motion(plan, session)
-    assert sub == first
-    (parked,) = (t.obj for t in sub.tasks if t.to_buffer)
-    assert drawn == [(parked, motion.PAIR_LISTING)]
+    monkeypatch.setattr(motion, "sample_buffers", counted)
+    for cycle_seed, drawn_poses in ((0, 15), (7, 1)):
+        inst = instances.gen_single_cycle(6, cycle_seed)
+        session = sim.new_session(inst, 42)
+        plan = next_task_plan(session)
+        assert plan.need_buffer and len({j for _, j in plan.candidates}) == 6
+        first = iter_instantiations_reference(plan, session)[0]
+        drawn.clear()
+        poses.clear()
+        sub, _, _ = plan_motion(plan, session)
+        assert sub == first
+        (parked,) = (t for t in sub.tasks if t.to_buffer)
+        assert drawn == [(parked.obj, motion.PAIR_LISTING)]
+        assert len(poses) == drawn_poses < motion.K_BUFFERS and parked.target in poses
+    assert poses == [parked.target]
+
+
+def test_relay_targets_are_the_poses_outside_both_base_keepouts(monkeypatch):
+    # a relay move keeps each listed pose at least clearance plus the
+    # keep-out margin from both arm bases, and nothing else: a pose beyond
+    # one arm's reach is kept, and binding decides it; a buffer move keeps
+    # every pose
+    inst = instances.showcase9()
+    arms = tuple(replace(a, reach=0.7) for a in default_arms(inst.workspace))
+    session = sim.new_session(inst, 42, arms)
+    keepout = arms[0].clearance + motion.BASE_KEEPOUT_MARGIN
+    (x0, y0), (x1, y1) = arms[0].base, arms[1].base
+    poses = [
+        Pose2(x0 + keepout / 2, y0, 0.0),  # in arm 0's keep-out
+        Pose2(x1 - keepout / 2, y1, 0.3),  # in arm 1's keep-out
+        Pose2(x0 + keepout, y0, 0.0),  # on the edge of arm 0's keep-out
+        Pose2(x1 - 0.15, y1 + 0.2, 1.0),  # beyond arm 0's reach
+        Pose2(0.5, 0.3, -0.5),
+    ]
+    assert dist(poses[3].xy, arms[0].base) > arms[0].reach
+    monkeypatch.setattr(motion, "_buffer_options", lambda session, obj, listing: poses)
+    obj = inst.ids()[0]
+    for kind, kept in ((RELAY, poses[2:]), (BUFFER, poses)):
+        options = list(motion._single_moves(session, obj, kind, 0))
+        targets = [move[1] for option in options for move in option if move is not None]
+        assert targets == kept * 2, kind
+        assert all(move[2] for option in options for move in option if move is not None)
 
 
 def first_instantiation(plan, session):
