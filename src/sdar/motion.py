@@ -7,15 +7,20 @@ placement feasibility.  The rung ladder per leg: straight synchronous motion,
 rule-based untangling (departure delays, then home-side via points), and
 finally sequential execution with one arm parked at its retract pose.  Each
 rung is an ordered list of path variants, and `_first_valid` keeps the first
-that validates.  A round is two legs, start-bound (grasp) then goal-bound
-(place); its sub-task is committed only when both legs climb the ladder, and
-`plan_motion` returns both motions at once.  The task plan decides which
-objects move and where; `_iter_instantiations` binds its pair options and
-then its one-arm moves to arms, grasp angles and poses, as one stream that
-yields each sub-task once.  Buffer poses are drawn one at a time, only as
-far as the option ranking reads them, each listing from its own key (plan
-seed, round, object, listing), so no pose depends on which draws came
-before it.
+that validates.  Every synchronous and untangled variant ends with both arms
+at the leg's goal points, so a leg whose end configuration already breaks
+clearance goes straight to the sequential rung (`_ladder`).  The validator
+bounds each sample's clearance from below by the gap between the arms'
+projections on the axis through the two bases, and reads the exact segment
+distance only where that bound does not clear the threshold.  A round is
+two legs, start-bound (grasp) then goal-bound (place); its sub-task is
+committed only when both legs climb the ladder, and `plan_motion` returns
+both motions at once.  The task plan decides which objects move and where;
+`_iter_instantiations` binds its pair options and then its one-arm moves to
+arms, grasp angles and poses, as one stream that yields each sub-task once.
+Buffer poses are drawn one at a time, only as far as the option ranking
+reads them, each listing from its own key (plan seed, round, object,
+listing), so no pose depends on which draws came before it.
 `sequential_round` plans the same two legs on the sequential rung alone,
 for the forced-sequential replay.
 """
@@ -79,6 +84,10 @@ VALIDATE_GUARD = 0.0025
 # Clearance kept in reserve before skipping samples: far above the rounding
 # in sample times and segment distances, far below the grid's clearance step.
 VALIDATE_SLACK = 1e-9
+# Bound on the rounding in a base-axis projection gap, relative to the
+# largest coordinate of the bases and knots: it is a few dozen ulps of that
+# size, far below this.
+AXIS_ROUNDING = 2.0**-40
 
 
 class BufferSamplingExhausted(Exception):
@@ -209,6 +218,12 @@ class Conflict:
     detail: str
 
 
+def _limit(arms: tuple[ArmModel, ArmModel]) -> float:
+    """The sampled clearance a leg must keep: clearance + VALIDATE_GUARD,
+    less 1e-9 of rounding."""
+    return arms[0].clearance + VALIDATE_GUARD - 1e-9
+
+
 def validate_motion(
     paths: tuple[ArmPath, ArmPath], arms: tuple[ArmModel, ArmModel], duration: float
 ) -> Optional[Conflict]:
@@ -222,27 +237,59 @@ def validate_motion(
     the segment distance by at most d, so clearance changes by at most
     L = (sum of the two paths' top speeds) per unit time, and a sample with
     clearance c passes every grid sample within (c - threshold - slack) / L
-    after it.  The grid is unchanged, so the result (None, or the first
-    failing sample's Conflict) is the one a full scan would return.
+    after it.
+
+    A sample's clearance c is first bounded from below on the unit axis
+    from base 0 to base 1: projecting is 1-Lipschitz, so the gap between
+    the two segments' projections, min(proj base 1, proj q) - max(proj
+    base 0, proj p), is at most their distance.  Less AXIS_ROUNDING of the
+    coordinates' size, a gap that clears the threshold is taken as c, both
+    for the pass test and for the skip; any other sample, and every sample
+    when the bases coincide, gets the exact `segment_clearance`.  A bound
+    passes only samples whose exact clearance passes, and skips less than
+    the exact value would.  The grid is unchanged, so the result (None, or
+    the first failing sample's Conflict, its clearance exact) is the one a
+    full scan would return.
     """
-    clearance = arms[0].clearance
     if duration <= 1e-12:
         steps = 1
     else:
         steps = max(int(round(VALIDATE_REFINE / DT)), int(math.ceil(duration / VALIDATE_GUARD)))
-    limit = clearance + VALIDATE_GUARD - 1e-9
+    limit = _limit(arms)
     speed = max_speed(paths[0].knots) + max_speed(paths[1].knots)
     # bound on the clearance change between neighbouring samples (inf*0 is nan)
     per_step = math.inf if speed == math.inf else speed * (duration / steps)
+    base0, base1 = arms[0].base, arms[1].base
+    bx, by = base0
+    span = dist(base0, base1)
+    if span > 0.0:
+        ux = (base1[0] - bx) / span
+        uy = (base1[1] - by) / span
+        # a sample's point lies in the hull of its path's knots
+        size = max(map(abs, (*base0, *base1)))
+        for path in paths:
+            for _, x, y in path.knots:
+                size = max(size, abs(x), abs(y))
+        margin = size * AXIS_ROUNDING
+    else:
+        ux = uy = 0.0
+        margin = math.inf  # no axis: every sample takes the exact distance
     # the sample times never decrease, so each arm's walker reads on
     point0 = PathWalker(paths[0].knots).point
     point1 = PathWalker(paths[1].knots).point
     k = 0
     while k <= steps:
         t = duration * k / steps
-        c = segment_clearance(arms[0].base, point0(t), arms[1].base, point1(t))
+        p = point0(t)
+        q = point1(t)
+        # arm 1's nearest and arm 0's farthest projection on the base axis
+        near = (q[0] - bx) * ux + (q[1] - by) * uy
+        far = (p[0] - bx) * ux + (p[1] - by) * uy
+        c = (near if near < span else span) - (far if far > 0.0 else 0.0) - margin
         if c < limit:
-            return Conflict(t / duration if duration > 0 else 0.0, f"arm clearance {c:.4f}")
+            c = segment_clearance(base0, p, base1, q)
+            if c < limit:
+                return Conflict(t / duration if duration > 0 else 0.0, f"arm clearance {c:.4f}")
         # the slack absorbs rounding in the sample times and the clearance
         spare = c - limit - VALIDATE_SLACK
         if spare > 0.0:
@@ -642,10 +689,11 @@ def _pair_options(plan: TaskPlan, session: PlannerSession):
     `PAIR_LISTING`, which every pair parking it shares).
 
     A generator that draws lazily, one pose at a time.  No option of a
-    candidate travels less than its bound, the goal-bound arm's whole travel
-    and the parking arm's travel to its pick (adding a leg cannot round
-    below it), so the heap holds, beside the drawn options, one entry per
-    candidate for its next undrawn pose, keyed (bound, candidate, next
+    candidate travels less than its bound: the goal-bound arm's whole
+    travel, and the parking arm's travel to its pick plus the radius about
+    the pick that holds no pose (`_pose_free_radius`).  Sums round
+    monotonically, so the heap holds, beside the drawn options, one entry
+    per candidate for its next undrawn pose, keyed (bound, candidate, next
     index).  No undrawn option ranks below that key, so a pose is drawn only
     when its entry comes first, and the order is that of sorting every
     option."""
@@ -660,7 +708,8 @@ def _pair_options(plan: TaskPlan, session: PlannerSession):
         first = (i, goal_of(i), False)
         if plan.need_buffer:
             parking.append((a, whole, pick_j, first, j))
-            pending.append((max(whole, dist(tuple(session.ee[1 - a]), pick_j)), idx, 0, None))
+            to_pick = dist(tuple(session.ee[1 - a]), pick_j)
+            pending.append((max(whole, to_pick + _pose_free_radius(session, j)), idx, 0, None))
         else:
             second = (j, goal_of(j), False)
             travel = max(whole, _travel(session, 1 - a, pick_j, goal_of(j)))
@@ -683,6 +732,16 @@ def _pair_options(plan: TaskPlan, session: PlannerSession):
         travel = max(whole, _travel(session, 1 - a, pick_j, target))
         heappush(pending, (travel, idx, b_idx, (first, second) if a == 0 else (second, first)))
         heappush(pending, (bound, idx, b_idx + 1, None))
+
+
+def _pose_free_radius(session: PlannerSession, obj: int) -> float:
+    """A distance from the object's current centre that none of its buffer
+    poses is nearer: its current box is an obstacle of its own listings, and
+    a pose centred within that box's inner disc at gap 0 (`blocked_within2`,
+    which covers the `MIN_GAP` pass too) is rejected.  Rounded down far
+    below any shape size and far above the rounding in the distances."""
+    inner2 = blocked_within2(min(session.instance.shapes[obj]), session.boxes[obj], 0.0)
+    return math.sqrt(inner2) * (1.0 - 2.0**-40)
 
 
 def _single_moves(session: PlannerSession, obj: int, kind: str, listing: int):
@@ -888,6 +947,19 @@ def sequential_fallback(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> Syn
 
 
 def _ladder(sub, arms, stage, ee) -> SyncMotion:
+    """One leg up the rung ladder: synchronous, untangled, then sequential.
+
+    Every synchronous and untangled variant (straight, both delays and the
+    via points) ends with both arms at the leg's goal points, on the
+    validator's last sample.  So when the arms at those points break the
+    sampled clearance by more than VALIDATE_SLACK of rounding, each variant
+    would fail there or before (a skip never passes over a failing sample),
+    and the leg goes straight to the sequential rung with the same result.
+    The check calls this module's `segment_clearance`, so perfbench's probe
+    counts it."""
+    (_, goal0, _), (_, goal1, _) = _leg_endpoints(sub, stage, ee, arms)
+    if segment_clearance(arms[0].base, goal0, arms[1].base, goal1) < _limit(arms) - VALIDATE_SLACK:
+        return sequential_fallback(sub, arms, stage, ee)
     res = plan_sync(sub, arms, stage, ee)
     if isinstance(res, SyncMotion):
         return res

@@ -52,6 +52,7 @@ from sdar.taskplan import BUFFER, GOAL, RELAY, TaskComplete, next_task_plan
 
 from fine_grid import least_clearance
 from geom_reference import box_clearance, grid_cell
+from ladder_reference import ladder_reference
 from path_reference import reference_point
 
 ARMS = default_arms()
@@ -1128,6 +1129,38 @@ def test_first_ranked_buffer_option_draws_for_its_object_alone(monkeypatch):
     assert poses == [parked.target]
 
 
+def test_no_buffer_pose_lies_within_its_objects_pose_free_radius(monkeypatch):
+    # every pose a listing draws, at gap MIN_GAP or 0, lies at least
+    # `_pose_free_radius` from its object's centre at the draw, so the
+    # parking arm's leg in a candidate's bound is no longer than any of its
+    # options'; the nearest poses come within twice the radius, so it cuts
+    real = motion._buffer_options
+    listings = []
+
+    def recorded(session, obj, listing):
+        stream = real(session, obj, listing)
+        listings.append((session.boxes[obj].center.xy, motion._pose_free_radius(session, obj), stream))
+        return stream
+
+    monkeypatch.setattr(motion, "_buffer_options", recorded)
+    for inst in (instances.showcase9(), instances.gen_mixed(3), *(instances.gen_random(n, s) for n, s in DENSE_TABLES)):
+        sim.run_instance(inst, 42)
+    ratios = [dist(pick, pose.xy) / radius for pick, radius, stream in listings for pose in stream.poses]
+    assert len(ratios) > 100
+    assert 1.0 <= min(ratios) < 2.0
+    # a corridor table 0.01 too narrow for finger room beside its one
+    # square object: only the gap-0 pass finds room, some poses lie inside
+    # the object's inner disc at MIN_GAP, and none within the radius
+    start = Arrangement({0: Pose2(0.05, 0.15, 0.0)})
+    inst = instances.Instance(Workspace(0.23, 0.3), {0: (0.05, 0.05)}, start, start.copy(), "C1", 0)
+    session = sim.new_session(inst, 42)
+    box = session.boxes[0]
+    near = [dist(box.center.xy, pose.xy) for pose in real(session, 0, 0)]
+    assert len(near) == motion.K_BUFFERS
+    assert motion._pose_free_radius(session, 0) <= min(near)
+    assert min(near) ** 2 < geom.blocked_within2(0.05, box, MIN_GAP)
+
+
 def test_relay_targets_are_the_poses_outside_both_base_keepouts(monkeypatch):
     # a relay move keeps each listed pose at least clearance plus the
     # keep-out margin from both arm bases, and nothing else: a pose beyond
@@ -1420,15 +1453,19 @@ def test_motions_valid_at_doubled_sampling_rate():
 
 # ------------------------------------------- validation: skipped samples
 
-def full_scan_validate(paths, arms, duration):
-    """validate_motion's grid and threshold with every sample checked in order."""
-    clearance = max(arms[0].clearance, arms[1].clearance)
+def _grid_times(duration):
+    """validate_motion's sample times."""
     if duration <= 1e-12:
         steps = 1
     else:
         steps = max(int(round(VALIDATE_REFINE / DT)), int(math.ceil(duration / VALIDATE_GUARD)))
-    for k in range(steps + 1):
-        t = duration * k / steps
+    return [duration * k / steps for k in range(steps + 1)]
+
+
+def full_scan_validate(paths, arms, duration):
+    """validate_motion's grid and threshold with every sample checked in order."""
+    clearance = max(arms[0].clearance, arms[1].clearance)
+    for t in _grid_times(duration):
         p1, p2 = (reference_point(path.knots, t) for path in paths)
         c = segment_clearance(arms[0].base, p1, arms[1].base, p2)
         if c < clearance + VALIDATE_GUARD - 1e-9:
@@ -1539,3 +1576,182 @@ def test_validate_skipping_on_fast_and_jumping_paths():
         assert assert_validators_agree((parked, path), 1.0, ARMS) == {False}
     bad = validate_motion((parked, jump), ARMS, 1.0)
     assert bad == Conflict(0.5025, bad.detail)
+
+
+# scales and offsets that take a scene's coordinates up to 1e3, where the
+# base-axis bound's rounding margin grows with them
+SCENE_SCALES = (1.0, 10.0, 1e3)
+SCENE_OFFSETS = ((0.0, 0.0), (1e3, -1e3), (-700.0, 300.0))
+
+
+def _unit_point(data, label):
+    return data.draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), label=label)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_validate_matches_full_scan_on_random_arm_pairs(data):
+    # bases on the usual sides, swapped, off a horizontal line or
+    # coincident; each arm a straight path, a delayed one or one through a
+    # via point, at any speed once the scene is scaled (times are not); the
+    # ends either anywhere or on the base axis, where the bound is the exact
+    # distance; the threshold anywhere or on the least sampled clearance
+    scale = data.draw(st.sampled_from(SCENE_SCALES), label="scale")
+    ox, oy = data.draw(st.sampled_from(SCENE_OFFSETS), label="offset")
+    kind = data.draw(st.sampled_from(("default", "swapped", "anywhere", "coincident")), label="bases")
+    if kind == "default":
+        bases = [(0.0, 0.3), (1.0, 0.3)]
+    elif kind == "swapped":
+        bases = [(1.0, 0.3), (0.0, 0.3)]
+    else:
+        bases = [_unit_point(data, "base 0"), _unit_point(data, "base 1")]
+        if kind == "coincident":
+            bases[1] = bases[0]
+    on_axis = data.draw(st.booleans(), label="on axis")
+    paths = []
+    for a in (0, 1):
+        if on_axis:
+            (x0, y0), (x1, y1) = bases
+            lams = [data.draw(st.floats(0.5 * a, 0.5 + 0.5 * a), label="along") for _ in range(2)]
+            pts = [(x0 + lam * (x1 - x0), y0 + lam * (y1 - y0)) for lam in lams]
+        else:
+            pts = [_unit_point(data, "start"), _unit_point(data, "goal")]
+        shape = data.draw(st.sampled_from(("straight", "delayed", "via")), label="path")
+        if shape == "via":
+            pts.insert(1, _unit_point(data, "via"))
+        paths.append(_timed(pts, depart=0.3 if shape == "delayed" else 0.0))
+
+    def placed(xy):
+        return (ox + scale * xy[0], oy + scale * xy[1])
+
+    paths = [ArmPath([(t, *placed((x, y))) for t, x, y in p.knots]) for p in paths]
+    bases = [placed(b) for b in bases]
+    paths, duration = _padded(paths)
+    arms = tuple(ArmModel(base=b, reach=10.0 * scale) for b in bases)
+    if data.draw(st.booleans(), label="on the least clearance"):
+        least = min(
+            segment_clearance(bases[0], reference_point(paths[0].knots, t), bases[1], reference_point(paths[1].knots, t))
+            for t in _grid_times(duration)
+        )
+        delta = data.draw(st.sampled_from((-2e-9, -1e-12, 0.0, 1e-12, 2e-9)), label="delta")
+        clearance = least - VALIDATE_GUARD + 1e-9 + delta * scale
+    else:
+        clearance = scale * data.draw(st.floats(0.0, 0.4), label="clearance")
+    arms = tuple(replace(a, clearance=clearance) for a in arms)
+    assert validate_motion(paths, arms, duration) == full_scan_validate(paths, arms, duration)
+    assert_validators_agree(paths, duration, arms)
+
+
+def test_validate_on_the_base_axis_with_the_threshold_at_the_gap():
+    # arms standing on the base axis, which points anywhere, in scenes with
+    # coordinates up to 1e3: the axis gap is then their distance, and its
+    # rounding puts it a few ulps above or below the exact clearance.  With
+    # the threshold swept over the ulps around the exact clearance, a bound
+    # that claimed a pass its margin does not cover would disagree with the
+    # full scan
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(40):
+        scale = rng.choice(SCENE_SCALES)
+        ox, oy = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        turn = rng.uniform(-math.pi, math.pi)
+        base0, base1 = (ox, oy), (ox + scale * math.cos(turn), oy + scale * math.sin(turn))
+
+        def along(lam):
+            return (ox + lam * (base1[0] - ox), oy + lam * (base1[1] - oy))
+
+        point0, point1 = along(rng.uniform(0.0, 0.5)), along(rng.uniform(0.5, 1.0))
+        still = (ArmPath([(0.0, *point0)]), ArmPath([(0.0, *point1)]))
+        gap = segment_clearance(base0, point0, base1, point1)
+        for ulps in range(-3, 4):
+            clearance = gap - VALIDATE_GUARD + 1e-9 + ulps * math.ulp(gap)
+            arms = tuple(ArmModel(base=b, reach=10.0 * scale, clearance=clearance) for b in (base0, base1))
+            got = validate_motion(still, arms, 0.0)
+            assert got == full_scan_validate(still, arms, 0.0), (base0, base1, point0, point1, ulps)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+# ------------------------------------------- the ladder's end-configuration proof
+
+def ladder_outcome(ladder, sub, arms, stage, ee):
+    """What a ladder makes of a leg: the motion's stage, mode, knots,
+    duration and event times, or the SubTaskInfeasible message."""
+    try:
+        res = ladder(sub, arms, stage, ee)
+    except SubTaskInfeasible as exc:
+        return str(exc)
+    return res.stage, res.mode, [p.knots for p in res.paths], res.duration, res.event_times
+
+
+def _table_point(data, label):
+    return data.draw(st.tuples(st.floats(0.05, 0.95), st.floats(0.02, 0.58)), label=label)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ladder_matches_the_reference_ladder(data):
+    # random legs of either stage: two working arms, or one idle arm parked
+    # at its retract pose or on its way there; any working arm's leg may be
+    # of zero length.  The arms' clearance is shifted as the validator tests
+    # shift it, or set so that the leg's end configuration lies a few ulps
+    # or a few 1e-9 from the sampled limit, on either side of the proof's
+    # cut-off
+    stage = data.draw(st.sampled_from(tuple(Stage)), label="stage")
+    base_arms = data.draw(st.sampled_from((ARMS, default_arms(clearance=0.25))), label="arms")
+    idle = data.draw(st.sampled_from((None, 0, 1)), label="idle arm")
+    tasks, ee = [], []
+    for a in (0, 1):
+        start = _table_point(data, "ee")
+        if a == idle:
+            tasks.append(ArmTask())
+            ee.append(base_arms[a].retract if data.draw(st.booleans(), label="parked") else start)
+            continue
+        pick, target = _table_point(data, "pick"), _table_point(data, "target")
+        if data.draw(st.booleans(), label="zero-length"):
+            if stage == Stage.TO_START:
+                pick = start
+            else:
+                target = start
+        tasks.append(ArmTask(obj=a, pick=pick, target=Pose2(*target)))
+        ee.append(start)
+    sub = InstantiatedSubTask(tuple(tasks))
+    if data.draw(st.booleans(), label="end at the limit"):
+        (_, g0, _), (_, g1, _) = _leg_endpoints(sub, stage, ee, base_arms)
+        end = segment_clearance(base_arms[0].base, g0, base_arms[1].base, g1)
+        deltas = (-3e-9, -1e-9, 1e-9, 2e-9, 3e-9, *(k * math.ulp(end) for k in range(-4, 5)))
+        clearance = end - VALIDATE_GUARD + 1e-9 + data.draw(st.sampled_from(deltas), label="delta")
+    else:
+        clearance = base_arms[0].clearance + data.draw(st.sampled_from(CLEARANCE_SHIFTS), label="shift")
+    arms = tuple(replace(a, clearance=clearance) for a in base_arms)
+    got = ladder_outcome(motion._ladder, sub, arms, stage, ee)
+    assert got == ladder_outcome(ladder_reference, sub, arms, stage, ee)
+
+
+def test_ladder_goes_straight_to_sequential_when_the_end_breaks_clearance(monkeypatch):
+    # a deep crossing ends with the arm segments overlapping: the ladder
+    # tries neither the synchronous nor the untangled rung, and returns the
+    # reference's sequential leg.  A leg that conflicts mid-way but ends
+    # clear climbs the rungs as before.  On the last leg the validator's
+    # last sample reads the end clearance 3e-17 high (its point is
+    # interpolated), and the limit lies in between: the end is below the
+    # limit, but by less than the proof's rounding margin, and the leg
+    # stays synchronous
+    tried = []
+    for name in ("plan_sync", "untangle"):
+        real = getattr(motion, name)
+        monkeypatch.setattr(motion, name, lambda *args, real=real, name=name: tried.append(name) or real(*args))
+    at_the_limit = tuple(replace(a, clearance=0.24158797785247008) for a in ARMS)
+    legs = (
+        ((0.30, 0.30), (0.72, 0.32), (0.70, 0.28), (0.28, 0.30), ARMS, [], Mode.SEQUENTIAL),
+        ((0.46, 0.10), (0.46, 0.50), (0.52, 0.50), (0.58, 0.10), ARMS, ["plan_sync", "untangle"], Mode.UNTANGLED),
+        ((0.129, 0.32), (0.159, 0.397), (0.724, 0.114), (0.231, 0.155), at_the_limit, ["plan_sync"], Mode.SYNCHRONOUS),
+    )
+    for *points, arms, rungs, mode in legs:
+        sub, ee = pair_leg(*points)
+        tried.clear()
+        got = ladder_outcome(motion._ladder, sub, arms, Stage.TO_GOAL, ee)
+        assert tried == rungs and got[1] == mode
+        assert got == ladder_outcome(ladder_reference, sub, arms, Stage.TO_GOAL, ee)
+    (_, g0, _), (_, g1, _) = _leg_endpoints(sub, Stage.TO_GOAL, ee, arms)
+    assert 0.0 < motion._limit(arms) - segment_clearance(arms[0].base, g0, arms[1].base, g1) < 1e-15
