@@ -53,17 +53,26 @@ def arrangement_violations(
     """All feasibility violations of a footprint map keyed in id order:
     overlap pairs and out-of-workspace objects, in id order.  Given a set
     `involving`, only the violations that involve one of its objects, in the
-    same order."""
-    issues = []
+    same order, from a scan of those objects alone against every box: each
+    pair is tested once, the lower id first, as the whole-table scan tests
+    it."""
     items = list(boxes.items())
-    for idx, (i, bi) in enumerate(items):
-        every = involving is None or i in involving
-        if every and not inside(workspace, bi):
-            issues.append(f"object {i} outside workspace")
-        for j, bj in items[idx + 1 :]:
-            if (every or j in involving) and overlaps(bi, bj):
-                issues.append(f"objects {i} and {j} overlap")
-    return issues
+    found = []  # (lower id, higher id, issue); an object's own issue is (i, i)
+    for p, (i, bi) in enumerate(items):
+        if involving is not None and i not in involving:
+            continue
+        if not inside(workspace, bi):
+            found.append((i, i, f"object {i} outside workspace"))
+        if involving is not None:
+            # a lower box in `involving` has tested its pair with this one
+            for j, bj in items[:p]:
+                if j not in involving and overlaps(bj, bi):
+                    found.append((j, i, f"objects {j} and {i} overlap"))
+        for j, bj in items[p + 1 :]:
+            if overlaps(bi, bj):
+                found.append((i, j, f"objects {i} and {j} overlap"))
+    found.sort()
+    return [issue for *_, issue in found]
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,26 @@ def build_dependency_graph(
             if i != j and overlaps(gb, sb):
                 edges.add((i, j))
     return DepGraph(tuple(ids), frozenset(edges))
+
+
+def retest_moved(
+    g: DepGraph,
+    boxes: dict[int, OrientedBox],
+    goal_boxes: dict[int, OrientedBox],
+    moved: set[int],
+) -> DepGraph:
+    """The graph `build_dependency_graph` gives over `boxes` (the current
+    boxes of some of `g`'s vertices, keyed in id order) and their goal
+    boxes, from `g` built before the objects in `moved` moved: `g`'s other
+    edges carry over, and only the edges into the moved objects still in
+    `boxes` are re-tested.  Goal boxes never move, so no edge out of a moved
+    object changes."""
+    ids = tuple(boxes)
+    edges = {(i, j) for i, j in g.edges if i in boxes and j in boxes and j not in moved}
+    for j in ids:
+        if j in moved:
+            edges.update((i, j) for i in ids if i != j and overlaps(goal_boxes[i], boxes[j]))
+    return DepGraph(ids, frozenset(edges))
 
 
 @dataclass

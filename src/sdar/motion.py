@@ -310,41 +310,46 @@ def _face_frames(box: OrientedBox):
     return (vx, vy), (ux, uy), box.half_height, box.half_width
 
 
-def _offset_box(box: OrientedBox, axis: Point, offset: float, half_along: float, half_across: float, across_axis: Point) -> OrientedBox:
-    cx = box.center.x + axis[0] * offset
-    cy = box.center.y + axis[1] * offset
-    theta = math.atan2(across_axis[1], across_axis[0])
-    return box_at(Pose2(cx, cy, theta), half_along, half_across)
-
-
-def _finger_pads(box: OrientedBox, angle: GraspAngle, ee_radius: float) -> list[OrientedBox]:
-    """Footprints the gripper needs free: finger pads for top-down grasps,
-    an approach corridor for tilted side grasps."""
+def _pad_layout(box: OrientedBox, angle: GraspAngle, ee_radius: float):
+    """(axis, offsets, half_along, half_across, across_axis) of the footprints
+    the gripper needs free at `angle`: each pad is centred `offset` along
+    `axis` from the box centre, with half extents `half_along` on
+    `across_axis` and `half_across` on `axis`.  Finger pads for top-down
+    grasps, an approach corridor for tilted side grasps."""
     long_ax, short_ax, long_h, short_h = _face_frames(box)
     inset = 1e-6  # avoid measure-zero corner contact with flush neighbors
     if angle == GraspAngle.TOP_DOWN_LONG:
         # fingers close across the short dimension, contacting the long faces
-        half_along = min(long_h, ee_radius) - inset
-        return [
-            _offset_box(box, short_ax, sgn * (short_h + PAD_HALF_THICKNESS), half_along, PAD_HALF_THICKNESS, long_ax)
-            for sgn in (1.0, -1.0)
-        ]
+        off = short_h + PAD_HALF_THICKNESS
+        return short_ax, (off, -off), min(long_h, ee_radius) - inset, PAD_HALF_THICKNESS, long_ax
     if angle == GraspAngle.TOP_DOWN_SHORT:
-        half_along = min(short_h, ee_radius) - inset
-        return [
-            _offset_box(box, long_ax, sgn * (long_h + PAD_HALF_THICKNESS), half_along, PAD_HALF_THICKNESS, short_ax)
-            for sgn in (1.0, -1.0)
-        ]
+        off = long_h + PAD_HALF_THICKNESS
+        return long_ax, (off, -off), min(short_h, ee_radius) - inset, PAD_HALF_THICKNESS, short_ax
     corr_half = ee_radius  # corridor: gripper width wide, 2x gripper depth long
     if angle in (GraspAngle.SIDE_PLANE0_POS, GraspAngle.SIDE_PLANE0_NEG):
-        sgn = 1.0 if angle == GraspAngle.SIDE_PLANE0_POS else -1.0
-        return [
-            _offset_box(box, short_ax, sgn * (short_h + corr_half), ee_radius, corr_half, long_ax)
-        ]
-    sgn = 1.0 if angle == GraspAngle.SIDE_PLANE1_POS else -1.0
+        off = short_h + corr_half
+        sign_off = off if angle == GraspAngle.SIDE_PLANE0_POS else -off
+        return short_ax, (sign_off,), ee_radius, corr_half, long_ax
+    off = long_h + corr_half
+    sign_off = off if angle == GraspAngle.SIDE_PLANE1_POS else -off
+    return long_ax, (sign_off,), ee_radius, corr_half, short_ax
+
+
+def _finger_pads(box: OrientedBox, layout) -> list[OrientedBox]:
+    """The pad boxes of a `_pad_layout` about `box`."""
+    axis, offsets, half_along, half_across, across_axis = layout
+    theta = math.atan2(across_axis[1], across_axis[0])
+    cx, cy = box.center.x, box.center.y
     return [
-        _offset_box(box, long_ax, sgn * (long_h + corr_half), ee_radius, corr_half, short_ax)
+        box_at(Pose2(cx + axis[0] * off, cy + axis[1] * off, theta), half_along, half_across)
+        for off in offsets
     ]
+
+
+# Kept beyond a pad's reach: far above the rounding in the centre distances,
+# and its square is above `overlaps`' EPS, so every obstacle left out fails
+# that function's bounding-circle prefilter against every pad.
+PAD_NEAR_SLACK = 1e-4
 
 
 def grasp_feasible(
@@ -354,11 +359,34 @@ def grasp_feasible(
     arm: ArmModel,
 ) -> bool:
     """Reach plus free finger pads / approach corridor against the obstacles
-    (the grasped object itself must not be in the obstacle list)."""
+    (the grasped object itself must not be in the obstacle list).  An angle
+    whose pads would have a non-positive half extent (an object or gripper
+    thinner than the pads' inset) is infeasible whatever the neighbours.
+
+    Pads are built only when an obstacle can touch them: an obstacle whose
+    centre lies farther from the box centre than the farthest point of any
+    pad's bounding circle, plus its own circumradius and PAD_NEAR_SLACK,
+    fails `overlaps`' own bounding-circle test against every pad, so
+    leaving it out keeps the verdict."""
     if dist(arm.base, obj_box.center.xy) > arm.reach:
         return False
-    for pad in _finger_pads(obj_box, angle, arm.ee_radius):
-        if any(overlaps(pad, ob) for ob in obstacles):
+    layout = _pad_layout(obj_box, angle, arm.ee_radius)
+    _, offsets, half_along, half_across, _ = layout
+    if not (half_along > 0.0 and half_across > 0.0):
+        return False
+    pad_reach = abs(offsets[0]) + math.hypot(half_along, half_across) + PAD_NEAR_SLACK
+    cx, cy = obj_box.center.x, obj_box.center.y
+    near = []
+    for ob in obstacles:
+        dx = ob.center.x - cx
+        dy = ob.center.y - cy
+        r = pad_reach + ob.circumradius
+        if dx * dx + dy * dy <= r * r:
+            near.append(ob)
+    if not near:
+        return True
+    for pad in _finger_pads(obj_box, layout):
+        if any(overlaps(pad, ob) for ob in near):
             return False
     return True
 

@@ -1,7 +1,8 @@
 """Dependency-driven dual-arm task planning.
 
-One task plan per synchronized round: the planner rebuilds the dependency
-graph over unsolved objects and emits candidate object pairs (movable pairs,
+One task plan per synchronized round: the planner reads the dependency
+graph over unsolved objects, which the session keeps and re-tests only where
+a round moved something, and emits candidate object pairs (movable pairs,
 a chain terminal pair, or cycle-breaking pairs with the buffer flag), then
 the one-arm moves to try if no pair works, each an object and its target
 (goal, buffer, or a relay buffer outside both arm bases' keep-out zones;
@@ -13,8 +14,9 @@ legs of the round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
-from .depgraph import DepGraph, build_dependency_graph, decompose, footprint, footprints
+from .depgraph import DepGraph, build_dependency_graph, decompose, footprint, footprints, retest_moved
 from .geom import OrientedBox, Pose2, dist
 from .instances import Instance
 
@@ -66,7 +68,11 @@ class PlannerSession:
     (`check_arm_pair`).  The session holds each object's footprint at its
     current pose (`boxes`, whose centres are the table's poses) and at its
     goal (`goal_boxes`), both keyed in id order; `place` moves an object's
-    box, so a round rebuilds only the boxes of the objects it moved."""
+    box, so a round rebuilds only the boxes of the objects it moved.  The
+    dependency graph over the remaining objects is built at its first read
+    and then kept: a round drops the objects it solved and re-tests only the
+    edges into the objects it moved (`depgraph.retest_moved`).  A session
+    that never reads it, as the forced-sequential replay's, builds none."""
 
     instance: Instance
     rng_seed: int
@@ -77,6 +83,7 @@ class PlannerSession:
     goal_boxes: dict[int, OrientedBox] = field(init=False)  # footprint at the goal
     ee: list = field(init=False)
     round: int = field(init=False)  # rounds applied so far
+    graph: Optional[DepGraph] = field(init=False)  # over `remaining`, once read
 
     def __post_init__(self):
         check_arm_pair(self.arms)
@@ -89,21 +96,29 @@ class PlannerSession:
         self.goal_boxes = footprints(goal, self.instance.shapes)
         self.ee = [self.arms[0].retract, self.arms[1].retract]
         self.round = 0
+        self.graph = None
 
     def apply_round(self, sub, goal_motion) -> None:
         """Update the session after a round's sub-task: the arms end where
         the goal-bound leg ends, and each moved object sits at its target."""
         self.ee = [goal_motion.paths[0].end, goal_motion.paths[1].end]
         self.round += 1
+        moved = set()
         for task in sub.tasks:
             if task.obj is None:
                 continue
+            moved.add(task.obj)
             self.place(task.obj, task.target)
             if task.to_buffer:
                 self.buffered.add(task.obj)
             else:
                 self.remaining.discard(task.obj)
                 self.buffered.discard(task.obj)
+        if self.graph is not None:
+            left = sorted(self.remaining)
+            self.graph = retest_moved(
+                self.graph, {i: self.boxes[i] for i in left}, self.goal_boxes, moved
+            )
 
     def place(self, obj: int, pose: Pose2) -> None:
         """Put `obj` at `pose` on the table, with its footprint there."""
@@ -117,12 +132,14 @@ class PlannerSession:
         return footprint(obj, pose, self.instance.shapes)
 
     def graph_over_remaining(self) -> DepGraph:
-        """The dependency graph over the remaining objects, built from the
-        held boxes."""
-        left = sorted(self.remaining)
-        return build_dependency_graph(
-            {i: self.boxes[i] for i in left}, {i: self.goal_boxes[i] for i in left}
-        )
+        """The dependency graph over the remaining objects, from the held
+        boxes: built at the first read, kept by `apply_round` after it."""
+        if self.graph is None:
+            left = sorted(self.remaining)
+            self.graph = build_dependency_graph(
+                {i: self.boxes[i] for i in left}, {i: self.goal_boxes[i] for i in left}
+            )
+        return self.graph
 
 
 def assign_arms(pair: tuple[int, int], boxes: dict[int, OrientedBox], arms) -> tuple[int, int]:

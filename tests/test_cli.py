@@ -54,6 +54,18 @@ def test_plan_showcase_fixture(tmp_path, capsys):
     assert trace.read_text().startswith("sdar-trace/3\n")
 
 
+def test_plan_thin_object_beside_a_box_ends_without_a_traceback(capsys):
+    # object 0 is 1e-6 thick, 0.015 from a box that blocks its long top-down
+    # pads: its short top-down pads would have a negative half length, so
+    # that angle is infeasible and the run plans, or fails with its reason
+    inst = instances.load(FIXTURES / "thin_beside_box.inst")
+    assert inst.shapes[0] == (5e-07, 0.03)
+    code = run_cli("plan", FIXTURES / "thin_beside_box.inst")
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert "success    True" in captured.out if code == 0 else "failure " in captured.err
+
+
 def test_plan_corrupted_instance_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.inst"
     bad.write_text("sdar-instance/1\nlabel X\nseed 0\nworkspace 1.0 0.6\nobjects 1\n0 zebra\n")

@@ -2,19 +2,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdar import instances
+from sdar import depgraph, instances
 from sdar.depgraph import (
     Arrangement,
     DepGraph,
     InfeasibleArrangement,
+    arrangement_violations,
     build_dependency_graph,
     decompose,
     footprint,
     footprints,
+    retest_moved,
     to_dot,
 )
-from sdar.geom import Pose2, overlaps
+from sdar.geom import Pose2, Workspace, box_at, inside, overlaps
 
 
 def graph(n, edges):
@@ -215,3 +219,80 @@ def test_dot_export():
     assert dot.startswith("digraph")
     assert "  0 -> 1;" in dot and "  2 -> 0;" in dot
     assert dot.count("->") == 2
+
+
+# ------------------------------------------------- scans of what moved
+
+def _calls_to_overlaps(run):
+    """`run()`'s result and the (first, second) ids of every `overlaps`
+    call `depgraph` made in it, boxes told apart by identity."""
+    calls = []
+    real = depgraph.overlaps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depgraph, "overlaps", lambda a, b: calls.append((a, b)) or real(a, b))
+        got = run()
+    return got, calls
+
+
+@st.composite
+def _footprint_maps(draw, lo=-0.15, hi=1.15):
+    """Boxes keyed in id order (ids with gaps), crowded enough to overlap,
+    some reaching outside the 1 x 0.6 workspace."""
+    ids = sorted(draw(st.sets(st.integers(0, 30), max_size=9)))
+    boxes = {}
+    for i in ids:
+        pose = Pose2(draw(st.floats(lo, hi)), draw(st.floats(lo, 0.6 * hi)), draw(st.floats(-3.14, 3.14)))
+        boxes[i] = box_at(pose, draw(st.floats(0.01, 0.15)), draw(st.floats(0.01, 0.15)))
+    return boxes
+
+
+def full_scan_violations(boxes, workspace):
+    """Every violation as (ids it involves, issue), in id order, and the
+    id pairs a scan of every pair tests, lower id first."""
+    items = list(boxes.items())
+    issues, pairs = [], []
+    for idx, (i, bi) in enumerate(items):
+        if not inside(workspace, bi):
+            issues.append(({i}, f"object {i} outside workspace"))
+        for j, bj in items[idx + 1 :]:
+            pairs.append((i, j))
+            if overlaps(bi, bj):
+                issues.append(({i, j}, f"objects {i} and {j} overlap"))
+    return issues, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_round_check_matches_the_full_scan_filtered(data):
+    boxes = data.draw(_footprint_maps())
+    ws = Workspace()
+    involving = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(sorted(boxes) or [0]))))
+    issues, pairs = full_scan_violations(boxes, ws)
+    if involving is not None:
+        issues = [(ids, issue) for ids, issue in issues if ids & involving]
+        pairs = [(i, j) for i, j in pairs if i in involving or j in involving]
+    got, calls = _calls_to_overlaps(lambda: arrangement_violations(boxes, ws, involving))
+    assert got == [issue for _, issue in issues]
+    ident = {id(b): i for i, b in boxes.items()}
+    assert sorted((ident[id(a)], ident[id(b)]) for a, b in calls) == sorted(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_retest_moved_equals_a_fresh_build(data):
+    # move some objects, solve some (they leave the graph): re-testing the
+    # edges into the moved objects still left gives the fresh graph
+    starts = data.draw(_footprint_maps(0.0, 1.0))
+    ids = list(starts)
+    goals = {i: box_at(Pose2(data.draw(st.floats(0, 1)), data.draw(st.floats(0, 0.6))), 0.08, 0.05) for i in ids}
+    g = build_dependency_graph(starts, goals)
+    moved = data.draw(st.sets(st.sampled_from(ids))) if ids else set()
+    solved = data.draw(st.sets(st.sampled_from(ids))) if ids else set()
+    now = dict(starts)
+    for i in moved:
+        now[i] = box_at(Pose2(data.draw(st.floats(0, 1)), data.draw(st.floats(0, 0.6))), 0.07, 0.04)
+    left = [i for i in ids if i not in solved]
+    boxes = {i: now[i] for i in left}
+    got, calls = _calls_to_overlaps(lambda: retest_moved(g, boxes, goals, moved))
+    assert got == build_dependency_graph(boxes, {i: goals[i] for i in left})
+    assert len(calls) == len(set(left) & moved) * (len(left) - 1)

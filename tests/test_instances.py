@@ -107,7 +107,7 @@ def test_roundtrip_bit_exact(tmp_path):
     # the fixture files, and every 5th default-suite instance below, re-dump
     # byte for byte through loads and dumps
     paths = sorted(FIXTURES.glob("*.inst"))
-    assert [path.name for path in paths] == ["identity4.inst", "showcase9.inst"]
+    assert [path.name for path in paths] == ["identity4.inst", "showcase9.inst", "thin_beside_box.inst"]
     for path in paths:
         text = path.read_text(encoding="utf-8")
         assert dumps(loads(text)) == text, path.name

@@ -21,6 +21,9 @@ from sdar.geom import (
 )
 from sdar.motion import (
     DT,
+    FULL_SET,
+    PAD_NEAR_SLACK,
+    TOP_DOWN_SET,
     VALIDATE_GUARD,
     VALIDATE_REFINE,
     ArmModel,
@@ -51,6 +54,7 @@ from sdar.motion import (
 from sdar.taskplan import BUFFER, GOAL, RELAY, TaskComplete, next_task_plan
 
 from fine_grid import least_clearance
+from grasp_reference import circles_meet, grasp_feasible_reference, pad_reach, reference_pads
 from geom_reference import box_clearance, grid_cell
 from ladder_reference import ladder_reference
 from path_reference import reference_point
@@ -97,6 +101,109 @@ def test_out_of_reach_fails_all_angles():
     obj = box_at(Pose2(0.9, 0.3), 0.04, 0.04)
     for angle in GraspAngle:
         assert not grasp_feasible(obj, angle, [], tiny)
+
+
+def test_pads_thinner_than_their_inset_make_the_angle_infeasible():
+    # an object thinner than the pads' inset: its short top-down pads would
+    # have a negative half length, so that angle is infeasible, with or
+    # without a neighbour to test them against, and nothing raises
+    thin = box_at(Pose2(0.5, 0.3), 5e-7, 0.03)
+    beside = box_at(Pose2(0.53, 0.3), 0.015, 0.015)
+    for scene in ([], [beside]):
+        assert not grasp_feasible(thin, GraspAngle.TOP_DOWN_SHORT, scene, ARMS[0])
+    assert grasp_feasible(thin, GraspAngle.TOP_DOWN_LONG, [], ARMS[0])
+    assert not grasp_feasible(thin, GraspAngle.TOP_DOWN_LONG, [beside], ARMS[0])
+    assert grasp_feasible(thin, GraspAngle.SIDE_PLANE0_NEG, [beside], ARMS[0])
+    # likewise a gripper no wider than the inset has no top-down grasp
+    obj = box_at(Pose2(0.5, 0.3), 0.05, 0.03)
+    for ee in (1e-6, 5e-7):
+        arm = replace(ARMS[0], ee_radius=ee)
+        top_down = [grasp_feasible(obj, angle, [], arm) for angle in TOP_DOWN_SET]
+        side = [grasp_feasible(obj, angle, [], arm) for angle in FULL_SET[2:]]
+        assert top_down == [False, False] and all(side)
+
+
+_HALF = st.floats(0.005, 0.07)
+_THIN = st.floats(1e-7, 2e-6)  # below the pads' inset
+
+
+@st.composite
+def _grasp_scenes(draw):
+    """A box (either half extent the larger, now and then one thinner than
+    the pads' inset), a gripper radius below or above its half extents, and
+    obstacles about it: some overlapping the pads, some just inside and some
+    just outside the broad phase's bound for a drawn angle."""
+    hw = draw(st.one_of(_HALF, _HALF, _HALF, _THIN))
+    hh = draw(st.one_of(_HALF, _HALF, _HALF, _THIN))
+    box = box_at(
+        Pose2(draw(st.floats(0.1, 0.9)), draw(st.floats(0.1, 0.5)), draw(st.floats(-math.pi, math.pi))),
+        hw,
+        hh,
+    )
+    arm = replace(ARMS[0], ee_radius=draw(st.one_of(st.floats(0.005, 0.08), _THIN)))
+    obstacles = []
+    for _ in range(draw(st.integers(0, 6))):
+        ob_shape = (draw(_HALF), draw(_HALF))
+        angle = draw(st.sampled_from(GraspAngle))
+        bound = pad_reach(box, angle, arm.ee_radius) if reference_pads(box, angle, arm.ee_radius) else 0.05
+        where = draw(
+            st.one_of(
+                st.floats(-0.06, 0.0),  # within reach of the angle's pads
+                st.floats(-1e-5, 1e-5),  # at the pads' bounding circles
+                st.floats(PAD_NEAR_SLACK - 1e-6, PAD_NEAR_SLACK + 1e-6),  # at the bound
+                st.floats(PAD_NEAR_SLACK + 1e-9, 0.05),  # beyond it
+            )
+        )
+        phi = draw(st.floats(-math.pi, math.pi))
+        d = max(bound + math.hypot(*ob_shape) + where, 0.0)
+        at = Pose2(box.center.x + d * math.cos(phi), box.center.y + d * math.sin(phi), draw(st.floats(-math.pi, math.pi)))
+        obstacles.append(box_at(at, *ob_shape))
+    return box, arm, obstacles
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grasp_scenes())
+def test_grasp_feasible_matches_the_whole_table_reference(scene):
+    # the same verdict at every angle; on a feasible one, every obstacle the
+    # check never tested fails the bounding-circle prefilter against every pad
+    box, arm, obstacles = scene
+    tested = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motion, "overlaps", lambda pad, ob: tested.append(ob) or overlaps(pad, ob))
+        for angle in GraspAngle:
+            tested.clear()
+            got = grasp_feasible(box, angle, obstacles, arm)
+            assert got == grasp_feasible_reference(box, angle, obstacles, arm)
+            if got:
+                skipped = [ob for ob in obstacles if not any(ob is t for t in tested)]
+                pads = reference_pads(box, angle, arm.ee_radius)
+                assert not any(circles_meet(pad, ob) for pad in pads for ob in skipped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grasp_feasible_builds_no_pad_when_nothing_is_within_reach(data):
+    # obstacles beyond the angle's bound cannot touch a pad: the check builds
+    # none, and the angle is feasible
+    box, arm, _ = data.draw(_grasp_scenes())
+    angle = data.draw(st.sampled_from(GraspAngle))
+    if reference_pads(box, angle, arm.ee_radius) is None:
+        return
+    bound = pad_reach(box, angle, arm.ee_radius)
+    obstacles = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        shape = (data.draw(_HALF), data.draw(_HALF))
+        d = bound + math.hypot(*shape) + data.draw(st.floats(PAD_NEAR_SLACK + 1e-9, 0.05))
+        phi = data.draw(st.floats(-math.pi, math.pi))
+        at = Pose2(box.center.x + d * math.cos(phi), box.center.y + d * math.sin(phi), data.draw(st.floats(-math.pi, math.pi)))
+        obstacles.append(box_at(at, *shape))
+    built = []
+    finger_pads = motion._finger_pads
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motion, "_finger_pads", lambda *args: built.append(args) or finger_pads(*args))
+        assert grasp_feasible(box, angle, obstacles, arm)
+    assert built == []
+    assert grasp_feasible_reference(box, angle, obstacles, arm)
 
 
 def test_grasp_ladder_order_is_top_down_first():
