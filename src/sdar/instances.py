@@ -1,8 +1,10 @@
 """Instance model, category generators (R/S/D/M), and the .inst file format.
 
-Generators rejection-sample and then audit the induced dependency-graph
-structure, retrying with a derived sub-seed until the audit passes, so every
-returned instance provably matches its category label.
+Every generator is a builder retried with a derived sub-seed until it
+returns a table (`_retried`).  The R builder proves its table by
+construction; the S, D and M builders end with `_audit` (feasibility, the
+induced dependency-graph structure, the gap).  So every returned instance
+provably matches its category label.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
@@ -105,12 +108,7 @@ def _validate(inst: Instance, start_boxes, goal_boxes) -> list[str]:
     """Feasibility complaints about an instance, given its start and goal
     footprint maps."""
     issues = arrangement_violations(start_boxes, inst.workspace)
-    issues += ["goal: " + v for v in arrangement_violations(goal_boxes, inst.workspace)]
-    if set(inst.start.poses) != set(inst.goal.poses) or set(inst.start.poses) != set(
-        inst.shapes
-    ):
-        issues.append("id sets differ between shapes/start/goal")
-    return issues
+    return issues + ["goal: " + v for v in arrangement_violations(goal_boxes, inst.workspace)]
 
 
 def _place_all(
@@ -218,7 +216,8 @@ def _gap_audit(inst: Instance, sb, gb) -> list[str]:
 
 
 def gen_random(n: int, seed: int, workspace: Workspace | None = None) -> Instance:
-    """Random start/goal configurations, both feasible by rejection sampling."""
+    """Random start/goal configurations, both feasible by rejection sampling.
+    No `_audit` runs: each draw `_place_all` keeps already passes its tests."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ws = workspace or Workspace()
@@ -230,10 +229,10 @@ def gen_random(n: int, seed: int, workspace: Workspace | None = None) -> Instanc
             for i in range(n)
         }
         start, start_boxes = _place_all(rng, ws, shapes, 10_000)
-        goal, goal_boxes = _place_all(rng, ws, shapes, 10_000, cross_boxes=start_boxes.values())
-        return Instance(ws, shapes, start, goal, f"R{n}", seed), (start_boxes, goal_boxes)
+        goal, _ = _place_all(rng, ws, shapes, 10_000, cross_boxes=start_boxes.values())
+        return Instance(ws, shapes, start, goal, f"R{n}", seed)
 
-    return _audited(build, seed)
+    return _retried(build, seed)
 
 
 def _ellipse_slots(cx, cy, a, b, n, phase=0.0) -> list[tuple[float, float]]:
@@ -244,15 +243,7 @@ def _ellipse_slots(cx, cy, a, b, n, phase=0.0) -> list[tuple[float, float]]:
         for t in (phase + 2.0 * math.pi * k / samples for k in range(samples + 1))
     ]
     arc = list(accumulate(map(math.dist, pts, pts[1:]), initial=0.0))
-    total = arc[-1]
-    slots = []
-    targets = [total * k / n for k in range(n)]
-    idx = 0
-    for tgt in targets:
-        while arc[idx] < tgt:
-            idx += 1
-        slots.append(pts[idx])
-    return slots
+    return [pts[bisect_left(arc, arc[-1] * k / n)] for k in range(n)]
 
 
 def _pulled_back(cur, nxt) -> tuple[float, float]:
@@ -285,29 +276,33 @@ def _ring_half_range(slots) -> tuple[float, float]:
 AUDIT_ATTEMPTS = 50
 
 
-def _audited(builder, seed, expected=None):
-    """The first instance `builder(seed, attempt)` builds that passes
-    validation, then has the `_structure` `expected` (if given), then passes
-    the gap audit.  A builder returns an instance with its start and goal
-    footprint maps, which every check reads."""
+def _retried(builder, seed) -> Instance:
+    """The first instance `builder(seed, attempt)` returns, retried on
+    GenerationExhausted up to AUDIT_ATTEMPTS times."""
     last = "no attempt"
     for attempt in range(AUDIT_ATTEMPTS):
         try:
-            inst, boxes = builder(seed, attempt)
+            return builder(seed, attempt)
         except GenerationExhausted as exc:
             last = str(exc)
-            continue
-        problems = _validate(inst, *boxes)
-        if not problems and expected is not None:
-            got = _structure(decompose(build_dependency_graph(*boxes)))
-            if got != expected:
-                problems = [f"expected structure {expected}, got {got}"]
-        if not problems:
-            problems = _gap_audit(inst, *boxes)
-        if not problems:
-            return inst
-        last = "; ".join(problems)
     raise GenerationExhausted(f"audit never passed: {last}")
+
+
+def _audit(inst: Instance, expected) -> Instance:
+    """`inst` if it passes validation, then has the `_structure` `expected`,
+    then passes the gap audit; else GenerationExhausted with the problems
+    found."""
+    boxes = footprints(inst.start, inst.shapes), footprints(inst.goal, inst.shapes)
+    problems = _validate(inst, *boxes)
+    if not problems:
+        got = _structure(decompose(build_dependency_graph(*boxes)))
+        if got != expected:
+            problems = [f"expected structure {expected}, got {got}"]
+    if not problems:
+        problems = _gap_audit(inst, *boxes)
+    if problems:
+        raise GenerationExhausted("; ".join(problems))
+    return inst
 
 
 def _structure(d) -> tuple:
@@ -321,12 +316,6 @@ def _structure(d) -> tuple:
         len(d.complex_sccs),
         len(d.others),
     )
-
-
-def _boxed(inst: Instance):
-    """An instance with its start and goal footprint maps, as `_audited`
-    takes it from a builder."""
-    return inst, (footprints(inst.start, inst.shapes), footprints(inst.goal, inst.shapes))
 
 
 def _rings(rng, rings) -> tuple[Shapes, Arrangement, Arrangement]:
@@ -367,9 +356,9 @@ def gen_single_cycle(n: int, seed: int) -> Instance:
     def build(s, attempt):
         rng = random.Random(("S", n, s, attempt).__repr__())
         rings = _rings(rng, [(0.5, 0.3, 0.36, 0.22, n, 2 * math.pi)])
-        return _boxed(Instance(Workspace(), *rings, f"S{n}", seed))
+        return _audit(Instance(Workspace(), *rings, f"S{n}", seed), ([n], [], 0, 0, 0))
 
-    return _audited(build, seed, ([n], [], 0, 0, 0))
+    return _retried(build, seed)
 
 
 def gen_double_cycle(n: int, seed: int) -> Instance:
@@ -382,9 +371,9 @@ def gen_double_cycle(n: int, seed: int) -> Instance:
     def build(s, attempt):
         rng = random.Random(("D", n, s, attempt).__repr__())
         rings = _rings(rng, [(0.26, 0.3, 0.16, 0.16, n1, 6.28), (0.74, 0.3, 0.16, 0.16, n2, 6.28)])
-        return _boxed(Instance(Workspace(), *rings, f"D{n}", seed))
+        return _audit(Instance(Workspace(), *rings, f"D{n}", seed), (sorted((n1, n2)), [], 0, 0, 0))
 
-    return _audited(build, seed, (sorted((n1, n2)), [], 0, 0, 0))
+    return _retried(build, seed)
 
 
 def gen_mixed(seed: int) -> Instance:
@@ -451,11 +440,12 @@ def gen_mixed(seed: int) -> Instance:
             start[obj] = Pose2(*jit(*iso_start[k], 0.005), th())
             goal[obj] = Pose2(*jit(*iso_goal[k], 0.005), th())
 
-        return _boxed(
-            Instance(Workspace(), shapes, Arrangement(start), Arrangement(goal), f"M{seed}", seed)
+        inst = Instance(
+            Workspace(), shapes, Arrangement(start), Arrangement(goal), f"M{seed}", seed
         )
+        return _audit(inst, ([2, 3], [4], 3, 0, 0))
 
-    return _audited(build, seed, ([2, 3], [4], 3, 0, 0))
+    return _retried(build, seed)
 
 
 def showcase9() -> Instance:

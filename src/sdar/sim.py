@@ -388,6 +388,13 @@ def _one_of(field: str, value: str, allowed: tuple[str, ...]) -> str:
     return value
 
 
+def _count(field: str, text: str) -> int:
+    """The count `text`, ValueError naming `field` unless `str(int)` spells it so."""
+    if text.isascii() and text.isdigit() and str(int(text)) == text:
+        return int(text)
+    raise ValueError(f"{field} {text!r} is not a count as str(int) writes one")
+
+
 def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> None:
     """Add one body line to the trace being parsed."""
     kind = _one_of("line kind", parts[0], tuple(LAYOUTS))
@@ -437,15 +444,17 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
         fb = {}
         if fallbacks != "-":
             for item in fallbacks.split(","):
-                k, v = item.split("=")
-                fb[k] = int(v)
+                mode, _, count = item.partition("=")
+                if _one_of("metrics fallback mode", mode, MODES) in fb:
+                    raise ValueError(f"metrics fallback mode {mode!r} is given twice")
+                fb[mode] = _count(f"metrics fallbacks {mode}", count)
         trace.metrics = RunMetrics(
-            actions=int(actions),
-            buffers_used=int(buffers_used),
-            sync_steps=int(sync_steps),
+            actions=_count("metrics actions", actions),
+            buffers_used=_count("metrics buffers_used", buffers_used),
+            sync_steps=_count("metrics sync_steps", sync_steps),
             makespan=float(makespan),
             fallback_counts=fb,
-            success=bool(int(success)),
+            success=_one_of("metrics success", success, ("0", "1")) == "1",
         )
 
 

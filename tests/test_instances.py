@@ -93,14 +93,32 @@ def test_mixed_structure_is_fixed():
 )
 def test_audit_compares_every_field_of_the_structure(make, structure):
     # no generated table fails the audit on one field alone, so each field
-    # is put off by one here
-    built = instances._boxed(make())
-    assert instances._audited(lambda seed, attempt: built, 0, structure) is built[0]
+    # is put off by one here; the retry loop ends with the audit's message
+    inst = make()
+    assert instances._retried(lambda seed, attempt: instances._audit(inst, structure), 0) is inst
     for k, field in enumerate(structure):
         expected = (*structure[:k], field + [9] if k < 2 else field + 1, *structure[k + 1 :])
         with pytest.raises(GenerationExhausted) as err:
-            instances._audited(lambda seed, attempt: built, 0, expected)
+            instances._retried(lambda seed, attempt: instances._audit(inst, expected), 0)
         assert str(err.value) == f"audit never passed: expected structure {expected}, got {structure}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 24), seed=st.integers(0, 2**31 - 1))
+@example(n=1, seed=0)
+@example(n=24, seed=0)
+def test_random_tables_pass_the_audit_they_do_not_run(n, seed):
+    # gen_random runs no audit, since its draws keep only what the audit
+    # would pass: validation and the gap audit find nothing on its tables,
+    # on workspaces scaled as the scale probe scales them
+    scale = math.sqrt(n / 15)
+    try:
+        inst = gen_random(n, seed, Workspace(scale, 0.6 * scale))
+    except GenerationExhausted:
+        return  # no table to check
+    boxes = footprints(inst.start, inst.shapes), footprints(inst.goal, inst.shapes)
+    assert instances._validate(inst, *boxes) == []
+    assert instances._gap_audit(inst, *boxes) == []
 
 
 def test_roundtrip_bit_exact(tmp_path):

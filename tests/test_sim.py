@@ -266,6 +266,7 @@ def test_dumps_trace_refuses_to_misstate_arm_2():
 
 
 GRASP_ANGLES = ", ".join(a.value for a in motion.GraspAngle)
+NOT_A_COUNT = "is not a count as str(int) writes one"
 
 
 @pytest.mark.parametrize(
@@ -285,11 +286,30 @@ GRASP_ANGLES = ", ".join(a.value for a in motion.GraspAngle)
         ("instance ", 3, "x", "invalid literal for int() with base 10: 'x'"),
         ("leg 0 ", 2, "xmode", "leg line has 'xmode' where 'mode' belongs"),
         ("metrics ", 1, "moves", "metrics line has 'moves' where 'actions' belongs"),
+        # the metrics lines below but the unknown mode once parsed to the
+        # metrics showcase9's legs give, so the forged trace verified
+        ("metrics ", 12, "2", "metrics success '2' is not one of 0, 1"),
+        ("metrics ", 12, "-7", "metrics success '-7' is not one of 0, 1"),
+        ("metrics ", 2, "+10", f"metrics actions '+10' {NOT_A_COUNT}"),
+        ("metrics ", 2, "1_0", f"metrics actions '1_0' {NOT_A_COUNT}"),
+        ("metrics ", 6, "05", f"metrics sync_steps '05' {NOT_A_COUNT}"),
+        ("metrics ", 4, "\u0661", f"metrics buffers_used '\u0661' {NOT_A_COUNT}"),
+        (
+            "metrics ", 10, "synchronous=4,synchronous=10",
+            "metrics fallback mode 'synchronous' is given twice",
+        ),
+        ("metrics ", 10, "synchronous=+10", f"metrics fallbacks synchronous '+10' {NOT_A_COUNT}"),
+        (
+            "metrics ", 10, "teleport=10",
+            "metrics fallback mode 'teleport' is not one of synchronous, untangled, sequential",
+        ),
     ],
     ids=[
         "grip-arm-2", "knot-arm-minus-1", "grip-action-squeeze", "place-kind-shelf",
         "leg-mode-teleport", "angle-sideways", "angle-nope", "header-keyword", "header-seed",
-        "leg-keyword", "metrics-keyword",
+        "leg-keyword", "metrics-keyword", "success-2", "success-minus-7", "actions-plus",
+        "actions-underscore", "sync-steps-zero", "buffers-arabic-indic-1", "fallbacks-twice",
+        "fallbacks-plus", "fallbacks-teleport",
     ],
 )
 def test_trace_naming_no_arm_or_action_cannot_be_parsed(prefix, field, value, detail):
