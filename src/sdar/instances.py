@@ -273,19 +273,20 @@ def _ring_half_range(slots) -> tuple[float, float]:
     return h_min, h_max
 
 
-AUDIT_ATTEMPTS = 50
+# Tries of every generator's builder, each with its own attempt number.
+GENERATION_TRIES = 50
 
 
 def _retried(builder, seed) -> Instance:
     """The first instance `builder(seed, attempt)` returns, retried on
-    GenerationExhausted up to AUDIT_ATTEMPTS times."""
+    GenerationExhausted up to GENERATION_TRIES times."""
     last = "no attempt"
-    for attempt in range(AUDIT_ATTEMPTS):
+    for attempt in range(GENERATION_TRIES):
         try:
             return builder(seed, attempt)
         except GenerationExhausted as exc:
             last = str(exc)
-    raise GenerationExhausted(f"audit never passed: {last}")
+    raise GenerationExhausted(f"gave up after {GENERATION_TRIES} tries: {last}")
 
 
 def _audit(inst: Instance, expected) -> Instance:

@@ -18,9 +18,9 @@ committed only when both legs climb the ladder, and `plan_motion` returns
 both motions at once.  The task plan decides which objects move and where;
 `_iter_instantiations` binds its pair options and then its one-arm moves to
 arms, grasp angles and poses, as one stream that yields each sub-task once.
-Buffer poses are drawn one at a time, only as far as the option ranking
-reads them, each listing from its own key (plan seed, round, object,
-listing), so no pose depends on which draws came before it.
+Each buffer listing is one `BufferStream`, keyed (plan seed, round, object,
+listing) so that no pose depends on earlier draws, whose current pass draws
+one pose at a time, only as far as the option ranking reads the listing.
 `sequential_round` plans the same two legs on the sequential rung alone,
 for the forced-sequential replay.
 """
@@ -30,9 +30,9 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
-from itertools import tee
+from itertools import count, takewhile, tee
 from typing import Optional
 
 from .geom import (
@@ -62,8 +62,8 @@ from .taskplan import GOAL, RELAY, PlannerSession, TaskPlan, assign_arms
 # listing holds at most K_BUFFERS poses.
 DT = 0.02
 K_BUFFERS = 40
-# Draws per sampling pass, whatever the poses asked for: the cap of a pass
-# that finds little or no room.
+# Draws per pass of a listing (gap `MIN_GAP`, then gap 0), however many
+# poses are read: the cap of a pass that finds little or no room.
 BUFFER_DRAWS = 2000
 # The listing a buffer plan's pair draws are keyed by; a one-arm move's is
 # its index in the plan's singles.
@@ -394,41 +394,62 @@ def grasp_feasible(
 # ------------------------------------------------------------- buffers
 
 
-@dataclass(eq=False)
-class BufferDraws:
-    """One resumable rejection-sampling pass of `sample_buffers`: the fixed
-    obstacles (the planner passes the on-table objects, then the pending
-    goals), the rng, the buffered shape, the workspace and the gap, with the
-    draws left of the pass's BUFFER_DRAWS budget and the poses it has found.
-    The obstacle grid is built at the pass's first draw."""
+class BufferStream:
+    """One keyed listing of buffer poses, drawn one at a time as they are
+    read and kept for every later read.  It holds the fixed obstacles (the
+    on-table objects, then the pending goals), the rng, the buffered shape,
+    the workspace, the current pass and the poses drawn so far.  The
+    `MIN_GAP` pass (finger room) ends at K_BUFFERS poses or at a
+    `sample_buffers` call that finds none; the gap-0 pass (bare non-overlap,
+    for crowded tables; pad checks re-filter at bind) draws, from the same
+    rng, only when the `MIN_GAP` pass found no pose.  So the poses, and the
+    rng units used up to each, are those of drawing the whole listing at
+    once."""
 
-    obstacles: list[OrientedBox]
-    rng: random.Random
-    buffered_shape: tuple[float, float]
-    workspace: Workspace
-    min_gap: float = MIN_GAP
-    left: int = field(default=BUFFER_DRAWS, init=False)
-    found: int = field(default=0, init=False)
-    grid: Optional[BufferGrid] = field(default=None, init=False)
+    def __init__(self, obstacles: list[OrientedBox], rng, buffered_shape, workspace: Workspace):
+        self.obstacles = obstacles
+        self.rng = rng
+        self.buffered_shape = buffered_shape
+        self.workspace = workspace
+        # the current pass: its gap (None once the listing is complete), its
+        # draws left and its obstacle grid, built at its first draw
+        self.gap: Optional[float] = MIN_GAP
+        self.left = BUFFER_DRAWS
+        self.grid: Optional[BufferGrid] = None
+        self.poses: list[Pose2] = []
+
+    def pose(self, index: int) -> Optional[Pose2]:
+        """Pose `index` of the listing, drawn if need be, or None past its
+        last pose."""
+        poses = self.poses
+        while len(poses) <= index and self.gap is not None:
+            try:
+                if not sample_buffers(self) or len(poses) == K_BUFFERS:
+                    self.gap = None  # the listing is complete
+            except BufferSamplingExhausted:
+                # the pass found nothing: the gap-0 pass draws next, or none after it
+                self.gap = 0.0 if self.gap else None
+                self.left, self.grid = BUFFER_DRAWS, None
+        return poses[index] if index < len(poses) else None
+
+    def __iter__(self):
+        return takewhile(lambda pose: pose is not None, map(self.pose, count()))
 
 
-def sample_buffers(draws: BufferDraws, k: int) -> list[Pose2]:
-    """The pass's next poses, up to k, whose footprint avoids every obstacle
-    box.  The poses are independent alternatives, not a packing: a round
-    parks at most one object, so no pose is tested against the pass's own
-    earlier poses, and the same pose may come back more than once.  A call
-    stops at k accepts or when the pass has used its fixed budget of
-    BUFFER_DRAWS draws, whatever k is; a later call resumes where it
-    stopped, so calls for one pose at a time draw the poses, and use the
-    rng, exactly as one call for all of them does.  A call that ends with
-    the budget used and no pose found by the whole pass raises
-    BufferSamplingExhausted.  Each draw takes three `rng.random()` values in
-    [0, 1] (x, y, theta) whatever its fate, and scales each with the
-    arithmetic of `random.Random.uniform`, `a + (b - a) * u`: x in [margin,
-    width - margin] (margin the shape's circumradius), y likewise and theta
-    in [-pi, pi].  So the poses and the rng's state are those of three
-    `rng.uniform(a, b)` calls per draw; theta is scaled only for a draw that
-    the sure tests below do not reject.
+def sample_buffers(listing: BufferStream) -> list[Pose2]:
+    """The listing's next pose from its current pass, whose footprint avoids
+    every obstacle box: `[pose]`, also appended to `listing.poses`, or `[]`
+    once the pass has used its BUFFER_DRAWS draws; a call resumes the pass
+    where the last one stopped.  The poses are alternatives, not a packing:
+    a round parks at most one object, so no pose is tested against the
+    listing's others, and a pose may come back.  A call that ends the pass
+    with no pose in the listing raises BufferSamplingExhausted.  Each draw
+    takes three `rng.random()` values in [0, 1] (x, y, theta) whatever its
+    fate, and scales each with the arithmetic of `random.Random.uniform`,
+    `a + (b - a) * u`: x in [margin, width - margin] (margin the shape's
+    circumradius), y likewise and theta in [-pi, pi].  So the poses and the
+    rng's state are those of three `rng.uniform(a, b)` calls per draw; theta
+    is scaled only for a draw that the sure tests below do not reject.
 
     The obstacles are listed once per pass in a grid (`BufferGrid`), and a
     draw reads only its own cell.  A draw centred within an obstacle's inner
@@ -446,18 +467,16 @@ def sample_buffers(draws: BufferDraws, k: int) -> list[Pose2]:
     poses, the exact-test calls and the rng's state are those of a scan over
     every obstacle.
 
-    min_gap > 0 additionally keeps finger room around the parked object
-    (`boxes_closer_than`); min_gap == 0 is the bare non-overlap contract
+    A gap > 0 additionally keeps finger room around the parked object
+    (`boxes_closer_than`); gap 0 is the bare non-overlap contract
     (`overlaps`)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hw, hh = draws.buffered_shape
-    workspace = draws.workspace
-    min_gap = draws.min_gap
-    grid = draws.grid
+    hw, hh = listing.buffered_shape
+    workspace = listing.workspace
+    min_gap = listing.gap
+    grid = listing.grid
     if grid is None:
-        grid = draws.grid = BufferGrid(draws.buffered_shape, min_gap, workspace)
-        for ob in draws.obstacles:
+        grid = listing.grid = BufferGrid(listing.buffered_shape, min_gap, workspace)
+        for ob in listing.obstacles:
             grid.add(ob)
     inner, reach, inv, gx, gy, rows = grid.inner, grid.reach, grid.inv, grid.gx, grid.gy, grid.rows
     sure = blocked_within_box(grid.inner_radius, min_gap)
@@ -467,15 +486,13 @@ def sample_buffers(draws: BufferDraws, k: int) -> list[Pose2]:
     # a box centred in [margin, x_hi] x [margin, y_hi] is inside the
     # workspace, up to rounding that EPS covers on such a table
     fits = (workspace.width + workspace.height) * FIT_ROUNDING <= EPS
-    unit = draws.rng.random
+    unit = listing.rng.random
     x_span = x_hi - margin
     y_span = y_hi - margin
     pi = math.pi
     turn = pi - -pi
-    found: list[Pose2] = []
-    left = draws.left
     # `left` counts the draws the pass has left after this one
-    for left in range(left - 1, -1, -1):
+    for left in range(listing.left - 1, -1, -1):
         x = margin + x_span * unit()
         y = margin + y_span * unit()
         t = unit()
@@ -493,16 +510,15 @@ def sample_buffers(draws: BufferDraws, k: int) -> list[Pose2]:
                     box = box_at(pose, hw, hh)
                     if not (inside(workspace, box) and _clears(box, near, min_gap)):
                         continue
-                found.append(pose)
-                if len(found) == k:
-                    break
-    draws.left = left
-    draws.found += len(found)
-    if not draws.found and not left:
+                listing.left = left
+                listing.poses.append(pose)
+                return [pose]
+    listing.left = 0
+    if not listing.poses:
         raise BufferSamplingExhausted(
-            f"no buffer pose found within {BUFFER_DRAWS} draws for shape {draws.buffered_shape}"
+            f"no buffer pose found within {BUFFER_DRAWS} draws for shape {listing.buffered_shape}"
         )
-    return found
+    return []
 
 
 def _clears(box: OrientedBox, near: list[OrientedBox], min_gap: float) -> bool:
@@ -543,7 +559,7 @@ FIT_ROUNDING = 2.0**-40
 
 
 class BufferGrid:
-    """The fixed obstacles of one `sample_buffers` call (on-table objects
+    """The fixed obstacles of one pass of a listing (on-table objects
     and pending goals) in two flat lists of square cells, `inner` and
     `reach`, that cover only the draw domain (the rectangle between
     (margin, margin) and (width - margin, height - margin)) plus one cell of
@@ -807,45 +823,6 @@ def _bind(session: PlannerSession, option, level) -> Optional[InstantiatedSubTas
             return None
         tasks.append(replace(task, to_buffer=True) if to_buffer else task)
     return InstantiatedSubTask(tuple(tasks))
-
-
-class BufferStream:
-    """One keyed listing's buffer poses, drawn one at a time as they are
-    read and kept for every later read: finger-room sampling first, then the
-    bare non-overlap contract on crowded tables (pad checks re-filter at
-    bind).  The `MIN_GAP` pass ends at K_BUFFERS accepts or after its
-    BUFFER_DRAWS draws; the gap-0 pass draws, from the same rng, only when
-    the `MIN_GAP` pass found no pose.  So the poses, and the rng units used
-    up to each, are those of drawing the whole listing at once."""
-
-    def __init__(self, obstacles: list[OrientedBox], rng, buffered_shape, workspace: Workspace):
-        # the passes still to draw, the current one last
-        self._passes = [
-            BufferDraws(obstacles, rng, buffered_shape, workspace, min_gap) for min_gap in (0.0, MIN_GAP)
-        ]
-        self.poses: list[Pose2] = []
-
-    def pose(self, index: int) -> Optional[Pose2]:
-        """Pose `index` of the listing, drawn if need be, or None past its
-        last pose."""
-        poses = self.poses
-        passes = self._passes
-        while len(poses) <= index and passes:
-            try:
-                got = sample_buffers(passes[-1], 1)
-            except BufferSamplingExhausted:
-                passes.pop()  # nothing found: the next pass draws
-                continue
-            poses += got
-            if not got or len(poses) == K_BUFFERS:
-                passes.clear()  # the listing is complete
-        return poses[index] if index < len(poses) else None
-
-    def __iter__(self):
-        index = 0
-        while (pose := self.pose(index)) is not None:
-            yield pose
-            index += 1
 
 
 def _buffer_options(session: PlannerSession, obj: int, listing: int) -> BufferStream:

@@ -339,8 +339,10 @@ def save_trace(trace: Trace, path) -> None:
 def loads_trace(text: str) -> Trace:
     """Parse a trace; ValueError if the text is not a well-formed trace,
     naming the first line that is not.  Every line must be laid out as its
-    kind's layout, and a metrics line, if any, must be the last line.  Its
-    legs are given in index order from 0."""
+    kind's layout, with each count, index and seed spelled as `str(int)`
+    writes it and every other number as `repr(float)` does, and a metrics
+    line, if any, must be the last line.  Its legs are given in index order
+    from 0."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != TRACE_FORMAT:
         raise ValueError(f"expected {TRACE_FORMAT} header")
@@ -349,10 +351,13 @@ def loads_trace(text: str) -> Trace:
     legs: dict[int, LegRecord] = {}
     try:
         k, line = lines[1]
-        instance, seed = HEADER.read(line.split())
-        seed = int(seed)
+        instance, text = HEADER.read(line.split())
+        seed = int(text)
+        if str(seed) != text:
+            raise ValueError(f"header seed {text!r} is not an int as str(int) writes one")
         k, line = lines[2]
-        x1, y1, x2, y2, reach, ee_radius, clearance = map(float, ARMS.read(line.split()))
+        values = ARMS.read(line.split())
+        x1, y1, x2, y2, reach, ee_radius, clearance = map(_float, ARMS_FIELDS, values)
         arms = tuple(
             ArmModel(base=base, reach=reach, ee_radius=ee_radius, clearance=clearance)
             for base in ((x1, y1), (x2, y2))
@@ -370,16 +375,17 @@ def loads_trace(text: str) -> Trace:
 
 
 def _arm_index(text: str) -> int:
-    arm = int(text)
-    if arm not in (0, 1):
-        raise ValueError(f"arm index {arm} is not 0 or 1")
-    return arm
+    if text not in ("0", "1"):
+        raise ValueError(f"arm index {text} is not 0 or 1")
+    return int(text)
 
 
 # the values a trace's enumerated fields may take
 MODES = tuple(m.value for m in Mode)
 ANGLES = tuple(a.value for a in GraspAngle)  # or "-" for an idle arm
 PLACE_KINDS = ("goal", "buffer")
+# the names the arms line's values go by in errors
+ARMS_FIELDS = [f"arms {name}" for name in "base1 base1 base2 base2 reach ee_radius clearance".split()]
 
 
 def _one_of(field: str, value: str, allowed: tuple[str, ...]) -> str:
@@ -395,16 +401,27 @@ def _count(field: str, text: str) -> int:
     raise ValueError(f"{field} {text!r} is not a count as str(int) writes one")
 
 
+def _float(field: str, text: str) -> float:
+    """The float `text`, ValueError naming `field` unless `repr(float)` spells it so."""
+    try:
+        if repr(value := float(text)) == text:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{field} {text!r} is not a float as repr(float) writes one")
+
+
 def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> None:
     """Add one body line to the trace being parsed."""
     kind = _one_of("line kind", parts[0], tuple(LAYOUTS))
     values = LAYOUTS[kind].read(parts)
     if kind == "k":
         leg, arm, t, x, y = values
-        legs[int(leg)].knots[_arm_index(arm)].append((float(t), float(x), float(y)))
+        knot = _float("k t", t), _float("k x", x), _float("k y", y)
+        legs[_count("k leg", leg)].knots[_arm_index(arm)].append(knot)
     elif kind == "leg":
         idx, mode, angle1, angle2, cands_text, duration = values
-        idx = int(idx)
+        idx = _count("leg index", idx)
         if idx in legs:
             raise ValueError(f"leg {idx} is given twice")
         if idx != len(legs):
@@ -414,13 +431,13 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
         if cands_text != "-":
             for item in cands_text.split(";"):
                 i, j = item.split(",")
-                cands.append((int(i), int(j)))
+                cands.append((_count("leg candidate", i), _count("leg candidate", j)))
         legs[idx] = LegRecord(
             index=idx,
             mode=_one_of("leg mode", mode, MODES),
             angles=angles,
             candidates=cands,
-            duration=float(duration),
+            duration=_float("leg duration", duration),
             knots=[[], []],
             grips=[],
             places=[],
@@ -429,13 +446,14 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
         leg, arm, action, obj, t = values
         if action not in ("close", "open"):
             raise ValueError(f"grip action {action!r} is not close or open")
-        legs[int(leg)].grips.append((_arm_index(arm), action, int(obj), float(t)))
+        grip = _arm_index(arm), action, _count("grip object", obj), _float("grip t", t)
+        legs[_count("grip leg", leg)].grips.append(grip)
     elif kind == "place":
         leg, obj, x, y, theta, place_kind = values
-        legs[int(leg)].places.append(
+        legs[_count("place leg", leg)].places.append(
             (
-                int(obj),
-                Pose2(float(x), float(y), float(theta)),
+                _count("place object", obj),
+                Pose2(_float("place x", x), _float("place y", y), _float("place theta", theta)),
                 _one_of("place kind", place_kind, PLACE_KINDS),
             )
         )
@@ -452,7 +470,7 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
             actions=_count("metrics actions", actions),
             buffers_used=_count("metrics buffers_used", buffers_used),
             sync_steps=_count("metrics sync_steps", sync_steps),
-            makespan=float(makespan),
+            makespan=_float("metrics makespan", makespan),
             fallback_counts=fb,
             success=_one_of("metrics success", success, ("0", "1")) == "1",
         )
@@ -576,9 +594,9 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
     other arms fails; ValueError if the two arms of `arms` differ in reach,
     ee_radius or clearance, which an arms line states once for both.  Each
     arm's knots must form a path over its leg at no more than unit speed,
-    continuing where the previous leg ended, and
-    `_uncertified` certifies the clearance over the whole leg.  Even legs
-    only close grippers and odd legs only open them; at each event the arm's
+    continuing where the previous leg ended, and `_uncertified` certifies
+    the clearance over the whole leg.  Legs are indexed by position from 0,
+    even legs only close grippers and odd legs only open them; at each event the arm's
     point on its path must lie on the object it closes on or the placement
     it opens at, and each placement needs an open of its object by the arm
     holding it on the same leg.  The start table is checked once, after the
@@ -615,7 +633,9 @@ def verify_trace(trace: Trace | str, instance: Instance, arms=None) -> tuple[boo
                     return f"{where}: objects {i} and {j} overlap"
         return None
 
-    for leg in trace.legs:
+    for position, leg in enumerate(trace.legs):
+        if leg.index != position:
+            return False, f"expected leg {position}, got leg {leg.index}"
         where = f"leg {leg.index}"
         grasping = leg.index % 2 == 0
         bad = _non_finite(leg)

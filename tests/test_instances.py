@@ -100,7 +100,7 @@ def test_audit_compares_every_field_of_the_structure(make, structure):
         expected = (*structure[:k], field + [9] if k < 2 else field + 1, *structure[k + 1 :])
         with pytest.raises(GenerationExhausted) as err:
             instances._retried(lambda seed, attempt: instances._audit(inst, expected), 0)
-        assert str(err.value) == f"audit never passed: expected structure {expected}, got {structure}"
+        assert str(err.value) == f"gave up after 50 tries: expected structure {expected}, got {structure}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,9 +375,10 @@ def test_place_all_examples_reach_every_outcome():
 # Taken before the broad phase entered _place_all and near_miss the gap
 # audit: sha256 of the concatenated dumps of default_suite(), and of
 # gen_random(n, s) for even n from 14 to 24 and s 0-3, where R24/3's
-# exhaustion text stands in for its dump.
+# exhaustion text stands in for its dump.  The sweep's hash was 45634f39709632b7
+# while that text began "audit never passed: ", with the same tables.
 SUITE_SHA256 = "4c2015b890aa4d77987e7202d9c25ce897b74a6e6ae3b731625fb01ad803cebb"
-SWEEP_SHA256 = "45634f39709632b7b2c19110b02a00fbb41a070ca30721aa0211e02668122441"
+SWEEP_SHA256 = "7f908a0821375f8a90b1a674741b7acb357d6ecf0fde50872e2ded39a210d064"
 
 
 def test_generated_instances_are_pinned():
@@ -390,6 +391,6 @@ def test_generated_instances_are_pinned():
                 parts.append(dumps(gen_random(n, seed)))
             except GenerationExhausted as exc:
                 parts.append(str(exc))
-    assert parts[-1] == "audit never passed: failed to place object 20 after 10000 attempts"
+    assert parts[-1] == "gave up after 50 tries: failed to place object 20 after 10000 attempts"
     assert sum(not p.startswith(instances.INSTANCE_FORMAT) for p in parts) == 1
     assert hashlib.sha256("".join(parts).encode()).hexdigest() == SWEEP_SHA256

@@ -29,7 +29,6 @@ from sdar.motion import (
     ArmModel,
     ArmPath,
     ArmTask,
-    BufferDraws,
     BufferSamplingExhausted,
     Conflict,
     GraspAngle,
@@ -253,9 +252,14 @@ def test_buffer_samples_pass_overlap_audit():
 
 
 def sample_pass(obstacles, k, rng, buffered_shape, workspace, min_gap=MIN_GAP):
-    """One `sample_buffers` call on a fresh pass: up to k poses, or
-    BufferSamplingExhausted, as one eager call drew them."""
-    return sample_buffers(BufferDraws(obstacles, rng, buffered_shape, workspace, min_gap), k)
+    """A fresh listing's first pass at `min_gap`, drawn by `sample_buffers`
+    calls until the listing holds k poses or a call finds none: up to k
+    poses, or BufferSamplingExhausted, as one eager pass drew them."""
+    listing = motion.BufferStream(obstacles, rng, buffered_shape, workspace)
+    listing.gap = min_gap
+    while len(listing.poses) < k and sample_buffers(listing):
+        pass
+    return listing.poses
 
 
 def sample_buffers_reference(obstacles, k, rng, buffered_shape, workspace, min_gap=MIN_GAP):
@@ -419,12 +423,71 @@ class CountingRng(random.Random):
 
 
 def test_sample_buffers_budget_does_not_grow_with_k():
+    # a pass draws BUFFER_DRAWS times at most, however many poses are read
+    # from it: on a table with no room, one pass, or a listing's two, use
+    # their budgets once
     obstacles, shape, ws = _saturated_table()
     for k in (1, 10**5):
         rng = CountingRng(1)
         with pytest.raises(BufferSamplingExhausted, match=f"within {motion.BUFFER_DRAWS} draws"):
             sample_pass(obstacles, k, rng, shape, ws)
         assert rng.calls == 3 * motion.BUFFER_DRAWS, k
+    for read in (1, motion.K_BUFFERS + 1):
+        rng = CountingRng(1)
+        listing = motion.BufferStream(obstacles, rng, shape, ws)
+        assert [listing.pose(i) for i in range(read)] == [None] * read
+        assert rng.calls == 2 * 3 * motion.BUFFER_DRAWS, read
+
+
+def _listing_calls(monkeypatch, listing, read):
+    """(gap, poses or "exhausted", rng units used) of each `sample_buffers`
+    call that reading poses 0 to read - 1 of `listing` makes."""
+    calls = []
+    real = motion.sample_buffers
+
+    def recorded(arg):
+        gap, used = arg.gap, arg.rng.used
+        try:
+            got = real(arg)
+        except BufferSamplingExhausted:
+            got = "exhausted"
+            raise
+        finally:
+            calls.append((gap, got, arg.rng.used - used))
+        return got
+
+    monkeypatch.setattr(motion, "sample_buffers", recorded)
+    for i in range(read):
+        listing.pose(i)
+    monkeypatch.undo()
+    return calls
+
+
+def test_stream_call_sequence(monkeypatch):
+    # one call per pose, and none past K_BUFFERS poses
+    shape, ws = (0.05, 0.05), Workspace()
+    units, (free,) = scripted([(0.8, 0.3, 0.0)], shape, ws)
+    listing = motion.BufferStream([], ScriptedRng(units * motion.K_BUFFERS), shape, ws)
+    calls = _listing_calls(monkeypatch, listing, motion.K_BUFFERS + 2)
+    assert calls == [(MIN_GAP, [free], 3)] * motion.K_BUFFERS
+    # a pass that spends its last draw on an accept: the next read makes one
+    # call that draws nothing and finds nothing, and completes the listing
+    obstacles = [box_at(Pose2(0.3, 0.3), 0.05, 0.05)]
+    blocked, _ = scripted([(0.3, 0.3, 0.0)], shape, ws)
+    script = blocked * (motion.BUFFER_DRAWS - 1) + units
+    listing = motion.BufferStream(obstacles, ScriptedRng(script), shape, ws)
+    calls = _listing_calls(monkeypatch, listing, 4)
+    assert calls == [(MIN_GAP, [free], 3 * motion.BUFFER_DRAWS), (MIN_GAP, [], 0)]
+    assert listing.poses == [free]
+    # a pass that finds nothing hands over to the gap-0 pass; when that
+    # finds nothing either, the listing is complete and empty
+    obstacles, shape, ws = _saturated_table()
+    script = [0.5] * (2 * 3 * motion.BUFFER_DRAWS)
+    listing = motion.BufferStream(obstacles, ScriptedRng(script), shape, ws)
+    calls = _listing_calls(monkeypatch, listing, 3)
+    draws = 3 * motion.BUFFER_DRAWS
+    assert calls == [(MIN_GAP, "exhausted", draws), (0.0, "exhausted", draws)]
+    assert listing.poses == []
 
 
 def test_sample_buffers_poses_are_alternatives():
@@ -650,14 +713,31 @@ def listing_reference(obstacles, k, rng, shape, ws):
     return []
 
 
+def listing_calls_reference(obstacles, read, rng, shape, ws):
+    """The `sample_buffers` calls that reading `read` poses of a listing
+    makes: one per pose read, one that finds none when the reads pass the
+    end of a listing short of K_BUFFERS, and one per pass that finds
+    nothing."""
+    calls = 0
+    for min_gap in (MIN_GAP, 0.0):
+        try:
+            found = len(sample_buffers_reference(obstacles, motion.K_BUFFERS, rng, shape, ws, min_gap))
+        except BufferSamplingExhausted:
+            calls += 1
+            continue
+        return calls + min(read, found) + (read > found and found < motion.K_BUFFERS)
+    return calls
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_stream_reads_a_prefix_of_the_eager_listing(data):
     # a listing's stream, read to any prefix (or past its end), gives that
     # prefix of the eager two-pass listing, having used the rng units the
-    # eager loop used up to its last pose; a pass that finds nothing uses
-    # its whole budget before the gap-0 pass draws.  The crowded tables
-    # have listings of every kind: full, partial, from the gap-0 pass, none
+    # eager loop used up to its last pose, in the calls the reference
+    # counts; a pass that finds nothing uses its whole budget before the
+    # gap-0 pass draws.  The crowded tables have listings of every kind:
+    # full, partial, from the gap-0 pass, none
     if data.draw(st.booleans(), label="crowded"):
         n = data.draw(st.sampled_from([14, 16, 18, 20, 22]), label="n")
         obstacles, shape, ws = _crowded_table(n, data.draw(st.integers(0, 3), label="table"))
@@ -669,11 +749,12 @@ def test_stream_reads_a_prefix_of_the_eager_listing(data):
     passes = []
     real = motion.sample_buffers
 
-    def recorded(draws, k):
+    def recorded(listing):
+        gap = listing.gap
         try:
-            return real(draws, k)
+            return real(listing)
         finally:
-            passes.append((draws.min_gap, draws.left, draws.found))
+            passes.append((gap, listing.left, len(listing.poses)))
 
     rng = CountingRng(key)
     stream = motion.BufferStream(obstacles, rng, shape, ws)
@@ -685,6 +766,7 @@ def test_stream_reads_a_prefix_of_the_eager_listing(data):
     assert got == expect + [None] * (read - len(expect))
     assert stream.poses == expect
     assert rng.calls == eager.calls
+    assert len(passes) == listing_calls_reference(obstacles, read, random.Random(key), shape, ws)
     if any(gap == 0.0 for gap, _, _ in passes):
         last_gap = max(i for i, (gap, _, _) in enumerate(passes) if gap > 0.0)
         assert passes[last_gap] == (MIN_GAP, 0, 0)
@@ -1000,16 +1082,16 @@ def test_sampler_reads_the_held_boxes_then_the_pending_goals(monkeypatch):
         sessions.append(new_session(*args))
         return sessions[-1]
 
-    def checked(draws, k):
+    def checked(listing):
         session = sessions[-1]
         assert list(session.boxes) == sorted(session.boxes)
         held = [*session.boxes.values()]
         held += [session.goal_boxes[i] for i in sorted(session.remaining)]
-        assert len(draws.obstacles) == len(held)
-        assert all(got is box for got, box in zip(draws.obstacles, held))
-        if draws.grid is None:  # the pass's first draw
+        assert len(listing.obstacles) == len(held)
+        assert all(got is box for got, box in zip(listing.obstacles, held))
+        if listing.grid is None:  # the pass's first draw
             passes.append(len(held))
-        return sample(draws, k)
+        return sample(listing)
 
     monkeypatch.setattr(sim, "new_session", opened)
     monkeypatch.setattr(motion, "sample_buffers", checked)
@@ -1213,8 +1295,8 @@ def test_first_ranked_buffer_option_draws_for_its_object_alone(monkeypatch):
         drawn.append((obj, listing))
         return real(session, obj, listing)
 
-    def counted(draws, k):
-        got = sample(draws, k)
+    def counted(listing):
+        got = sample(listing)
         poses.extend(got)
         return got
 

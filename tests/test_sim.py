@@ -386,6 +386,84 @@ def test_legs_out_of_index_order_cannot_be_parsed():
     assert str(err.value) == f"malformed sdar-trace/3 trace: line {k + 1}: expected leg 2, got leg 7"
 
 
+NOT_A_FLOAT = "is not a float as repr(float) writes one"
+
+
+def _forged_field(lines, prefix, field, forge):
+    """The lines with field `field` of the first line starting with `prefix`
+    replaced by `forge` of it, and that line's index."""
+    k = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    parts = lines[k].split()
+    parts[field] = forge(parts[field])
+    return lines[:k] + [" ".join(parts)] + lines[k + 1 :], k
+
+
+@pytest.mark.parametrize(
+    "prefix, field, forge, detail",
+    [
+        # the first four parsed to showcase9's own trace, which verified
+        ("leg 1 ", 1, lambda v: "+" + v, f"leg index '+1' {NOT_A_COUNT}"),
+        ("k 0 1 ", 1, lambda v: "0_0", f"k leg '0_0' {NOT_A_COUNT}"),
+        ("metrics ", 8, lambda v: "+" + v, f"metrics makespan '+2.9924157403677514' {NOT_A_FLOAT}"),
+        ("instance ", 3, lambda v: "+" + v, "header seed '+0' is not an int as str(int) writes one"),
+        ("leg 0 ", 8, lambda v: v.replace("4,7", "4,07"), f"leg candidate '07' {NOT_A_COUNT}"),
+        ("grip ", 4, lambda v: "+" + v, f"grip object '+8' {NOT_A_COUNT}"),
+        ("grip ", 2, lambda v: "+" + v, "arm index +0 is not 0 or 1"),
+        ("place ", 2, lambda v: "\u0668", f"place object '\u0668' {NOT_A_COUNT}"),
+        ("place ", 5, lambda v: "0", f"place theta '0' {NOT_A_FLOAT}"),
+        ("k 0 0 ", 3, lambda v: v + "0", f"k t '0.00' {NOT_A_FLOAT}"),
+        ("leg 1 ", 10, lambda v: "NaN", f"leg duration 'NaN' {NOT_A_FLOAT}"),
+        ("arms ", 12, lambda v: "1e-1", f"arms clearance '1e-1' {NOT_A_FLOAT}"),
+        ("arms ", 2, lambda v: "zero", f"arms base1 'zero' {NOT_A_FLOAT}"),
+    ],
+    ids=[
+        "leg-plus", "knot-leg-underscore", "makespan-plus", "seed-plus", "candidate-zero",
+        "grip-object-plus", "grip-arm-plus", "place-object-arabic-indic-8", "theta-int",
+        "knot-t-trailing-zero", "duration-NaN", "clearance-exponent", "base-word",
+    ],
+)
+def test_trace_numbers_spelled_as_dumps_never_writes_cannot_be_parsed(prefix, field, forge, detail):
+    # a count, index or seed is read only as str(int) writes it, and any
+    # other number only as repr(float) does
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 0)
+    lines, k = _forged_field(dumps_trace(rec.trace).splitlines(), prefix, field, forge)
+    with pytest.raises(ValueError) as err:
+        verify_trace("\n".join(lines) + "\n", inst)
+    assert str(err.value) == f"malformed sdar-trace/3 trace: line {k + 1}: {detail}"
+
+
+def test_trace_floats_and_seeds_round_trip_as_written():
+    # nan, infinities, -0.0 and a negative seed are spelled as repr(float)
+    # and str(int) write them, so such a trace parses and dumps back as it was
+    _, rec = run_instance(instances.showcase9(), 0)
+    lines = dumps_trace(rec.trace).splitlines()
+    for prefix, field, value in (
+        ("instance ", 3, "-3"),
+        ("arms ", 12, "nan"),
+        ("leg 1 ", 10, "inf"),
+        ("k 0 0 ", 4, "nan"),
+        ("k 0 1 ", 5, "-inf"),
+        ("place ", 3, "-0.0"),
+        ("metrics ", 8, "-0.0"),
+    ):
+        lines, _ = _forged_field(lines, prefix, field, lambda v: value)
+    text = "\n".join(lines) + "\n"
+    assert dumps_trace(loads_trace(text)) == text
+
+
+def test_verify_refuses_a_leg_whose_index_is_not_its_position():
+    # grip parity and the `leg N` names come from the index, so a Trace whose
+    # legs are numbered from 2 is refused, as its text is
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 0)
+    forged = replace(rec.trace, legs=[replace(leg, index=leg.index + 2) for leg in rec.trace.legs])
+    assert verify_trace(forged, inst) == (False, "expected leg 0, got leg 2")
+    with pytest.raises(ValueError) as err:
+        verify_trace(dumps_trace(forged), inst)
+    assert str(err.value).endswith(": expected leg 0, got leg 2")
+
+
 def test_older_trace_format_cannot_be_parsed():
     # sdar-trace/2 leg and grip lines carry fields that sdar-trace/3 states
     # once elsewhere; there is no reader for them
