@@ -1,27 +1,20 @@
-"""Execute planning sessions, record run traces, re-verify them, and
-evaluate runs.
+"""Plan runs, replay them one arm at a time, record and re-verify their
+traces, and evaluate runs.
 
 `evaluate` is the one step that makes a report row: the run, its verdict,
 the single-arm oracle, and the makespan of its forced-sequential replay.
 A run's trace is its record: `_metrics` reads its metrics off the legs.
+Only a planned run holds a planner session: it applies and checks each
+round once the round is recorded.  The replay walks the recorded sub-tasks
+from the arms' retract points and checks no round again.
 
 A trace records each leg's path knots exactly; the verifier and the
 renderer read the arms' points off them with `geom.PathWalker`, the walker
-the planner validates its legs with.
-The verifier replays a trace file against the problem definition using only
-the geometric primitives, independent of the planner code paths: finite
-numbers, knots that form a path over the leg at no more than unit speed,
-grasps on even legs and releases on odd ones, each at the point its arm's
-knots give, arm-arm clearance over the whole continuous leg, pick/place
-consistency, arrangement feasibility, exact goal attainment, and a metrics
-line that `_metrics` reads off the legs again.
-Clearance is certified by conservative advancement: between knots each arm
-moves at a constant speed v, so a clearance c above the threshold holds off
-it for about (c - threshold) / (v0 + v1), up to the next knot, and
-`segment_clearance` runs once per such step.  The start table is checked
-once, after the first leg; after that the table changes only at grasps and
-placements, and each placement is checked against the workspace and every
-object on the table.
+the planner validates its legs with.  The verifier (`verify_trace`) replays
+a trace file against the problem definition using only the geometric
+primitives, independent of the planner code paths, from finite numbers to
+a metrics line that `_metrics` reads off the legs again; `_uncertified`
+certifies arm-arm clearance over each whole leg by conservative advancement.
 """
 
 from __future__ import annotations
@@ -135,59 +128,60 @@ def _record_leg(trace, sub, motion, candidates):
 
 def _planned_rounds(session: PlannerSession):
     """Plan rounds until the instance resolves, each one task plan and one
-    `plan_motion` call for both legs.  A run that still has work after 2n
+    `plan_motion` call for both legs, and apply each once it is recorded.
+    After each round the table is checked: whole after the first, then only
+    at the moved objects, which alone can break a table that passed; at the
+    end, every object at its goal.  A run that still has work after 2n
     rounds ends with RoundLimitExceeded."""
-    n = session.instance.n
+    inst = session.instance
+    n = inst.n
     for done in itertools.count():
         try:
             plan = next_task_plan(session)
         except TaskComplete:
-            return
+            break
         if done >= 2 * n:
             raise RoundLimitExceeded(f"round {done + 1} exceeds the cap of 2n rounds (n = {n})")
-        yield (*plan_motion(plan, session), plan.candidates)
+        sub, start, goal = plan_motion(plan, session)
+        yield sub, start, goal, plan.candidates
+        session.apply_round(sub, goal)
+        moved = {task.obj for task in sub.tasks if task.obj is not None} if done else None
+        issues = arrangement_violations(session.boxes, inst.workspace, moved)
+        if issues:
+            raise ValidationFailure(f"infeasible arrangement after round {done + 1}: {issues}")
+    for i in inst.ids():
+        if not session.boxes[i].center.almost_equal(inst.goal.pose_of(i)):
+            raise ValidationFailure(f"object {i} did not end at its goal pose")
 
 
-def _replayed_rounds(session: PlannerSession, subs):
-    """Recorded sub-tasks on the sequential rung, with no task planning."""
+def _replayed_rounds(arms, subs):
+    """Recorded sub-tasks on the sequential rung from the arms' retract
+    points, with no task planning and no check: the planned run placed the
+    same objects at the same targets and checked each of those rounds."""
+    ee = [arms[0].retract, arms[1].retract]
     for sub in subs:
         try:
-            start, goal = sequential_round(sub, session.arms, session.ee)
+            start, goal = sequential_round(sub, arms, ee)
         except SubTaskInfeasible as exc:
             raise MotionFailure(f"forced sub-task failed: {exc}") from exc
         yield sub, start, goal, []
+        ee = [goal.paths[0].end, goal.paths[1].end]
 
 
-def _commit(session: PlannerSession, rounds) -> tuple[RunMetrics, RunRecord]:
-    """Record and apply each (sub, start, goal, candidates) round, checking
-    the arrangement after it and the goal at the end; a MotionFailure is the
-    run's failure.  The run's metrics are read off the legs it recorded."""
-    inst = session.instance
-    record = RunRecord(Trace(instance_hash(inst), session.rng_seed, session.arms))
+def _commit(trace: Trace, rounds) -> tuple[RunMetrics, RunRecord]:
+    """Record each (sub, start, goal, candidates) round into the trace; a
+    MotionFailure is the run's failure.  The run's metrics are read off the
+    legs it recorded."""
+    record = RunRecord(trace)
     failure = None
-    checked = False  # whether a round has passed the whole-table check
     try:
         for sub, start, goal, candidates in rounds:
             record.subs.append(sub)
-            _record_leg(record.trace, sub, start, candidates)
-            _record_leg(record.trace, sub, goal, [])
-            session.apply_round(sub, goal)
-            # once the table has passed, a round can only break it through
-            # the objects it moved
-            moved = {task.obj for task in sub.tasks if task.obj is not None} if checked else None
-            issues = arrangement_violations(session.boxes, inst.workspace, moved)
-            if issues:
-                raise ValidationFailure(
-                    f"infeasible arrangement after round {len(record.subs)}: {issues}"
-                )
-            checked = True
+            _record_leg(trace, sub, start, candidates)
+            _record_leg(trace, sub, goal, [])
     except MotionFailure as exc:
         failure = str(exc)
-    else:
-        for i in inst.ids():
-            if not session.boxes[i].center.almost_equal(inst.goal.pose_of(i)):
-                raise ValidationFailure(f"object {i} did not end at its goal pose")
-    metrics = record.trace.metrics = _metrics(record.trace.legs, failure)
+    metrics = trace.metrics = _metrics(trace.legs, failure)
     return metrics, record
 
 
@@ -220,13 +214,16 @@ def run_instance(
     forced_subs=None,
 ) -> tuple[RunMetrics, RunRecord]:
     """Plan and execute an instance, or, given `force_sequential=True` and a
-    run's `RunRecord.subs` as `forced_subs`, replay them one arm at a time."""
+    run's `RunRecord.subs` as `forced_subs`, replay them one arm at a time
+    (`_replayed_rounds`), with no planner session and no round check."""
     if bool(force_sequential) != (forced_subs is not None):
         raise ValueError("force_sequential=True and forced_subs are passed together")
-    session = new_session(instance, seed, arms)
+    arms = arms or default_arms(instance.workspace)
+    trace = Trace(instance_hash(instance), seed, arms)
     if forced_subs is None:
-        return _commit(session, _planned_rounds(session))
-    return _commit(session, _replayed_rounds(session, forced_subs))
+        return _commit(trace, _planned_rounds(new_session(instance, seed, arms)))
+    check_arm_pair(arms)
+    return _commit(trace, _replayed_rounds(arms, forced_subs))
 
 
 @dataclass
@@ -243,7 +240,8 @@ class Evaluation:
 
 def evaluate(instance: Instance, seed: int, arms=None) -> Evaluation:
     """Plan and execute the instance, verify the trace, run the single-arm
-    oracle, and replay a solved run's sub-tasks on the sequential rung."""
+    oracle, and replay a solved run's sub-tasks on the sequential rung,
+    which re-checks none of the rounds the run checked."""
     t0 = time.perf_counter()
     metrics, record = run_instance(instance, seed, arms)
     plan_s = time.perf_counter() - t0
@@ -342,13 +340,12 @@ def loads_trace(text: str) -> Trace:
     kind's layout, with each count, index and seed spelled as `str(int)`
     writes it and every other number as `repr(float)` does, and a metrics
     line, if any, must be the last line.  Its legs are given in index order
-    from 0."""
+    from 0, and a knot, grip or place line names the leg given last."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != TRACE_FORMAT:
         raise ValueError(f"expected {TRACE_FORMAT} header")
     if len(lines) < 3:
         raise ValueError(f"malformed {TRACE_FORMAT} trace: it ends before its arms line")
-    legs: dict[int, LegRecord] = {}
     try:
         k, line = lines[1]
         instance, text = HEADER.read(line.split())
@@ -366,11 +363,9 @@ def loads_trace(text: str) -> Trace:
         for k, line in lines[3:]:
             if trace.metrics is not None:
                 raise ValueError("a line follows the metrics line")
-            _parse_line(line.split(), trace, legs)
-    except (IndexError, KeyError, ValueError) as exc:
-        detail = str(exc) if isinstance(exc, ValueError) else repr(exc)
-        raise ValueError(f"malformed {TRACE_FORMAT} trace: line {k}: {detail}") from exc
-    trace.legs = list(legs.values())
+            _parse_line(line.split(), trace)
+    except ValueError as exc:
+        raise ValueError(f"malformed {TRACE_FORMAT} trace: line {k}: {exc}") from exc
     return trace
 
 
@@ -411,18 +406,24 @@ def _float(field: str, text: str) -> float:
     raise ValueError(f"{field} {text!r} is not a float as repr(float) writes one")
 
 
-def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> None:
+def _parse_line(parts: list[str], trace: Trace) -> None:
     """Add one body line to the trace being parsed."""
     kind = _one_of("line kind", parts[0], tuple(LAYOUTS))
     values = LAYOUTS[kind].read(parts)
+    legs = trace.legs
+    if kind in ("k", "grip", "place"):  # a line of the leg given last
+        leg, *values = values
+        if _count(f"{kind} leg", leg) != len(legs) - 1:
+            raise ValueError(f"{kind} leg {leg} is not the leg given last")
+        leg = legs[-1]
     if kind == "k":
-        leg, arm, t, x, y = values
+        arm, t, x, y = values
         knot = _float("k t", t), _float("k x", x), _float("k y", y)
-        legs[_count("k leg", leg)].knots[_arm_index(arm)].append(knot)
+        leg.knots[_arm_index(arm)].append(knot)
     elif kind == "leg":
         idx, mode, angle1, angle2, cands_text, duration = values
         idx = _count("leg index", idx)
-        if idx in legs:
+        if idx < len(legs):
             raise ValueError(f"leg {idx} is given twice")
         if idx != len(legs):
             raise ValueError(f"expected leg {len(legs)}, got leg {idx}")
@@ -432,7 +433,7 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
             for item in cands_text.split(";"):
                 i, j = item.split(",")
                 cands.append((_count("leg candidate", i), _count("leg candidate", j)))
-        legs[idx] = LegRecord(
+        leg = LegRecord(
             index=idx,
             mode=_one_of("leg mode", mode, MODES),
             angles=angles,
@@ -442,21 +443,18 @@ def _parse_line(parts: list[str], trace: Trace, legs: dict[int, LegRecord]) -> N
             grips=[],
             places=[],
         )
+        legs.append(leg)
     elif kind == "grip":
-        leg, arm, action, obj, t = values
+        arm, action, obj, t = values
         if action not in ("close", "open"):
             raise ValueError(f"grip action {action!r} is not close or open")
         grip = _arm_index(arm), action, _count("grip object", obj), _float("grip t", t)
-        legs[_count("grip leg", leg)].grips.append(grip)
+        leg.grips.append(grip)
     elif kind == "place":
-        leg, obj, x, y, theta, place_kind = values
-        legs[_count("place leg", leg)].places.append(
-            (
-                _count("place object", obj),
-                Pose2(_float("place x", x), _float("place y", y), _float("place theta", theta)),
-                _one_of("place kind", place_kind, PLACE_KINDS),
-            )
-        )
+        obj, x, y, theta, place_kind = values
+        pose = Pose2(_float("place x", x), _float("place y", y), _float("place theta", theta))
+        place_kind = _one_of("place kind", place_kind, PLACE_KINDS)
+        leg.places.append((_count("place object", obj), pose, place_kind))
     else:
         actions, buffers_used, sync_steps, makespan, fallbacks, success = values
         fb = {}

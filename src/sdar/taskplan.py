@@ -71,8 +71,7 @@ class PlannerSession:
     box, so a round rebuilds only the boxes of the objects it moved.  The
     dependency graph over the remaining objects is built at its first read
     and then kept: a round drops the objects it solved and re-tests only the
-    edges into the objects it moved (`depgraph.retest_moved`).  A session
-    that never reads it, as the forced-sequential replay's, builds none."""
+    edges into the objects it moved (`depgraph.retest_moved`)."""
 
     instance: Instance
     rng_seed: int

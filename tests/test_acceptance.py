@@ -52,6 +52,10 @@ DENSE_DIGESTS = {
     2: ("c24dfb581cef", "155d08f78c2c", "d62f852ef339", 341, 16),
     3: ("941dbeee3d67", "671e500255ce", "ceec837d72a7", 350, 15),
 }
+# sha256 prefix of the concatenated traces, as written, of the solved
+# default-suite runs' forced-sequential replays at plan seed 42, their total
+# action count and the number of replays: any moved replay leg changes them
+REPLAY_DIGEST = ("95b935c2c0b5", 1889, 200)
 
 
 def _v1_samples(leg) -> list[str]:
@@ -256,6 +260,22 @@ def test_behaviour_digest_unchanged(suite_results):
     assert (*digests, actions) == want, (
         f"behaviour digests {digests} with {actions} actions; a change that "
         "alters plans must say why and record the new digests"
+    )
+
+
+def test_replay_digest_unchanged(suite_results):
+    digest = hashlib.sha256()
+    actions = replays = 0
+    for inst, metrics, record, _, _ in suite_results:
+        if metrics.success:
+            forced, replay = sim.run_instance(
+                inst, 42, force_sequential=True, forced_subs=record.subs
+            )
+            digest.update(sim.dumps_trace(replay.trace).encode())
+            actions += forced.actions
+            replays += 1
+    assert (digest.hexdigest()[:12], actions, replays) == REPLAY_DIGEST, (
+        "a change that moves a replay leg must say why and record the new digest"
     )
 
 

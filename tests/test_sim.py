@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from sdar import instances, motion, sim
+from sdar import depgraph, instances, motion, sim, taskplan
 from sdar.baseline import single_arm_optimal_actions
 from sdar.geom import Pose2
 from sdar.motion import ArmTask, InstantiatedSubTask, Stage, default_arms, plan_sync
@@ -230,10 +230,15 @@ def test_an_arm_pair_shares_what_its_arms_line_states():
     # verifier, not planned or checked as the first arm's values
     inst = instances.showcase9()
     a1, a2 = arms = default_arms(inst.workspace)
-    text = dumps_trace(run_instance(inst, 0)[1].trace)
+    record = run_instance(inst, 0)[1]
+    text = dumps_trace(record.trace)
 
     def verified_with(inst, seed, pair):
         return verify_trace(text, inst, pair)
+
+    def replayed_with(inst, seed, pair):
+        # the replay opens no planner session, so it checks the pair itself
+        return run_instance(inst, seed, pair, force_sequential=True, forced_subs=record.subs)
 
     for name, other in (
         ("reach", replace(a2, reach=a2.reach + 5.0, ee_radius=0.03, clearance=0.05)),
@@ -242,7 +247,7 @@ def test_an_arm_pair_shares_what_its_arms_line_states():
     ):
         for pair in ((a1, other), (other, a1)):
             v1, v2 = (getattr(arm, name) for arm in pair)
-            for call in (run_instance, verified_with):
+            for call in (run_instance, verified_with, replayed_with):
                 with pytest.raises(ValueError) as err:
                     call(inst, 0, pair)
                 assert str(err.value) == f"the arms differ in {name}: {v1!r} and {v2!r}"
@@ -273,6 +278,10 @@ NOT_A_COUNT = "is not a count as str(int) writes one"
     "prefix, field, value, detail",
     [
         ("grip ", 2, "2", "arm index 2 is not 0 or 1"),
+        # a knot, grip or place line naming a leg not yet given
+        ("k 0 ", 1, "9", "k leg 9 is not the leg given last"),
+        ("grip 0 ", 1, "9", "grip leg 9 is not the leg given last"),
+        ("place 1 ", 1, "9", "place leg 9 is not the leg given last"),
         ("k 0 ", 2, "-1", "arm index -1 is not 0 or 1"),
         ("grip ", 3, "squeeze", "grip action 'squeeze' is not close or open"),
         ("place ", 6, "shelf", "place kind 'shelf' is not one of goal, buffer"),
@@ -305,7 +314,8 @@ NOT_A_COUNT = "is not a count as str(int) writes one"
         ),
     ],
     ids=[
-        "grip-arm-2", "knot-arm-minus-1", "grip-action-squeeze", "place-kind-shelf",
+        "grip-arm-2", "knot-unknown-leg", "grip-unknown-leg", "place-unknown-leg",
+        "knot-arm-minus-1", "grip-action-squeeze", "place-kind-shelf",
         "leg-mode-teleport", "angle-sideways", "angle-nope", "header-keyword", "header-seed",
         "leg-keyword", "metrics-keyword", "success-2", "success-minus-7", "actions-plus",
         "actions-underscore", "sync-steps-zero", "buffers-arabic-indic-1", "fallbacks-twice",
@@ -330,6 +340,15 @@ def _with_extra_field(lines, prefix):
     return lines[:k] + [lines[k] + " 0.5"] + lines[k + 1 :], k
 
 
+def _moved_below(lines, prefix, leg):
+    """The lines with the first one starting with `prefix` moved to just
+    below the `leg` line, and its new index."""
+    moved = next(ln for ln in lines if ln.startswith(prefix))
+    lines = [ln for ln in lines if ln is not moved]
+    k = next(i for i, ln in enumerate(lines) if ln.startswith(f"leg {leg} ")) + 1
+    return lines[:k] + [moved] + lines[k:], k
+
+
 @pytest.mark.parametrize(
     "forge, detail",
     [
@@ -341,8 +360,15 @@ def _with_extra_field(lines, prefix):
         (lambda lines: _with_extra_field(lines, "grip "), "grip line has 7 fields, not 6"),
         (lambda lines: (lines + lines[-1:], len(lines)), "a line follows the metrics line"),
         (lambda lines: (lines[:3] + lines[-1:] + lines[3:-1], 4), "a line follows the metrics line"),
+        # a line of an earlier leg, below a later leg line, out of dumps_trace's order
+        (lambda lines: _moved_below(lines, "k 0 ", 1), "k leg 0 is not the leg given last"),
+        (lambda lines: _moved_below(lines, "grip 0 ", 1), "grip leg 0 is not the leg given last"),
+        (lambda lines: _moved_below(lines, "place 1 ", 2), "place leg 1 is not the leg given last"),
     ],
-    ids=["unknown-kind", "knot-extra-field", "grip-extra-field", "second-metrics", "metrics-first"],
+    ids=[
+        "unknown-kind", "knot-extra-field", "grip-extra-field", "second-metrics", "metrics-first",
+        "knot-of-an-earlier-leg", "grip-of-an-earlier-leg", "place-of-an-earlier-leg",
+    ],
 )
 def test_trace_out_of_layout_cannot_be_parsed(forge, detail):
     # a line the parser would not read is an error, not passed over
@@ -576,19 +602,29 @@ def test_forced_sequential_replay_preserves_plan():
 
 
 def test_replay_plans_no_task_and_no_motion(monkeypatch):
-    # the replay walks the recorded sub-tasks on the sequential rung alone
+    # the replay walks the recorded sub-tasks on the sequential rung alone:
+    # it opens no planner session, builds no footprint and checks no table,
+    # as the planned run checked each round it recorded
     inst = instances.gen_mixed(5)
     metrics, rec = run_instance(inst, 21)
     calls = []
 
-    def counted(name):
-        fn = getattr(sim, name)
-        monkeypatch.setattr(sim, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
 
-    counted("next_task_plan")
-    counted("plan_motion")
+    counted(sim, "next_task_plan")
+    counted(sim, "plan_motion")
+    counted(sim, "arrangement_violations")
+    counted(taskplan.PlannerSession, "__post_init__")
+    counted(taskplan, "footprint")
+    counted(depgraph, "footprint")
     forced, frec = run_instance(inst, 21, force_sequential=True, forced_subs=rec.subs)
     assert forced.success and calls == []
+    # the probes see the planned run make each of these calls
+    assert run_instance(inst, 21)[1].subs == rec.subs
+    probed = {"next_task_plan", "plan_motion", "arrangement_violations", "__post_init__", "footprint"}
+    assert set(calls) == probed
     assert frec.subs == rec.subs
     assert forced.sync_steps == metrics.sync_steps == len(frec.trace.legs) // 2
     assert all(leg.mode == "sequential" and not leg.candidates for leg in frec.trace.legs)
