@@ -14,6 +14,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
 
@@ -71,6 +72,13 @@ def _checked_label(label: str) -> str:
 
 @dataclass(frozen=True)
 class Instance:
+    """A table to rearrange: its workspace, object shapes, start and goal
+    arrangements, label and generator seed.
+
+    An instance is never edited in place, its fields' dicts included: build
+    a new one with `dataclasses.replace`.  Its `digest` is computed once, at
+    first use, and kept; a replaced copy computes its own."""
+
     workspace: Workspace
     shapes: Shapes
     start: Arrangement
@@ -99,9 +107,19 @@ class Instance:
             footprints(self.start, self.shapes), footprints(self.goal, self.shapes)
         )
 
+    @cached_property
+    def digest(self) -> str:
+        """The first 12 hex digits of the sha256 of the instance's file text
+        (`dumps`), which a trace's header names.  It is kept in the
+        instance's `__dict__`, outside its fields, so `==` and `repr` do not
+        see it and a pickled copy carries it."""
+        return hashlib.sha256(dumps(self).encode()).hexdigest()[:12]
+
 
 def instance_hash(inst: Instance) -> str:
-    return hashlib.sha256(dumps(inst).encode()).hexdigest()[:12]
+    """`inst.digest`: the planned run, its replay and the verifier of one
+    instance share one computation."""
+    return inst.digest
 
 
 def _validate(inst: Instance, start_boxes, goal_boxes) -> list[str]:

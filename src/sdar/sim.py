@@ -6,7 +6,10 @@ the single-arm oracle, and the makespan of its forced-sequential replay.
 A run's trace is its record: `_metrics` reads its metrics off the legs.
 Only a planned run holds a planner session: it applies and checks each
 round once the round is recorded.  The replay walks the recorded sub-tasks
-from the arms' retract points and checks no round again.
+from the arms' retract points and checks no round again.  The planned run,
+the verifier and the replay of a row each name the instance by its digest
+(`instances.instance_hash`), which the `Instance` computes once and all
+three share.
 
 A trace records each leg's path knots exactly; the verifier and the
 renderer read the arms' points off them with `geom.PathWalker`, the walker

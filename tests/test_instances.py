@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -174,6 +175,42 @@ def test_every_accepted_label_survives_its_file(label):
     again = loads(dumps(inst))
     assert again.label == label
     assert instances.instance_hash(again) == instances.instance_hash(inst)
+
+
+def _start_moved(inst, obj, dx):
+    """A `dataclasses.replace` copy of `inst` with `obj`'s start pose moved
+    by `dx` along x."""
+    p = inst.start.pose_of(obj)
+    start = Arrangement({**inst.start.poses, obj: Pose2(p.x + dx, p.y, p.theta)})
+    return dataclasses.replace(inst, start=start)
+
+
+def test_digest_is_the_sha256_of_the_file_text():
+    for inst in instances.default_suite():
+        digest = hashlib.sha256(dumps(inst).encode()).hexdigest()[:12]
+        assert instances.instance_hash(inst) == inst.digest == digest
+
+
+def test_digest_survives_pickle_and_the_file():
+    # `sdar bench --jobs` pickles instances to its workers; the digest is kept
+    # outside the fields, so equality and repr do not see it
+    inst = instances.showcase9()
+    fresh = pickle.loads(pickle.dumps(inst))  # pickled before its first digest
+    digest = inst.digest
+    for copy in (fresh, pickle.loads(pickle.dumps(inst)), loads(dumps(inst))):
+        assert copy == inst and copy.digest == digest
+    assert inst == instances.showcase9()
+    assert repr(inst) == repr(instances.showcase9()) and digest not in repr(inst)
+
+
+def test_a_replaced_copy_computes_its_own_digest():
+    inst = instances.showcase9()
+    digest = inst.digest
+    edited = _start_moved(inst, 7, -0.02)
+    assert loads(dumps(edited)) == edited
+    assert edited.digest == hashlib.sha256(dumps(edited).encode()).hexdigest()[:12]
+    assert edited.digest != digest == inst.digest
+    assert dataclasses.replace(edited, start=inst.start).digest == digest
 
 
 def test_load_rejects_overlapping_start():

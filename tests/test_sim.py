@@ -103,6 +103,46 @@ def test_verify_rejects_wrong_instance():
     assert not ok and "hash" in msg
 
 
+def test_a_trace_names_the_digest_of_its_own_instance():
+    # a copy with one start pose moved computes its own digest, so the trace
+    # of the original is not a trace of the copy
+    inst = instances.showcase9()
+    _, rec = run_instance(inst, 0)
+    p = inst.start.pose_of(7)
+    edited = replace(
+        inst, start=depgraph.Arrangement({**inst.start.poses, 7: Pose2(p.x - 0.02, p.y)})
+    )
+    digest, other = instances.instance_hash(inst), instances.instance_hash(edited)
+    assert rec.trace.instance_hash == digest != other
+    assert verify_trace(rec.trace, inst) == (True, "ok")
+    assert verify_trace(rec.trace, edited) == (False, "instance hash mismatch")
+    sim.check_frames(rec.trace, inst)
+    with pytest.raises(ValueError, match=f"^trace is of instance {digest}, not {other}$"):
+        sim.check_frames(rec.trace, edited)
+
+
+def test_a_row_hashes_its_instance_once(monkeypatch):
+    # the planned run, the verifier and the replay share the instance's
+    # digest, computed at its first use: one `dumps` per instance, and none
+    # when the instance is evaluated again
+    calls = []
+    dumps = instances.dumps
+    monkeypatch.setattr(instances, "dumps", lambda inst: calls.append(inst) or dumps(inst))
+    inst = instances.showcase9()
+    ev = sim.evaluate(inst, 42)
+    assert ev.verdict == (True, "ok") and ev.seq_makespan is not None
+    assert len(calls) == 1 and calls[0] is inst
+    sim.evaluate(inst, 42)
+    assert len(calls) == 1
+    # a benchmark row's sequence: the run, its verification, the forced replay
+    inst = instances.gen_mixed(5)
+    metrics, rec = run_instance(inst, 21)
+    assert verify_trace(rec.trace, inst) == (True, "ok")
+    forced, _ = run_instance(inst, 21, force_sequential=True, forced_subs=rec.subs)
+    assert metrics.success and forced.success
+    assert len(calls) == 2 and calls[1] is inst
+
+
 def test_verify_rejects_clearance_violation():
     inst = instances.gen_random(3, 4)
     _, rec = run_instance(inst, 0)
