@@ -8,7 +8,9 @@ need a swap (length 2) or one buffer relocation (length >= 3).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .geom import OrientedBox, Pose2, Workspace, box_at, inside, overlaps
 
@@ -17,23 +19,26 @@ class InfeasibleArrangement(Exception):
     pass
 
 
-Shapes = dict[int, tuple[float, float]]
+Shapes = Mapping[int, tuple[float, float]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Arrangement:
-    """Full assignment of object ids to table poses."""
+    """Object ids to table poses; `poses` is a read-only view of a copy."""
 
-    poses: dict[int, Pose2]
+    poses: Mapping[int, Pose2]
+
+    def __post_init__(self):
+        object.__setattr__(self, "poses", MappingProxyType(dict(self.poses)))
+
+    def __reduce__(self):  # a read-only view does not pickle; its dict does
+        return Arrangement, (dict(self.poses),)
 
     def on_table(self) -> list[tuple[int, Pose2]]:
         return sorted(self.poses.items())
 
     def pose_of(self, obj: int) -> Pose2:
         return self.poses[obj]
-
-    def copy(self) -> "Arrangement":
-        return Arrangement(dict(self.poses))
 
 
 def footprint(obj: int, pose: Pose2, shapes: Shapes) -> OrientedBox:

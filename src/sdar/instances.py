@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
+from types import MappingProxyType
 
 from .depgraph import (
     Arrangement,
@@ -75,9 +76,11 @@ class Instance:
     """A table to rearrange: its workspace, object shapes, start and goal
     arrangements, label and generator seed.
 
-    An instance is never edited in place, its fields' dicts included: build
-    a new one with `dataclasses.replace`.  Its `digest` is computed once, at
-    first use, and kept; a replaced copy computes its own."""
+    An instance is never edited in place: its fields cannot be reassigned,
+    and `shapes` and the arrangements' poses are read-only views of copies
+    made at construction.  Build a new one with `dataclasses.replace`.  Its
+    `digest` is computed once, at first use, and kept; a replaced copy
+    computes its own."""
 
     workspace: Workspace
     shapes: Shapes
@@ -88,6 +91,11 @@ class Instance:
 
     def __post_init__(self):
         _checked_label(self.label)
+        object.__setattr__(self, "shapes", MappingProxyType(dict(self.shapes)))
+
+    def __reduce__(self):  # `sdar bench --jobs` pickles instances to its workers
+        fields = self.workspace, dict(self.shapes), self.start, self.goal, self.label, self.seed
+        return Instance, fields
 
     @property
     def n(self) -> int:
@@ -112,7 +120,8 @@ class Instance:
         """The first 12 hex digits of the sha256 of the instance's file text
         (`dumps`), which a trace's header names.  It is kept in the
         instance's `__dict__`, outside its fields, so `==` and `repr` do not
-        see it and a pickled copy carries it."""
+        see it; a pickled copy is rebuilt from its fields and computes it
+        again."""
         return hashlib.sha256(dumps(self).encode()).hexdigest()[:12]
 
 
@@ -500,9 +509,7 @@ def showcase9() -> Instance:
 def identity_instance(n: int = 3, seed: int = 0) -> Instance:
     """Start equals goal: nothing to do."""
     inst = gen_random(n, seed)
-    return Instance(
-        inst.workspace, inst.shapes, inst.start, inst.start.copy(), f"I{n}", seed
-    )
+    return Instance(inst.workspace, inst.shapes, inst.start, inst.start, f"I{n}", seed)
 
 
 def default_suite() -> list[Instance]:

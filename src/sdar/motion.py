@@ -22,7 +22,9 @@ Each buffer listing is one `BufferStream`, keyed (plan seed, round, object,
 listing) so that no pose depends on earlier draws, whose current pass draws
 one pose at a time, only as far as the option ranking reads the listing.
 `sequential_round` plans the same two legs on the sequential rung alone,
-for the forced-sequential replay.
+for the forced-sequential replay.  A path is a plain list of (t, x, y)
+knots from t = 0, read with `geom.PathWalker` by the planner, the trace and
+the verifier alike, and a sub-task is its two arms' `ArmTask`s.
 """
 
 from __future__ import annotations
@@ -166,24 +168,8 @@ def default_arms(
 # ------------------------------------------------------------------ paths
 
 
-@dataclass
-class ArmPath:
-    """Piecewise-linear EE path of (t, x, y) knots over [0, duration] in
-    absolute time, read with `geom.PathWalker`."""
-
-    knots: list[tuple[float, float, float]]
-
-    @property
-    def duration(self) -> float:
-        return self.knots[-1][0]
-
-    @property
-    def end(self) -> Point:
-        return self.knots[-1][1:]
-
-
-def _timed(points: list[Point], depart: float = 0.0) -> ArmPath:
-    """Unit-speed path through points, departing at `depart`."""
+def _timed(points: list[Point], depart: float = 0.0) -> list:
+    """Unit-speed knots through points, departing at `depart`."""
     knots = [(0.0, *points[0])]
     if depart > 0.0:
         knots.append((depart, *points[0]))
@@ -191,22 +177,22 @@ def _timed(points: list[Point], depart: float = 0.0) -> ArmPath:
     for a, b in zip(points, points[1:]):
         t += dist(a, b)
         knots.append((t, *b))
-    return ArmPath(knots)
+    return knots
 
 
-def _pad(path: ArmPath, duration: float) -> ArmPath:
-    if path.duration < duration - 1e-12:
-        return ArmPath(path.knots + [(duration, *path.end)])
-    return path
+def _pad(knots: list, duration: float) -> list:
+    if knots[-1][0] < duration - 1e-12:
+        return knots + [(duration, *knots[-1][1:])]
+    return knots
 
 
 @dataclass
 class SyncMotion:
-    """A synchronized pair of timed EE paths for one leg."""
+    """One leg's synchronized pair of paths, one knot list per arm padded to
+    the leg's duration; the leg's parity says whether it grasps or places."""
 
-    stage: Stage
     mode: Mode
-    paths: tuple[ArmPath, ArmPath]
+    paths: tuple[list, list]
     duration: float
     # per-arm time at which the gripper event (CLOSE/OPEN) fires
     event_times: tuple[Optional[float], Optional[float]]
@@ -225,7 +211,7 @@ def _limit(arms: tuple[ArmModel, ArmModel]) -> float:
 
 
 def validate_motion(
-    paths: tuple[ArmPath, ArmPath], arms: tuple[ArmModel, ArmModel], duration: float
+    paths: tuple[list, list], arms: tuple[ArmModel, ArmModel], duration: float
 ) -> Optional[Conflict]:
     """First arm-arm clearance violation on the planner's grid, or None.
 
@@ -256,7 +242,7 @@ def validate_motion(
     else:
         steps = max(int(round(VALIDATE_REFINE / DT)), int(math.ceil(duration / VALIDATE_GUARD)))
     limit = _limit(arms)
-    speed = max_speed(paths[0].knots) + max_speed(paths[1].knots)
+    speed = max_speed(paths[0]) + max_speed(paths[1])
     # bound on the clearance change between neighbouring samples (inf*0 is nan)
     per_step = math.inf if speed == math.inf else speed * (duration / steps)
     base0, base1 = arms[0].base, arms[1].base
@@ -267,16 +253,16 @@ def validate_motion(
         uy = (base1[1] - by) / span
         # a sample's point lies in the hull of its path's knots
         size = max(map(abs, (*base0, *base1)))
-        for path in paths:
-            for _, x, y in path.knots:
+        for knots in paths:
+            for _, x, y in knots:
                 size = max(size, abs(x), abs(y))
         margin = size * AXIS_ROUNDING
     else:
         ux = uy = 0.0
         margin = math.inf  # no axis: every sample takes the exact distance
     # the sample times never decrease, so each arm's walker reads on
-    point0 = PathWalker(paths[0].knots).point
-    point1 = PathWalker(paths[1].knots).point
+    point0 = PathWalker(paths[0]).point
+    point1 = PathWalker(paths[1]).point
     k = 0
     while k <= steps:
         t = duration * k / steps
@@ -640,9 +626,8 @@ class ArmTask:
     to_buffer: bool = False
 
 
-@dataclass(frozen=True)
-class InstantiatedSubTask:
-    tasks: tuple[ArmTask, ArmTask]
+# an idle arm's task is an empty `ArmTask()`
+SubTask = tuple[ArmTask, ArmTask]
 
 
 def _other_base_ok(point: Point, other: ArmModel, clearance: float) -> bool:
@@ -808,7 +793,7 @@ def _single_moves(session: PlannerSession, obj: int, kind: str, listing: int):
             yield (move, None) if arm_idx == 0 else (None, move)
 
 
-def _bind(session: PlannerSession, option, level) -> Optional[InstantiatedSubTask]:
+def _bind(session: PlannerSession, option, level) -> Optional[SubTask]:
     """Bind an option arm by arm at the first angle of `level` that suits
     each, or None."""
     tasks = []
@@ -822,7 +807,7 @@ def _bind(session: PlannerSession, option, level) -> Optional[InstantiatedSubTas
         if task is None:
             return None
         tasks.append(replace(task, to_buffer=True) if to_buffer else task)
-    return InstantiatedSubTask(tuple(tasks))
+    return tuple(tasks)
 
 
 def _buffer_options(session: PlannerSession, obj: int, listing: int) -> BufferStream:
@@ -839,11 +824,10 @@ def _buffer_options(session: PlannerSession, obj: int, listing: int) -> BufferSt
 # ------------------------------------------------------------------ legs
 
 
-def _leg_endpoints(sub: InstantiatedSubTask, stage: Stage, ee, arms):
+def _leg_endpoints(sub: SubTask, stage: Stage, ee, arms):
     """Per-arm (start, goal_point, carried) for one leg of the round."""
     out = []
-    for a in (0, 1):
-        task = sub.tasks[a]
+    for a, task in enumerate(sub):
         start = tuple(ee[a])
         if task.obj is None:
             out.append((start, arms[a].retract, None))
@@ -856,7 +840,7 @@ def _leg_endpoints(sub: InstantiatedSubTask, stage: Stage, ee, arms):
 
 def _arriving(paths, pts):
     """(paths, arrival): a carrying arm's gripper event ends its path."""
-    return paths, [p.duration if c is not None else None for p, (_, _, c) in zip(paths, pts)]
+    return paths, [p[-1][0] if c is not None else None for p, (_, _, c) in zip(paths, pts)]
 
 
 def _straight(pts, delays=(0.0, 0.0)):
@@ -873,18 +857,18 @@ def _phases(pts, arms, first: int, serial: bool):
     s_s, g_s, _ = pts[second]
     r_f, r_s = arms[first].retract, arms[second].retract
     retreat = _timed([s_f, r_f])
-    work = _timed([s_s, g_s], depart=retreat.duration if serial else 0.0)
+    work = _timed([s_s, g_s], depart=retreat[-1][0] if serial else 0.0)
     if serial:
-        turn = work.duration
+        turn = work[-1][0]
         swap = turn + dist(g_s, r_s)
     else:
-        turn = swap = max(retreat.duration, work.duration)
+        turn = swap = max(retreat[-1][0], work[-1][0])
     paths = [None, None]
     arrival = [None, None]
-    paths[first] = ArmPath(_pad(retreat, swap).knots + _shift(_timed([r_f, g_f]).knots[1:], swap))
-    paths[second] = ArmPath(_pad(work, turn).knots + _shift(_timed([g_s, r_s]).knots[1:], turn))
+    paths[first] = _pad(retreat, swap) + _shift(_timed([r_f, g_f])[1:], swap)
+    paths[second] = _pad(work, turn) + _shift(_timed([g_s, r_s])[1:], turn)
     arrival[first] = swap + dist(r_f, g_f)
-    arrival[second] = work.duration
+    arrival[second] = work[-1][0]
     return paths, arrival
 
 
@@ -892,27 +876,27 @@ def _shift(knots: list[tuple[float, float, float]], offset: float):
     return [(t + offset, x, y) for t, x, y in knots]
 
 
-def _first_valid(arms, stage: Stage, mode: Mode, variants) -> SyncMotion | Conflict:
+def _first_valid(arms, mode: Mode, variants) -> SyncMotion | Conflict:
     """Pad each (paths, arrival) variant to a common duration, wrap it as a
     SyncMotion and validate it: the first valid motion, else the last
     Conflict."""
     bad = None
     for paths, arrival in variants:
-        duration = max(paths[0].duration, paths[1].duration)
+        duration = max(paths[0][-1][0], paths[1][-1][0])
         padded = (_pad(paths[0], duration), _pad(paths[1], duration))
         bad = validate_motion(padded, arms, duration)
         if bad is None:
-            return SyncMotion(stage, mode, padded, duration, tuple(arrival))
+            return SyncMotion(mode, padded, duration, tuple(arrival))
     return bad
 
 
-def plan_sync(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> SyncMotion | Conflict:
+def plan_sync(sub: SubTask, arms, stage: Stage, ee) -> SyncMotion | Conflict:
     """Straight-line synchronized motion for one leg, validated by sampling."""
     pts = _leg_endpoints(sub, stage, ee, arms)
-    return _first_valid(arms, stage, Mode.SYNCHRONOUS, [_straight(pts)])
+    return _first_valid(arms, Mode.SYNCHRONOUS, [_straight(pts)])
 
 
-def untangle(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> Optional[SyncMotion]:
+def untangle(sub: SubTask, arms, stage: Stage, ee) -> Optional[SyncMotion]:
     """Departure delays for the shorter-path arm (25% then 50%), then
     home-side via-point routing; first variant that validates wins."""
     pts = _leg_endpoints(sub, stage, ee, arms)
@@ -928,24 +912,24 @@ def untangle(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> Optional[SyncM
         for a, (s, g, _) in enumerate(pts)
     ]
     variants.append(_arriving(via, pts))
-    res = _first_valid(arms, stage, Mode.UNTANGLED, variants)
+    res = _first_valid(arms, Mode.UNTANGLED, variants)
     return res if isinstance(res, SyncMotion) else None
 
 
-def sequential_fallback(sub: InstantiatedSubTask, arms, stage: Stage, ee) -> SyncMotion:
+def sequential_fallback(sub: SubTask, arms, stage: Stage, ee) -> SyncMotion:
     """Arm 1 retreats while arm 2 completes its task, then arm 2 retreats
     while arm 1 completes; if that choreography still conflicts, the mirrored
     and fully serial variants are tried before giving up.  A lone working arm
     sets out once the idle arm is parked."""
     pts = _leg_endpoints(sub, stage, ee, arms)
-    active = [a for a in (0, 1) if sub.tasks[a].obj is not None]
+    active = [a for a, task in enumerate(sub) if task.obj is not None]
     if len(active) == 2:
         variants = (_phases(pts, arms, first, serial) for serial in (False, True) for first in (0, 1))
     else:
         # the idle arm parks first
         delays = [dist(*pts[1 - a][:2]) if a in active else 0.0 for a in (0, 1)]
         variants = [_straight(pts, delays)]
-    res = _first_valid(arms, stage, Mode.SEQUENTIAL, variants)
+    res = _first_valid(arms, Mode.SEQUENTIAL, variants)
     if isinstance(res, Conflict):
         raise SubTaskInfeasible(f"sequential leg invalid at t={res.t:.3f}: {res.detail}")
     return res
@@ -979,17 +963,17 @@ def _legs(sub, arms, ee, rung) -> tuple[SyncMotion, SyncMotion]:
     goal-bound leg from where the start leg ends.  SubTaskInfeasible if the
     rung cannot plan either."""
     start = rung(sub, arms, Stage.TO_START, ee)
-    goal = rung(sub, arms, Stage.TO_GOAL, [p.end for p in start.paths])
+    goal = rung(sub, arms, Stage.TO_GOAL, [knots[-1][1:] for knots in start.paths])
     return start, goal
 
 
-def sequential_round(sub: InstantiatedSubTask, arms, ee) -> tuple[SyncMotion, SyncMotion]:
+def sequential_round(sub: SubTask, arms, ee) -> tuple[SyncMotion, SyncMotion]:
     """Both legs of a recorded round on the sequential rung alone: the step
     of the forced-sequential replay."""
     return _legs(sub, arms, ee, sequential_fallback)
 
 
-def plan_motion(plan: TaskPlan, session: PlannerSession) -> tuple[InstantiatedSubTask, SyncMotion, SyncMotion]:
+def plan_motion(plan: TaskPlan, session: PlannerSession) -> tuple[SubTask, SyncMotion, SyncMotion]:
     """Select the round's sub-task and plan both of its legs.
 
     The sub-tasks of `_iter_instantiations` are tried in order; the first

@@ -11,9 +11,10 @@ the verifier and the replay of a row each name the instance by its digest
 (`instances.instance_hash`), which the `Instance` computes once and all
 three share.
 
-A trace records each leg's path knots exactly; the verifier and the
-renderer read the arms' points off them with `geom.PathWalker`, the walker
-the planner validates its legs with.  The verifier (`verify_trace`) replays
+A path is a list of (t, x, y) knots, and a sub-task its two arms'
+`motion.ArmTask`s, as in the planner.  A trace records each leg's knots
+exactly (its parity says whether it grasps or places), and the verifier
+and the renderer read the arms' points off them with `geom.PathWalker`.  The verifier (`verify_trace`) replays
 a trace file against the problem definition using only the geometric
 primitives, independent of the planner code paths, from finite numbers to
 a metrics line that `_metrics` reads off the legs again; `_uncertified`
@@ -38,7 +39,6 @@ from .motion import (
     GraspAngle,
     Mode,
     MotionFailure,
-    Stage,
     SubTaskInfeasible,
     default_arms,
     plan_motion,
@@ -105,11 +105,11 @@ def new_session(instance: Instance, seed: int, arms=None) -> PlannerSession:
 
 
 def _record_leg(trace, sub, motion, candidates):
-    angles = tuple(t.angle.value if t.angle else None for t in sub.tasks)
-    grasp = motion.stage == Stage.TO_START
+    angles = tuple(t.angle.value if t.angle else None for t in sub)
+    grasp = len(trace.legs) % 2 == 0
     grips = []
     places = []
-    for a, task in enumerate(sub.tasks):
+    for a, task in enumerate(sub):
         if task.obj is None:
             continue
         grips.append((a, "close" if grasp else "open", task.obj, motion.event_times[a]))
@@ -122,7 +122,7 @@ def _record_leg(trace, sub, motion, candidates):
             angles=angles,
             candidates=list(candidates),
             duration=motion.duration,
-            knots=[path.knots for path in motion.paths],
+            knots=list(motion.paths),
             grips=grips,
             places=places,
         )
@@ -148,7 +148,7 @@ def _planned_rounds(session: PlannerSession):
         sub, start, goal = plan_motion(plan, session)
         yield sub, start, goal, plan.candidates
         session.apply_round(sub, goal)
-        moved = {task.obj for task in sub.tasks if task.obj is not None} if done else None
+        moved = {task.obj for task in sub if task.obj is not None} if done else None
         issues = arrangement_violations(session.boxes, inst.workspace, moved)
         if issues:
             raise ValidationFailure(f"infeasible arrangement after round {done + 1}: {issues}")
@@ -168,7 +168,7 @@ def _replayed_rounds(arms, subs):
         except SubTaskInfeasible as exc:
             raise MotionFailure(f"forced sub-task failed: {exc}") from exc
         yield sub, start, goal, []
-        ee = [goal.paths[0].end, goal.paths[1].end]
+        ee = [knots[-1][1:] for knots in goal.paths]
 
 
 def _commit(trace: Trace, rounds) -> tuple[RunMetrics, RunRecord]:

@@ -100,10 +100,10 @@ class PlannerSession:
     def apply_round(self, sub, goal_motion) -> None:
         """Update the session after a round's sub-task: the arms end where
         the goal-bound leg ends, and each moved object sits at its target."""
-        self.ee = [goal_motion.paths[0].end, goal_motion.paths[1].end]
+        self.ee = [knots[-1][1:] for knots in goal_motion.paths]
         self.round += 1
         moved = set()
-        for task in sub.tasks:
+        for task in sub:
             if task.obj is None:
                 continue
             moved.add(task.obj)

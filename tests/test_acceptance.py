@@ -15,7 +15,6 @@ from sdar.geom import overlaps
 from sdar.motion import (
     DT,
     ArmTask,
-    InstantiatedSubTask,
     Mode,
     Pose2,
     Stage,
@@ -341,11 +340,9 @@ def test_criterion_7_trajectory_soundness(suite_results):
 
 
 def _leg(e1, t1, e2, t2):
-    sub = InstantiatedSubTask(
-        tasks=(
-            ArmTask(obj=0, pick=e1, target=Pose2(*t1)),
-            ArmTask(obj=1, pick=e2, target=Pose2(*t2)),
-        )
+    sub = (
+        ArmTask(obj=0, pick=e1, target=Pose2(*t1)),
+        ArmTask(obj=1, pick=e2, target=Pose2(*t2)),
     )
     return sub, [e1, e2]
 

@@ -192,7 +192,8 @@ def test_digest_is_the_sha256_of_the_file_text():
 
 
 def test_digest_survives_pickle_and_the_file():
-    # `sdar bench --jobs` pickles instances to its workers; the digest is kept
+    # `sdar bench --jobs` pickles instances to its workers, which rebuild
+    # them from plain dicts and compute the digest again; the digest is kept
     # outside the fields, so equality and repr do not see it
     inst = instances.showcase9()
     fresh = pickle.loads(pickle.dumps(inst))  # pickled before its first digest
@@ -201,6 +202,25 @@ def test_digest_survives_pickle_and_the_file():
         assert copy == inst and copy.digest == digest
     assert inst == instances.showcase9()
     assert repr(inst) == repr(instances.showcase9()) and digest not in repr(inst)
+
+
+def test_an_instance_cannot_be_edited_in_place():
+    # its digest is kept, so an edit in place would leave it stale: the
+    # shapes and poses are read-only views, of copies of the dicts given
+    inst = instances.showcase9()
+    digest = inst.digest
+    with pytest.raises(TypeError):
+        inst.start.poses[7] = Pose2(0.1, 0.1)
+    with pytest.raises(TypeError):
+        inst.shapes[0] = (0.05, 0.05)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.start.poses = {}
+    shapes, poses = dict(inst.shapes), dict(inst.start.poses)
+    built = instances.Instance(inst.workspace, shapes, Arrangement(poses), inst.goal, inst.label, inst.seed)
+    shapes[0] = (0.05, 0.05)
+    poses[7] = Pose2(0.1, 0.1)
+    assert built == inst and built.digest == digest
+    assert digest == hashlib.sha256(dumps(inst).encode()).hexdigest()[:12]
 
 
 def test_a_replaced_copy_computes_its_own_digest():
@@ -284,6 +304,40 @@ def test_bad_header_values_are_reported_at_their_own_line(line, text, message):
     assert str(err.value).startswith(f"<string>:{line}: bad header value: {message}")
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:3], "<string>:3: missing 'workspace' line"),
+        (lambda lines: [*lines[:6], "0" + lines[6][1:], *lines[7:]], "<string>:7: duplicate object id 0"),
+        (lambda lines: [*lines[:4], "objects 10", *lines[5:]], "<string>: object table has 9 rows, header says 10"),
+    ],
+    ids=["missing-header-line", "duplicate-id", "row-count"],
+)
+def test_malformed_object_tables_are_parse_errors(edit, message):
+    lines = dumps(instances.showcase9()).splitlines()
+    assert lines[6].startswith("1 ")
+    with pytest.raises(ParseError) as err:
+        loads("\n".join(edit(lines)) + "\n")
+    assert str(err.value) == message
+
+
+def test_gap_audit_names_near_flush_pairs():
+    # two squares of half side 0.03 whose sides lie MIN_GAP / 2 apart: in
+    # the start, or the goal of one beside the start of the other
+    shapes = {0: (0.03, 0.03), 1: (0.03, 0.03)}
+    flush = 0.06 + MIN_GAP / 2
+    apart = Arrangement({0: Pose2(0.2, 0.3), 1: Pose2(0.8, 0.3)})
+    beside = Arrangement({0: Pose2(0.2, 0.3), 1: Pose2(0.2 + flush, 0.3)})
+    elsewhere = Arrangement({0: Pose2(0.5, 0.1), 1: Pose2(0.8, 0.3)})
+    for start, goal, issue in (
+        (beside, elsewhere, "start: near-flush pair (0, 1)"),
+        (apart, Arrangement({0: Pose2(0.8 - flush, 0.3), 1: Pose2(0.5, 0.1)}), "goal 0 nearly flush with start 1"),
+    ):
+        inst = instances.Instance(Workspace(), shapes, start, goal, "X2", 0)
+        boxes = footprints(start, shapes), footprints(goal, shapes)
+        assert instances._gap_audit(inst, *boxes) == [issue]
+
+
 def test_showcase_fixture_file(tmp_path):
     inst = instances.showcase9()
     p = tmp_path / "showcase9.inst"
@@ -362,7 +416,7 @@ def _placements(place, n, seed, budget, ws):
             out.append((str(exc), rng.getstate()))
             break
         assert list(boxes.items()) == list(footprints(arr, shapes).items())
-        out.append((arr.poses, rng.getstate()))
+        out.append((dict(arr.poses), rng.getstate()))
         cross = boxes.values()
     return out
 

@@ -75,8 +75,8 @@ def test_selected_targets_never_overlap_live_footprints():
             sub = next(_iter_instantiations(plan, session), None)
             if sub is None:
                 continue
-            moving = {t.obj for t in sub.tasks if t.obj is not None}
-            for task in sub.tasks:
+            moving = {t.obj for t in sub if t.obj is not None}
+            for task in sub:
                 if task.obj is None:
                     continue
                 box = footprint(task.obj, task.target, inst.shapes)

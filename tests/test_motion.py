@@ -27,13 +27,12 @@ from sdar.motion import (
     VALIDATE_GUARD,
     VALIDATE_REFINE,
     ArmModel,
-    ArmPath,
     ArmTask,
     BufferSamplingExhausted,
     Conflict,
     GraspAngle,
-    InstantiatedSubTask,
     Mode,
+    MotionFailure,
     Stage,
     SubTaskInfeasible,
     SyncMotion,
@@ -62,18 +61,15 @@ ARMS = default_arms()
 
 
 def pair_leg(e1, t1, e2, t2):
-    sub = InstantiatedSubTask(
-        tasks=(
-            ArmTask(obj=0, pick=e1, target=Pose2(*t1)),
-            ArmTask(obj=1, pick=e2, target=Pose2(*t2)),
-        )
+    sub = (
+        ArmTask(obj=0, pick=e1, target=Pose2(*t1)),
+        ArmTask(obj=1, pick=e2, target=Pose2(*t2)),
     )
     return sub, [e1, e2]
 
 
 def untangle_kind(motion: SyncMotion) -> str:
-    knots = [p.knots for p in motion.paths]
-    delayed = any(len(k) > 2 and k[0][1:] == k[1][1:] and k[1][0] > 0 for k in knots)
+    delayed = any(len(k) > 2 and k[0][1:] == k[1][1:] and k[1][0] > 0 for k in motion.paths)
     return "delay" if delayed else "via"
 
 
@@ -1163,7 +1159,7 @@ def iter_instantiations_reference(plan, session):
                     for a, t in enumerate((t1, t2))
                 )
                 scored.append((travel, idx, b_idx, (t1, t2)))
-        out += [InstantiatedSubTask(tasks=tasks) for *_, tasks in sorted(scored, key=lambda s: s[:3])]
+        out += [tasks for *_, tasks in sorted(scored, key=lambda s: s[:3])]
     for listing, (obj, kind) in enumerate(plan.singles):
         if kind == GOAL:
             targets = [goal_of(obj)]
@@ -1184,7 +1180,7 @@ def iter_instantiations_reference(plan, session):
                     if task is not None:
                         tasks = [ArmTask(), ArmTask()]
                         tasks[arm_idx] = replace(task, to_buffer=kind != GOAL)
-                        out.append(InstantiatedSubTask(tasks=tuple(tasks)))
+                        out.append(tuple(tasks))
     return list(dict.fromkeys(out))
 
 
@@ -1227,7 +1223,7 @@ def test_drained_stream_never_repeats_a_sub_task(monkeypatch):
     def drained(plan, session):
         subs = list(lazy(plan, session))
         assert len(set(subs)) == len(subs), (session.instance.label, sorted(session.remaining))
-        singles.extend(sub for sub in subs if ArmTask() in sub.tasks)
+        singles.extend(sub for sub in subs if ArmTask() in sub)
         yield from lazy(plan, session)
 
     monkeypatch.setattr(motion, "_iter_instantiations", drained)
@@ -1312,7 +1308,7 @@ def test_first_ranked_buffer_option_draws_for_its_object_alone(monkeypatch):
         poses.clear()
         sub, _, _ = plan_motion(plan, session)
         assert sub == first
-        (parked,) = (t for t in sub.tasks if t.to_buffer)
+        (parked,) = (t for t in sub if t.to_buffer)
         assert drawn == [(parked.obj, motion.PAIR_LISTING)]
         assert len(poses) == drawn_poses < motion.K_BUFFERS and parked.target in poses
     assert poses == [parked.target]
@@ -1341,7 +1337,7 @@ def test_no_buffer_pose_lies_within_its_objects_pose_free_radius(monkeypatch):
     # square object: only the gap-0 pass finds room, some poses lie inside
     # the object's inner disc at MIN_GAP, and none within the radius
     start = Arrangement({0: Pose2(0.05, 0.15, 0.0)})
-    inst = instances.Instance(Workspace(0.23, 0.3), {0: (0.05, 0.05)}, start, start.copy(), "C1", 0)
+    inst = instances.Instance(Workspace(0.23, 0.3), {0: (0.05, 0.05)}, start, start, "C1", 0)
     session = sim.new_session(inst, 42)
     box = session.boxes[0]
     near = [dist(box.center.xy, pose.xy) for pose in real(session, 0, 0)]
@@ -1387,8 +1383,8 @@ def test_select_best_task_unobstructed_pair():
     session = sim.new_session(inst, 0)
     plan = next_task_plan(session)
     sub = first_instantiation(plan, session)
-    assert {t.obj for t in sub.tasks} == {0, 1}
-    assert all(t.angle == GraspAngle.TOP_DOWN_LONG for t in sub.tasks)
+    assert {t.obj for t in sub} == {0, 1}
+    assert all(t.angle == GraspAngle.TOP_DOWN_LONG for t in sub)
 
 
 def _escalation_instance():
@@ -1423,8 +1419,8 @@ def test_select_best_task_prefers_narrow_angle_set():
     plan = next_task_plan(session)
     assert (2, 3) in plan.candidates and (0, 1) in plan.candidates
     sub = first_instantiation(plan, session)
-    assert tuple(t.obj for t in sub.tasks) == (2, 3)
-    assert all(t.angle in (GraspAngle.TOP_DOWN_LONG, GraspAngle.TOP_DOWN_SHORT) for t in sub.tasks)
+    assert tuple(t.obj for t in sub) == (2, 3)
+    assert all(t.angle in (GraspAngle.TOP_DOWN_LONG, GraspAngle.TOP_DOWN_SHORT) for t in sub)
 
 
 def test_escalation_instance_still_solvable_with_side_grasps():
@@ -1446,7 +1442,7 @@ def test_cycle_round_selection_returns_safe_buffer():
     plan = next_task_plan(session)
     assert plan.need_buffer
     sub = first_instantiation(plan, session)
-    buffered = [t for t in sub.tasks if t.to_buffer]
+    buffered = [t for t in sub if t.to_buffer]
     assert buffered
     buffered_obj, buffer_pose = buffered[0].obj, buffered[0].target
     box = footprint(buffered_obj, buffer_pose, inst.shapes)
@@ -1487,13 +1483,11 @@ def test_plan_sync_crossing_assignment_conflicts():
 
 
 def test_plan_sync_single_arm_idle_is_a_point():
-    sub = InstantiatedSubTask(
-        tasks=(ArmTask(obj=0, pick=(0.3, 0.3), target=Pose2(0.3, 0.5)), ArmTask())
-    )
+    sub = (ArmTask(obj=0, pick=(0.3, 0.3), target=Pose2(0.3, 0.5)), ArmTask())
     ee = [(0.3, 0.3), ARMS[1].retract]
     motion = plan_sync(sub, ARMS, Stage.TO_GOAL, ee)
     assert isinstance(motion, SyncMotion)
-    xs = {(x, y) for _, x, y in motion.paths[1].knots}
+    xs = {(x, y) for _, x, y in motion.paths[1]}
     assert xs == {ARMS[1].retract}
 
 
@@ -1567,16 +1561,14 @@ def test_sequential_never_shorter_than_sync_on_random_legs():
 
 
 def test_sequential_single_arm_equals_sync_when_idle_parked():
-    sub = InstantiatedSubTask(
-        tasks=(ArmTask(obj=0, pick=(0.3, 0.3), target=Pose2(0.3, 0.5)), ArmTask())
-    )
+    sub = (ArmTask(obj=0, pick=(0.3, 0.3), target=Pose2(0.3, 0.5)), ArmTask())
     ee = [(0.3, 0.3), ARMS[1].retract]
     sync = plan_sync(sub, ARMS, Stage.TO_GOAL, ee)
     seq = sequential_fallback(sub, ARMS, Stage.TO_GOAL, ee)
     assert seq.mode == Mode.SEQUENTIAL
     assert seq.duration == pytest.approx(sync.duration)
     for a in (0, 1):
-        assert seq.paths[a].end == sync.paths[a].end
+        assert seq.paths[a][-1][1:] == sync.paths[a][-1][1:]
 
 
 # ------------------------------------------------------------ plan_motion
@@ -1611,13 +1603,47 @@ def test_goal_bound_leg_is_planned_once_at_selection(monkeypatch):
     sub, start_motion, goal_motion = plan_motion(plan, session)
     # the committed legs are the last two the ladder planned, in order
     assert planned[-2] is start_motion and planned[-1] is goal_motion
-    assert start_motion.stage == Stage.TO_START
-    assert goal_motion.stage == Stage.TO_GOAL
-    # the goal-bound leg starts where the start leg ends
-    for a in (0, 1):
-        assert goal_motion.paths[a].knots[0][1:] == start_motion.paths[a].end
+    # the start leg ends at the picks and the goal leg, which starts where
+    # the start leg ends, at the targets
+    for a, task in enumerate(sub):
+        assert start_motion.paths[a][-1][1:] == task.pick
+        assert goal_motion.paths[a][0] == (0.0, *start_motion.paths[a][-1][1:])
+        assert goal_motion.paths[a][-1][1:] == task.target.xy
+    # recorded in order, the start leg (even) grasps and the goal leg (odd) places
+    trace = sim.Trace(instances.instance_hash(inst), 42, session.arms)
+    sim._record_leg(trace, sub, start_motion, plan.candidates)
+    sim._record_leg(trace, sub, goal_motion, [])
+    assert [{action for _, action, _, _ in leg.grips} for leg in trace.legs] == [{"close"}, {"open"}]
+    assert [obj for obj, _, _ in trace.legs[1].places] == [task.obj for task in sub]
     session.apply_round(sub, goal_motion)
-    assert session.ee == [goal_motion.paths[0].end, goal_motion.paths[1].end]
+    assert session.ee == [knots[-1][1:] for knots in goal_motion.paths]
+
+
+def test_plan_motion_moves_past_a_sub_task_the_ladder_fails(monkeypatch):
+    # a sub-task whose legs fail the ladder is dropped for the next one in
+    # try order; when every sub-task fails, the last message is the failure
+    session = sim.new_session(instances.showcase9(), 42)
+    plan = next_task_plan(session)
+    subs = list(motion._iter_instantiations(plan, session))
+    assert len(subs) > 2
+    ladder = motion._ladder
+
+    def first_fails(sub, arms, stage, ee):
+        if sub == subs[0]:
+            raise SubTaskInfeasible("sequential leg invalid at t=0.500: arm clearance 0.0100")
+        return ladder(sub, arms, stage, ee)
+
+    monkeypatch.setattr(motion, "_ladder", first_fails)
+    sub, _, _ = plan_motion(plan, session)
+    assert sub == subs[1]
+
+    def all_fail(sub, arms, stage, ee):
+        raise SubTaskInfeasible(f"no leg moves {[task.obj for task in sub]}")
+
+    monkeypatch.setattr(motion, "_ladder", all_fail)
+    with pytest.raises(MotionFailure) as err:
+        plan_motion(plan, session)
+    assert str(err.value) == f"all instantiations failed: no leg moves {[task.obj for task in subs[-1]]}"
 
 
 def test_motion_determinism():
@@ -1655,7 +1681,7 @@ def full_scan_validate(paths, arms, duration):
     """validate_motion's grid and threshold with every sample checked in order."""
     clearance = max(arms[0].clearance, arms[1].clearance)
     for t in _grid_times(duration):
-        p1, p2 = (reference_point(path.knots, t) for path in paths)
+        p1, p2 = (reference_point(knots, t) for knots in paths)
         c = segment_clearance(arms[0].base, p1, arms[1].base, p2)
         if c < clearance + VALIDATE_GUARD - 1e-9:
             return Conflict(t / duration if duration > 0 else 0.0, f"arm clearance {c:.4f}")
@@ -1674,13 +1700,13 @@ def assert_validators_agree(paths, duration, arms) -> set:
         shifted = tuple(replace(a, clearance=a.clearance + shift) for a in arms)
         got = validate_motion(paths, shifted, duration)
         want = full_scan_validate(paths, shifted, duration)
-        assert got == want, ([p.knots for p in paths], duration, shift)
+        assert got == want, (paths, duration, shift)
         outcomes.add(want is None)
     return outcomes
 
 
 def _padded(paths):
-    duration = max(p.duration for p in paths)
+    duration = max(knots[-1][0] for knots in paths)
     return (_pad(paths[0], duration), _pad(paths[1], duration)), duration
 
 
@@ -1700,7 +1726,7 @@ def test_validate_skipping_matches_full_scan_on_random_legs(monkeypatch):
             pts = [(rng.uniform(0.1, 0.9), rng.uniform(0.05, 0.55)) for _ in range(4)]
             sub, ee = pair_leg(*pts)
             if rng.random() < 0.3:  # one idle arm, parked or on its way to retract
-                sub = InstantiatedSubTask(tasks=(sub.tasks[0], ArmTask()))
+                sub = (sub[0], ArmTask())
                 if rng.random() < 0.5:
                     ee[1] = arms[1].retract
             for stage in (Stage.TO_START, Stage.TO_GOAL):
@@ -1710,7 +1736,7 @@ def test_validate_skipping_matches_full_scan_on_random_legs(monkeypatch):
                         sequential_fallback(sub, arms, stage, ee)
                     except SubTaskInfeasible:
                         pass
-            if sub.tasks[1].obj is not None:
+            if sub[1].obj is not None:
                 legs = _leg_endpoints(sub, Stage.TO_GOAL, ee, arms)
                 for serial in (False, True):
                     for first in (0, 1):
@@ -1753,14 +1779,14 @@ def test_validate_skipping_on_delays_vias_padding_and_zero_length_legs():
 
 
 def test_validate_skipping_on_fast_and_jumping_paths():
-    parked = ArmPath([(0.0, 0.3, 0.3), (1.0, 0.3, 0.3)])
+    parked = [(0.0, 0.3, 0.3), (1.0, 0.3, 0.3)]
     far, near = (0.9, 0.3), (0.35, 0.3)
     # a dash 18x faster than unit speed: a unit-speed bound would skip it
-    dash = ArmPath([(0.0, *far), (0.5, *far), (0.53, *near), (0.56, *near), (0.59, *far), (1.0, *far)])
+    dash = [(0.0, *far), (0.5, *far), (0.53, *near), (0.56, *near), (0.59, *far), (1.0, *far)]
     # zero-time jumps into conflict and out again 0.003 later
-    jump = ArmPath([(0.0, *far), (0.5, *far), (0.5, *near), (0.503, *near), (0.503, *far), (1.0, *far)])
+    jump = [(0.0, *far), (0.5, *far), (0.5, *near), (0.503, *near), (0.503, *far), (1.0, *far)]
     # knot times that run backwards
-    backwards = ArmPath([(0.0, *far), (0.6, *far), (0.4, *near), (1.0, *near)])
+    backwards = [(0.0, *far), (0.6, *far), (0.4, *near), (1.0, *near)]
     for path in (dash, jump, backwards):
         assert assert_validators_agree((parked, path), 1.0, ARMS) == {False}
     bad = validate_motion((parked, jump), ARMS, 1.0)
@@ -1813,13 +1839,13 @@ def test_validate_matches_full_scan_on_random_arm_pairs(data):
     def placed(xy):
         return (ox + scale * xy[0], oy + scale * xy[1])
 
-    paths = [ArmPath([(t, *placed((x, y))) for t, x, y in p.knots]) for p in paths]
+    paths = [[(t, *placed((x, y))) for t, x, y in knots] for knots in paths]
     bases = [placed(b) for b in bases]
     paths, duration = _padded(paths)
     arms = tuple(ArmModel(base=b, reach=10.0 * scale) for b in bases)
     if data.draw(st.booleans(), label="on the least clearance"):
         least = min(
-            segment_clearance(bases[0], reference_point(paths[0].knots, t), bases[1], reference_point(paths[1].knots, t))
+            segment_clearance(bases[0], reference_point(paths[0], t), bases[1], reference_point(paths[1], t))
             for t in _grid_times(duration)
         )
         delta = data.draw(st.sampled_from((-2e-9, -1e-12, 0.0, 1e-12, 2e-9)), label="delta")
@@ -1850,7 +1876,7 @@ def test_validate_on_the_base_axis_with_the_threshold_at_the_gap():
             return (ox + lam * (base1[0] - ox), oy + lam * (base1[1] - oy))
 
         point0, point1 = along(rng.uniform(0.0, 0.5)), along(rng.uniform(0.5, 1.0))
-        still = (ArmPath([(0.0, *point0)]), ArmPath([(0.0, *point1)]))
+        still = ([(0.0, *point0)], [(0.0, *point1)])
         gap = segment_clearance(base0, point0, base1, point1)
         for ulps in range(-3, 4):
             clearance = gap - VALIDATE_GUARD + 1e-9 + ulps * math.ulp(gap)
@@ -1864,13 +1890,13 @@ def test_validate_on_the_base_axis_with_the_threshold_at_the_gap():
 # ------------------------------------------- the ladder's end-configuration proof
 
 def ladder_outcome(ladder, sub, arms, stage, ee):
-    """What a ladder makes of a leg: the motion's stage, mode, knots,
-    duration and event times, or the SubTaskInfeasible message."""
+    """What a ladder makes of a leg: the motion's mode, knots, duration and
+    event times, or the SubTaskInfeasible message."""
     try:
         res = ladder(sub, arms, stage, ee)
     except SubTaskInfeasible as exc:
         return str(exc)
-    return res.stage, res.mode, [p.knots for p in res.paths], res.duration, res.event_times
+    return res.mode, list(res.paths), res.duration, res.event_times
 
 
 def _table_point(data, label):
@@ -1904,7 +1930,7 @@ def test_ladder_matches_the_reference_ladder(data):
                 target = start
         tasks.append(ArmTask(obj=a, pick=pick, target=Pose2(*target)))
         ee.append(start)
-    sub = InstantiatedSubTask(tuple(tasks))
+    sub = tuple(tasks)
     if data.draw(st.booleans(), label="end at the limit"):
         (_, g0, _), (_, g1, _) = _leg_endpoints(sub, stage, ee, base_arms)
         end = segment_clearance(base_arms[0].base, g0, base_arms[1].base, g1)
@@ -1940,7 +1966,7 @@ def test_ladder_goes_straight_to_sequential_when_the_end_breaks_clearance(monkey
         sub, ee = pair_leg(*points)
         tried.clear()
         got = ladder_outcome(motion._ladder, sub, arms, Stage.TO_GOAL, ee)
-        assert tried == rungs and got[1] == mode
+        assert tried == rungs and got[0] == mode
         assert got == ladder_outcome(ladder_reference, sub, arms, Stage.TO_GOAL, ee)
     (_, g0, _), (_, g1, _) = _leg_endpoints(sub, Stage.TO_GOAL, ee, arms)
     assert 0.0 < motion._limit(arms) - segment_clearance(arms[0].base, g0, arms[1].base, g1) < 1e-15

@@ -6,7 +6,7 @@ import pytest
 from sdar import depgraph, instances, motion, sim, taskplan
 from sdar.baseline import single_arm_optimal_actions
 from sdar.geom import Pose2
-from sdar.motion import ArmTask, InstantiatedSubTask, Stage, default_arms, plan_sync
+from sdar.motion import ArmTask, Stage, default_arms, plan_sync
 from sdar.sim import (
     dumps_trace,
     iterate_frames,
@@ -719,11 +719,11 @@ def test_execute_plans_each_round_once(monkeypatch):
 def test_round_cap_ends_a_run_that_makes_no_progress(monkeypatch):
     # every round parks both arms and moves nothing: without the cap of 2n
     # rounds the run would never end
-    idle = InstantiatedSubTask((ArmTask(), ArmTask()))
+    idle = (ArmTask(), ArmTask())
 
     def idle_round(plan, session, **kwargs):
         start = plan_sync(idle, session.arms, Stage.TO_START, session.ee)
-        goal = plan_sync(idle, session.arms, Stage.TO_GOAL, [p.end for p in start.paths])
+        goal = plan_sync(idle, session.arms, Stage.TO_GOAL, [knots[-1][1:] for knots in start.paths])
         return idle, start, goal
 
     monkeypatch.setattr(sim, "plan_motion", idle_round)

@@ -502,6 +502,76 @@ def test_grip_against_its_leg_parity_is_rejected(k, action, want):
         assert verify(trace, inst) == verify(text, inst) == (False, want)
 
 
+def _named(trace, inst, **fields):
+    """A `replace` copy of `inst` with `fields`, which the trace now names."""
+    edited = replace(inst, **fields)
+    trace.instance_hash = instance_hash(edited)
+    return edited
+
+
+def _moved(arrangement, obj, pose):
+    return depgraph.Arrangement({**arrangement.poses, obj: pose})
+
+
+def _discontinuous(trace, inst):
+    # leg 1's arm 1 sets out 1e-3 of its first segment from where leg 0
+    # left it, so the segment stays below unit speed
+    knots = trace.legs[1].knots[0]
+    (t0, x0, y0), (_, x1, y1) = knots[:2]
+    knots[0] = (t0, x0 + (x1 - x0) * 1e-3, y0 + (y1 - y0) * 1e-3)
+    return inst
+
+
+def _regripped(k, g, arm, obj):
+    """Leg k's grip g given to `arm` on `obj`, at its own action and time."""
+
+    def forge(trace, inst):
+        leg = trace.legs[k]
+        _, action, _, t = leg.grips[g]
+        leg.grips[g] = (arm, action, obj, t)
+        return inst
+
+    return forge
+
+
+def _unheld_place(trace, inst):
+    trace.legs[1].places.insert(0, (3, inst.goal.pose_of(3), "goal"))
+    return inst
+
+
+# showcase9 at plan seed 42: in leg 0 arm 1 closes on object 8 and arm 2 on
+# object 7; in leg 1 they open at their goals, 8 placed first.  Object 6
+# stays on the table through leg 0, whose end checks the start table.
+@pytest.mark.parametrize(
+    "forge, want",
+    [
+        (lambda trace, inst: _named(trace, inst, start=_moved(inst.start, 6, Pose2(1.05, 0.12))),
+         "leg 0: object 6 outside workspace"),
+        (_discontinuous, "leg 1: arm 1 path discontinuity"),
+        (_regripped(0, 1, 1, 8), "leg 0: grasping object 8 not on the table"),
+        (_regripped(0, 1, 0, 7), "leg 0: arm 1 already holds an object"),
+        (_regripped(1, 0, 0, 7), "leg 1: arm 1 released unheld object 7"),
+        (_unheld_place, "leg 1: placing object 3 that is not held"),
+        (lambda trace, inst: _named(trace, inst, shapes={**inst.shapes, 8: (0.5, 0.03)}),
+         "leg 1: placement of 8 outside workspace"),
+        (lambda trace, inst: _named(trace, inst, goal=_moved(inst.goal, 8, Pose2(0.55, 0.45, 0.1))),
+         "leg 1: goal placement of 8 at the wrong pose"),
+    ],
+    ids=["start-outside", "discontinuity", "grasp-off-table", "second-grasp", "unheld-open",
+         "unheld-place", "place-outside", "wrong-goal"],
+)
+def test_forged_table_events_are_rejected(forge, want):
+    inst = instances.showcase9()
+    trace = run_instance(inst, PLAN_SEED)[1].trace
+    leg0, leg1 = trace.legs[:2]
+    assert [grip[:3] for grip in leg0.grips] == [(0, "close", 8), (1, "close", 7)]
+    assert [obj for obj, _, _ in leg1.places] == [8, 7]
+    inst = forge(trace, inst)
+    text = dumps_trace(trace)
+    for verify in (verify_trace, full_scan_verify):
+        assert verify(trace, inst) == verify(text, inst) == (False, want)
+
+
 def test_non_finite_placement_cannot_be_parsed():
     inst = instances.showcase9()
     _, rec = run_instance(inst, 0)
@@ -577,11 +647,11 @@ def test_round_check_reports_an_overlapping_round_as_a_full_scan_does(monkeypatc
         sub, start, goal = plan_motion(plan, session, **kwargs)
         planned.append(sub)
         if len(planned) == 3:
-            moving = {t.obj for t in sub.tasks if t.obj is not None}
-            task = next(t for t in sub.tasks if t.obj is not None)
+            moving = {t.obj for t in sub if t.obj is not None}
+            task = next(t for t in sub if t.obj is not None)
             victim = next(i for i in session.boxes if i not in moving)
             onto = replace(task, target=session.boxes[victim].center)
-            sub = replace(sub, tasks=tuple(onto if t is task else t for t in sub.tasks))
+            sub = tuple(onto if t is task else t for t in sub)
         return sub, start, goal
 
     monkeypatch.setattr(sim, "plan_motion", third_round_overlaps)
@@ -612,7 +682,7 @@ def test_held_boxes_match_fresh_footprints_after_every_round(monkeypatch):
         apply_round(session, sub, goal_motion)
         inst = session.instance
         shapes = inst.shapes
-        assert all(session.boxes[t.obj].center == t.target for t in sub.tasks if t.obj is not None)
+        assert all(session.boxes[t.obj].center == t.target for t in sub if t.obj is not None)
         fresh = [(i, depgraph.footprint(i, b.center, shapes)) for i, b in session.boxes.items()]
         assert list(session.boxes.items()) == fresh and list(session.boxes) == inst.ids()
         goals = [(i, depgraph.footprint(i, p, shapes)) for i, p in inst.goal.on_table()]
@@ -625,8 +695,8 @@ def test_held_boxes_match_fresh_footprints_after_every_round(monkeypatch):
             depgraph.footprints(depgraph.Arrangement({i: inst.goal.pose_of(i) for i in left}), shapes),
         )
         assert session.graph_over_remaining() == graph
-        parks = any(t.to_buffer for t in sub.tasks)
-        homes = any(t.obj in was_buffered and not t.to_buffer for t in sub.tasks)
+        parks = any(t.to_buffer for t in sub)
+        homes = any(t.obj in was_buffered and not t.to_buffer for t in sub)
         rounds.append((parks, homes))
 
     monkeypatch.setattr(PlannerSession, "apply_round", checked)
