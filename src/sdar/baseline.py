@@ -1,10 +1,12 @@
 """Single-arm oracle, the action-count baseline of a run.
 
-An optimal single-arm rearrangement of an instance whose dependency structure
-is a disjoint union of simple cycles and acyclic parts needs exactly one move
-per object out of place plus one extra relocation per cycle: that count plus
-the min-feedback-vertex-set is the exact single-arm action count there (and
-a lower bound elsewhere).
+An optimal single-arm rearrangement of an instance whose dependency graph
+has no complex SCC (its cycles are disjoint simple ones) takes one move per
+object out of place plus one buffer relocation per cycle, and the number of
+cycles is then the graph's minimum feedback vertex set (min-FVS).  So the
+oracle counts the objects out of place and adds the min-FVS: the exact
+single-arm action count there, and a lower bound elsewhere.  An acyclic
+graph, the common case, needs no decomposition: its min-FVS is 0.
 The makespan baseline, a forced-sequential replay of the run, is `sim`'s:
 `sim.evaluate` reports both.
 """
@@ -37,27 +39,37 @@ def min_fvs(g: DepGraph, d: Decomposition | None = None) -> int:
 
     FVS decomposes over strongly connected components: one removal breaks a
     simple cycle, and each complex SCC gets an exact search of its own, on
-    bitmasks: member k of the component is the bit 1 << k, and `succ[k]`
-    and `pred[k]` are the masks of its neighbours inside it."""
-    if g.n > MAX_VERTICES:
-        raise BudgetExceeded(f"min_fvs limited to {MAX_VERTICES} vertices, got {g.n}")
+    the bitmasks of its members' neighbours inside it (`_masks`)."""
+    _check_budget(g)
     if d is None:
         d = decompose(g)
     total = len(d.cycles)
     for comp in d.complex_sccs:
-        index = {v: k for k, v in enumerate(comp)}
-        succ = [0] * len(comp)
-        pred = [0] * len(comp)
-        for i, j in g.edges:
-            if i in index and j in index:
-                succ[index[i]] |= 1 << index[j]
-                pred[index[j]] |= 1 << index[i]
+        succ, pred = _masks(comp, g.edges)
         # iterative deepening: the least budget that clears every cycle
         budget = 1
         while not _breakable((1 << len(comp)) - 1, budget, succ, pred):
             budget += 1
         total += budget
     return total
+
+
+def _check_budget(g: DepGraph) -> None:
+    if g.n > MAX_VERTICES:
+        raise BudgetExceeded(f"min_fvs limited to {MAX_VERTICES} vertices, got {g.n}")
+
+
+def _masks(members, edges) -> tuple[list[int], list[int]]:
+    """The out- and in-neighbour masks of each of `members` among them:
+    member k is the bit 1 << k."""
+    index = {v: k for k, v in enumerate(members)}
+    succ = [0] * len(members)
+    pred = [0] * len(members)
+    for i, j in edges:
+        if i in index and j in index:
+            succ[index[i]] |= 1 << index[j]
+            pred[index[j]] |= 1 << index[i]
+    return succ, pred
 
 
 def _breakable(keep: int, budget: int, succ: list[int], pred: list[int]) -> bool:
@@ -134,16 +146,19 @@ def _shortest_cycle(keep: int, succ: list[int]) -> list[int]:
 
 
 def single_arm_optimal_actions(instance: Instance) -> OracleResult:
-    """Objects out of place (as `PlannerSession.remaining` counts them, each
-    isolated in the graph when at its goal) + min_fvs: exact when all size->=2
-    SCCs are simple cycles, otherwise a lower bound (assumption_holds=False)."""
+    """The objects out of place (as `PlannerSession.remaining` counts them,
+    each isolated in the graph when at its goal) plus the graph's min-FVS:
+    exact when the graph has no complex SCC, otherwise a lower bound
+    (assumption_holds=False).  A graph over the vertex budget raises
+    BudgetExceeded; one that the in/out-degree trimming empties is acyclic,
+    min-FVS 0 and exact, with no decomposition."""
     g = instance.graph()
-    d = decompose(g)
-    f = min_fvs(g, d)
+    _check_budget(g)
+    if not _trimmed((1 << g.n) - 1, *_masks(g.vertices, g.edges)):
+        f, holds = 0, True
+    else:
+        d = decompose(g)
+        f, holds = min_fvs(g, d), not d.complex_sccs
     start, goal = instance.start, instance.goal
     moves = sum(not start.pose_of(i).almost_equal(goal.pose_of(i)) for i in instance.ids())
-    return OracleResult(
-        min_fvs=f,
-        single_arm_optimal_actions=moves + f,
-        assumption_holds=not d.complex_sccs,
-    )
+    return OracleResult(min_fvs=f, single_arm_optimal_actions=moves + f, assumption_holds=holds)

@@ -1,9 +1,12 @@
 """Dependency graph construction and structural decomposition.
 
 An edge (i -> j) means object i cannot be placed at its goal until object j has
-left its current pose.  The decomposition feeds the task planner: vertices with
-zero out-degree are movable immediately, chains impose a strict order, cycles
-need a swap (length 2) or one buffer relocation (length >= 3).
+left its current pose.  The decomposition sorts the vertices: those with zero
+out-degree are movable immediately, chains impose a strict order, cycles need
+a swap (length 2) or one buffer relocation (length >= 3), and complex SCCs
+need a break.  The task planner reads it only in a round with no sink, or
+with a lone sink that no vertex waits on alone: a round that breaks a cycle
+if it can.  The oracle reads it only for a graph with a cycle.
 """
 
 from __future__ import annotations

@@ -6,14 +6,19 @@ a round moved something, and emits candidate object pairs (movable pairs,
 a chain terminal pair, or cycle-breaking pairs with the buffer flag), then
 the one-arm moves to try if no pair works, each an object and its target
 (goal, buffer, or a relay buffer outside both arm bases' keep-out zones;
-reach is left to binding).  The task plan decides every move of the round;
-the motion layer binds the moves to arms, grasps and poses, and plans both
-legs of the round.
+reach is left to binding).  A round reads only the structure it uses: the
+graph's sinks (the objects movable now), then a lone sink's partners and
+the chains into them; only a round with no sink, or a lone sink that no
+object waits on alone, decomposes the graph for its cycles and complex
+SCCs.  The task plan decides every move of the round; the motion layer
+binds the moves to arms, grasps and poses, and plans both legs of the
+round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from .depgraph import DepGraph, build_dependency_graph, decompose, footprint, footprints, retest_moved
@@ -163,23 +168,19 @@ def mark_buffer_target(cycle: list[int]) -> list[tuple[int, int]]:
     return [(cycle[k], cycle[(k + 1) % len(cycle)]) for k in range(len(cycle))]
 
 
-def _chain_lengths(decomp) -> dict[int, int]:
-    return {v: len(c) for c in decomp.chains for v in c}
-
-
 def next_task_plan(session: PlannerSession) -> TaskPlan:
-    """The task plan of the next round; TaskComplete once nothing remains."""
+    """The task plan of the next round, from the graph over the remaining
+    objects (`_choose`), then its recovery moves; TaskComplete once nothing
+    remains."""
     if not session.remaining:
         raise TaskComplete
 
     if len(session.remaining) == 1:
         (obj,) = session.remaining
-        plan, movable = TaskPlan(singles=[(obj, GOAL)]), {obj}
+        plan, movable = TaskPlan(singles=[(obj, GOAL)]), [obj]
     else:
-        dg = session.graph_over_remaining()
-        decomp = decompose(dg)
-        plan, movable = _choose(session, dg, decomp), set(decomp.movable_now)
-    plan.singles += _recovery_moves(plan, movable, session.buffered)
+        plan, movable = _choose(session.graph_over_remaining())
+    plan.singles += _recovery_moves(plan, set(movable), session.buffered)
     return plan
 
 
@@ -209,60 +210,78 @@ def _recovery_moves(plan: TaskPlan, movable: set[int], buffered: set[int]) -> li
     return moves
 
 
-def _choose(session: PlannerSession, dg: DepGraph, decomp) -> TaskPlan:
-    """The round's pairs, or its lone-object move, from the graph over the
-    remaining objects."""
-    movable = decomp.movable_now
-    succ = dg.successors()  # each vertex's out-neighbours, read once per round
-
+def _choose(dg: DepGraph) -> tuple[TaskPlan, list[int]]:
+    """The round's pairs, or its lone-object move, and the objects movable
+    now (the graph's sinks), from the graph over the remaining objects.
+    Two or more sinks pair up; a lone sink pairs with its partners, the
+    vertices whose only out-edge goes to it, longest chain first.  Only a
+    round with no sink, or a lone sink with no partner, reads the graph's
+    cycles and complex SCCs (`decompose`)."""
+    tails = {i for i, _ in dg.edges}
+    movable = sorted(v for v in dg.vertices if v not in tails)
     if len(movable) >= 2:
-        cands = [
-            (movable[a], movable[b])
-            for a in range(len(movable))
-            for b in range(a + 1, len(movable))
-        ]
-        return TaskPlan(candidates=cands)
+        return TaskPlan(candidates=list(combinations(movable, 2))), movable
 
+    succ = dg.successors()  # each vertex's out-neighbours, read once per round
     if len(movable) == 1:
         m = movable[0]
-        chain_len = _chain_lengths(decomp)
-        partners = sorted(
-            (j for j, out in succ.items() if out == [m]),
-            key=lambda j: (-chain_len.get(j, 1), j),
-        )
+        partners = [j for j, out in succ.items() if out == [m]]
         if partners:
-            return TaskPlan(candidates=[(m, j) for j in partners])
+            pred = {v: [] for v in succ}
+            for i, out in succ.items():
+                for j in out:
+                    pred[j].append(i)
+            partners.sort(key=lambda j: (-_chain_length(j, succ, pred), j))
+            return TaskPlan(candidates=[(m, j) for j in partners]), movable
         # nothing can ride along with m this round; break a cycle first and
         # let m pair up once the break spawns new movable objects
 
+    decomp = decompose(dg)
     # Cycle resolution: swaps are free, longer cycles cost one buffer park.
     for cyc in decomp.cycles:
         if len(cyc) != 2:
             continue
         a, b = cyc
         if succ[a] == [b] and succ[b] == [a]:
-            return TaskPlan(candidates=[(a, b)])
+            return TaskPlan(candidates=[(a, b)]), movable
     for cyc in decomp.cycles:
         if len(cyc) < 3:
             continue
         pairs = [(a, b) for a, b in mark_buffer_target(cyc) if succ[a] == [b]]
         if pairs:
-            return TaskPlan(candidates=pairs, need_buffer=True)
+            return TaskPlan(candidates=pairs, need_buffer=True), movable
     for scc in decomp.complex_sccs:
         members = set(scc)
         out_deg = {v: sum(w in members for w in succ[v]) for v in scc}
         v = max(scc, key=lambda u: (out_deg[u], -u))
         partners = sorted(j for j, out in succ.items() if out == [v])
         if partners:
-            return TaskPlan(candidates=[(x, v) for x in partners], need_buffer=True)
-        return TaskPlan(need_buffer=True, singles=[(v, BUFFER)])
+            return TaskPlan(candidates=[(x, v) for x in partners], need_buffer=True), movable
+        return TaskPlan(need_buffer=True, singles=[(v, BUFFER)]), movable
 
     if movable:
         # a lone movable object with no partner and no breakable cycle this
         # round still makes progress on its own
-        return TaskPlan(singles=[(movable[0], GOAL)])
+        return TaskPlan(singles=[(movable[0], GOAL)]), movable
 
     raise InconsistentState(
         "no resolvable structure in the dependency graph; remaining="
-        f"{sorted(session.remaining)} edges={sorted(dg.edges)}"
+        f"{list(dg.vertices)} edges={sorted(dg.edges)}"
     )
+
+
+def _chain_length(j: int, succ: dict[int, list[int]], pred: dict[int, list[int]]) -> int:
+    """The number of vertices of the chain `decompose` lists through `j`, a
+    partner of the lone sink, up to `j` (1 when `j` is on no chain).  A
+    chain holds vertices of in- and out-degree at most 1; walking back from
+    `j` over such vertices meets no cycle, since each one's only out-edge
+    leads on to the sink, which has none.  The sink itself ends the chain
+    only when `j` is its one partner, where there is nothing to rank."""
+    length = 1
+    while len(pred[j]) == 1:
+        p = pred[j][0]
+        if len(succ[p]) > 1 or len(pred[p]) > 1:
+            break
+        length += 1
+        j = p
+    return length

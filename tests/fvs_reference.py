@@ -1,10 +1,24 @@
 """Two slow minimum-feedback-vertex-set counts that `baseline.min_fvs` is
 checked against: a plain subset enumeration over the whole graph, and the
-per-SCC subset search the oracle ran before its branching search."""
+per-SCC subset search the oracle ran before its branching search.  Also the
+oracle as it read every graph's full decomposition, which
+`baseline.single_arm_optimal_actions` must match."""
 
 import itertools
 
+from sdar.baseline import OracleResult, min_fvs
 from sdar.depgraph import DepGraph, decompose
+
+
+def oracle_reference(instance) -> OracleResult:
+    """The objects out of place plus `min_fvs` of the decomposed graph,
+    exact when the decomposition lists no complex SCC."""
+    g = instance.graph()
+    d = decompose(g)
+    f = min_fvs(g, d)
+    start, goal = instance.start, instance.goal
+    moves = sum(not start.pose_of(i).almost_equal(goal.pose_of(i)) for i in instance.ids())
+    return OracleResult(f, moves + f, not d.complex_sccs)
 
 
 def naive_min_fvs(n, edges) -> int:

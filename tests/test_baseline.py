@@ -11,8 +11,9 @@ from sdar.baseline import (
     single_arm_optimal_actions,
 )
 from sdar.depgraph import DepGraph
+from sdar.instances import Instance
 
-from fvs_reference import min_fvs_subset_reference, naive_min_fvs
+from fvs_reference import min_fvs_subset_reference, naive_min_fvs, oracle_reference
 
 
 def graph(n, edges):
@@ -89,6 +90,45 @@ def test_dense_oracle_values_and_subset_search():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         min_fvs(graph(21, set()))
+    # an acyclic table over the budget is refused too, before any search
+    inst = instances.identity_instance(21, 0)
+    assert not inst.graph().edges
+    with pytest.raises(BudgetExceeded):
+        single_arm_optimal_actions(inst)
+
+
+def with_graph(inst, g):
+    """`inst` with `g` as its dependency graph; its objects out of place
+    are its own."""
+
+    class Drawn(Instance):
+        def graph(self):
+            return g
+
+    return Drawn(inst.workspace, inst.shapes, inst.start, inst.goal, inst.label, inst.seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.floats(0.0, 0.5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_oracle_matches_the_decomposition_on_random_graphs(n, p, acyclic, seed):
+    # an acyclic graph keeps only the edges that run forward in a shuffled order
+    rng = random.Random(seed)
+    rank = rng.sample(range(n), n)
+    edges = {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and rng.random() < p and (rank[i] < rank[j] or not acyclic)
+    }
+    inst = with_graph(instances.showcase9(), graph(n, edges))
+    assert single_arm_optimal_actions(inst) == oracle_reference(inst)
+
+
+def test_oracle_matches_the_decomposition_on_generated_tables():
+    tables = [instances.gen_random(n, s) for n in (6, 10, 14, 18, 20) for s in range(4)]
+    tables += [instances.gen_single_cycle(5, 0), instances.gen_mixed(3), instances.showcase9()]
+    for inst in tables:
+        assert single_arm_optimal_actions(inst) == oracle_reference(inst), inst.label
 
 
 # --------------------------------------------------- single-arm optimality

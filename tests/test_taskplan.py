@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdar import instances, sim
+from sdar import baseline, depgraph, instances, sim, taskplan
 from sdar.depgraph import DepGraph, decompose
 from sdar.geom import Pose2, box_at
 from sdar.motion import default_arms
@@ -16,6 +18,8 @@ from sdar.taskplan import (
     mark_buffer_target,
     next_task_plan,
 )
+
+from taskplan_reference import choose_reference, task_plan_reference
 
 
 def fresh_session(inst, seed=0):
@@ -132,6 +136,142 @@ def test_buffer_pair_plan_parks_each_object_alone(monkeypatch):
     # pass 1 parks every pair's second object, no relay on a buffer plan,
     # pass 3 parks the blocked objects not already at a buffer
     assert plan.singles == [(0, BUFFER), (1, BUFFER), (2, BUFFER), (0, BUFFER), (1, BUFFER)]
+
+
+def test_lone_sink_partners_rank_by_chain_length_then_id():
+    # sink 0 has three partners: 1 ends the chain 3 -> 2 -> 1, 4 ends 5 -> 4,
+    # and 6 is on no chain; 0 has several in-edges, so it ends none of them
+    edges = [(3, 2), (2, 1), (1, 0), (5, 4), (4, 0), (6, 0)]
+    g = DepGraph(tuple(range(7)), frozenset(edges))
+    plan, movable = taskplan._choose(g)
+    assert plan.candidates == [(0, 1), (0, 4), (0, 6)] and movable == [0]
+    # a second in-edge takes 1 off its chain, and a lone partner's chain ends at the sink
+    plan, _ = taskplan._choose(DepGraph(tuple(range(8)), g.edges | {(7, 1)}))
+    assert plan.candidates == [(0, 4), (0, 1), (0, 6)]
+    plan, _ = taskplan._choose(DepGraph((0, 1, 2, 3), frozenset({(3, 2), (2, 1), (1, 0)})))
+    assert plan.candidates == [(0, 1)]
+
+
+# --------------------------------------- the decomposition-based reference
+
+@st.composite
+def planted_graphs(draw):
+    """A random dependency graph of 1-14 vertices: planted blocks (chains,
+    funnels of chains into one sink, in-trees whose paths branch and merge
+    on their way to one sink, 2-cycles, longer cycles and complex SCCs), a
+    few random extra edges, and a random relabelling.  On half the graphs
+    the first block is a funnel or a tree and every sink but the first gets
+    an out-edge, so most often that block's root is the lone sink."""
+    n = draw(st.integers(1, 14))
+    lone = draw(st.booleans())
+    least = {"chain": 1, "funnel": 3, "tree": 2, "swap": 2, "cycle": 3, "complex": 3}
+    edges = set()
+    k = 0
+    while k < n:
+        kind = draw(st.sampled_from(["funnel", "tree"] if lone and not k else list(least)))
+        if n - k < least[kind]:
+            kind = "chain"
+        size = 2 if kind == "swap" else draw(st.integers(least[kind], n - k))
+        block = list(range(k, k + size))
+        k += size
+        if kind == "funnel":
+            root, rest = block[0], block[1:]
+            while rest:
+                cut = draw(st.integers(1, len(rest)))
+                path, rest = rest[:cut], rest[cut:]
+                edges.update(zip(path, path[1:] + [root]))
+        elif kind == "tree":
+            # each vertex waits on an earlier one, most often the one just
+            # before it, so chains run long and also branch and merge
+            for v in block[1:]:
+                edges.add((v, draw(st.sampled_from([v - 1, v - 1, *block[: v - block[0]]]))))
+        else:
+            edges.update(zip(block, block[1:]))
+            if kind != "chain":
+                edges.add((block[-1], block[0]))
+            if kind == "complex":
+                a, b = draw(st.lists(st.sampled_from(block), min_size=2, max_size=2, unique=True))
+                edges.add((a, b) if (a, b) not in edges else (b, a))
+
+    def other_than(v):
+        return st.sampled_from([u for u in range(n) if u != v])
+
+    if n > 1:
+        edges.update(draw(st.lists(st.integers(0, n - 1).flatmap(
+            lambda v: st.tuples(st.just(v), other_than(v))), max_size=4)))
+    if n > 1 and lone:
+        sinks = [v for v in range(n) if all(i != v for i, _ in edges)]
+        edges.update((v, draw(other_than(v))) for v in sinks[1:])
+    relabel = draw(st.permutations(range(n)))
+    return DepGraph(tuple(range(n)), frozenset((relabel[i], relabel[j]) for i, j in edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_graphs(), st.data())
+def test_round_plan_matches_the_decomposition_reference(g, data):
+    # the plan (candidates, buffer flag, the plan's own one-arm moves) and
+    # the movable set, then the whole task plan with its recovery moves
+    assert taskplan._choose(g) == choose_reference(g)
+    buffered = data.draw(st.sets(st.sampled_from(g.vertices)))
+    plans = []
+    for plan_fn in (next_task_plan, task_plan_reference):
+        session = fresh_session(instances.showcase9())
+        session.remaining, session.buffered, session.graph = set(g.vertices), buffered, g
+        plans.append(plan_fn(session))
+    assert plans[0] == plans[1]
+
+
+# ------------------------------------------------- what a round decomposes
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    """The graphs that planning and the oracle decompose, by module."""
+    calls = {"taskplan": [], "baseline": []}
+    for module in (taskplan, baseline):
+        real = module.decompose
+
+        def counted(g, real=real, name=module.__name__.rsplit(".", 1)[-1]):
+            calls[name].append(g)
+            return real(g)
+
+        monkeypatch.setattr(module, "decompose", counted)
+    return calls
+
+
+def test_acyclic_tables_are_planned_and_judged_without_a_decomposition(decompose_calls):
+    # the benchmark's acyclic-pairs tables: for each size, the first 25 random
+    # tables in generator-seed order whose graph has no cycle and no complex SCC
+    tables = []
+    for n in (6, 8, 10, 12):
+        s = 0
+        while sum(inst.n == n for inst in tables) < 25:
+            inst = instances.gen_random(n, s * 131 + n)
+            s += 1
+            d = depgraph.decompose(inst.graph())
+            if not d.cycles and not d.complex_sccs:
+                tables.append(inst)
+    for inst in tables:
+        metrics, _ = sim.run_instance(inst, 42)
+        assert metrics.success
+        assert baseline.single_arm_optimal_actions(inst).assumption_holds
+    assert decompose_calls == {"taskplan": [], "baseline": []}
+
+
+@pytest.mark.parametrize(
+    "inst, planning, oracle",
+    [(instances.showcase9(), 1, 1), (instances.gen_single_cycle(5, 0), 1, 1)],
+    ids=["showcase9", "single_cycle_5"],
+)
+def test_only_rounds_that_read_cycles_decompose(decompose_calls, inst, planning, oracle):
+    metrics, _ = sim.run_instance(inst, 0)
+    assert metrics.success
+    baseline.single_arm_optimal_actions(inst)
+    assert (len(decompose_calls["taskplan"]), len(decompose_calls["baseline"])) == (planning, oracle)
+    for g in decompose_calls["taskplan"]:
+        succ = g.successors()
+        sinks = [v for v in g.vertices if not succ[v]]
+        # no sink, or a lone sink that nothing waits on alone
+        assert not sinks or (len(sinks) == 1 and [sinks[0]] not in succ.values())
 
 
 # ------------------------------------------------------------- assign_arms
